@@ -87,9 +87,29 @@ func TestProbeSteadyStateAllocations(t *testing.T) {
 		}
 	}
 	probeAll() // size the scratch buffers
-	const maxAllocsPerProbe = 40
+	// 30.25 measured on this workload, with and without the walk's
+	// availability view: the view lives in two flat composer-lifetime
+	// arrays and must not add to it.
+	const maxAllocsPerProbe = 34
 	allocs := testing.AllocsPerRun(5, probeAll) / float64(len(reqs))
 	if allocs > maxAllocsPerProbe {
 		t.Errorf("probe walk allocates %.1f per request in steady state, want <= %d", allocs, maxAllocsPerProbe)
+	}
+
+	// The view itself: a new walk's first read of every node and every
+	// overlay link — and the repeat reads after it — allocate nothing.
+	readAll := func() {
+		c.beginWalk(reqs[0])
+		for pass := 0; pass < 2; pass++ {
+			for n := 0; n < env.Mesh.NumNodes(); n++ {
+				c.nodeAvail(n)
+			}
+			for k := 0; k < env.Mesh.NumLinks(); k++ {
+				c.linkAvail(k)
+			}
+		}
+	}
+	if allocs := testing.AllocsPerRun(20, readAll); allocs > 0 {
+		t.Errorf("the availability view allocates %.1f per walk, want 0", allocs)
 	}
 }

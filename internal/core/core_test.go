@@ -15,10 +15,13 @@ import (
 	"repro/internal/topology"
 )
 
-// testClock is a settable virtual clock.
-type testClock struct{ now time.Duration }
+// testClock is a settable virtual clock that counts how often it is read.
+type testClock struct {
+	now   time.Duration
+	reads int
+}
 
-func (c *testClock) Now() time.Duration { return c.now }
+func (c *testClock) Now() time.Duration { c.reads++; return c.now }
 
 // testEnv builds a small but fully wired system: 200 IP nodes, a 30-node
 // overlay, 10 functions with 6 candidates each.

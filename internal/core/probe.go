@@ -42,6 +42,7 @@ type hopChild struct {
 type walkState struct {
 	req        *component.Request
 	owner      state.Owner
+	now        time.Duration // the walk's one read of Env.Now
 	expires    time.Duration
 	budget     int // remaining probe sends (MaxProbesPerRequest)
 	maxLatency float64
@@ -77,6 +78,15 @@ type rankedCand struct {
 // whole lifetime; the candidate cache is invalidated per request by an
 // epoch counter because the catalog may change between requests (node
 // failures, migration).
+//
+// The availability view is guarded by the same epoch: the first time a
+// walk touches a node or an overlay link it reads the owner-credited
+// availability from the ledger, and every later conformance check and
+// Eq. 1 term of that walk reuses the value — a returned probe carries
+// the state it saw (§3.3 step 3); it does not go back for it. The view
+// only ranks and prunes: every hold and the commit re-check the ledger
+// atomically, so a view gone stale under a shared, locked ledger costs a
+// dropped probe or a refused composition, never an over-admission.
 type walkScratch struct {
 	numNodes   int
 	routes     []overlay.Route // flat from*numNodes+to cache
@@ -85,6 +95,11 @@ type walkScratch struct {
 	cands     [][]component.ComponentID // per FunctionID, epoch-guarded
 	candEpoch []uint64
 	epoch     uint64
+
+	nodeView  []qos.Resources // per node, valid when nodeEpoch matches
+	nodeEpoch []uint64
+	linkView  []float64 // per overlay link, valid when linkEpoch matches
+	linkEpoch []uint64
 
 	cur   []component.ComponentID // DFS cursor assignment, one slot per position
 	arena []component.ComponentID // completed assignments, shared prefix storage
@@ -110,12 +125,17 @@ type walkScratch struct {
 func newWalkScratch(env *Env) walkScratch {
 	n := env.Mesh.NumNodes()
 	f := env.Catalog.NumFunctions()
+	links := env.Mesh.NumLinks()
 	return walkScratch{
 		numNodes:   n,
 		routes:     make([]overlay.Route, n*n),
 		routeKnown: make([]bool, n*n),
 		cands:      make([][]component.ComponentID, f),
 		candEpoch:  make([]uint64, f),
+		nodeView:   make([]qos.Resources, n),
+		nodeEpoch:  make([]uint64, n),
+		linkView:   make([]float64, links),
+		linkEpoch:  make([]uint64, links),
 	}
 }
 
@@ -164,12 +184,54 @@ func (c *Composer) beginWalk(req *component.Request) {
 	for _, e := range edges {
 		sc.preds[e.To] = append(sc.preds[e.To], e.From)
 	}
+	now := c.env.Now()
 	c.walk = walkState{
 		req:     req,
 		owner:   state.Owner(req.ID),
-		expires: c.env.Now() + c.cfg.HoldTTL,
+		now:     now,
+		expires: now + c.cfg.HoldTTL,
 		budget:  c.cfg.MaxProbesPerRequest,
 	}
+}
+
+// nodeAvail is the walk's view of a node: the request's own-credited
+// precise availability as the ledger had it when the walk first looked.
+//
+//acp:hotpath
+func (c *Composer) nodeAvail(node int) qos.Resources {
+	sc := &c.scratch
+	if sc.nodeEpoch[node] != sc.epoch {
+		sc.nodeView[node] = c.env.Ledger.NodeAvailableForAt(c.walk.now, c.walk.owner, node)
+		sc.nodeEpoch[node] = sc.epoch
+	}
+	return sc.nodeView[node]
+}
+
+// linkAvail is nodeAvail for an overlay link's bandwidth.
+//
+//acp:hotpath
+func (c *Composer) linkAvail(link int) float64 {
+	sc := &c.scratch
+	if sc.linkEpoch[link] != sc.epoch {
+		sc.linkView[link] = c.env.Ledger.LinkAvailableForAt(c.walk.now, c.walk.owner, link)
+		sc.linkEpoch[link] = sc.epoch
+	}
+	return sc.linkView[link]
+}
+
+// routeAvail is the walk's view of a virtual link: the bottleneck over
+// its overlay links, +Inf for a co-located route (footnote 4).
+//
+//acp:hotpath
+func (c *Composer) routeAvail(r overlay.Route) float64 {
+	if r.CoLocated {
+		return math.Inf(1)
+	}
+	avail := math.Inf(1)
+	for _, link := range r.Links {
+		avail = math.Min(avail, c.linkAvail(link))
+	}
+	return avail
 }
 
 // lookup resolves a function's candidates, caching per request so the
@@ -346,14 +408,14 @@ func (c *Composer) holdComposition(comp *Composition) bool {
 	w := &c.walk
 	nodes, links := c.accumulateDemands(w.req, comp.Components, comp.Routes)
 	for i, nd := range nodes {
-		if !c.env.Ledger.HoldNode(w.owner, 0, nd.node, nd.amount, w.expires) {
+		if ok, _ := c.env.Ledger.HoldNodeTrackedAt(w.now, w.owner, 0, nd.node, nd.amount, w.expires); !ok {
 			c.rollbackComposition(nodes[:i], nil)
 			return false
 		}
 		c.env.Tracer.HoldAcquired(w.req.ID, 0, -1, nd.node)
 	}
 	for i, ld := range links {
-		if !c.env.Ledger.HoldLink(w.owner, 0, ld.link, ld.bw, w.expires) {
+		if ok, _ := c.env.Ledger.HoldLinkTrackedAt(w.now, w.owner, 0, ld.link, ld.bw, w.expires); !ok {
 			c.rollbackComposition(nodes, links[:i])
 			return false
 		}
@@ -473,13 +535,13 @@ func (c *Composer) extendProbe(out *Outcome, p hopChild, depth, pos int, isSourc
 			tr.CandidatePruned(w.req.ID, pid, p.id, pos, cand.Node, obs.ReasonSecurity)
 			continue
 		}
-		if !c.env.Ledger.NodeAvailableFor(w.owner, cand.Node).Covers(w.req.ResReq[pos]) {
+		if !c.nodeAvail(cand.Node).Covers(w.req.ResReq[pos]) {
 			tr.CandidatePruned(w.req.ID, pid, p.id, pos, cand.Node, obs.ReasonResources)
 			continue
 		}
 		feasible := true
 		for _, route := range routes {
-			if c.env.Ledger.RouteAvailableFor(w.owner, route) < w.req.BandwidthReq {
+			if c.routeAvail(route) < w.req.BandwidthReq {
 				feasible = false
 				break
 			}
@@ -497,7 +559,7 @@ func (c *Composer) extendProbe(out *Outcome, p hopChild, depth, pos int, isSourc
 		// the same request are raw-checked against. Holds created by
 		// sibling probes (idempotent no-ops here) stay untouched.
 		if c.cfg.TransientAllocation {
-			okNode, createdNode := c.env.Ledger.HoldNodeTracked(w.owner, pos, cand.Node, w.req.ResReq[pos], w.expires)
+			okNode, createdNode := c.env.Ledger.HoldNodeTrackedAt(w.now, w.owner, pos, cand.Node, w.req.ResReq[pos], w.expires)
 			if !okNode {
 				tr.CandidatePruned(w.req.ID, pid, p.id, pos, cand.Node, obs.ReasonHoldNode)
 				continue
@@ -509,7 +571,7 @@ func (c *Composer) extendProbe(out *Outcome, p hopChild, depth, pos int, isSourc
 				for _, link := range route.Links {
 					// Link holds are tagged by position so distinct
 					// edges of the same request stack correctly.
-					okLink, createdLink := c.env.Ledger.HoldLinkTracked(w.owner, pos, link, w.req.BandwidthReq, w.expires)
+					okLink, createdLink := c.env.Ledger.HoldLinkTrackedAt(w.now, w.owner, pos, link, w.req.BandwidthReq, w.expires)
 					if !okLink {
 						held = false
 						break
@@ -770,14 +832,13 @@ func (c *Composer) evaluate(assign []component.ComponentID) (*Composition, bool)
 	}
 
 	nodes, links := c.accumulateDemands(req, assign, comp.Routes)
-	owner := c.walk.owner
 	for _, nd := range nodes {
-		if !c.env.Ledger.NodeAvailableFor(owner, nd.node).Covers(nd.amount) {
+		if !c.nodeAvail(nd.node).Covers(nd.amount) {
 			return nil, false
 		}
 	}
 	for _, ld := range links {
-		if c.env.Ledger.LinkAvailableFor(owner, ld.link) < ld.bw {
+		if c.linkAvail(ld.link) < ld.bw {
 			return nil, false
 		}
 	}
@@ -851,11 +912,10 @@ func (c *Composer) accumulateDemands(req *component.Request, comps []component.C
 func (c *Composer) phi(req *component.Request, comps []component.ComponentID, routes []overlay.Route,
 	nodes []nodeDemand, links []linkDemand) float64 {
 
-	owner := state.Owner(req.ID)
 	sc := &c.scratch
 	residuals := sc.residuals[:0]
 	for _, nd := range nodes {
-		residuals = append(residuals, c.env.Ledger.NodeAvailableFor(owner, nd.node).Sub(nd.amount))
+		residuals = append(residuals, c.nodeAvail(nd.node).Sub(nd.amount))
 	}
 	sc.residuals = residuals
 	total, worst := 0.0, 0.0
@@ -883,7 +943,7 @@ func (c *Composer) phi(req *component.Request, comps []component.ComponentID, ro
 						break
 					}
 				}
-				r := c.env.Ledger.LinkAvailableFor(owner, link) - demand
+				r := c.linkAvail(link) - demand
 				residual = math.Min(residual, r)
 			}
 		}
@@ -975,7 +1035,7 @@ func (c *Composer) probeDirect(req *component.Request) (*Outcome, error) {
 		// the allocation survives until the confirmation arrives.
 		for pos, id := range assign {
 			node := c.env.Catalog.Component(id).Node
-			if !c.env.Ledger.HoldNode(w.owner, pos, node, req.ResReq[pos], w.expires) {
+			if ok, _ := c.env.Ledger.HoldNodeTrackedAt(w.now, w.owner, pos, node, req.ResReq[pos], w.expires); !ok {
 				c.env.Ledger.ReleaseOwner(w.owner)
 				tr.HoldReleased(req.ID, -1)
 				tr.Decided(req.ID, req.Client, obs.ReasonNoComposition)
@@ -985,7 +1045,7 @@ func (c *Composer) probeDirect(req *component.Request) (*Outcome, error) {
 		}
 		for i, route := range comp.Routes {
 			for _, link := range route.Links {
-				if !c.env.Ledger.HoldLink(w.owner, i, link, req.BandwidthReq, w.expires) {
+				if ok, _ := c.env.Ledger.HoldLinkTrackedAt(w.now, w.owner, i, link, req.BandwidthReq, w.expires); !ok {
 					c.env.Ledger.ReleaseOwner(w.owner)
 					tr.HoldReleased(req.ID, -1)
 					tr.Decided(req.ID, req.Client, obs.ReasonNoComposition)

@@ -143,7 +143,7 @@ func (c *Cluster) findOne(composer *core.Composer, req *component.Request) FindR
 	findStart := c.now()
 	c.finds.Inc()
 	outcome, err := composer.Probe(req)
-	c.findLatencyMs.Observe(float64(c.now()-findStart) / float64(time.Millisecond))
+	c.observeFindLatency(findStart)
 	if err != nil {
 		c.quota.refund(req.Tenant, demand)
 		c.findFailures.Inc()
@@ -170,28 +170,5 @@ func (c *Cluster) findOne(composer *core.Composer, req *component.Request) FindR
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.observeFind(true)
-	c.nextID++
-	id := c.nextID
-	procFn := make([]ProcessorFunc, req.Graph.NumPositions())
-	for pos, f := range req.Graph.Functions {
-		procFn[pos] = c.functions[f] // nil = identity
-	}
-	c.sessions[id] = &session{
-		id:          id,
-		request:     req,
-		comp:        outcome.Best,
-		tenant:      req.Tenant,
-		quotaCharge: demand,
-		requiredPhi: outcome.Best.Phi,
-		procFn:      procFn,
-		perComp:     make([]int64, req.Graph.NumPositions()),
-		dropped:     make([]int64, req.Graph.NumPositions()),
-	}
-	c.activeSessions.Set(float64(len(c.sessions)))
-	if req.Tenant != "" {
-		sess := sessionLabel(id)
-		c.sessionTenant.With(sess, req.Tenant).Set(req.PhiWeight())
-		c.tenantSessions.With(req.Tenant).Set(float64(c.quota.usageSessions(req.Tenant)))
-	}
-	return FindResult{Session: id}
+	return FindResult{Session: c.admit(req, outcome, demand)}
 }

@@ -1,9 +1,13 @@
 package runtime
 
 import (
+	"errors"
+	"math"
 	"testing"
 
 	"repro/internal/component"
+	"repro/internal/obs"
+	"repro/internal/qos"
 )
 
 // TestFindBatchComposesSessions drives concurrent composition through
@@ -60,6 +64,177 @@ func TestFindBatchComposesSessions(t *testing.T) {
 	for id := range seen {
 		if err := c.Close(id); err != nil {
 			t.Fatalf("close %d: %v", id, err)
+		}
+	}
+}
+
+// TestFindBatchSessionStreams is the regression test for batch-admitted
+// sessions missing their data-plane parameters: the first unit through
+// Process indexed an empty paceNs slice and panicked the process. A
+// batch admission must leave exactly what FindApp leaves — a session
+// that streams, its gauges, and one find-latency quantile observation
+// per request.
+func TestFindBatchSessionStreams(t *testing.T) {
+	reg := obs.NewRegistry()
+	cfg := DefaultConfig()
+	cfg.IPNodes = 256
+	cfg.OverlayNodes = 32
+	cfg.NumFunctions = 8
+	cfg.Registry = reg
+	c, err := NewCluster(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(c.Shutdown)
+
+	graph := component.NewPathGraph([]component.FunctionID{0, 1, 2})
+	qosReq, resReq, bw := easyArgs(3)
+	specs := make([]FindSpec, 4)
+	for i := range specs {
+		specs[i] = FindSpec{Graph: graph, QoSReq: qosReq, ResReq: resReq, BandwidthKbps: bw}
+	}
+	results, err := c.FindBatch(specs, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap := reg.Snapshot()
+	if q := snap.Quantiles["runtime.find.latency_quantiles_ms"]; q.Count != int64(len(specs)) {
+		t.Errorf("find quantile count = %d, want %d", q.Count, len(specs))
+	}
+	streamed := 0
+	for _, r := range results {
+		if r.Err != nil {
+			continue
+		}
+		for _, vec := range []string{"session.phi", "session.qos.observed", "session.qos.required", "session.phi.required"} {
+			if _, ok := vecValue(snap.GaugeVecs[vec], sessionLabel(r.Session)); !ok {
+				t.Errorf("%s{%d} missing after batch admission", vec, r.Session)
+			}
+		}
+		in, out, err := c.Process(r.Session)
+		if err != nil {
+			t.Fatal(err)
+		}
+		const units = 10
+		go func() {
+			for i := 0; i < units; i++ {
+				in <- DataUnit{Seq: int64(i), Payload: i}
+			}
+			close(in)
+		}()
+		got := 0
+		for range out {
+			got++
+		}
+		if got != units {
+			t.Errorf("session %d streamed %d units, want %d", r.Session, got, units)
+		}
+		streamed++
+		if err := c.Close(r.Session); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if streamed == 0 {
+		t.Fatal("no batch request was admitted")
+	}
+}
+
+// TestFindBatchContendedWalksNeverOverAdmit runs worker composers whose
+// walk-scoped availability views go stale under one another (run under
+// -race in CI): each request wants over a third of a node, eight
+// functions on a 16-node overlay put every walk on the same few nodes,
+// and six workers hold and commit while the others still score from
+// what they read earlier. The holds and the commit are the authority: a
+// stale view may cost a refusal, never an over-admission — the ledger
+// stays sound round after round, and closing everything returns it and
+// the quota books to where they began.
+func TestFindBatchContendedWalksNeverOverAdmit(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.IPNodes = 256
+	cfg.OverlayNodes = 16
+	cfg.NumFunctions = 8
+	cfg.ProbingRatio = 1
+	c, err := NewCluster(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(c.Shutdown)
+
+	tenants := []string{"t0", "t1"}
+	qosReq := qos.Vector{Delay: 100000, LossCost: qos.LossCost(0.9)}
+	var admitted, refused int
+	for round := 0; round < 4; round++ {
+		specs := make([]FindSpec, 24)
+		for i := range specs {
+			f := component.FunctionID((round + i) % 7)
+			specs[i] = FindSpec{
+				Tenant:        tenants[i%2],
+				Graph:         component.NewPathGraph([]component.FunctionID{f, f + 1}),
+				QoSReq:        qosReq,
+				ResReq:        []qos.Resources{{CPU: 35, Memory: 350}, {CPU: 35, Memory: 350}},
+				BandwidthKbps: 200,
+			}
+		}
+		results, err := c.FindBatch(specs, 6)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := c.CheckInvariants(); err != nil {
+			t.Fatalf("round %d: %v", round, err)
+		}
+		var live []SessionID
+		for i, r := range results {
+			switch {
+			case r.Err == nil:
+				live = append(live, r.Session)
+			case errors.Is(r.Err, ErrNoComposition):
+				refused++
+			default:
+				t.Fatalf("round %d spec %d: %v", round, i, r.Err)
+			}
+		}
+		admitted += len(live)
+		// Every transient hold is gone once the batch returns: what is
+		// available is exactly what is not committed.
+		for n := 0; n < c.NumNodes(); n++ {
+			if avail, residual := c.ledger.NodeAvailable(n), c.NodeResidual(n); avail != residual {
+				t.Fatalf("round %d: node %d has %v available but %v uncommitted: a hold outlived its walk", round, n, avail, residual)
+			}
+			if residual := c.NodeResidual(n); residual.CPU < -1e-9 || residual.Memory < -1e-9 {
+				t.Fatalf("round %d: node %d over-admitted, residual %v", round, n, residual)
+			}
+		}
+		for _, id := range live {
+			if err := c.Close(id); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if admitted == 0 || refused == 0 {
+		t.Fatalf("admitted %d, refused %d: the batches did not contend", admitted, refused)
+	}
+
+	if err := c.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	if got := c.ActiveSessions(); got != 0 {
+		t.Fatalf("%d sessions still live", got)
+	}
+	for n := 0; n < c.NumNodes(); n++ {
+		want, got := c.NodeCapacity(n), c.ledger.NodeAvailable(n)
+		if math.Abs(got.CPU-want.CPU) > 1e-6 || math.Abs(got.Memory-want.Memory) > 1e-6 {
+			t.Fatalf("node %d has %v available after teardown, want capacity %v", n, got, want)
+		}
+	}
+	for k := 0; k < c.NumLinks(); k++ {
+		if want, got := c.mesh.Link(k).Capacity, c.ledger.LinkAvailable(k); math.Abs(got-want) > 1e-6 {
+			t.Fatalf("link %d has %v available after teardown, want %v", k, got, want)
+		}
+	}
+	for _, tenant := range tenants {
+		u := c.TenantUsageFor(tenant)
+		if u.Sessions != 0 || math.Abs(u.CPU) > 1e-9 || math.Abs(u.Memory) > 1e-9 || math.Abs(u.BandwidthKbps) > 1e-9 {
+			t.Fatalf("tenant %q usage %+v after teardown, want zero", tenant, u)
 		}
 	}
 }

@@ -498,9 +498,7 @@ func (c *Cluster) FindApp(r FindRequest) (SessionID, error) {
 	findStart := c.now()
 	c.finds.Inc()
 	outcome, err := c.composer.Probe(req)
-	elapsedMs := float64(c.now()-findStart) / float64(time.Millisecond)
-	c.findLatencyMs.Observe(elapsedMs)
-	c.findQuantiles.Observe(elapsedMs)
+	c.observeFindLatency(findStart)
 	if err != nil {
 		c.quota.refund(r.Tenant, demand)
 		c.findFailures.Inc()
@@ -520,40 +518,56 @@ func (c *Cluster) FindApp(r FindRequest) (SessionID, error) {
 		return 0, fmt.Errorf("runtime: commit: %w", err)
 	}
 	c.observeFind(true)
+	return c.admit(req, outcome, demand), nil
+}
 
+// observeFindLatency records one probe's duration in both find-latency
+// instruments.
+func (c *Cluster) observeFindLatency(start time.Duration) {
+	ms := float64(c.now()-start) / float64(time.Millisecond)
+	c.findLatencyMs.Observe(ms)
+	c.findQuantiles.Observe(ms)
+}
+
+// admit registers a committed composition as a live session: the data
+// plane's per-position processors and pace/loss parameters, the session
+// table entry and the session gauges. Every admission path (FindApp,
+// FindBatch) ends here, so a session is usable by Process whichever way
+// it came in. Caller holds c.mu.
+func (c *Cluster) admit(req *component.Request, outcome *core.Outcome, demand TenantUsage) SessionID {
 	c.nextID++
 	id := c.nextID
-	graph := r.Graph
-	procFn := make([]ProcessorFunc, graph.NumPositions())
-	for pos, f := range graph.Functions {
+	n := req.Graph.NumPositions()
+	procFn := make([]ProcessorFunc, n)
+	for pos, f := range req.Graph.Functions {
 		procFn[pos] = c.functions[f] // nil = identity
 	}
 	s := &session{
 		id:          id,
 		request:     req,
 		comp:        outcome.Best,
-		tenant:      r.Tenant,
+		tenant:      req.Tenant,
 		quotaCharge: demand,
 		requiredPhi: outcome.Best.Phi,
 		procFn:      procFn,
-		perComp:     make([]int64, graph.NumPositions()),
-		dropped:     make([]int64, graph.NumPositions()),
-		paceNs:      make([]int64, graph.NumPositions()),
-		lossThr:     make([]int64, graph.NumPositions()),
+		perComp:     make([]int64, n),
+		dropped:     make([]int64, n),
+		paceNs:      make([]int64, n),
+		lossThr:     make([]int64, n),
 	}
 	c.sessions[id] = s
 	c.setDataPlaneParams(s)
 	c.activeSessions.Set(float64(len(c.sessions)))
 	sess := sessionLabel(id)
 	c.sessionPhi.With(sess).Set(outcome.Best.Phi)
-	c.sessionQoS.With(sess).Set(outcome.Best.QoS.MaxRatio(r.QoSReq))
+	c.sessionQoS.With(sess).Set(outcome.Best.QoS.MaxRatio(req.QoSReq))
 	c.sessionQoSReq.With(sess).Set(1)
 	c.sessionPhiReq.With(sess).Set(outcome.Best.Phi)
-	if r.Tenant != "" {
-		c.sessionTenant.With(sess, r.Tenant).Set(req.PhiWeight())
-		c.tenantSessions.With(r.Tenant).Set(float64(c.quota.usageSessions(r.Tenant)))
+	if req.Tenant != "" {
+		c.sessionTenant.With(sess, req.Tenant).Set(req.PhiWeight())
+		c.tenantSessions.With(req.Tenant).Set(float64(c.quota.usageSessions(req.Tenant)))
 	}
-	return id, nil
+	return id
 }
 
 // tenantLabel renders a tenant for label values; the anonymous tenant

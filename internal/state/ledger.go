@@ -53,6 +53,32 @@ type sessionAlloc struct {
 	links map[int]float64
 }
 
+// holdIndex lists the nodes (or overlay links) that may carry transient
+// holds, so an owner-wide release visits what was held instead of the
+// whole substrate. An id is listed when a hold is created on it and
+// unlisted by the next release sweep that finds its hold list empty —
+// every walk ends in one — so between sweeps the list is a superset of
+// what is held, never larger than what was touched since the last one.
+type holdIndex struct {
+	ids    []int  // unordered
+	listed []bool // per id: present in ids
+}
+
+func (x *holdIndex) add(id int) {
+	if !x.listed[id] {
+		x.listed[id] = true
+		x.ids = append(x.ids, id)
+	}
+}
+
+// dropAt unlists ids[i], moving the last entry into its place.
+func (x *holdIndex) dropAt(i int) {
+	x.listed[x.ids[i]] = false
+	last := len(x.ids) - 1
+	x.ids[i] = x.ids[last]
+	x.ids = x.ids[:last]
+}
+
 // Ledger is the authoritative record of end-system resources per overlay
 // node and bandwidth per overlay link. It distinguishes committed session
 // allocations from transient holds placed by probes (§3.3 step 2):
@@ -68,6 +94,11 @@ type Ledger struct {
 	nodes    []nodeLedger
 	links    []linkLedger
 	sessions map[Owner]sessionAlloc
+
+	// heldNodes and heldLinks list every node and link whose hold list
+	// is non-empty (and some a sweep has yet to unlist).
+	heldNodes holdIndex
+	heldLinks holdIndex
 
 	// migrations maps a re-probe owner to the committed session it is
 	// re-composing make-before-break. While registered, the probe's
@@ -96,6 +127,8 @@ func NewLedger(mesh *overlay.Mesh, nodeCap qos.Resources, now func() time.Durati
 		links:    make([]linkLedger, mesh.NumLinks()),
 		sessions: make(map[Owner]sessionAlloc),
 	}
+	l.heldNodes.listed = make([]bool, len(l.nodes))
+	l.heldLinks.listed = make([]bool, len(l.links))
 	for i := range l.nodes {
 		l.nodes[i].capacity = nodeCap
 	}
@@ -172,15 +205,33 @@ func (l *Ledger) SetNodeCapacity(node int, capacity qos.Resources) error {
 // LinkCapacity returns the link's total bandwidth capacity.
 func (l *Ledger) LinkCapacity(link int) float64 { return l.links[link].capacity }
 
-// purgeNode drops expired holds on a node.
-func (l *Ledger) purgeNode(node int) {
+// ledgerClock, passed as the instant, makes purgeNode/purgeLink read the
+// ledger's own clock — and only when there is a hold whose expiry the
+// reading decides, so operations on an unheld node or link cost no clock
+// read. A caller that brings its own instant (the *At methods) never
+// triggers one.
+const ledgerClock = time.Duration(math.MinInt64)
+
+// purgeNode drops the node's holds that have expired by now. The hold
+// slice is rewritten only from the first expired entry on: the common
+// read finds nothing to drop and writes nothing.
+func (l *Ledger) purgeNode(node int, now time.Duration) {
 	n := &l.nodes[node]
 	if len(n.holds) == 0 {
 		return
 	}
-	now := l.now()
-	kept := n.holds[:0]
-	for _, h := range n.holds {
+	if now == ledgerClock {
+		now = l.now()
+	}
+	first := 0
+	for first < len(n.holds) && n.holds[first].expires > now {
+		first++
+	}
+	if first == len(n.holds) {
+		return
+	}
+	kept := n.holds[:first]
+	for _, h := range n.holds[first:] {
 		if h.expires > now {
 			kept = append(kept, h)
 		} else {
@@ -190,14 +241,23 @@ func (l *Ledger) purgeNode(node int) {
 	n.holds = kept
 }
 
-func (l *Ledger) purgeLink(link int) {
+func (l *Ledger) purgeLink(link int, now time.Duration) {
 	lk := &l.links[link]
 	if len(lk.holds) == 0 {
 		return
 	}
-	now := l.now()
-	kept := lk.holds[:0]
-	for _, h := range lk.holds {
+	if now == ledgerClock {
+		now = l.now()
+	}
+	first := 0
+	for first < len(lk.holds) && lk.holds[first].expires > now {
+		first++
+	}
+	if first == len(lk.holds) {
+		return
+	}
+	kept := lk.holds[:first]
+	for _, h := range lk.holds[first:] {
 		if h.expires > now {
 			kept = append(kept, h)
 		} else {
@@ -213,11 +273,11 @@ func (l *Ledger) purgeLink(link int) {
 func (l *Ledger) NodeAvailable(node int) qos.Resources {
 	l.lock()
 	defer l.unlock()
-	return l.nodeAvailable(node)
+	return l.nodeAvailable(node, ledgerClock)
 }
 
-func (l *Ledger) nodeAvailable(node int) qos.Resources {
-	l.purgeNode(node)
+func (l *Ledger) nodeAvailable(node int, now time.Duration) qos.Resources {
+	l.purgeNode(node, now)
 	n := &l.nodes[node]
 	return n.capacity.Sub(n.committed).Sub(n.held)
 }
@@ -240,11 +300,11 @@ func (l *Ledger) nodeCommittedAvailable(node int) qos.Resources {
 func (l *Ledger) LinkAvailable(link int) float64 {
 	l.lock()
 	defer l.unlock()
-	return l.linkAvailable(link)
+	return l.linkAvailable(link, ledgerClock)
 }
 
-func (l *Ledger) linkAvailable(link int) float64 {
-	l.purgeLink(link)
+func (l *Ledger) linkAvailable(link int, now time.Duration) float64 {
+	l.purgeLink(link, now)
 	lk := &l.links[link]
 	return lk.capacity - lk.committed - lk.held
 }
@@ -273,7 +333,7 @@ func (l *Ledger) RouteAvailable(r overlay.Route) float64 {
 	defer l.unlock()
 	avail := math.Inf(1)
 	for _, id := range r.Links {
-		avail = math.Min(avail, l.linkAvailable(id))
+		avail = math.Min(avail, l.linkAvailable(id, ledgerClock))
 	}
 	return avail
 }
@@ -286,7 +346,7 @@ func (l *Ledger) RouteAvailable(r overlay.Route) float64 {
 // and tag — another concurrent probe of the same request visiting the
 // same component — is a no-op success.
 func (l *Ledger) HoldNode(owner Owner, tag, node int, amount qos.Resources, expires time.Duration) bool {
-	ok, _ := l.HoldNodeTracked(owner, tag, node, amount, expires)
+	ok, _ := l.HoldNodeTrackedAt(ledgerClock, owner, tag, node, amount, expires)
 	return ok
 }
 
@@ -296,9 +356,18 @@ func (l *Ledger) HoldNode(owner Owner, tag, node int, amount qos.Resources, expi
 // that must undo a partially-placed reservation release exactly the
 // holds they created, leaving holds placed by sibling probes intact.
 func (l *Ledger) HoldNodeTracked(owner Owner, tag, node int, amount qos.Resources, expires time.Duration) (ok, created bool) {
+	return l.HoldNodeTrackedAt(ledgerClock, owner, tag, node, amount, expires)
+}
+
+// HoldNodeTrackedAt is HoldNodeTracked with the caller's instant in
+// place of a read of the ledger's clock: a probe walk reads the clock
+// once and every hold it places expires stale holds as of that instant.
+// An instant behind the clock only keeps an expired hold counted a
+// little longer — it can refuse a hold, never over-admit one.
+func (l *Ledger) HoldNodeTrackedAt(now time.Duration, owner Owner, tag, node int, amount qos.Resources, expires time.Duration) (ok, created bool) {
 	l.lock()
 	defer l.unlock()
-	l.purgeNode(node)
+	l.purgeNode(node, now)
 	n := &l.nodes[node]
 	for _, h := range n.holds {
 		if h.owner == owner && h.tag == tag {
@@ -318,22 +387,29 @@ func (l *Ledger) HoldNodeTracked(owner Owner, tag, node int, amount qos.Resource
 	}
 	n.holds = append(n.holds, nodeHold{owner: owner, tag: tag, amount: amount, expires: expires})
 	n.held = n.held.Add(amount)
+	l.heldNodes.add(node)
 	return true, true
 }
 
 // HoldLink places a transient bandwidth allocation on an overlay link.
 // Like HoldNode it is idempotent per (owner, tag).
 func (l *Ledger) HoldLink(owner Owner, tag, link int, amount float64, expires time.Duration) bool {
-	ok, _ := l.HoldLinkTracked(owner, tag, link, amount, expires)
+	ok, _ := l.HoldLinkTrackedAt(ledgerClock, owner, tag, link, amount, expires)
 	return ok
 }
 
 // HoldLinkTracked is HoldLink, additionally reporting whether this call
 // created a new hold (see HoldNodeTracked).
 func (l *Ledger) HoldLinkTracked(owner Owner, tag, link int, amount float64, expires time.Duration) (ok, created bool) {
+	return l.HoldLinkTrackedAt(ledgerClock, owner, tag, link, amount, expires)
+}
+
+// HoldLinkTrackedAt is HoldLinkTracked at the caller's instant (see
+// HoldNodeTrackedAt).
+func (l *Ledger) HoldLinkTrackedAt(now time.Duration, owner Owner, tag, link int, amount float64, expires time.Duration) (ok, created bool) {
 	l.lock()
 	defer l.unlock()
-	l.purgeLink(link)
+	l.purgeLink(link, now)
 	lk := &l.links[link]
 	for _, h := range lk.holds {
 		if h.owner == owner && h.tag == tag {
@@ -349,6 +425,7 @@ func (l *Ledger) HoldLinkTracked(owner Owner, tag, link int, amount float64, exp
 	}
 	lk.holds = append(lk.holds, linkHold{owner: owner, tag: tag, amount: amount, expires: expires})
 	lk.held += amount
+	l.heldLinks.add(link)
 	return true, true
 }
 
@@ -390,9 +467,16 @@ func (l *Ledger) ReleaseLinkHold(owner Owner, tag, link int) {
 // registered as a migration probe is additionally credited its source
 // session's committed share on the node.
 func (l *Ledger) NodeAvailableFor(owner Owner, node int) qos.Resources {
+	return l.NodeAvailableForAt(ledgerClock, owner, node)
+}
+
+// NodeAvailableForAt is NodeAvailableFor at the caller's instant (see
+// HoldNodeTrackedAt). A probe walk reads it once per node and scores
+// every probe from that one value.
+func (l *Ledger) NodeAvailableForAt(now time.Duration, owner Owner, node int) qos.Resources {
 	l.lock()
 	defer l.unlock()
-	avail := l.nodeAvailable(node)
+	avail := l.nodeAvailable(node, now)
 	for _, h := range l.nodes[node].holds {
 		if h.owner == owner {
 			avail = avail.Add(h.amount)
@@ -407,13 +491,15 @@ func (l *Ledger) NodeAvailableFor(owner Owner, node int) qos.Resources {
 // LinkAvailableFor returns the link's available bandwidth with owner's
 // own holds credited back.
 func (l *Ledger) LinkAvailableFor(owner Owner, link int) float64 {
-	l.lock()
-	defer l.unlock()
-	return l.linkAvailableFor(owner, link)
+	return l.LinkAvailableForAt(ledgerClock, owner, link)
 }
 
-func (l *Ledger) linkAvailableFor(owner Owner, link int) float64 {
-	avail := l.linkAvailable(link)
+// LinkAvailableForAt is LinkAvailableFor at the caller's instant (see
+// HoldNodeTrackedAt).
+func (l *Ledger) LinkAvailableForAt(now time.Duration, owner Owner, link int) float64 {
+	l.lock()
+	defer l.unlock()
+	avail := l.linkAvailable(link, now)
 	for _, h := range l.links[link].holds {
 		if h.owner == owner {
 			avail += h.amount
@@ -421,21 +507,6 @@ func (l *Ledger) linkAvailableFor(owner Owner, link int) float64 {
 	}
 	if credit, ok := l.migrationLinkCredit(owner, link); ok {
 		avail += credit
-	}
-	return avail
-}
-
-// RouteAvailableFor returns the virtual link's available bandwidth with
-// owner's own holds credited back on every constituent overlay link.
-func (l *Ledger) RouteAvailableFor(owner Owner, r overlay.Route) float64 {
-	if r.CoLocated {
-		return math.Inf(1)
-	}
-	l.lock()
-	defer l.unlock()
-	avail := math.Inf(1)
-	for _, id := range r.Links {
-		avail = math.Min(avail, l.linkAvailableFor(owner, id))
 	}
 	return avail
 }
@@ -449,9 +520,13 @@ func (l *Ledger) ReleaseOwner(owner Owner) {
 	l.releaseOwner(owner)
 }
 
+// releaseOwner sweeps the hold index backwards, so that unlisting an
+// empty entry (which moves the last, already visited, id into its place)
+// skips nothing.
 func (l *Ledger) releaseOwner(owner Owner) {
-	for i := range l.nodes {
-		n := &l.nodes[i]
+	for i := len(l.heldNodes.ids) - 1; i >= 0; i-- {
+		node := l.heldNodes.ids[i]
+		n := &l.nodes[node]
 		kept := n.holds[:0]
 		for _, h := range n.holds {
 			if h.owner == owner {
@@ -461,9 +536,13 @@ func (l *Ledger) releaseOwner(owner Owner) {
 			}
 		}
 		n.holds = kept
+		if len(kept) == 0 {
+			l.heldNodes.dropAt(i)
+		}
 	}
-	for i := range l.links {
-		lk := &l.links[i]
+	for i := len(l.heldLinks.ids) - 1; i >= 0; i-- {
+		link := l.heldLinks.ids[i]
+		lk := &l.links[link]
 		kept := lk.holds[:0]
 		for _, h := range lk.holds {
 			if h.owner == owner {
@@ -473,6 +552,9 @@ func (l *Ledger) releaseOwner(owner Owner) {
 			}
 		}
 		lk.holds = kept
+		if len(kept) == 0 {
+			l.heldLinks.dropAt(i)
+		}
 	}
 }
 
@@ -493,12 +575,12 @@ func (l *Ledger) CommitSession(owner Owner, nodes map[int]qos.Resources, links m
 	}
 	l.releaseOwner(owner)
 	for node, amount := range nodes {
-		if !l.nodeAvailable(node).Covers(amount) {
+		if !l.nodeAvailable(node, ledgerClock).Covers(amount) {
 			return fmt.Errorf("state: node %d cannot cover %v", node, amount)
 		}
 	}
 	for link, bw := range links {
-		if l.linkAvailable(link) < bw {
+		if l.linkAvailable(link, ledgerClock) < bw {
 			return fmt.Errorf("state: link %d cannot cover %.1f kbps", link, bw)
 		}
 	}
@@ -633,7 +715,7 @@ func (l *Ledger) MigrateSession(session, probe Owner, nodes map[int]qos.Resource
 		if node < 0 || node >= len(l.nodes) {
 			return fmt.Errorf("state: migration references node %d", node)
 		}
-		l.purgeNode(node)
+		l.purgeNode(node, ledgerClock)
 		n := &l.nodes[node]
 		avail := n.capacity.Sub(n.committed).Sub(n.held).Add(old.nodes[node]).Add(l.nodeHeldBy(probe, node))
 		if !avail.Covers(nodes[node]) {
@@ -649,7 +731,7 @@ func (l *Ledger) MigrateSession(session, probe Owner, nodes map[int]qos.Resource
 		if link < 0 || link >= len(l.links) {
 			return fmt.Errorf("state: migration references link %d", link)
 		}
-		l.purgeLink(link)
+		l.purgeLink(link, ledgerClock)
 		lk := &l.links[link]
 		if lk.capacity-lk.committed-lk.held+old.links[link]+l.linkHeldBy(probe, link) < links[link] {
 			return fmt.Errorf("state: link %d cannot cover %.1f kbps post-flip", link, links[link])
@@ -815,7 +897,7 @@ func (l *Ledger) CheckInvariants() error {
 	}
 	const eps = 1e-6
 	for i := range l.nodes {
-		l.purgeNode(i)
+		l.purgeNode(i, ledgerClock)
 		n := &l.nodes[i]
 		var heldSum qos.Resources
 		for _, h := range n.holds {
@@ -841,7 +923,7 @@ func (l *Ledger) CheckInvariants() error {
 		}
 	}
 	for i := range l.links {
-		l.purgeLink(i)
+		l.purgeLink(i, ledgerClock)
 		lk := &l.links[i]
 		heldSum := 0.0
 		for _, h := range lk.holds {

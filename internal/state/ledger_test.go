@@ -279,7 +279,7 @@ func TestConservation(t *testing.T) {
 }
 
 func TestAvailableForCreditsOwnHolds(t *testing.T) {
-	l, _, mesh := newTestLedger(t)
+	l, _, _ := newTestLedger(t)
 	if !l.HoldNode(9, 0, 4, qos.Resources{CPU: 30, Memory: 300}, time.Minute) {
 		t.Fatal("hold rejected")
 	}
@@ -310,14 +310,6 @@ func TestAvailableForCreditsOwnHolds(t *testing.T) {
 	}
 	if got := l.LinkAvailableFor(7, 0); got != l.LinkCapacity(0)-500 {
 		t.Errorf("LinkAvailableFor(other) = %v", got)
-	}
-	r := overlay.Route{Links: []int{0}}
-	if got := l.RouteAvailableFor(9, r); got != l.LinkCapacity(0) {
-		t.Errorf("RouteAvailableFor = %v", got)
-	}
-	self, _ := mesh.RouteBetween(2, 2)
-	if got := l.RouteAvailableFor(9, self); !math.IsInf(got, 1) {
-		t.Errorf("co-located RouteAvailableFor = %v", got)
 	}
 }
 
