@@ -20,8 +20,7 @@
 //	acpload -addr 127.0.0.1:7433 -family flash-crowd -ticks 40 -load 3
 //	acpload -addr 127.0.0.1:7433 -duration 5s -json out.json
 //
-// -json writes the report in acpbench's baseline format, so saved
-// runs diff with `acpbench -compare`.
+// -json writes the report as a JSON document.
 package main
 
 import (
@@ -67,8 +66,7 @@ func (st *stats) code(c string) {
 	st.mu.Unlock()
 }
 
-// baseline mirrors acpbench's output document so -json reports can be
-// compared and gated with `acpbench -compare`.
+// baseline is the -json report document.
 type baseline struct {
 	Context    map[string]string `json:"context,omitempty"`
 	Benchmarks []benchmark       `json:"benchmarks"`
@@ -95,7 +93,7 @@ func run(args []string, stdout io.Writer) error {
 		ticks     = fs.Int("ticks", 40, "family mode: episode length in ticks")
 		load      = fs.Float64("load", 2, "family mode: base arrivals per tenant per tick")
 		tickDur   = fs.Duration("tick", 200*time.Millisecond, "family mode: real duration of one tick")
-		jsonPath  = fs.String("json", "", "write an acpbench-format baseline here")
+		jsonPath  = fs.String("json", "", "write the report as JSON here")
 		minCommit = fs.Int64("min-committed", 0, "fail unless at least this many sessions committed (CI gate)")
 	)
 	if err := fs.Parse(args); err != nil {

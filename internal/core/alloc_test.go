@@ -5,6 +5,8 @@ import (
 	"testing"
 
 	"repro/internal/component"
+	"repro/internal/overlay"
+	"repro/internal/qos"
 	"repro/internal/state"
 )
 
@@ -111,5 +113,91 @@ func TestProbeSteadyStateAllocations(t *testing.T) {
 	}
 	if allocs := testing.AllocsPerRun(20, readAll); allocs > 0 {
 		t.Errorf("the availability view allocates %.1f per walk, want 0", allocs)
+	}
+}
+
+// TestKernelSteadyStateAllocations drives the kernel the way the dist
+// engine does — no composer, no walk: a partial assignment, a coarse view
+// held in a slice, routes resolved from the mesh (up front: RouteBetween
+// builds its link list per call), and the availabilities a probe carried
+// back — and pins selection, stacking and Eq. 1 each at zero allocations
+// once the scratch is warm.
+func TestKernelSteadyStateAllocations(t *testing.T) {
+	env, _ := testEnv(t, 9)
+	k := NewKernel(env.Catalog)
+	req := easyRequest(1)
+
+	// A complete assignment: the first candidate of every function. The
+	// selection below treats its first position as already assigned.
+	assign := make([]component.ComponentID, req.Graph.NumPositions())
+	for pos, fn := range req.Graph.Functions {
+		assign[pos] = env.Catalog.Candidates(fn)[0]
+	}
+	var routes []overlay.Route
+	for _, e := range req.Graph.Edges {
+		r, ok := env.Mesh.RouteBetween(env.Catalog.Component(assign[e.From]).Node, env.Catalog.Component(assign[e.To]).Node)
+		if !ok {
+			t.Fatal("unroutable edge")
+		}
+		routes = append(routes, r)
+	}
+	view := make([]qos.Resources, env.Mesh.NumNodes())
+	for i := range view {
+		view[i] = qos.Resources{CPU: 100 - float64(i), Memory: 1000}
+	}
+	carried := make([]qos.Resources, len(assign)) // one snapshot per hop
+	for i := range carried {
+		carried[i] = qos.Resources{CPU: 90, Memory: 900}
+	}
+
+	candidates := env.Catalog.Candidates(req.Graph.Functions[1])
+	from := env.Catalog.Component(assign[0]).Node
+	reach := make([]overlay.Route, len(candidates)) // assigned predecessor -> candidate
+	for i, id := range candidates {
+		reach[i], _ = env.Mesh.RouteBetween(from, env.Catalog.Component(id).Node)
+	}
+	var picked int
+	selection := func() {
+		hop := Hop{Req: req, Pos: 1, Tracer: env.Tracer}
+		for i, id := range candidates {
+			cand := env.Catalog.Component(id)
+			k.Consider(&hop, cand, reach[i].QoS.Add(cand.QoS), view[cand.Node], reach[i].Capacity)
+		}
+		picked = len(k.Select(&hop, SelectRiskThenCongestion, 0.5, len(candidates)))
+	}
+	stacking := func() { k.Stack(req, assign, routes) }
+	var phi float64
+	scoring := func() {
+		nodes, links := k.Stack(req, assign, routes)
+		for pos, id := range assign {
+			host := env.Catalog.Component(id).Node
+			for j := range nodes {
+				if nodes[j].Node == host {
+					nodes[j].Avail = carried[pos]
+				}
+			}
+		}
+		for j := range links {
+			links[j].Avail = env.Mesh.Link(links[j].Link).Capacity
+		}
+		var ok bool
+		if phi, ok = k.Score(req, assign, routes, PhiSum); !ok {
+			t.Fatal("a composition that fits was refused")
+		}
+	}
+	for _, step := range []struct {
+		name string
+		run  func()
+	}{{"selection", selection}, {"stacking", stacking}, {"Eq. 1", scoring}} {
+		step.run() // size the scratch buffers
+		if allocs := testing.AllocsPerRun(100, step.run); allocs > 0 {
+			t.Errorf("kernel %s allocates %.1f per call in steady state, want 0", step.name, allocs)
+		}
+	}
+	if want := probeWidth(0.5, len(candidates)); picked != want {
+		t.Errorf("selection kept %d of %d candidates, want %d", picked, len(candidates), want)
+	}
+	if phi <= 0 {
+		t.Errorf("phi = %v", phi)
 	}
 }

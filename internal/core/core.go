@@ -250,16 +250,17 @@ func (o *Outcome) Success() bool { return o.Best != nil }
 // Composer runs composition for one algorithm configuration.
 //
 // A Composer is NOT safe for concurrent use: the probe walk reuses
-// composer-lifetime scratch buffers (route cache, candidate cache,
-// ranking and demand accumulators) to stay allocation-free in steady
-// state. Concurrent drivers must build one composer per worker over the
-// shared environment and enable locking on the ledger and global state.
+// composer-lifetime scratch buffers (route cache, candidate cache, the
+// kernel's ranking and demand accumulators) to stay allocation-free in
+// steady state. Concurrent drivers must build one composer per worker over
+// the shared environment and enable locking on the ledger and global state.
 type Composer struct {
 	env Env
 	cfg Config
 
 	walk    walkState
 	scratch walkScratch
+	kern    *Kernel
 
 	// walkRtt and walkProbes are resolved once from Env.Obs (nil, and
 	// therefore no-op, when observability is off).
@@ -304,7 +305,7 @@ func NewComposer(env Env, cfg Config) (*Composer, error) {
 			cfg.Selection = SelectRiskThenCongestion
 		}
 	}
-	c := &Composer{env: env, cfg: cfg}
+	c := &Composer{env: env, cfg: cfg, kern: NewKernel(env.Catalog)}
 	c.scratch = newWalkScratch(&c.env)
 	c.walkRtt = env.Obs.QHistogram("core.walk.rtt_ms")
 	c.walkProbes = env.Obs.QHistogram("core.walk.probes")
@@ -366,7 +367,7 @@ func (c *Composer) Commit(o *Outcome) error {
 	if o == nil || o.Best == nil {
 		return fmt.Errorf("core: commit of unsuccessful outcome")
 	}
-	nodes, links := c.demands(o.Request, o.Best)
+	nodes, links := DemandMaps(c.kern.Stack(o.Request, o.Best.Components, o.Best.Routes))
 	if err := c.env.Ledger.CommitSession(state.Owner(o.Request.ID), nodes, links); err != nil {
 		c.env.Tracer.RolledBack(o.Request.ID, o.Request.Client, obs.ReasonCommitNack)
 		return fmt.Errorf("request %d: %w", o.Request.ID, err)
@@ -409,7 +410,7 @@ func (c *Composer) CommitMigration(o *Outcome, prev int64) error {
 	if o == nil || o.Best == nil {
 		return fmt.Errorf("core: migration commit of unsuccessful outcome")
 	}
-	nodes, links := c.demands(o.Request, o.Best)
+	nodes, links := DemandMaps(c.kern.Stack(o.Request, o.Best.Components, o.Best.Routes))
 	if err := c.env.Ledger.MigrateSession(state.Owner(prev), state.Owner(o.Request.ID), nodes, links); err != nil {
 		c.env.Tracer.RolledBack(o.Request.ID, o.Request.Client, obs.ReasonCommitNack)
 		return fmt.Errorf("request %d: %w", o.Request.ID, err)
@@ -441,25 +442,16 @@ func (c *Composer) Abort(requestID int64) {
 	c.env.Tracer.RolledBack(requestID, -1, obs.ReasonAbort)
 }
 
-// demands folds a composition into per-node resource and per-overlay-link
-// bandwidth demands. Components of the same request sharing a node stack
-// their requirements (footnote 5); virtual links sharing an overlay link
-// stack their bandwidth; co-located virtual links consume nothing
-// (footnote 4).
-func (c *Composer) demands(req *component.Request, comp *Composition) (map[int]qos.Resources, map[int]float64) {
-	nodes := make(map[int]qos.Resources)
-	for pos, id := range comp.Components {
-		node := c.env.Catalog.Component(id).Node
-		nodes[node] = nodes[node].Add(req.ResReq[pos])
+// DemandMaps renders stacked demands in the map form Ledger.CommitSession
+// and the dist commit protocol take.
+func DemandMaps(nodes []NodeDemand, links []LinkDemand) (map[int]qos.Resources, map[int]float64) {
+	nm := make(map[int]qos.Resources, len(nodes))
+	for _, nd := range nodes {
+		nm[nd.Node] = nd.Amount
 	}
-	links := make(map[int]float64)
-	for _, route := range comp.Routes {
-		if route.CoLocated {
-			continue
-		}
-		for _, link := range route.Links {
-			links[link] += req.BandwidthReq
-		}
+	lm := make(map[int]float64, len(links))
+	for _, ld := range links {
+		lm[ld.Link] = ld.BW
 	}
-	return nodes, links
+	return nm, lm
 }

@@ -678,36 +678,24 @@ func TestOutcomeSuccess(t *testing.T) {
 }
 
 func TestRankLessBandBehaviour(t *testing.T) {
-	env, _ := testEnv(t, 40)
-	c := mustComposer(t, env, DefaultConfig())
-	less := c.rankLess()
+	less := func(policy SelectionPolicy, ri, ci, rj, cj float64) bool {
+		return rankBefore(policy, rankedCand{risk: ri, cong: ci}, rankedCand{risk: rj, cong: cj})
+	}
 	// Clearly different risks: risk decides.
-	if !less(0.2, 9.0, 0.5, 0.1) {
+	if !less(SelectRiskThenCongestion, 0.2, 9.0, 0.5, 0.1) {
 		t.Error("lower risk not preferred despite band")
 	}
 	// Similar risks (within 5%): congestion decides.
-	if !less(0.50, 0.1, 0.51, 0.9) {
+	if !less(SelectRiskThenCongestion, 0.50, 0.1, 0.51, 0.9) {
 		t.Error("similar risks did not fall back to congestion")
 	}
-	if less(0.50, 0.9, 0.51, 0.1) {
+	if less(SelectRiskThenCongestion, 0.50, 0.9, 0.51, 0.1) {
 		t.Error("higher congestion preferred at similar risk")
 	}
-
-	riskOnly := mustComposer(t, env, func() Config {
-		cfg := DefaultConfig()
-		cfg.Selection = SelectRiskOnly
-		return cfg
-	}()).rankLess()
-	if !riskOnly(0.50, 0.9, 0.51, 0.1) {
+	if !less(SelectRiskOnly, 0.50, 0.9, 0.51, 0.1) {
 		t.Error("risk-only policy consulted congestion")
 	}
-
-	congOnly := mustComposer(t, env, func() Config {
-		cfg := DefaultConfig()
-		cfg.Selection = SelectCongestionOnly
-		return cfg
-	}()).rankLess()
-	if !congOnly(0.9, 0.1, 0.1, 0.9) {
+	if !less(SelectCongestionOnly, 0.9, 0.1, 0.1, 0.9) {
 		t.Error("congestion-only policy consulted risk")
 	}
 }

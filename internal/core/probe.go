@@ -48,29 +48,6 @@ type walkState struct {
 	maxLatency float64
 }
 
-// nodeDemand and linkDemand accumulate a composition's per-node resource
-// and per-overlay-link bandwidth demands as small dense slices. The hot
-// path scans them linearly — compositions touch a handful of nodes and
-// links, where a scan beats a map and, unlike map iteration, keeps the
-// floating-point summation order deterministic.
-type nodeDemand struct {
-	node   int
-	amount qos.Resources
-}
-
-type linkDemand struct {
-	link int
-	bw   float64
-}
-
-// rankedCand is one coarse-qualified candidate in per-hop selection.
-type rankedCand struct {
-	id   component.ComponentID
-	node int
-	risk float64
-	cong float64
-}
-
 // walkScratch holds the composer-lifetime buffers that make the probe
 // walk (near-)allocation-free in steady state. Buffers are reset, never
 // freed, so capacity amortizes across requests. The route cache is keyed
@@ -110,13 +87,8 @@ type walkScratch struct {
 	preds      [][]int         // per-position predecessor lists, rebuilt per walk
 	predFlat   []int           // backing store for preds
 	predCounts []int           // per-position indegree scratch
-	ranked     []rankedCand    // selectCandidates ranking buffer
-	selected   []component.ComponentID
+	shuffled   []component.ComponentID
 	heldLinks  []int // links newly held by the current candidate
-
-	nodeDemands []nodeDemand
-	linkDemands []linkDemand
-	residuals   []qos.Resources
 
 	evalBuf [2]Composition // double-buffered composition evaluation
 	evalIdx int
@@ -406,16 +378,16 @@ func (c *Composer) expand(out *Outcome, order []int, idx int, p hopChild) {
 // (impossible within a single probing walk, but defended regardless).
 func (c *Composer) holdComposition(comp *Composition) bool {
 	w := &c.walk
-	nodes, links := c.accumulateDemands(w.req, comp.Components, comp.Routes)
+	nodes, links := c.kern.Stack(w.req, comp.Components, comp.Routes)
 	for i, nd := range nodes {
-		if ok, _ := c.env.Ledger.HoldNodeTrackedAt(w.now, w.owner, 0, nd.node, nd.amount, w.expires); !ok {
+		if ok, _ := c.env.Ledger.HoldNodeTrackedAt(w.now, w.owner, 0, nd.Node, nd.Amount, w.expires); !ok {
 			c.rollbackComposition(nodes[:i], nil)
 			return false
 		}
-		c.env.Tracer.HoldAcquired(w.req.ID, 0, -1, nd.node)
+		c.env.Tracer.HoldAcquired(w.req.ID, 0, -1, nd.Node)
 	}
 	for i, ld := range links {
-		if ok, _ := c.env.Ledger.HoldLinkTrackedAt(w.now, w.owner, 0, ld.link, ld.bw, w.expires); !ok {
+		if ok, _ := c.env.Ledger.HoldLinkTrackedAt(w.now, w.owner, 0, ld.Link, ld.BW, w.expires); !ok {
 			c.rollbackComposition(nodes, links[:i])
 			return false
 		}
@@ -429,13 +401,13 @@ func (c *Composer) holdComposition(comp *Composition) bool {
 // mid-sequence failure leaked every earlier hold until the caller's
 // owner-level release — the same shape as the extendProbe partial-hold
 // leak fixed in the allocation-free-walk change.)
-func (c *Composer) rollbackComposition(nodes []nodeDemand, links []linkDemand) {
+func (c *Composer) rollbackComposition(nodes []NodeDemand, links []LinkDemand) {
 	w := &c.walk
 	for _, nd := range nodes {
-		c.env.Ledger.ReleaseNodeHold(w.owner, 0, nd.node)
+		c.env.Ledger.ReleaseNodeHold(w.owner, 0, nd.Node)
 	}
 	for _, ld := range links {
-		c.env.Ledger.ReleaseLinkHold(w.owner, 0, ld.link)
+		c.env.Ledger.ReleaseLinkHold(w.owner, 0, ld.Link)
 	}
 }
 
@@ -604,11 +576,11 @@ func (c *Composer) extendProbe(out *Outcome, p hopChild, depth, pos int, isSourc
 
 // selectCandidates picks the M = ceil(alpha*k) next-hop candidates to
 // probe (§3.5). For Optimal every candidate is probed. For the guided
-// policies the coarse global state prefilters unqualified candidates
-// (Eqs. 6-8) and ranks survivors by the risk function D (Eq. 9) and the
-// congestion function W (Eq. 10); SelectRandom (RP) picks uniformly
-// without consulting the global state. The returned slice is scratch,
-// valid until the next selectCandidates call.
+// policies the kernel qualifies and ranks the candidates against the
+// coarse global state, which this engine reads from state.Global;
+// SelectRandom (RP) picks uniformly without consulting the global state.
+// The returned slice is scratch, valid until the next selectCandidates
+// call.
 //
 //acp:hotpath
 func (c *Composer) selectCandidates(p hopChild, pos int, candidates []component.ComponentID) []component.ComponentID {
@@ -617,17 +589,13 @@ func (c *Composer) selectCandidates(p hopChild, pos int, candidates []component.
 	}
 	w := &c.walk
 	sc := &c.scratch
-	m := int(math.Ceil(c.cfg.ProbingRatio * float64(len(candidates))))
-	if m < 1 {
-		m = 1
-	}
-
 	tr := c.env.Tracer
 	if c.cfg.Selection == SelectRandom {
+		m := probeWidth(c.cfg.ProbingRatio, len(candidates))
 		if m >= len(candidates) {
 			return candidates
 		}
-		picked := append(sc.selected[:0], candidates...)
+		picked := append(sc.shuffled[:0], candidates...)
 		//acp:alloc-ok Shuffle's swap closure does not escape: the compiler keeps it and picked on the stack
 		c.env.Rand.Shuffle(len(picked), func(i, j int) { picked[i], picked[j] = picked[j], picked[i] })
 		if tr.Enabled() {
@@ -635,122 +603,21 @@ func (c *Composer) selectCandidates(p hopChild, pos int, candidates []component.
 				tr.CandidatePruned(w.req.ID, 0, p.id, pos, c.env.Catalog.Component(cut).Node, obs.ReasonRandomRank)
 			}
 		}
-		sc.selected = picked
+		sc.shuffled = picked
 		return picked[:m]
 	}
 
-	qualified := sc.ranked[:0]
+	hop := Hop{Req: w.req, Pos: pos, Parent: p.id, Tracer: tr}
 	for _, id := range candidates {
 		cand := c.env.Catalog.Component(id)
-		if cand.Security < w.req.MinSecurity {
-			tr.CandidatePruned(w.req.ID, 0, p.id, pos, cand.Node, obs.ReasonSecurity)
-			continue
-		}
 		routes, linkQoS := c.predecessorRoutes(pos, cand.Node)
-
-		// Coarse-grain qualification (Eqs. 6-8) from the global state.
-		acc := p.acc.Add(linkQoS).Add(cand.QoS)
-		risk := acc.MaxRatio(w.req.QoSReq)
-		if risk > 1 {
-			tr.CandidatePruned(w.req.ID, 0, p.id, pos, cand.Node, obs.ReasonQoS)
-			continue
-		}
-		avail := c.env.Global.NodeAvailable(cand.Node)
-		if !avail.Covers(w.req.ResReq[pos]) {
-			tr.CandidatePruned(w.req.ID, 0, p.id, pos, cand.Node, obs.ReasonResources)
-			continue
-		}
 		routeBW := math.Inf(1)
 		for _, route := range routes {
 			routeBW = math.Min(routeBW, c.env.Global.RouteAvailable(route))
 		}
-		if routeBW < w.req.BandwidthReq {
-			tr.CandidatePruned(w.req.ID, 0, p.id, pos, cand.Node, obs.ReasonBandwidth)
-			continue
-		}
-
-		// Congestion function W (Eq. 10) on coarse residuals.
-		cong := qos.CongestionTerm(w.req.ResReq[pos], avail.Sub(w.req.ResReq[pos])) +
-			qos.BandwidthCongestionTerm(w.req.BandwidthReq, routeBW-w.req.BandwidthReq)
-		qualified = append(qualified, rankedCand{id: id, node: cand.Node, risk: risk, cong: cong})
+		c.kern.Consider(&hop, cand, p.acc.Add(linkQoS).Add(cand.QoS), c.env.Global.NodeAvailable(cand.Node), routeBW)
 	}
-	sc.ranked = qualified
-	if len(qualified) <= m {
-		out := sc.selected[:0]
-		for i := range qualified {
-			out = append(out, qualified[i].id)
-		}
-		sc.selected = out
-		return out
-	}
-
-	// Stable insertion sort on the scratch buffer: candidate lists are a
-	// handful of entries, and this matches sort.SliceStable's behaviour
-	// at these sizes (which is insertion sort for short runs) without
-	// its interface and closure allocations.
-	for i := 1; i < len(qualified); i++ {
-		for j := i; j > 0 && c.candLess(qualified[j].risk, qualified[j].cong, qualified[j-1].risk, qualified[j-1].cong); j-- {
-			qualified[j], qualified[j-1] = qualified[j-1], qualified[j]
-		}
-	}
-	if tr.Enabled() {
-		for _, cut := range qualified[m:] {
-			tr.CandidatePruned(w.req.ID, 0, p.id, pos, cut.node,
-				rankCutReason(c.cfg.Selection, cut.risk, qualified[m-1].risk))
-		}
-	}
-	out := sc.selected[:0]
-	for i := 0; i < m; i++ {
-		out = append(out, qualified[i].id)
-	}
-	sc.selected = out
-	return out
-}
-
-// rankCutReason attributes a ranking cut to the risk function D or the
-// congestion function W: a cut candidate whose risk differs from the last
-// admitted one's by more than the 5% similarity band lost on risk; one
-// inside the band was tie-broken by congestion.
-func rankCutReason(sel SelectionPolicy, cutRisk, lastKeptRisk float64) obs.Reason {
-	const band = 0.05
-	switch sel {
-	case SelectRiskOnly:
-		return obs.ReasonRiskRank
-	case SelectCongestionOnly:
-		return obs.ReasonCongestionRank
-	default:
-		if math.Abs(cutRisk-lastKeptRisk) > band*math.Max(cutRisk, lastKeptRisk) {
-			return obs.ReasonRiskRank
-		}
-		return obs.ReasonCongestionRank
-	}
-}
-
-// candLess compares two ranked candidates under the configured selection
-// policy. The paper compares risk values first and falls back to the
-// congestion function when risks are similar; "similar" is a 5% relative
-// band.
-//
-//acp:hotpath
-func (c *Composer) candLess(ri, ci, rj, cj float64) bool {
-	const band = 0.05
-	switch c.cfg.Selection {
-	case SelectRiskOnly:
-		return ri < rj
-	case SelectCongestionOnly:
-		return ci < cj
-	default: // SelectRiskThenCongestion
-		if math.Abs(ri-rj) > band*math.Max(ri, rj) {
-			return ri < rj
-		}
-		return ci < cj
-	}
-}
-
-// rankLess returns the comparison for the configured selection policy as
-// a standalone function (tests exercise the policy through this).
-func (c *Composer) rankLess() func(ri, ci, rj, cj float64) bool {
-	return c.candLess
+	return c.kern.Select(&hop, c.cfg.Selection, c.cfg.ProbingRatio, len(candidates))
 }
 
 // selectBest evaluates complete probes against the constraints
@@ -831,134 +698,19 @@ func (c *Composer) evaluate(assign []component.ComponentID) (*Composition, bool)
 		return nil, false
 	}
 
-	nodes, links := c.accumulateDemands(req, assign, comp.Routes)
-	for _, nd := range nodes {
-		if !c.nodeAvail(nd.node).Covers(nd.amount) {
-			return nil, false
-		}
+	nodes, links := c.kern.Stack(req, assign, comp.Routes)
+	for i := range nodes {
+		nodes[i].Avail = c.nodeAvail(nodes[i].Node)
 	}
-	for _, ld := range links {
-		if c.linkAvail(ld.link) < ld.bw {
-			return nil, false
-		}
+	for i := range links {
+		links[i].Avail = c.linkAvail(links[i].Link)
 	}
-	comp.Phi = c.phi(req, assign, comp.Routes, nodes, links)
+	phi, ok := c.kern.Score(req, assign, comp.Routes, c.cfg.Phi)
+	if !ok {
+		return nil, false
+	}
+	comp.Phi = phi
 	return comp, true
-}
-
-// accumulateDemands folds a composition into per-node resource and
-// per-overlay-link bandwidth demand slices. Components of the same
-// request sharing a node stack their requirements (footnote 5); virtual
-// links sharing an overlay link stack their bandwidth; co-located
-// virtual links consume nothing (footnote 4). The slices are scratch,
-// valid until the next call; entries appear in first-seen order, which
-// keeps every downstream float summation deterministic.
-//
-//acp:hotpath
-func (c *Composer) accumulateDemands(req *component.Request, comps []component.ComponentID, routes []overlay.Route) ([]nodeDemand, []linkDemand) {
-	sc := &c.scratch
-	nodes := sc.nodeDemands[:0]
-	for pos, id := range comps {
-		node := c.env.Catalog.Component(id).Node
-		found := false
-		for i := range nodes {
-			if nodes[i].node == node {
-				nodes[i].amount = nodes[i].amount.Add(req.ResReq[pos])
-				found = true
-				break
-			}
-		}
-		if !found {
-			nodes = append(nodes, nodeDemand{node: node, amount: req.ResReq[pos]})
-		}
-	}
-	links := sc.linkDemands[:0]
-	for _, route := range routes {
-		if route.CoLocated {
-			continue
-		}
-		for _, link := range route.Links {
-			found := false
-			for i := range links {
-				if links[i].link == link {
-					links[i].bw += req.BandwidthReq
-					found = true
-					break
-				}
-			}
-			if !found {
-				links = append(links, linkDemand{link: link, bw: req.BandwidthReq})
-			}
-		}
-	}
-	sc.nodeDemands, sc.linkDemands = nodes, links
-	return nodes, links
-}
-
-// phi computes the congestion aggregation metric (Eq. 1) for a candidate
-// assignment against owner-credited precise availability: each component
-// contributes sum_k r_k/(rr_k + r_k) with rr the node's residual after
-// ALL of this request's placements there (footnote 5), and each virtual
-// link contributes b/(rb + b) with rb the bottleneck residual bandwidth
-// after this request's reservations (0 for co-located links, footnote 8).
-//
-// Under PhiSum the sum accumulates in the exact order above — the
-// 50-seed golden parity test pins that float arithmetic bit-for-bit.
-// The fairness variants only post-process: PhiWeighted scales the sum
-// by the request's phi weight, PhiBottleneck returns the single worst
-// term tracked alongside the sum.
-//
-//acp:hotpath
-func (c *Composer) phi(req *component.Request, comps []component.ComponentID, routes []overlay.Route,
-	nodes []nodeDemand, links []linkDemand) float64 {
-
-	sc := &c.scratch
-	residuals := sc.residuals[:0]
-	for _, nd := range nodes {
-		residuals = append(residuals, c.nodeAvail(nd.node).Sub(nd.amount))
-	}
-	sc.residuals = residuals
-	total, worst := 0.0, 0.0
-	for pos, id := range comps {
-		node := c.env.Catalog.Component(id).Node
-		var residual qos.Resources
-		for i := range nodes {
-			if nodes[i].node == node {
-				residual = residuals[i]
-				break
-			}
-		}
-		term := qos.CongestionTerm(req.ResReq[pos], residual)
-		total += term
-		worst = math.Max(worst, term)
-	}
-	for _, route := range routes {
-		residual := math.Inf(1)
-		if !route.CoLocated {
-			for _, link := range route.Links {
-				demand := 0.0
-				for i := range links {
-					if links[i].link == link {
-						demand = links[i].bw
-						break
-					}
-				}
-				r := c.linkAvail(link) - demand
-				residual = math.Min(residual, r)
-			}
-		}
-		term := qos.BandwidthCongestionTerm(req.BandwidthReq, residual)
-		total += term
-		worst = math.Max(worst, term)
-	}
-	switch c.cfg.Phi {
-	case PhiWeighted:
-		return total * req.PhiWeight()
-	case PhiBottleneck:
-		return worst
-	default:
-		return total
-	}
 }
 
 // probeDirect implements the Random and Static heuristics: choose one

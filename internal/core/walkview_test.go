@@ -66,10 +66,31 @@ func snapshotLedger(l *state.Ledger) ledgerSnapshot {
 	return s
 }
 
+// referenceDemands stacks a composition's demand per node and per overlay
+// link as a map fold, written from footnotes 4 and 5 independently of
+// Kernel.Stack.
+func referenceDemands(c *Composer, req *component.Request, comp *Composition) (map[int]qos.Resources, map[int]float64) {
+	nodes := make(map[int]qos.Resources)
+	for pos, id := range comp.Components {
+		n := c.env.Catalog.Component(id).Node
+		nodes[n] = nodes[n].Add(req.ResReq[pos])
+	}
+	links := make(map[int]float64)
+	for _, r := range comp.Routes {
+		if r.CoLocated {
+			continue
+		}
+		for _, k := range r.Links {
+			links[k] += req.BandwidthReq
+		}
+	}
+	return nodes, links
+}
+
 // credit adds a committed composition's shares back, as a migration
 // window credits the session being re-composed.
 func (s ledgerSnapshot) credit(c *Composer, req *component.Request, comp *Composition) {
-	nodes, links := c.demands(req, comp)
+	nodes, links := referenceDemands(c, req, comp)
 	for n, amount := range nodes {
 		s.nodes[n] = s.nodes[n].Add(amount)
 	}
@@ -82,10 +103,10 @@ func (s ledgerSnapshot) credit(c *Composer, req *component.Request, comp *Compos
 // component's term uses its node's residual after all of the request's
 // placements there, each virtual link's term its bottleneck residual
 // after all of the request's reservations (0 when co-located,
-// footnote 8). The request's own stacked demand comes from the commit
-// path's map fold (Composer.demands), not the walk's scratch slices.
+// footnote 8). The request's own stacked demand comes from
+// referenceDemands, not the kernel's stacked slices.
 func referencePhi(c *Composer, snap ledgerSnapshot, req *component.Request, comp *Composition) float64 {
-	nodes, links := c.demands(req, comp)
+	nodes, links := referenceDemands(c, req, comp)
 	phi := 0.0
 	for pos, id := range comp.Components {
 		n := c.env.Catalog.Component(id).Node

@@ -1,16 +1,18 @@
 // Package dist is the distributed execution of the ACP protocol: one
 // goroutine per overlay node, communicating only by messages — probes
 // fan out across node mailboxes exactly as they fan out across hosts in
-// the paper's PlanetLab prototype, resource state is sharded (each node
-// owns its own end-system ledger; each overlay link's bandwidth agent
-// lives at one endpoint), and the coarse global state is a per-node view
-// updated by best-effort broadcast.
+// the paper's PlanetLab prototype, end-system resource state is sharded
+// (each node owns its own ledger), overlay-link bandwidth lives in one
+// state.Ledger standing in for the link-state agents, and the coarse
+// global state is a per-node view updated by best-effort broadcast.
 //
 // The deterministic simulator (internal/core + internal/experiment)
 // answers "does the algorithm behave as the paper claims"; this package
 // answers "does the protocol actually work as a concurrent distributed
-// system" — races, interleavings, timeouts, and all. Both execute the
-// same per-hop rules (Figure 3).
+// system" — races, interleavings, timeouts, and all. Both make their
+// decisions — per-hop selection, demand stacking, Eq. 1 — in the one
+// composition kernel (core.Kernel); they differ in where state comes from
+// and how messages travel.
 package dist
 
 import (
@@ -30,6 +32,7 @@ import (
 	"repro/internal/obs"
 	"repro/internal/overlay"
 	"repro/internal/qos"
+	"repro/internal/state"
 	"repro/internal/topology"
 )
 
@@ -197,12 +200,18 @@ func newInstruments(r *obs.Registry) instruments {
 }
 
 // Cluster runs the distributed protocol.
+//
+// links holds every overlay link's bandwidth: a decided composition
+// reserves its stacked link demand as one session under the request ID,
+// and release or rollback frees exactly that session. Only the link half
+// of the ledger is used — node resources stay with the node actors — and
+// it is locked only when node goroutines run (start).
 type Cluster struct {
 	cfg        Config
 	mesh       *overlay.Mesh
 	catalog    *component.Catalog
 	nodes      []*node
-	links      *linkTable
+	links      *state.Ledger
 	tracer     *obs.Tracer
 	ins        instruments
 	faults     *faults.Injector
@@ -271,6 +280,7 @@ func build(cfg Config) (*Cluster, error) {
 		cfg.MailboxSize = 16
 	}
 	clk := clock.Or(cfg.Clock)
+	epoch := clk.Now()
 	var inj *faults.Injector
 	if cfg.Faults != nil {
 		fcfg := *cfg.Faults
@@ -312,7 +322,7 @@ func build(cfg Config) (*Cluster, error) {
 		cfg:     cfg,
 		mesh:    mesh,
 		catalog: catalog,
-		links:   newLinkTable(mesh),
+		links:   state.NewLedger(mesh, cfg.NodeCapacity, func() time.Duration { return clk.Since(epoch) }),
 		tracer:  cfg.Tracer,
 		ins:     newInstruments(cfg.Registry),
 		faults:  inj,
@@ -356,6 +366,7 @@ func mix64(z uint64) uint64 {
 }
 
 func (c *Cluster) start() {
+	c.links.EnableLocking()
 	for _, n := range c.nodes {
 		c.wg.Add(1)
 		go func(n *node) {
@@ -543,11 +554,11 @@ func (c *Cluster) Release(req *component.Request, comp *Composition) {
 	if comp == nil {
 		return
 	}
-	demands := c.demandsOf(req, comp.Components)
-	for _, nodeID := range sortedNodeKeys(demands.nodes) {
+	nodes, _ := c.SessionDemands(req, comp)
+	for _, nodeID := range sortedNodeKeys(nodes) {
 		c.sendRelease(nodeID, comp.owner)
 	}
-	c.links.release(demands.links)
+	c.links.ReleaseSession(state.Owner(comp.owner))
 	sess := strconv.FormatInt(comp.owner, 10)
 	c.ins.sessionPhi.Delete(sess)
 	c.ins.sessionQoS.Delete(sess)
@@ -575,11 +586,11 @@ func (c *Cluster) Shutdown() {
 	c.drainMailboxes()
 }
 
-// Idle reports whether every node ledger and every link has returned to
-// full capacity with no live holds — the steady state after all
-// sessions are released. Answered from the nodes' own precise state via
-// inspect messages (a reliable monitoring hook, exempt from fault
-// injection and answered even during an outage).
+// Idle reports whether every node ledger has returned to full capacity
+// with no live holds and no session reserves link bandwidth — the steady
+// state after all sessions are released. Nodes answer from their own
+// precise state via inspect messages (a reliable monitoring hook, exempt
+// from fault injection and answered even during an outage).
 func (c *Cluster) Idle() bool {
 	for _, n := range c.nodes {
 		reply := make(chan qos.Resources, 1)
@@ -593,27 +604,22 @@ func (c *Cluster) Idle() bool {
 			return false
 		}
 	}
-	for i := range c.links.capacity {
-		c.links.mu[i].Lock()
-		full := c.links.available[i] == c.links.capacity[i]
-		c.links.mu[i].Unlock()
-		if !full {
-			return false
-		}
-	}
-	return true
+	return c.links.ActiveSessions() == 0
 }
 
 // AwaitIdle polls Idle until it holds or the timeout elapses — holds
 // orphaned by injected loss take up to HoldTTL (plus a sweep period) to
-// decay.
+// decay. The clock is read before each poll, so the last poll always
+// follows the deadline: a virtual clock that races ahead between a poll
+// and the deadline check cannot turn a not-yet-idle answer into a timeout.
 func (c *Cluster) AwaitIdle(timeout time.Duration) bool {
 	deadline := c.clock.Now().Add(timeout)
 	for {
+		late := c.clock.Now().After(deadline)
 		if c.Idle() {
 			return true
 		}
-		if c.clock.Now().After(deadline) {
+		if late {
 			return false
 		}
 		c.clock.Sleep(10 * time.Millisecond)
@@ -642,108 +648,20 @@ func (c *Cluster) drainMailboxes() {
 	}
 }
 
-// demands aggregates a composition's per-node resource and per-link
-// bandwidth needs (footnotes 4, 5, 8 of the paper).
-type demands struct {
-	nodes map[int]qos.Resources
-	links map[int]float64
-}
-
-func (c *Cluster) demandsOf(req *component.Request, assign []component.ComponentID) demands {
-	d := demands{nodes: make(map[int]qos.Resources), links: make(map[int]float64)}
-	for pos, id := range assign {
-		nodeID := c.catalog.Component(id).Node
-		d.nodes[nodeID] = d.nodes[nodeID].Add(req.ResReq[pos])
-	}
+// routesOf resolves the virtual link of every graph edge of an assignment
+// into buf, reporting false when some pair of hosts is unroutable.
+func (c *Cluster) routesOf(buf []overlay.Route, req *component.Request, assign []component.ComponentID) ([]overlay.Route, bool) {
+	buf = buf[:0]
 	for _, e := range req.Graph.Edges {
 		from := c.catalog.Component(assign[e.From]).Node
 		to := c.catalog.Component(assign[e.To]).Node
 		route, ok := c.mesh.RouteBetween(from, to)
-		if !ok || route.CoLocated {
-			continue
+		if !ok {
+			return buf, false
 		}
-		for _, link := range route.Links {
-			d.links[link] += req.BandwidthReq
-		}
+		buf = append(buf, route)
 	}
-	return d
-}
-
-// linkTable is the bandwidth state of every overlay link. Each entry is
-// guarded by its own mutex — the in-process stand-in for the link-state
-// agent co-located at one link endpoint.
-type linkTable struct {
-	capacity  []float64
-	mu        []sync.Mutex
-	available []float64
-}
-
-func newLinkTable(mesh *overlay.Mesh) *linkTable {
-	t := &linkTable{
-		capacity:  make([]float64, mesh.NumLinks()),
-		mu:        make([]sync.Mutex, mesh.NumLinks()),
-		available: make([]float64, mesh.NumLinks()),
-	}
-	for i := range t.capacity {
-		t.capacity[i] = mesh.Link(i).Capacity
-		t.available[i] = t.capacity[i]
-	}
-	return t
-}
-
-// linkAvailable returns one link's current availability.
-func (t *linkTable) linkAvailable(id int) float64 {
-	t.mu[id].Lock()
-	a := t.available[id]
-	t.mu[id].Unlock()
-	return a
-}
-
-// routeAvailable returns the bottleneck availability along a route.
-func (t *linkTable) routeAvailable(route overlay.Route) float64 {
-	if route.CoLocated {
-		return math.Inf(1)
-	}
-	avail := math.Inf(1)
-	for _, id := range route.Links {
-		t.mu[id].Lock()
-		a := t.available[id]
-		t.mu[id].Unlock()
-		avail = math.Min(avail, a)
-	}
-	return avail
-}
-
-// reserve atomically acquires bandwidth on every link or none.
-func (t *linkTable) reserve(links map[int]float64) bool {
-	ids := sortedKeys(links)
-	for i, id := range ids {
-		t.mu[id].Lock()
-		if t.available[id] < links[id] {
-			t.mu[id].Unlock()
-			// Roll back in reverse order.
-			for j := i - 1; j >= 0; j-- {
-				t.mu[ids[j]].Lock()
-				t.available[ids[j]] += links[ids[j]]
-				t.mu[ids[j]].Unlock()
-			}
-			return false
-		}
-		t.available[id] -= links[id]
-		t.mu[id].Unlock()
-	}
-	return true
-}
-
-func (t *linkTable) release(links map[int]float64) {
-	for id, bw := range links {
-		t.mu[id].Lock()
-		t.available[id] += bw
-		if t.available[id] > t.capacity[id] {
-			t.available[id] = t.capacity[id]
-		}
-		t.mu[id].Unlock()
-	}
+	return buf, true
 }
 
 // sortedNodeKeys orders a per-node demand map's keys so commit,
@@ -751,15 +669,6 @@ func (t *linkTable) release(links map[int]float64) {
 // order — map iteration order would otherwise reshuffle message and
 // fault-injection sequencing between identically-seeded runs.
 func sortedNodeKeys(m map[int]qos.Resources) []int {
-	out := make([]int, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	sort.Ints(out)
-	return out
-}
-
-func sortedKeys(m map[int]float64) []int {
 	out := make([]int, 0, len(m))
 	for k := range m {
 		out = append(out, k)

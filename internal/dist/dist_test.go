@@ -3,6 +3,7 @@ package dist
 import (
 	"errors"
 	"fmt"
+	"math"
 	"sync"
 	"testing"
 	"time"
@@ -223,41 +224,75 @@ func TestShutdownUnblocksCompose(t *testing.T) {
 	c.Shutdown() // idempotent
 }
 
+// TestLinkTableReserveAtomicity: the link ledger reserves a composition's
+// stacked bandwidth on every link or on none, and a release returns
+// exactly what was reserved.
 func TestLinkTableReserveAtomicity(t *testing.T) {
 	c := testCluster(t)
-	lt := c.links
-	id0 := 0
-	lt.mu[id0].Lock()
-	avail0 := lt.available[id0]
-	lt.mu[id0].Unlock()
+	l := c.links
+	avail0, avail1 := l.LinkAvailable(0), l.LinkAvailable(1)
 
 	// A reservation that fits on link 0 but not link 1 must change
 	// nothing.
-	lt.mu[1].Lock()
-	avail1 := lt.available[1]
-	lt.mu[1].Unlock()
-	want := map[int]float64{0: avail0 / 2, 1: avail1 + 1}
-	if lt.reserve(want) {
+	if err := l.CommitSession(1001, nil, map[int]float64{0: avail0 / 2, 1: avail1 + 1}); err == nil {
 		t.Fatal("over-capacity reservation accepted")
 	}
-	lt.mu[id0].Lock()
-	got := lt.available[id0]
-	lt.mu[id0].Unlock()
-	if got != avail0 {
+	if got := l.LinkAvailable(0); got != avail0 {
 		t.Errorf("failed reservation leaked: link 0 available %v, want %v", got, avail0)
 	}
-
-	// A feasible reservation succeeds and releases cleanly.
-	okDemand := map[int]float64{0: 10, 1: 10}
-	if !lt.reserve(okDemand) {
-		t.Fatal("feasible reservation rejected")
+	if n := l.ActiveSessions(); n != 0 {
+		t.Errorf("failed reservation left %d sessions", n)
 	}
-	lt.release(okDemand)
-	lt.mu[id0].Lock()
-	got = lt.available[id0]
-	lt.mu[id0].Unlock()
-	if got != avail0 {
-		t.Errorf("release did not restore link 0: %v vs %v", got, avail0)
+
+	// A feasible reservation succeeds and releases exactly.
+	if err := l.CommitSession(1002, nil, map[int]float64{0: 10, 1: 10}); err != nil {
+		t.Fatalf("feasible reservation rejected: %v", err)
+	}
+	if got := l.LinkAvailable(0); got != avail0-10 {
+		t.Errorf("link 0 available %v after reserving 10 of %v", got, avail0)
+	}
+	l.ReleaseSession(1002)
+	if got0, got1 := l.LinkAvailable(0), l.LinkAvailable(1); got0 != avail0 || got1 != avail1 {
+		t.Errorf("release did not restore the links: %v, %v vs %v, %v", got0, got1, avail0, avail1)
+	}
+	if err := l.CheckInvariants(); err != nil {
+		t.Error(err)
+	}
+}
+
+// TestReleaseTwiceReleasesOnce: a second Release of one composition
+// frees nothing. While another session is live, every link carries
+// exactly that session's demand; afterwards every link is back at
+// capacity. (A bandwidth table that adds the demand back per call and
+// clamps at capacity hides the double release.)
+func TestReleaseTwiceReleasesOnce(t *testing.T) {
+	s := newStepped(t)
+	c := s.cluster
+	reqA, reqB := easyRequest(3), easyRequest(3)
+	compA, compB := s.compose(reqA), s.compose(reqB)
+	if compA == nil || compB == nil {
+		t.Fatal("easy requests refused on an empty cluster")
+	}
+	_, linksB := c.SessionDemands(reqB, compB)
+
+	s.release(reqA, compA)
+	s.release(reqA, compA)
+	avail, capacity := c.LinkAvailability()
+	for i := range avail {
+		if math.Abs(avail[i]-(capacity[i]-linksB[i])) > 1e-9 {
+			t.Errorf("link %d: %v available of %v with %v reserved by the live session", i, avail[i], capacity[i], linksB[i])
+		}
+	}
+
+	s.release(reqB, compB)
+	avail, capacity = c.LinkAvailability()
+	for i := range avail {
+		if avail[i] != capacity[i] {
+			t.Errorf("link %d: %v available of %v after every release", i, avail[i], capacity[i])
+		}
+	}
+	if err := c.links.CheckInvariants(); err != nil {
+		t.Error(err)
 	}
 }
 

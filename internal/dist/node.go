@@ -8,9 +8,12 @@ import (
 	"time"
 
 	"repro/internal/component"
+	"repro/internal/core"
 	"repro/internal/faults"
 	"repro/internal/obs"
+	"repro/internal/overlay"
 	"repro/internal/qos"
+	"repro/internal/state"
 )
 
 // message is the sum type flowing through node mailboxes.
@@ -118,7 +121,6 @@ type pendingCompose struct {
 	comp       *Composition
 	needAcks   map[int]bool // node -> acked
 	nodeDemand map[int]qos.Resources
-	linkDemand map[int]float64
 	// commitStart is the decision instant; the commit phase runs from
 	// here to the final ack or rollback.
 	commitStart time.Time
@@ -144,6 +146,9 @@ type node struct {
 	lastReported qos.Resources
 	pending      map[int64]*pendingCompose
 	down         bool // inside a scheduled outage
+
+	kern   *core.Kernel    // selection, stacking and Eq. 1 scratch
+	routes []overlay.Route // per-edge routes of the return being evaluated
 }
 
 func newNode(c *Cluster, id int, rng *rand.Rand) *node {
@@ -158,6 +163,7 @@ func newNode(c *Cluster, id int, rng *rand.Rand) *node {
 		released: make(map[int64]time.Time),
 		view:     make([]qos.Resources, c.mesh.NumNodes()),
 		pending:  make(map[int64]*pendingCompose),
+		kern:     core.NewKernel(c.catalog),
 	}
 	n.capacity = c.cfg.NodeCapacity
 	n.lastReported = n.capacity
@@ -492,22 +498,36 @@ func (n *node) onCompose(msg composeMsg) {
 }
 
 // fanOut selects candidates for position order[idx] and sends one probe
-// to each chosen candidate's host, returning how many were sent. parent
-// is the span of the probe being extended (0 at the deputy's first hop);
+// to each chosen candidate's host, returning how many were sent. The
+// kernel qualifies and ranks (§3.5); this engine supplies the coarse
+// state — the node's view of its peers and the link ledger. parent is the
+// span of the probe being extended (0 at the deputy's first hop);
 // selection prunes are attributed to it.
 func (n *node) fanOut(req *component.Request, order []int, idx int,
 	assign []component.ComponentID, acc qos.Vector, avails []qos.Resources,
 	alpha float64, parent int64) int {
 
-	selected := n.selectCandidates(req, order, idx, assign, acc, alpha, parent)
+	pos := order[idx]
 	tr := n.c.tracer
+	candidates := n.c.catalog.Candidates(req.Graph.Functions[pos])
+	hop := core.Hop{Req: req, Pos: pos, Parent: parent, Tracer: tr}
+	for _, id := range candidates {
+		if !n.c.catalog.Usable(id) {
+			continue
+		}
+		cand := n.c.catalog.Component(id)
+		linkQoS, routeBW := n.predecessorRoutes(req, pos, assign, cand.Node)
+		n.kern.Consider(&hop, cand, acc.Add(linkQoS).Add(cand.QoS), n.view[cand.Node], routeBW)
+	}
+	selected := n.kern.Select(&hop, core.SelectRiskThenCongestion, alpha, len(candidates))
+
 	sent := 0
 	for _, id := range selected {
 		host := n.c.catalog.Component(id).Node
 		var pid int64
 		if tr.Enabled() {
 			pid = tr.NextProbeID()
-			tr.ProbeSpawned(req.ID, pid, order[idx], host, acc.Delay)
+			tr.ProbeSpawned(req.ID, pid, pos, host, acc.Delay)
 		}
 		msg := probeMsg{
 			req:    req,
@@ -524,96 +544,17 @@ func (n *node) fanOut(req *component.Request, order []int, idx int,
 			sent++
 			n.c.ins.probesSent.Inc()
 		} else {
-			tr.ProbeDropped(req.ID, pid, order[idx], host, obs.ReasonMailbox)
+			tr.ProbeDropped(req.ID, pid, pos, host, obs.ReasonMailbox)
 			n.c.ins.probesDropped.Inc()
 		}
 	}
 	return sent
 }
 
-// selectCandidates applies §3.5 under this node's coarse view: filter by
-// the QoS risk bound and the view's resource/bandwidth states, rank by
-// risk then congestion, and keep ceil(alpha*k).
-func (n *node) selectCandidates(req *component.Request, order []int, idx int,
-	assign []component.ComponentID, acc qos.Vector, alpha float64, parent int64) []component.ComponentID {
-
-	pos := order[idx]
-	candidates := n.c.catalog.Candidates(req.Graph.Functions[pos])
-	if len(candidates) == 0 {
-		return nil
-	}
-	m := int(math.Ceil(alpha * float64(len(candidates))))
-	if m < 1 {
-		m = 1
-	}
-
-	tr := n.c.tracer
-	type ranked struct {
-		id   component.ComponentID
-		node int
-		risk float64
-		cong float64
-	}
-	var qualified []ranked
-	for _, id := range candidates {
-		cand := n.c.catalog.Component(id)
-		if !n.c.catalog.Usable(id) {
-			continue
-		}
-		if cand.Security < req.MinSecurity {
-			tr.CandidatePruned(req.ID, 0, parent, pos, cand.Node, obs.ReasonSecurity)
-			continue
-		}
-		linkQoS, routeBW := n.predecessorLinks(req, pos, assign, cand.Node)
-		candAcc := acc.Add(linkQoS).Add(cand.QoS)
-		risk := candAcc.MaxRatio(req.QoSReq)
-		if risk > 1 {
-			tr.CandidatePruned(req.ID, 0, parent, pos, cand.Node, obs.ReasonQoS)
-			continue
-		}
-		avail := n.view[cand.Node]
-		if !avail.Covers(req.ResReq[pos]) {
-			tr.CandidatePruned(req.ID, 0, parent, pos, cand.Node, obs.ReasonResources)
-			continue
-		}
-		if routeBW < req.BandwidthReq {
-			tr.CandidatePruned(req.ID, 0, parent, pos, cand.Node, obs.ReasonBandwidth)
-			continue
-		}
-		cong := qos.CongestionTerm(req.ResReq[pos], avail.Sub(req.ResReq[pos])) +
-			qos.BandwidthCongestionTerm(req.BandwidthReq, routeBW-req.BandwidthReq)
-		qualified = append(qualified, ranked{id: id, node: cand.Node, risk: risk, cong: cong})
-	}
-	const band = 0.05
-	if len(qualified) > m {
-		sort.SliceStable(qualified, func(i, j int) bool {
-			ri, rj := qualified[i].risk, qualified[j].risk
-			if math.Abs(ri-rj) > band*math.Max(ri, rj) {
-				return ri < rj
-			}
-			return qualified[i].cong < qualified[j].cong
-		})
-		if tr.Enabled() {
-			for _, cut := range qualified[m:] {
-				reason := obs.ReasonCongestionRank
-				if math.Abs(cut.risk-qualified[m-1].risk) > band*math.Max(cut.risk, qualified[m-1].risk) {
-					reason = obs.ReasonRiskRank
-				}
-				tr.CandidatePruned(req.ID, 0, parent, pos, cut.node, reason)
-			}
-		}
-		qualified = qualified[:m]
-	}
-	out := make([]component.ComponentID, len(qualified))
-	for i, q := range qualified {
-		out[i] = q.id
-	}
-	return out
-}
-
-// predecessorLinks aggregates the virtual links from the already-chosen
-// predecessors of pos to the candidate host.
-func (n *node) predecessorLinks(req *component.Request, pos int,
+// predecessorRoutes resolves the virtual links from the already-chosen
+// predecessors of pos to the candidate host: their aggregated QoS and
+// their bottleneck bandwidth as the link ledger has it now.
+func (n *node) predecessorRoutes(req *component.Request, pos int,
 	assign []component.ComponentID, host int) (qos.Vector, float64) {
 
 	var linkQoS qos.Vector
@@ -625,7 +566,7 @@ func (n *node) predecessorLinks(req *component.Request, pos int,
 			return qos.Vector{Delay: math.Inf(1)}, 0
 		}
 		linkQoS = linkQoS.Add(route.QoS)
-		routeBW = math.Min(routeBW, n.c.links.routeAvailable(route))
+		routeBW = math.Min(routeBW, n.c.links.RouteAvailable(route))
 	}
 	return linkQoS, routeBW
 }
@@ -645,7 +586,7 @@ func (n *node) onProbe(msg probeMsg) {
 	gpos := order[pos]
 	cand := n.c.catalog.Component(msg.chosen)
 
-	linkQoS, routeBW := n.predecessorLinks(req, gpos, msg.assign, n.id)
+	linkQoS, routeBW := n.predecessorRoutes(req, gpos, msg.assign, n.id)
 	acc := msg.acc.Add(linkQoS).Add(cand.QoS)
 
 	// Precise conformance (Eqs. 6-8) against this node's own state; drop
@@ -674,7 +615,11 @@ func (n *node) onProbe(msg probeMsg) {
 
 	assign := append([]component.ComponentID(nil), msg.assign...)
 	assign[gpos] = msg.chosen
-	avails := append(append([]qos.Resources(nil), msg.avails...), n.available())
+	// The probe carries the precise state it saw here (§3.3 step 3) from
+	// the request's own perspective: holds of this request — this probe's
+	// and its siblings' — are credited back, so the deputy subtracts the
+	// request's stacked demand from it exactly once.
+	avails := append(append([]qos.Resources(nil), msg.avails...), n.availableFor(req.ID))
 
 	if msg.idx == len(order)-1 {
 		if n.c.deliver(msg.deputy, returnMsg{
@@ -716,16 +661,13 @@ func (n *node) onDecide(reqID int64) {
 	n.c.ins.collectMs.Observe(float64(n.c.clock.Since(p.composeStart)) / float64(time.Millisecond))
 
 	var (
-		best    *Composition
-		bestDem demands
+		best    *returnMsg
+		bestPhi float64
 	)
-	for _, ret := range p.returns {
-		comp, dem, ok := n.evaluateReturn(p.req, ret)
-		if !ok {
-			continue
-		}
-		if best == nil || comp.Phi < best.Phi {
-			best, bestDem = comp, dem
+	for i := range p.returns {
+		phi, ok := n.evaluateReturn(p, &p.returns[i])
+		if ok && (best == nil || phi < bestPhi) {
+			best, bestPhi = &p.returns[i], phi
 		}
 	}
 	if best == nil {
@@ -738,20 +680,22 @@ func (n *node) onDecide(reqID int64) {
 	n.c.tracer.Decided(reqID, n.id, "")
 
 	// Commit phase: bandwidth first (atomic all-or-nothing), then the
-	// per-node resource confirmations.
-	if !n.c.links.reserve(bestDem.links) {
+	// per-node resource confirmations. The winner passed evaluateReturn,
+	// so its edges are routable.
+	nodes, links, _ := n.stack(p.req, best.assign)
+	nodeDemand, linkDemand := core.DemandMaps(nodes, links)
+	if err := n.c.links.CommitSession(state.Owner(reqID), nil, linkDemand); err != nil {
 		delete(n.pending, reqID)
 		n.c.tracer.RolledBack(reqID, n.id, obs.ReasonBandwidth)
 		n.c.ins.rollbacks.Inc()
 		p.reply <- composeReply{err: ErrNoComposition}
 		return
 	}
-	p.comp = best
+	p.comp = &Composition{Components: best.assign, Phi: bestPhi, QoS: best.acc, owner: reqID}
 	p.commitStart = n.c.clock.Now()
-	p.linkDemand = bestDem.links
-	p.nodeDemand = bestDem.nodes
-	p.needAcks = make(map[int]bool, len(bestDem.nodes))
-	for nodeID := range bestDem.nodes {
+	p.nodeDemand = nodeDemand
+	p.needAcks = make(map[int]bool, len(nodeDemand))
+	for nodeID := range nodeDemand {
 		p.needAcks[nodeID] = false
 	}
 	n.startCommit(reqID, p)
@@ -789,68 +733,46 @@ func (n *node) startCommit(reqID int64, p *pendingCompose) {
 	})
 }
 
-// evaluateReturn checks a returned composition against the constraints
-// and computes phi from the precise states the probe collected.
-func (n *node) evaluateReturn(req *component.Request, ret returnMsg) (*Composition, demands, bool) {
-	if ret.acc.MaxRatio(req.QoSReq) > 1 {
-		return nil, demands{}, false
+// stack resolves an assignment's virtual links and stacks the request's
+// demand per node and per overlay link in the kernel's scratch, reporting
+// false when some edge is unroutable. The routes stay in n.routes.
+func (n *node) stack(req *component.Request, assign []component.ComponentID) ([]core.NodeDemand, []core.LinkDemand, bool) {
+	routes, ok := n.c.routesOf(n.routes, req, assign)
+	n.routes = routes
+	if !ok {
+		return nil, nil, false
 	}
-	dem := n.c.demandsOf(req, ret.assign)
-	order, err := req.Graph.TopoOrder()
-	if err != nil || len(ret.avails) != len(order) {
-		return nil, demands{}, false
-	}
+	nodes, links := n.kern.Stack(req, assign, routes)
+	return nodes, links, true
+}
 
-	// Node congestion terms from the availability snapshots the probe
-	// carried back; multiple placements on one node share the residual
-	// after the total demand (footnote 5).
-	availAt := make(map[int]qos.Resources, len(dem.nodes))
-	for i, gpos := range order {
-		host := n.c.catalog.Component(ret.assign[gpos]).Node
-		availAt[host] = ret.avails[i]
+// evaluateReturn checks a returned composition against the constraints
+// (Eqs. 3-5) and scores it with Eq. 1 in the kernel. This engine supplies
+// the precise state: per node the availability the probe carried back —
+// the latest snapshot when the composition visits a host twice — and per
+// overlay link what the link ledger has now.
+func (n *node) evaluateReturn(p *pendingCompose, ret *returnMsg) (float64, bool) {
+	req := p.req
+	if ret.acc.MaxRatio(req.QoSReq) > 1 || len(ret.avails) != len(p.order) {
+		return 0, false
 	}
-	phi := 0.0
-	for _, gpos := range order {
-		host := n.c.catalog.Component(ret.assign[gpos]).Node
-		// The snapshot was taken right after the probe placed this
-		// position's own hold, so it already excludes this placement;
-		// subtract the rest of the request's demand on the same host to
-		// get the residual after all placements (footnote 5).
-		residual := availAt[host].Sub(dem.nodes[host]).Add(req.ResReq[gpos])
-		if !residual.NonNegative() {
-			return nil, demands{}, false
-		}
-		phi += qos.CongestionTerm(req.ResReq[gpos], residual)
+	nodes, links, ok := n.stack(req, ret.assign)
+	if !ok {
+		return 0, false
 	}
-	for _, e := range req.Graph.Edges {
-		from := n.c.catalog.Component(ret.assign[e.From]).Node
-		to := n.c.catalog.Component(ret.assign[e.To]).Node
-		route, ok := n.c.mesh.RouteBetween(from, to)
-		if !ok {
-			return nil, demands{}, false
-		}
-		residual := math.Inf(1)
-		if !route.CoLocated {
-			// The residual is what each link has left after ALL of this
-			// request's reservations on it (footnote 8): edges sharing
-			// an overlay link stack their bandwidth, which is also what
-			// the commit-phase reserve will need to find available.
-			for _, link := range route.Links {
-				r := n.c.links.linkAvailable(link) - dem.links[link]
-				if r < 0 {
-					return nil, demands{}, false
-				}
-				residual = math.Min(residual, r)
+	for i, gpos := range p.order {
+		host := n.c.catalog.Component(ret.assign[gpos]).Node
+		for j := range nodes {
+			if nodes[j].Node == host {
+				nodes[j].Avail = ret.avails[i]
+				break
 			}
 		}
-		phi += qos.BandwidthCongestionTerm(req.BandwidthReq, residual)
 	}
-	return &Composition{
-		Components: ret.assign,
-		Phi:        phi,
-		QoS:        ret.acc,
-		owner:      req.ID,
-	}, dem, true
+	for j := range links {
+		links[j].Avail = n.c.links.LinkAvailable(links[j].Link)
+	}
+	return n.kern.Score(req, ret.assign, n.routes, core.PhiSum)
 }
 
 // onCommit promotes the owner's transient holds into a committed
@@ -929,7 +851,7 @@ func (n *node) rollback(p *pendingCompose, reqID int64, reason obs.Reason) {
 	if p.comp != nil {
 		n.c.ins.commitMs.Observe(float64(n.c.clock.Since(p.commitStart)) / float64(time.Millisecond))
 	}
-	n.c.links.release(p.linkDemand)
+	n.c.links.ReleaseSession(state.Owner(reqID))
 	for _, nodeID := range sortedNodeKeys(p.nodeDemand) {
 		if nodeID == n.id {
 			n.onRelease(releaseMsg{owner: reqID})

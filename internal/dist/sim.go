@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/component"
+	"repro/internal/core"
 	"repro/internal/overlay"
 	"repro/internal/qos"
 )
@@ -186,13 +187,11 @@ func (c *Cluster) NodeAccountingAt(id int) NodeAccounting {
 // LinkAvailability snapshots every overlay link's available and total
 // bandwidth, indexed by link ID.
 func (c *Cluster) LinkAvailability() (avail, capacity []float64) {
-	avail = make([]float64, len(c.links.capacity))
-	capacity = make([]float64, len(c.links.capacity))
-	for i := range c.links.capacity {
-		c.links.mu[i].Lock()
-		avail[i] = c.links.available[i]
-		capacity[i] = c.links.capacity[i]
-		c.links.mu[i].Unlock()
+	avail = make([]float64, c.links.NumLinks())
+	capacity = make([]float64, c.links.NumLinks())
+	for i := range avail {
+		avail[i] = c.links.LinkAvailable(i)
+		capacity[i] = c.links.LinkCapacity(i)
 	}
 	return avail, capacity
 }
@@ -208,8 +207,9 @@ func (c *Cluster) Catalog() *component.Catalog { return c.catalog }
 // demand of a composition for the given request — what commit placed
 // and release must return.
 func (c *Cluster) SessionDemands(req *component.Request, comp *Composition) (nodes map[int]qos.Resources, links map[int]float64) {
-	d := c.demandsOf(req, comp.Components)
-	return d.nodes, d.links
+	// A committed composition's edges are all routable.
+	routes, _ := c.routesOf(nil, req, comp.Components)
+	return core.DemandMaps(core.NewKernel(c.catalog).Stack(req, comp.Components, routes))
 }
 
 // Owner reports the internal request identity a composition was

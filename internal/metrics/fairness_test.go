@@ -141,6 +141,18 @@ func TestWeightedJainIndex(t *testing.T) {
 	}
 }
 
+// TestJainIndexAllocations pins the index at zero allocations: harness
+// audits call it per tick.
+func TestJainIndexAllocations(t *testing.T) {
+	shares := make([]float64, 64)
+	for i := range shares {
+		shares[i] = float64(i%7) + 1
+	}
+	if n := testing.AllocsPerRun(1000, func() { JainIndex(shares) }); n != 0 {
+		t.Errorf("JainIndex allocates %.1f per call, want 0", n)
+	}
+}
+
 func BenchmarkJainIndex(b *testing.B) {
 	shares := make([]float64, 64)
 	rng := rand.New(rand.NewSource(1))

@@ -210,10 +210,38 @@ func TestQuotaErrorMessage(t *testing.T) {
 	}
 }
 
+// TestQuotaAllocations pins what the admission path may allocate: a
+// charge + refund round trip nothing, a rejection its typed error only.
+func TestQuotaAllocations(t *testing.T) {
+	q := newQuotaTable()
+	q.quotas["roomy"] = TenantQuota{MaxSessions: 1 << 30, MaxCPU: 1e18, MaxMemory: 1e18, MaxBandwidthKbps: 1e18}
+	demand := TenantUsage{Sessions: 1, CPU: 12, Memory: 120, BandwidthKbps: 60}
+	roundTrip := func() {
+		if err := q.charge("roomy", demand); err != nil {
+			t.Fatal(err)
+		}
+		q.refund("roomy", demand)
+	}
+	if n := testing.AllocsPerRun(1000, roundTrip); n != 0 {
+		t.Errorf("quota charge + refund allocates %.1f per round trip, want 0", n)
+	}
+
+	q.quotas["full"] = TenantQuota{MaxSessions: 1}
+	q.usage["full"] = TenantUsage{Sessions: 1}
+	reject := func() {
+		if err := q.charge("full", TenantUsage{Sessions: 1}); err == nil {
+			t.Fatal("charge over quota succeeded")
+		}
+	}
+	if n := testing.AllocsPerRun(1000, reject); n != 1 {
+		t.Errorf("quota rejection allocates %.1f per call, want 1 (the *QuotaError)", n)
+	}
+}
+
 // BenchmarkQuotaChargeRefund measures the admission-path quota check:
 // one charge + refund round trip against a bounded quota, the exact
-// work FindApp adds per request. Gated in CI against the committed
-// baseline; the path must stay a map lookup plus four comparisons.
+// work FindApp adds per request; the path must stay a map lookup plus
+// four comparisons.
 func BenchmarkQuotaChargeRefund(b *testing.B) {
 	q := newQuotaTable()
 	q.quotas["bench"] = TenantQuota{MaxSessions: 1 << 30, MaxCPU: 1e18, MaxMemory: 1e18, MaxBandwidthKbps: 1e18}
