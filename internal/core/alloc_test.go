@@ -114,6 +114,32 @@ func TestProbeSteadyStateAllocations(t *testing.T) {
 	if allocs := testing.AllocsPerRun(20, readAll); allocs > 0 {
 		t.Errorf("the availability view allocates %.1f per walk, want 0", allocs)
 	}
+
+	// The hold marks likewise: a new walk starts with none, and marking
+	// and asking at every position over a routed hop allocate nothing.
+	var routed []overlay.Route
+	for n := 1; n < env.Mesh.NumNodes() && len(routed) == 0; n++ {
+		if r, ok := env.Mesh.RouteBetween(0, n); ok && len(r.Links) > 0 {
+			routed = []overlay.Route{r}
+		}
+	}
+	markAll := func() {
+		c.beginWalk(reqs[0])
+		for pos := 0; pos < reqs[0].Graph.NumPositions(); pos++ {
+			for n := 0; n < env.Mesh.NumNodes(); n++ {
+				if c.hopHeld(pos, n, routed) {
+					t.Fatalf("position %d node %d is marked held before any hop", pos, n)
+				}
+				c.markHop(pos, n, routed)
+				if !c.hopHeld(pos, n, routed) {
+					t.Fatalf("position %d node %d is not marked after markHop", pos, n)
+				}
+			}
+		}
+	}
+	if allocs := testing.AllocsPerRun(20, markAll); allocs > 0 {
+		t.Errorf("the hold marks allocate %.1f per walk, want 0", allocs)
+	}
 }
 
 // TestKernelSteadyStateAllocations drives the kernel the way the dist

@@ -250,10 +250,11 @@ func (o *Outcome) Success() bool { return o.Best != nil }
 // Composer runs composition for one algorithm configuration.
 //
 // A Composer is NOT safe for concurrent use: the probe walk reuses
-// composer-lifetime scratch buffers (route cache, candidate cache, the
-// kernel's ranking and demand accumulators) to stay allocation-free in
-// steady state. Concurrent drivers must build one composer per worker over
-// the shared environment and enable locking on the ledger and global state.
+// composer-lifetime scratch buffers (candidate cache, availability view,
+// hold marks, the replica of the global state, the kernel's ranking and
+// demand accumulators) to stay allocation-free in steady state. Concurrent
+// drivers give every caller its own composer over the shared environment
+// and enable locking on the ledger and global state.
 type Composer struct {
 	env Env
 	cfg Config

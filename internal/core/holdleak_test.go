@@ -16,18 +16,25 @@ import (
 	"repro/internal/topology"
 )
 
-// TestLeakedHoldNoLongerStarvesLaterPositions stages the extendProbe
-// partial-hold failure end to end. A four-position path request is
-// shaped so that at position 2 every candidate on node n0 acquires its
-// node hold but then fails a link hold (the route back to n0 re-crosses
-// links already held for position 1, and a foreign session has eaten the
-// slack), while one candidate on a link-disjoint node nD survives. The
-// position-3 candidates all live on n0 and need more capacity than n0
-// has once a leaked position-2 hold squats on it: before the fix the
-// loser's node hold was never rolled back, the position-3 raw
-// availability check failed, and the whole request was rejected even
-// though a qualified composition exists.
-func TestLeakedHoldNoLongerStarvesLaterPositions(t *testing.T) {
+// holdLeakScenario is the substrate of the partial-hold tests: a
+// four-position path request shaped so that at position 2 every
+// candidate on node n0 acquires its node hold but then fails a link hold
+// when its parent sits on nA (the route back to n0 re-crosses links
+// already held for position 1, and a foreign session has eaten the
+// slack), while one candidate on a link-disjoint node nD survives. F0
+// and F3 live on n0, F1 on nA — and, with f1OnDetour, one F1 component
+// on nD too, a second parent from which n0 is reached over free links.
+type holdLeakScenario struct {
+	composer   *Composer
+	req        *component.Request
+	ledger     *state.Ledger
+	catalog    *component.Catalog
+	sink       *obs.MemorySink
+	n0, nA, nD int
+}
+
+func newHoldLeakScenario(t *testing.T, f1OnDetour bool) holdLeakScenario {
+	t.Helper()
 	rng := rand.New(rand.NewSource(11))
 
 	tcfg := topology.DefaultConfig()
@@ -115,6 +122,11 @@ func TestLeakedHoldNoLongerStarvesLaterPositions(t *testing.T) {
 	}
 	move(0, n0)
 	move(1, nA)
+	if f1OnDetour {
+		if err := cat.Move(cat.Candidates(1)[0], nD); err != nil {
+			t.Fatal(err)
+		}
+	}
 	move(2, n0)
 	if err := cat.Move(cat.Candidates(2)[0], nD); err != nil {
 		t.Fatal(err)
@@ -170,7 +182,19 @@ func TestLeakedHoldNoLongerStarvesLaterPositions(t *testing.T) {
 		Client:       n0,
 		Duration:     10 * time.Minute,
 	}
-	out, err := c.Probe(req)
+	return holdLeakScenario{composer: c, req: req, ledger: ledger, catalog: cat, sink: sink, n0: n0, nA: nA, nD: nD}
+}
+
+// TestLeakedHoldNoLongerStarvesLaterPositions stages the extendProbe
+// partial-hold failure end to end. The position-3 candidates all live on
+// n0 and need more capacity than n0 has once a leaked position-2 hold
+// squats on it: before the fix the loser's node hold was never rolled
+// back, the position-3 raw availability check failed, and the whole
+// request was rejected even though a qualified composition exists.
+func TestLeakedHoldNoLongerStarvesLaterPositions(t *testing.T) {
+	sc := newHoldLeakScenario(t, false)
+	cat, ledger, sink, n0, nD := sc.catalog, sc.ledger, sc.sink, sc.n0, sc.nD
+	out, err := sc.composer.Probe(sc.req)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,6 +221,73 @@ func TestLeakedHoldNoLongerStarvesLaterPositions(t *testing.T) {
 		t.Errorf("position 3 chose node %d, want %d", node, n0)
 	}
 	if err := ledger.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestRolledBackHopLeavesNoMark pins the hold-once rule at its one
+// delicate point. A hop whose link hold is refused rolls its node hold
+// back, so it must not mark (position, node) as held: a later sibling
+// that reaches the same node over a feasible route has to place the node
+// hold on the ledger for real. Only a hop that succeeded as a whole
+// marks, and then its repeats stay off the ledger.
+func TestRolledBackHopLeavesNoMark(t *testing.T) {
+	sc := newHoldLeakScenario(t, true)
+	c, req, n0 := sc.composer, sc.req, sc.n0
+	ws := &c.scratch
+	c.beginWalk(req)
+	out := &Outcome{Request: req}
+	onNode := func(children []hopChild, node int) hopChild {
+		t.Helper()
+		for _, child := range children {
+			if sc.catalog.Component(child.choice).Node == node {
+				return child
+			}
+		}
+		t.Fatalf("no surviving child on node %d", node)
+		return hopChild{}
+	}
+
+	source := onNode(c.extendProbe(out, hopChild{}, 0, 0, true), n0)
+	ws.cur[0] = source.choice
+	parents := append([]hopChild(nil), c.extendProbe(out, source, 1, 1, false)...)
+	viaA, viaD := onNode(parents, sc.nA), onNode(parents, sc.nD)
+	afterSource := sc.ledger.NodeAvailable(n0)
+
+	// From the parent on nA every candidate on n0 loses its link hold and
+	// gives its node hold back: nothing of position 2 stays on n0, on the
+	// ledger or in the marks.
+	ws.cur[1] = viaA.choice
+	for _, child := range c.extendProbe(out, viaA, 2, 2, false) {
+		if sc.catalog.Component(child.choice).Node == n0 {
+			t.Fatal("a hop onto n0 from nA survived: the scenario does not refuse the link hold")
+		}
+	}
+	if got := sc.ledger.NodeAvailable(n0); got != afterSource {
+		t.Fatalf("n0 has %v available after the refused hops, want %v: a node hold was not rolled back", got, afterSource)
+	}
+	if ws.heldNode[2*ws.numNodes+n0] == ws.epoch {
+		t.Fatal("a rolled-back hop marked (position 2, n0) as held")
+	}
+
+	// From the parent on nD the same (position, node) is reached over
+	// free links: the hold goes onto the ledger and the hop is marked.
+	ws.cur[1] = viaD.choice
+	onNode(c.extendProbe(out, viaD, 2, 2, false), n0)
+	held := afterSource.Sub(req.ResReq[2])
+	if got := sc.ledger.NodeAvailable(n0); got != held {
+		t.Fatalf("n0 has %v available after the feasible hop, want %v: the node hold is not on the ledger", got, held)
+	}
+	if ws.heldNode[2*ws.numNodes+n0] != ws.epoch {
+		t.Fatal("the successful hop did not mark (position 2, n0)")
+	}
+	// Its repeat survives without another hold.
+	onNode(c.extendProbe(out, viaD, 2, 2, false), n0)
+	if got := sc.ledger.NodeAvailable(n0); got != held {
+		t.Fatalf("n0 has %v available after the repeated hop, want %v", got, held)
+	}
+	c.env.Ledger.ReleaseOwner(state.Owner(req.ID))
+	if err := sc.ledger.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -50,11 +50,9 @@ type walkState struct {
 
 // walkScratch holds the composer-lifetime buffers that make the probe
 // walk (near-)allocation-free in steady state. Buffers are reset, never
-// freed, so capacity amortizes across requests. The route cache is keyed
-// from*N+to over the immutable mesh, so it persists for the composer's
-// whole lifetime; the candidate cache is invalidated per request by an
-// epoch counter because the catalog may change between requests (node
-// failures, migration).
+// freed, so capacity amortizes across requests. The candidate cache is
+// invalidated per request by an epoch counter because the catalog may
+// change between requests (node failures, migration).
 //
 // The availability view is guarded by the same epoch: the first time a
 // walk touches a node or an overlay link it reads the owner-credited
@@ -64,10 +62,21 @@ type walkState struct {
 // only ranks and prunes: every hold and the commit re-check the ledger
 // atomically, so a view gone stale under a shared, locked ledger costs a
 // dropped probe or a refused composition, never an over-admission.
+//
+// The hold marks, same epoch again, record which (position, node) and
+// (position, link) transient holds this walk has already placed: a hop
+// whose holds are all marked would get idempotent no-ops from the ledger
+// and does not ask. A mark is set only when the whole hop succeeded — a
+// rolled-back hop releases just what it created, so earlier marks stay
+// true — and a mark that outlives its hold (a walk longer than HoldTTL)
+// is one more stale view: holdComposition and the commit re-check.
 type walkScratch struct {
-	numNodes   int
-	routes     []overlay.Route // flat from*numNodes+to cache
-	routeKnown []bool
+	numNodes int
+	numLinks int
+
+	// coarse is this composer's replica of the disseminated global state,
+	// refreshed once per walk.
+	coarse state.Replica
 
 	cands     [][]component.ComponentID // per FunctionID, epoch-guarded
 	candEpoch []uint64
@@ -77,6 +86,9 @@ type walkScratch struct {
 	nodeEpoch []uint64
 	linkView  []float64 // per overlay link, valid when linkEpoch matches
 	linkEpoch []uint64
+
+	heldNode []uint64 // [pos*numNodes+node] == epoch: hold placed this walk
+	heldLink []uint64 // [pos*numLinks+link] == epoch: hold placed this walk
 
 	cur   []component.ComponentID // DFS cursor assignment, one slot per position
 	arena []component.ComponentID // completed assignments, shared prefix storage
@@ -99,15 +111,14 @@ func newWalkScratch(env *Env) walkScratch {
 	f := env.Catalog.NumFunctions()
 	links := env.Mesh.NumLinks()
 	return walkScratch{
-		numNodes:   n,
-		routes:     make([]overlay.Route, n*n),
-		routeKnown: make([]bool, n*n),
-		cands:      make([][]component.ComponentID, f),
-		candEpoch:  make([]uint64, f),
-		nodeView:   make([]qos.Resources, n),
-		nodeEpoch:  make([]uint64, n),
-		linkView:   make([]float64, links),
-		linkEpoch:  make([]uint64, links),
+		numNodes:  n,
+		numLinks:  links,
+		cands:     make([][]component.ComponentID, f),
+		candEpoch: make([]uint64, f),
+		nodeView:  make([]qos.Resources, n),
+		nodeEpoch: make([]uint64, n),
+		linkView:  make([]float64, links),
+		linkEpoch: make([]uint64, links),
 	}
 }
 
@@ -156,6 +167,15 @@ func (c *Composer) beginWalk(req *component.Request) {
 	for _, e := range edges {
 		sc.preds[e.To] = append(sc.preds[e.To], e.From)
 	}
+	// Marks of earlier walks carry older epochs, so growing (zeroes) and
+	// re-slicing (stale epochs) both start the walk with nothing marked.
+	if cap(sc.heldNode) < n*sc.numNodes {
+		sc.heldNode = make([]uint64, n*sc.numNodes)
+		sc.heldLink = make([]uint64, n*sc.numLinks)
+	}
+	sc.heldNode = sc.heldNode[:n*sc.numNodes]
+	sc.heldLink = sc.heldLink[:n*sc.numLinks]
+	c.env.Global.Refresh(&sc.coarse)
 	now := c.env.Now()
 	c.walk = walkState{
 		req:     req,
@@ -225,26 +245,53 @@ func (c *Composer) lookup(f component.FunctionID) []component.ComponentID {
 	return ids
 }
 
-// route returns the virtual link between two overlay nodes from the flat
-// composer-lifetime cache: probe trees revisit the same node pairs many
-// times, and the mesh topology is immutable for the composer's lifetime,
-// so each pair pays RouteBetween's path reconstruction exactly once.
+// route returns the virtual link between two overlay nodes from the
+// mesh's route cache.
 //
 //acp:hotpath
 func (c *Composer) route(from, to int) overlay.Route {
-	sc := &c.scratch
-	idx := from*sc.numNodes + to
-	if !sc.routeKnown[idx] {
-		r, ok := c.env.Mesh.RouteBetween(from, to)
-		if !ok {
-			// Build keeps the overlay connected; an unreachable pair would
-			// indicate a hand-assembled mesh. Mark it infeasible.
-			r = overlay.Route{QoS: qos.Vector{Delay: math.Inf(1), LossCost: math.Inf(1)}}
-		}
-		sc.routes[idx] = r
-		sc.routeKnown[idx] = true
+	r, ok := c.env.Mesh.RouteBetween(from, to)
+	if !ok {
+		return unreachableRoute
 	}
-	return sc.routes[idx]
+	return r
+}
+
+// unreachableRoute stands for a virtual link between disconnected nodes: Build
+// keeps the overlay connected, so only a hand-assembled mesh has one. No
+// QoS requirement admits it.
+var unreachableRoute = overlay.Route{QoS: qos.Vector{Delay: math.Inf(1), LossCost: math.Inf(1)}}
+
+// hopHeld reports whether this walk already placed the transient holds
+// of a hop onto node over routes at position pos.
+//
+//acp:hotpath
+func (c *Composer) hopHeld(pos, node int, routes []overlay.Route) bool {
+	sc := &c.scratch
+	if sc.heldNode[pos*sc.numNodes+node] != sc.epoch {
+		return false
+	}
+	for _, route := range routes {
+		for _, link := range route.Links {
+			if sc.heldLink[pos*sc.numLinks+link] != sc.epoch {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// markHop records that the hop's holds are on the ledger.
+//
+//acp:hotpath
+func (c *Composer) markHop(pos, node int, routes []overlay.Route) {
+	sc := &c.scratch
+	sc.heldNode[pos*sc.numNodes+node] = sc.epoch
+	for _, route := range routes {
+		for _, link := range route.Links {
+			sc.heldLink[pos*sc.numLinks+link] = sc.epoch
+		}
+	}
 }
 
 // probeWalk runs the hop-by-hop probing protocol (Figure 3) for the
@@ -292,6 +339,9 @@ func (c *Composer) probeWalk(req *component.Request) (*Outcome, error) {
 	// spent completing compositions rather than stranding every probe
 	// mid-graph.
 	c.expand(out, order, 0, hopChild{})
+	if !exhaustive {
+		c.env.Counters.AddProbes(int64(out.ProbesSent))
+	}
 	alive := c.scratch.alive
 
 	// Complete probes travel back to the deputy (§3.3 step 3).
@@ -466,10 +516,10 @@ func (c *Composer) extendProbe(out *Outcome, p hopChild, depth, pos int, isSourc
 		}
 		w.budget--
 		// Sending the probe to the candidate costs one message whether
-		// or not the candidate turns out to qualify. Optimal's full
-		// exhaustive cost was charged up front in probeWalk.
+		// or not the candidate turns out to qualify; probeWalk charges the
+		// walk's total to the shared counter once. Optimal's full
+		// exhaustive cost was charged up front there.
 		if c.cfg.Algorithm != AlgOptimal {
-			c.env.Counters.AddProbes(1)
 			out.ProbesSent++
 		}
 
@@ -529,8 +579,15 @@ func (c *Composer) extendProbe(out *Outcome, p hopChild, depth, pos int, isSourc
 		// exactly the holds it newly placed, so a loser's partial
 		// reservation cannot squat on resources that later candidates of
 		// the same request are raw-checked against. Holds created by
-		// sibling probes (idempotent no-ops here) stay untouched.
+		// sibling probes (idempotent no-ops here) stay untouched — and a
+		// hop whose holds this walk has all placed already would get only
+		// such no-ops, so it does not go to the ledger at all.
 		if c.cfg.TransientAllocation {
+			if c.hopHeld(pos, cand.Node, routes) {
+				tr.HoldAcquired(w.req.ID, pid, pos, cand.Node)
+				children = append(children, hopChild{choice: id, acc: acc, latency: latency, id: pid})
+				continue
+			}
 			okNode, createdNode := c.env.Ledger.HoldNodeTrackedAt(w.now, w.owner, pos, cand.Node, w.req.ResReq[pos], w.expires)
 			if !okNode {
 				tr.CandidatePruned(w.req.ID, pid, p.id, pos, cand.Node, obs.ReasonHoldNode)
@@ -566,6 +623,7 @@ func (c *Composer) extendProbe(out *Outcome, p hopChild, depth, pos int, isSourc
 				tr.CandidatePruned(w.req.ID, pid, p.id, pos, cand.Node, obs.ReasonHoldLink)
 				continue
 			}
+			c.markHop(pos, cand.Node, routes)
 		}
 
 		children = append(children, hopChild{choice: id, acc: acc, latency: latency, id: pid})
@@ -577,10 +635,10 @@ func (c *Composer) extendProbe(out *Outcome, p hopChild, depth, pos int, isSourc
 // selectCandidates picks the M = ceil(alpha*k) next-hop candidates to
 // probe (§3.5). For Optimal every candidate is probed. For the guided
 // policies the kernel qualifies and ranks the candidates against the
-// coarse global state, which this engine reads from state.Global;
-// SelectRandom (RP) picks uniformly without consulting the global state.
-// The returned slice is scratch, valid until the next selectCandidates
-// call.
+// coarse global state, which this engine reads from its replica of
+// state.Global; SelectRandom (RP) picks uniformly without consulting the
+// global state. The returned slice is scratch, valid until the next
+// selectCandidates call.
 //
 //acp:hotpath
 func (c *Composer) selectCandidates(p hopChild, pos int, candidates []component.ComponentID) []component.ComponentID {
@@ -613,9 +671,9 @@ func (c *Composer) selectCandidates(p hopChild, pos int, candidates []component.
 		routes, linkQoS := c.predecessorRoutes(pos, cand.Node)
 		routeBW := math.Inf(1)
 		for _, route := range routes {
-			routeBW = math.Min(routeBW, c.env.Global.RouteAvailable(route))
+			routeBW = math.Min(routeBW, sc.coarse.RouteAvailable(route))
 		}
-		c.kern.Consider(&hop, cand, p.acc.Add(linkQoS).Add(cand.QoS), c.env.Global.NodeAvailable(cand.Node), routeBW)
+		c.kern.Consider(&hop, cand, p.acc.Add(linkQoS).Add(cand.QoS), sc.coarse.Nodes[cand.Node], routeBW)
 	}
 	return c.kern.Select(&hop, c.cfg.Selection, c.cfg.ProbingRatio, len(candidates))
 }

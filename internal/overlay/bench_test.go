@@ -25,8 +25,9 @@ func benchMesh(b *testing.B, overlayNodes int) *Mesh {
 	return m
 }
 
-// BenchmarkRouteBetween measures the virtual-link reconstruction every
-// probe hop performs (before the per-request cache).
+// BenchmarkRouteBetween measures the virtual-link lookup every probe hop
+// performs: the mesh's route cache once warm, path reconstruction for
+// the first b.N up to N*N distinct pairs.
 func BenchmarkRouteBetween(b *testing.B) {
 	m := benchMesh(b, 400)
 	b.ResetTimer()

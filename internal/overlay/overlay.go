@@ -15,6 +15,8 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"sync"
+	"sync/atomic"
 
 	"repro/internal/qos"
 	"repro/internal/topology"
@@ -36,7 +38,8 @@ type Link struct {
 // Route is a virtual link: the overlay path between two overlay nodes.
 type Route struct {
 	// Links lists the overlay link IDs along the path, in order. A nil
-	// Links with a true CoLocated means the endpoints share a node.
+	// Links with a true CoLocated means the endpoints share a node. The
+	// slice is shared by every caller of RouteBetween: read-only.
 	Links []int
 	// QoS aggregates delay and loss cost over the path's links.
 	QoS qos.Vector
@@ -83,7 +86,28 @@ type Mesh struct {
 	// shortest overlay path i->j (-1 when i==j or unreachable).
 	dist     [][]float64
 	nextLink [][]int32
+
+	// Route cache, one entry per ordered node pair at from*N+to, filled on
+	// first use and kept for the mesh's lifetime (the topology never
+	// changes).
+	routes  []routeEntry
+	routeMu sync.Mutex // serializes fills; readers never take it
 }
+
+// routeEntry is one slot of the route cache. state publishes route: a
+// reader that loads routeKnown sees the route written before that store.
+// State and route share the entry — 64 bytes, one cache line per lookup.
+type routeEntry struct {
+	state atomic.Uint32
+	route Route
+}
+
+// States of a route cache entry.
+const (
+	routeUnknown uint32 = iota
+	routeKnown
+	routeUnreachable
+)
 
 // Build selects overlay nodes from the IP graph, wires the mesh, maps
 // links onto IP paths, and precomputes all-pairs overlay routing. All
@@ -240,6 +264,7 @@ func (m *Mesh) computeRouting() {
 		m.dist[src] = dist
 		m.nextLink[src] = prevLink
 	}
+	m.routes = make([]routeEntry, n*n)
 }
 
 // otherEnd returns the endpoint of link id that is not v.
@@ -255,11 +280,40 @@ func (m *Mesh) otherEnd(id, v int) int {
 // node b. When a == b the route is co-located: zero QoS, infinite
 // capacity, no links (footnote 4). The bool result is false when the two
 // nodes are disconnected in the overlay (which Build prevents, but callers
-// of hand-assembled meshes may encounter).
+// of hand-assembled meshes may encounter). Each pair's path is
+// reconstructed once; the returned Links slice is the cached one and
+// must not be modified. Safe for concurrent use.
 func (m *Mesh) RouteBetween(a, b int) (Route, bool) {
 	if a == b {
 		return Route{Capacity: math.Inf(1), CoLocated: true}, true
 	}
+	e := &m.routes[a*len(m.ipNode)+b]
+	state := e.state.Load()
+	if state == routeUnknown {
+		state = m.fillRoute(a, b, e)
+	}
+	return e.route, state == routeKnown
+}
+
+// fillRoute computes a cache entry once and returns its state: whoever
+// gets the mutex first writes the route and then publishes it.
+func (m *Mesh) fillRoute(a, b int, e *routeEntry) uint32 {
+	m.routeMu.Lock()
+	defer m.routeMu.Unlock()
+	if state := e.state.Load(); state != routeUnknown {
+		return state
+	}
+	state := routeUnreachable
+	if r, ok := m.buildRoute(a, b); ok {
+		e.route, state = r, routeKnown
+	}
+	e.state.Store(state)
+	return state
+}
+
+// buildRoute reconstructs the overlay path between two distinct nodes by
+// walking the routing table backwards from b.
+func (m *Mesh) buildRoute(a, b int) (Route, bool) {
 	if math.IsInf(m.dist[a][b], 1) {
 		return Route{}, false
 	}

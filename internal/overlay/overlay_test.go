@@ -3,8 +3,11 @@ package overlay
 import (
 	"math"
 	"math/rand"
+	"reflect"
+	"sync"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"repro/internal/qos"
 	"repro/internal/topology"
@@ -209,6 +212,68 @@ func TestBuildDeterministic(t *testing.T) {
 	for id := 0; id < m1.NumLinks(); id++ {
 		if m1.Link(id) != m2.Link(id) {
 			t.Fatalf("link %d differs: %+v vs %+v", id, m1.Link(id), m2.Link(id))
+		}
+	}
+}
+
+// TestRouteCacheConcurrentMatchesReconstruction asks for every ordered
+// pair from several goroutines at once, each in its own order, against
+// a cold cache (meaningful under -race): whoever fills an entry, every
+// caller gets exactly the route the uncached reconstruction builds, and
+// a pair's Links slice is the one shared copy.
+func TestRouteCacheConcurrentMatchesReconstruction(t *testing.T) {
+	m := testMesh(t, 40, 9)
+	n := m.NumNodes()
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for _, i := range rand.New(rand.NewSource(int64(w))).Perm(n * n) {
+				a, b := i/n, i%n
+				got, ok := m.RouteBetween(a, b)
+				want, wantOK := Route{Capacity: math.Inf(1), CoLocated: true}, true
+				if a != b {
+					want, wantOK = m.buildRoute(a, b)
+				}
+				if ok != wantOK || !reflect.DeepEqual(got, want) {
+					t.Errorf("route %d->%d = %+v (%v), reconstruction gives %+v (%v)", a, b, got, ok, want, wantOK)
+					return
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	if size := unsafe.Sizeof(routeEntry{}); size != 64 {
+		t.Errorf("a route cache entry is %d bytes, want one 64-byte cache line", size)
+	}
+	first, _ := m.RouteBetween(0, n-1)
+	again, _ := m.RouteBetween(0, n-1)
+	if len(first.Links) == 0 || &first.Links[0] != &again.Links[0] {
+		t.Error("two lookups of one pair do not share the cached Links slice")
+	}
+}
+
+// TestRouteBetweenUnreachable hand-assembles a mesh of two islands: a
+// pair across them reports false, on the first lookup and from the
+// cache, and a pair inside an island still routes.
+func TestRouteBetweenUnreachable(t *testing.T) {
+	m := &Mesh{
+		ipNode: []int{0, 1, 2, 3},
+		links: []Link{
+			{ID: 0, A: 0, B: 1, QoS: qos.Vector{Delay: 1}, Capacity: 10},
+			{ID: 1, A: 2, B: 3, QoS: qos.Vector{Delay: 2}, Capacity: 20},
+		},
+		adj: [][]halfLink{{{to: 1, link: 0}}, {{to: 0, link: 0}}, {{to: 3, link: 1}}, {{to: 2, link: 1}}},
+	}
+	m.computeRouting()
+	for pass := 0; pass < 2; pass++ {
+		if r, ok := m.RouteBetween(0, 3); ok {
+			t.Fatalf("pass %d: islands are connected by %+v", pass, r)
+		}
+		r, ok := m.RouteBetween(2, 3)
+		if !ok || len(r.Links) != 1 || r.Links[0] != 1 || r.Capacity != 20 {
+			t.Fatalf("pass %d: route 2->3 = %+v (%v)", pass, r, ok)
 		}
 	}
 }

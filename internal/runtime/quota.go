@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"sort"
-	"sync"
 
 	"repro/internal/component"
 	"repro/internal/qos"
@@ -53,19 +52,16 @@ type TenantUsage struct {
 	BandwidthKbps float64
 }
 
-// quotaTable tracks per-tenant quotas and usage. It has its own mutex,
-// separate from Cluster.mu, because FindBatch workers must charge
-// quotas before their (unlocked) probes: the charge-then-probe order is
-// what makes oversubscription impossible under concurrency — a worker
-// that loses its probe refunds, it never admits beyond the cap.
+// quotaTable tracks per-tenant quotas and usage. It has no lock of its
+// own: every charge, refund and read runs under Cluster.mu, in the
+// prepare and finish phases of a find and in Close.
 type quotaTable struct {
-	mu     sync.Mutex
 	quotas map[string]TenantQuota
 	usage  map[string]TenantUsage
 }
 
-func newQuotaTable() *quotaTable {
-	return &quotaTable{
+func newQuotaTable() quotaTable {
+	return quotaTable{
 		quotas: make(map[string]TenantQuota),
 		usage:  make(map[string]TenantUsage),
 	}
@@ -87,8 +83,6 @@ func quotaDemand(graph *component.Graph, resReq []qos.Resources, bandwidthKbps f
 // deterministic) without reserving anything. Tenants without a quota
 // entry are unlimited but still metered.
 func (q *quotaTable) charge(tenant string, demand TenantUsage) *QuotaError {
-	q.mu.Lock()
-	defer q.mu.Unlock()
 	limit := q.quotas[tenant]
 	used := q.usage[tenant]
 	switch {
@@ -116,8 +110,6 @@ func (q *quotaTable) charge(tenant string, demand TenantUsage) *QuotaError {
 // refund returns a previously charged demand (failed probe, session
 // close).
 func (q *quotaTable) refund(tenant string, demand TenantUsage) {
-	q.mu.Lock()
-	defer q.mu.Unlock()
 	used := q.usage[tenant]
 	used.Sessions -= demand.Sessions
 	used.CPU -= demand.CPU
@@ -132,8 +124,6 @@ func (q *quotaTable) refund(tenant string, demand TenantUsage) {
 
 // usageSessions returns the tenant's live session count.
 func (q *quotaTable) usageSessions(tenant string) int {
-	q.mu.Lock()
-	defer q.mu.Unlock()
 	return q.usage[tenant].Sessions
 }
 
@@ -141,8 +131,8 @@ func (q *quotaTable) usageSessions(tenant string) int {
 // admission cap. Lowering a quota below current usage only affects
 // future admissions; live sessions are never evicted.
 func (c *Cluster) SetTenantQuota(tenant string, quota TenantQuota) {
-	c.quota.mu.Lock()
-	defer c.quota.mu.Unlock()
+	c.mu.Lock()
+	defer c.mu.Unlock()
 	if quota == (TenantQuota{}) {
 		delete(c.quota.quotas, tenant)
 		return
@@ -153,22 +143,22 @@ func (c *Cluster) SetTenantQuota(tenant string, quota TenantQuota) {
 // TenantQuotaFor returns the tenant's configured quota (zero value =
 // unlimited).
 func (c *Cluster) TenantQuotaFor(tenant string) TenantQuota {
-	c.quota.mu.Lock()
-	defer c.quota.mu.Unlock()
+	c.mu.Lock()
+	defer c.mu.Unlock()
 	return c.quota.quotas[tenant]
 }
 
 // TenantUsageFor returns the tenant's live admission footprint.
 func (c *Cluster) TenantUsageFor(tenant string) TenantUsage {
-	c.quota.mu.Lock()
-	defer c.quota.mu.Unlock()
+	c.mu.Lock()
+	defer c.mu.Unlock()
 	return c.quota.usage[tenant]
 }
 
 // Tenants lists tenants with live usage, sorted.
 func (c *Cluster) Tenants() []string {
-	c.quota.mu.Lock()
-	defer c.quota.mu.Unlock()
+	c.mu.Lock()
+	defer c.mu.Unlock()
 	out := make([]string, 0, len(c.quota.usage))
 	for t := range c.quota.usage {
 		out = append(out, t)

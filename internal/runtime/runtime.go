@@ -45,6 +45,9 @@ var ErrNoComposition = errors.New("runtime: no qualified component composition")
 // or have been closed.
 var ErrUnknownSession = errors.New("runtime: unknown session")
 
+// errShutDown is returned by every admission path once Shutdown ran.
+var errShutDown = errors.New("runtime: cluster is shut down")
+
 // ErrNoBetterComposition is returned by Recompose when re-probing found
 // no composition meeting the session's admission-time congestion bound:
 // the session keeps its current composition untouched and the caller
@@ -174,9 +177,8 @@ type Cluster struct {
 	finds          *obs.Counter
 	findFailures   *obs.Counter
 	activeSessions *obs.Gauge
-	findLatencyMs  *obs.Histogram
-	// findQuantiles is the auto-ranging quantile companion of
-	// findLatencyMs: same observations, p50/p99/p999 derivable.
+	// findQuantiles is the probe-phase latency of every find, p50/p99/p999
+	// derivable.
 	findQuantiles *obs.QHistogram
 
 	// Migration instruments: successful make-before-break flips, failed
@@ -206,16 +208,31 @@ type Cluster struct {
 	tenantSessions  *obs.GaugeVec
 	quotaRejections *obs.CounterVec
 
-	// quota is the per-tenant admission accounting; it has its own
-	// mutex (see quotaTable).
-	quota *quotaTable
-
 	clock clock.Clock
 
-	mu        sync.Mutex
-	ledger    *state.Ledger
-	global    *state.Global
-	composer  *core.Composer
+	// The composition substrate. Ledger and global state run in locked
+	// mode and guard themselves: probe walks use them without mu, and
+	// the only lock order is mu -> ledger -> global. env is what every
+	// pooled composer is built over (Rand aside).
+	ledger *state.Ledger
+	global *state.Global
+	env    core.Env
+	ccfg   core.Config
+
+	// mu guards the session table, the quota books, the request and
+	// client streams, the composer pool and the tuner — never a probe
+	// walk of FindApp/FindBatch (see DESIGN.md, concurrency model).
+	mu sync.Mutex
+	// quota is the per-tenant admission accounting. guarded by mu
+	quota quotaTable
+	// idle holds the pooled composers no caller is walking on; built
+	// counts every composer made, the index the next one is seeded with.
+	// guarded by mu
+	idle  []*core.Composer
+	built int64 // guarded by mu
+	// ratio is the probing ratio a composer is given when it is taken
+	// from the pool; the self-tuner moves it. guarded by mu
+	ratio     float64
 	rng       *rand.Rand
 	functions map[component.FunctionID]ProcessorFunc
 	sessions  map[SessionID]*session
@@ -266,9 +283,20 @@ func NewCluster(cfg Config) (*Cluster, error) {
 		return nil, err
 	}
 
+	ccfg := core.DefaultConfig()
+	if cfg.Algorithm != 0 {
+		ccfg.Algorithm = cfg.Algorithm
+	}
+	if cfg.ProbingRatio != 0 {
+		ccfg.ProbingRatio = cfg.ProbingRatio
+	}
+	ccfg.Phi = cfg.Phi
+
 	clk := clock.Or(cfg.Clock)
 	c := &Cluster{
 		cfg:       cfg,
+		ccfg:      ccfg,
+		ratio:     ccfg.ProbingRatio,
 		mesh:      mesh,
 		catalog:   catalog,
 		counters:  &metrics.Counters{},
@@ -281,7 +309,6 @@ func NewCluster(cfg Config) (*Cluster, error) {
 		finds:          cfg.Registry.Counter("runtime.finds"),
 		findFailures:   cfg.Registry.Counter("runtime.find_failures"),
 		activeSessions: cfg.Registry.Gauge("runtime.sessions.active"),
-		findLatencyMs:  cfg.Registry.Histogram("runtime.find.latency_ms", []float64{0.1, 0.5, 1, 5, 10, 50, 100}),
 		findQuantiles:  cfg.Registry.QHistogram("runtime.find.latency_quantiles_ms"),
 
 		migrationsC:       cfg.Registry.Counter("runtime.migrations"),
@@ -300,6 +327,7 @@ func NewCluster(cfg Config) (*Cluster, error) {
 		quota: newQuotaTable(),
 	}
 	c.ledger = state.NewLedger(mesh, cfg.NodeCapacity, c.now)
+	c.ledger.EnableLocking()
 	if caps := cfg.NodeCapacities; caps != nil {
 		if len(caps) != mesh.NumNodes() {
 			return nil, fmt.Errorf("runtime: NodeCapacities has %d entries for %d overlay nodes",
@@ -315,8 +343,9 @@ func NewCluster(cfg Config) (*Cluster, error) {
 	if err != nil {
 		return nil, err
 	}
+	global.EnableLocking()
 	c.global = global
-	env := core.Env{
+	c.env = core.Env{
 		Mesh:     mesh,
 		Catalog:  catalog,
 		Registry: discovery.NewRegistry(catalog, mesh.NumNodes(), c.counters),
@@ -324,24 +353,49 @@ func NewCluster(cfg Config) (*Cluster, error) {
 		Global:   global,
 		Counters: c.counters,
 		Now:      c.now,
-		Rand:     rng,
 		Tracer:   cfg.Tracer,
 		Obs:      cfg.Registry,
 	}
-	ccfg := core.DefaultConfig()
-	if cfg.Algorithm != 0 {
-		ccfg.Algorithm = cfg.Algorithm
+	// Build the first composer now: it validates the configuration, and
+	// a cluster with one caller never builds another.
+	composer, err := c.takeComposerLocked()
+	if err != nil {
+		return nil, err
 	}
-	if cfg.ProbingRatio != 0 {
-		ccfg.ProbingRatio = cfg.ProbingRatio
+	c.putComposerLocked(composer)
+	return c, nil
+}
+
+// putComposerLocked returns a composer to the pool.
+func (c *Cluster) putComposerLocked(composer *core.Composer) {
+	c.idle = append(c.idle, composer)
+}
+
+// takeComposerLocked pops an idle composer, building one when every
+// composer is out on a walk, and hands it the current probing ratio. A
+// composer's private random stream (SP/RP/Random selections) is seeded
+// from the cluster seed and the composer's index, never drawn from
+// c.rng: how many callers overlap must not move the client stream.
+func (c *Cluster) takeComposerLocked() (*core.Composer, error) {
+	if n := len(c.idle); n > 0 {
+		composer := c.idle[n-1]
+		c.idle = c.idle[:n-1]
+		if composer.ProbingRatio() != c.ratio {
+			// c.ratio is the ratio composers are built with until the tuner
+			// moves it, and observeFindLocked only stores ratios in (0, 1].
+			_ = composer.SetProbingRatio(c.ratio)
+		}
+		return composer, nil
 	}
-	ccfg.Phi = cfg.Phi
+	env, ccfg := c.env, c.ccfg
+	env.Rand = rand.New(rand.NewSource(c.cfg.Seed ^ (c.built+1)*0x5851f42d4c957f2d))
+	ccfg.ProbingRatio = c.ratio
 	composer, err := core.NewComposer(env, ccfg)
 	if err != nil {
 		return nil, err
 	}
-	c.composer = composer
-	return c, nil
+	c.built++
+	return composer, nil
 }
 
 // now supplies monotonic time on the cluster's clock to the ledger's
@@ -357,9 +411,11 @@ func (c *Cluster) EnableSelfTuning(target float64, windowRequests int) error {
 	if windowRequests < 1 {
 		return fmt.Errorf("runtime: windowRequests %d < 1", windowRequests)
 	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
 	cfg := tuning.DefaultPIConfig()
 	cfg.Target = target
-	cfg.Base = c.composer.ProbingRatio()
+	cfg.Base = c.ratio
 	if cfg.Base < cfg.Min {
 		cfg.Base = cfg.Min
 	}
@@ -367,8 +423,6 @@ func (c *Cluster) EnableSelfTuning(target float64, windowRequests int) error {
 	if err != nil {
 		return err
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	c.tuner = controller
 	c.tuneEvery = windowRequests
 	c.tuneSuccess, c.tuneTotal = 0, 0
@@ -379,11 +433,11 @@ func (c *Cluster) EnableSelfTuning(target float64, windowRequests int) error {
 func (c *Cluster) ProbingRatio() float64 {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.composer.ProbingRatio()
+	return c.ratio
 }
 
-// observeFind feeds the tuner; the caller holds c.mu.
-func (c *Cluster) observeFind(success bool) {
+// observeFindLocked feeds the tuner.
+func (c *Cluster) observeFindLocked(success bool) {
 	if c.tuner == nil {
 		return
 	}
@@ -397,8 +451,11 @@ func (c *Cluster) observeFind(success bool) {
 	rate := float64(c.tuneSuccess) / float64(c.tuneTotal)
 	c.tuneSuccess, c.tuneTotal = 0, 0
 	if c.tuner.Observe(rate) {
-		// The PI output is clamped to (0, 1]; SetProbingRatio cannot fail.
-		if err := c.composer.SetProbingRatio(c.tuner.Ratio()); err != nil {
+		// The PI output is clamped to (0, 1]; composers take the new ratio
+		// as they leave the pool.
+		if ratio := c.tuner.Ratio(); ratio > 0 && ratio <= 1 {
+			c.ratio = ratio
+		} else {
 			c.tuner = nil // defensive: disable rather than wedge
 		}
 	}
@@ -459,82 +516,122 @@ type FindRequest struct {
 // ErrQuotaExceeded, if over budget — the composer is never consulted),
 // then composed and committed as Find does. The quota charge is
 // refunded if composition fails, and on Close.
+//
+// Safe for concurrent use, and concurrent calls do run concurrently: mu
+// is held to prepare the request and to register the session, not while
+// the request is probed and committed.
 func (c *Cluster) FindApp(r FindRequest) (SessionID, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.closed {
-		return 0, errors.New("runtime: cluster is shut down")
+	if r.PinClient && (r.Client < 0 || r.Client >= c.mesh.NumNodes()) {
+		return 0, fmt.Errorf("runtime: pinned client %d outside [0, %d)", r.Client, c.mesh.NumNodes())
 	}
-
 	demand := quotaDemand(r.Graph, r.ResReq, r.BandwidthKbps)
-	if qerr := c.quota.charge(r.Tenant, demand); qerr != nil {
-		c.quotaRejections.With(tenantLabel(r.Tenant)).Inc()
-		return 0, qerr
-	}
-
-	client := 0
-	if r.PinClient {
-		if r.Client < 0 || r.Client >= c.mesh.NumNodes() {
-			c.quota.refund(r.Tenant, demand)
-			return 0, fmt.Errorf("runtime: pinned client %d outside [0, %d)", r.Client, c.mesh.NumNodes())
-		}
-		client = r.Client
-	}
-	c.nextReq++
-	if !r.PinClient {
-		client = c.rng.Intn(c.mesh.NumNodes())
+	c.mu.Lock()
+	composer, err := c.beginLocked(r.Tenant, demand)
+	if err != nil {
+		// A refused request draws neither an ID nor a client.
+		c.mu.Unlock()
+		return 0, err
 	}
 	req := &component.Request{
-		ID:           c.nextReq,
 		Graph:        r.Graph,
 		QoSReq:       r.QoSReq,
 		ResReq:       append([]qos.Resources(nil), r.ResReq...),
 		BandwidthReq: r.BandwidthKbps,
-		Client:       client,
+		Client:       r.Client,
 		Duration:     time.Hour, // sessions live until Close
 		Tenant:       r.Tenant,
 		Weight:       r.Weight,
 	}
-	findStart := c.now()
-	c.finds.Inc()
-	outcome, err := c.composer.Probe(req)
-	c.observeFindLatency(findStart)
-	if err != nil {
-		c.quota.refund(r.Tenant, demand)
-		c.findFailures.Inc()
-		return 0, err
-	}
-	if !outcome.Success() {
-		c.quota.refund(r.Tenant, demand)
-		c.observeFind(false)
-		c.findFailures.Inc()
-		return 0, ErrNoComposition
-	}
-	if err := c.composer.Commit(outcome); err != nil {
-		c.composer.Abort(req.ID)
-		c.quota.refund(r.Tenant, demand)
-		c.observeFind(false)
-		c.findFailures.Inc()
-		return 0, fmt.Errorf("runtime: commit: %w", err)
-	}
-	c.observeFind(true)
-	return c.admit(req, outcome, demand), nil
+	c.drawLocked(req, r.PinClient)
+	c.mu.Unlock()
+	return c.composeAndAdmit(composer, req, demand)
 }
 
-// observeFindLatency records one probe's duration in both find-latency
-// instruments.
-func (c *Cluster) observeFindLatency(start time.Duration) {
-	ms := float64(c.now()-start) / float64(time.Millisecond)
-	c.findLatencyMs.Observe(ms)
-	c.findQuantiles.Observe(ms)
+// drawLocked gives the request the next request ID and, unless pinned,
+// a client node from the cluster's stream.
+func (c *Cluster) drawLocked(req *component.Request, pinned bool) {
+	c.nextReq++
+	req.ID = c.nextReq
+	if !pinned {
+		req.Client = c.rng.Intn(c.mesh.NumNodes())
+	}
+}
+
+// beginLocked opens a find: it charges the tenant's quota and takes a
+// composer out of the pool. Charging before the (unlocked) walk is what
+// keeps concurrent callers from oversubscribing a tenant — a caller that
+// loses its walk refunds, it never admits beyond the cap.
+func (c *Cluster) beginLocked(tenant string, demand TenantUsage) (*core.Composer, error) {
+	if c.closed {
+		return nil, errShutDown
+	}
+	if qerr := c.quota.charge(tenant, demand); qerr != nil {
+		c.quotaRejections.With(tenantLabel(tenant)).Inc()
+		return nil, qerr
+	}
+	composer, err := c.takeComposerLocked()
+	if err != nil {
+		c.quota.refund(tenant, demand)
+		return nil, err
+	}
+	return composer, nil
+}
+
+// composeAndAdmit is the one compose path: probe and commit on the
+// caller's composer with no cluster lock held — the transient holds are
+// the concurrency control between overlapping walks (§3.3 step 2) — then
+// finish under mu.
+func (c *Cluster) composeAndAdmit(composer *core.Composer, req *component.Request, demand TenantUsage) (SessionID, error) {
+	findStart := c.now()
+	c.finds.Inc()
+	outcome, err := composer.Probe(req)
+	c.findQuantiles.Observe(float64(c.now()-findStart) / float64(time.Millisecond))
+	// A request the composer would not even walk (a malformed graph)
+	// says nothing about the success rate the tuner steers by.
+	walked := err == nil
+	if walked {
+		if !outcome.Success() {
+			err = ErrNoComposition
+		} else if cerr := composer.Commit(outcome); cerr != nil {
+			composer.Abort(req.ID)
+			err = fmt.Errorf("runtime: commit: %w", cerr)
+		}
+	}
+	if err != nil {
+		c.findFailures.Inc()
+	}
+
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.putComposerLocked(composer)
+	if walked {
+		c.observeFindLocked(err == nil)
+	}
+	if err == nil && c.closed {
+		// Shut down mid-walk: Shutdown has already swept the session
+		// table, so this session would leak. Give the allocation back.
+		c.release(req.ID)
+		err = errShutDown
+	}
+	if err != nil {
+		c.quota.refund(req.Tenant, demand)
+		return 0, err
+	}
+	return c.admitLocked(req, outcome, demand), nil
+}
+
+// release frees a committed allocation on the ledger.
+func (c *Cluster) release(requestID int64) {
+	c.ledger.ReleaseSession(state.Owner(requestID))
+	c.cfg.Tracer.SessionReleased(requestID)
 }
 
 // admit registers a committed composition as a live session: the data
 // plane's per-position processors and pace/loss parameters, the session
 // table entry and the session gauges. Every admission path (FindApp,
 // FindBatch) ends here, so a session is usable by Process whichever way
-// it came in. Caller holds c.mu.
-func (c *Cluster) admit(req *component.Request, outcome *core.Outcome, demand TenantUsage) SessionID {
+// it came in.
+func (c *Cluster) admitLocked(req *component.Request, outcome *core.Outcome, demand TenantUsage) SessionID {
 	c.nextID++
 	id := c.nextID
 	n := req.Graph.NumPositions()
@@ -588,16 +685,25 @@ func tenantLabel(tenant string) string {
 // composition meets the admission-time phi bound (within the adaptation
 // tolerance): that is ErrNoBetterComposition, the caller's cue to back
 // off and retry.
+//
+// Recompose still holds mu across its walk (on a pooled composer, so it
+// never shares scratch with a FindApp in flight): that keeps a session's
+// Close strictly before or after its migration.
 func (c *Cluster) Recompose(id SessionID) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.closed {
-		return errors.New("runtime: cluster is shut down")
+		return errShutDown
 	}
 	s, ok := c.sessions[id]
 	if !ok {
 		return ErrUnknownSession
 	}
+	composer, err := c.takeComposerLocked()
+	if err != nil {
+		return err
+	}
+	defer c.putComposerLocked(composer)
 	prev := s.request
 	c.nextReq++
 	req := &component.Request{
@@ -608,10 +714,12 @@ func (c *Cluster) Recompose(id SessionID) error {
 		BandwidthReq: prev.BandwidthReq,
 		Client:       prev.Client, // the client endpoint does not move
 		Duration:     prev.Duration,
+		Tenant:       prev.Tenant,
+		Weight:       prev.Weight,
 	}
 	bound := s.requiredPhi * (1 + c.adaptTol)
 	start := c.now()
-	outcome, err := c.composer.ProbeRecompose(req, prev.ID)
+	outcome, err := composer.ProbeRecompose(req, prev.ID)
 	if err != nil {
 		c.migrationFailures.Inc()
 		return fmt.Errorf("runtime: recompose probe: %w", err)
@@ -621,12 +729,12 @@ func (c *Cluster) Recompose(id SessionID) error {
 		return fmt.Errorf("%w: probe found no qualified composition", ErrNoBetterComposition)
 	}
 	if outcome.Best.Phi > bound {
-		c.composer.AbortRecompose(req.ID)
+		composer.AbortRecompose(req.ID)
 		c.migrationFailures.Inc()
 		return fmt.Errorf("%w: best phi %.4g exceeds bound %.4g", ErrNoBetterComposition, outcome.Best.Phi, bound)
 	}
-	if err := c.composer.CommitMigration(outcome, prev.ID); err != nil {
-		c.composer.AbortRecompose(req.ID)
+	if err := composer.CommitMigration(outcome, prev.ID); err != nil {
+		composer.AbortRecompose(req.ID)
 		c.migrationFailures.Inc()
 		return fmt.Errorf("runtime: migrate: %w", err)
 	}
@@ -838,9 +946,9 @@ func (c *Cluster) Close(id SessionID) error {
 		<-s.done
 	}
 
-	c.mu.Lock()
-	c.composer.Release(s.request.ID)
-	c.mu.Unlock()
+	// Out of the table, the session can no longer migrate: its request
+	// is final, and the ledger guards itself.
+	c.release(s.request.ID)
 	return nil
 }
 

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/metrics"
@@ -50,44 +51,38 @@ type Global struct {
 	linkView []float64       // last threshold-triggered link reports
 	aggView  []float64       // link view frozen at the last aggregation
 
+	// version counts changes to what a Replica copies (nodeView and
+	// aggView). Written with mu held, so a reader holding mu pairs it
+	// with the views it belongs to; loaded without mu by Refresh.
+	version atomic.Uint64
+
 	aggNode  int // rotating aggregation role (§3.2, round robin)
 	counters *metrics.Counters
 
 	// mu, when non-nil, guards the view slices for concurrent readers
-	// against observer-driven updates. The lock order is always ledger
+	// against observer-driven updates. A plain mutex: walks read their
+	// replicas, so nobody reads here often enough to share. The lock order is always ledger
 	// before global: observers fire under the ledger lock and then take
 	// this one, so nothing here may call back into locked ledger methods
 	// while holding it.
-	mu *sync.RWMutex
+	mu *sync.Mutex
 }
 
 // EnableLocking makes the global state safe for concurrent use alongside
 // Ledger.EnableLocking. Idempotent; cannot be undone.
 func (g *Global) EnableLocking() {
 	if g.mu == nil {
-		g.mu = new(sync.RWMutex)
+		g.mu = new(sync.Mutex)
 	}
 }
 
-func (g *Global) rlock() {
-	if g.mu != nil {
-		g.mu.RLock()
-	}
-}
-
-func (g *Global) runlock() {
-	if g.mu != nil {
-		g.mu.RUnlock()
-	}
-}
-
-func (g *Global) wlock() {
+func (g *Global) lock() {
 	if g.mu != nil {
 		g.mu.Lock()
 	}
 }
 
-func (g *Global) wunlock() {
+func (g *Global) unlock() {
 	if g.mu != nil {
 		g.mu.Unlock()
 	}
@@ -115,6 +110,7 @@ func NewGlobal(ledger *Ledger, mesh *overlay.Mesh, cfg GlobalConfig, counters *m
 		aggView:  make([]float64, ledger.NumLinks()),
 		counters: counters,
 	}
+	g.version.Store(1) // a zero Replica is behind every Global
 	for i := range g.nodeView {
 		g.nodeView[i] = ledger.NodeCommittedAvailable(i)
 	}
@@ -132,12 +128,13 @@ func NewGlobal(ledger *Ledger, mesh *overlay.Mesh, cfg GlobalConfig, counters *m
 func (g *Global) nodeChanged(node int) {
 	truth := g.ledger.nodeCommittedAvailable(node)
 	capacity := g.ledger.NodeCapacity(node)
-	g.wlock()
-	defer g.wunlock()
+	g.lock()
+	defer g.unlock()
 	view := g.nodeView[node]
 	if exceeds(view.CPU, truth.CPU, capacity.CPU, g.cfg.UpdateThreshold) ||
 		exceeds(view.Memory, truth.Memory, capacity.Memory, g.cfg.UpdateThreshold) {
 		g.nodeView[node] = truth
+		g.version.Add(1)
 		g.counters.AddStateUpdates(1)
 	}
 }
@@ -148,8 +145,8 @@ func (g *Global) nodeChanged(node int) {
 func (g *Global) linkChanged(link int) {
 	truth := g.ledger.linkCommittedAvailable(link)
 	capacity := g.ledger.LinkCapacity(link)
-	g.wlock()
-	defer g.wunlock()
+	g.lock()
+	defer g.unlock()
 	if exceeds(g.linkView[link], truth, capacity, g.cfg.UpdateThreshold) {
 		g.linkView[link] = truth
 		g.counters.AddStateUpdates(1)
@@ -168,17 +165,18 @@ func exceeds(view, truth, max, threshold float64) bool {
 // aggregation role rotates round-robin over nodes for load sharing and
 // the dissemination counts one message per system node.
 func (g *Global) Aggregate() {
-	g.wlock()
-	defer g.wunlock()
+	g.lock()
+	defer g.unlock()
 	copy(g.aggView, g.linkView)
+	g.version.Add(1)
 	g.aggNode = (g.aggNode + 1) % g.mesh.NumNodes()
 	g.counters.AddAggregations(int64(g.mesh.NumNodes()))
 }
 
 // AggregationNode returns the node currently holding the aggregation role.
 func (g *Global) AggregationNode() int {
-	g.rlock()
-	defer g.runlock()
+	g.lock()
+	defer g.unlock()
 	return g.aggNode
 }
 
@@ -188,8 +186,8 @@ func (g *Global) Period() time.Duration { return g.cfg.AggregationPeriod }
 // NodeAvailable returns the coarse-grain view of a node's available
 // resources — possibly stale within the update threshold.
 func (g *Global) NodeAvailable(node int) qos.Resources {
-	g.rlock()
-	defer g.runlock()
+	g.lock()
+	defer g.unlock()
 	return g.nodeView[node]
 }
 
@@ -200,11 +198,19 @@ func (g *Global) RouteAvailable(r overlay.Route) float64 {
 	if r.CoLocated {
 		return math.Inf(1)
 	}
-	g.rlock()
-	defer g.runlock()
+	g.lock()
+	defer g.unlock()
+	return bottleneck(g.aggView, r.Links)
+}
+
+// bottleneck is the smallest view entry over a route's overlay links,
+// +Inf for a route without links.
+//
+//acp:hotpath
+func bottleneck(view []float64, links []int) float64 {
 	avail := math.Inf(1)
-	for _, id := range r.Links {
-		avail = math.Min(avail, g.aggView[id])
+	for _, id := range links {
+		avail = math.Min(avail, view[id])
 	}
 	return avail
 }
@@ -222,9 +228,49 @@ func (g *Global) ForceRefresh() {
 	for i := range links {
 		links[i] = g.ledger.LinkCommittedAvailable(i)
 	}
-	g.wlock()
-	defer g.wunlock()
+	g.lock()
+	defer g.unlock()
 	copy(g.nodeView, nodes)
 	copy(g.linkView, links)
 	copy(g.aggView, g.linkView)
+	g.version.Add(1)
+}
+
+// Replica is one reader's copy of the disseminated coarse state (§3.2:
+// every node keeps its own, stale by design): the node reports and the
+// aggregated link snapshot as of the reader's last Refresh. The zero
+// value is an empty replica that the first Refresh fills. A Replica
+// belongs to one goroutine at a time.
+type Replica struct {
+	// Nodes is each node's coarse available resources (NodeAvailable).
+	Nodes []qos.Resources
+	// Agg is each overlay link's aggregated available bandwidth, the
+	// snapshot RouteAvailable takes its bottleneck over.
+	Agg []float64
+
+	version uint64
+}
+
+// RouteAvailable is Global.RouteAvailable read from the replica.
+//
+//acp:hotpath
+func (r *Replica) RouteAvailable(route overlay.Route) float64 {
+	return bottleneck(r.Agg, route.Links)
+}
+
+// Refresh brings r up to date and reports whether it had to copy: when
+// no replicated view changed since r's last Refresh it costs one atomic
+// load and takes no lock, so readers that refresh between their reads
+// (a composer, once per walk) never share a cache line that is written
+// per read.
+func (g *Global) Refresh(r *Replica) bool {
+	if r.version == g.version.Load() {
+		return false
+	}
+	g.lock()
+	defer g.unlock()
+	r.Nodes = append(r.Nodes[:0], g.nodeView...)
+	r.Agg = append(r.Agg[:0], g.aggView...)
+	r.version = g.version.Load()
+	return true
 }

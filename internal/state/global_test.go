@@ -2,6 +2,8 @@ package state
 
 import (
 	"math"
+	"math/rand"
+	"sync"
 	"testing"
 	"time"
 
@@ -172,5 +174,124 @@ func TestRouteAvailableCoLocated(t *testing.T) {
 	r, _ := g.mesh.RouteBetween(4, 4)
 	if got := g.RouteAvailable(r); !math.IsInf(got, 1) {
 		t.Errorf("co-located RouteAvailable = %v, want +Inf", got)
+	}
+}
+
+// TestReplicaTracksGlobal drives the coarse state through a random
+// sequence of commits, releases, aggregations and forced refreshes. After
+// every step a refreshed replica reads exactly what the global state
+// answers — nodes and the aggregated link snapshot — and Refresh copies
+// once per change of what it replicates, not once per call.
+func TestReplicaTracksGlobal(t *testing.T) {
+	g, l, _, _ := newTestGlobal(t)
+	rng := rand.New(rand.NewSource(3))
+	var r Replica
+	if !g.Refresh(&r) {
+		t.Fatal("the first Refresh of an empty replica copied nothing")
+	}
+	seen := g.version.Load()
+	var live []Owner
+	copies := 0
+	for step := 0; step < 600; step++ {
+		switch op := rng.Intn(10); {
+		case op < 5:
+			owner := Owner(step + 1)
+			nodes := map[int]qos.Resources{rng.Intn(l.NumNodes()): {CPU: float64(1 + rng.Intn(12)), Memory: float64(10 + rng.Intn(120))}}
+			link := rng.Intn(l.NumLinks())
+			links := map[int]float64{link: l.LinkCapacity(link) * rng.Float64() / 8}
+			if err := l.CommitSession(owner, nodes, links); err == nil {
+				live = append(live, owner)
+			}
+		case op < 8 && len(live) > 0:
+			i := rng.Intn(len(live))
+			l.ReleaseSession(live[i])
+			live = append(live[:i], live[i+1:]...)
+		case op == 8:
+			g.Aggregate()
+		default:
+			g.ForceRefresh()
+		}
+		moved := g.version.Load() != seen
+		seen = g.version.Load()
+		if copied := g.Refresh(&r); copied != moved {
+			t.Fatalf("step %d: Refresh copied = %v with the replicated views changed = %v", step, copied, moved)
+		} else if copied {
+			copies++
+		}
+		if g.Refresh(&r) {
+			t.Fatalf("step %d: a second Refresh with nothing changed copied again", step)
+		}
+		for n := range r.Nodes {
+			if r.Nodes[n] != g.NodeAvailable(n) {
+				t.Fatalf("step %d: replica node %d = %v, global says %v", step, n, r.Nodes[n], g.NodeAvailable(n))
+			}
+		}
+		for k := range r.Agg {
+			route := overlay.Route{Links: []int{k}}
+			if got, want := r.RouteAvailable(route), g.RouteAvailable(route); got != want {
+				t.Fatalf("step %d: replica link %d = %v, global says %v", step, k, got, want)
+			}
+		}
+	}
+	if len(r.Nodes) != l.NumNodes() || len(r.Agg) != l.NumLinks() {
+		t.Fatalf("replica holds %d nodes and %d links, ledger has %d and %d", len(r.Nodes), len(r.Agg), l.NumNodes(), l.NumLinks())
+	}
+	// Sub-threshold commits and link reports move nothing a replica
+	// holds: most steps must have been free.
+	if copies == 0 || copies > 400 {
+		t.Fatalf("%d of 600 steps copied", copies)
+	}
+	if got := r.RouteAvailable(overlay.Route{CoLocated: true}); !math.IsInf(got, 1) {
+		t.Errorf("co-located replica RouteAvailable = %v, want +Inf", got)
+	}
+}
+
+// TestReplicaRefreshConcurrentWithUpdates refreshes replicas from several
+// goroutines while commits, releases and aggregations rewrite the views
+// (meaningful under -race): the version fast path must never let a
+// reader copy a view a writer is in the middle of.
+func TestReplicaRefreshConcurrentWithUpdates(t *testing.T) {
+	g, l, _, _ := newTestGlobal(t)
+	l.EnableLocking()
+	g.EnableLocking()
+	var readers sync.WaitGroup
+	stop := make(chan struct{})
+	for w := 0; w < 4; w++ {
+		readers.Add(1)
+		go func() {
+			defer readers.Done()
+			var r Replica
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				g.Refresh(&r)
+				if len(r.Nodes) != l.NumNodes() || len(r.Agg) != l.NumLinks() {
+					t.Errorf("replica holds %d nodes and %d links", len(r.Nodes), len(r.Agg))
+					return
+				}
+			}
+		}()
+	}
+	for i := 0; i < 300; i++ {
+		owner := Owner(i + 1)
+		if err := l.CommitSession(owner, map[int]qos.Resources{i % l.NumNodes(): {CPU: 40, Memory: 400}}, map[int]float64{i % l.NumLinks(): 1}); err != nil {
+			t.Fatal(err)
+		}
+		if i%7 == 0 {
+			g.Aggregate()
+		}
+		l.ReleaseSession(owner)
+	}
+	close(stop)
+	readers.Wait()
+	var r Replica
+	g.Refresh(&r)
+	for n := range r.Nodes {
+		if r.Nodes[n] != g.NodeAvailable(n) {
+			t.Fatalf("replica node %d = %v, global says %v", n, r.Nodes[n], g.NodeAvailable(n))
+		}
 	}
 }
