@@ -2,7 +2,6 @@ package server
 
 import (
 	"bufio"
-	"encoding/json"
 	"fmt"
 	"net"
 )
@@ -13,10 +12,10 @@ import (
 // safe for concurrent use — run one Client per goroutine, which is
 // also the server's concurrency model.
 type Client struct {
-	nc  net.Conn
-	enc *json.Encoder
-	sc  *bufio.Scanner
-	seq int64
+	nc   net.Conn
+	wbuf []byte // the last request frame, reused for the next
+	sc   *bufio.Scanner
+	seq  int64
 }
 
 // Dial connects to a session server. Call Hello before anything else.
@@ -27,7 +26,7 @@ func Dial(addr string) (*Client, error) {
 	}
 	sc := bufio.NewScanner(nc)
 	sc.Buffer(make([]byte, 0, 4096), 1<<20)
-	return &Client{nc: nc, enc: json.NewEncoder(nc), sc: sc}, nil
+	return &Client{nc: nc, sc: sc}, nil
 }
 
 // Conn exposes the underlying connection (tests sever it mid-session).
@@ -42,7 +41,11 @@ func (c *Client) Close() error { return c.nc.Close() }
 func (c *Client) Do(req Request) (Response, error) {
 	c.seq++
 	req.Seq = c.seq
-	if err := c.enc.Encode(req); err != nil {
+	var err error
+	if c.wbuf, err = appendRequest(c.wbuf[:0], &req); err == nil {
+		_, err = c.nc.Write(c.wbuf)
+	}
+	if err != nil {
 		return Response{}, fmt.Errorf("server: send %s: %w", req.Op, err)
 	}
 	if !c.sc.Scan() {
@@ -52,7 +55,7 @@ func (c *Client) Do(req Request) (Response, error) {
 		return Response{}, fmt.Errorf("server: connection closed awaiting %s response", req.Op)
 	}
 	var resp Response
-	if err := json.Unmarshal(c.sc.Bytes(), &resp); err != nil {
+	if err := decodeResponse(c.sc.Bytes(), &resp); err != nil {
 		return Response{}, fmt.Errorf("server: decode %s response: %w", req.Op, err)
 	}
 	return resp, nil

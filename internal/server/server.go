@@ -3,11 +3,10 @@ package server
 import (
 	"bufio"
 	"bytes"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net"
-	"sort"
+	"slices"
 	"sync"
 	"time"
 
@@ -60,11 +59,11 @@ type wireSession struct {
 }
 
 // conn is one client connection. owned is guarded by Server.mu; the
-// encoder is only touched by the connection's handler goroutine, which
-// serialises all responses.
+// write buffer is only touched by the connection's handler goroutine,
+// which serialises all responses.
 type conn struct {
 	nc      net.Conn
-	enc     *json.Encoder
+	wbuf    []byte // the last response frame, reused for the next
 	helloed bool
 	tenant  string
 	owned   map[runtime.SessionID]*wireSession
@@ -79,18 +78,22 @@ type Server struct {
 	ln       net.Listener
 	inflight chan struct{}
 
-	ops     *obs.CounterVec
+	ops     [numOpKinds]*obs.Counter    // server.ops{op}, by kind
+	latency [numOpKinds]*obs.QHistogram // server.phase.<op>; nil for hello and unknown
 	errorsC *obs.CounterVec
 	reapedC *obs.CounterVec
 	connsG  *obs.Gauge
 	pendG   *obs.Gauge
 	commG   *obs.Gauge
-	latency map[string]*obs.QHistogram
 
 	wg sync.WaitGroup
 
-	mu        sync.Mutex
-	sessions  map[runtime.SessionID]*wireSession
+	mu       sync.Mutex
+	sessions map[runtime.SessionID]*wireSession
+	// committed counts the sessions with committed set, so the two
+	// session gauges cost no scan: pending is len(sessions)-committed.
+	// guarded by mu
+	committed int
 	conns     map[*conn]struct{}
 	composing int // composes admitted against MaxSessions but not yet in sessions
 	reapT     clock.Timer
@@ -131,16 +134,18 @@ func Listen(addr string, cfg Config) (*Server, error) {
 		sessions: make(map[runtime.SessionID]*wireSession),
 		conns:    make(map[*conn]struct{}),
 
-		ops:     cfg.Registry.CounterVec("server.ops", "op"),
 		errorsC: cfg.Registry.CounterVec("server.errors", "code"),
 		reapedC: cfg.Registry.CounterVec("server.reaped", "reason"),
 		connsG:  cfg.Registry.Gauge("server.conns"),
 		pendG:   cfg.Registry.Gauge("server.sessions.pending"),
 		commG:   cfg.Registry.Gauge("server.sessions.committed"),
-		latency: make(map[string]*obs.QHistogram),
 	}
-	for _, op := range []string{OpCompose, OpCommit, OpHeartbeat, OpRecompose, OpTeardown} {
-		s.latency[op] = cfg.Registry.QHistogram("server.phase." + op + ".latency_quantiles_ms")
+	ops := cfg.Registry.CounterVec("server.ops", "op")
+	for k, name := range opNames {
+		s.ops[k] = ops.With(name)
+		if opKind(k) != opHello && opKind(k) != opUnknown {
+			s.latency[k] = cfg.Registry.QHistogram("server.phase." + name + ".latency_quantiles_ms")
+		}
 	}
 	s.mu.Lock()
 	s.reapT = s.clk.AfterFunc(cfg.ReapInterval, s.reap)
@@ -194,7 +199,7 @@ func (s *Server) acceptLoop() {
 		if err != nil {
 			return // listener closed
 		}
-		c := &conn{nc: nc, enc: json.NewEncoder(nc), owned: make(map[runtime.SessionID]*wireSession)}
+		c := &conn{nc: nc, owned: make(map[runtime.SessionID]*wireSession)}
 		s.mu.Lock()
 		if s.closed {
 			s.mu.Unlock()
@@ -218,25 +223,34 @@ func (s *Server) handleConn(c *conn) {
 	defer c.nc.Close()
 
 	sc := bufio.NewScanner(c.nc)
-	sc.Buffer(make([]byte, 0, 4096), s.cfg.MaxFrameBytes)
+	sc.Buffer(make([]byte, 0, min(4096, s.cfg.MaxFrameBytes)), s.cfg.MaxFrameBytes)
+	var req Request
 	for sc.Scan() {
 		line := bytes.TrimSpace(sc.Bytes())
 		if len(line) == 0 {
 			continue
 		}
-		var req Request
-		if err := json.Unmarshal(line, &req); err != nil {
-			_ = c.enc.Encode(s.fail(Response{Op: "?"}, CodeProtocol, "malformed frame: "+err.Error()))
+		if err := decodeRequest(line, &req); err != nil {
+			_ = c.send(s.fail(Response{Op: "?"}, CodeProtocol, "malformed frame: "+err.Error()))
 			return
 		}
 		resp, fatal := s.dispatch(c, &req)
-		if err := c.enc.Encode(resp); err != nil {
-			return
-		}
-		if fatal {
+		if err := c.send(resp); err != nil || fatal {
 			return
 		}
 	}
+	if errors.Is(sc.Err(), bufio.ErrTooLong) {
+		_ = c.send(s.fail(Response{Op: "?"}, CodeProtocol, fmt.Sprintf("frame exceeds %d bytes", s.cfg.MaxFrameBytes)))
+	}
+}
+
+// send writes one response frame with a single Write.
+func (c *conn) send(resp Response) (err error) {
+	if c.wbuf, err = appendResponse(c.wbuf[:0], &resp); err != nil {
+		return err
+	}
+	_, err = c.nc.Write(c.wbuf)
+	return err
 }
 
 // fail stamps a failure response and counts it.
@@ -253,9 +267,11 @@ func (s *Server) fail(r Response, code, msg string) Response {
 // peer cannot be trusted with session state.
 func (s *Server) dispatch(c *conn, req *Request) (resp Response, fatal bool) {
 	resp = Response{Op: req.Op, Seq: req.Seq}
-	s.ops.With(req.Op).Inc()
+	kind := opKindOf(req.Op)
+	s.ops[kind].Inc()
 
-	if req.Op == OpHello {
+	switch {
+	case kind == opHello:
 		if c.helloed {
 			return s.fail(resp, CodeProtocol, "duplicate hello"), true
 		}
@@ -267,32 +283,26 @@ func (s *Server) dispatch(c *conn, req *Request) (resp Response, fatal bool) {
 		resp.OK = true
 		resp.Proto = ProtoVersion
 		return resp, false
-	}
-	if !c.helloed {
+	case !c.helloed:
 		return s.fail(resp, CodeProtocol, "hello required before "+req.Op), true
+	case kind == opUnknown:
+		return s.fail(resp, CodeProtocol, "unknown op "+req.Op), true
 	}
 
 	start := s.clk.Now()
-	defer func() {
-		if h := s.latency[req.Op]; h != nil {
-			h.Observe(float64(s.clk.Since(start)) / float64(time.Millisecond))
-		}
-	}()
-
-	switch req.Op {
-	case OpCompose:
-		return s.opCompose(c, req, resp), false
-	case OpCommit, OpHeartbeat, OpRecompose, OpTeardown:
-		return s.opSession(c, req, resp), false
-	default:
-		return s.fail(resp, CodeProtocol, "unknown op "+req.Op), true
+	if kind == opCompose {
+		resp = s.opCompose(c, req, resp)
+	} else {
+		resp = s.opSession(c, kind, req, resp)
 	}
+	s.latency[kind].Observe(float64(s.clk.Since(start)) / float64(time.Millisecond))
+	return resp, false
 }
 
 // opCompose admits, composes, and registers a pending session.
 func (s *Server) opCompose(c *conn, req *Request, resp Response) Response {
-	if len(req.Functions) == 0 || len(req.Functions) > 64 {
-		return s.fail(resp, CodeProtocol, fmt.Sprintf("compose needs 1..64 functions, got %d", len(req.Functions)))
+	if len(req.Functions) == 0 || len(req.Functions) > maxFunctions {
+		return s.fail(resp, CodeProtocol, fmt.Sprintf("compose needs 1..%d functions, got %d", maxFunctions, len(req.Functions)))
 	}
 	fns := make([]component.FunctionID, len(req.Functions))
 	for i, f := range req.Functions {
@@ -332,11 +342,6 @@ func (s *Server) opCompose(c *conn, req *Request, resp Response) Response {
 	}
 	s.composing++
 	s.mu.Unlock()
-	release := func() {
-		s.mu.Lock()
-		s.composing--
-		s.mu.Unlock()
-	}
 
 	id, err := s.cluster.FindApp(runtime.FindRequest{
 		Tenant: c.tenant,
@@ -348,7 +353,9 @@ func (s *Server) opCompose(c *conn, req *Request, resp Response) Response {
 		BandwidthKbps: req.BandwidthKbps,
 	})
 	if err != nil {
-		release()
+		s.mu.Lock()
+		s.composing--
+		s.mu.Unlock()
 		var qerr *runtime.QuotaError
 		switch {
 		case errors.As(err, &qerr):
@@ -367,7 +374,7 @@ func (s *Server) opCompose(c *conn, req *Request, resp Response) Response {
 	s.composing--
 	s.sessions[id] = ws
 	c.owned[id] = ws
-	s.setSessionGauges()
+	s.setSessionGaugesLocked()
 	s.mu.Unlock()
 
 	resp.OK = true
@@ -381,7 +388,7 @@ func (s *Server) opCompose(c *conn, req *Request, resp Response) Response {
 }
 
 // opSession handles the ops addressed to a live session.
-func (s *Server) opSession(c *conn, req *Request, resp Response) Response {
+func (s *Server) opSession(c *conn, kind opKind, req *Request, resp Response) Response {
 	id := runtime.SessionID(req.Session)
 	s.mu.Lock()
 	ws, ok := s.sessions[id]
@@ -395,20 +402,21 @@ func (s *Server) opSession(c *conn, req *Request, resp Response) Response {
 	}
 	resp.Session = req.Session
 
-	switch req.Op {
-	case OpCommit:
+	switch kind {
+	case opCommit:
 		if ws.committed {
 			s.mu.Unlock()
 			return s.fail(resp, CodeProtocol, fmt.Sprintf("session %d already committed", req.Session))
 		}
 		ws.committed = true
+		s.committed++
 		ws.deadline = s.clk.Now().Add(s.cfg.HeartbeatTimeout)
-		s.setSessionGauges()
+		s.setSessionGaugesLocked()
 		s.mu.Unlock()
 		resp.OK = true
 		return resp
 
-	case OpHeartbeat:
+	case opHeartbeat:
 		if !ws.committed {
 			s.mu.Unlock()
 			return s.fail(resp, CodeProtocol, fmt.Sprintf("session %d not committed; commit before heartbeat", req.Session))
@@ -418,7 +426,7 @@ func (s *Server) opSession(c *conn, req *Request, resp Response) Response {
 		resp.OK = true
 		return resp
 
-	case OpRecompose:
+	case opRecompose:
 		if !ws.committed {
 			s.mu.Unlock()
 			return s.fail(resp, CodeProtocol, fmt.Sprintf("session %d not committed; commit before recompose", req.Session))
@@ -449,10 +457,9 @@ func (s *Server) opSession(c *conn, req *Request, resp Response) Response {
 		}
 		return resp
 
-	default: // OpTeardown
-		delete(s.sessions, id)
-		delete(c.owned, id)
-		s.setSessionGauges()
+	default: // opTeardown
+		s.dropLocked(ws)
+		s.setSessionGaugesLocked()
 		s.mu.Unlock()
 		if err := s.cluster.Close(id); err != nil {
 			return s.fail(resp, CodeInternal, err.Error())
@@ -462,19 +469,22 @@ func (s *Server) opSession(c *conn, req *Request, resp Response) Response {
 	}
 }
 
-// setSessionGauges refreshes the pending/committed gauges; caller
-// holds s.mu.
-func (s *Server) setSessionGauges() {
-	pending, committed := 0, 0
-	for _, ws := range s.sessions {
-		if ws.committed {
-			committed++
-		} else {
-			pending++
-		}
+// dropLocked takes ws out of the session table and its owner's set,
+// keeping the committed count in step; caller holds s.mu. Every path
+// that ends a lease — teardown, disconnect, reap — goes through here.
+func (s *Server) dropLocked(ws *wireSession) {
+	delete(s.sessions, ws.id)
+	delete(ws.owner.owned, ws.id)
+	if ws.committed {
+		s.committed--
 	}
-	s.pendG.Set(float64(pending))
-	s.commG.Set(float64(committed))
+}
+
+// setSessionGaugesLocked refreshes the pending/committed gauges;
+// caller holds s.mu.
+func (s *Server) setSessionGaugesLocked() {
+	s.pendG.Set(float64(len(s.sessions) - s.committed))
+	s.commG.Set(float64(s.committed))
 }
 
 // releaseConn tears down every session the departing connection owns
@@ -486,13 +496,13 @@ func (s *Server) releaseConn(c *conn) {
 	delete(s.conns, c)
 	s.connsG.Set(float64(len(s.conns)))
 	ids := make([]runtime.SessionID, 0, len(c.owned))
-	for id := range c.owned {
+	for id, ws := range c.owned {
 		ids = append(ids, id)
-		delete(s.sessions, id)
+		s.dropLocked(ws)
 	}
 	c.owned = nil
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	s.setSessionGauges()
+	slices.Sort(ids)
+	s.setSessionGaugesLocked()
 	s.mu.Unlock()
 	for _, id := range ids {
 		s.reapedC.With("disconnect").Inc()
@@ -517,17 +527,14 @@ func (s *Server) reap() {
 			ids = append(ids, id)
 		}
 	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	slices.Sort(ids)
 	due := make([]*wireSession, 0, len(ids))
 	for _, id := range ids {
 		ws := s.sessions[id]
 		due = append(due, ws)
-		delete(s.sessions, id)
-		if ws.owner.owned != nil {
-			delete(ws.owner.owned, id)
-		}
+		s.dropLocked(ws)
 	}
-	s.setSessionGauges()
+	s.setSessionGaugesLocked()
 	s.mu.Unlock()
 
 	for _, ws := range due {

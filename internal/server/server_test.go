@@ -1,6 +1,8 @@
 package server
 
 import (
+	"bufio"
+	"bytes"
 	"fmt"
 	"math"
 	"strings"
@@ -33,7 +35,9 @@ func testCluster(t *testing.T, clk clock.Clock, reg *obs.Registry) *runtime.Clus
 
 func testServer(t *testing.T, c *runtime.Cluster, mutate func(*Config)) *Server {
 	t.Helper()
-	cfg := Config{Cluster: c}
+	// Every test server carries a registry, so auditCounters can hold
+	// the session gauges against the table.
+	cfg := Config{Cluster: c, Registry: obs.NewRegistry()}
 	if mutate != nil {
 		mutate(&cfg)
 	}
@@ -124,6 +128,45 @@ func auditPristine(t *testing.T, c *runtime.Cluster, tenants ...string) {
 	}
 }
 
+// checkCounters recounts the session table under mu and holds the
+// O(1) bookkeeping against it: the committed counter, the two session
+// gauges set from it, and the owners' sets.
+func checkCounters(s *Server) error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	committed, owned := 0, 0
+	for id, ws := range s.sessions {
+		if ws.committed {
+			committed++
+		}
+		if ws.owner.owned[id] != ws {
+			return fmt.Errorf("session %d is not in its owner's set", id)
+		}
+	}
+	for c := range s.conns {
+		owned += len(c.owned)
+	}
+	pending := len(s.sessions) - committed
+	if s.committed != committed || owned != len(s.sessions) ||
+		s.commG.Value() != float64(committed) || s.pendG.Value() != float64(pending) {
+		return fmt.Errorf("table has %d pending + %d committed, %d owned; counter says %d committed, gauges %v pending %v committed",
+			pending, committed, owned, s.committed, s.pendG.Value(), s.commG.Value())
+	}
+	return nil
+}
+
+// auditCounters is checkCounters plus the counts the step should have
+// left behind.
+func auditCounters(t *testing.T, s *Server, pending, committed int) {
+	t.Helper()
+	if err := checkCounters(s); err != nil {
+		t.Fatal(err)
+	}
+	if p, c := s.pendG.Value(), s.commG.Value(); p != float64(pending) || c != float64(committed) {
+		t.Fatalf("gauges read %v pending, %v committed; want %d, %d", p, c, pending, committed)
+	}
+}
+
 // waitSessions polls until the cluster has n live sessions (the
 // disconnect path races the poll; teardown runs on the server's
 // handler goroutine).
@@ -143,7 +186,13 @@ func TestSessionLifecycle(t *testing.T) {
 	s := testServer(t, c, nil)
 	cl := dialHello(t, s, "t0")
 
-	id := mustCompose(t, cl, true)
+	auditCounters(t, s, 0, 0)
+	id := mustCompose(t, cl, false)
+	auditCounters(t, s, 1, 0)
+	if cm, err := cl.Commit(id); err != nil || !cm.OK {
+		t.Fatalf("commit = %+v, %v", cm, err)
+	}
+	auditCounters(t, s, 0, 1)
 	if got := c.ActiveSessions(); got != 1 {
 		t.Fatalf("cluster sessions = %d, want 1", got)
 	}
@@ -154,10 +203,12 @@ func TestSessionLifecycle(t *testing.T) {
 	if err != nil || !hb.OK {
 		t.Fatalf("heartbeat = %+v, %v", hb, err)
 	}
+	auditCounters(t, s, 0, 1)
 	td, err := cl.Teardown(id)
 	if err != nil || !td.OK {
 		t.Fatalf("teardown = %+v, %v", td, err)
 	}
+	auditCounters(t, s, 0, 0)
 	auditPristine(t, c, "t0")
 
 	// The session is gone; a second teardown is a typed refusal.
@@ -168,6 +219,7 @@ func TestSessionLifecycle(t *testing.T) {
 	if td.OK || td.Code != CodeUnknownSession {
 		t.Fatalf("re-teardown = %+v, want code %q", td, CodeUnknownSession)
 	}
+	auditCounters(t, s, 0, 0)
 }
 
 func TestTypedErrorCodes(t *testing.T) {
@@ -353,12 +405,14 @@ func TestReapHeartbeatExpiry(t *testing.T) {
 	})
 	cl := dialHello(t, s, "t0")
 	id := mustCompose(t, cl, true)
+	auditCounters(t, s, 0, 1)
 
 	// 29s of virtual silence: the session survives (deadline is +30s).
 	vc.Advance(29 * time.Second)
 	if got := c.ActiveSessions(); got != 1 {
 		t.Fatalf("session reaped early: %d live at +29s", got)
 	}
+	auditCounters(t, s, 0, 1)
 	// A heartbeat re-arms the deadline; 29 more seconds still survive.
 	if hb, err := cl.Heartbeat(id); err != nil || !hb.OK {
 		t.Fatalf("heartbeat = %+v, %v", hb, err)
@@ -367,12 +421,14 @@ func TestReapHeartbeatExpiry(t *testing.T) {
 	if got := c.ActiveSessions(); got != 1 {
 		t.Fatalf("session reaped despite heartbeat: %d live", got)
 	}
+	auditCounters(t, s, 0, 1)
 	// Silence past the deadline: the reaper takes it synchronously on
 	// the advancing goroutine — no polling, no sleeps.
 	vc.Advance(2 * time.Second)
 	if got := c.ActiveSessions(); got != 0 {
 		t.Fatalf("session not reaped: %d live after heartbeat expiry", got)
 	}
+	auditCounters(t, s, 0, 0)
 	auditPristine(t, c, "t0")
 
 	if v := reg.Snapshot().CounterVecs["server.reaped"]; len(v.Values) != 1 ||
@@ -387,6 +443,7 @@ func TestReapHeartbeatExpiry(t *testing.T) {
 	if hb.OK || hb.Code != CodeUnknownSession {
 		t.Fatalf("heartbeat after reap = %+v, want code %q", hb, CodeUnknownSession)
 	}
+	auditCounters(t, s, 0, 0)
 }
 
 // TestReapCommitTimeout: a composed-but-never-committed session is a
@@ -404,15 +461,18 @@ func TestReapCommitTimeout(t *testing.T) {
 	})
 	cl := dialHello(t, s, "t0")
 	id := mustCompose(t, cl, false)
+	auditCounters(t, s, 1, 0)
 
 	vc.Advance(9 * time.Second)
 	if got := c.ActiveSessions(); got != 1 {
 		t.Fatalf("pending session reaped early: %d live at +9s", got)
 	}
+	auditCounters(t, s, 1, 0)
 	vc.Advance(2 * time.Second)
 	if got := c.ActiveSessions(); got != 0 {
 		t.Fatalf("pending session not reaped at commit deadline: %d live", got)
 	}
+	auditCounters(t, s, 0, 0)
 	auditPristine(t, c, "t0")
 
 	if v := reg.Snapshot().CounterVecs["server.reaped"]; len(v.Values) != 1 ||
@@ -427,6 +487,7 @@ func TestReapCommitTimeout(t *testing.T) {
 	if cm.OK || cm.Code != CodeUnknownSession {
 		t.Fatalf("commit after reap = %+v, want code %q", cm, CodeUnknownSession)
 	}
+	auditCounters(t, s, 0, 0)
 }
 
 // TestDisconnectReleasesSessions covers the transport-death paths of
@@ -438,8 +499,10 @@ func TestDisconnectReleasesSessions(t *testing.T) {
 	s := testServer(t, c, nil)
 	cl := dialHello(t, s, "t0")
 
-	mustCompose(t, cl, true)  // committed
+	mustCompose(t, cl, true) // committed
+	auditCounters(t, s, 0, 1)
 	mustCompose(t, cl, false) // pending
+	auditCounters(t, s, 1, 1)
 	if got := c.ActiveSessions(); got != 2 {
 		t.Fatalf("cluster sessions = %d, want 2", got)
 	}
@@ -447,6 +510,7 @@ func TestDisconnectReleasesSessions(t *testing.T) {
 	// must release both sessions.
 	_ = cl.Close()
 	waitSessions(t, c, 0)
+	auditCounters(t, s, 0, 0)
 	auditPristine(t, c, "t0")
 	if s.Sessions() != 0 {
 		t.Fatalf("server still tracks %d wire sessions", s.Sessions())
@@ -461,6 +525,7 @@ func TestMalformedFrameTearsDownSessions(t *testing.T) {
 	s := testServer(t, c, nil)
 	cl := dialHello(t, s, "t0")
 	mustCompose(t, cl, true)
+	auditCounters(t, s, 0, 1)
 
 	if _, err := fmt.Fprintf(cl.Conn(), "this is not json\n"); err != nil {
 		t.Fatal(err)
@@ -472,7 +537,70 @@ func TestMalformedFrameTearsDownSessions(t *testing.T) {
 		t.Fatalf("response to garbage frame = %+v, want code %q", resp, CodeProtocol)
 	}
 	waitSessions(t, c, 0)
+	auditCounters(t, s, 0, 0)
 	auditPristine(t, c, "t0")
+}
+
+// TestOversizedFrameAnswersThenTearsDown: a line that outgrows
+// MaxFrameBytes is a framing violation like any other — typed protocol
+// reply first, then the connection and every session it owns go.
+func TestOversizedFrameAnswersThenTearsDown(t *testing.T) {
+	const maxFrame = 8192
+	c := testCluster(t, nil, nil)
+	s := testServer(t, c, func(cfg *Config) { cfg.MaxFrameBytes = maxFrame })
+	cl := dialHello(t, s, "t0")
+	mustCompose(t, cl, true)
+	mustCompose(t, cl, false)
+	auditCounters(t, s, 1, 1)
+
+	// Exactly the limit with no newline in sight: the server has read
+	// everything sent, so its close cannot reset the reply away.
+	if _, err := cl.Conn().Write(bytes.Repeat([]byte{'x'}, maxFrame)); err != nil {
+		t.Fatal(err)
+	}
+	line, err := bufio.NewReader(cl.Conn()).ReadBytes('\n')
+	if err != nil {
+		t.Fatalf("no reply to an oversized frame: %v", err)
+	}
+	var resp Response
+	if err := decodeResponse(line, &resp); err != nil {
+		t.Fatal(err)
+	}
+	if resp.OK || resp.Code != CodeProtocol || resp.Error != fmt.Sprintf("frame exceeds %d bytes", maxFrame) {
+		t.Fatalf("reply to oversized frame = %+v", resp)
+	}
+	waitSessions(t, c, 0)
+	auditCounters(t, s, 0, 0)
+	auditPristine(t, c, "t0")
+}
+
+// TestUnknownOpsShareOneSeries: op names come from the client, so the
+// `server.ops` label set must not grow with them.
+func TestUnknownOpsShareOneSeries(t *testing.T) {
+	c := testCluster(t, nil, nil)
+	s := testServer(t, c, nil)
+	const bogus = 1000
+	for i := 0; i < bogus; i++ {
+		cl, err := Dial(s.Addr())
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := cl.Do(Request{Op: fmt.Sprintf("bogus-%d", i)})
+		_ = cl.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.OK || resp.Code != CodeProtocol || resp.Op != fmt.Sprintf("bogus-%d", i) {
+			t.Fatalf("bogus op %d = %+v, want code %q and the op echoed", i, resp, CodeProtocol)
+		}
+	}
+	v := s.cfg.Registry.Snapshot().CounterVecs["server.ops"]
+	if len(v.Values) > int(numOpKinds) {
+		t.Fatalf("server.ops has %d series after %d distinct bogus ops, want at most %d", len(v.Values), bogus, numOpKinds)
+	}
+	if got := s.ops[opUnknown].Value(); got != bogus {
+		t.Fatalf("server.ops{op=unknown} = %d, want %d", got, bogus)
+	}
 }
 
 // TestConcurrentTenants drives several connections at once through
@@ -499,6 +627,9 @@ func TestConcurrentTenants(t *testing.T) {
 					if err != nil {
 						return err
 					}
+					if err := checkCounters(s); err != nil {
+						return err
+					}
 					if !r.OK {
 						if r.Code == CodeCapacity || r.Code == CodeBusy {
 							continue // legitimate under contention
@@ -508,11 +639,17 @@ func TestConcurrentTenants(t *testing.T) {
 					if cm, err := cl.Commit(r.Session); err != nil || !cm.OK {
 						return fmt.Errorf("commit = %+v, %v", cm, err)
 					}
+					if err := checkCounters(s); err != nil {
+						return err
+					}
 					if hb, err := cl.Heartbeat(r.Session); err != nil || !hb.OK {
 						return fmt.Errorf("heartbeat = %+v, %v", hb, err)
 					}
 					if td, err := cl.Teardown(r.Session); err != nil || !td.OK {
 						return fmt.Errorf("teardown = %+v, %v", td, err)
+					}
+					if err := checkCounters(s); err != nil {
+						return err
 					}
 				}
 				return nil
@@ -524,6 +661,7 @@ func TestConcurrentTenants(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	auditCounters(t, s, 0, 0)
 	auditPristine(t, c, "t0", "t1", "t2")
 }
 

@@ -33,6 +33,9 @@ import (
 // ProtoVersion is the wire protocol version hello must announce.
 const ProtoVersion = 1
 
+// maxFunctions bounds a compose template, hence a reply's components.
+const maxFunctions = 64
+
 // Ops. hello must come first on a connection; compose returns a
 // pending session that must be committed before its commit deadline;
 // committed sessions live until teardown, disconnect, or heartbeat
@@ -45,6 +48,44 @@ const (
 	OpRecompose = "recompose"
 	OpTeardown  = "teardown"
 )
+
+// opKind is an op resolved once per frame: the index of its counter
+// and phase histogram and the case of the handler switch. Everything a
+// client can send that is not one of the six ops is opUnknown, so the
+// op label set is closed whatever arrives.
+type opKind int
+
+const (
+	opHello opKind = iota
+	opCompose
+	opCommit
+	opHeartbeat
+	opRecompose
+	opTeardown
+	opUnknown
+	numOpKinds
+)
+
+// opNames are the kinds' wire names and `server.ops` label values.
+var opNames = [numOpKinds]string{OpHello, OpCompose, OpCommit, OpHeartbeat, OpRecompose, OpTeardown, "unknown"}
+
+func opKindOf(op string) opKind {
+	switch op {
+	case OpHello:
+		return opHello
+	case OpCompose:
+		return opCompose
+	case OpCommit:
+		return opCommit
+	case OpHeartbeat:
+		return opHeartbeat
+	case OpRecompose:
+		return opRecompose
+	case OpTeardown:
+		return opTeardown
+	}
+	return opUnknown
+}
 
 // Error codes. Distinct failure classes get distinct codes; clients
 // branch on Code, never on Error text.
@@ -76,6 +117,9 @@ const (
 	// CodeInternal: unexpected server-side failure.
 	CodeInternal = "internal"
 )
+
+// codes lists the error codes, for the decoder to intern.
+var codes = [...]string{CodeProtocol, CodeCapacity, CodeQuota, CodeBusy, CodeUnknownSession, CodeNoBetter, CodeInternal}
 
 // Request is one client frame.
 type Request struct {
