@@ -15,8 +15,8 @@ import (
 	"repro/internal/qos"
 )
 
-// writeTrace records a small balanced trace: two requests, three probes,
-// one pruned in flight.
+// writeTrace records a small balanced trace: two requests, four probes,
+// two pruned in flight — one unqualified, one cut by the incumbent bound.
 func writeTrace(t *testing.T) string {
 	t.Helper()
 	path := filepath.Join(t.TempDir(), "probes.jsonl")
@@ -38,6 +38,8 @@ func writeTrace(t *testing.T) string {
 	tr.ProbeSpawned(2, 3, 0, 7, 1.0)
 	tr.CandidatePruned(2, 3, 0, 0, 7, obs.ReasonResources)
 	tr.CandidatePruned(2, 0, 3, 1, 8, obs.ReasonRiskRank)
+	tr.ProbeSpawned(2, 4, 1, 9, 2.0)
+	tr.CandidatePruned(2, 4, 3, 1, 9, obs.ReasonBound)
 	tr.Decided(2, 5, obs.ReasonNoComposition)
 	if err := sink.Flush(); err != nil {
 		t.Fatal(err)
@@ -56,12 +58,13 @@ func TestSummariseTrace(t *testing.T) {
 	got := out.String()
 	for _, want := range []string{
 		"2 requests",
-		"3 spawned, 1 returned, 1 forwarded, 0 dropped, 1 pruned in flight",
+		"4 spawned, 1 returned, 1 forwarded, 0 dropped, 2 pruned in flight",
 		"2 candidates cut before send (1 attributed to a parent probe)",
 		"1 committed, 0 rolled back",
 		"qos",
 		"resources",
 		"risk-rank",
+		"incumbent-bound  1",
 		"every spawned probe span closed",
 		"per-request spans",
 	} {

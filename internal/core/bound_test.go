@@ -1,0 +1,351 @@
+package core
+
+import (
+	"math"
+	"math/rand"
+	"slices"
+	"testing"
+	"time"
+
+	"repro/internal/component"
+	"repro/internal/discovery"
+	"repro/internal/metrics"
+	"repro/internal/obs"
+	"repro/internal/overlay"
+	"repro/internal/qos"
+	"repro/internal/state"
+	"repro/internal/topology"
+)
+
+// boundMesh builds a 12-node overlay: with four functions and two
+// components per node every function has six candidates.
+func boundMesh(t *testing.T, seed int64) *overlay.Mesh {
+	t.Helper()
+	rng := rand.New(rand.NewSource(seed))
+	tcfg := topology.DefaultConfig()
+	tcfg.Nodes = 200
+	g, err := topology.Generate(tcfg, rng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ocfg := overlay.DefaultConfig()
+	ocfg.Nodes = 12
+	mesh, err := overlay.Build(g, ocfg, rng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return mesh
+}
+
+// boundEnv wires a composer environment over mesh and cat; heterogeneous
+// draws node capacities between 0.6 and 1.4 of the default from rng.
+func boundEnv(t *testing.T, mesh *overlay.Mesh, cat *component.Catalog, rng *rand.Rand, heterogeneous bool) Env {
+	t.Helper()
+	clk := &testClock{}
+	counters := &metrics.Counters{}
+	ledger := state.NewLedger(mesh, qos.Resources{CPU: 100, Memory: 1000}, clk.Now)
+	for n := 0; heterogeneous && n < mesh.NumNodes(); n++ {
+		if err := ledger.SetNodeCapacity(n, qos.Resources{CPU: 100, Memory: 1000}.Scale(0.6+0.8*rng.Float64())); err != nil {
+			t.Fatal(err)
+		}
+	}
+	global, err := state.NewGlobal(ledger, mesh, state.DefaultGlobalConfig(), counters)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return Env{
+		Mesh:     mesh,
+		Catalog:  cat,
+		Registry: discovery.NewRegistry(cat, mesh.NumNodes(), counters),
+		Ledger:   ledger,
+		Global:   global,
+		Counters: counters,
+		Now:      clk.Now,
+		Rand:     rng,
+	}
+}
+
+// bruteForce is the oracle: every assignment of one candidate per
+// position, in the order the unbounded walk visits them (positions in
+// topological order, candidates in discovery order), checked against the
+// QoS requirement and scored by Kernel.Stack/Score alone — no probe
+// tree, no per-hop checks, no bound. It returns the first phi-minimal
+// qualified assignment and how many assignments met the QoS requirement.
+func bruteForce(t *testing.T, env Env, req *component.Request, mode PhiMode) (best []component.ComponentID, phi float64, complete int) {
+	t.Helper()
+	order, err := req.Graph.TopoOrder()
+	if err != nil {
+		t.Fatal(err)
+	}
+	k := NewKernel(env.Catalog)
+	owner := state.Owner(req.ID)
+	assign := make([]component.ComponentID, len(order))
+	routes := make([]overlay.Route, len(req.Graph.Edges))
+	var rec func(i int)
+	rec = func(i int) {
+		if i < len(order) {
+			for _, id := range env.Catalog.Candidates(req.Graph.Functions[order[i]]) {
+				assign[order[i]] = id
+				rec(i + 1)
+			}
+			return
+		}
+		var acc qos.Vector
+		for _, id := range assign {
+			acc = acc.Add(env.Catalog.Component(id).QoS)
+		}
+		for e, edge := range req.Graph.Edges {
+			r, ok := env.Mesh.RouteBetween(env.Catalog.Component(assign[edge.From]).Node, env.Catalog.Component(assign[edge.To]).Node)
+			if !ok {
+				return
+			}
+			routes[e] = r
+			acc = acc.Add(r.QoS)
+		}
+		if acc.MaxRatio(req.QoSReq) > 1 {
+			return
+		}
+		complete++
+		nodes, links := k.Stack(req, assign, routes)
+		for i := range nodes {
+			nodes[i].Avail = env.Ledger.NodeAvailableFor(owner, nodes[i].Node)
+		}
+		for i := range links {
+			links[i].Avail = env.Ledger.LinkAvailableFor(owner, links[i].Link)
+		}
+		if got, ok := k.Score(req, assign, routes, mode); ok && (best == nil || got < phi) {
+			best, phi = slices.Clone(assign), got
+		}
+	}
+	rec(0)
+	return best, phi, complete
+}
+
+// TestBoundedOptimalAgreesWithBruteForce: on small loaded instances the
+// branch-and-bound walk must pick exactly the composition an exhaustive
+// enumeration picks — same components, same phi bits, same ties — under
+// all three objectives, on paths and DAGs, over nodes of unequal capacity.
+//
+// Even instances run tight and without transient allocation: node loads
+// reach 95 % and demands are large, so stacking two components on a node
+// often does not fit and Score's fit check decides. Odd instances hold as
+// they go and stay roomy: with holds on, a hold refused because the same
+// walk already holds the node for another position depends on the order
+// of the walk (it did before the bound too), which an enumeration of
+// compositions cannot model; loads and demands there leave every node
+// and link room for all of one request's holds at once.
+func TestBoundedOptimalAgreesWithBruteForce(t *testing.T) {
+	const meshes, perMesh = 8, 30
+	var instances, admitted, enumerated, returned int
+	shapes := map[string]int{}
+	for m := int64(0); m < meshes; m++ {
+		mesh := boundMesh(t, 500+m)
+		for i := int64(0); i < perMesh; i++ {
+			seed := m*perMesh + i
+			rng := rand.New(rand.NewSource(7000 + seed))
+			tight := seed%2 == 0
+			pcfg := component.DefaultPlacementConfig()
+			pcfg.NumFunctions = 4
+			pcfg.ComponentsPerNode = 2
+			cat, err := component.Place(mesh.NumNodes(), pcfg, rng)
+			if err != nil {
+				t.Fatal(err)
+			}
+			env := boundEnv(t, mesh, cat, rng, true)
+
+			// Load: committed sessions and a bystander's live holds.
+			maxLoad, demand := 0.35, 0.06
+			if tight {
+				maxLoad, demand = 0.95, 0.4
+			}
+			nodeLoad := make(map[int]qos.Resources)
+			for n := 0; n < mesh.NumNodes(); n++ {
+				nodeLoad[n] = env.Ledger.NodeCapacity(n).Scale(maxLoad * rng.Float64())
+			}
+			linkLoad := make(map[int]float64)
+			minLink := math.Inf(1)
+			for l := 0; l < env.Ledger.NumLinks(); l++ {
+				linkLoad[l] = env.Ledger.LinkCapacity(l) * maxLoad * rng.Float64()
+				minLink = min(minLink, env.Ledger.LinkCapacity(l))
+			}
+			if err := env.Ledger.CommitSession(9001, nodeLoad, linkLoad); err != nil {
+				t.Fatal(err)
+			}
+			for j := 0; j < 4; j++ {
+				n := rng.Intn(mesh.NumNodes())
+				env.Ledger.HoldNode(9002, j, n, env.Ledger.NodeCapacity(n).Scale(0.05), time.Hour)
+			}
+
+			// Request: a 2-4 position path or the four-position diamond.
+			fns := make([]component.FunctionID, 0, 4)
+			for _, f := range rng.Perm(4) {
+				fns = append(fns, component.FunctionID(f))
+			}
+			shape := "path"
+			graph := component.NewPathGraph(fns[:2+rng.Intn(3)])
+			if seed%3 == 0 {
+				shape = "dag"
+				if graph, err = component.NewBranchGraph(fns[0], fns[1:2], fns[2:3], fns[3]); err != nil {
+					t.Fatal(err)
+				}
+			}
+			mode := PhiMode(seed / 3 % 3)
+			req := &component.Request{
+				ID:           seed + 1,
+				Graph:        graph,
+				QoSReq:       qos.Vector{Delay: 150 + 120*float64(graph.NumPositions())*rng.Float64(), LossCost: qos.LossCost(0.2)},
+				ResReq:       make([]qos.Resources, graph.NumPositions()),
+				BandwidthReq: minLink * demand * (0.3 + rng.Float64()),
+				Client:       rng.Intn(mesh.NumNodes()),
+				Duration:     time.Minute,
+				Weight:       0.5 + 3*rng.Float64(),
+			}
+			for p := range req.ResReq {
+				req.ResReq[p] = qos.Resources{CPU: 100 * demand * (0.3 + rng.Float64()), Memory: 1000 * demand * (0.3 + rng.Float64())}
+			}
+
+			want, wantPhi, complete := bruteForce(t, env, req, mode)
+
+			cfg := DefaultConfig()
+			cfg.Algorithm = AlgOptimal
+			cfg.Phi = mode
+			cfg.TransientAllocation = !tight
+			out, err := mustComposer(t, env, cfg).Probe(req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			instances++
+			enumerated += complete
+			returned += out.PathsReturned
+			if out.PathsReturned > complete {
+				t.Fatalf("instance %d: %d probes returned, only %d assignments meet the QoS requirement", seed, out.PathsReturned, complete)
+			}
+			if out.Success() != (want != nil) {
+				t.Fatalf("instance %d (%s, %v, tight=%v): walk success=%v, brute force found %v", seed, shape, mode, tight, out.Success(), want)
+			}
+			if want == nil {
+				continue
+			}
+			admitted++
+			shapes[shape+"/"+mode.String()]++
+			if !slices.Equal(out.Best.Components, want) || math.Float64bits(out.Best.Phi) != math.Float64bits(wantPhi) {
+				t.Fatalf("instance %d (%s, %v, tight=%v): walk chose %v phi %x, brute force %v phi %x",
+					seed, shape, mode, tight, out.Best.Components, out.Best.Phi, want, wantPhi)
+			}
+		}
+	}
+	if instances < 200 || admitted < instances/2 {
+		t.Errorf("%d instances, %d admitted: the oracle is under-exercised", instances, admitted)
+	}
+	for _, shape := range []string{"path", "dag"} {
+		for mode := PhiSum; mode <= PhiBottleneck; mode++ {
+			if shapes[shape+"/"+mode.String()] < 8 {
+				t.Errorf("only %d admitted %s instances under %v", shapes[shape+"/"+mode.String()], shape, mode)
+			}
+		}
+	}
+	// The walk under test must actually have been bounded.
+	if returned*2 > enumerated {
+		t.Errorf("%d of %d QoS-feasible assignments still returned: the bound barely fired", returned, enumerated)
+	}
+	t.Logf("%d instances, %d admitted, %d of %d feasible assignments returned", instances, admitted, returned, enumerated)
+}
+
+// TestBoundedWalkKeepsSelectionOrderTies builds an exact phi tie between
+// compositions in different subtrees whose bounds differ, so that the
+// lowest-bound-first walk meets them in the opposite order to the
+// selection-order walk: F0 has twins x0, x1 on the busier node A and y on
+// node B; F1 has u on B and twins v0, v1 on A. With equal demands and no
+// bandwidth demand, {x, u} and {y, v} put one component on each node and
+// score the same two terms — to the bit, two-term float addition
+// commutes — while stacking both on one node scores worse. Selection
+// order is discovery order, so the unbounded walk keeps (x0, u): first
+// found. The bounded walk expands y first (B is emptier, its bound is
+// lower), finds (y, v0), and must still hand the tie to (x0, u).
+// (PhiBottleneck needs no constructed case: every two compositions that
+// share their worst term tie, and the oracle sweep above is full of them.)
+func TestBoundedWalkKeepsSelectionOrderTies(t *testing.T) {
+	mesh := boundMesh(t, 500)
+	const nodeA, nodeB = 0, 1
+	pcfg := component.DefaultPlacementConfig()
+	pcfg.NumFunctions = 2
+	pcfg.ComponentsPerNode = 2
+	cat, err := component.Place(3, pcfg, rand.New(rand.NewSource(1))) // three components per function
+	if err != nil {
+		t.Fatal(err)
+	}
+	f0, f1 := cat.Candidates(0), cat.Candidates(1)
+	x0, x1, y := f0[0], f0[1], f0[2]
+	u, v0, v1 := f1[0], f1[1], f1[2]
+	for id, node := range map[component.ComponentID]int{x0: nodeA, x1: nodeA, y: nodeB, u: nodeB, v0: nodeA, v1: nodeA} {
+		if err := cat.Move(id, node); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Catalog.Move keeps discovery order; the whole test rests on it.
+	if got := cat.Candidates(0); !slices.Equal(got, []component.ComponentID{x0, x1, y}) {
+		t.Fatalf("discovery order of F0 changed to %v", got)
+	}
+	first, tied := []component.ComponentID{x0, u}, []component.ComponentID{y, v0}
+	route, _ := mesh.RouteBetween(nodeB, nodeA)
+
+	for _, mode := range []PhiMode{PhiSum, PhiWeighted} {
+		env := boundEnv(t, mesh, cat, rand.New(rand.NewSource(2)), false)
+		if err := env.Ledger.CommitSession(9001, map[int]qos.Resources{
+			nodeA: {CPU: 50, Memory: 500},
+			nodeB: {CPU: 40, Memory: 400},
+		}, nil); err != nil {
+			t.Fatal(err)
+		}
+		need := qos.Resources{CPU: 10, Memory: 100}
+		req := &component.Request{
+			ID:       1,
+			Graph:    component.NewPathGraph([]component.FunctionID{0, 1}),
+			QoSReq:   qos.Vector{Delay: 1e9, LossCost: 1e9},
+			ResReq:   []qos.Resources{need, need},
+			Client:   2,
+			Duration: time.Minute,
+			Weight:   3,
+		}
+		// The scenario is what it claims: the tie is exact and minimal,
+		// and the lower bound prefers the later sibling.
+		want, wantPhi, _ := bruteForce(t, env, req, mode)
+		if !slices.Equal(want, first) {
+			t.Fatalf("%v: brute force picks %v, want the first-found (x0, u) = %v", mode, want, first)
+		}
+		k := NewKernel(cat)
+		nodes, _ := k.Stack(req, tied, []overlay.Route{route})
+		for i := range nodes {
+			nodes[i].Avail = env.Ledger.NodeAvailable(nodes[i].Node)
+		}
+		if phi, ok := k.Score(req, tied, []overlay.Route{route}, mode); !ok || phi != wantPhi {
+			t.Fatalf("%v: (y, v0) scores %x, (x0, u) %x: not an exact tie", mode, phi, wantPhi)
+		}
+		if a, b := BoundNode(need, env.Ledger.NodeAvailable(nodeA)), BoundNode(need, env.Ledger.NodeAvailable(nodeB)); b >= a {
+			t.Fatalf("%v: bound on B %v not below bound on A %v: the bounded walk would not reorder", mode, b, a)
+		}
+
+		sink := &obs.MemorySink{}
+		env.Tracer = obs.New(sink)
+		cfg := DefaultConfig()
+		cfg.Algorithm = AlgOptimal
+		cfg.Phi = mode
+		out, err := mustComposer(t, env, cfg).Probe(req)
+		if err != nil || !out.Success() {
+			t.Fatalf("%v: probe failed: %v", mode, err)
+		}
+		if !slices.Equal(out.Best.Components, want) || out.Best.Phi != wantPhi {
+			t.Errorf("%v: bounded walk chose %v phi %x, want the selection-order winner %v phi %x",
+				mode, out.Best.Components, out.Best.Phi, want, wantPhi)
+		}
+		// And it did expand y, on B, before the twins on A.
+		for _, e := range sink.Events() {
+			if e.Type == obs.EventProbeForwarded {
+				if e.Node != nodeB {
+					t.Errorf("%v: the walk expanded the probe on node %d first, want %d: children are not bound-ordered", mode, e.Node, nodeB)
+				}
+				break
+			}
+		}
+	}
+}

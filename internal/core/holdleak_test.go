@@ -291,3 +291,105 @@ func TestRolledBackHopLeavesNoMark(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestBoundCutsLeaveNoHolds walks a loaded four-position path with the
+// bound cutting at every depth — a source-hop probe re-checked before it
+// fans out, probes stopped mid-graph, probes stopped at the last hop —
+// and accounts for every hold: a probe cut at its candidate never placed
+// one, every hold the walk did place is released with the decision, and
+// after the winner is abandoned the ledger is as it was.
+func TestBoundCutsLeaveNoHolds(t *testing.T) {
+	mesh := boundMesh(t, 501)
+	rng := rand.New(rand.NewSource(77))
+	pcfg := component.DefaultPlacementConfig()
+	pcfg.NumFunctions = 4
+	pcfg.ComponentsPerNode = 2
+	cat, err := component.Place(mesh.NumNodes(), pcfg, rng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	env := boundEnv(t, mesh, cat, rng, true)
+	load := make(map[int]qos.Resources)
+	for n := 0; n < mesh.NumNodes(); n++ {
+		load[n] = env.Ledger.NodeCapacity(n).Scale(0.5 * rng.Float64())
+	}
+	// One source candidate sits on a node with just enough left to pass
+	// its own hop: once any composition has come back it cannot win.
+	busy := cat.Component(cat.Candidates(0)[0]).Node
+	load[busy] = env.Ledger.NodeCapacity(busy).Scale(0.93)
+	if err := env.Ledger.CommitSession(9001, load, nil); err != nil {
+		t.Fatal(err)
+	}
+	sink := &obs.MemorySink{}
+	env.Tracer = obs.New(sink)
+	before := snapshotLedger(env.Ledger)
+
+	need := qos.Resources{CPU: 5, Memory: 50}
+	req := &component.Request{
+		ID:           1,
+		Graph:        component.NewPathGraph([]component.FunctionID{0, 1, 2, 3}),
+		QoSReq:       qos.Vector{Delay: 1e9, LossCost: 1e9},
+		ResReq:       []qos.Resources{need, need, need, need},
+		BandwidthReq: 10,
+		Client:       0,
+		Duration:     time.Minute,
+	}
+	cfg := DefaultConfig()
+	cfg.Algorithm = AlgOptimal
+	c := mustComposer(t, env, cfg)
+	out, err := c.Probe(req)
+	if err != nil || !out.Success() {
+		t.Fatalf("probe: %v, success=%v", err, out != nil && out.Success())
+	}
+
+	held := make(map[int64]bool) // probe span -> placed (or shared) a hold
+	released := false
+	var cutAtCandidate, cutBeforeFanOut [4]int
+	for _, e := range sink.Events() {
+		switch {
+		case e.Type == obs.EventHoldAcquired && e.Pos >= 0:
+			if released {
+				t.Fatalf("probe %d acquired a hold at position %d after the walk's holds were released", e.Probe, e.Pos)
+			}
+			held[e.Probe] = true
+		case e.Type == obs.EventHoldReleased && e.Node == -1:
+			released = true
+		case e.Type == obs.EventCandidatePruned && e.Reason == obs.ReasonBound:
+			if held[e.Probe] {
+				cutBeforeFanOut[e.Pos]++
+			} else {
+				cutAtCandidate[e.Pos]++
+			}
+		}
+	}
+	if !released {
+		t.Fatal("the walk never released its holds")
+	}
+	// No incumbent exists while the source hop's candidates are visited, so
+	// there the bound can only fire on the re-check.
+	if cutAtCandidate[0] != 0 || cutBeforeFanOut[0] == 0 {
+		t.Errorf("source hop: %d cut at the candidate, %d before fan-out; want 0 and some", cutAtCandidate[0], cutBeforeFanOut[0])
+	}
+	if cutAtCandidate[1]+cutAtCandidate[2] == 0 || cutAtCandidate[3] == 0 {
+		t.Errorf("cuts at the candidate per position %v: want some mid-graph and some at the last hop", cutAtCandidate)
+	}
+	if leaked := obs.LeakedSpans(sink.Events()); len(leaked) != 0 {
+		t.Errorf("%d probe spans never closed: %v", len(leaked), leaked)
+	}
+
+	c.Abort(req.ID)
+	after := snapshotLedger(env.Ledger)
+	for n := range before.nodes {
+		if d := after.nodes[n].Sub(before.nodes[n]); math.Abs(d.CPU) > 1e-9 || math.Abs(d.Memory) > 1e-9 {
+			t.Errorf("node %d has %v available after the walk, %v before", n, after.nodes[n], before.nodes[n])
+		}
+	}
+	for k := range before.links {
+		if math.Abs(after.links[k]-before.links[k]) > 1e-9 {
+			t.Errorf("link %d has %v available after the walk, %v before", k, after.links[k], before.links[k])
+		}
+	}
+	if err := env.Ledger.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+}

@@ -21,7 +21,9 @@ import (
 //   - stacking a request's own demand per node and per overlay link
 //     (footnotes 4, 5 and 8);
 //   - the fit check (Eqs. 4-5) and the congestion aggregation metric phi
-//     (Eq. 1) with its PhiMode post-processing.
+//     (Eq. 1) with its PhiMode post-processing;
+//   - the lower bound of phi a partial composition carries, so an engine
+//     can drop a probe that cannot beat the best composition it has.
 //
 // The kernel is arithmetic over values: an engine resolves routes and
 // reads state its own way — the coarse state to select with, the precise
@@ -337,4 +339,58 @@ func (k *Kernel) Score(req *component.Request, comps []component.ComponentID, ro
 	default:
 		return total, true
 	}
+}
+
+// The bound arithmetic. Eq. 1 is a sum (or, under PhiBottleneck, a max)
+// of non-negative terms, and Score charges every term against a residual
+// that footnote-5/8 stacking can only shrink. The same term taken without
+// stacking is therefore a lower bound of what Score will charge, and the
+// terms of the positions a probe has assigned, joined with a floor for
+// those it has not, bound the phi of every composition the probe can
+// still complete. IEEE add, subtract and divide are monotone, so term by
+// term the inequality holds in floats too; only the order of summation
+// differs from Score's, which boundMargin absorbs.
+
+// boundMargin is the relative slack of BoundExceeds: many orders above
+// the rounding of a dozen-term sum, many below any phi difference that
+// decides a composition.
+const boundMargin = 1e-9
+
+// BoundNode is the Eq. 1 term of one component needing need on a node
+// that has avail: against the availability a probe read at the node it is
+// a lower bound of Score's term, against the node's capacity a floor for
+// a component not placed yet.
+//
+//acp:hotpath
+func BoundNode(need, avail qos.Resources) float64 {
+	return qos.CongestionTerm(need, avail.Sub(need))
+}
+
+// BoundLink is BoundNode for a virtual link with bottleneck bandwidth
+// avail (+Inf, and a zero term, when co-located).
+//
+//acp:hotpath
+func BoundLink(bw, avail float64) float64 {
+	return qos.BandwidthCongestionTerm(bw, avail-bw)
+}
+
+// BoundJoin folds one more term, or a floor, into a lower bound.
+//
+//acp:hotpath
+func BoundJoin(mode PhiMode, bound, term float64) float64 {
+	if mode == PhiBottleneck {
+		return max(bound, term)
+	}
+	return bound + term
+}
+
+// BoundExceeds reports whether a composition whose terms join to at least
+// bound cannot score below incumbent, a phi Score returned under mode.
+//
+//acp:hotpath
+func BoundExceeds(mode PhiMode, req *component.Request, bound, incumbent float64) bool {
+	if mode == PhiWeighted {
+		bound *= req.PhiWeight()
+	}
+	return bound > incumbent*(1+boundMargin)
 }

@@ -1,7 +1,9 @@
 package core
 
 import (
+	"cmp"
 	"math"
+	"slices"
 	"time"
 
 	"repro/internal/component"
@@ -11,31 +13,22 @@ import (
 	"repro/internal/state"
 )
 
-// probeState is a probe that completed the function graph: the full
-// component assignment (an arena-backed snapshot), the QoS accumulated
-// over assigned components and the virtual links between them, and the
-// probe's own travel time. Physically the paper's probes fork at split
-// points and merge at the deputy (Figure 2); walking partial assignments
-// in topological order produces the same component graphs, the same
-// per-hop checks, and the same number of probe transmissions, with the
-// branch merge performed incrementally.
-type probeState struct {
-	comps   []component.ComponentID // per position; points into the walk arena
-	acc     qos.Vector
-	latency float64 // ms travelled
-	id      int64   // tracer span ID; 0 when tracing is disabled (or root)
-}
-
-// hopChild is a probe mid-walk. Unlike probeState it carries only the
-// component chosen at its own hop: the rest of the prefix lives in the
-// walk's shared cursor assignment, which the depth-first expansion keeps
-// in sync with the recursion path — so extending a probe never copies
-// the whole assignment.
+// hopChild is a probe mid-walk: the component chosen at its own hop, the
+// QoS accumulated over assigned components and the virtual links between
+// them, and the probe's own travel time. The rest of its assignment lives
+// in the walk's shared cursor, which the depth-first expansion keeps in
+// sync with the recursion path — so extending a probe never copies the
+// whole assignment. Physically the paper's probes fork at split points
+// and merge at the deputy (Figure 2); walking partial assignments in
+// topological order produces the same component graphs and the same
+// per-hop checks, with the branch merge performed incrementally.
 type hopChild struct {
 	choice  component.ComponentID
 	acc     qos.Vector
-	latency float64
-	id      int64
+	latency float64 // ms travelled
+	id      int64   // tracer span ID; 0 when tracing is disabled (or root)
+	bound   float64 // lower bound of Eq. 1 over the positions assigned so far
+	rank    int     // index among its siblings in selection order
 }
 
 // walkState tracks the per-request probing context.
@@ -46,6 +39,12 @@ type walkState struct {
 	expires    time.Duration
 	budget     int // remaining probe sends (MaxProbesPerRequest)
 	maxLatency float64
+	order      []int // graph positions in topological order
+	// bounded makes the walk branch and bound: the algorithms that keep the
+	// phi-minimal composition and draw nothing from Env.Rand mid-walk (ACP
+	// under a guided selection, Optimal) drop a probe that cannot beat best.
+	bounded bool
+	best    *Composition // the incumbent, in the evaluation scratch; nil until a probe qualifies
 }
 
 // walkScratch holds the composer-lifetime buffers that make the probe
@@ -90,9 +89,12 @@ type walkScratch struct {
 	heldNode []uint64 // [pos*numNodes+node] == epoch: hold placed this walk
 	heldLink []uint64 // [pos*numLinks+link] == epoch: hold placed this walk
 
-	cur   []component.ComponentID // DFS cursor assignment, one slot per position
-	arena []component.ComponentID // completed assignments, shared prefix storage
-	alive []probeState            // probes that completed the graph
+	cur       []component.ComponentID // DFS cursor assignment, one slot per position
+	rank      []int                   // the cursor's sibling rank per depth
+	bestComps []component.ComponentID // the incumbent's copy of cur
+	bestRank  []int                   // and of rank
+
+	floor []float64 // [i]: lower bound of what positions order[i:] add to phi; empty until a walk asks
 
 	children   [][]hopChild    // per-depth extendProbe output
 	predRoutes []overlay.Route // predecessorRoutes result buffer
@@ -126,12 +128,13 @@ func newWalkScratch(env *Env) walkScratch {
 func (c *Composer) beginWalk(req *component.Request) {
 	sc := &c.scratch
 	sc.epoch++
-	sc.arena = sc.arena[:0]
-	sc.alive = sc.alive[:0]
+	sc.floor = sc.floor[:0]
 	n := req.Graph.NumPositions()
 	if cap(sc.cur) < n {
 		sc.cur = make([]component.ComponentID, n)
+		sc.rank = make([]int, n)
 	} else {
+		sc.rank = sc.rank[:n]
 		sc.cur = sc.cur[:n]
 		for i := range sc.cur {
 			sc.cur[i] = 0
@@ -183,6 +186,7 @@ func (c *Composer) beginWalk(req *component.Request) {
 		now:     now,
 		expires: now + c.cfg.HoldTTL,
 		budget:  c.cfg.MaxProbesPerRequest,
+		bounded: c.cfg.Algorithm == AlgOptimal || c.cfg.Algorithm == AlgACP && c.cfg.Selection != SelectRandom,
 	}
 }
 
@@ -297,8 +301,9 @@ func (c *Composer) markHop(pos, node int, routes []overlay.Route) {
 // probeWalk runs the hop-by-hop probing protocol (Figure 3) for the
 // probing algorithms (ACP, Optimal, SP, RP): extend probes position by
 // position in topological order, applying per-hop candidate selection,
-// conformance checking and transient allocation, then select the best
-// qualified composition at the deputy.
+// conformance checking and transient allocation, with the deputy scoring
+// every probe that completes the graph as it returns and keeping the best
+// qualified composition.
 func (c *Composer) probeWalk(req *component.Request) (*Outcome, error) {
 	c.beginWalk(req)
 	w := &c.walk
@@ -310,12 +315,14 @@ func (c *Composer) probeWalk(req *component.Request) (*Outcome, error) {
 	if err != nil {
 		return nil, err
 	}
+	w.order = order
 
 	// Exhaustive-search accounting: the paper measures Optimal's
 	// overhead as "the number of probes required by the exhaustive
 	// search" (§4.2) — the full candidate tree, independent of the sound
 	// early pruning our walk applies (dropping a probe whose prefix is
-	// already unqualified cannot change which composition wins). Charge
+	// already unqualified, or already costs more than the incumbent,
+	// cannot change which composition wins). Charge
 	// that full cost up front and skip per-send counting below.
 	exhaustive := c.cfg.Algorithm == AlgOptimal
 	if exhaustive {
@@ -334,43 +341,24 @@ func (c *Composer) probeWalk(req *component.Request) (*Outcome, error) {
 
 	// Probes expand depth-first: a probe tree in the real protocol fans
 	// out in parallel, but expansion order does not change which
-	// extensions happen or how many messages are sent — except when the
-	// probe budget binds, where depth-first guarantees the budget is
-	// spent completing compositions rather than stranding every probe
-	// mid-graph.
-	c.expand(out, order, 0, hopChild{})
+	// composition wins — except when the probe budget binds, where
+	// depth-first guarantees the budget is spent completing compositions
+	// rather than stranding every probe mid-graph. Depth-first is also
+	// what gives a bounded walk its incumbent early.
+	c.expand(out, 0, hopChild{})
 	if !exhaustive {
 		c.env.Counters.AddProbes(int64(out.ProbesSent))
 	}
-	alive := c.scratch.alive
-
-	// Complete probes travel back to the deputy (§3.3 step 3).
-	lastPos := 0
-	if len(order) > 0 {
-		lastPos = order[len(order)-1]
-	}
-	for i := range alive {
-		p := &alive[i]
-		node := c.env.Catalog.Component(p.comps[lastPos]).Node
-		l := p.latency + c.route(node, req.Client).QoS.Delay
-		if l > w.maxLatency {
-			w.maxLatency = l
-		}
-		tr.ProbeReturned(req.ID, p.id, node, l)
-	}
-	c.env.Counters.AddProbeReturns(int64(len(alive)))
-	out.PathsReturned = len(alive)
-
-	best, qualified := c.selectBest(alive)
-	out.Qualified = qualified
+	c.env.Counters.AddProbeReturns(int64(out.PathsReturned))
 	out.Latency = 2 * time.Duration(w.maxLatency*float64(time.Millisecond))
 
-	if best == nil {
+	if w.best == nil {
 		c.env.Ledger.ReleaseOwner(w.owner)
 		tr.HoldReleased(req.ID, -1)
 		tr.Decided(req.ID, req.Client, obs.ReasonNoComposition)
 		return out, nil
 	}
+	best := w.best.clone()
 	// The deputy has decided: cancel the transient allocations of every
 	// losing probe and keep only the winning composition reserved until
 	// the confirmation message arrives (§3.3 step 4). Without this,
@@ -392,21 +380,20 @@ func (c *Composer) probeWalk(req *component.Request) (*Outcome, error) {
 }
 
 // expand grows the probe tree depth-first from probe p at graph position
-// order[idx]. The walk cursor holds p's assignment prefix; completed
-// probes snapshot the cursor into the arena, whose append-only growth
-// keeps earlier snapshots valid even when the backing array is reallocated.
-func (c *Composer) expand(out *Outcome, order []int, idx int, p hopChild) {
+// order[idx]. The walk cursor holds p's assignment prefix.
+func (c *Composer) expand(out *Outcome, idx int, p hopChild) {
+	w := &c.walk
 	sc := &c.scratch
-	req := c.walk.req
+	order := w.order
 	if idx == len(order) {
-		base := len(sc.arena)
-		sc.arena = append(sc.arena, sc.cur...)
-		sc.alive = append(sc.alive, probeState{
-			comps:   sc.arena[base : base+len(sc.cur)],
-			acc:     p.acc,
-			latency: p.latency,
-			id:      p.id,
-		})
+		c.complete(out, p)
+		return
+	}
+	if idx > 0 && c.cut(idx, p.bound) {
+		// p passed the bound at its own hop; the incumbent has tightened
+		// while its earlier siblings were expanded.
+		prev := order[idx-1]
+		c.env.Tracer.CandidatePruned(w.req.ID, p.id, 0, prev, c.env.Catalog.Component(sc.cur[prev]).Node, obs.ReasonBound)
 		return
 	}
 	pos := order[idx]
@@ -414,13 +401,88 @@ func (c *Composer) expand(out *Outcome, order []int, idx int, p hopChild) {
 	if p.id != 0 {
 		// Close the parent's span: it survived its own hop and its
 		// children (possibly zero) carry the walk on.
-		c.env.Tracer.ProbeForwarded(req.ID, p.id, order[idx-1],
+		c.env.Tracer.ProbeForwarded(w.req.ID, p.id, order[idx-1],
 			c.env.Catalog.Component(sc.cur[order[idx-1]]).Node, len(children))
+	}
+	if w.bounded {
+		// Lowest bound first, so the incumbent tightens early; equal bounds
+		// keep selection order.
+		slices.SortStableFunc(children, func(a, b hopChild) int { return cmp.Compare(a.bound, b.bound) })
 	}
 	for i := range children {
 		sc.cur[pos] = children[i].choice
-		c.expand(out, order, idx+1, children[i])
+		sc.rank[idx] = children[i].rank
+		c.expand(out, idx+1, children[i])
 	}
+}
+
+// cut reports whether a probe with the positions order[idx:] still to
+// assign, whose Eq. 1 terms so far join to bound, cannot beat the
+// incumbent. The floor under the unassigned positions is each one's
+// cheapest candidate at its node's full capacity — static deployment
+// knowledge, unlike the availability a probe learns only by visiting
+// (§3.3) — computed once per walk, and only once there is an incumbent.
+//
+//acp:hotpath
+func (c *Composer) cut(idx int, bound float64) bool {
+	w := &c.walk
+	sc := &c.scratch
+	if !w.bounded || w.best == nil {
+		return false
+	}
+	mode := c.cfg.Phi
+	if len(sc.floor) == 0 {
+		n := len(w.order)
+		sc.floor = slices.Grow(sc.floor, n+1)[:n+1]
+		sc.floor[n] = 0
+		for i := n - 1; i >= 0; i-- {
+			pos := w.order[i]
+			least := math.Inf(1)
+			for _, id := range c.lookup(w.req.Graph.Functions[pos]) {
+				least = min(least, BoundNode(w.req.ResReq[pos], c.env.Ledger.NodeCapacity(c.env.Catalog.Component(id).Node)))
+			}
+			sc.floor[i] = BoundJoin(mode, sc.floor[i+1], least)
+		}
+	}
+	return BoundExceeds(mode, w.req, BoundJoin(mode, bound, sc.floor[idx]), w.best.Phi)
+}
+
+// complete ends a probe that assigned every position: it travels back to
+// the deputy (§3.3 step 3), which evaluates it against the constraints
+// (Eqs. 2-5) using precise probed state and keeps it as the incumbent if
+// it wins so far: the phi-minimal qualified composition for
+// ACP/Optimal/RP, ties going to the first in selection-order DFS whatever
+// order the bounded walk visits them in; a uniformly random qualified one
+// for SP (a reservoir sample).
+func (c *Composer) complete(out *Outcome, p hopChild) {
+	w := &c.walk
+	sc := &c.scratch
+	node := c.env.Catalog.Component(sc.cur[w.order[len(w.order)-1]]).Node
+	l := p.latency + c.route(node, w.req.Client).QoS.Delay
+	if l > w.maxLatency {
+		w.maxLatency = l
+	}
+	c.env.Tracer.ProbeReturned(w.req.ID, p.id, node, l)
+	out.PathsReturned++
+	comp, ok := c.evaluate(sc.cur)
+	if !ok {
+		return
+	}
+	out.Qualified++
+	switch {
+	case w.best == nil:
+	case c.cfg.Algorithm == AlgSP:
+		if c.env.Rand.Intn(out.Qualified) != 0 {
+			return
+		}
+	case comp.Phi > w.best.Phi || comp.Phi == w.best.Phi && slices.Compare(sc.rank, sc.bestRank) > 0:
+		return
+	}
+	sc.bestComps = append(sc.bestComps[:0], sc.cur...)
+	sc.bestRank = append(sc.bestRank[:0], sc.rank...)
+	comp.Components = sc.bestComps
+	w.best = comp
+	sc.evalIdx ^= 1 // protect the incumbent from the next evaluate
 }
 
 // holdComposition places aggregated transient holds covering exactly one
@@ -557,21 +619,33 @@ func (c *Composer) extendProbe(out *Outcome, p hopChild, depth, pos int, isSourc
 			tr.CandidatePruned(w.req.ID, pid, p.id, pos, cand.Node, obs.ReasonSecurity)
 			continue
 		}
-		if !c.nodeAvail(cand.Node).Covers(w.req.ResReq[pos]) {
+		avail := c.nodeAvail(cand.Node)
+		if !avail.Covers(w.req.ResReq[pos]) {
 			tr.CandidatePruned(w.req.ID, pid, p.id, pos, cand.Node, obs.ReasonResources)
 			continue
 		}
+		bound := BoundJoin(c.cfg.Phi, p.bound, BoundNode(w.req.ResReq[pos], avail))
 		feasible := true
 		for _, route := range routes {
-			if c.routeAvail(route) < w.req.BandwidthReq {
+			bw := c.routeAvail(route)
+			if bw < w.req.BandwidthReq {
 				feasible = false
 				break
 			}
+			bound = BoundJoin(c.cfg.Phi, bound, BoundLink(w.req.BandwidthReq, bw))
 		}
 		if !feasible {
 			tr.CandidatePruned(w.req.ID, pid, p.id, pos, cand.Node, obs.ReasonBandwidth)
 			continue
 		}
+		// The probe was sent and is qualified so far, but what it has
+		// already accumulated cannot beat the incumbent: it stops here,
+		// before placing a hold, and does not return.
+		if c.cut(depth+1, bound) {
+			tr.CandidatePruned(w.req.ID, pid, p.id, pos, cand.Node, obs.ReasonBound)
+			continue
+		}
+		child := hopChild{choice: id, acc: acc, latency: latency, id: pid, bound: bound, rank: i}
 
 		// Transient resource allocation (§3.3 step 2): reserve once per
 		// component (tag = position) and per virtual link hop. A probe
@@ -585,7 +659,7 @@ func (c *Composer) extendProbe(out *Outcome, p hopChild, depth, pos int, isSourc
 		if c.cfg.TransientAllocation {
 			if c.hopHeld(pos, cand.Node, routes) {
 				tr.HoldAcquired(w.req.ID, pid, pos, cand.Node)
-				children = append(children, hopChild{choice: id, acc: acc, latency: latency, id: pid})
+				children = append(children, child)
 				continue
 			}
 			okNode, createdNode := c.env.Ledger.HoldNodeTrackedAt(w.now, w.owner, pos, cand.Node, w.req.ResReq[pos], w.expires)
@@ -626,7 +700,7 @@ func (c *Composer) extendProbe(out *Outcome, p hopChild, depth, pos int, isSourc
 			c.markHop(pos, cand.Node, routes)
 		}
 
-		children = append(children, hopChild{choice: id, acc: acc, latency: latency, id: pid})
+		children = append(children, child)
 	}
 	sc.children[depth] = children
 	return children
@@ -678,47 +752,15 @@ func (c *Composer) selectCandidates(p hopChild, pos int, candidates []component.
 	return c.kern.Select(&hop, c.cfg.Selection, c.cfg.ProbingRatio, len(candidates))
 }
 
-// selectBest evaluates complete probes against the constraints
-// (Eqs. 2-5) using precise probed state and returns the winner: the
-// phi-minimal qualified composition for ACP/Optimal/RP, or a random
-// qualified one for SP. It also reports how many probes qualified. The
-// winner is deep-copied out of the evaluation scratch, so it stays valid
-// across later walks.
-func (c *Composer) selectBest(complete []probeState) (*Composition, int) {
-	var (
-		best      *Composition
-		qualified int
-	)
-	for i := range complete {
-		comp, ok := c.evaluate(complete[i].comps)
-		if !ok {
-			continue
-		}
-		qualified++
-		take := false
-		switch {
-		case best == nil:
-			take = true
-		case c.cfg.Algorithm == AlgSP:
-			// Reservoir-sample uniformly among qualified compositions.
-			take = c.env.Rand.Intn(qualified) == 0
-		case comp.Phi < best.Phi:
-			take = true
-		}
-		if take {
-			best = comp
-			c.scratch.evalIdx ^= 1 // protect the winner from the next evaluate
-		}
-	}
-	if best == nil {
-		return nil, qualified
-	}
+// clone deep-copies a composition out of the evaluation scratch, so a
+// winner stays valid across later walks.
+func (comp *Composition) clone() *Composition {
 	return &Composition{
-		Components: append([]component.ComponentID(nil), best.Components...),
-		Routes:     append([]overlay.Route(nil), best.Routes...),
-		QoS:        best.QoS,
-		Phi:        best.Phi,
-	}, qualified
+		Components: slices.Clone(comp.Components),
+		Routes:     slices.Clone(comp.Routes),
+		QoS:        comp.QoS,
+		Phi:        comp.Phi,
+	}
 }
 
 // evaluate builds the full composition for an assignment and checks the
@@ -726,8 +768,9 @@ func (c *Composer) selectBest(complete []probeState) (*Composition, int) {
 // aggregated QoS must satisfy the requirement (Eq. 3), and residual node
 // resources and link bandwidths must stay non-negative (Eqs. 4-5)
 // against the request's own-credited precise availability. The returned
-// composition lives in the double-buffered evaluation scratch: it is
-// valid until the buffer is flipped twice (selectBest flips on keep).
+// composition lives in the double-buffered evaluation scratch and aliases
+// assign: it is valid until the buffer is flipped twice (complete flips on
+// keep, and gives the incumbent its own copy of the assignment).
 //
 //acp:hotpath
 func (c *Composer) evaluate(assign []component.ComponentID) (*Composition, bool) {
@@ -833,13 +876,7 @@ func (c *Composer) probeDirect(req *component.Request) (*Outcome, error) {
 		tr.Decided(req.ID, req.Client, obs.ReasonNoComposition)
 		return out, nil
 	}
-	// Copy the winner out of the evaluation scratch before returning it.
-	comp := &Composition{
-		Components: append([]component.ComponentID(nil), scratchComp.Components...),
-		Routes:     append([]overlay.Route(nil), scratchComp.Routes...),
-		QoS:        scratchComp.QoS,
-		Phi:        scratchComp.Phi,
-	}
+	comp := scratchComp.clone()
 	if c.cfg.TransientAllocation {
 		// The verification probe transiently reserves what it visits so
 		// the allocation survives until the confirmation arrives.

@@ -133,7 +133,12 @@ func TestPropertyACPNeverOutperformsOptimalPhi(t *testing.T) {
 }
 
 // TestPropertyProbeCountMonotoneInRatio: more probing never sends fewer
-// probes on a fresh system.
+// probes on a fresh system. That is a property of the per-hop selection
+// width M = ceil(alpha*k), so it is checked on SP, which selects as ACP
+// does and walks the whole tree it selects. The bounded walk ACP runs does
+// not have it — one more candidate per hop can hand the deputy a tighter
+// incumbent sooner and cut more than it added — but it never sends more
+// than the plain walk does at the same ratio.
 func TestPropertyProbeCountMonotoneInRatio(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	f := func(a, b uint8) bool {
@@ -145,8 +150,9 @@ func TestPropertyProbeCountMonotoneInRatio(t *testing.T) {
 		env, _ := testEnv(t, 33)
 		req := randomRequest(rng, 1, env.Catalog.NumFunctions(), env.Mesh.NumNodes())
 
-		probes := func(alpha float64) int {
+		probes := func(alg Algorithm, alpha float64) int {
 			cfg := DefaultConfig()
+			cfg.Algorithm = alg
 			cfg.ProbingRatio = alpha
 			c := mustComposer(t, env, cfg)
 			out, err := c.Probe(req)
@@ -156,9 +162,9 @@ func TestPropertyProbeCountMonotoneInRatio(t *testing.T) {
 			c.Abort(req.ID)
 			return out.ProbesSent
 		}
-		pLo := probes(lo)
-		pHi := probes(hi)
-		return pLo >= 0 && pHi >= pLo
+		pLo := probes(AlgSP, lo)
+		pHi := probes(AlgSP, hi)
+		return pLo >= 0 && pHi >= pLo && probes(AlgACP, lo) <= pLo && probes(AlgACP, hi) <= pHi
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 10}); err != nil {
 		t.Error(err)

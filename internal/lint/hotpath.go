@@ -221,7 +221,7 @@ func checkStringConcat(pass *Pass, be *ast.BinaryExpr) {
 }
 
 // checkHotAppend allows appends only to scratch-derived destinations:
-// a field chain (sc.arena, sc.preds[i]), a parameter-rooted slice, or a
+// a field chain (sc.bestComps, sc.preds[i]), a parameter-rooted slice, or a
 // local whose declaration derives from one of those. A local declared
 // with make/literal/var grows a fresh backing array per call.
 func checkHotAppend(pass *Pass, fd *ast.FuncDecl, call *ast.CallExpr) {

@@ -126,6 +126,9 @@ const (
 	ReasonHoldLink Reason = "hold-link"
 	// ReasonBudget: the per-request probe budget was exhausted.
 	ReasonBudget Reason = "budget"
+	// ReasonBound: the probe's lower bound of phi (Eq. 1) already exceeds
+	// the best composition its walk has found.
+	ReasonBound Reason = "incumbent-bound"
 	// ReasonMailbox: the destination node's mailbox was full.
 	ReasonMailbox Reason = "mailbox-full"
 	// ReasonShutdown: the cluster stopped with the probe still in flight.
