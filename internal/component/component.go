@@ -203,6 +203,51 @@ func (g *Graph) TopoOrder() ([]int, error) {
 	return order, nil
 }
 
+// Plan is what a probe needs of the graph at every hop, computed once per
+// request and read-only afterwards, so every probe of the request — on
+// whatever node or goroutine it is processed — shares one.
+type Plan struct {
+	// Order lists the positions in topological order; a probe at hop i
+	// fills Order[i].
+	Order []int
+	// Index is the inverse of Order: Index[p] is the hop that fills p.
+	Index []int
+	// Preds[p] lists the positions directly upstream of p in edge order,
+	// element for element what Predecessors(p) returns.
+	Preds [][]int
+}
+
+// Plan computes the graph's walk plan, or an error when the graph
+// contains a cycle.
+func (g *Graph) Plan() (*Plan, error) {
+	order, err := g.TopoOrder()
+	if err != nil {
+		return nil, err
+	}
+	n := g.NumPositions()
+	index := make([]int, n)
+	for i, p := range order {
+		index[p] = i
+	}
+	// Bucket the edges into one flat backing array: a count pass sizes
+	// each position's window, a fill pass appends into it.
+	counts := make([]int, n)
+	for _, e := range g.Edges {
+		counts[e.To]++
+	}
+	flat := make([]int, len(g.Edges))
+	preds := make([][]int, n)
+	off := 0
+	for p := range preds {
+		preds[p] = flat[off : off : off+counts[p]]
+		off += counts[p]
+	}
+	for _, e := range g.Edges {
+		preds[e.To] = append(preds[e.To], e.From)
+	}
+	return &Plan{Order: order, Index: index, Preds: preds}, nil
+}
+
 // IsPath reports whether the graph is a simple chain.
 func (g *Graph) IsPath() bool {
 	for p := 0; p < g.NumPositions(); p++ {

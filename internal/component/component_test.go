@@ -1,6 +1,7 @@
 package component
 
 import (
+	"slices"
 	"testing"
 	"time"
 
@@ -108,6 +109,37 @@ func TestTopoOrder(t *testing.T) {
 		if pos[e.From] >= pos[e.To] {
 			t.Errorf("edge %v violates topological order %v", e, order)
 		}
+	}
+}
+
+// TestPlanMatchesGraphQueries: the precomputed plan answers what
+// TopoOrder and Predecessors answer, element for element — a probe that
+// reads the plan sums link QoS in the order one that asks the graph does.
+func TestPlanMatchesGraphQueries(t *testing.T) {
+	graphs := []*Graph{mustBranchGraph(t), NewPathGraph([]FunctionID{3, 1, 2}), NewPathGraph([]FunctionID{0}),
+		// edges listed against position order: a sink with three predecessors
+		{Functions: []FunctionID{0, 1, 2, 3}, Edges: []Edge{{2, 3}, {0, 1}, {0, 2}, {1, 3}, {0, 3}}}}
+	for _, g := range graphs {
+		plan, err := g.Plan()
+		if err != nil {
+			t.Fatal(err)
+		}
+		order, _ := g.TopoOrder()
+		if !slices.Equal(plan.Order, order) {
+			t.Errorf("Plan.Order = %v, TopoOrder = %v", plan.Order, order)
+		}
+		for p := 0; p < g.NumPositions(); p++ {
+			if plan.Order[plan.Index[p]] != p {
+				t.Errorf("Index[%d] = %d does not invert Order %v", p, plan.Index[p], plan.Order)
+			}
+			if !slices.Equal(plan.Preds[p], g.Predecessors(p)) {
+				t.Errorf("Preds[%d] = %v, Predecessors = %v", p, plan.Preds[p], g.Predecessors(p))
+			}
+		}
+	}
+	cyclic := &Graph{Functions: []FunctionID{0, 1}, Edges: []Edge{{0, 1}, {1, 0}}}
+	if _, err := cyclic.Plan(); err == nil {
+		t.Error("Plan accepted a cyclic graph")
 	}
 }
 

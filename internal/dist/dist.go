@@ -20,7 +20,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sort"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -133,7 +132,8 @@ type Composition struct {
 	Phi        float64
 	QoS        qos.Vector
 
-	owner int64 // internal request ID the session was committed under
+	owner int64         // internal request ID the session was committed under
+	parts []participant // the nodes it was committed on: the release fan-out
 }
 
 // instruments caches registry lookups once at cluster construction so
@@ -401,12 +401,12 @@ func (c *Cluster) deliverFaulty(to int, m message, kind faults.Kind) bool {
 	}
 	if a.Duplicate {
 		c.ins.faultDups.Inc()
-		c.tracer.MsgDuplicated(reqOf(m), to)
+		c.tracer.MsgDuplicated(m.reqID, to)
 		c.nodes[to].send(m) // best-effort extra copy
 	}
 	if a.Delay > 0 {
 		c.ins.faultDelays.Inc()
-		c.tracer.MsgDelayed(reqOf(m), to, float64(a.Delay)/float64(time.Millisecond))
+		c.tracer.MsgDelayed(m.reqID, to, float64(a.Delay)/float64(time.Millisecond))
 		c.timers.Add(1)
 		// No inflight credit while parked: delivery needs the clock to
 		// reach the delay deadline, and the virtual driver orders that
@@ -427,32 +427,12 @@ func (c *Cluster) deliverFaulty(to int, m message, kind faults.Kind) bool {
 // dropped probe still closes its span and counts as a dropped probe.
 func (c *Cluster) dropInjected(to int, m message, reason obs.Reason) {
 	c.ins.faultDrops.Inc()
-	if pm, ok := m.(probeMsg); ok {
-		c.tracer.ProbeDropped(pm.req.ID, pm.probe, pm.idx, to, reason)
+	if m.kind == msgProbe {
+		c.tracer.ProbeDropped(m.req.ID, m.probe, m.idx, to, reason)
 		c.ins.probesDropped.Inc()
 		return
 	}
-	c.tracer.MsgDropped(reqOf(m), to, reason)
-}
-
-// reqOf extracts the request identity a message is scoped to (0 when it
-// has none, e.g. state broadcasts).
-func reqOf(m message) int64 {
-	switch msg := m.(type) {
-	case composeMsg:
-		return msg.req.ID
-	case probeMsg:
-		return msg.req.ID
-	case returnMsg:
-		return msg.reqID
-	case commitMsg:
-		return msg.reqID
-	case commitAckMsg:
-		return msg.reqID
-	case releaseMsg:
-		return msg.owner
-	}
-	return 0
+	c.tracer.MsgDropped(m.reqID, to, reason)
 }
 
 // sendRelease delivers a session-teardown message. Teardown rides a
@@ -470,7 +450,7 @@ const (
 )
 
 func (c *Cluster) trySendRelease(to int, owner int64, attempt int) {
-	if c.nodes[to].send(releaseMsg{owner: owner}) {
+	if c.nodes[to].send(message{kind: msgRelease, reqID: owner}) {
 		return
 	}
 	if attempt >= releaseRetries {
@@ -491,12 +471,6 @@ func (c *Cluster) NumNodes() int { return c.mesh.NumNodes() }
 // use; concurrent requests contend through transient allocations exactly
 // as in the paper.
 func (c *Cluster) Compose(req *component.Request) (*Composition, error) {
-	if err := req.Validate(); err != nil {
-		return nil, err
-	}
-	if req.Client < 0 || req.Client >= len(c.nodes) {
-		return nil, fmt.Errorf("dist: client %d out of range", req.Client)
-	}
 	alpha := c.cfg.ProbingRatio
 	for attempt := 0; ; attempt++ {
 		comp, reqID, err := c.composeOnce(req, alpha)
@@ -518,26 +492,41 @@ func (c *Cluster) Compose(req *component.Request) (*Composition, error) {
 	}
 }
 
-// composeOnce runs one protocol round under the given probing ratio.
-func (c *Cluster) composeOnce(req *component.Request, alpha float64) (*Composition, int64, error) {
+// submit hands the request to its deputy under a fresh cluster-unique ID
+// and returns the channel the outcome arrives on. The deputy works on a
+// private copy: transient holds and session records key on the ID, and
+// each retry gets a fresh one so stale holds of a failed attempt cannot
+// satisfy the new one.
+func (c *Cluster) submit(req *component.Request, alpha float64) (int64, chan composeReply, error) {
+	if err := req.Validate(); err != nil {
+		return 0, nil, err
+	}
+	if req.Client < 0 || req.Client >= len(c.nodes) {
+		return 0, nil, fmt.Errorf("dist: client %d out of range", req.Client)
+	}
 	c.mu.Lock()
 	if c.closed {
 		c.mu.Unlock()
-		return nil, 0, ErrClosed
+		return 0, nil, ErrClosed
 	}
 	c.nextReq++
 	reqID := c.nextReq
 	c.mu.Unlock()
 
-	// Private request copy with a cluster-unique ID: transient holds and
-	// session records key on it. Each retry gets a fresh identity so
-	// stale holds of a failed attempt cannot satisfy the new one.
 	r := *req
 	r.ID = reqID
-
 	reply := make(chan composeReply, 1)
-	if !c.nodes[r.Client].send(composeMsg{req: &r, reply: reply, alpha: alpha}) {
-		return nil, reqID, fmt.Errorf("dist: deputy node %d mailbox overloaded", r.Client)
+	if !c.nodes[r.Client].send(message{kind: msgCompose, reqID: reqID, req: &r, reply: reply, alpha: alpha}) {
+		return reqID, nil, fmt.Errorf("dist: deputy node %d mailbox overloaded", r.Client)
+	}
+	return reqID, reply, nil
+}
+
+// composeOnce runs one protocol round under the given probing ratio.
+func (c *Cluster) composeOnce(req *component.Request, alpha float64) (*Composition, int64, error) {
+	reqID, reply, err := c.submit(req, alpha)
+	if err != nil {
+		return nil, reqID, err
 	}
 	select {
 	case out := <-reply:
@@ -549,14 +538,13 @@ func (c *Cluster) composeOnce(req *component.Request, alpha float64) (*Compositi
 
 // Release tears down a composed session, freeing its resources on every
 // node and link that carries it. The composition remembers the internal
-// request identity it was committed under.
-func (c *Cluster) Release(req *component.Request, comp *Composition) {
+// request identity and the nodes it was committed under.
+func (c *Cluster) Release(_ *component.Request, comp *Composition) {
 	if comp == nil {
 		return
 	}
-	nodes, _ := c.SessionDemands(req, comp)
-	for _, nodeID := range sortedNodeKeys(nodes) {
-		c.sendRelease(nodeID, comp.owner)
+	for _, part := range comp.parts {
+		c.sendRelease(part.node, comp.owner)
 	}
 	c.links.ReleaseSession(state.Owner(comp.owner))
 	sess := strconv.FormatInt(comp.owner, 10)
@@ -594,7 +582,7 @@ func (c *Cluster) Shutdown() {
 func (c *Cluster) Idle() bool {
 	for _, n := range c.nodes {
 		reply := make(chan qos.Resources, 1)
-		n.sendBlocking(inspectMsg{reply: reply})
+		n.sendBlocking(message{kind: msgInspect, inspect: reply})
 		select {
 		case avail := <-reply:
 			if avail != c.cfg.NodeCapacity {
@@ -634,15 +622,10 @@ func (c *Cluster) drainMailboxes() {
 		return
 	}
 	for _, n := range c.nodes {
-		for drained := false; !drained; {
-			select {
-			case m := <-n.mailbox:
-				if pm, ok := m.(probeMsg); ok && pm.probe != 0 {
-					c.tracer.ProbeDropped(pm.req.ID, pm.probe, pm.idx, n.id, obs.ReasonShutdown)
-					c.ins.probesDropped.Inc()
-				}
-			default:
-				drained = true
+		for m, ok := n.mailbox.pop(); ok; m, ok = n.mailbox.pop() {
+			if m.kind == msgProbe && m.probe != 0 {
+				c.tracer.ProbeDropped(m.req.ID, m.probe, m.idx, n.id, obs.ReasonShutdown)
+				c.ins.probesDropped.Inc()
 			}
 		}
 	}
@@ -662,19 +645,6 @@ func (c *Cluster) routesOf(buf []overlay.Route, req *component.Request, assign [
 		buf = append(buf, route)
 	}
 	return buf, true
-}
-
-// sortedNodeKeys orders a per-node demand map's keys so commit,
-// rollback, and release fan-out walk participants in a reproducible
-// order — map iteration order would otherwise reshuffle message and
-// fault-injection sequencing between identically-seeded runs.
-func sortedNodeKeys(m map[int]qos.Resources) []int {
-	out := make([]int, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	sort.Ints(out)
-	return out
 }
 
 // ComponentNode reports which overlay node hosts a component (display

@@ -99,7 +99,7 @@ func TestFaultDisabledSendZeroAlloc(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var msg message = stateMsg{node: 1, avail: qos.Resources{CPU: 1}}
+	msg := message{kind: msgState, node: 1, amount: qos.Resources{CPU: 1}}
 	allocs := testing.AllocsPerRun(500, func() {
 		c.deliver(2, msg, faults.KindState)
 	})
@@ -113,7 +113,7 @@ func BenchmarkFaultDisabledDeliver(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	var msg message = stateMsg{node: 1, avail: qos.Resources{CPU: 1}}
+	msg := message{kind: msgState, node: 1, amount: qos.Resources{CPU: 1}}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		c.deliver(2, msg, faults.KindState)
@@ -133,18 +133,16 @@ func TestFaultCommitNackOnFullMailbox(t *testing.T) {
 		t.Fatal(err)
 	}
 	deputy, peer := c.nodes[0], c.nodes[1]
-	for peer.send(stateMsg{}) {
+	for peer.send(message{kind: msgState}) {
 	}
-	for deputy.send(stateMsg{}) { // the old self-nack had nowhere to go
+	for deputy.send(message{kind: msgState}) { // the old self-nack had nowhere to go
 	}
 
 	const reqID = int64(42)
 	reply := make(chan composeReply, 1)
 	p := &pendingCompose{
-		reply:      reply,
-		comp:       &Composition{owner: reqID},
-		needAcks:   map[int]bool{peer.id: false},
-		nodeDemand: map[int]qos.Resources{peer.id: {CPU: 1}},
+		reply: reply,
+		comp:  &Composition{owner: reqID, parts: []participant{{node: peer.id, amount: qos.Resources{CPU: 1}}}},
 	}
 	deputy.pending[reqID] = p
 	deputy.startCommit(reqID, p)
@@ -176,25 +174,24 @@ func TestFaultCommitTimeoutConfigured(t *testing.T) {
 	const reqID = int64(7)
 	reply := make(chan composeReply, 1)
 	p := &pendingCompose{
-		reply:      reply,
-		comp:       &Composition{owner: reqID},
-		needAcks:   map[int]bool{peer.id: false},
-		nodeDemand: map[int]qos.Resources{peer.id: {CPU: 1}},
+		reply: reply,
+		comp:  &Composition{owner: reqID, parts: []participant{{node: peer.id, amount: qos.Resources{CPU: 1}}}},
 	}
 	deputy.pending[reqID] = p
 	start := time.Now()
 	deputy.startCommit(reqID, p)
 
 	select {
-	case m := <-deputy.mailbox:
+	case <-deputy.mailbox.wake:
 		elapsed := time.Since(start)
-		if _, ok := m.(commitTimeoutMsg); !ok {
-			t.Fatalf("unexpected deputy message %T", m)
+		m, _ := deputy.mailbox.pop()
+		if m.kind != msgCommitTimeout {
+			t.Fatalf("unexpected deputy message %q", m.describe())
 		}
 		if elapsed < 25*time.Millisecond || elapsed > 800*time.Millisecond {
 			t.Errorf("commit timeout fired after %v, configured 30ms (old hard-coded value was 1s)", elapsed)
 		}
-		deputy.dispatch(m)
+		deputy.dispatch(&m)
 	case <-time.After(2 * time.Second):
 		t.Fatal("commit timeout never fired")
 	}

@@ -1,0 +1,215 @@
+package dist
+
+import (
+	"strconv"
+	"sync"
+	"sync/atomic"
+
+	"repro/internal/component"
+	"repro/internal/qos"
+)
+
+// msgKind tags a message. Every kind carries reqID — the request, which
+// is also the owner of its holds and of its session; 0 on state and
+// inspect — and the fields its comment names.
+type msgKind uint8
+
+const (
+	// msgCompose asks a node to deputise for req (§3.3 step 1): reply,
+	// alpha — the probing ratio of this attempt, which retries widen (§3.6).
+	msgCompose msgKind = iota
+	// msgProbe is one probe hop (§3.3 step 2): the receiver hosts chosen,
+	// the candidate for position plan.Order[idx]. req, plan, alpha, node
+	// (the deputy), probe (tracer span, 0 untraced), hop (the prefix).
+	msgProbe
+	// msgReturn brings a complete probed composition back to the deputy
+	// (§3.3 step 3): hop, its last.
+	msgReturn
+	msgDecide // the deputy's collection window closed
+	// msgCommit makes a transient allocation permanent (§3.3 step 4):
+	// amount, node (the deputy).
+	msgCommit
+	msgCommitAck     // a participant's commit outcome: node, ok
+	msgCommitTimeout // commit acks are overdue
+	// msgRelease frees the owner's committed allocation (session close or
+	// rollback). The node knows the amount from its own ledger, which makes
+	// release idempotent: a duplicate or speculative one (rollback toward a
+	// participant that never committed) is a no-op.
+	msgRelease
+	msgState   // a coarse global-state update (§3.2): node, amount
+	msgInspect // asks for the precise availability (monitoring and tests): inspect
+)
+
+// message is what flows through node mailboxes: one value type for every
+// kind, so a send copies a struct into the ring and boxes nothing.
+type message struct {
+	kind    msgKind
+	ok      bool
+	idx     int
+	node    int
+	chosen  component.ComponentID
+	reqID   int64
+	probe   int64
+	alpha   float64
+	amount  qos.Resources
+	req     *component.Request
+	plan    *component.Plan
+	hop     *hopRecord
+	reply   chan composeReply
+	inspect chan qos.Resources
+}
+
+type composeReply struct {
+	comp *Composition
+	err  error
+}
+
+// hopRecord is one filled position of a probe's prefix. A node writes it
+// once, when it accepts the probe, and never again: every child probe —
+// and a duplicated delivery of one — shares it by pointer, so extending a
+// probe copies no prefix and concurrent readers need no lock.
+type hopRecord struct {
+	parent *hopRecord // the hop before; nil at the first
+	chosen component.ComponentID
+	avail  qos.Resources // what the host had for this request, its hold included
+	acc    qos.Vector    // QoS accumulated through this hop
+}
+
+// back returns the record k hops before h.
+//
+//acp:hotpath
+func (h *hopRecord) back(k int) *hopRecord {
+	for ; k > 0; k-- {
+		h = h.parent
+	}
+	return h
+}
+
+// accumulated is the QoS accumulated through h; zero before the first hop.
+//
+//acp:hotpath
+func (h *hopRecord) accumulated() qos.Vector {
+	if h == nil {
+		return qos.Vector{}
+	}
+	return h.acc
+}
+
+// stepLabel starts a message's harness step-log line; the ID follows.
+var stepLabel = [...]string{
+	msgCompose: "compose req=", msgProbe: "probe req=", msgReturn: "return req=", msgDecide: "decide req=",
+	msgCommit: "commit req=", msgCommitAck: "commit-ack req=", msgCommitTimeout: "commit-timeout req=",
+	msgRelease: "release owner=", msgState: "state node=", msgInspect: "inspect",
+}
+
+// describe is the harness step-log line of a message.
+func (m *message) describe() string {
+	id := m.reqID
+	switch m.kind {
+	case msgInspect:
+		return stepLabel[msgInspect]
+	case msgState:
+		id = int64(m.node)
+	}
+	var buf [64]byte
+	b := strconv.AppendInt(append(buf[:0], stepLabel[m.kind]...), id, 10)
+	switch m.kind {
+	case msgProbe:
+		b = strconv.AppendInt(append(b, " idx="...), int64(m.idx), 10)
+	case msgCommitAck:
+		b = strconv.AppendInt(append(b, " node="...), int64(m.node), 10)
+		b = strconv.AppendBool(append(b, " ok="...), m.ok)
+	}
+	return string(b)
+}
+
+// mailbox is a node's message queue: a ring that grows on demand up to
+// limit messages, so a generous limit costs nothing until it is used.
+// Started and stepped clusters share it; only a started node's goroutine
+// parks on wake.
+type mailbox struct {
+	mu    sync.Mutex
+	buf   []message // guarded by mu; len is zero or a power of two
+	head  int       // guarded by mu
+	limit int
+	depth atomic.Int64 // queued messages; written under mu, read anywhere
+
+	// wake holds a token while messages are queued; space gets one when a
+	// pop takes a full mailbox below its limit. One slot each: a token says
+	// "look again", not how often.
+	wake  chan struct{}
+	space chan struct{}
+}
+
+func newMailbox(limit int) *mailbox {
+	return &mailbox{limit: limit, wake: make(chan struct{}, 1), space: make(chan struct{}, 1)}
+}
+
+func signal(c chan struct{}) {
+	select {
+	case c <- struct{}{}:
+	default:
+	}
+}
+
+// push queues m, reporting false when the mailbox holds limit messages.
+//
+//acp:hotpath
+func (b *mailbox) push(m *message) bool {
+	b.mu.Lock()
+	n := int(b.depth.Load())
+	if n == b.limit {
+		b.mu.Unlock()
+		return false
+	}
+	if n == len(b.buf) { // double the ring, unrolled to start at zero
+		bigger := make([]message, max(16, 2*n))
+		copy(bigger[copy(bigger, b.buf[b.head:]):], b.buf[:b.head])
+		b.buf, b.head = bigger, 0
+	}
+	b.buf[(b.head+n)&(len(b.buf)-1)] = *m
+	b.depth.Store(int64(n + 1))
+	b.mu.Unlock()
+	signal(b.wake)
+	return true
+}
+
+// pop takes the oldest message; false when the mailbox is empty.
+//
+//acp:hotpath
+func (b *mailbox) pop() (message, bool) {
+	b.mu.Lock()
+	n := int(b.depth.Load())
+	if n == 0 {
+		b.mu.Unlock()
+		return message{}, false
+	}
+	m := b.buf[b.head]
+	b.buf[b.head] = message{} // the ring must not keep the request alive
+	b.head = (b.head + 1) & (len(b.buf) - 1)
+	b.depth.Store(int64(n - 1))
+	b.mu.Unlock()
+	if n > 1 {
+		signal(b.wake)
+	}
+	if n == b.limit {
+		signal(b.space)
+	}
+	return m, true
+}
+
+// pushWait queues m, waiting for room; false when quit closes first. A
+// sender that got in passes the token on — a second one may be parked
+// beside room that a pop from a no-longer-full mailbox made silently — and a
+// stale token costs its taker one more look.
+func (b *mailbox) pushWait(m *message, quit <-chan struct{}) bool {
+	for !b.push(m) {
+		select {
+		case <-b.space:
+		case <-quit:
+			return false
+		}
+	}
+	signal(b.space)
+	return true
+}

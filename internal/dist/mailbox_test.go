@@ -1,0 +1,115 @@
+package dist
+
+import (
+	"testing"
+	"time"
+)
+
+// TestMailboxKeepsOrderThroughGrowthAndWrap: a ring that grows while its
+// head is mid-buffer must hand messages back first in, first out.
+func TestMailboxKeepsOrderThroughGrowthAndWrap(t *testing.T) {
+	b := newMailbox(1 << 10)
+	next, want := int64(0), int64(0)
+	push := func(k int) {
+		for ; k > 0; k-- {
+			if !b.push(&message{kind: msgDecide, reqID: next}) {
+				t.Fatalf("push %d refused below the limit", next)
+			}
+			next++
+		}
+	}
+	pop := func(k int) {
+		for ; k > 0; k-- {
+			m, ok := b.pop()
+			if !ok || m.reqID != want {
+				t.Fatalf("pop = (%d, %v), want %d", m.reqID, ok, want)
+			}
+			want++
+		}
+	}
+	push(10)
+	pop(7) // head now mid-ring
+	push(13)
+	pop(2)
+	push(40) // grows with the live window wrapped around the end
+	pop(30)
+	push(300)
+	pop(int(next - want))
+	if _, ok := b.pop(); ok || b.depth.Load() != 0 {
+		t.Fatalf("drained mailbox still reports depth %d", b.depth.Load())
+	}
+}
+
+// TestSendReportsFullMailboxAtTheBound: send refuses the message that
+// would exceed MailboxSize — not one earlier, the ring having grown to hold
+// exactly that many — and accepts again once a step took one out.
+func TestSendReportsFullMailboxAtTheBound(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.MailboxSize = 100 // not a power of two: the ring's length is not the bound
+	c, err := build(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := c.nodes[3]
+	for i := 0; i < cfg.MailboxSize; i++ {
+		if !n.send(message{kind: msgState, node: 1}) {
+			t.Fatalf("send %d of %d refused", i+1, cfg.MailboxSize)
+		}
+	}
+	if n.send(message{kind: msgState, node: 1}) {
+		t.Fatalf("send accepted message %d of a mailbox bounded at %d", cfg.MailboxSize+1, cfg.MailboxSize)
+	}
+	if got := c.MailboxDepth(3); got != cfg.MailboxSize {
+		t.Fatalf("MailboxDepth = %d, want %d", got, cfg.MailboxSize)
+	}
+	if got := c.inflight.Load(); got != int64(cfg.MailboxSize) {
+		t.Fatalf("inflight = %d after a refused send, want %d", got, cfg.MailboxSize)
+	}
+	if desc, ok := c.StepNode(3); !ok || desc != "state node=1" {
+		t.Fatalf("StepNode = (%q, %v)", desc, ok)
+	}
+	if !n.send(message{kind: msgState, node: 1}) {
+		t.Fatal("send still refused after a step made room")
+	}
+}
+
+// TestSendBlockingWaitsForRoom: a deputy timer event aimed at a full
+// mailbox is delivered once the node takes a message out — every parked
+// sender, when two steps made room for two and only the first found the
+// mailbox full — and given up only when the node quits.
+func TestSendBlockingWaitsForRoom(t *testing.T) {
+	c, err := build(DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := c.nodes[0]
+	for n.send(message{kind: msgState}) {
+	}
+	delivered := make(chan struct{}, 3)
+	for reqID := int64(1); reqID <= 3; reqID++ {
+		go func() {
+			n.sendBlocking(message{kind: msgDecide, reqID: reqID})
+			delivered <- struct{}{}
+		}()
+	}
+	select {
+	case <-delivered:
+		t.Fatal("sendBlocking returned with the mailbox full")
+	case <-time.After(20 * time.Millisecond):
+	}
+	for c.inflight.Load() < int64(c.cfg.MailboxSize)+3 {
+		time.Sleep(time.Millisecond) // until all three have tried and parked
+	}
+	c.StepNode(0)
+	c.StepNode(0)
+	<-delivered
+	<-delivered
+	if got := c.MailboxDepth(0); got != c.cfg.MailboxSize {
+		t.Fatalf("depth %d after two steps and two blocked sends landed, want %d", got, c.cfg.MailboxSize)
+	}
+	close(n.quit)
+	<-delivered
+	if got := c.inflight.Load(); got != int64(c.cfg.MailboxSize) {
+		t.Fatalf("inflight = %d, want %d: the abandoned send must return its credit", got, c.cfg.MailboxSize)
+	}
+}

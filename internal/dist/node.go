@@ -3,7 +3,7 @@ package dist
 import (
 	"math"
 	"math/rand"
-	"sort"
+	"slices"
 	"strconv"
 	"time"
 
@@ -16,114 +16,31 @@ import (
 	"repro/internal/state"
 )
 
-// message is the sum type flowing through node mailboxes.
-type message interface{}
-
-// composeMsg asks a node to act as deputy for a request (§3.3 step 1).
-// alpha is the probing ratio for this attempt; retries widen it (§3.6).
-type composeMsg struct {
-	req   *component.Request
-	reply chan composeReply
-	alpha float64
-}
-
-type composeReply struct {
-	comp *Composition
-	err  error
-}
-
-// probeMsg is one probe hop: the receiving node hosts the candidate
-// chosen for position order[idx] and performs per-hop processing
-// (§3.3 step 2).
-type probeMsg struct {
-	req    *component.Request
-	probe  int64 // tracer span ID; 0 when tracing is disabled
-	deputy int
-	idx    int // index into the topological order
-	chosen component.ComponentID
-	assign []component.ComponentID // positions order[0..idx-1] filled
-	acc    qos.Vector
-	avails []qos.Resources // availability observed at each assigned node
-	alpha  float64         // probing ratio of this attempt
-}
-
-// returnMsg carries a complete probed composition back to the deputy
-// (§3.3 step 3).
-type returnMsg struct {
-	reqID  int64
-	assign []component.ComponentID
-	acc    qos.Vector
-	avails []qos.Resources
-}
-
-// decideMsg fires when the deputy's probe collection window closes.
-type decideMsg struct{ reqID int64 }
-
-// commitMsg makes a transient allocation permanent (§3.3 step 4).
-type commitMsg struct {
-	owner  int64
-	amount qos.Resources
-	deputy int
-	reqID  int64
-}
-
-// commitAckMsg reports a node's commit outcome to the deputy.
-type commitAckMsg struct {
-	reqID int64
-	node  int
-	ok    bool
-}
-
-// commitTimeoutMsg fires when commit acks are overdue.
-type commitTimeoutMsg struct{ reqID int64 }
-
-// releaseMsg frees the owner's committed allocation (session close or
-// rollback). The node knows the committed amount from its own ledger,
-// which makes release idempotent: a duplicate or speculative release
-// (rollback toward a participant that never committed) is a no-op.
-type releaseMsg struct {
-	owner int64
-}
-
-// stateMsg is a coarse global-state update broadcast (§3.2).
-type stateMsg struct {
-	node  int
-	avail qos.Resources
-}
-
-// inspectMsg asks a node for its precise availability (monitoring and
-// test hook).
-type inspectMsg struct{ reply chan qos.Resources }
-
-type holdKey struct {
-	owner int64
-	pos   int
-}
-
-type hold struct {
-	amount  qos.Resources
-	expires time.Time
-}
-
 // pendingCompose is the deputy-side state of one in-flight request.
 type pendingCompose struct {
 	req     *component.Request
-	order   []int
+	plan    *component.Plan
 	reply   chan composeReply
-	alpha   float64
-	returns []returnMsg
-	decided bool
+	returns []*hopRecord // last hop of each returned probe
 	// composeStart is the compose arrival on the cluster clock; the
 	// collect phase runs from here to the decision.
 	composeStart time.Time
 
 	// commit phase
-	comp       *Composition
-	needAcks   map[int]bool // node -> acked
-	nodeDemand map[int]qos.Resources
+	comp  *Composition // set by the decision: non-nil closes the collection window
+	acked int          // participants whose ack has arrived
 	// commitStart is the decision instant; the commit phase runs from
 	// here to the final ack or rollback.
 	commitStart time.Time
+}
+
+// participant is one node of a decided composition with the request's
+// stacked demand on it. A composition lists them by ascending node ID,
+// the order commit, rollback and release fan out in.
+type participant struct {
+	node   int
+	amount qos.Resources
+	acked  bool
 }
 
 // node is one stream processing host: a goroutine owning its end-system
@@ -132,38 +49,38 @@ type pendingCompose struct {
 type node struct {
 	c       *Cluster
 	id      int
-	mailbox chan message
+	mailbox *mailbox
 	quit    chan struct{}
 	rng     *rand.Rand
 
-	capacity     qos.Resources
-	committed    qos.Resources
-	heldTotal    qos.Resources
-	holds        map[holdKey]hold
+	capacity  qos.Resources
+	committed qos.Resources
+	holdTable
 	commits      map[int64]qos.Resources // owner -> committed amount
-	released     map[int64]time.Time     // release-before-commit tombstones
 	view         []qos.Resources
 	lastReported qos.Resources
 	pending      map[int64]*pendingCompose
 	down         bool // inside a scheduled outage
 
-	kern   *core.Kernel    // selection, stacking and Eq. 1 scratch
-	routes []overlay.Route // per-edge routes of the return being evaluated
+	kern *core.Kernel // selection, stacking and Eq. 1 scratch
+	// Scratch of the return being evaluated: its per-edge routes, its
+	// assignment by position and the availability each hop carried back.
+	routes []overlay.Route
+	assign []component.ComponentID
+	avails []qos.Resources
 }
 
 func newNode(c *Cluster, id int, rng *rand.Rand) *node {
 	n := &node{
-		c:        c,
-		id:       id,
-		mailbox:  make(chan message, c.cfg.MailboxSize),
-		quit:     make(chan struct{}),
-		rng:      rng,
-		holds:    make(map[holdKey]hold),
-		commits:  make(map[int64]qos.Resources),
-		released: make(map[int64]time.Time),
-		view:     make([]qos.Resources, c.mesh.NumNodes()),
-		pending:  make(map[int64]*pendingCompose),
-		kern:     core.NewKernel(c.catalog),
+		c:       c,
+		id:      id,
+		mailbox: newMailbox(c.cfg.MailboxSize),
+		quit:    make(chan struct{}),
+		rng:     rng,
+		commits: make(map[int64]qos.Resources),
+		view:    make([]qos.Resources, c.mesh.NumNodes()),
+		pending: make(map[int64]*pendingCompose),
+		kern:    core.NewKernel(c.catalog),
 	}
 	n.capacity = c.cfg.NodeCapacity
 	n.lastReported = n.capacity
@@ -176,15 +93,15 @@ func newNode(c *Cluster, id int, rng *rand.Rand) *node {
 // send enqueues a message, reporting false if the mailbox is full. State
 // broadcasts tolerate drops (the view just goes stale); protocol
 // messages treat a full mailbox as an overloaded peer.
+//
+//acp:hotpath
 func (n *node) send(m message) bool {
 	n.c.inflight.Add(1) // before the enqueue: no visible-but-uncounted window
-	select {
-	case n.mailbox <- m:
+	if n.mailbox.push(&m) {
 		return true
-	default:
-		n.c.inflight.Add(-1)
-		return false
 	}
+	n.c.inflight.Add(-1)
+	return false
 }
 
 // sendBlocking enqueues a message, waiting for mailbox space; it gives
@@ -192,9 +109,7 @@ func (n *node) send(m message) bool {
 // which must not be lost to a momentarily full mailbox.
 func (n *node) sendBlocking(m message) {
 	n.c.inflight.Add(1)
-	select {
-	case n.mailbox <- m:
-	case <-n.quit:
+	if !n.mailbox.pushWait(&m, n.quit) {
 		n.c.inflight.Add(-1)
 	}
 }
@@ -210,10 +125,8 @@ func (n *node) run() {
 		select {
 		case <-n.quit:
 			return
-		case m := <-n.mailbox:
-			n.checkCrash()
-			n.dispatch(m)
-			n.c.inflight.Add(-1) // dispatch done: every send it made is counted
+		case <-n.mailbox.wake:
+			n.step() // a stale token finds the mailbox empty
 		case <-sweepC:
 			n.checkCrash()
 			n.sweep()
@@ -221,22 +134,26 @@ func (n *node) run() {
 	}
 }
 
+// step dispatches the oldest queued message, applying any due
+// crash/restart transition first; false when the mailbox is empty.
+func (n *node) step() (message, bool) {
+	m, ok := n.mailbox.pop()
+	if ok {
+		n.checkCrash()
+		n.dispatch(&m)
+		n.c.inflight.Add(-1) // dispatch done: every send it made is counted
+	}
+	return m, ok
+}
+
 // sweep is the periodic hold-expiry pass: transient allocations
 // orphaned by lost probes (or lost commit traffic) free their resources
 // at TTL instead of lingering until the next on-demand availability
-// check. It also ages out release-before-commit tombstones.
+// check. Release tombstones age out on the same pass.
 func (n *node) sweep() {
 	if expired := n.purgeHolds(); expired > 0 {
 		n.c.tracer.HoldSwept(n.id, expired)
 		n.c.ins.holdsSwept.Add(int64(expired))
-	}
-	if len(n.released) > 0 {
-		now := n.c.clock.Now()
-		for owner, exp := range n.released {
-			if !exp.After(now) {
-				delete(n.released, owner)
-			}
-		}
 	}
 }
 
@@ -270,7 +187,7 @@ func (n *node) checkCrash() {
 func (n *node) crash() {
 	n.c.tracer.NodeCrashed(n.id)
 	n.c.ins.nodeCrashes.Inc()
-	n.holds = make(map[holdKey]hold)
+	n.holds = n.holds[:0]
 	n.heldTotal = qos.Resources{}
 	for _, reqID := range sortedPendingIDs(n.pending) {
 		p := n.pending[reqID]
@@ -278,11 +195,16 @@ func (n *node) crash() {
 			n.rollback(p, reqID, obs.ReasonNodeCrash)
 			continue
 		}
-		delete(n.pending, reqID)
-		n.c.tracer.Decided(reqID, n.id, obs.ReasonNodeDown)
-		n.c.ins.noComposition.Inc()
-		p.reply <- composeReply{err: ErrNoComposition}
+		n.refuse(p, obs.ReasonNodeDown)
 	}
+}
+
+// refuse answers a request that found no composition.
+func (n *node) refuse(p *pendingCompose, reason obs.Reason) {
+	delete(n.pending, p.req.ID)
+	n.c.tracer.Decided(p.req.ID, n.id, reason)
+	n.c.ins.noComposition.Inc()
+	p.reply <- composeReply{err: ErrNoComposition}
 }
 
 // sortedPendingIDs orders the deputy's in-flight request IDs so a crash
@@ -292,7 +214,7 @@ func sortedPendingIDs(pending map[int64]*pendingCompose) []int64 {
 	for id := range pending {
 		out = append(out, id)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	return out
 }
 
@@ -307,32 +229,36 @@ func (n *node) restart() {
 	n.maybeBroadcast()
 }
 
-func (n *node) dispatch(m message) {
+func (n *node) dispatch(m *message) {
 	if n.down {
 		n.dispatchDown(m)
 		return
 	}
-	switch msg := m.(type) {
-	case composeMsg:
-		n.onCompose(msg)
-	case probeMsg:
-		n.onProbe(msg)
-	case returnMsg:
-		n.onReturn(msg)
-	case decideMsg:
-		n.onDecide(msg.reqID)
-	case commitMsg:
-		n.onCommit(msg)
-	case commitAckMsg:
-		n.onCommitAck(msg)
-	case commitTimeoutMsg:
-		n.onCommitTimeout(msg.reqID)
-	case releaseMsg:
-		n.onRelease(msg)
-	case stateMsg:
-		n.view[msg.node] = msg.avail
-	case inspectMsg:
-		msg.reply <- n.available()
+	switch m.kind {
+	case msgCompose:
+		n.onCompose(m)
+	case msgProbe:
+		n.onProbe(m)
+	case msgReturn:
+		if p, ok := n.pending[m.reqID]; ok && p.comp == nil { // still collecting
+			p.returns = append(p.returns, m.hop)
+		}
+	case msgDecide:
+		n.onDecide(m.reqID)
+	case msgCommit:
+		n.onCommit(m.reqID, m.amount, m.node)
+	case msgCommitAck:
+		n.onCommitAck(m.reqID, m.node, m.ok)
+	case msgCommitTimeout:
+		if p, ok := n.pending[m.reqID]; ok && p.comp != nil {
+			n.rollback(p, m.reqID, obs.ReasonCommitTimeout) // overdue acks are failure
+		}
+	case msgRelease:
+		n.onRelease(m.reqID)
+	case msgState:
+		n.view[m.node] = m.amount
+	case msgInspect:
+		m.inspect <- n.available()
 	}
 }
 
@@ -341,106 +267,19 @@ func (n *node) dispatch(m message) {
 // are refused so callers fail fast (and may retry) — while the durable
 // local ledger still applies releases and the monitoring inspect hook
 // still answers.
-func (n *node) dispatchDown(m message) {
-	switch msg := m.(type) {
-	case composeMsg:
-		msg.reply <- composeReply{err: ErrNoComposition}
-	case probeMsg:
-		n.c.tracer.ProbeDropped(msg.req.ID, msg.probe, msg.idx, n.id, obs.ReasonNodeDown)
+func (n *node) dispatchDown(m *message) {
+	switch m.kind {
+	case msgCompose:
+		m.reply <- composeReply{err: ErrNoComposition}
+	case msgProbe:
+		n.c.tracer.ProbeDropped(m.req.ID, m.probe, m.idx, n.id, obs.ReasonNodeDown)
 		n.c.ins.probesDropped.Inc()
-	case releaseMsg:
-		n.onRelease(msg)
-	case inspectMsg:
-		msg.reply <- n.available()
+	case msgRelease:
+		n.onRelease(m.reqID)
+	case msgInspect:
+		m.inspect <- n.available()
 	default:
 		// return/commit/ack/timeout/state traffic dies with the engine.
-	}
-}
-
-// available returns this node's precise local availability.
-func (n *node) available() qos.Resources {
-	n.purgeHolds()
-	return n.capacity.Sub(n.committed).Sub(n.heldTotal)
-}
-
-// availableFor credits back the owner's own holds (the request must not
-// block on its own reservations).
-func (n *node) availableFor(owner int64) qos.Resources {
-	avail := n.available()
-	// Sorted iteration: float addition is not associative, so summing in
-	// map order would make availability depend on iteration order.
-	for _, key := range sortedHoldKeys(n.holds) {
-		if key.owner == owner {
-			avail = avail.Add(n.holds[key].amount)
-		}
-	}
-	return avail
-}
-
-// purgeHolds drops expired transient allocations, returning how many
-// were expired.
-func (n *node) purgeHolds() int {
-	if len(n.holds) == 0 {
-		return 0
-	}
-	now := n.c.clock.Now()
-	expired := 0
-	for _, key := range sortedHoldKeys(n.holds) {
-		h := n.holds[key]
-		if !h.expires.After(now) {
-			n.heldTotal = n.heldTotal.Sub(h.amount)
-			delete(n.holds, key)
-			n.c.tracer.HoldReleased(key.owner, n.id)
-			expired++
-		}
-	}
-	return expired
-}
-
-// sortedHoldKeys orders hold keys by (owner, pos) so expiry sweeps emit
-// tracer events in a reproducible sequence.
-func sortedHoldKeys(holds map[holdKey]hold) []holdKey {
-	out := make([]holdKey, 0, len(holds))
-	for key := range holds {
-		out = append(out, key)
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].owner != out[j].owner {
-			return out[i].owner < out[j].owner
-		}
-		return out[i].pos < out[j].pos
-	})
-	return out
-}
-
-// holdFor places the transient allocation for (owner, pos); idempotent
-// per key (footnote 7).
-func (n *node) holdFor(owner int64, pos int, amount qos.Resources) bool {
-	key := holdKey{owner: owner, pos: pos}
-	if _, ok := n.holds[key]; ok {
-		return true
-	}
-	if !n.available().Covers(amount) {
-		return false
-	}
-	n.holds[key] = hold{amount: amount, expires: n.c.clock.Now().Add(n.c.cfg.HoldTTL)}
-	n.heldTotal = n.heldTotal.Add(amount)
-	return true
-}
-
-func (n *node) releaseHolds(owner int64) {
-	released := 0
-	// Sorted iteration keeps the running heldTotal bit-identical across
-	// runs; subtracting floats in map order would not.
-	for _, key := range sortedHoldKeys(n.holds) {
-		if key.owner == owner {
-			n.heldTotal = n.heldTotal.Sub(n.holds[key].amount)
-			delete(n.holds, key)
-			released++
-		}
-	}
-	if released > 0 {
-		n.c.tracer.HoldReleased(owner, n.id)
 	}
 }
 
@@ -455,7 +294,7 @@ func (n *node) maybeBroadcast() {
 		return
 	}
 	n.lastReported = avail
-	msg := stateMsg{node: n.id, avail: avail}
+	msg := message{kind: msgState, node: n.id, amount: avail}
 	for _, peer := range n.c.nodes {
 		if peer.id == n.id {
 			peer.view[n.id] = avail
@@ -465,50 +304,44 @@ func (n *node) maybeBroadcast() {
 	}
 }
 
-// onCompose initiates probing as the deputy node.
-func (n *node) onCompose(msg composeMsg) {
-	order, err := msg.req.Graph.TopoOrder()
+// onCompose initiates probing as the deputy node. The walk plan —
+// topological order and predecessor lists — is computed here, once, and
+// every probe of the request carries a pointer to it.
+func (n *node) onCompose(msg *message) {
+	req := msg.req
+	plan, err := req.Graph.Plan()
 	if err != nil {
 		msg.reply <- composeReply{err: err}
 		return
 	}
-	alpha := msg.alpha
-	if alpha <= 0 {
-		alpha = n.c.cfg.ProbingRatio
-	}
-	n.c.tracer.RequestReceived(msg.req.ID, n.id)
-	p := &pendingCompose{req: msg.req, order: order, reply: msg.reply, alpha: alpha,
-		composeStart: n.c.clock.Now()}
-	n.pending[msg.req.ID] = p
+	n.c.tracer.RequestReceived(req.ID, n.id)
+	p := &pendingCompose{req: req, plan: plan, reply: msg.reply, composeStart: n.c.clock.Now()}
+	n.pending[req.ID] = p
 
-	sent := n.fanOut(msg.req, order, 0,
-		make([]component.ComponentID, msg.req.Graph.NumPositions()),
-		qos.Vector{}, nil, alpha, 0)
-	if sent == 0 {
-		delete(n.pending, msg.req.ID)
-		n.c.tracer.Decided(msg.req.ID, n.id, obs.ReasonNoComposition)
-		n.c.ins.noComposition.Inc()
-		msg.reply <- composeReply{err: ErrNoComposition}
+	if n.fanOut(req, plan, 0, nil, msg.alpha, 0) == 0 {
+		n.refuse(p, obs.ReasonNoComposition)
 		return
 	}
-	reqID := msg.req.ID
+	reqID := req.ID
 	n.c.clock.AfterFunc(n.c.cfg.CollectTimeout, func() {
-		n.sendBlocking(decideMsg{reqID: reqID})
+		n.sendBlocking(message{kind: msgDecide, reqID: reqID})
 	})
 }
 
-// fanOut selects candidates for position order[idx] and sends one probe
-// to each chosen candidate's host, returning how many were sent. The
+// fanOut selects candidates for position plan.Order[idx] and sends one
+// probe to each chosen candidate's host, returning how many were sent. The
 // kernel qualifies and ranks (§3.5); this engine supplies the coarse
-// state — the node's view of its peers and the link ledger. parent is the
-// span of the probe being extended (0 at the deputy's first hop);
-// selection prunes are attributed to it.
-func (n *node) fanOut(req *component.Request, order []int, idx int,
-	assign []component.ComponentID, acc qos.Vector, avails []qos.Resources,
-	alpha float64, parent int64) int {
+// state — the node's view of its peers and the link ledger. prefix is the
+// last hop of the probe being extended (nil at the deputy's first hop)
+// and parent its span, to which selection prunes are attributed.
+//
+//acp:hotpath
+func (n *node) fanOut(req *component.Request, plan *component.Plan, idx int,
+	prefix *hopRecord, alpha float64, parent int64) int {
 
-	pos := order[idx]
+	pos := plan.Order[idx]
 	tr := n.c.tracer
+	acc := prefix.accumulated()
 	candidates := n.c.catalog.Candidates(req.Graph.Functions[pos])
 	hop := core.Hop{Req: req, Pos: pos, Parent: parent, Tracer: tr}
 	for _, id := range candidates {
@@ -516,35 +349,25 @@ func (n *node) fanOut(req *component.Request, order []int, idx int,
 			continue
 		}
 		cand := n.c.catalog.Component(id)
-		linkQoS, routeBW := n.predecessorRoutes(req, pos, assign, cand.Node)
+		linkQoS, routeBW := n.predecessorRoutes(plan, idx, prefix, cand.Node)
 		n.kern.Consider(&hop, cand, acc.Add(linkQoS).Add(cand.QoS), n.view[cand.Node], routeBW)
 	}
 	selected := n.kern.Select(&hop, core.SelectRiskThenCongestion, alpha, len(candidates))
 
+	msg := message{kind: msgProbe, reqID: req.ID, req: req, plan: plan, node: req.Client, idx: idx, hop: prefix, alpha: alpha}
 	sent := 0
 	for _, id := range selected {
 		host := n.c.catalog.Component(id).Node
-		var pid int64
+		msg.chosen, msg.probe = id, 0
 		if tr.Enabled() {
-			pid = tr.NextProbeID()
-			tr.ProbeSpawned(req.ID, pid, pos, host, acc.Delay)
-		}
-		msg := probeMsg{
-			req:    req,
-			probe:  pid,
-			deputy: req.Client,
-			idx:    idx,
-			chosen: id,
-			assign: append([]component.ComponentID(nil), assign...),
-			acc:    acc,
-			avails: append([]qos.Resources(nil), avails...),
-			alpha:  alpha,
+			msg.probe = tr.NextProbeID()
+			tr.ProbeSpawned(req.ID, msg.probe, pos, host, acc.Delay)
 		}
 		if n.c.deliver(host, msg, faults.KindProbe) {
 			sent++
 			n.c.ins.probesSent.Inc()
 		} else {
-			tr.ProbeDropped(req.ID, pid, pos, host, obs.ReasonMailbox)
+			tr.ProbeDropped(req.ID, msg.probe, pos, host, obs.ReasonMailbox)
 			n.c.ins.probesDropped.Inc()
 		}
 	}
@@ -552,15 +375,16 @@ func (n *node) fanOut(req *component.Request, order []int, idx int,
 }
 
 // predecessorRoutes resolves the virtual links from the already-chosen
-// predecessors of pos to the candidate host: their aggregated QoS and
-// their bottleneck bandwidth as the link ledger has it now.
-func (n *node) predecessorRoutes(req *component.Request, pos int,
-	assign []component.ComponentID, host int) (qos.Vector, float64) {
-
+// predecessors of position plan.Order[idx] to the candidate host: their
+// aggregated QoS and their bottleneck bandwidth as the link ledger has it
+// now. prefix is hop idx-1 of the probe.
+//
+//acp:hotpath
+func (n *node) predecessorRoutes(plan *component.Plan, idx int, prefix *hopRecord, host int) (qos.Vector, float64) {
 	var linkQoS qos.Vector
 	routeBW := math.Inf(1)
-	for _, pred := range req.Graph.Predecessors(pos) {
-		from := n.c.catalog.Component(assign[pred]).Node
+	for _, pred := range plan.Preds[plan.Order[idx]] {
+		from := n.c.catalog.Component(prefix.back(idx - 1 - plan.Index[pred]).chosen).Node
 		route, ok := n.c.mesh.RouteBetween(from, host)
 		if !ok {
 			return qos.Vector{Delay: math.Inf(1)}, 0
@@ -574,20 +398,16 @@ func (n *node) predecessorRoutes(req *component.Request, pos int,
 // onProbe performs per-hop probe processing for the candidate this node
 // hosts (§3.3 step 2): precise conformance, transient allocation, and
 // forwarding or return.
-func (n *node) onProbe(msg probeMsg) {
-	req := msg.req
-	pos := msg.idx
+//
+//acp:hotpath
+func (n *node) onProbe(msg *message) {
+	req, plan := msg.req, msg.plan
 	tr := n.c.tracer
-	order, err := req.Graph.TopoOrder()
-	if err != nil {
-		tr.ProbeDropped(req.ID, msg.probe, pos, n.id, obs.ReasonInternal)
-		return
-	}
-	gpos := order[pos]
+	gpos := plan.Order[msg.idx]
 	cand := n.c.catalog.Component(msg.chosen)
 
-	linkQoS, routeBW := n.predecessorRoutes(req, gpos, msg.assign, n.id)
-	acc := msg.acc.Add(linkQoS).Add(cand.QoS)
+	linkQoS, routeBW := n.predecessorRoutes(plan, msg.idx, msg.hop, n.id)
+	acc := msg.hop.accumulated().Add(linkQoS).Add(cand.QoS)
 
 	// Precise conformance (Eqs. 6-8) against this node's own state; drop
 	// unqualified probes immediately.
@@ -613,124 +433,118 @@ func (n *node) onProbe(msg probeMsg) {
 	}
 	tr.HoldAcquired(req.ID, msg.probe, gpos, n.id)
 
-	assign := append([]component.ComponentID(nil), msg.assign...)
-	assign[gpos] = msg.chosen
 	// The probe carries the precise state it saw here (§3.3 step 3) from
 	// the request's own perspective: holds of this request — this probe's
 	// and its siblings' — are credited back, so the deputy subtracts the
 	// request's stacked demand from it exactly once.
-	avails := append(append([]qos.Resources(nil), msg.avails...), n.availableFor(req.ID))
+	//acp:alloc-ok one immutable record per accepted probe, shared by every child, in place of four prefix slice copies per hop
+	hop := &hopRecord{parent: msg.hop, chosen: msg.chosen, avail: n.availableFor(req.ID), acc: acc}
 
-	if msg.idx == len(order)-1 {
-		if n.c.deliver(msg.deputy, returnMsg{
-			reqID:  req.ID,
-			assign: assign,
-			acc:    acc,
-			avails: avails,
-		}, faults.KindProbe) {
+	if msg.idx == len(plan.Order)-1 {
+		if n.c.deliver(msg.node, message{kind: msgReturn, reqID: req.ID, hop: hop}, faults.KindProbe) {
 			tr.ProbeReturned(req.ID, msg.probe, n.id, acc.Delay)
 			n.c.ins.probeReturns.Inc()
 			n.c.ins.probeDelayMs.Observe(acc.Delay)
 		} else {
-			tr.ProbeDropped(req.ID, msg.probe, pos, n.id, obs.ReasonMailbox)
+			tr.ProbeDropped(req.ID, msg.probe, msg.idx, n.id, obs.ReasonMailbox)
 			n.c.ins.probesDropped.Inc()
 		}
 		return
 	}
-	children := n.fanOut(req, order, msg.idx+1, assign, acc, avails, msg.alpha, msg.probe)
+	children := n.fanOut(req, plan, msg.idx+1, hop, msg.alpha, msg.probe)
 	tr.ProbeForwarded(req.ID, msg.probe, gpos, n.id, children)
-}
-
-// onReturn records a completed probe at the deputy.
-func (n *node) onReturn(msg returnMsg) {
-	p, ok := n.pending[msg.reqID]
-	if !ok || p.decided {
-		return
-	}
-	p.returns = append(p.returns, msg)
 }
 
 // onDecide closes the probe collection window: select the phi-minimal
 // qualified composition and start the commit phase (§3.3 steps 3-4).
 func (n *node) onDecide(reqID int64) {
 	p, ok := n.pending[reqID]
-	if !ok || p.decided {
+	if !ok || p.comp != nil {
 		return
 	}
-	p.decided = true
 	n.c.ins.collectMs.Observe(float64(n.c.clock.Since(p.composeStart)) / float64(time.Millisecond))
 
 	var (
-		best    *returnMsg
+		best    *hopRecord
 		bestPhi float64
 	)
-	for i := range p.returns {
-		phi, ok := n.evaluateReturn(p, &p.returns[i])
+	for _, ret := range p.returns {
+		phi, ok := n.evaluateReturn(p, ret)
 		if ok && (best == nil || phi < bestPhi) {
-			best, bestPhi = &p.returns[i], phi
+			best, bestPhi = ret, phi
 		}
 	}
 	if best == nil {
-		delete(n.pending, reqID)
-		n.c.tracer.Decided(reqID, n.id, obs.ReasonNoComposition)
-		n.c.ins.noComposition.Inc()
-		p.reply <- composeReply{err: ErrNoComposition}
+		n.refuse(p, obs.ReasonNoComposition)
 		return
 	}
 	n.c.tracer.Decided(reqID, n.id, "")
 
 	// Commit phase: bandwidth first (atomic all-or-nothing), then the
 	// per-node resource confirmations. The winner passed evaluateReturn,
-	// so its edges are routable.
-	nodes, links, _ := n.stack(p.req, best.assign)
-	nodeDemand, linkDemand := core.DemandMaps(nodes, links)
+	// so its prefix unrolls and its edges are routable.
+	n.unroll(p.plan, best)
+	comps := slices.Clone(n.assign)
+	nodes, links, _ := n.stack(p.req, comps)
+	_, linkDemand := core.DemandMaps(nil, links)
 	if err := n.c.links.CommitSession(state.Owner(reqID), nil, linkDemand); err != nil {
-		delete(n.pending, reqID)
-		n.c.tracer.RolledBack(reqID, n.id, obs.ReasonBandwidth)
-		n.c.ins.rollbacks.Inc()
-		p.reply <- composeReply{err: ErrNoComposition}
+		n.rollback(p, reqID, obs.ReasonBandwidth)
 		return
 	}
-	p.comp = &Composition{Components: best.assign, Phi: bestPhi, QoS: best.acc, owner: reqID}
-	p.commitStart = n.c.clock.Now()
-	p.nodeDemand = nodeDemand
-	p.needAcks = make(map[int]bool, len(nodeDemand))
-	for nodeID := range nodeDemand {
-		p.needAcks[nodeID] = false
+	parts := make([]participant, len(nodes))
+	for i, nd := range nodes {
+		parts[i] = participant{node: nd.Node, amount: nd.Amount}
 	}
+	slices.SortFunc(parts, func(a, b participant) int { return a.node - b.node })
+	p.comp = &Composition{Components: comps, Phi: bestPhi, QoS: best.acc, owner: reqID, parts: parts}
+	p.commitStart = n.c.clock.Now()
 	n.startCommit(reqID, p)
 }
 
 // startCommit sends the per-node confirmations of the decided
 // composition and arms the commit-ack timeout.
 func (n *node) startCommit(reqID int64, p *pendingCompose) {
-	for _, nodeID := range sortedNodeKeys(p.nodeDemand) {
-		amount := p.nodeDemand[nodeID]
+	for _, part := range p.comp.parts {
 		if _, live := n.pending[reqID]; !live {
 			// An inline nack already rolled the commit back; every
 			// participant (including the unsent ones) has been released
 			// and late commits are refused by tombstones. Stop here.
 			return
 		}
-		msg := commitMsg{owner: reqID, amount: amount, deputy: n.id, reqID: reqID}
-		if nodeID == n.id {
-			n.onCommit(msg) // local commit without a mailbox round trip
+		if part.node == n.id {
+			n.onCommit(reqID, part.amount, n.id) // local commit without a mailbox round trip
 			continue
 		}
-		if !n.c.deliver(nodeID, msg, faults.KindProtocol) {
-			// The peer's mailbox is full: record the nack inline. The old
-			// path bounced a commitAckMsg off our own mailbox, where it
-			// could itself be lost to overflow and stall the request
-			// until the commit timeout.
-			n.onCommitAck(commitAckMsg{reqID: reqID, node: nodeID, ok: false})
+		msg := message{kind: msgCommit, reqID: reqID, amount: part.amount, node: n.id}
+		if !n.c.deliver(part.node, msg, faults.KindProtocol) {
+			// The peer's mailbox is full: record the nack inline (our own
+			// mailbox may be full too).
+			n.onCommitAck(reqID, part.node, false)
 		}
 	}
 	if _, live := n.pending[reqID]; !live {
 		return // resolved inline (single-node commit or rolled back)
 	}
 	n.c.clock.AfterFunc(n.c.cfg.CommitTimeout, func() {
-		n.sendBlocking(commitTimeoutMsg{reqID: reqID})
+		n.sendBlocking(message{kind: msgCommitTimeout, reqID: reqID})
 	})
+}
+
+// unroll writes a returned probe's hops into the node's scratch — the
+// assignment by graph position, the carried availabilities by hop —
+// reporting false when the chain is not one record per position.
+func (n *node) unroll(plan *component.Plan, last *hopRecord) bool {
+	k := len(plan.Order)
+	n.assign = slices.Grow(n.assign[:0], k)[:k]
+	n.avails = slices.Grow(n.avails[:0], k)[:k]
+	for i := k - 1; i >= 0; i, last = i-1, last.parent {
+		if last == nil {
+			return false
+		}
+		n.assign[plan.Order[i]] = last.chosen
+		n.avails[i] = last.avail
+	}
+	return last == nil
 }
 
 // stack resolves an assignment's virtual links and stacks the request's
@@ -751,20 +565,20 @@ func (n *node) stack(req *component.Request, assign []component.ComponentID) ([]
 // the precise state: per node the availability the probe carried back —
 // the latest snapshot when the composition visits a host twice — and per
 // overlay link what the link ledger has now.
-func (n *node) evaluateReturn(p *pendingCompose, ret *returnMsg) (float64, bool) {
+func (n *node) evaluateReturn(p *pendingCompose, ret *hopRecord) (float64, bool) {
 	req := p.req
-	if ret.acc.MaxRatio(req.QoSReq) > 1 || len(ret.avails) != len(p.order) {
+	if ret.acc.MaxRatio(req.QoSReq) > 1 || !n.unroll(p.plan, ret) {
 		return 0, false
 	}
-	nodes, links, ok := n.stack(req, ret.assign)
+	nodes, links, ok := n.stack(req, n.assign)
 	if !ok {
 		return 0, false
 	}
-	for i, gpos := range p.order {
-		host := n.c.catalog.Component(ret.assign[gpos]).Node
+	for i, gpos := range p.plan.Order {
+		host := n.c.catalog.Component(n.assign[gpos]).Node
 		for j := range nodes {
 			if nodes[j].Node == host {
-				nodes[j].Avail = ret.avails[i]
+				nodes[j].Avail = n.avails[i]
 				break
 			}
 		}
@@ -772,7 +586,7 @@ func (n *node) evaluateReturn(p *pendingCompose, ret *returnMsg) (float64, bool)
 	for j := range links {
 		links[j].Avail = n.c.links.LinkAvailable(links[j].Link)
 	}
-	return n.kern.Score(req, ret.assign, n.routes, core.PhiSum)
+	return n.kern.Score(req, n.assign, n.routes, core.PhiSum)
 }
 
 // onCommit promotes the owner's transient holds into a committed
@@ -780,61 +594,53 @@ func (n *node) evaluateReturn(p *pendingCompose, ret *returnMsg) (float64, bool)
 // Idempotent under duplicated delivery: a repeated commit re-acks
 // without double-committing, and a commit arriving after the request
 // was already released (rollback raced ahead) is refused.
-func (n *node) onCommit(msg commitMsg) {
-	n.releaseHolds(msg.owner)
-	ack := commitAckMsg{reqID: msg.reqID, node: n.id}
-	if _, dup := n.commits[msg.owner]; dup {
-		ack.ok = true
-	} else if _, dead := n.released[msg.owner]; dead {
-		ack.ok = false
-	} else if n.available().Covers(msg.amount) {
-		n.commits[msg.owner] = msg.amount
-		n.committed = n.committed.Add(msg.amount)
-		ack.ok = true
+func (n *node) onCommit(owner int64, amount qos.Resources, deputy int) {
+	n.releaseHolds(owner)
+	ok := false
+	if _, dup := n.commits[owner]; dup {
+		ok = true
+	} else if !n.tombstoned(owner) && n.available().Covers(amount) {
+		n.commits[owner] = amount
+		n.committed = n.committed.Add(amount)
+		ok = true
 		n.maybeBroadcast()
 	}
-	if msg.deputy == n.id {
-		n.onCommitAck(ack)
+	if deputy == n.id {
+		n.onCommitAck(owner, n.id, ok)
 		return
 	}
-	n.c.deliver(msg.deputy, ack, faults.KindProtocol)
+	n.c.deliver(deputy, message{kind: msgCommitAck, reqID: owner, node: n.id, ok: ok}, faults.KindProtocol)
 }
 
 // onCommitAck gathers commit outcomes; all-acked resolves the request,
-// any nack rolls back.
-func (n *node) onCommitAck(msg commitAckMsg) {
-	p, ok := n.pending[msg.reqID]
-	if !ok || p.comp == nil {
+// any nack rolls back. A duplicated ack counts once.
+func (n *node) onCommitAck(reqID int64, from int, ok bool) {
+	p, live := n.pending[reqID]
+	if !live || p.comp == nil {
 		return
 	}
-	if !msg.ok {
-		n.rollback(p, msg.reqID, obs.ReasonCommitNack)
+	if !ok {
+		n.rollback(p, reqID, obs.ReasonCommitNack)
 		return
 	}
-	p.needAcks[msg.node] = true
-	for _, acked := range p.needAcks {
-		if !acked {
-			return
+	for i := range p.comp.parts {
+		if part := &p.comp.parts[i]; part.node == from && !part.acked {
+			part.acked = true
+			p.acked++
 		}
 	}
-	delete(n.pending, msg.reqID)
-	n.c.tracer.Committed(msg.reqID, n.id)
+	if p.acked < len(p.comp.parts) {
+		return
+	}
+	delete(n.pending, reqID)
+	n.c.tracer.Committed(reqID, n.id)
 	n.c.ins.commits.Inc()
 	n.c.ins.commitMs.Observe(float64(n.c.clock.Since(p.commitStart)) / float64(time.Millisecond))
-	sess := strconv.FormatInt(msg.reqID, 10)
+	sess := strconv.FormatInt(reqID, 10)
 	n.c.ins.sessionPhi.With(sess).Set(p.comp.Phi)
 	n.c.ins.sessionQoS.With(sess).Set(p.comp.QoS.MaxRatio(p.req.QoSReq))
 	n.c.ins.sessionQoSReq.With(sess).Set(1)
 	p.reply <- composeReply{comp: p.comp}
-}
-
-// onCommitTimeout treats overdue acks as failure.
-func (n *node) onCommitTimeout(reqID int64) {
-	p, ok := n.pending[reqID]
-	if !ok || p.comp == nil {
-		return
-	}
-	n.rollback(p, reqID, obs.ReasonCommitTimeout)
 }
 
 // rollback releases whatever the commit phase may have acquired and
@@ -843,21 +649,22 @@ func (n *node) onCommitTimeout(reqID int64) {
 // (or whose commit is still in flight) has, or will, commit; releases
 // are idempotent (the node's own ledger knows what the owner holds) and
 // a release racing ahead of its commit leaves a tombstone that refuses
-// the late commit.
+// the late commit. A request refused its bandwidth (p.comp still nil)
+// reserved nothing and has nobody to release.
 func (n *node) rollback(p *pendingCompose, reqID int64, reason obs.Reason) {
 	delete(n.pending, reqID)
 	n.c.tracer.RolledBack(reqID, n.id, reason)
 	n.c.ins.rollbacks.Inc()
 	if p.comp != nil {
 		n.c.ins.commitMs.Observe(float64(n.c.clock.Since(p.commitStart)) / float64(time.Millisecond))
-	}
-	n.c.links.ReleaseSession(state.Owner(reqID))
-	for _, nodeID := range sortedNodeKeys(p.nodeDemand) {
-		if nodeID == n.id {
-			n.onRelease(releaseMsg{owner: reqID})
-			continue
+		n.c.links.ReleaseSession(state.Owner(reqID))
+		for _, part := range p.comp.parts {
+			if part.node == n.id {
+				n.onRelease(reqID)
+				continue
+			}
+			n.c.sendRelease(part.node, reqID)
 		}
-		n.c.sendRelease(nodeID, reqID)
 	}
 	p.reply <- composeReply{err: ErrNoComposition}
 }
@@ -872,14 +679,14 @@ func (n *node) rollback(p *pendingCompose, reqID int64, reason obs.Reason) {
 // refused instead of leaking a committed allocation. The tombstone TTL
 // (HoldTTL) bounds how long a stale commit can stay in flight, which
 // injected delivery delays must stay under.
-func (n *node) onRelease(msg releaseMsg) {
-	n.releaseHolds(msg.owner)
-	n.released[msg.owner] = n.c.clock.Now().Add(n.c.cfg.HoldTTL)
-	amount, ok := n.commits[msg.owner]
+func (n *node) onRelease(owner int64) {
+	n.releaseHolds(owner)
+	n.tombs = append(n.tombs, tombstone{owner: owner, expires: n.c.clock.Now().Add(n.c.cfg.HoldTTL)})
+	amount, ok := n.commits[owner]
 	if !ok {
 		return
 	}
-	delete(n.commits, msg.owner)
+	delete(n.commits, owner)
 	n.committed = n.committed.Sub(amount)
 	n.maybeBroadcast()
 }

@@ -1,8 +1,6 @@
 package dist
 
 import (
-	"fmt"
-
 	"repro/internal/component"
 	"repro/internal/core"
 	"repro/internal/overlay"
@@ -25,9 +23,10 @@ import (
 // NewUnstarted builds a cluster without starting the node goroutines.
 // Nodes then process messages only when the caller steps them
 // (StepNode/SweepNode); Compose, Idle, and Shutdown — which hand work
-// to node goroutines and wait — must not be used. The mailbox size is
+// to node goroutines and wait — must not be used. The mailbox bound is
 // raised so that deputy timer events (which block on a full mailbox)
-// cannot deadlock the single-threaded driver.
+// cannot deadlock the single-threaded driver; a mailbox grows with what
+// it holds, so the bound is a number, not memory.
 func NewUnstarted(cfg Config) (*Cluster, error) {
 	if cfg.MailboxSize < 1<<16 {
 		cfg.MailboxSize = 1 << 16
@@ -60,32 +59,15 @@ func (h *SimHandle) Poll() (comp *Composition, err error, done bool) {
 // Compose it never blocks and never retries — the harness owns
 // scheduling, so protocol retries would hide steps from its log.
 func (c *Cluster) ComposeAsync(req *component.Request) (*SimHandle, error) {
-	if err := req.Validate(); err != nil {
+	reqID, reply, err := c.submit(req, c.cfg.ProbingRatio)
+	if err != nil {
 		return nil, err
-	}
-	if req.Client < 0 || req.Client >= len(c.nodes) {
-		return nil, fmt.Errorf("dist: client %d out of range", req.Client)
-	}
-	c.mu.Lock()
-	if c.closed {
-		c.mu.Unlock()
-		return nil, ErrClosed
-	}
-	c.nextReq++
-	reqID := c.nextReq
-	c.mu.Unlock()
-
-	r := *req
-	r.ID = reqID
-	reply := make(chan composeReply, 1)
-	if !c.nodes[r.Client].send(composeMsg{req: &r, reply: reply, alpha: c.cfg.ProbingRatio}) {
-		return nil, fmt.Errorf("dist: deputy node %d mailbox overloaded", r.Client)
 	}
 	return &SimHandle{ReqID: reqID, reply: reply}, nil
 }
 
 // MailboxDepth reports how many messages wait in a node's mailbox.
-func (c *Cluster) MailboxDepth(id int) int { return len(c.nodes[id].mailbox) }
+func (c *Cluster) MailboxDepth(id int) int { return int(c.nodes[id].mailbox.depth.Load()) }
 
 // StepNode pops one message from the node's mailbox and dispatches it
 // on the calling goroutine, applying any due crash/restart transition
@@ -93,16 +75,11 @@ func (c *Cluster) MailboxDepth(id int) int { return len(c.nodes[id].mailbox) }
 // returns a short description of the message for the harness step log,
 // and false when the mailbox was empty.
 func (c *Cluster) StepNode(id int) (string, bool) {
-	n := c.nodes[id]
-	select {
-	case m := <-n.mailbox:
-		n.checkCrash()
-		n.dispatch(m)
-		c.inflight.Add(-1)
-		return describeMessage(m), true
-	default:
+	m, ok := c.nodes[id].step()
+	if !ok {
 		return "", false
 	}
+	return m.describe(), true
 }
 
 // SweepNode runs one hold-expiry sweep pass on the node (the periodic
@@ -112,32 +89,6 @@ func (c *Cluster) SweepNode(id int) {
 	n := c.nodes[id]
 	n.checkCrash()
 	n.sweep()
-}
-
-func describeMessage(m message) string {
-	switch msg := m.(type) {
-	case composeMsg:
-		return fmt.Sprintf("compose req=%d", msg.req.ID)
-	case probeMsg:
-		return fmt.Sprintf("probe req=%d idx=%d", msg.req.ID, msg.idx)
-	case returnMsg:
-		return fmt.Sprintf("return req=%d", msg.reqID)
-	case decideMsg:
-		return fmt.Sprintf("decide req=%d", msg.reqID)
-	case commitMsg:
-		return fmt.Sprintf("commit req=%d", msg.reqID)
-	case commitAckMsg:
-		return fmt.Sprintf("commit-ack req=%d node=%d ok=%v", msg.reqID, msg.node, msg.ok)
-	case commitTimeoutMsg:
-		return fmt.Sprintf("commit-timeout req=%d", msg.reqID)
-	case releaseMsg:
-		return fmt.Sprintf("release owner=%d", msg.owner)
-	case stateMsg:
-		return fmt.Sprintf("state node=%d", msg.node)
-	case inspectMsg:
-		return "inspect"
-	}
-	return fmt.Sprintf("%T", m)
 }
 
 // NodeAccounting is a consistent snapshot of one node's resource
@@ -169,14 +120,12 @@ func (c *Cluster) NodeAccountingAt(id int) NodeAccounting {
 		HeldTotal:  n.heldTotal,
 		Holds:      len(n.holds),
 		Commits:    make(map[int64]qos.Resources, len(n.commits)),
-		Tombstones: len(n.released),
+		Tombstones: len(n.tombs),
 		Pending:    len(n.pending),
 		Down:       n.down,
 	}
-	// Sorted iteration: the audit compares HoldSum against the running
-	// heldTotal, so the sum must be reproducible bit for bit.
-	for _, key := range sortedHoldKeys(n.holds) {
-		acc.HoldSum = acc.HoldSum.Add(n.holds[key].amount)
+	for i := range n.holds {
+		acc.HoldSum = acc.HoldSum.Add(n.holds[i].amount)
 	}
 	for owner, amount := range n.commits {
 		acc.Commits[owner] = amount

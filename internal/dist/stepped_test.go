@@ -29,7 +29,7 @@ const steppedGoldenPath = "testdata/stepped_golden.txt"
 // lowest-numbered non-empty mailbox is dispatched next, and the clock
 // fires its next timer only when every mailbox is empty.
 type stepped struct {
-	t       *testing.T
+	t       testing.TB
 	cluster *Cluster
 	clk     *clock.Virtual
 	probes  int // probe messages stepped since the last reset
