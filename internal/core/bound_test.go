@@ -121,134 +121,324 @@ func bruteForce(t *testing.T, env Env, req *component.Request, mode PhiMode) (be
 	return best, phi, complete
 }
 
+// boundInstance is one seeded case of the oracle sweep: a loaded substrate
+// and a request over it.
+type boundInstance struct {
+	env   Env
+	req   *component.Request
+	mode  PhiMode
+	shape string
+	tight bool
+	// lagging counts the nodes whose committed availability is above their
+	// report: where only the threshold term keeps a ceiling a bound.
+	lagging int
+}
+
+// newBoundInstance builds instance seed over mesh. Even instances run
+// tight and without transient allocation: node loads reach 95 % and
+// demands are large, so stacking two components on a node often does not
+// fit and Score's fit check decides. Odd instances hold as they go and
+// stay roomy: with holds on, a hold refused because the same walk already
+// holds the node for another position depends on the order of the walk
+// (it did before the bound too), which an enumeration of compositions
+// cannot model; loads and demands there leave every node and link room
+// for all of one request's holds at once.
+//
+// With lag, the coarse state is walked away from the truth in both
+// directions before the request arrives: every node first takes an extra
+// session of its own — under the update threshold on some nodes, over it
+// on others — then the common load is committed on top (which writes the
+// reports), and then half of the extras are released. A small extra
+// released leaves the report below the truth by less than the threshold;
+// a small extra kept, where the common load was light, leaves it above; a
+// large one released is rewritten.
+func newBoundInstance(t *testing.T, mesh *overlay.Mesh, seed int64, lag bool) boundInstance {
+	t.Helper()
+	rng := rand.New(rand.NewSource(7000 + seed))
+	tight := seed%2 == 0
+	pcfg := component.DefaultPlacementConfig()
+	pcfg.NumFunctions = 4
+	pcfg.ComponentsPerNode = 2
+	cat, err := component.Place(mesh.NumNodes(), pcfg, rng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	env := boundEnv(t, mesh, cat, rng, true)
+
+	extra := make([]qos.Resources, mesh.NumNodes())
+	for n := 0; lag && n < mesh.NumNodes(); n++ {
+		share := 0.02 + 0.07*rng.Float64() // under the 10 % threshold
+		if rng.Intn(3) == 0 {
+			share = 0.11 + 0.1*rng.Float64() // over it
+		}
+		extra[n] = env.Ledger.NodeCapacity(n).Scale(share)
+		if err := env.Ledger.CommitSession(state.Owner(9100+n), map[int]qos.Resources{n: extra[n]}, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	// Load: committed sessions and a bystander's live holds.
+	maxLoad, demand := 0.35, 0.06
+	if tight {
+		maxLoad, demand = 0.95, 0.4
+	}
+	nodeLoad := make(map[int]qos.Resources)
+	for n := 0; n < mesh.NumNodes(); n++ {
+		nodeLoad[n] = env.Ledger.NodeCapacity(n).Sub(extra[n]).Scale(maxLoad * rng.Float64())
+	}
+	linkLoad := make(map[int]float64)
+	minLink := math.Inf(1)
+	for l := 0; l < env.Ledger.NumLinks(); l++ {
+		linkLoad[l] = env.Ledger.LinkCapacity(l) * maxLoad * rng.Float64()
+		minLink = min(minLink, env.Ledger.LinkCapacity(l))
+	}
+	if err := env.Ledger.CommitSession(9001, nodeLoad, linkLoad); err != nil {
+		t.Fatal(err)
+	}
+	for j := 0; j < 4; j++ {
+		n := rng.Intn(mesh.NumNodes())
+		env.Ledger.HoldNode(9002, j, n, env.Ledger.NodeCapacity(n).Scale(0.05), time.Hour)
+	}
+	lagging := 0
+	for n := 0; lag && n < mesh.NumNodes(); n++ {
+		if rng.Intn(2) == 0 {
+			env.Ledger.ReleaseSession(state.Owner(9100 + n))
+		}
+		if truth, report := env.Ledger.NodeCommittedAvailable(n), env.Global.NodeAvailable(n); truth.CPU > report.CPU {
+			lagging++
+		}
+	}
+
+	// Request: a 2-4 position path or the four-position diamond.
+	fns := make([]component.FunctionID, 0, 4)
+	for _, f := range rng.Perm(4) {
+		fns = append(fns, component.FunctionID(f))
+	}
+	shape := "path"
+	graph := component.NewPathGraph(fns[:2+rng.Intn(3)])
+	if seed%3 == 0 {
+		shape = "dag"
+		if graph, err = component.NewBranchGraph(fns[0], fns[1:2], fns[2:3], fns[3]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	req := &component.Request{
+		ID:           seed + 1,
+		Graph:        graph,
+		QoSReq:       qos.Vector{Delay: 150 + 120*float64(graph.NumPositions())*rng.Float64(), LossCost: qos.LossCost(0.2)},
+		ResReq:       make([]qos.Resources, graph.NumPositions()),
+		BandwidthReq: minLink * demand * (0.3 + rng.Float64()),
+		Client:       rng.Intn(mesh.NumNodes()),
+		Duration:     time.Minute,
+		Weight:       0.5 + 3*rng.Float64(),
+	}
+	for p := range req.ResReq {
+		req.ResReq[p] = qos.Resources{CPU: 100 * demand * (0.3 + rng.Float64()), Memory: 1000 * demand * (0.3 + rng.Float64())}
+	}
+	return boundInstance{env: env, req: req, mode: PhiMode(seed / 3 % 3), shape: shape, tight: tight, lagging: lagging}
+}
+
+// optimal is the composer configuration the oracle sweeps walk under.
+func (in boundInstance) optimal() Config {
+	cfg := DefaultConfig()
+	cfg.Algorithm = AlgOptimal
+	cfg.Phi = in.mode
+	cfg.TransientAllocation = !in.tight
+	return cfg
+}
+
 // TestBoundedOptimalAgreesWithBruteForce: on small loaded instances the
 // branch-and-bound walk must pick exactly the composition an exhaustive
 // enumeration picks — same components, same phi bits, same ties — under
-// all three objectives, on paths and DAGs, over nodes of unequal capacity.
-//
-// Even instances run tight and without transient allocation: node loads
-// reach 95 % and demands are large, so stacking two components on a node
-// often does not fit and Score's fit check decides. Odd instances hold as
-// they go and stay roomy: with holds on, a hold refused because the same
-// walk already holds the node for another position depends on the order
-// of the walk (it did before the bound too), which an enumeration of
-// compositions cannot model; loads and demands there leave every node
-// and link room for all of one request's holds at once.
+// all three objectives, on paths and DAGs, over nodes of unequal capacity,
+// with reports that are exact and with reports that lag the truth in both
+// directions (the floor is built from them, see newBoundInstance).
 func TestBoundedOptimalAgreesWithBruteForce(t *testing.T) {
 	const meshes, perMesh = 8, 30
-	var instances, admitted, enumerated, returned int
-	shapes := map[string]int{}
-	for m := int64(0); m < meshes; m++ {
-		mesh := boundMesh(t, 500+m)
-		for i := int64(0); i < perMesh; i++ {
-			seed := m*perMesh + i
-			rng := rand.New(rand.NewSource(7000 + seed))
-			tight := seed%2 == 0
-			pcfg := component.DefaultPlacementConfig()
-			pcfg.NumFunctions = 4
-			pcfg.ComponentsPerNode = 2
-			cat, err := component.Place(mesh.NumNodes(), pcfg, rng)
-			if err != nil {
-				t.Fatal(err)
-			}
-			env := boundEnv(t, mesh, cat, rng, true)
-
-			// Load: committed sessions and a bystander's live holds.
-			maxLoad, demand := 0.35, 0.06
-			if tight {
-				maxLoad, demand = 0.95, 0.4
-			}
-			nodeLoad := make(map[int]qos.Resources)
-			for n := 0; n < mesh.NumNodes(); n++ {
-				nodeLoad[n] = env.Ledger.NodeCapacity(n).Scale(maxLoad * rng.Float64())
-			}
-			linkLoad := make(map[int]float64)
-			minLink := math.Inf(1)
-			for l := 0; l < env.Ledger.NumLinks(); l++ {
-				linkLoad[l] = env.Ledger.LinkCapacity(l) * maxLoad * rng.Float64()
-				minLink = min(minLink, env.Ledger.LinkCapacity(l))
-			}
-			if err := env.Ledger.CommitSession(9001, nodeLoad, linkLoad); err != nil {
-				t.Fatal(err)
-			}
-			for j := 0; j < 4; j++ {
-				n := rng.Intn(mesh.NumNodes())
-				env.Ledger.HoldNode(9002, j, n, env.Ledger.NodeCapacity(n).Scale(0.05), time.Hour)
-			}
-
-			// Request: a 2-4 position path or the four-position diamond.
-			fns := make([]component.FunctionID, 0, 4)
-			for _, f := range rng.Perm(4) {
-				fns = append(fns, component.FunctionID(f))
-			}
-			shape := "path"
-			graph := component.NewPathGraph(fns[:2+rng.Intn(3)])
-			if seed%3 == 0 {
-				shape = "dag"
-				if graph, err = component.NewBranchGraph(fns[0], fns[1:2], fns[2:3], fns[3]); err != nil {
+	for _, lag := range []bool{false, true} {
+		var instances, admitted, enumerated, returned, lagging int
+		shapes := map[string]int{}
+		for m := int64(0); m < meshes; m++ {
+			mesh := boundMesh(t, 500+m)
+			for i := int64(0); i < perMesh; i++ {
+				seed := m*perMesh + i
+				in := newBoundInstance(t, mesh, seed, lag)
+				want, wantPhi, complete := bruteForce(t, in.env, in.req, in.mode)
+				c := mustComposer(t, in.env, in.optimal())
+				out, err := c.Probe(in.req)
+				if err != nil {
 					t.Fatal(err)
 				}
+				if !c.walk.coarseFloor {
+					t.Fatalf("lag=%v instance %d: a single-caller walk left its ceilings", lag, seed)
+				}
+				instances++
+				lagging += in.lagging
+				enumerated += complete
+				returned += out.PathsReturned
+				if out.PathsReturned > complete {
+					t.Fatalf("lag=%v instance %d: %d probes returned, only %d assignments meet the QoS requirement", lag, seed, out.PathsReturned, complete)
+				}
+				if out.Success() != (want != nil) {
+					t.Fatalf("lag=%v instance %d (%s, %v, tight=%v): walk success=%v, brute force found %v", lag, seed, in.shape, in.mode, in.tight, out.Success(), want)
+				}
+				if want == nil {
+					continue
+				}
+				admitted++
+				shapes[in.shape+"/"+in.mode.String()]++
+				if !slices.Equal(out.Best.Components, want) || math.Float64bits(out.Best.Phi) != math.Float64bits(wantPhi) {
+					t.Fatalf("lag=%v instance %d (%s, %v, tight=%v): walk chose %v phi %x, brute force %v phi %x",
+						lag, seed, in.shape, in.mode, in.tight, out.Best.Components, out.Best.Phi, want, wantPhi)
+				}
 			}
-			mode := PhiMode(seed / 3 % 3)
-			req := &component.Request{
-				ID:           seed + 1,
-				Graph:        graph,
-				QoSReq:       qos.Vector{Delay: 150 + 120*float64(graph.NumPositions())*rng.Float64(), LossCost: qos.LossCost(0.2)},
-				ResReq:       make([]qos.Resources, graph.NumPositions()),
-				BandwidthReq: minLink * demand * (0.3 + rng.Float64()),
-				Client:       rng.Intn(mesh.NumNodes()),
-				Duration:     time.Minute,
-				Weight:       0.5 + 3*rng.Float64(),
+		}
+		if instances < 200 || admitted < instances/2 {
+			t.Errorf("lag=%v: %d instances, %d admitted: the oracle is under-exercised", lag, instances, admitted)
+		}
+		for _, shape := range []string{"path", "dag"} {
+			for mode := PhiSum; mode <= PhiBottleneck; mode++ {
+				if shapes[shape+"/"+mode.String()] < 8 {
+					t.Errorf("lag=%v: only %d admitted %s instances under %v", lag, shapes[shape+"/"+mode.String()], shape, mode)
+				}
 			}
-			for p := range req.ResReq {
-				req.ResReq[p] = qos.Resources{CPU: 100 * demand * (0.3 + rng.Float64()), Memory: 1000 * demand * (0.3 + rng.Float64())}
-			}
+		}
+		// The walk under test must actually have been bounded.
+		if returned*2 > enumerated {
+			t.Errorf("lag=%v: %d of %d QoS-feasible assignments still returned: the bound barely fired", lag, returned, enumerated)
+		}
+		// And with lag, on reports the truth has risen above.
+		if lag && lagging < 2*instances {
+			t.Errorf("%d nodes lag their report over %d instances: the threshold term is barely exercised", lagging, instances)
+		}
+		t.Logf("lag=%v: %d instances, %d admitted, %d of %d feasible assignments returned, %d lagging nodes", lag, instances, admitted, returned, enumerated, lagging)
+	}
+}
 
-			want, wantPhi, complete := bruteForce(t, env, req, mode)
-
-			cfg := DefaultConfig()
-			cfg.Algorithm = AlgOptimal
-			cfg.Phi = mode
-			cfg.TransientAllocation = !tight
-			out, err := mustComposer(t, env, cfg).Probe(req)
+// TestRecomposeWalkFloorsAtCapacity: a re-composition reads its source
+// session's committed share as available (make-before-break), which the
+// coarse state books as used — so on the nodes the session sits on, what
+// the walk reads is above the ceiling, and a floor built from ceilings
+// would overstate what the unassigned positions must cost. The walk of a
+// ProbeRecompose therefore floors at capacity, and picks what the
+// enumerator — reading through the same open window — picks.
+func TestRecomposeWalkFloorsAtCapacity(t *testing.T) {
+	var instances, recomposed, aboveCeiling int
+	for m := int64(0); m < 4; m++ {
+		mesh := boundMesh(t, 500+m)
+		for i := int64(0); i < 30; i++ {
+			in := newBoundInstance(t, mesh, m*30+i, i%2 == 1)
+			c := mustComposer(t, in.env, in.optimal())
+			first, err := c.Probe(in.req)
 			if err != nil {
+				t.Fatal(err)
+			}
+			if !first.Success() {
+				continue
+			}
+			if err := c.Commit(first); err != nil {
 				t.Fatal(err)
 			}
 			instances++
-			enumerated += complete
-			returned += out.PathsReturned
-			if out.PathsReturned > complete {
-				t.Fatalf("instance %d: %d probes returned, only %d assignments meet the QoS requirement", seed, out.PathsReturned, complete)
+			ledger := in.env.Ledger
+			re := recomposeRequest(in.req, in.req.ID+10_000)
+			prev, probe := state.Owner(in.req.ID), state.Owner(re.ID)
+
+			// The oracle, and the premise, read through a window of their own.
+			if err := ledger.BeginMigration(probe, prev); err != nil {
+				t.Fatal(err)
+			}
+			want, wantPhi, _ := bruteForce(t, in.env, re, in.mode)
+			var rep state.Replica
+			in.env.Global.Refresh(&rep)
+			for n := 0; n < mesh.NumNodes(); n++ {
+				if !rep.Ceiling(n, ledger.NodeCapacity(n)).Covers(ledger.NodeAvailableFor(probe, n)) {
+					aboveCeiling++
+				}
+			}
+			ledger.EndMigration(probe)
+
+			out, err := c.ProbeRecompose(re, in.req.ID)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if c.walk.coarseFloor {
+				t.Fatalf("instance %d: the re-composition walk floored at the ceilings", in.req.ID-1)
 			}
 			if out.Success() != (want != nil) {
-				t.Fatalf("instance %d (%s, %v, tight=%v): walk success=%v, brute force found %v", seed, shape, mode, tight, out.Success(), want)
+				t.Fatalf("instance %d: recompose success=%v, brute force found %v", in.req.ID-1, out.Success(), want)
 			}
 			if want == nil {
 				continue
 			}
-			admitted++
-			shapes[shape+"/"+mode.String()]++
+			recomposed++
 			if !slices.Equal(out.Best.Components, want) || math.Float64bits(out.Best.Phi) != math.Float64bits(wantPhi) {
-				t.Fatalf("instance %d (%s, %v, tight=%v): walk chose %v phi %x, brute force %v phi %x",
-					seed, shape, mode, tight, out.Best.Components, out.Best.Phi, want, wantPhi)
+				t.Fatalf("instance %d (%s, %v): recompose chose %v phi %x, brute force %v phi %x",
+					in.req.ID-1, in.shape, in.mode, out.Best.Components, out.Best.Phi, want, wantPhi)
 			}
+			c.AbortRecompose(re.ID)
 		}
 	}
-	if instances < 200 || admitted < instances/2 {
-		t.Errorf("%d instances, %d admitted: the oracle is under-exercised", instances, admitted)
+	if recomposed < 80 || aboveCeiling < recomposed {
+		t.Errorf("%d sessions, %d re-composed, %d node readings above their ceiling: the case is under-exercised", instances, recomposed, aboveCeiling)
 	}
-	for _, shape := range []string{"path", "dag"} {
-		for mode := PhiSum; mode <= PhiBottleneck; mode++ {
-			if shapes[shape+"/"+mode.String()] < 8 {
-				t.Errorf("only %d admitted %s instances under %v", shapes[shape+"/"+mode.String()], shape, mode)
-			}
+	t.Logf("%d sessions, %d re-composed, %d node readings above their ceiling", instances, recomposed, aboveCeiling)
+}
+
+// TestOverrunFallsBackToCapacityFloor releases a session between the
+// walk's Refresh of its replica and its first read of the ledger — what a
+// second caller's Close does to a walk in flight — so that the nodes the
+// session sat on read above the ceilings the walk holds. The walk must
+// notice at the first such node, finish on the capacity floor, count the
+// overrun, and decide as the enumerator does on the state it read.
+func TestOverrunFallsBackToCapacityFloor(t *testing.T) {
+	for seed := int64(0); seed < 12; seed += 2 { // tight instances: no holds, so the oracle can run after the walk
+		in := newBoundInstance(t, boundMesh(t, 500), seed, false)
+		ledger := in.env.Ledger
+		// Two fifths of what every node has left: past the update threshold
+		// wherever the node is less than three quarters full.
+		surge := make(map[int]qos.Resources)
+		for n := 0; n < ledger.NumNodes(); n++ {
+			surge[n] = ledger.NodeAvailable(n).Scale(0.4)
+		}
+		if err := ledger.CommitSession(9003, surge, nil); err != nil {
+			t.Fatal(err)
+		}
+		reg := obs.NewRegistry()
+		in.env.Obs = reg
+		now := in.env.Now
+		in.env.Now = func() time.Duration {
+			ledger.ReleaseSession(9003) // beginWalk reads the clock after it refreshes the replica
+			return now()
+		}
+		c := mustComposer(t, in.env, in.optimal())
+		out, err := c.Probe(in.req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if c.walk.coarseFloor {
+			t.Fatalf("instance %d: the walk kept its ceilings over a release it could see", seed)
+		}
+		if got := reg.Counter("core.walk.floor_overruns").Value(); got != 1 {
+			t.Fatalf("instance %d: core.walk.floor_overruns = %d after one overrun walk", seed, got)
+		}
+		want, wantPhi, _ := bruteForce(t, in.env, in.req, in.mode)
+		if out.Success() != (want != nil) {
+			t.Fatalf("instance %d: walk success=%v, brute force found %v", seed, out.Success(), want)
+		}
+		if want != nil && (!slices.Equal(out.Best.Components, want) || math.Float64bits(out.Best.Phi) != math.Float64bits(wantPhi)) {
+			t.Fatalf("instance %d: walk chose %v phi %x, brute force %v phi %x", seed, out.Best.Components, out.Best.Phi, want, wantPhi)
+		}
+		// The next walk of the same composer starts on ceilings again.
+		in.env.Now = now
+		c.env.Now = now
+		if _, err := c.Probe(recomposeRequest(in.req, in.req.ID+10_000)); err != nil {
+			t.Fatal(err)
+		}
+		if !c.walk.coarseFloor || reg.Counter("core.walk.floor_overruns").Value() != 1 {
+			t.Fatalf("instance %d: a quiet walk after the overrun did not go back to the ceilings", seed)
 		}
 	}
-	// The walk under test must actually have been bounded.
-	if returned*2 > enumerated {
-		t.Errorf("%d of %d QoS-feasible assignments still returned: the bound barely fired", returned, enumerated)
-	}
-	t.Logf("%d instances, %d admitted, %d of %d feasible assignments returned", instances, admitted, returned, enumerated)
 }
 
 // TestBoundedWalkKeepsSelectionOrderTies builds an exact phi tie between

@@ -267,6 +267,12 @@ type Composer struct {
 	// therefore no-op, when observability is off).
 	walkRtt    *obs.QHistogram
 	walkProbes *obs.QHistogram
+	// floorOverruns counts the walks that read a node above its ceiling
+	// and fell back to the capacity floor (see nodeAvail).
+	floorOverruns *obs.Counter
+
+	// recomposing is set for the walk of a ProbeRecompose.
+	recomposing bool
 }
 
 // NewComposer validates the environment and configuration.
@@ -310,6 +316,7 @@ func NewComposer(env Env, cfg Config) (*Composer, error) {
 	c.scratch = newWalkScratch(&c.env)
 	c.walkRtt = env.Obs.QHistogram("core.walk.rtt_ms")
 	c.walkProbes = env.Obs.QHistogram("core.walk.probes")
+	c.floorOverruns = env.Obs.Counter("core.walk.floor_overruns")
 	return c, nil
 }
 
@@ -393,7 +400,9 @@ func (c *Composer) ProbeRecompose(req *component.Request, prev int64) (*Outcome,
 	if err := c.env.Ledger.BeginMigration(state.Owner(req.ID), state.Owner(prev)); err != nil {
 		return nil, err
 	}
+	c.recomposing = true
 	out, err := c.Probe(req)
+	c.recomposing = false
 	if err != nil || !out.Success() {
 		c.env.Ledger.EndMigration(state.Owner(req.ID))
 	}

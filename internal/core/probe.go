@@ -45,6 +45,12 @@ type walkState struct {
 	// under a guided selection, Optimal) drop a probe that cannot beat best.
 	bounded bool
 	best    *Composition // the incumbent, in the evaluation scratch; nil until a probe qualifies
+	// coarseFloor says the floor under a bounded walk's unassigned
+	// positions is built from the replica's ceilings. A re-composition
+	// walk starts without it (its migration credit can exceed committed
+	// availability) and any walk loses it at the first node it reads
+	// above its ceiling; both then floor at capacity.
+	coarseFloor bool
 }
 
 // walkScratch holds the composer-lifetime buffers that make the probe
@@ -180,25 +186,37 @@ func (c *Composer) beginWalk(req *component.Request) {
 	sc.heldLink = sc.heldLink[:n*sc.numLinks]
 	c.env.Global.Refresh(&sc.coarse)
 	now := c.env.Now()
+	bounded := c.cfg.Algorithm == AlgOptimal || c.cfg.Algorithm == AlgACP && c.cfg.Selection != SelectRandom
 	c.walk = walkState{
-		req:     req,
-		owner:   state.Owner(req.ID),
-		now:     now,
-		expires: now + c.cfg.HoldTTL,
-		budget:  c.cfg.MaxProbesPerRequest,
-		bounded: c.cfg.Algorithm == AlgOptimal || c.cfg.Algorithm == AlgACP && c.cfg.Selection != SelectRandom,
+		req:         req,
+		owner:       state.Owner(req.ID),
+		now:         now,
+		expires:     now + c.cfg.HoldTTL,
+		budget:      c.cfg.MaxProbesPerRequest,
+		bounded:     bounded,
+		coarseFloor: bounded && !c.recomposing,
 	}
 }
 
 // nodeAvail is the walk's view of a node: the request's own-credited
 // precise availability as the ledger had it when the walk first looked.
+// The replica was refreshed when the walk began and the ledger is read
+// only now, so a session another caller released in between can put the
+// reading above the node's ceiling: the ceilings of this walk are then
+// not bounds, and it finishes on the capacity floor.
 //
 //acp:hotpath
 func (c *Composer) nodeAvail(node int) qos.Resources {
 	sc := &c.scratch
 	if sc.nodeEpoch[node] != sc.epoch {
-		sc.nodeView[node] = c.env.Ledger.NodeAvailableForAt(c.walk.now, c.walk.owner, node)
+		avail := c.env.Ledger.NodeAvailableForAt(c.walk.now, c.walk.owner, node)
+		sc.nodeView[node] = avail
 		sc.nodeEpoch[node] = sc.epoch
+		if c.walk.coarseFloor && !sc.coarse.Ceiling(node, c.env.Ledger.NodeCapacity(node)).Covers(avail) {
+			c.walk.coarseFloor = false
+			sc.floor = sc.floor[:0]
+			c.floorOverruns.Inc()
+		}
 	}
 	return sc.nodeView[node]
 }
@@ -419,9 +437,12 @@ func (c *Composer) expand(out *Outcome, idx int, p hopChild) {
 // cut reports whether a probe with the positions order[idx:] still to
 // assign, whose Eq. 1 terms so far join to bound, cannot beat the
 // incumbent. The floor under the unassigned positions is each one's
-// cheapest candidate at its node's full capacity — static deployment
-// knowledge, unlike the availability a probe learns only by visiting
-// (§3.3) — computed once per walk, and only once there is an incumbent.
+// cheapest candidate at the most its node can have available: the
+// ceiling of the coarse state the deputy already holds (the report plus
+// the update threshold, state.Replica.Ceiling) — unlike the availability
+// itself, which a probe learns only by visiting (§3.3) — or, for a walk
+// without coarseFloor, the node's full capacity. It is computed once per
+// walk (again after an overrun), and only once there is an incumbent.
 //
 //acp:hotpath
 func (c *Composer) cut(idx int, bound float64) bool {
@@ -439,7 +460,12 @@ func (c *Composer) cut(idx int, bound float64) bool {
 			pos := w.order[i]
 			least := math.Inf(1)
 			for _, id := range c.lookup(w.req.Graph.Functions[pos]) {
-				least = min(least, BoundNode(w.req.ResReq[pos], c.env.Ledger.NodeCapacity(c.env.Catalog.Component(id).Node)))
+				node := c.env.Catalog.Component(id).Node
+				most := c.env.Ledger.NodeCapacity(node)
+				if w.coarseFloor {
+					most = sc.coarse.Ceiling(node, most)
+				}
+				least = min(least, BoundNode(w.req.ResReq[pos], most))
 			}
 			sc.floor[i] = BoundJoin(mode, sc.floor[i+1], least)
 		}

@@ -248,7 +248,29 @@ type Replica struct {
 	// snapshot RouteAvailable takes its bottleneck over.
 	Agg []float64
 
-	version uint64
+	threshold float64 // the Global's UpdateThreshold: how far a node report may lag
+	version   uint64
+}
+
+// Ceiling bounds from above what the node can have available, per
+// dimension: its report plus the update threshold's share of capacity,
+// and never more than capacity. The threshold rule (nodeChanged) runs
+// after every committed change and rewrites a report that has drifted
+// further than that, so at the instant of the Refresh the node's committed
+// availability was not above the ceiling; and what one request sees
+// (Ledger.NodeAvailableForAt) is committed availability less other
+// requests' holds — no higher, outside a migration window, whose credit
+// the coarse state knows nothing of. A commitment released after the
+// Refresh can overrun it: a reader that goes on to read precise state
+// compares (the probe walk does, on first touch of a node).
+//
+//acp:hotpath
+func (r *Replica) Ceiling(node int, capacity qos.Resources) qos.Resources {
+	report := r.Nodes[node]
+	return qos.Resources{
+		CPU:    math.Min(capacity.CPU, report.CPU+r.threshold*capacity.CPU),
+		Memory: math.Min(capacity.Memory, report.Memory+r.threshold*capacity.Memory),
+	}
 }
 
 // RouteAvailable is Global.RouteAvailable read from the replica.
@@ -271,6 +293,7 @@ func (g *Global) Refresh(r *Replica) bool {
 	defer g.unlock()
 	r.Nodes = append(r.Nodes[:0], g.nodeView...)
 	r.Agg = append(r.Agg[:0], g.aggView...)
+	r.threshold = g.cfg.UpdateThreshold
 	r.version = g.version.Load()
 	return true
 }

@@ -11,7 +11,7 @@ import (
 	"repro/internal/topology"
 )
 
-func testMesh(t *testing.T, overlayNodes int, seed int64) *overlay.Mesh {
+func testMesh(t testing.TB, overlayNodes int, seed int64) *overlay.Mesh {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	tcfg := topology.DefaultConfig()
