@@ -123,9 +123,11 @@ func (k *Kernel) Select(h *Hop, policy SelectionPolicy, alpha float64, numCandid
 		// allocations. The band makes the order non-transitive, so the
 		// algorithm is part of the decision.
 		for i := 1; i < len(qualified); i++ {
-			for j := i; j > 0 && rankBefore(policy, qualified[j], qualified[j-1]); j-- {
-				qualified[j], qualified[j-1] = qualified[j-1], qualified[j]
+			x, j := qualified[i], i
+			for ; j > 0 && rankBefore(policy, x, qualified[j-1]); j-- {
+				qualified[j] = qualified[j-1]
 			}
+			qualified[j] = x
 		}
 		if h.Tracer.Enabled() {
 			for _, cut := range qualified[m:] {

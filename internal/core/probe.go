@@ -24,6 +24,7 @@ import (
 // per-hop checks, with the branch merge performed incrementally.
 type hopChild struct {
 	choice  component.ComponentID
+	cand    int // choice's index among its function's discovered candidates
 	acc     qos.Vector
 	latency float64 // ms travelled
 	id      int64   // tracer span ID; 0 when tracing is disabled (or root)
@@ -51,6 +52,10 @@ type walkState struct {
 	// availability) and any walk loses it at the first node it reads
 	// above its ceiling; both then floor at capacity.
 	coarseFloor bool
+	// laidOut counts the depths whose link-fact blocks are placed: a
+	// depth-first walk first reaches depth d before depth d+1.
+	laidOut int
+	factEnd int // where the next link-fact block starts
 }
 
 // walkScratch holds the composer-lifetime buffers that make the probe
@@ -75,6 +80,17 @@ type walkState struct {
 // rolled-back hop releases just what it created, so earlier marks stay
 // true — and a mark that outlives its hold (a walk longer than HoldTTL)
 // is one more stale view: holdComposition and the commit re-check.
+//
+// The link facts sit beside the views and hold what the walk works out
+// about a virtual link from them: for a graph edge, which candidate the
+// predecessor position holds and which candidate this position is offered
+// decide the route, so its QoS, its bottleneck in the replica's aggregated
+// snapshot and its bottleneck in the link view — all three frozen for the
+// walk — are computed the first time the pair is asked about, not once per
+// fan-out. One block per graph edge, [predecessor candidate][candidate],
+// epoch-guarded like the views; the precise bottleneck is filled only when
+// a probe is sent over the link, so the table reads no link a probe did
+// not visit.
 type walkScratch struct {
 	numNodes int
 	numLinks int
@@ -85,6 +101,7 @@ type walkScratch struct {
 
 	cands     [][]component.ComponentID // per FunctionID, epoch-guarded
 	candEpoch []uint64
+	candIdx   []int32 // per ComponentID: its index in cands[its function], as of this walk's lookup
 	epoch     uint64
 
 	nodeView  []qos.Resources // per node, valid when nodeEpoch matches
@@ -95,7 +112,12 @@ type walkScratch struct {
 	heldNode []uint64 // [pos*numNodes+node] == epoch: hold placed this walk
 	heldLink []uint64 // [pos*numLinks+link] == epoch: hold placed this walk
 
+	facts   []linkFact // the walk's link-fact blocks, one after another
+	factOff []int      // per graph edge, in predFlat order: where its block starts
+	predOff []int      // per position: where its predecessors start in predFlat
+
 	cur       []component.ComponentID // DFS cursor assignment, one slot per position
+	curCand   []int                   // the candidate index of cur, per position
 	rank      []int                   // the cursor's sibling rank per depth
 	bestComps []component.ComponentID // the incumbent's copy of cur
 	bestRank  []int                   // and of rank
@@ -123,6 +145,7 @@ func newWalkScratch(env *Env) walkScratch {
 		numLinks:  links,
 		cands:     make([][]component.ComponentID, f),
 		candEpoch: make([]uint64, f),
+		candIdx:   make([]int32, env.Catalog.NumComponents()),
 		nodeView:  make([]qos.Resources, n),
 		nodeEpoch: make([]uint64, n),
 		linkView:  make([]float64, links),
@@ -138,9 +161,11 @@ func (c *Composer) beginWalk(req *component.Request) {
 	n := req.Graph.NumPositions()
 	if cap(sc.cur) < n {
 		sc.cur = make([]component.ComponentID, n)
+		sc.curCand = make([]int, n)
 		sc.rank = make([]int, n)
 	} else {
 		sc.rank = sc.rank[:n]
+		sc.curCand = sc.curCand[:n]
 		sc.cur = sc.cur[:n]
 		for i := range sc.cur {
 			sc.cur[i] = 0
@@ -159,9 +184,15 @@ func (c *Composer) beginWalk(req *component.Request) {
 	}
 	if cap(sc.predCounts) < n {
 		sc.predCounts = make([]int, n)
+		sc.predOff = make([]int, n)
 	}
+	if cap(sc.factOff) < len(edges) {
+		sc.factOff = make([]int, len(edges))
+	}
+	sc.factOff = sc.factOff[:len(edges)]
 	sc.preds = sc.preds[:n]
 	sc.predCounts = sc.predCounts[:n]
+	sc.predOff = sc.predOff[:n]
 	for i := range sc.predCounts {
 		sc.predCounts[i] = 0
 	}
@@ -171,6 +202,7 @@ func (c *Composer) beginWalk(req *component.Request) {
 	off := 0
 	for p := 0; p < n; p++ {
 		sc.preds[p] = sc.predFlat[off : off : off+sc.predCounts[p]]
+		sc.predOff[p] = off
 		off += sc.predCounts[p]
 	}
 	for _, e := range edges {
@@ -248,6 +280,67 @@ func (c *Composer) routeAvail(r overlay.Route) float64 {
 	return avail
 }
 
+// linkFact is what a walk knows about the virtual link of one graph edge
+// between one candidate of the predecessor position and one candidate of
+// the edge's own position.
+type linkFact struct {
+	qos     qos.Vector // the route's QoS
+	coarse  float64    // its bottleneck in the replica's aggregated snapshot
+	precise float64    // its bottleneck in the walk's link view; valid when visited == epoch
+	epoch   uint64
+	visited uint64
+}
+
+// layoutFacts places the link-fact blocks of the edges into pos, which
+// has k candidates. Every predecessor of pos is assigned, so its function
+// has been looked up and its candidate count is known. Growing the table
+// keeps what the walk has filled in so far.
+func (c *Composer) layoutFacts(pos, k int) {
+	w := &c.walk
+	sc := &c.scratch
+	for n, pred := range sc.preds[pos] {
+		sc.factOff[sc.predOff[pos]+n] = w.factEnd
+		w.factEnd += len(c.lookup(w.req.Graph.Functions[pred])) * k
+	}
+	if w.factEnd > len(sc.facts) {
+		sc.facts = append(sc.facts, make([]linkFact, w.factEnd-len(sc.facts))...)
+	}
+	w.laidOut++
+}
+
+// linkFactOf returns the walk's facts about the virtual link from the
+// candidate the cursor holds at the n-th predecessor of pos to candidate
+// cand (of k, on candNode) of pos, with QoS and coarse bottleneck filled.
+//
+//acp:hotpath
+func (c *Composer) linkFactOf(pos, n, cand, k, candNode int) *linkFact {
+	sc := &c.scratch
+	pred := sc.preds[pos][n]
+	f := &sc.facts[sc.factOff[sc.predOff[pos]+n]+sc.curCand[pred]*k+cand]
+	if f.epoch != sc.epoch {
+		r := c.route(c.env.Catalog.Component(sc.cur[pred]).Node, candNode)
+		f.qos = r.QoS
+		f.coarse = sc.coarse.RouteAvailable(r)
+		f.epoch = sc.epoch
+	}
+	return f
+}
+
+// linkPrecise is the link's bottleneck in the walk's link view, read the
+// first time a probe is sent from the cursor's n-th predecessor of pos
+// over it to candNode.
+//
+//acp:hotpath
+func (c *Composer) linkPrecise(f *linkFact, pos, n, candNode int) float64 {
+	sc := &c.scratch
+	if f.visited != sc.epoch {
+		from := c.env.Catalog.Component(sc.cur[sc.preds[pos][n]]).Node
+		f.precise = c.routeAvail(c.route(from, candNode))
+		f.visited = sc.epoch
+	}
+	return f.precise
+}
+
 // lookup resolves a function's candidates, caching per request so the
 // discovery system is charged once per function (§3.3 step 2).
 //
@@ -264,6 +357,9 @@ func (c *Composer) lookup(f component.FunctionID) []component.ComponentID {
 	ids := c.env.Registry.Lookup(f)
 	sc.cands[f] = ids
 	sc.candEpoch[f] = sc.epoch
+	for i, id := range ids {
+		sc.candIdx[id] = int32(i)
+	}
 	return ids
 }
 
@@ -429,6 +525,7 @@ func (c *Composer) expand(out *Outcome, idx int, p hopChild) {
 	}
 	for i := range children {
 		sc.cur[pos] = children[i].choice
+		sc.curCand[pos] = children[i].cand
 		sc.rank[idx] = children[i].rank
 		c.expand(out, idx+1, children[i])
 	}
@@ -550,23 +647,19 @@ func (c *Composer) rollbackComposition(nodes []NodeDemand, links []LinkDemand) {
 }
 
 // predecessorRoutes collects the virtual links from each already-assigned
-// predecessor of pos to the candidate node, accumulating their QoS. The
-// result slice is a shared scratch buffer: it is valid only until the
-// next predecessorRoutes call, which every caller fully consumes first.
+// predecessor of pos to the candidate node, for the hop's holds to be
+// placed along. The result slice is a shared scratch buffer, valid only
+// until the next call.
 //
 //acp:hotpath
-func (c *Composer) predecessorRoutes(pos, candNode int) ([]overlay.Route, qos.Vector) {
+func (c *Composer) predecessorRoutes(pos, candNode int) []overlay.Route {
 	sc := &c.scratch
 	routes := sc.predRoutes[:0]
-	var linkQoS qos.Vector
 	for _, pred := range sc.preds[pos] {
-		from := c.env.Catalog.Component(sc.cur[pred]).Node
-		r := c.route(from, candNode)
-		routes = append(routes, r)
-		linkQoS = linkQoS.Add(r.QoS)
+		routes = append(routes, c.route(c.env.Catalog.Component(sc.cur[pred]).Node, candNode))
 	}
 	sc.predRoutes = routes
-	return routes, linkQoS
+	return routes
 }
 
 // extendProbe performs one hop of per-hop probe processing (§3.3 step 2)
@@ -586,8 +679,12 @@ func (c *Composer) extendProbe(out *Outcome, p hopChild, depth, pos int, isSourc
 	if len(candidates) == 0 {
 		return nil
 	}
+	if depth == w.laidOut {
+		c.layoutFacts(pos, len(candidates))
+	}
 	selected := c.selectCandidates(p, pos, candidates)
 	tr := c.env.Tracer
+	preds := sc.preds[pos]
 
 	for len(sc.children) <= depth {
 		sc.children = append(sc.children, nil)
@@ -612,16 +709,22 @@ func (c *Composer) extendProbe(out *Outcome, p hopChild, depth, pos int, isSourc
 		}
 
 		cand := c.env.Catalog.Component(id)
-		routes, linkQoS := c.predecessorRoutes(pos, cand.Node)
+		candIdx := int(sc.candIdx[id])
+		var linkQoS qos.Vector
+		for n := range preds {
+			linkQoS = linkQoS.Add(c.linkFactOf(pos, n, candIdx, len(candidates), cand.Node).qos)
+		}
 		acc := p.acc.Add(linkQoS).Add(cand.QoS)
 
 		// The probe physically travels from the previous hop's node (the
 		// deputy for the source position).
-		travelFrom := w.req.Client
-		if !isSource {
-			travelFrom = c.env.Catalog.Component(sc.cur[sc.preds[pos][0]]).Node
+		var travel float64
+		if isSource {
+			travel = c.route(w.req.Client, cand.Node).QoS.Delay
+		} else {
+			travel = c.linkFactOf(pos, 0, candIdx, len(candidates), cand.Node).qos.Delay
 		}
-		latency := p.latency + c.route(travelFrom, cand.Node).QoS.Delay
+		latency := p.latency + travel
 		if latency > w.maxLatency {
 			w.maxLatency = latency
 		}
@@ -652,8 +755,8 @@ func (c *Composer) extendProbe(out *Outcome, p hopChild, depth, pos int, isSourc
 		}
 		bound := BoundJoin(c.cfg.Phi, p.bound, BoundNode(w.req.ResReq[pos], avail))
 		feasible := true
-		for _, route := range routes {
-			bw := c.routeAvail(route)
+		for n := range preds {
+			bw := c.linkPrecise(c.linkFactOf(pos, n, candIdx, len(candidates), cand.Node), pos, n, cand.Node)
 			if bw < w.req.BandwidthReq {
 				feasible = false
 				break
@@ -671,7 +774,7 @@ func (c *Composer) extendProbe(out *Outcome, p hopChild, depth, pos int, isSourc
 			tr.CandidatePruned(w.req.ID, pid, p.id, pos, cand.Node, obs.ReasonBound)
 			continue
 		}
-		child := hopChild{choice: id, acc: acc, latency: latency, id: pid, bound: bound, rank: i}
+		child := hopChild{choice: id, cand: candIdx, acc: acc, latency: latency, id: pid, bound: bound, rank: i}
 
 		// Transient resource allocation (§3.3 step 2): reserve once per
 		// component (tag = position) and per virtual link hop. A probe
@@ -683,6 +786,7 @@ func (c *Composer) extendProbe(out *Outcome, p hopChild, depth, pos int, isSourc
 		// hop whose holds this walk has all placed already would get only
 		// such no-ops, so it does not go to the ledger at all.
 		if c.cfg.TransientAllocation {
+			routes := c.predecessorRoutes(pos, cand.Node)
 			if c.hopHeld(pos, cand.Node, routes) {
 				tr.HoldAcquired(w.req.ID, pid, pos, cand.Node)
 				children = append(children, child)
@@ -766,12 +870,14 @@ func (c *Composer) selectCandidates(p hopChild, pos int, candidates []component.
 	}
 
 	hop := Hop{Req: w.req, Pos: pos, Parent: p.id, Tracer: tr}
-	for _, id := range candidates {
+	for i, id := range candidates {
 		cand := c.env.Catalog.Component(id)
-		routes, linkQoS := c.predecessorRoutes(pos, cand.Node)
+		var linkQoS qos.Vector
 		routeBW := math.Inf(1)
-		for _, route := range routes {
-			routeBW = math.Min(routeBW, sc.coarse.RouteAvailable(route))
+		for n := range sc.preds[pos] {
+			f := c.linkFactOf(pos, n, i, len(candidates), cand.Node)
+			linkQoS = linkQoS.Add(f.qos)
+			routeBW = math.Min(routeBW, f.coarse)
 		}
 		c.kern.Consider(&hop, cand, p.acc.Add(linkQoS).Add(cand.QoS), sc.coarse.Nodes[cand.Node], routeBW)
 	}
