@@ -240,6 +240,9 @@ type Cluster struct {
 	nextReq   int64
 	start     time.Time
 	closed    bool
+	// aggTimer is the pending re-aggregation of the coarse virtual-link
+	// state (see aggregate); Shutdown stops it. guarded by mu
+	aggTimer clock.Timer
 
 	tuner       tuning.RatioTuner
 	tuneEvery   int
@@ -363,7 +366,27 @@ func NewCluster(cfg Config) (*Cluster, error) {
 		return nil, err
 	}
 	c.putComposerLocked(composer)
+	c.armAggregateLocked()
 	return c, nil
+}
+
+// armAggregateLocked schedules the next aggregation one period from now.
+func (c *Cluster) armAggregateLocked() {
+	c.aggTimer = c.clock.AfterFunc(c.global.Period(), c.aggregate)
+}
+
+// aggregate is the aggregation node's periodic job (§3.2): the overlay
+// links' reported states become the snapshot virtual-link queries are
+// answered from — the coarse bandwidth qualification (Eq. 8) and the link
+// term of W(c) see load only through it — and the next period is armed,
+// until Shutdown.
+func (c *Cluster) aggregate() {
+	c.global.Aggregate()
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if !c.closed {
+		c.armAggregateLocked()
+	}
 }
 
 // putComposerLocked returns a composer to the pool.
@@ -952,7 +975,8 @@ func (c *Cluster) Close(id SessionID) error {
 	return nil
 }
 
-// Shutdown closes every live session and stops the cluster. Idempotent,
+// Shutdown closes every live session, cancels the periodic re-aggregation
+// and stops the cluster. Idempotent,
 // and safe against sessions racing their own Close: Close only fails
 // with ErrUnknownSession, which Shutdown ignores.
 func (c *Cluster) Shutdown() {
@@ -963,7 +987,12 @@ func (c *Cluster) Shutdown() {
 	}
 	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
 	c.closed = true
+	aggTimer := c.aggTimer
+	c.aggTimer = nil
 	c.mu.Unlock()
+	if aggTimer != nil {
+		aggTimer.Stop()
+	}
 	for _, id := range ids {
 		_ = c.Close(id)
 	}
