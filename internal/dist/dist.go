@@ -337,32 +337,9 @@ func build(cfg Config) (*Cluster, error) {
 	}
 	c.nodes = make([]*node, mesh.NumNodes())
 	for id := range c.nodes {
-		c.nodes[id] = newNode(c, id, rand.New(rand.NewSource(nodeSeed(cfg.Seed, int64(id)))))
+		c.nodes[id] = newNode(c, id)
 	}
 	return c, nil
-}
-
-// nodeSeed derives a per-node rng seed from the cluster seed by
-// splitmix64-style avalanche hashing. The previous affine derivation
-// (seed*7919 + id) collapsed for seed 0 — every node's source became
-// its own id and node 0 shared source 0 with the cluster rng — and for
-// any two seeds 7919 apart adjacent nodes shared streams. Mixing makes
-// every (seed, id) pair land in an unrelated stream.
-func nodeSeed(seed, id int64) int64 {
-	h := mix64(uint64(seed) + 0x9e3779b97f4a7c15)
-	h = mix64(h ^ (uint64(id) + 0xbf58476d1ce4e5b9))
-	return int64(h)
-}
-
-// mix64 is the splitmix64 finaliser. Applying it to the seed word
-// *before* folding the id in matters: the finaliser is bijective, so
-// any affine pre-mix combination of (seed, id) would carry its
-// collisions (e.g. seed -1 aliasing seed 1 at a shifted id) straight
-// through to the output.
-func mix64(z uint64) uint64 {
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return z ^ (z >> 31)
 }
 
 func (c *Cluster) start() {

@@ -2,7 +2,6 @@ package dist
 
 import (
 	"math"
-	"math/rand"
 	"slices"
 	"strconv"
 	"time"
@@ -51,7 +50,6 @@ type node struct {
 	id      int
 	mailbox *mailbox
 	quit    chan struct{}
-	rng     *rand.Rand
 
 	capacity  qos.Resources
 	committed qos.Resources
@@ -70,13 +68,12 @@ type node struct {
 	avails []qos.Resources
 }
 
-func newNode(c *Cluster, id int, rng *rand.Rand) *node {
+func newNode(c *Cluster, id int) *node {
 	n := &node{
 		c:       c,
 		id:      id,
 		mailbox: newMailbox(c.cfg.MailboxSize),
 		quit:    make(chan struct{}),
-		rng:     rng,
 		commits: make(map[int64]qos.Resources),
 		view:    make([]qos.Resources, c.mesh.NumNodes()),
 		pending: make(map[int64]*pendingCompose),

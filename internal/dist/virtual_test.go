@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"repro/internal/harness/clock"
-	"repro/internal/obs"
 )
 
 // virtualCluster starts a cluster on an auto-advanced virtual clock: a
@@ -61,76 +60,4 @@ func virtualCluster(t *testing.T, cfg Config) *Cluster {
 		wg.Wait()
 	})
 	return c
-}
-
-// TestNodeSeedDerivation is the regression for the affine per-node seed
-// derivation (seed*7919 + id): at cluster seed 0 every node's rng source
-// collapsed to its own id — node 0 sharing source 0 with the substrate
-// rng — and seeds 7919 apart aliased each other's node streams. The
-// splitmix mix must land every (seed, id) pair in a distinct stream that
-// also differs from the cluster rng's own source.
-func TestNodeSeedDerivation(t *testing.T) {
-	type pair struct{ seed, id int64 }
-	seen := make(map[int64]pair)
-	for _, seed := range []int64{0, 1, 2, 7919, -7919, -1, 1 << 40} {
-		for id := int64(0); id < 64; id++ {
-			s := nodeSeed(seed, id)
-			if prev, dup := seen[s]; dup {
-				t.Fatalf("nodeSeed collision: (%d,%d) and (%d,%d) both map to %d",
-					prev.seed, prev.id, seed, id, s)
-			}
-			seen[s] = pair{seed, id}
-			if s == id {
-				t.Errorf("nodeSeed(%d,%d) degenerates to the node id", seed, id)
-			}
-			if s == seed {
-				t.Errorf("nodeSeed(%d,%d) collides with the cluster rng source", seed, id)
-			}
-		}
-	}
-}
-
-// TestDistinctSeedsDistinctProbeOrder: two clusters built from distinct
-// seeds must fan their first probe wave out in different orders — the
-// observable consequence of the per-node rng streams actually differing.
-func TestDistinctSeedsDistinctProbeOrder(t *testing.T) {
-	firstWave := func(seed int64) []int {
-		sink := &obs.MemorySink{}
-		cfg := DefaultConfig()
-		cfg.Seed = seed
-		cfg.Tracer = obs.New(sink)
-		c, err := NewUnstarted(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := c.ComposeAsync(easyRequest(0)); err != nil {
-			t.Fatal(err)
-		}
-		if _, ok := c.StepNode(0); !ok {
-			t.Fatal("deputy had nothing to dispatch")
-		}
-		var order []int
-		for _, e := range sink.Events() {
-			if e.Type == obs.EventProbeSpawned {
-				order = append(order, e.Node)
-			}
-		}
-		if len(order) == 0 {
-			t.Fatalf("seed %d: deputy spawned no probes", seed)
-		}
-		return order
-	}
-	a, b := firstWave(1), firstWave(2)
-	if len(a) == len(b) {
-		same := true
-		for i := range a {
-			if a[i] != b[i] {
-				same = false
-				break
-			}
-		}
-		if same {
-			t.Fatalf("seeds 1 and 2 probed the identical node order %v", a)
-		}
-	}
 }
