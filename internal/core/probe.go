@@ -24,7 +24,6 @@ import (
 // per-hop checks, with the branch merge performed incrementally.
 type hopChild struct {
 	choice  component.ComponentID
-	cand    int // choice's index among its function's discovered candidates
 	acc     qos.Vector
 	latency float64 // ms travelled
 	id      int64   // tracer span ID; 0 when tracing is disabled (or root)
@@ -117,7 +116,6 @@ type walkScratch struct {
 	predOff []int      // per position: where its predecessors start in predFlat
 
 	cur       []component.ComponentID // DFS cursor assignment, one slot per position
-	curCand   []int                   // the candidate index of cur, per position
 	rank      []int                   // the cursor's sibling rank per depth
 	bestComps []component.ComponentID // the incumbent's copy of cur
 	bestRank  []int                   // and of rank
@@ -161,11 +159,9 @@ func (c *Composer) beginWalk(req *component.Request) {
 	n := req.Graph.NumPositions()
 	if cap(sc.cur) < n {
 		sc.cur = make([]component.ComponentID, n)
-		sc.curCand = make([]int, n)
 		sc.rank = make([]int, n)
 	} else {
 		sc.rank = sc.rank[:n]
-		sc.curCand = sc.curCand[:n]
 		sc.cur = sc.cur[:n]
 		for i := range sc.cur {
 			sc.cur[i] = 0
@@ -316,7 +312,7 @@ func (c *Composer) layoutFacts(pos, k int) {
 func (c *Composer) linkFactOf(pos, n, cand, k, candNode int) *linkFact {
 	sc := &c.scratch
 	pred := sc.preds[pos][n]
-	f := &sc.facts[sc.factOff[sc.predOff[pos]+n]+sc.curCand[pred]*k+cand]
+	f := &sc.facts[sc.factOff[sc.predOff[pos]+n]+int(sc.candIdx[sc.cur[pred]])*k+cand]
 	if f.epoch != sc.epoch {
 		r := c.route(c.env.Catalog.Component(sc.cur[pred]).Node, candNode)
 		f.qos = r.QoS
@@ -525,7 +521,6 @@ func (c *Composer) expand(out *Outcome, idx int, p hopChild) {
 	}
 	for i := range children {
 		sc.cur[pos] = children[i].choice
-		sc.curCand[pos] = children[i].cand
 		sc.rank[idx] = children[i].rank
 		c.expand(out, idx+1, children[i])
 	}
@@ -774,7 +769,7 @@ func (c *Composer) extendProbe(out *Outcome, p hopChild, depth, pos int, isSourc
 			tr.CandidatePruned(w.req.ID, pid, p.id, pos, cand.Node, obs.ReasonBound)
 			continue
 		}
-		child := hopChild{choice: id, cand: candIdx, acc: acc, latency: latency, id: pid, bound: bound, rank: i}
+		child := hopChild{choice: id, acc: acc, latency: latency, id: pid, bound: bound, rank: i}
 
 		// Transient resource allocation (§3.3 step 2): reserve once per
 		// component (tag = position) and per virtual link hop. A probe

@@ -266,11 +266,7 @@ type Replica struct {
 //
 //acp:hotpath
 func (r *Replica) Ceiling(node int, capacity qos.Resources) qos.Resources {
-	report := r.Nodes[node]
-	return qos.Resources{
-		CPU:    math.Min(capacity.CPU, report.CPU+r.threshold*capacity.CPU),
-		Memory: math.Min(capacity.Memory, report.Memory+r.threshold*capacity.Memory),
-	}
+	return minRes(capacity, r.Nodes[node].Add(capacity.Scale(r.threshold)))
 }
 
 // RouteAvailable is Global.RouteAvailable read from the replica.
