@@ -17,8 +17,8 @@ import (
 	acp "repro"
 	"repro/internal/core"
 	"repro/internal/experiment"
+	"repro/internal/harness/clock"
 	"repro/internal/placement"
-	"repro/internal/simulator"
 	"repro/internal/topology"
 	"repro/internal/tuning"
 	"repro/internal/workload"
@@ -367,20 +367,19 @@ func BenchmarkShortestPaths(b *testing.B) {
 	}
 }
 
-// BenchmarkEventEngine measures discrete-event scheduling throughput.
+// BenchmarkEventEngine measures discrete-event scheduling throughput on
+// the virtual clock that drives experiment.Run.
 func BenchmarkEventEngine(b *testing.B) {
-	e := simulator.New()
+	v := clock.NewVirtual()
 	count := 0
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := e.Schedule(time.Duration(i%1000)*time.Millisecond, func() { count++ }); err != nil {
-			b.Fatal(err)
-		}
+		v.AfterFunc(time.Duration(i%1000)*time.Millisecond, func() { count++ })
 		if i%1024 == 1023 {
-			e.Run()
+			v.Advance(time.Second)
 		}
 	}
-	e.Run()
+	v.Advance(time.Second)
 	if count != b.N {
 		b.Fatalf("ran %d events, want %d", count, b.N)
 	}

@@ -7,13 +7,14 @@
 //	acpsim -alg Optimal -nodes 600 -rate 80
 //	acpsim -alg ACP -rate 60 -tune -target 0.9
 //	acpsim -record run.trace && acpsim -replay run.trace
-//	acpsim -trace-out probes.jsonl -metrics-out counters.txt
+//	acpsim -trace-out probes.jsonl -metrics-out metrics.json
 //	acpsim -dist -fault-drop 0.2 -fault-crashes 3 -requests 64
 //	acpsim -adapt -surges 4 && acpsim -adapt -adapt-predictive
 //	acpsim -multi-app -family diurnal -tenants 4 && acpsim -fairness
 package main
 
 import (
+	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -73,7 +74,7 @@ func run(args []string) error {
 		recomp   = fs.Bool("recompose", false, "re-compose sessions disrupted by failures")
 		migrate  = fs.Bool("migrate", false, "enable dynamic component placement")
 		traceOut = fs.String("trace-out", "", "write probe-lifecycle span events (JSONL) to this file")
-		metrOut  = fs.String("metrics-out", "", "write an instrument snapshot (text) to this file")
+		metrOut  = fs.String("metrics-out", "", "write the instrument snapshot (the /metrics.json document) to this file")
 		serveObs = fs.String("serve-obs", "", "serve the observability plane (/metrics, /trace, /healthz, pprof) at this address, e.g. :9090")
 		srvHold  = fs.Duration("serve-hold", 0, "keep -serve-obs up this long after the run (0 = close immediately)")
 
@@ -278,7 +279,9 @@ func run(args []string) error {
 		fmt.Printf("probe trace      %d span events to %s\n", traceSink.Count(), traceFile.Name())
 	}
 	if metricsFile != nil {
-		if err := registry.WriteText(metricsFile); err != nil {
+		enc := json.NewEncoder(metricsFile)
+		enc.SetIndent("", "  ")
+		if err := enc.Encode(registry.Snapshot()); err != nil {
 			return fmt.Errorf("-metrics-out: %w", err)
 		}
 		fmt.Printf("instruments      snapshot to %s\n", metricsFile.Name())

@@ -1,10 +1,9 @@
 package main
 
 import (
-	"bufio"
+	"encoding/json"
 	"os"
 	"path/filepath"
-	"strconv"
 	"strings"
 	"testing"
 
@@ -100,30 +99,19 @@ func TestRunOutputFlagUnwritablePath(t *testing.T) {
 	}
 }
 
-// readMetricsText extracts counter values from a WriteText snapshot.
-func readMetricsText(t *testing.T, path string) map[string]int64 {
+// readMetricsJSON decodes a -metrics-out file as the /metrics.json
+// document.
+func readMetricsJSON(t *testing.T, path string) obs.Snapshot {
 	t.Helper()
-	f, err := os.Open(path)
+	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer f.Close()
-	counters := make(map[string]int64)
-	sc := bufio.NewScanner(f)
-	for sc.Scan() {
-		fields := strings.Fields(sc.Text())
-		if len(fields) == 3 && fields[0] == "counter" {
-			v, err := strconv.ParseInt(fields[2], 10, 64)
-			if err != nil {
-				t.Fatalf("bad counter line %q: %v", sc.Text(), err)
-			}
-			counters[fields[1]] = v
-		}
+	var s obs.Snapshot
+	if err := json.Unmarshal(data, &s); err != nil {
+		t.Fatalf("-metrics-out is not a /metrics.json document: %v", err)
 	}
-	if err := sc.Err(); err != nil {
-		t.Fatal(err)
-	}
-	return counters
+	return s
 }
 
 // TestTraceMatchesCounters is the acceptance cross-check: replaying a
@@ -137,7 +125,7 @@ func TestTraceMatchesCounters(t *testing.T) {
 		t.Fatal(err)
 	}
 	spans := filepath.Join(dir, "probes.jsonl")
-	metricsPath := filepath.Join(dir, "counters.txt")
+	metricsPath := filepath.Join(dir, "metrics.json")
 	if err := run(tiny("-replay", recorded, "-trace-out", spans, "-metrics-out", metricsPath)); err != nil {
 		t.Fatal(err)
 	}
@@ -169,7 +157,7 @@ func TestTraceMatchesCounters(t *testing.T) {
 			returned++
 		}
 	}
-	counters := readMetricsText(t, metricsPath)
+	counters := readMetricsJSON(t, metricsPath).Counters
 	if got := counters["experiment.messages.probes"]; got != spawned {
 		t.Errorf("metrics probes = %d, trace has %d probe.spawned events", got, spawned)
 	}

@@ -8,6 +8,7 @@
 package main
 
 import (
+	"encoding/json"
 	"fmt"
 	"log"
 	"os"
@@ -77,8 +78,10 @@ func run() error {
 		fmt.Printf("  %-16s %d\n", reason, n)
 	}
 
-	// 4. The instrument registry snapshot doubles as a plain-text report
-	//    (acpsim -metrics-out writes the same format).
+	// 4. The instrument registry snapshot is the /metrics.json document
+	//    (acpsim -metrics-out writes the same).
 	fmt.Println("instruments:")
-	return registry.WriteText(os.Stdout)
+	enc := json.NewEncoder(os.Stdout)
+	enc.SetIndent("", "  ")
+	return enc.Encode(registry.Snapshot())
 }

@@ -14,12 +14,12 @@ import (
 	"repro/internal/component"
 	"repro/internal/core"
 	"repro/internal/discovery"
+	"repro/internal/harness/clock"
 	"repro/internal/metrics"
 	"repro/internal/obs"
 	"repro/internal/overlay"
 	"repro/internal/placement"
 	"repro/internal/qos"
-	"repro/internal/simulator"
 	"repro/internal/state"
 	"repro/internal/topology"
 	"repro/internal/trace"
@@ -198,8 +198,8 @@ type RunConfig struct {
 	// recorded arrival time, and Phases is ignored.
 	Replay []trace.Record
 	// Tracer, when non-nil, receives probe-lifecycle events from the
-	// composition engine. Its clock is re-based onto the simulator's
-	// virtual time, so event timestamps are simulated microseconds.
+	// composition engine. Its clock is re-based onto the run's virtual
+	// time, so event timestamps are simulated microseconds.
 	Tracer *obs.Tracer
 	// Registry, when non-nil, receives the run's message counters and
 	// summary gauges after the run completes. nil disables.
@@ -305,10 +305,12 @@ func Run(p *Platform, rc RunConfig) (*Result, error) {
 		return nil, fmt.Errorf("experiment: Duration %v <= 0", cfg.Duration)
 	}
 
-	engine := simulator.New()
+	clk := clock.NewVirtual()
+	epoch := clk.Now()
+	now := func() time.Duration { return clk.Since(epoch) }
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	counters := &metrics.Counters{}
-	ledger := state.NewLedger(p.Mesh, p.Config.NodeCapacity, engine.Now)
+	ledger := state.NewLedger(p.Mesh, p.Config.NodeCapacity, now)
 
 	gcfg := cfg.GlobalStateConfig
 	if cfg.State == StateFrozen {
@@ -329,7 +331,7 @@ func Run(p *Platform, rc RunConfig) (*Result, error) {
 	if cfg.Tracer != nil {
 		// Trace timestamps follow the simulated clock, so a recorded
 		// trace replays onto the same timeline the run reports.
-		cfg.Tracer.SetClock(engine.Now)
+		cfg.Tracer.SetClock(now)
 	}
 	env := core.Env{
 		Mesh:     p.Mesh,
@@ -338,7 +340,7 @@ func Run(p *Platform, rc RunConfig) (*Result, error) {
 		Ledger:   ledger,
 		Global:   global,
 		Counters: counters,
-		Now:      engine.Now,
+		Now:      now,
 		Rand:     rng,
 		Tracer:   cfg.Tracer,
 		Obs:      cfg.Registry,
@@ -376,7 +378,8 @@ func Run(p *Platform, rc RunConfig) (*Result, error) {
 	r := &run{
 		cfg:      cfg,
 		platform: p,
-		engine:   engine,
+		clock:    clk,
+		now:      now,
 		rng:      rng,
 		counters: counters,
 		ledger:   ledger,
@@ -423,7 +426,11 @@ func Run(p *Platform, rc RunConfig) (*Result, error) {
 type run struct {
 	cfg      RunConfig
 	platform *Platform
-	engine   *simulator.Engine
+	// clock is the run's discrete-event scheduler: every event chain is
+	// an AfterFunc on it, fired in (deadline, registration) order by one
+	// Advance over the run. now is the virtual time since the run began.
+	clock    *clock.Virtual
+	now      func() time.Duration
 	rng      *rand.Rand
 	counters *metrics.Counters
 	ledger   *state.Ledger
@@ -467,44 +474,33 @@ func (r *run) execute() (*Result, error) {
 			if err != nil {
 				return nil, err
 			}
+			// trace.Read rejects negative arrivals, so at is never before
+			// the run's start.
 			at := rec.Arrival()
 			if at >= r.cfg.Duration {
 				continue
 			}
-			if err := r.engine.ScheduleAt(at, func() { r.composeArrival(req) }); err != nil {
-				return nil, err
-			}
+			r.clock.AfterFunc(at, func() { r.composeArrival(req) })
 		}
 	} else {
-		first := r.arrivals.NextAfter(0)
-		if err := r.engine.ScheduleAt(first, r.onArrival); err != nil {
-			return nil, err
-		}
+		r.clock.AfterFunc(r.arrivals.NextAfter(0), r.onArrival)
 	}
 	// Sampling chain.
-	if err := r.engine.Schedule(r.cfg.SamplePeriod, r.onSample); err != nil {
-		return nil, err
-	}
+	r.clock.AfterFunc(r.cfg.SamplePeriod, r.onSample)
 	// Virtual-link aggregation chain (§3.2).
 	if r.cfg.State == StateCoarse {
-		if err := r.engine.Schedule(r.global.Period(), r.onAggregate); err != nil {
-			return nil, err
-		}
+		r.clock.AfterFunc(r.global.Period(), r.onAggregate)
 	}
 	// Dynamic placement chain (§6 future work).
 	if r.manager != nil {
-		if err := r.engine.Schedule(r.manager.Period(), r.onRebalance); err != nil {
-			return nil, err
-		}
+		r.clock.AfterFunc(r.manager.Period(), r.onRebalance)
 	}
 	// Failure injection chain.
 	if r.cfg.FailuresPerMinute > 0 {
-		if err := r.engine.Schedule(r.nextFailureGap(), r.onFailure); err != nil {
-			return nil, err
-		}
+		r.clock.AfterFunc(r.nextFailureGap(), r.onFailure)
 	}
 
-	r.engine.RunUntil(r.cfg.Duration)
+	r.clock.Advance(r.cfg.Duration)
 	if r.runErr != nil {
 		return nil, r.runErr
 	}
@@ -582,11 +578,9 @@ func (r *run) onArrival() {
 	req := r.gen.Next()
 	r.composeArrival(req)
 
-	next := r.arrivals.NextAfter(r.engine.Now())
-	if next < r.cfg.Duration {
-		if err := r.engine.ScheduleAt(next, r.onArrival); err != nil {
-			r.fail(err)
-		}
+	now := r.now()
+	if next := r.arrivals.NextAfter(now); next < r.cfg.Duration {
+		r.clock.AfterFunc(next-now, r.onArrival)
 	}
 }
 
@@ -594,7 +588,7 @@ func (r *run) onArrival() {
 func (r *run) composeArrival(req *component.Request) {
 	r.recordTrace(req)
 	if r.cfg.TraceWriter != nil {
-		if err := r.cfg.TraceWriter.Write(trace.FromRequest(req, r.engine.Now())); err != nil {
+		if err := r.cfg.TraceWriter.Write(trace.FromRequest(req, r.now())); err != nil {
 			r.fail(err)
 			return
 		}
@@ -617,9 +611,7 @@ func (r *run) composeArrival(req *component.Request) {
 	r.latencyCount++
 	// The confirmation travels after the probing round trip; the
 	// transient holds bridge the gap.
-	if err := r.engine.Schedule(outcome.Latency, func() { r.onConfirm(outcome) }); err != nil {
-		r.fail(err)
-	}
+	r.clock.AfterFunc(outcome.Latency, func() { r.onConfirm(outcome) })
 }
 
 // onConfirm commits a successful composition and schedules session end.
@@ -652,22 +644,17 @@ func (r *run) trackSession(outcome *core.Outcome) {
 		nodes = append(nodes, r.catalog.Component(cid).Node)
 	}
 	r.active[id] = &activeSession{request: outcome.Request, nodes: nodes}
-	err := r.engine.Schedule(outcome.Request.Duration, func() {
+	r.clock.AfterFunc(outcome.Request.Duration, func() {
 		r.composer.Release(id)
 		delete(r.active, id)
 	})
-	if err != nil {
-		r.fail(err)
-	}
 }
 
 // onRebalance fires a dynamic-placement pass.
 func (r *run) onRebalance() {
 	r.manager.Rebalance()
-	if r.engine.Now() < r.cfg.Duration {
-		if err := r.engine.Schedule(r.manager.Period(), r.onRebalance); err != nil {
-			r.fail(err)
-		}
+	if r.now() < r.cfg.Duration {
+		r.clock.AfterFunc(r.manager.Period(), r.onRebalance)
 	}
 }
 
@@ -696,16 +683,12 @@ func (r *run) onFailure() {
 		r.catalog.SetNodeAvailable(node, false)
 		r.failures++
 		r.disruptSessionsOn(node)
-		if err := r.engine.Schedule(r.cfg.RepairTime, func() {
+		r.clock.AfterFunc(r.cfg.RepairTime, func() {
 			r.catalog.SetNodeAvailable(node, true)
-		}); err != nil {
-			r.fail(err)
-		}
+		})
 	}
-	if r.engine.Now() < r.cfg.Duration {
-		if err := r.engine.Schedule(r.nextFailureGap(), r.onFailure); err != nil {
-			r.fail(err)
-		}
+	if r.now() < r.cfg.Duration {
+		r.clock.AfterFunc(r.nextFailureGap(), r.onFailure)
 	}
 }
 
@@ -762,8 +745,9 @@ func (r *run) recompose(original *component.Request) {
 // and reschedule.
 func (r *run) onSample() {
 	rate, n := r.sampler.Roll()
+	now := r.now()
 	if n > 0 {
-		r.successSer.Add(r.engine.Now(), rate)
+		r.successSer.Add(now, rate)
 	}
 	if r.tuner != nil && n > 0 {
 		if r.tuner.Observe(rate) {
@@ -771,24 +755,20 @@ func (r *run) onSample() {
 				r.fail(err)
 			}
 		}
-		r.ratioSer.Add(r.engine.Now(), r.tuner.Ratio())
+		r.ratioSer.Add(now, r.tuner.Ratio())
 	} else {
-		r.ratioSer.Add(r.engine.Now(), r.composer.ProbingRatio())
+		r.ratioSer.Add(now, r.composer.ProbingRatio())
 	}
-	if r.engine.Now() < r.cfg.Duration {
-		if err := r.engine.Schedule(r.cfg.SamplePeriod, r.onSample); err != nil {
-			r.fail(err)
-		}
+	if now < r.cfg.Duration {
+		r.clock.AfterFunc(r.cfg.SamplePeriod, r.onSample)
 	}
 }
 
 // onAggregate fires the periodic virtual-link aggregation.
 func (r *run) onAggregate() {
 	r.global.Aggregate()
-	if r.engine.Now() < r.cfg.Duration {
-		if err := r.engine.Schedule(r.global.Period(), r.onAggregate); err != nil {
-			r.fail(err)
-		}
+	if r.now() < r.cfg.Duration {
+		r.clock.AfterFunc(r.global.Period(), r.onAggregate)
 	}
 }
 
@@ -822,7 +802,7 @@ func (r *run) profileAlpha(alpha float64) float64 {
 		Ledger:   r.ledger,
 		Global:   r.global,
 		Counters: shadowCounters,
-		Now:      r.engine.Now,
+		Now:      r.now,
 		Rand:     r.rng,
 	}
 	cfg := core.Config{

@@ -1,8 +1,11 @@
 package clock
 
 import (
+	"math/rand"
+	"sort"
 	"sync"
 	"testing"
+	"testing/quick"
 	"time"
 )
 
@@ -89,6 +92,63 @@ func TestVirtualCallbackReschedules(t *testing.T) {
 	v.Advance(10 * time.Millisecond)
 	if count != 3 {
 		t.Errorf("chained callback fired %d times, want 3", count)
+	}
+}
+
+// TestVirtualAdvanceFiresAtTarget pins the edge of an Advance window: a
+// timer due exactly at the target fires, so does one its callback
+// schedules for that same instant, and one a nanosecond later does not.
+// A negative delay is clamped to now. Time ends at the target even when
+// the queue drained earlier.
+func TestVirtualAdvanceFiresAtTarget(t *testing.T) {
+	v := NewVirtual()
+	epoch := v.Now()
+	var fired []string
+	v.AfterFunc(4*time.Second, func() {
+		fired = append(fired, "target")
+		v.AfterFunc(0, func() { fired = append(fired, "same instant") })
+		v.AfterFunc(time.Nanosecond, func() { fired = append(fired, "late") })
+	})
+	v.AfterFunc(-time.Second, func() { fired = append(fired, "clamped") })
+	v.Advance(4 * time.Second)
+	want := []string{"clamped", "target", "same instant"}
+	if len(fired) != len(want) {
+		t.Fatalf("fired %v, want %v", fired, want)
+	}
+	for i := range want {
+		if fired[i] != want[i] {
+			t.Fatalf("fired %v, want %v", fired, want)
+		}
+	}
+	if got := v.Since(epoch); got != 4*time.Second {
+		t.Errorf("now = %v after Advance(4s)", got)
+	}
+	if got := v.PendingTimers(); got != 1 {
+		t.Errorf("pending = %d, want the late timer", got)
+	}
+	v.Advance(20 * time.Second)
+	if len(fired) != 4 || v.Since(epoch) != 24*time.Second {
+		t.Errorf("after drain: fired %v, now %v", fired, v.Since(epoch))
+	}
+}
+
+// TestVirtualClockMonotone: callbacks see non-decreasing time whatever
+// order their timers were registered in.
+func TestVirtualClockMonotone(t *testing.T) {
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		v := NewVirtual()
+		var times []time.Time
+		for i := 0; i < 50; i++ {
+			v.AfterFunc(time.Duration(rng.Intn(1000))*time.Millisecond, func() {
+				times = append(times, v.Now())
+			})
+		}
+		v.Advance(time.Second)
+		return len(times) == 50 && sort.SliceIsSorted(times, func(i, j int) bool { return times[i].Before(times[j]) })
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
+		t.Error(err)
 	}
 }
 

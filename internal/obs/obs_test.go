@@ -2,8 +2,6 @@ package obs
 
 import (
 	"bytes"
-	"encoding/json"
-	"expvar"
 	"reflect"
 	"strings"
 	"sync"
@@ -111,24 +109,8 @@ func TestNilRegistryAndInstrumentsAreNoOps(t *testing.T) {
 		t.Error("nil registry snapshot not empty")
 	}
 	var buf bytes.Buffer
-	if err := r.WriteText(&buf); err != nil || buf.Len() != 0 {
-		t.Errorf("nil WriteText = %q, %v", buf.String(), err)
-	}
-}
-
-func TestWriteTextFormat(t *testing.T) {
-	r := NewRegistry()
-	r.Counter("b.count").Add(2)
-	r.Counter("a.count").Add(1)
-	r.Gauge("ratio").Set(0.25)
-	r.Histogram("rtt", []float64{10}).Observe(3)
-	var buf bytes.Buffer
-	if err := r.WriteText(&buf); err != nil {
-		t.Fatal(err)
-	}
-	want := "counter a.count 1\ncounter b.count 2\ngauge ratio 0.25\nhistogram rtt count=1 sum=3 le_10=1 inf=0\n"
-	if buf.String() != want {
-		t.Errorf("WriteText =\n%q\nwant\n%q", buf.String(), want)
+	if err := WritePrometheus(&buf, snap); err != nil || buf.Len() != 0 {
+		t.Errorf("nil registry exposition = %q, %v", buf.String(), err)
 	}
 }
 
@@ -298,38 +280,5 @@ func TestTracerConcurrentEmit(t *testing.T) {
 	}
 	if leaked := LeakedSpans(sink.Events()); leaked != nil {
 		t.Errorf("leaked spans: %v", leaked)
-	}
-}
-
-// TestPublishExpvar checks the expvar export reflects live registry
-// state and that a nil registry publish is a no-op.
-func TestPublishExpvar(t *testing.T) {
-	r := NewRegistry()
-	r.Counter("expvar.test.hits").Add(3)
-	r.PublishExpvar("obs-test-registry")
-	(*Registry)(nil).PublishExpvar("obs-test-nil") // must not publish or panic
-
-	v := expvar.Get("obs-test-registry")
-	if v == nil {
-		t.Fatal("expvar.Get returned nil after PublishExpvar")
-	}
-	var snap Snapshot
-	if err := json.Unmarshal([]byte(v.String()), &snap); err != nil {
-		t.Fatalf("expvar value is not a JSON snapshot: %v", err)
-	}
-	if snap.Counters["expvar.test.hits"] != 3 {
-		t.Errorf("exported counter = %d, want 3", snap.Counters["expvar.test.hits"])
-	}
-
-	// The export is live: later updates show up without republishing.
-	r.Counter("expvar.test.hits").Inc()
-	if err := json.Unmarshal([]byte(v.String()), &snap); err != nil {
-		t.Fatalf("re-read snapshot: %v", err)
-	}
-	if snap.Counters["expvar.test.hits"] != 4 {
-		t.Errorf("exported counter after update = %d, want 4", snap.Counters["expvar.test.hits"])
-	}
-	if expvar.Get("obs-test-nil") != nil {
-		t.Error("nil registry published an expvar")
 	}
 }

@@ -17,10 +17,8 @@
 package obs
 
 import (
-	"expvar"
-	"fmt"
-	"io"
 	"math"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -129,25 +127,71 @@ func (h *Histogram) Buckets() (bounds []float64, counts []int64) {
 	return bounds, counts
 }
 
-// Registry names and hands out instruments. Get-or-create lookups take a
-// read-write mutex, so resolve instruments once and hold the pointers on
-// hot paths; the instruments themselves are lock-free.
-type Registry struct {
+// index is a concurrency-safe get-or-create map: the registry keeps one
+// per instrument kind, keyed by name, and every vector keeps its
+// children in one, keyed by joined label values.
+type index[V any] struct {
 	mu sync.RWMutex
-	// counters indexes counters by name. guarded by mu
-	counters map[string]*Counter
-	// gauges indexes gauges by name. guarded by mu
-	gauges map[string]*Gauge
-	// histograms indexes histograms by name. guarded by mu
-	histograms map[string]*Histogram
-	// quantiles indexes quantile histograms by name. guarded by mu
-	quantiles map[string]*QHistogram
-	// counterVecs indexes counter vectors by name. guarded by mu
-	counterVecs map[string]*CounterVec
-	// gaugeVecs indexes gauge vectors by name. guarded by mu
-	gaugeVecs map[string]*GaugeVec
-	// histogramVecs indexes histogram vectors by name. guarded by mu
-	histogramVecs map[string]*HistogramVec
+	// byKey holds the members. guarded by mu
+	byKey map[string]V
+}
+
+// lookup returns the member at key, if there is one.
+func (x *index[V]) lookup(key string) (V, bool) {
+	x.mu.RLock()
+	v, ok := x.byKey[key]
+	x.mu.RUnlock()
+	return v, ok
+}
+
+// get returns the member at key, making it with create on first use;
+// created reports whether this call made it.
+func (x *index[V]) get(key string, create func() V) (v V, created bool) {
+	if v, ok := x.lookup(key); ok {
+		return v, false
+	}
+	x.mu.Lock()
+	defer x.mu.Unlock()
+	if v, ok := x.byKey[key]; ok {
+		return v, false
+	}
+	if x.byKey == nil {
+		x.byKey = make(map[string]V)
+	}
+	v = create()
+	x.byKey[key] = v
+	return v, true
+}
+
+// delete drops the member at key; no-op when absent.
+func (x *index[V]) delete(key string) {
+	x.mu.Lock()
+	delete(x.byKey, key)
+	x.mu.Unlock()
+}
+
+// each calls f on every member in key order under the read lock; f must
+// not call back into this index.
+func (x *index[V]) each(f func(key string, v V)) {
+	x.mu.RLock()
+	defer x.mu.RUnlock()
+	for _, k := range sortedKeys(x.byKey) {
+		f(k, x.byKey[k])
+	}
+}
+
+// Registry names and hands out instruments. Get-or-create lookups take a
+// read-write mutex per instrument kind, so resolve instruments once and
+// hold the pointers on hot paths; the instruments themselves are
+// lock-free.
+type Registry struct {
+	counters      index[*Counter]
+	gauges        index[*Gauge]
+	histograms    index[*Histogram]
+	quantiles     index[*QHistogram]
+	counterVecs   index[*CounterVec]
+	gaugeVecs     index[*GaugeVec]
+	histogramVecs index[*HistogramVec]
 
 	// boundsConflicts counts Histogram calls whose bounds disagreed with
 	// the bounds the named histogram was created with. Surfaced in
@@ -161,17 +205,9 @@ type Registry struct {
 }
 
 // NewRegistry returns an empty instrument registry.
-func NewRegistry() *Registry {
-	return &Registry{
-		counters:      make(map[string]*Counter),
-		gauges:        make(map[string]*Gauge),
-		histograms:    make(map[string]*Histogram),
-		quantiles:     make(map[string]*QHistogram),
-		counterVecs:   make(map[string]*CounterVec),
-		gaugeVecs:     make(map[string]*GaugeVec),
-		histogramVecs: make(map[string]*HistogramVec),
-	}
-}
+func NewRegistry() *Registry { return &Registry{} }
+
+func newOf[T any]() *T { return new(T) }
 
 // Counter returns the named counter, creating it on first use. A nil
 // registry returns a nil (no-op) counter.
@@ -179,18 +215,7 @@ func (r *Registry) Counter(name string) *Counter {
 	if r == nil {
 		return nil
 	}
-	r.mu.RLock()
-	c := r.counters[name]
-	r.mu.RUnlock()
-	if c != nil {
-		return c
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if c = r.counters[name]; c == nil {
-		c = &Counter{}
-		r.counters[name] = c
-	}
+	c, _ := r.counters.get(name, newOf[Counter])
 	return c
 }
 
@@ -200,18 +225,7 @@ func (r *Registry) Gauge(name string) *Gauge {
 	if r == nil {
 		return nil
 	}
-	r.mu.RLock()
-	g := r.gauges[name]
-	r.mu.RUnlock()
-	if g != nil {
-		return g
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if g = r.gauges[name]; g == nil {
-		g = &Gauge{}
-		r.gauges[name] = g
-	}
+	g, _ := r.gauges.get(name, newOf[Gauge])
 	return g
 }
 
@@ -219,70 +233,22 @@ func (r *Registry) Gauge(name string) *Gauge {
 // ascending bucket upper bounds on first use. Later calls must pass the
 // same bounds (in any order): the first registration wins, but a
 // mismatch is recorded — not silently ignored — in the
-// "obs.registry.histogram_bounds_conflicts" counter (see
-// HistogramBoundsConflicts), so a dashboard showing misleading buckets
-// has a tell. A nil registry returns a nil (no-op) histogram.
+// "obs.registry.histogram_bounds_conflicts" counter, so a dashboard
+// showing misleading buckets has a tell. A nil registry returns a nil
+// (no-op) histogram.
 func (r *Registry) Histogram(name string, bounds []float64) *Histogram {
 	if r == nil {
 		return nil
 	}
-	r.mu.RLock()
-	h := r.histograms[name]
-	r.mu.RUnlock()
-	if h != nil {
-		r.checkBounds(h, bounds)
-		return h
-	}
-	r.mu.Lock()
-	if h = r.histograms[name]; h == nil {
-		b := append([]float64(nil), bounds...)
-		sort.Float64s(b)
-		h = &Histogram{bounds: b, counts: make([]atomic.Int64, len(b)+1)}
-		r.histograms[name] = h
-		r.mu.Unlock()
-		return h
-	}
-	r.mu.Unlock()
-	r.checkBounds(h, bounds)
-	return h
-}
-
-// checkBounds bumps the conflict counter when bounds disagree with the
-// histogram's registered bounds. The comparison sorts a copy, matching
-// what registration does.
-func (r *Registry) checkBounds(h *Histogram, bounds []float64) {
-	if len(bounds) != len(h.bounds) {
+	sorted := append([]float64(nil), bounds...)
+	sort.Float64s(sorted)
+	h, created := r.histograms.get(name, func() *Histogram {
+		return &Histogram{bounds: sorted, counts: make([]atomic.Int64, len(sorted)+1)}
+	})
+	if !created && !slices.Equal(h.bounds, sorted) {
 		r.boundsConflicts.Inc()
-		return
 	}
-	b := append([]float64(nil), bounds...)
-	sort.Float64s(b)
-	for i := range b {
-		if b[i] != h.bounds[i] {
-			r.boundsConflicts.Inc()
-			return
-		}
-	}
-}
-
-// HistogramBoundsConflicts returns how many Histogram lookups passed
-// bounds that disagreed with the registered histogram's bounds; 0 on a
-// nil registry.
-func (r *Registry) HistogramBoundsConflicts() int64 {
-	if r == nil {
-		return 0
-	}
-	return r.boundsConflicts.Value()
-}
-
-// LabelErrors returns how many vector operations used a wrong label
-// arity or re-registered a vector with different label names; 0 on a
-// nil registry.
-func (r *Registry) LabelErrors() int64 {
-	if r == nil {
-		return 0
-	}
-	return r.labelErrors.Value()
+	return h
 }
 
 // QHistogram returns the named quantile histogram, creating it on first
@@ -291,34 +257,8 @@ func (r *Registry) QHistogram(name string) *QHistogram {
 	if r == nil {
 		return nil
 	}
-	r.mu.RLock()
-	h := r.quantiles[name]
-	r.mu.RUnlock()
-	if h != nil {
-		return h
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if h = r.quantiles[name]; h == nil {
-		h = NewQHistogram()
-		r.quantiles[name] = h
-	}
+	h, _ := r.quantiles.get(name, NewQHistogram)
 	return h
-}
-
-// checkLabels bumps the label-error counter when a vector is looked up
-// again with different label names.
-func (r *Registry) checkLabels(existing, labels []string) {
-	if len(existing) != len(labels) {
-		r.labelErrors.Inc()
-		return
-	}
-	for i := range labels {
-		if labels[i] != existing[i] {
-			r.labelErrors.Inc()
-			return
-		}
-	}
 }
 
 // CounterVec returns the named counter vector with the given label
@@ -330,28 +270,7 @@ func (r *Registry) CounterVec(name string, labelNames ...string) *CounterVec {
 	if r == nil {
 		return nil
 	}
-	r.mu.RLock()
-	v := r.counterVecs[name]
-	r.mu.RUnlock()
-	if v == nil {
-		r.mu.Lock()
-		if v = r.counterVecs[name]; v == nil {
-			v = &CounterVec{
-				vecCore: vecCore{
-					labels:   append([]string(nil), labelNames...),
-					children: make(map[string][]string),
-					onArity:  r.labelErrors.Inc,
-				},
-				byKey: make(map[string]*Counter),
-			}
-			r.counterVecs[name] = v
-			r.mu.Unlock()
-			return v
-		}
-		r.mu.Unlock()
-	}
-	r.checkLabels(v.labels, labelNames)
-	return v
+	return vecIn(r, &r.counterVecs, name, labelNames, newOf[Counter])
 }
 
 // GaugeVec returns the named gauge vector with the given label names,
@@ -361,28 +280,7 @@ func (r *Registry) GaugeVec(name string, labelNames ...string) *GaugeVec {
 	if r == nil {
 		return nil
 	}
-	r.mu.RLock()
-	v := r.gaugeVecs[name]
-	r.mu.RUnlock()
-	if v == nil {
-		r.mu.Lock()
-		if v = r.gaugeVecs[name]; v == nil {
-			v = &GaugeVec{
-				vecCore: vecCore{
-					labels:   append([]string(nil), labelNames...),
-					children: make(map[string][]string),
-					onArity:  r.labelErrors.Inc,
-				},
-				byKey: make(map[string]*Gauge),
-			}
-			r.gaugeVecs[name] = v
-			r.mu.Unlock()
-			return v
-		}
-		r.mu.Unlock()
-	}
-	r.checkLabels(v.labels, labelNames)
-	return v
+	return vecIn(r, &r.gaugeVecs, name, labelNames, newOf[Gauge])
 }
 
 // HistogramVec returns the named quantile-histogram vector with the
@@ -392,27 +290,19 @@ func (r *Registry) HistogramVec(name string, labelNames ...string) *HistogramVec
 	if r == nil {
 		return nil
 	}
-	r.mu.RLock()
-	v := r.histogramVecs[name]
-	r.mu.RUnlock()
-	if v == nil {
-		r.mu.Lock()
-		if v = r.histogramVecs[name]; v == nil {
-			v = &HistogramVec{
-				vecCore: vecCore{
-					labels:   append([]string(nil), labelNames...),
-					children: make(map[string][]string),
-					onArity:  r.labelErrors.Inc,
-				},
-				byKey: make(map[string]*QHistogram),
-			}
-			r.histogramVecs[name] = v
-			r.mu.Unlock()
-			return v
-		}
-		r.mu.Unlock()
+	return vecIn(r, &r.histogramVecs, name, labelNames, NewQHistogram)
+}
+
+// vecIn looks up a vector in one of the registry's vector tables,
+// counting a re-registration with different label names as a label
+// error.
+func vecIn[T any](r *Registry, x *index[*Vec[T]], name string, labelNames []string, newChild func() *T) *Vec[T] {
+	v, created := x.get(name, func() *Vec[T] {
+		return &Vec[T]{labels: append([]string(nil), labelNames...), newChild: newChild, onArity: r.labelErrors.Inc}
+	})
+	if !created && !slices.Equal(v.labels, labelNames) {
+		r.labelErrors.Inc()
 	}
-	r.checkLabels(v.labels, labelNames)
 	return v
 }
 
@@ -462,32 +352,31 @@ func (r *Registry) Snapshot() Snapshot {
 	if r == nil {
 		return s
 	}
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	for name, c := range r.counters {
-		s.Counters[name] = c.Value()
-	}
-	for name, g := range r.gauges {
-		s.Gauges[name] = g.Value()
-	}
-	for name, h := range r.histograms {
+	r.counters.each(func(name string, c *Counter) { s.Counters[name] = c.Value() })
+	r.gauges.each(func(name string, g *Gauge) { s.Gauges[name] = g.Value() })
+	r.histograms.each(func(name string, h *Histogram) {
 		bounds, counts := h.Buckets()
-		s.Histograms[name] = HistogramSnapshot{
-			Bounds: bounds, Counts: counts, Count: h.Count(), Sum: h.Sum(),
-		}
-	}
-	for name, q := range r.quantiles {
-		s.Quantiles[name] = q.Snapshot()
-	}
-	for name, v := range r.counterVecs {
-		s.CounterVecs[name] = v.Snapshot()
-	}
-	for name, v := range r.gaugeVecs {
-		s.GaugeVecs[name] = v.Snapshot()
-	}
-	for name, v := range r.histogramVecs {
-		s.HistogramVecs[name] = v.Snapshot()
-	}
+		s.Histograms[name] = HistogramSnapshot{Bounds: bounds, Counts: counts, Count: h.Count(), Sum: h.Sum()}
+	})
+	r.quantiles.each(func(name string, q *QHistogram) { s.Quantiles[name] = q.Snapshot() })
+	r.counterVecs.each(func(name string, v *CounterVec) {
+		names, values := snapshotVec(v, func(labels []string, c *Counter) LabeledValue {
+			return LabeledValue{Labels: labels, Value: float64(c.Value())}
+		})
+		s.CounterVecs[name] = VecSnapshot{LabelNames: names, Values: values}
+	})
+	r.gaugeVecs.each(func(name string, v *GaugeVec) {
+		names, values := snapshotVec(v, func(labels []string, g *Gauge) LabeledValue {
+			return LabeledValue{Labels: labels, Value: g.Value()}
+		})
+		s.GaugeVecs[name] = VecSnapshot{LabelNames: names, Values: values}
+	})
+	r.histogramVecs.each(func(name string, v *HistogramVec) {
+		names, values := snapshotVec(v, func(labels []string, q *QHistogram) LabeledQHistogram {
+			return LabeledQHistogram{Labels: labels, Histogram: q.Snapshot()}
+		})
+		s.HistogramVecs[name] = HistogramVecSnapshot{LabelNames: names, Values: values}
+	})
 	// Self-monitoring counters appear once they have something to say,
 	// keeping snapshots from clean registries unchanged.
 	if n := r.boundsConflicts.Value(); n > 0 {
@@ -497,104 +386,6 @@ func (r *Registry) Snapshot() Snapshot {
 		s.Counters["obs.registry.label_errors"] = n
 	}
 	return s
-}
-
-// WriteText renders the snapshot in a stable expvar-style line format:
-// one "kind name value..." line per instrument, sorted within each kind.
-func (r *Registry) WriteText(w io.Writer) error {
-	s := r.Snapshot()
-	for _, name := range sortedKeys(s.Counters) {
-		if _, err := fmt.Fprintf(w, "counter %s %d\n", name, s.Counters[name]); err != nil {
-			return err
-		}
-	}
-	for _, name := range sortedKeys(s.Gauges) {
-		if _, err := fmt.Fprintf(w, "gauge %s %g\n", name, s.Gauges[name]); err != nil {
-			return err
-		}
-	}
-	hists := make([]string, 0, len(s.Histograms))
-	for name := range s.Histograms {
-		hists = append(hists, name)
-	}
-	sort.Strings(hists)
-	for _, name := range hists {
-		h := s.Histograms[name]
-		if _, err := fmt.Fprintf(w, "histogram %s count=%d sum=%g", name, h.Count, h.Sum); err != nil {
-			return err
-		}
-		for i, b := range h.Bounds {
-			if _, err := fmt.Fprintf(w, " le_%g=%d", b, h.Counts[i]); err != nil {
-				return err
-			}
-		}
-		if _, err := fmt.Fprintf(w, " inf=%d\n", h.Counts[len(h.Counts)-1]); err != nil {
-			return err
-		}
-	}
-	for _, name := range sortedKeys(s.Quantiles) {
-		q := s.Quantiles[name]
-		if _, err := fmt.Fprintf(w, "quantile %s count=%d sum=%g min=%g max=%g p50=%g p90=%g p99=%g p999=%g\n",
-			name, q.Count, q.Sum, q.Min, q.Max, q.P50, q.P90, q.P99, q.P999); err != nil {
-			return err
-		}
-	}
-	for _, name := range sortedKeys(s.CounterVecs) {
-		v := s.CounterVecs[name]
-		for _, lv := range v.Values {
-			if _, err := fmt.Fprintf(w, "countervec %s%s %d\n",
-				name, labelText(v.LabelNames, lv.Labels), int64(lv.Value)); err != nil {
-				return err
-			}
-		}
-	}
-	for _, name := range sortedKeys(s.GaugeVecs) {
-		v := s.GaugeVecs[name]
-		for _, lv := range v.Values {
-			if _, err := fmt.Fprintf(w, "gaugevec %s%s %g\n",
-				name, labelText(v.LabelNames, lv.Labels), lv.Value); err != nil {
-				return err
-			}
-		}
-	}
-	for _, name := range sortedKeys(s.HistogramVecs) {
-		v := s.HistogramVecs[name]
-		for _, lh := range v.Values {
-			q := lh.Histogram
-			if _, err := fmt.Fprintf(w, "histogramvec %s%s count=%d p50=%g p99=%g p999=%g\n",
-				name, labelText(v.LabelNames, lh.Labels), q.Count, q.P50, q.P99, q.P999); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
-}
-
-// labelText renders a label tuple as {k1="v1",k2="v2"}.
-func labelText(names, values []string) string {
-	out := "{"
-	for i, v := range values {
-		if i > 0 {
-			out += ","
-		}
-		name := "?"
-		if i < len(names) {
-			name = names[i]
-		}
-		out += fmt.Sprintf("%s=%q", name, v)
-	}
-	return out + "}"
-}
-
-// PublishExpvar exposes the registry's live snapshot under the given
-// expvar name (and thus on /debug/vars when an HTTP server is up).
-// Publishing an already-used name panics (expvar's contract), so call
-// once per registry per process. No-op on a nil registry.
-func (r *Registry) PublishExpvar(name string) {
-	if r == nil {
-		return
-	}
-	expvar.Publish(name, expvar.Func(func() any { return r.Snapshot() }))
 }
 
 func sortedKeys[V any](m map[string]V) []string {

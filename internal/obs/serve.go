@@ -2,7 +2,6 @@ package obs
 
 import (
 	"encoding/json"
-	"expvar"
 	"fmt"
 	"net"
 	"net/http"
@@ -15,12 +14,10 @@ import (
 // and tracer; Serve binds it to a listener so acpsim (or a future
 // network service) can expose live state with one call:
 //
-//	/metrics       Prometheus text exposition (?format=text for the
-//	               registry's native line format)
+//	/metrics       Prometheus text exposition
 //	/metrics.json  the full registry Snapshot as JSON (acpmon's feed)
 //	/healthz       liveness ("ok")
 //	/trace         live span events streamed as chunked JSONL
-//	/debug/vars    expvar
 //	/debug/pprof/  the runtime profiler family
 //
 // Everything is stdlib; the only cost when nobody scrapes is the
@@ -45,11 +42,6 @@ type ServeConfig struct {
 func Handler(cfg ServeConfig) http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
-		if r.URL.Query().Get("format") == "text" {
-			w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-			_ = cfg.Registry.WriteText(w)
-			return
-		}
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 		_ = WritePrometheus(w, cfg.Registry.Snapshot())
 	})
@@ -67,7 +59,6 @@ func Handler(cfg ServeConfig) http.Handler {
 		fmt.Fprintln(w, "ok")
 	})
 	mux.HandleFunc("/trace", traceHandler(cfg.Tracer, cfg.TraceBuffer))
-	mux.Handle("/debug/vars", expvar.Handler())
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
 	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
 	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)

@@ -54,11 +54,6 @@ func TestServeMetricsEndpoints(t *testing.T) {
 		t.Errorf("/metrics missing p999 sample:\n%s", body)
 	}
 
-	_, body, _ = get(t, srv.URL()+"/metrics?format=text")
-	if !strings.Contains(body, "counter core.probes.sent 12") {
-		t.Errorf("?format=text missing native line:\n%s", body)
-	}
-
 	code, body, ctype = get(t, srv.URL()+"/metrics.json")
 	if code != http.StatusOK || !strings.Contains(ctype, "application/json") {
 		t.Fatalf("/metrics.json status %d type %q", code, ctype)
@@ -79,9 +74,10 @@ func TestServeMetricsEndpoints(t *testing.T) {
 		t.Fatalf("/healthz = %d %q", code, body)
 	}
 
+	// Two exports, no more: expvar is not served.
 	code, _, _ = get(t, srv.URL()+"/debug/vars")
-	if code != http.StatusOK {
-		t.Fatalf("/debug/vars status %d", code)
+	if code != http.StatusNotFound {
+		t.Fatalf("/debug/vars status %d, want 404", code)
 	}
 	code, _, _ = get(t, srv.URL()+"/debug/pprof/cmdline")
 	if code != http.StatusOK {

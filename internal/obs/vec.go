@@ -1,10 +1,6 @@
 package obs
 
-import (
-	"sort"
-	"strings"
-	"sync"
-)
+import "strings"
 
 // Labeled instrument vectors: families of counters, gauges, or quantile
 // histograms indexed by an ordered tuple of label values (session,
@@ -19,11 +15,38 @@ import (
 // timestamps). The drift monitor and the /metrics exposition iterate
 // every child.
 //
-// All vector types are nil-safe the same way the scalar instruments
-// are: a nil vector hands out nil (no-op) children. With called with
-// the wrong number of label values returns a nil child and bumps the
-// owning registry's LabelErrors counter — a monitoring layer must not
-// panic the system it watches.
+// Vectors are nil-safe the same way the scalar instruments are: a nil
+// vector hands out nil (no-op) children. With called with the wrong
+// number of label values returns a nil child and bumps the owning
+// registry's "obs.registry.label_errors" counter — a monitoring layer
+// must not panic the system it watches.
+
+// Vec is a family of instruments of one kind indexed by label values.
+// Registries hand out its three instantiations: CounterVec, GaugeVec and
+// HistogramVec.
+type Vec[T any] struct {
+	labels   []string
+	newChild func() *T
+	onArity  func() // bumps the registry's label-error counter
+	children index[vecChild[T]]
+}
+
+// vecChild is one live child and its label values.
+type vecChild[T any] struct {
+	labels []string
+	inst   *T
+}
+
+// CounterVec is a family of counters indexed by label values.
+type CounterVec = Vec[Counter]
+
+// GaugeVec is a family of gauges indexed by label values.
+type GaugeVec = Vec[Gauge]
+
+// HistogramVec is a family of quantile histograms indexed by label
+// values. Children are QHistograms: labeled latency families need the
+// auto-ranging layout, not per-family bucket bounds.
+type HistogramVec = Vec[QHistogram]
 
 // labelKey joins label values into one map key. \x1f (ASCII unit
 // separator) cannot collide with reasonable label values.
@@ -31,19 +54,12 @@ func labelKey(values []string) string {
 	return strings.Join(values, "\x1f")
 }
 
-func splitLabelKey(key string) []string {
-	return strings.Split(key, "\x1f")
-}
-
-// vecCore is the shared child-management machinery of the vector types.
-type vecCore struct {
-	mu       sync.RWMutex
-	labels   []string
-	children map[string][]string // key -> label values
-	onArity  func()              // bumps the registry's label-error counter
-}
-
-func (v *vecCore) keyFor(values []string) (string, bool) {
+// keyFor returns the child key for values; false on a nil vector or a
+// wrong label arity, which is counted.
+func (v *Vec[T]) keyFor(values []string) (string, bool) {
+	if v == nil {
+		return "", false
+	}
 	if len(values) != len(v.labels) {
 		if v.onArity != nil {
 			v.onArity()
@@ -53,280 +69,58 @@ func (v *vecCore) keyFor(values []string) (string, bool) {
 	return labelKey(values), true
 }
 
-// LabelValues returns the label tuples of every live child, sorted.
-func (v *vecCore) labelValues() [][]string {
-	v.mu.RLock()
-	keys := make([]string, 0, len(v.children))
-	for k := range v.children {
-		keys = append(keys, k)
-	}
-	v.mu.RUnlock()
-	sort.Strings(keys)
-	out := make([][]string, len(keys))
-	for i, k := range keys {
-		out[i] = splitLabelKey(k)
-	}
-	return out
-}
-
-// CounterVec is a family of counters indexed by label values.
-type CounterVec struct {
-	vecCore
-	byKey map[string]*Counter
-}
-
-// With returns the child counter for the given label values, creating
-// it on first use. Nil receiver or wrong label arity returns a nil
-// (no-op) counter.
-func (v *CounterVec) With(labelValues ...string) *Counter {
-	if v == nil {
-		return nil
-	}
+// With returns the child for the given label values, creating it on
+// first use. Nil receiver or wrong label arity returns a nil (no-op)
+// child.
+func (v *Vec[T]) With(labelValues ...string) *T {
 	key, ok := v.keyFor(labelValues)
 	if !ok {
 		return nil
 	}
-	v.mu.RLock()
-	c := v.byKey[key]
-	v.mu.RUnlock()
-	if c != nil {
-		return c
+	c, _ := v.children.get(key, func() vecChild[T] {
+		return vecChild[T]{labels: append([]string(nil), labelValues...), inst: v.newChild()}
+	})
+	return c.inst
+}
+
+// Get returns the child for the given label values without creating it;
+// nil when absent.
+func (v *Vec[T]) Get(labelValues ...string) *T {
+	key, ok := v.keyFor(labelValues)
+	if !ok {
+		return nil
 	}
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	if c = v.byKey[key]; c == nil {
-		c = &Counter{}
-		v.byKey[key] = c
-		v.children[key] = append([]string(nil), labelValues...)
-	}
-	return c
+	c, _ := v.children.lookup(key)
+	return c.inst
 }
 
 // Delete drops the child for the given label values (e.g. at session
 // teardown, keeping label cardinality bounded). No-op when absent.
-func (v *CounterVec) Delete(labelValues ...string) {
-	if v == nil {
-		return
+func (v *Vec[T]) Delete(labelValues ...string) {
+	if key, ok := v.keyFor(labelValues); ok {
+		v.children.delete(key)
 	}
-	key, ok := v.keyFor(labelValues)
-	if !ok {
-		return
-	}
-	v.mu.Lock()
-	delete(v.byKey, key)
-	delete(v.children, key)
-	v.mu.Unlock()
-}
-
-// LabelNames returns the vector's label names.
-func (v *CounterVec) LabelNames() []string {
-	if v == nil {
-		return nil
-	}
-	return append([]string(nil), v.labels...)
 }
 
 // LabelValues returns the label tuples of every live child, sorted.
-func (v *CounterVec) LabelValues() [][]string {
+func (v *Vec[T]) LabelValues() [][]string {
 	if v == nil {
 		return nil
 	}
-	return v.labelValues()
+	var out [][]string
+	v.children.each(func(_ string, c vecChild[T]) {
+		out = append(out, append([]string(nil), c.labels...))
+	})
+	return out
 }
 
-// GaugeVec is a family of gauges indexed by label values.
-type GaugeVec struct {
-	vecCore
-	byKey map[string]*Gauge
-}
-
-// With returns the child gauge for the given label values, creating it
-// on first use. Nil receiver or wrong label arity returns a nil gauge.
-func (v *GaugeVec) With(labelValues ...string) *Gauge {
-	if v == nil {
-		return nil
-	}
-	key, ok := v.keyFor(labelValues)
-	if !ok {
-		return nil
-	}
-	v.mu.RLock()
-	g := v.byKey[key]
-	v.mu.RUnlock()
-	if g != nil {
-		return g
-	}
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	if g = v.byKey[key]; g == nil {
-		g = &Gauge{}
-		v.byKey[key] = g
-		v.children[key] = append([]string(nil), labelValues...)
-	}
-	return g
-}
-
-// Get returns the child gauge for the given label values without
-// creating it; nil when absent.
-func (v *GaugeVec) Get(labelValues ...string) *Gauge {
-	if v == nil {
-		return nil
-	}
-	key, ok := v.keyFor(labelValues)
-	if !ok {
-		return nil
-	}
-	v.mu.RLock()
-	defer v.mu.RUnlock()
-	return v.byKey[key]
-}
-
-// Delete drops the child for the given label values.
-func (v *GaugeVec) Delete(labelValues ...string) {
-	if v == nil {
-		return
-	}
-	key, ok := v.keyFor(labelValues)
-	if !ok {
-		return
-	}
-	v.mu.Lock()
-	delete(v.byKey, key)
-	delete(v.children, key)
-	v.mu.Unlock()
-}
-
-// LabelNames returns the vector's label names.
-func (v *GaugeVec) LabelNames() []string {
-	if v == nil {
-		return nil
-	}
-	return append([]string(nil), v.labels...)
-}
-
-// LabelValues returns the label tuples of every live child, sorted.
-func (v *GaugeVec) LabelValues() [][]string {
-	if v == nil {
-		return nil
-	}
-	return v.labelValues()
-}
-
-// HistogramVec is a family of quantile histograms indexed by label
-// values. Children are QHistograms: labeled latency families need the
-// auto-ranging layout, not per-family bucket bounds.
-type HistogramVec struct {
-	vecCore
-	byKey map[string]*QHistogram
-}
-
-// With returns the child histogram for the given label values, creating
-// it on first use. Nil receiver or wrong label arity returns a nil
-// (no-op) histogram.
-func (v *HistogramVec) With(labelValues ...string) *QHistogram {
-	if v == nil {
-		return nil
-	}
-	key, ok := v.keyFor(labelValues)
-	if !ok {
-		return nil
-	}
-	v.mu.RLock()
-	h := v.byKey[key]
-	v.mu.RUnlock()
-	if h != nil {
-		return h
-	}
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	if h = v.byKey[key]; h == nil {
-		h = NewQHistogram()
-		v.byKey[key] = h
-		v.children[key] = append([]string(nil), labelValues...)
-	}
-	return h
-}
-
-// Delete drops the child for the given label values.
-func (v *HistogramVec) Delete(labelValues ...string) {
-	if v == nil {
-		return
-	}
-	key, ok := v.keyFor(labelValues)
-	if !ok {
-		return
-	}
-	v.mu.Lock()
-	delete(v.byKey, key)
-	delete(v.children, key)
-	v.mu.Unlock()
-}
-
-// LabelNames returns the vector's label names.
-func (v *HistogramVec) LabelNames() []string {
-	if v == nil {
-		return nil
-	}
-	return append([]string(nil), v.labels...)
-}
-
-// LabelValues returns the label tuples of every live child, sorted.
-func (v *HistogramVec) LabelValues() [][]string {
-	if v == nil {
-		return nil
-	}
-	return v.labelValues()
-}
-
-// Snapshot copies the vector's current state; zero value on nil.
-func (v *CounterVec) Snapshot() VecSnapshot {
-	if v == nil {
-		return VecSnapshot{}
-	}
-	v.mu.RLock()
-	defer v.mu.RUnlock()
-	s := VecSnapshot{LabelNames: append([]string(nil), v.labels...)}
-	for _, k := range sortedKeys(v.byKey) {
-		s.Values = append(s.Values, LabeledValue{
-			Labels: append([]string(nil), v.children[k]...),
-			Value:  float64(v.byKey[k].Value()),
-		})
-	}
-	return s
-}
-
-// Snapshot copies the vector's current state; zero value on nil.
-func (v *GaugeVec) Snapshot() VecSnapshot {
-	if v == nil {
-		return VecSnapshot{}
-	}
-	v.mu.RLock()
-	defer v.mu.RUnlock()
-	s := VecSnapshot{LabelNames: append([]string(nil), v.labels...)}
-	for _, k := range sortedKeys(v.byKey) {
-		s.Values = append(s.Values, LabeledValue{
-			Labels: append([]string(nil), v.children[k]...),
-			Value:  v.byKey[k].Value(),
-		})
-	}
-	return s
-}
-
-// Snapshot copies the vector's current state; zero value on nil.
-func (v *HistogramVec) Snapshot() HistogramVecSnapshot {
-	if v == nil {
-		return HistogramVecSnapshot{}
-	}
-	v.mu.RLock()
-	defer v.mu.RUnlock()
-	s := HistogramVecSnapshot{LabelNames: append([]string(nil), v.labels...)}
-	for _, k := range sortedKeys(v.byKey) {
-		s.Values = append(s.Values, LabeledQHistogram{
-			Labels:    append([]string(nil), v.children[k]...),
-			Histogram: v.byKey[k].Snapshot(),
-		})
-	}
-	return s
+// snapshotVec reads v's label names and, in label order, every child
+// through read.
+func snapshotVec[T, S any](v *Vec[T], read func(labels []string, child *T) S) (labelNames []string, values []S) {
+	v.children.each(func(_ string, c vecChild[T]) {
+		values = append(values, read(append([]string(nil), c.labels...), c.inst))
+	})
+	return append([]string(nil), v.labels...), values
 }
 
 // LabeledValue is one vector child's value in a snapshot.

@@ -13,7 +13,7 @@ func TestVecBasics(t *testing.T) {
 	cv.With("find", "3").Add(2)
 	cv.With("find", "3").Inc()
 	cv.With("close", "3").Inc()
-	s := cv.Snapshot()
+	s := r.Snapshot().CounterVecs["rpc.calls"]
 	if !reflect.DeepEqual(s.LabelNames, []string{"method", "node"}) {
 		t.Fatalf("LabelNames = %v", s.LabelNames)
 	}
@@ -41,7 +41,7 @@ func TestVecBasics(t *testing.T) {
 	hv := r.HistogramVec("op.latency", "op")
 	hv.With("find").Observe(3)
 	hv.With("find").Observe(5)
-	hs := hv.Snapshot()
+	hs := r.Snapshot().HistogramVecs["op.latency"]
 	if len(hs.Values) != 1 || hs.Values[0].Histogram.Count != 2 {
 		t.Fatalf("histogram vec snapshot = %+v", hs)
 	}
@@ -81,12 +81,7 @@ func TestNilVecsAreNoOps(t *testing.T) {
 		t.Fatal("nil GaugeVec.Get returned a child")
 	}
 	hv.With("x").Observe(1)
-	if s := cv.Snapshot(); len(s.Values) != 0 {
-		t.Fatalf("nil snapshot = %+v", s)
-	}
-	if names := gv.LabelNames(); names != nil {
-		t.Fatalf("nil LabelNames = %v", names)
-	}
+	hv.Delete("x")
 	if lv := hv.LabelValues(); lv != nil {
 		t.Fatalf("nil LabelValues = %v", lv)
 	}
@@ -132,14 +127,14 @@ func TestVecConcurrent(t *testing.T) {
 	go func() {
 		defer close(done)
 		for i := 0; i < 200; i++ {
-			_ = cv.Snapshot()
+			_ = cv.LabelValues()
 			_ = r.Snapshot()
 		}
 	}()
 	wg.Wait()
 	<-done
 	var total float64
-	for _, lv := range cv.Snapshot().Values {
+	for _, lv := range r.Snapshot().CounterVecs["c"].Values {
 		total += lv.Value
 	}
 	if total != workers*perWorker {
@@ -170,7 +165,7 @@ func TestRegistryHistogramBoundsConflict(t *testing.T) {
 	if a != b {
 		t.Fatal("same-bounds re-registration returned a different histogram")
 	}
-	if got := r.HistogramBoundsConflicts(); got != 0 {
+	if got, ok := r.Snapshot().Counters["obs.registry.histogram_bounds_conflicts"]; ok {
 		t.Fatalf("conflicts = %d before any mismatch", got)
 	}
 	// Mismatched bounds return the existing histogram and record the
@@ -178,9 +173,6 @@ func TestRegistryHistogramBoundsConflict(t *testing.T) {
 	c := r.Histogram("h", []float64{5, 10})
 	if c != a {
 		t.Fatal("conflicting re-registration returned a different histogram")
-	}
-	if got := r.HistogramBoundsConflicts(); got != 1 {
-		t.Fatalf("conflicts = %d, want 1", got)
 	}
 	if got := r.Snapshot().Counters["obs.registry.histogram_bounds_conflicts"]; got != 1 {
 		t.Fatalf("snapshot conflict counter = %d, want 1", got)

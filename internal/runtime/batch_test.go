@@ -3,12 +3,44 @@ package runtime
 import (
 	"errors"
 	"math"
+	"sync"
 	"testing"
 
 	"repro/internal/component"
 	"repro/internal/obs"
 	"repro/internal/qos"
 )
+
+// findResult is one FindApp outcome of a find batch.
+type findResult struct {
+	Session SessionID
+	Err     error
+}
+
+// findBatch runs reqs through FindApp from workers goroutines at once —
+// the concurrent callers FindApp serves, each walking on its own pooled
+// composer outside Cluster.mu — and returns the outcomes in request
+// order.
+func findBatch(c *Cluster, reqs []FindRequest, workers int) []findResult {
+	results := make([]findResult, len(reqs))
+	next := make(chan int)
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range next {
+				results[i].Session, results[i].Err = c.FindApp(reqs[i])
+			}
+		}()
+	}
+	for i := range reqs {
+		next <- i
+	}
+	close(next)
+	wg.Wait()
+	return results
+}
 
 // TestFindBatchComposesSessions drives concurrent composition through
 // the locked ledger (exercised for data races under -race) and checks
@@ -18,17 +50,11 @@ func TestFindBatchComposesSessions(t *testing.T) {
 	graph := component.NewPathGraph([]component.FunctionID{0, 1, 2})
 	qosReq, resReq, bw := easyArgs(3)
 
-	specs := make([]FindSpec, 12)
-	for i := range specs {
-		specs[i] = FindSpec{Graph: graph, QoSReq: qosReq, ResReq: resReq, BandwidthKbps: bw}
+	reqs := make([]FindRequest, 12)
+	for i := range reqs {
+		reqs[i] = FindRequest{Graph: graph, QoSReq: qosReq, ResReq: resReq, BandwidthKbps: bw}
 	}
-	results, err := c.FindBatch(specs, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(results) != len(specs) {
-		t.Fatalf("got %d results for %d specs", len(results), len(specs))
-	}
+	results := findBatch(c, reqs, 4)
 	admitted := 0
 	seen := make(map[SessionID]bool)
 	for i, r := range results {
@@ -53,13 +79,13 @@ func TestFindBatchComposesSessions(t *testing.T) {
 	}
 	// The cluster is lightly loaded; concurrent contention may reject a
 	// few requests, but most must land.
-	if admitted < len(specs)/2 {
-		t.Fatalf("only %d/%d requests admitted", admitted, len(specs))
+	if admitted < len(reqs)/2 {
+		t.Fatalf("only %d/%d requests admitted", admitted, len(reqs))
 	}
 
-	// Serial Find still works after the ledger switched to locked mode.
+	// A lone caller still composes after the batch.
 	if _, err := c.Find(graph, qosReq, resReq, bw); err != nil {
-		t.Fatalf("serial Find after FindBatch: %v", err)
+		t.Fatalf("serial Find after the batch: %v", err)
 	}
 	for id := range seen {
 		if err := c.Close(id); err != nil {
@@ -68,12 +94,11 @@ func TestFindBatchComposesSessions(t *testing.T) {
 	}
 }
 
-// TestFindBatchSessionStreams is the regression test for batch-admitted
-// sessions missing their data-plane parameters: the first unit through
-// Process indexed an empty paceNs slice and panicked the process. A
-// batch admission must leave exactly what FindApp leaves — a session
-// that streams, its gauges, and one find-latency quantile observation
-// per request.
+// TestFindBatchSessionStreams is the regression test for sessions
+// admitted by concurrent callers missing their data-plane parameters (the
+// first unit through Process once indexed an empty paceNs slice and
+// panicked the process): each must leave a session that streams, its
+// gauges, and one find-latency quantile observation per request.
 func TestFindBatchSessionStreams(t *testing.T) {
 	reg := obs.NewRegistry()
 	cfg := DefaultConfig()
@@ -89,17 +114,14 @@ func TestFindBatchSessionStreams(t *testing.T) {
 
 	graph := component.NewPathGraph([]component.FunctionID{0, 1, 2})
 	qosReq, resReq, bw := easyArgs(3)
-	specs := make([]FindSpec, 4)
-	for i := range specs {
-		specs[i] = FindSpec{Graph: graph, QoSReq: qosReq, ResReq: resReq, BandwidthKbps: bw}
+	reqs := make([]FindRequest, 4)
+	for i := range reqs {
+		reqs[i] = FindRequest{Graph: graph, QoSReq: qosReq, ResReq: resReq, BandwidthKbps: bw}
 	}
-	results, err := c.FindBatch(specs, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
+	results := findBatch(c, reqs, 2)
 	snap := reg.Snapshot()
-	if q := snap.Quantiles["runtime.find.latency_quantiles_ms"]; q.Count != int64(len(specs)) {
-		t.Errorf("find quantile count = %d, want %d", q.Count, len(specs))
+	if q := snap.Quantiles["runtime.find.latency_quantiles_ms"]; q.Count != int64(len(reqs)) {
+		t.Errorf("find quantile count = %d, want %d", q.Count, len(reqs))
 	}
 	streamed := 0
 	for _, r := range results {
@@ -108,7 +130,7 @@ func TestFindBatchSessionStreams(t *testing.T) {
 		}
 		for _, vec := range []string{"session.phi", "session.qos.observed", "session.qos.required", "session.phi.required"} {
 			if _, ok := vecValue(snap.GaugeVecs[vec], sessionLabel(r.Session)); !ok {
-				t.Errorf("%s{%d} missing after batch admission", vec, r.Session)
+				t.Errorf("%s{%d} missing after concurrent admission", vec, r.Session)
 			}
 		}
 		in, out, err := c.Process(r.Session)
@@ -139,7 +161,7 @@ func TestFindBatchSessionStreams(t *testing.T) {
 	}
 }
 
-// TestFindBatchContendedWalksNeverOverAdmit runs worker composers whose
+// TestFindBatchContendedWalksNeverOverAdmit runs concurrent callers whose
 // walk-scoped availability views go stale under one another (run under
 // -race in CI): each request wants over a third of a node, eight
 // functions on a 16-node overlay put every walk on the same few nodes,
@@ -164,10 +186,10 @@ func TestFindBatchContendedWalksNeverOverAdmit(t *testing.T) {
 	qosReq := qos.Vector{Delay: 100000, LossCost: qos.LossCost(0.9)}
 	var admitted, refused int
 	for round := 0; round < 4; round++ {
-		specs := make([]FindSpec, 24)
-		for i := range specs {
+		reqs := make([]FindRequest, 24)
+		for i := range reqs {
 			f := component.FunctionID((round + i) % 7)
-			specs[i] = FindSpec{
+			reqs[i] = FindRequest{
 				Tenant:        tenants[i%2],
 				Graph:         component.NewPathGraph([]component.FunctionID{f, f + 1}),
 				QoSReq:        qosReq,
@@ -175,10 +197,7 @@ func TestFindBatchContendedWalksNeverOverAdmit(t *testing.T) {
 				BandwidthKbps: 200,
 			}
 		}
-		results, err := c.FindBatch(specs, 6)
-		if err != nil {
-			t.Fatal(err)
-		}
+		results := findBatch(c, reqs, 6)
 		if err := c.CheckInvariants(); err != nil {
 			t.Fatalf("round %d: %v", round, err)
 		}
@@ -190,7 +209,7 @@ func TestFindBatchContendedWalksNeverOverAdmit(t *testing.T) {
 			case errors.Is(r.Err, ErrNoComposition):
 				refused++
 			default:
-				t.Fatalf("round %d spec %d: %v", round, i, r.Err)
+				t.Fatalf("round %d request %d: %v", round, i, r.Err)
 			}
 		}
 		admitted += len(live)
@@ -239,7 +258,8 @@ func TestFindBatchContendedWalksNeverOverAdmit(t *testing.T) {
 	}
 }
 
-// TestFindBatchAfterShutdown must fail cleanly.
+// TestFindBatchAfterShutdown: every caller of a shut-down cluster fails
+// cleanly.
 func TestFindBatchAfterShutdown(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.IPNodes = 256
@@ -252,7 +272,10 @@ func TestFindBatchAfterShutdown(t *testing.T) {
 	c.Shutdown()
 	graph := component.NewPathGraph([]component.FunctionID{0, 1})
 	qosReq, resReq, bw := easyArgs(2)
-	if _, err := c.FindBatch([]FindSpec{{Graph: graph, QoSReq: qosReq, ResReq: resReq, BandwidthKbps: bw}}, 2); err == nil {
-		t.Fatal("FindBatch on a shut-down cluster succeeded")
+	req := FindRequest{Graph: graph, QoSReq: qosReq, ResReq: resReq, BandwidthKbps: bw}
+	for i, r := range findBatch(c, []FindRequest{req, req}, 2) {
+		if !errors.Is(r.Err, errShutDown) {
+			t.Fatalf("caller %d on a shut-down cluster: %v", i, r.Err)
+		}
 	}
 }

@@ -91,9 +91,9 @@ func TestQuotaRefundedOnCompositionFailure(t *testing.T) {
 }
 
 // TestFindBatchQuotaNeverOversubscribed drives many concurrent
-// admissions from one tenant through FindBatch (run under -race in CI):
-// the session quota must never be exceeded no matter how the workers
-// interleave, and rejected specs must surface the typed quota error.
+// admissions from one tenant through a find batch (run under -race in
+// CI): the session quota must never be exceeded no matter how the callers
+// interleave, and rejected requests must surface the typed quota error.
 func TestFindBatchQuotaNeverOversubscribed(t *testing.T) {
 	reg := obs.NewRegistry()
 	cfg := DefaultConfig()
@@ -107,12 +107,12 @@ func TestFindBatchQuotaNeverOversubscribed(t *testing.T) {
 	}
 	t.Cleanup(c.Shutdown)
 
-	const cap, specsN = 6, 32
+	const cap, reqsN = 6, 32
 	c.SetTenantQuota("burst", TenantQuota{MaxSessions: cap})
 	qosReq, resReq, bw := easyArgs(2)
-	specs := make([]FindSpec, specsN)
-	for i := range specs {
-		specs[i] = FindSpec{
+	reqs := make([]FindRequest, reqsN)
+	for i := range reqs {
+		reqs[i] = FindRequest{
 			Tenant:        "burst",
 			Graph:         component.NewPathGraph([]component.FunctionID{0, 1}),
 			QoSReq:        qosReq,
@@ -120,10 +120,7 @@ func TestFindBatchQuotaNeverOversubscribed(t *testing.T) {
 			BandwidthKbps: bw,
 		}
 	}
-	results, err := c.FindBatch(specs, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
+	results := findBatch(c, reqs, 8)
 
 	var admitted, quotaRejected int
 	for i, r := range results {
@@ -133,20 +130,20 @@ func TestFindBatchQuotaNeverOversubscribed(t *testing.T) {
 		case errors.Is(r.Err, ErrQuotaExceeded):
 			var qerr *QuotaError
 			if !errors.As(r.Err, &qerr) {
-				t.Fatalf("spec %d: quota rejection %v is not typed", i, r.Err)
+				t.Fatalf("request %d: quota rejection %v is not typed", i, r.Err)
 			}
 			quotaRejected++
 		case errors.Is(r.Err, ErrNoComposition):
 			// Cluster contention, not quota — allowed.
 		default:
-			t.Fatalf("spec %d: unexpected error %v", i, r.Err)
+			t.Fatalf("request %d: unexpected error %v", i, r.Err)
 		}
 	}
 	if admitted > cap {
 		t.Fatalf("admitted %d sessions past quota %d", admitted, cap)
 	}
 	if quotaRejected == 0 {
-		t.Fatalf("no typed quota rejections across %d specs over a %d cap", specsN, cap)
+		t.Fatalf("no typed quota rejections across %d requests over a %d cap", reqsN, cap)
 	}
 	if usage := c.TenantUsageFor("burst").Sessions; usage != admitted {
 		t.Errorf("usage sessions = %d, admitted = %d", usage, admitted)

@@ -221,7 +221,7 @@ type Cluster struct {
 
 	// mu guards the session table, the quota books, the request and
 	// client streams, the composer pool and the tuner — never a probe
-	// walk of FindApp/FindBatch (see DESIGN.md, concurrency model).
+	// walk of FindApp (see DESIGN.md, concurrency model).
 	mu sync.Mutex
 	// quota is the per-tenant admission accounting. guarded by mu
 	quota quotaTable
@@ -600,7 +600,7 @@ func (c *Cluster) beginLocked(tenant string, demand TenantUsage) (*core.Composer
 	return composer, nil
 }
 
-// composeAndAdmit is the one compose path: probe and commit on the
+// composeAndAdmit is FindApp's compose path: probe and commit on the
 // caller's composer with no cluster lock held — the transient holds are
 // the concurrency control between overlapping walks (§3.3 step 2) — then
 // finish under mu.
@@ -651,9 +651,8 @@ func (c *Cluster) release(requestID int64) {
 
 // admit registers a committed composition as a live session: the data
 // plane's per-position processors and pace/loss parameters, the session
-// table entry and the session gauges. Every admission path (FindApp,
-// FindBatch) ends here, so a session is usable by Process whichever way
-// it came in.
+// table entry and the session gauges. Every admission ends here, so a
+// session is usable by Process as soon as FindApp returns it.
 func (c *Cluster) admitLocked(req *component.Request, outcome *core.Outcome, demand TenantUsage) SessionID {
 	c.nextID++
 	id := c.nextID

@@ -128,17 +128,22 @@ func (t *Writer) Flush() error {
 	return t.w.Flush()
 }
 
-// Read parses a JSON-lines trace. Arrival times must be non-decreasing.
+// Read parses a JSON-lines trace. Arrival times must be non-negative and
+// non-decreasing.
 func Read(r io.Reader) ([]Record, error) {
 	var out []Record
 	dec := json.NewDecoder(r)
-	prev := int64(-1)
+	prev := int64(0)
 	for {
 		var rec Record
 		if err := dec.Decode(&rec); err == io.EOF {
 			break
 		} else if err != nil {
 			return nil, fmt.Errorf("trace: record %d: %w", len(out), err)
+		}
+		if rec.ArrivalMillis < 0 {
+			return nil, fmt.Errorf("trace: record %d arrives at %dms, before the run starts",
+				len(out), rec.ArrivalMillis)
 		}
 		if rec.ArrivalMillis < prev {
 			return nil, fmt.Errorf("trace: record %d arrives at %dms before previous %dms",

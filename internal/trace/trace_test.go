@@ -100,6 +100,20 @@ func TestReadRejectsDisorder(t *testing.T) {
 	}
 }
 
+// TestReadRejectsNegativeArrival: a replayed run schedules each record
+// at its arrival on a clock that starts at zero, so a record from before
+// the start is malformed input, not an event to run at once.
+func TestReadRejectsNegativeArrival(t *testing.T) {
+	input := `{"id":1,"arrivalMillis":-1,"functions":[1],"cpuReq":[1],"memoryReq":[1],"durationMillis":60000,"delayReqMillis":10}`
+	if _, err := Read(strings.NewReader(input)); err == nil {
+		t.Error("negative arrival accepted")
+	}
+	input = `{"id":1,"arrivalMillis":0,"functions":[1],"cpuReq":[1],"memoryReq":[1],"durationMillis":60000,"delayReqMillis":10}`
+	if recs, err := Read(strings.NewReader(input)); err != nil || len(recs) != 1 {
+		t.Errorf("arrival at zero: %d records, %v", len(recs), err)
+	}
+}
+
 func TestReadRejectsGarbage(t *testing.T) {
 	if _, err := Read(strings.NewReader("{not json")); err == nil {
 		t.Error("garbage accepted")
