@@ -144,23 +144,22 @@ func (x *index[V]) lookup(key string) (V, bool) {
 	return v, ok
 }
 
-// get returns the member at key, making it with create on first use;
-// created reports whether this call made it.
-func (x *index[V]) get(key string, create func() V) (v V, created bool) {
+// get returns the member at key, making it with create on first use.
+func (x *index[V]) get(key string, create func() V) V {
 	if v, ok := x.lookup(key); ok {
-		return v, false
+		return v
 	}
 	x.mu.Lock()
 	defer x.mu.Unlock()
 	if v, ok := x.byKey[key]; ok {
-		return v, false
+		return v
 	}
 	if x.byKey == nil {
 		x.byKey = make(map[string]V)
 	}
-	v = create()
+	v := create()
 	x.byKey[key] = v
-	return v, true
+	return v
 }
 
 // delete drops the member at key; no-op when absent.
@@ -215,8 +214,7 @@ func (r *Registry) Counter(name string) *Counter {
 	if r == nil {
 		return nil
 	}
-	c, _ := r.counters.get(name, newOf[Counter])
-	return c
+	return r.counters.get(name, newOf[Counter])
 }
 
 // Gauge returns the named gauge, creating it on first use. A nil
@@ -225,8 +223,7 @@ func (r *Registry) Gauge(name string) *Gauge {
 	if r == nil {
 		return nil
 	}
-	g, _ := r.gauges.get(name, newOf[Gauge])
-	return g
+	return r.gauges.get(name, newOf[Gauge])
 }
 
 // Histogram returns the named histogram, creating it with the given
@@ -242,10 +239,10 @@ func (r *Registry) Histogram(name string, bounds []float64) *Histogram {
 	}
 	sorted := append([]float64(nil), bounds...)
 	sort.Float64s(sorted)
-	h, created := r.histograms.get(name, func() *Histogram {
+	h := r.histograms.get(name, func() *Histogram {
 		return &Histogram{bounds: sorted, counts: make([]atomic.Int64, len(sorted)+1)}
 	})
-	if !created && !slices.Equal(h.bounds, sorted) {
+	if !slices.Equal(h.bounds, sorted) {
 		r.boundsConflicts.Inc()
 	}
 	return h
@@ -257,8 +254,7 @@ func (r *Registry) QHistogram(name string) *QHistogram {
 	if r == nil {
 		return nil
 	}
-	h, _ := r.quantiles.get(name, NewQHistogram)
-	return h
+	return r.quantiles.get(name, NewQHistogram)
 }
 
 // CounterVec returns the named counter vector with the given label
@@ -297,10 +293,10 @@ func (r *Registry) HistogramVec(name string, labelNames ...string) *HistogramVec
 // counting a re-registration with different label names as a label
 // error.
 func vecIn[T any](r *Registry, x *index[*Vec[T]], name string, labelNames []string, newChild func() *T) *Vec[T] {
-	v, created := x.get(name, func() *Vec[T] {
+	v := x.get(name, func() *Vec[T] {
 		return &Vec[T]{labels: append([]string(nil), labelNames...), newChild: newChild, onArity: r.labelErrors.Inc}
 	})
-	if !created && !slices.Equal(v.labels, labelNames) {
+	if !slices.Equal(v.labels, labelNames) {
 		r.labelErrors.Inc()
 	}
 	return v

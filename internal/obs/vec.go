@@ -77,10 +77,9 @@ func (v *Vec[T]) With(labelValues ...string) *T {
 	if !ok {
 		return nil
 	}
-	c, _ := v.children.get(key, func() vecChild[T] {
+	return v.children.get(key, func() vecChild[T] {
 		return vecChild[T]{labels: append([]string(nil), labelValues...), inst: v.newChild()}
-	})
-	return c.inst
+	}).inst
 }
 
 // Get returns the child for the given label values without creating it;
