@@ -152,6 +152,89 @@ func TestVirtualClockMonotone(t *testing.T) {
 	}
 }
 
+// TestVirtualScheduleOrdering: timers registered out of deadline order
+// fire in deadline order, and draining them one by one leaves time at the
+// last deadline.
+func TestVirtualScheduleOrdering(t *testing.T) {
+	v := NewVirtual()
+	epoch := v.Now()
+	var got []int
+	for _, id := range []int{3, 1, 2} {
+		id := id
+		v.AfterFunc(time.Duration(id)*time.Second, func() { got = append(got, id) })
+	}
+	for {
+		if _, ok := v.AdvanceToNext(); !ok {
+			break
+		}
+	}
+	if len(got) != 3 || got[0] != 1 || got[1] != 2 || got[2] != 3 {
+		t.Fatalf("order = %v, want [1 2 3]", got)
+	}
+	if now := v.Since(epoch); now != 3*time.Second {
+		t.Errorf("now = %v, want 3s", now)
+	}
+}
+
+// TestVirtualScheduleTieBreakFIFO: timers sharing a deadline fire in the
+// order they were registered.
+func TestVirtualScheduleTieBreakFIFO(t *testing.T) {
+	v := NewVirtual()
+	var got []int
+	for i := 0; i < 10; i++ {
+		id := i
+		v.AfterFunc(time.Second, func() { got = append(got, id) })
+	}
+	v.Advance(time.Second)
+	if len(got) != 10 {
+		t.Fatalf("fired %d timers, want 10", len(got))
+	}
+	for i := range got {
+		if got[i] != i {
+			t.Fatalf("tie-break order = %v, want FIFO", got)
+		}
+	}
+}
+
+// TestVirtualEventsScheduleEvents: a callback that schedules the next
+// event one second out sees the clock at each event's own deadline.
+func TestVirtualEventsScheduleEvents(t *testing.T) {
+	v := NewVirtual()
+	epoch := v.Now()
+	var times []time.Duration
+	var tick func()
+	tick = func() {
+		now := v.Since(epoch)
+		times = append(times, now)
+		if now < 5*time.Second {
+			v.AfterFunc(time.Second, tick)
+		}
+	}
+	v.AfterFunc(time.Second, tick)
+	v.Advance(10 * time.Second)
+	if len(times) != 5 {
+		t.Fatalf("ticks = %v, want 5 entries", times)
+	}
+	for i, at := range times {
+		if at != time.Duration(i+1)*time.Second {
+			t.Fatalf("tick %d at %v", i, at)
+		}
+	}
+}
+
+// TestVirtualStepOnEmpty: stepping a clock with no timers reports false
+// and does not move time.
+func TestVirtualStepOnEmpty(t *testing.T) {
+	v := NewVirtual()
+	epoch := v.Now()
+	if step, ok := v.AdvanceToNext(); ok || step != 0 {
+		t.Errorf("AdvanceToNext on empty clock = (%v, %v), want (0, false)", step, ok)
+	}
+	if got := v.Since(epoch); got != 0 {
+		t.Errorf("empty step moved time by %v", got)
+	}
+}
+
 func TestVirtualTimerStop(t *testing.T) {
 	v := NewVirtual()
 	fired := false
