@@ -430,12 +430,12 @@ func (c *Composer) CommitMigration(o *Outcome, prev int64) error {
 	return nil
 }
 
-// AbortRecompose abandons an open migration window: the re-probe's
-// transient holds are released and the source session's committed
-// allocation stays untouched — the break never happens.
+// AbortRecompose abandons an open migration window: in one ledger
+// operation the window closes and the re-probe's transient holds are
+// released, and the source session's committed allocation stays
+// untouched — the break never happens.
 func (c *Composer) AbortRecompose(requestID int64) {
-	c.env.Ledger.EndMigration(state.Owner(requestID))
-	c.env.Ledger.ReleaseOwner(state.Owner(requestID))
+	c.env.Ledger.AbortMigration(state.Owner(requestID))
 	c.env.Tracer.RolledBack(requestID, -1, obs.ReasonAbort)
 }
 

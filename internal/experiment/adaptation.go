@@ -5,10 +5,8 @@ import (
 	"math/rand"
 	"time"
 
-	"repro/internal/component"
-	"repro/internal/harness/clock"
+	"repro/internal/harness"
 	"repro/internal/obs"
-	"repro/internal/qos"
 	"repro/internal/runtime"
 )
 
@@ -83,22 +81,11 @@ func RunAdaptation(cfg AdaptationConfig) (*AdaptationResult, error) {
 	}
 	wrng := rand.New(rand.NewSource(seed ^ 0xad47))
 
-	vc := clock.NewVirtual()
-	reg := obs.NewRegistry()
-	rcfg := runtime.DefaultConfig()
-	rcfg.Seed = seed
-	rcfg.IPNodes = 64
-	rcfg.OverlayNodes = 8
-	rcfg.NeighborsPerNode = 3
-	rcfg.NumFunctions = 4
-	rcfg.ComponentsPerNode = 2
-	rcfg.NodeCapacity = qos.Resources{CPU: 100, Memory: 1000}
-	rcfg.Clock = vc
-	rcfg.Registry = reg
-	c, err := runtime.NewCluster(rcfg)
+	bed, err := harness.NewAdaptBed(seed)
 	if err != nil {
 		return nil, err
 	}
+	c, vc, reg := bed.Cluster, bed.Clock, bed.Registry
 	defer c.Shutdown()
 
 	// Both modes run the same monitor cadence; only the consequences of
@@ -144,17 +131,7 @@ func RunAdaptation(cfg AdaptationConfig) (*AdaptationResult, error) {
 
 	// Admit the session population.
 	for i := 0; i < cfg.Sessions; i++ {
-		length := 2 + wrng.Intn(2)
-		fns := make([]component.FunctionID, length)
-		for j := range fns {
-			fns[j] = component.FunctionID(wrng.Intn(rcfg.NumFunctions))
-		}
-		resReq := make([]qos.Resources, length)
-		for j := range resReq {
-			resReq[j] = qos.Resources{CPU: 2 + wrng.Float64()*8, Memory: 20 + wrng.Float64()*80}
-		}
-		if _, err := c.Find(component.NewPathGraph(fns),
-			qos.Vector{Delay: 1e5, LossCost: qos.LossCost(0.9)}, resReq, 20+wrng.Float64()*60); err != nil {
+		if _, err := bed.Admit(wrng); err != nil {
 			return nil, fmt.Errorf("seed %d: admit %d: %w", seed, i, err)
 		}
 	}
@@ -173,20 +150,8 @@ func RunAdaptation(cfg AdaptationConfig) (*AdaptationResult, error) {
 			break
 		}
 		victim := sessions[wrng.Intn(len(sessions))]
-		desc, err := c.Describe(victim.ID)
-		if err != nil {
-			return res, fmt.Errorf("seed %d: %w", seed, err)
-		}
 		owner := int64(-(ep + 1))
-		load := map[int]qos.Resources{}
-		for _, pc := range desc.Components {
-			if _, dup := load[pc.Node]; dup {
-				continue
-			}
-			avail := c.NodeResidual(pc.Node)
-			load[pc.Node] = qos.Resources{CPU: avail.CPU - 1, Memory: avail.Memory - 10}
-		}
-		if err := c.InjectLoad(owner, load); err != nil {
+		if err := bed.Surge(owner, victim.ID); err != nil {
 			return res, fmt.Errorf("seed %d: surge %d: %w", seed, ep, err)
 		}
 		for i := 0; i < cfg.SurgeTicks; i++ {

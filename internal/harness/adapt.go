@@ -13,6 +13,74 @@ import (
 	"repro/internal/runtime"
 )
 
+// AdaptBed is the substrate every adaptation run plays on — this
+// package's scenarios and experiment.RunAdaptation's figure: an 8-node
+// runtime cluster on a virtual clock with a registry attached, the
+// session draw admitted into it, and the surge that squeezes a session.
+type AdaptBed struct {
+	Cluster  *runtime.Cluster
+	Clock    *clock.Virtual
+	Registry *obs.Registry
+}
+
+// adaptFunctions is how many stream functions an AdaptBed deploys.
+const adaptFunctions = 4
+
+// NewAdaptBed builds the adaptation substrate for seed.
+func NewAdaptBed(seed int64) (*AdaptBed, error) {
+	b := &AdaptBed{Clock: clock.NewVirtual(), Registry: obs.NewRegistry()}
+	rcfg := runtime.DefaultConfig()
+	rcfg.Seed = seed
+	rcfg.IPNodes = 64
+	rcfg.OverlayNodes = 8
+	rcfg.NeighborsPerNode = 3
+	rcfg.NumFunctions = adaptFunctions
+	rcfg.ComponentsPerNode = 2
+	rcfg.NodeCapacity = qos.Resources{CPU: 100, Memory: 1000}
+	rcfg.Clock = b.Clock
+	rcfg.Registry = b.Registry
+	c, err := runtime.NewCluster(rcfg)
+	if err != nil {
+		return nil, err
+	}
+	b.Cluster = c
+	return b, nil
+}
+
+// Admit draws one session from draws — a path of 2 or 3 functions, CPU
+// 2–10 and memory 20–100 per position, 20–80 kbps — and composes it.
+func (b *AdaptBed) Admit(draws *rand.Rand) (runtime.SessionID, error) {
+	length := 2 + draws.Intn(2)
+	fns := make([]component.FunctionID, length)
+	for i := range fns {
+		fns[i] = component.FunctionID(draws.Intn(adaptFunctions))
+	}
+	res := make([]qos.Resources, length)
+	for i := range res {
+		res[i] = qos.Resources{CPU: 2 + draws.Float64()*8, Memory: 20 + draws.Float64()*80}
+	}
+	return b.Cluster.Find(component.NewPathGraph(fns),
+		qos.Vector{Delay: 1e5, LossCost: qos.LossCost(0.9)}, res, 20+draws.Float64()*60)
+}
+
+// Surge injects load under owner that leaves every node of the session's
+// composition a sliver of its residual: one CPU and ten memory units.
+func (b *AdaptBed) Surge(owner int64, id runtime.SessionID) error {
+	desc, err := b.Cluster.Describe(id)
+	if err != nil {
+		return err
+	}
+	load := map[int]qos.Resources{}
+	for _, pc := range desc.Components {
+		if _, dup := load[pc.Node]; dup {
+			continue
+		}
+		avail := b.Cluster.NodeResidual(pc.Node)
+		load[pc.Node] = qos.Resources{CPU: avail.CPU - 1, Memory: avail.Memory - 10}
+	}
+	return b.Cluster.InjectLoad(owner, load)
+}
+
 // AdaptScenarioConfig parameterises one seeded adaptation run: a live
 // runtime cluster on the virtual clock, churned by admissions, closes,
 // and synthetic congestion surges, with the re-composition controller
@@ -72,22 +140,11 @@ func RunAdaptScenario(sc AdaptScenarioConfig) (*AdaptReport, error) {
 	}
 	wrng := rand.New(rand.NewSource(mix(sc.Seed ^ 0xada7)))
 
-	vc := clock.NewVirtual()
-	reg := obs.NewRegistry()
-	rcfg := runtime.DefaultConfig()
-	rcfg.Seed = sc.Seed
-	rcfg.IPNodes = 64
-	rcfg.OverlayNodes = 8
-	rcfg.NeighborsPerNode = 3
-	rcfg.NumFunctions = 4
-	rcfg.ComponentsPerNode = 2
-	rcfg.NodeCapacity = qos.Resources{CPU: 100, Memory: 1000}
-	rcfg.Clock = vc
-	rcfg.Registry = reg
-	c, err := runtime.NewCluster(rcfg)
+	bed, err := NewAdaptBed(sc.Seed)
 	if err != nil {
 		return nil, err
 	}
+	c, vc, reg := bed.Cluster, bed.Clock, bed.Registry
 	defer c.Shutdown()
 
 	ctrl, err := c.EnableAdaptation(runtime.AdaptConfig{
@@ -149,17 +206,7 @@ func RunAdaptScenario(sc AdaptScenarioConfig) (*AdaptReport, error) {
 
 	admit := func() error {
 		for c.ActiveSessions() < sc.Sessions {
-			length := 2 + wrng.Intn(2)
-			fns := make([]component.FunctionID, length)
-			for i := range fns {
-				fns[i] = component.FunctionID(wrng.Intn(rcfg.NumFunctions))
-			}
-			res := make([]qos.Resources, length)
-			for i := range res {
-				res[i] = qos.Resources{CPU: 2 + wrng.Float64()*8, Memory: 20 + wrng.Float64()*80}
-			}
-			id, err := c.Find(component.NewPathGraph(fns),
-				qos.Vector{Delay: 1e5, LossCost: qos.LossCost(0.9)}, res, 20+wrng.Float64()*60)
+			id, err := bed.Admit(wrng)
 			if err != nil {
 				logf("admit refused: %v", err)
 				return nil // congestion can legitimately refuse admissions
@@ -185,21 +232,10 @@ func RunAdaptScenario(sc AdaptScenarioConfig) (*AdaptReport, error) {
 		// Surge: squeeze a random live session's nodes to a sliver.
 		if sessions := live(); len(sessions) > 0 && wrng.Float64() < 0.8 {
 			victim := sessions[wrng.Intn(len(sessions))]
-			desc, err := c.Describe(victim.ID)
-			if err == nil {
-				load := map[int]qos.Resources{}
-				for _, pc := range desc.Components {
-					if _, dup := load[pc.Node]; dup {
-						continue
-					}
-					avail := c.NodeResidual(pc.Node)
-					load[pc.Node] = qos.Resources{CPU: avail.CPU - 1, Memory: avail.Memory - 10}
-				}
-				if err := c.InjectLoad(nextSurge, load); err == nil {
-					logf("round %d: surge %d on session %d's nodes", round, nextSurge, victim.ID)
-					surges = append(surges, nextSurge)
-					nextSurge--
-				}
+			if err := bed.Surge(nextSurge, victim.ID); err == nil {
+				logf("round %d: surge %d on session %d's nodes", round, nextSurge, victim.ID)
+				surges = append(surges, nextSurge)
+				nextSurge--
 			}
 		}
 
@@ -253,10 +289,9 @@ func RunAdaptScenario(sc AdaptScenarioConfig) (*AdaptReport, error) {
 	// Full resource recovery: every node back to pristine capacity
 	// (within float accumulation error of the release arithmetic).
 	for n := 0; n < c.NumNodes(); n++ {
-		got := c.NodeResidual(n)
-		if math.Abs(got.CPU-rcfg.NodeCapacity.CPU) > 1e-6 ||
-			math.Abs(got.Memory-rcfg.NodeCapacity.Memory) > 1e-6 {
-			return fail(fmt.Errorf("node %d residual %v after teardown, want %v", n, got, rcfg.NodeCapacity))
+		got, want := c.NodeResidual(n), c.NodeCapacity(n)
+		if math.Abs(got.CPU-want.CPU) > 1e-6 || math.Abs(got.Memory-want.Memory) > 1e-6 {
+			return fail(fmt.Errorf("node %d residual %v after teardown, want %v", n, got, want))
 		}
 	}
 

@@ -3,9 +3,6 @@ package obs
 import (
 	"strings"
 	"sync"
-	"time"
-
-	"repro/internal/harness/clock"
 )
 
 // DriftEvent is one session's transition across its QoS requirement.
@@ -33,13 +30,6 @@ type DriftConfig struct {
 	// Tolerance is fractional headroom: a session drifts when
 	// observed > required * (1 + Tolerance). Zero means any excess.
 	Tolerance float64
-	// Period is the Start tick interval; default 1s.
-	Period time.Duration
-	// Clock schedules Start's ticks; nil means the wall clock. Under the
-	// simulation harness pass the Virtual clock — its AfterFunc runs
-	// callbacks synchronously on the advancing goroutine, so ticks land
-	// at deterministic points in the schedule.
-	Clock clock.Clock
 	// Tracer receives qos.drift events on transitions; may be nil.
 	Tracer *Tracer
 	// Registry receives the monitor's own instruments ("obs.drift.*");
@@ -50,15 +40,15 @@ type DriftConfig struct {
 	OnDrift func(DriftEvent)
 }
 
-// DriftMonitor periodically compares every live session's observed
+// DriftMonitor compares, on every Tick, each live session's observed
 // gauge against its Eq. 3 requirement gauge and reports transitions:
 // a qos.drift trace event, "obs.drift.*" counters, and the OnDrift
 // callback fire when a session crosses into violation or recovers.
 // Level-triggered state is kept per session so a drifting session
-// reports once, not every tick.
+// reports once, not every tick. The caller owns the cadence: the
+// adaptation controller ticks it from its own clock-driven step.
 type DriftMonitor struct {
-	cfg    DriftConfig
-	period time.Duration
+	cfg DriftConfig
 
 	ticks       *Counter
 	exceededC   *Counter
@@ -68,20 +58,12 @@ type DriftMonitor struct {
 
 	mu       sync.Mutex
 	exceeded map[string]bool // session key -> currently in violation. guarded by mu
-	timer    clock.Timer     // pending Start tick. guarded by mu
-	stopped  bool            // guarded by mu
 }
 
-// NewDriftMonitor builds a monitor; call Tick directly (deterministic
-// harness) or Start/Stop to tick on the configured clock.
+// NewDriftMonitor builds a monitor; call Tick to compare once.
 func NewDriftMonitor(cfg DriftConfig) *DriftMonitor {
-	period := cfg.Period
-	if period <= 0 {
-		period = time.Second
-	}
 	return &DriftMonitor{
-		cfg:    cfg,
-		period: period,
+		cfg: cfg,
 		// Registry get-or-create is nil-safe, so an unregistered monitor
 		// just updates no-op instruments.
 		ticks:       cfg.Registry.Counter("obs.drift.ticks"),
@@ -166,51 +148,4 @@ func (m *DriftMonitor) Tick() []DriftEvent {
 		}
 	}
 	return events
-}
-
-// Start begins ticking every Period on the configured clock. The tick
-// is a re-armed AfterFunc chain rather than a ticker goroutine: under a
-// Virtual clock each tick runs synchronously on the advancing
-// goroutine, keeping simulated schedules deterministic. No-op when
-// already started or stopped.
-func (m *DriftMonitor) Start() {
-	if m == nil {
-		return
-	}
-	m.mu.Lock()
-	if m.timer != nil || m.stopped {
-		m.mu.Unlock()
-		return
-	}
-	m.mu.Unlock()
-	m.arm(clock.Or(m.cfg.Clock))
-}
-
-func (m *DriftMonitor) arm(c clock.Clock) {
-	m.mu.Lock()
-	if m.stopped {
-		m.mu.Unlock()
-		return
-	}
-	m.timer = c.AfterFunc(m.period, func() {
-		m.Tick()
-		m.arm(c)
-	})
-	m.mu.Unlock()
-}
-
-// Stop cancels future ticks. Idempotent; a concurrent in-flight Tick
-// may still complete.
-func (m *DriftMonitor) Stop() {
-	if m == nil {
-		return
-	}
-	m.mu.Lock()
-	m.stopped = true
-	t := m.timer
-	m.timer = nil
-	m.mu.Unlock()
-	if t != nil {
-		t.Stop()
-	}
 }

@@ -1,11 +1,6 @@
 package obs
 
-import (
-	"testing"
-	"time"
-
-	"repro/internal/harness/clock"
-)
+import "testing"
 
 // driftFixture wires a registry-backed monitor over one observed /
 // required gauge pair.
@@ -162,10 +157,10 @@ func TestDriftMonitorForgottenAccounting(t *testing.T) {
 	}
 }
 
-// TestDriftMonitorVirtualClock drives Start's tick chain on the
-// harness Virtual clock: ticks land synchronously at exact simulated
-// instants, so the whole schedule is deterministic.
-func TestDriftMonitorVirtualClock(t *testing.T) {
+// TestDriftMonitorTraceEvents checks what a tick publishes: one
+// qos.drift trace event per transition, with the session and both gauge
+// values as its payload, and one obs.drift.ticks count per Tick.
+func TestDriftMonitorTraceEvents(t *testing.T) {
 	r := NewRegistry()
 	observed := r.GaugeVec("session.qos.observed", "session")
 	required := r.GaugeVec("session.qos.required", "session")
@@ -173,24 +168,20 @@ func TestDriftMonitorVirtualClock(t *testing.T) {
 	sub := tr.Subscribe(16)
 	defer sub.Close()
 
-	vc := clock.NewVirtual()
 	m := NewDriftMonitor(DriftConfig{
 		Observed: observed,
 		Required: required,
-		Period:   time.Second,
-		Clock:    vc,
 		Tracer:   tr,
 		Registry: r,
 	})
-	m.Start()
-	defer m.Stop()
 
 	observed.With("9").Set(3)
 	required.With("9").Set(1)
 
-	vc.Advance(2500 * time.Millisecond) // ticks at 1s and 2s
+	m.Tick()
+	m.Tick()
 	if c := r.Snapshot().Counters["obs.drift.ticks"]; c != 2 {
-		t.Fatalf("ticks = %d after 2.5s, want 2", c)
+		t.Fatalf("ticks = %d after two Ticks, want 2", c)
 	}
 
 	evs := sub.Drain()
@@ -202,16 +193,13 @@ func TestDriftMonitorVirtualClock(t *testing.T) {
 	}
 
 	observed.With("9").Set(0.5)
-	vc.Advance(time.Second)
+	m.Tick()
 	evs = sub.Drain()
 	if len(evs) != 1 || evs[0].Reason != ReasonDriftRecovered {
 		t.Fatalf("trace events = %+v, want one qos.drift recovered", evs)
 	}
-
-	m.Stop()
-	vc.Advance(10 * time.Second)
 	if c := r.Snapshot().Counters["obs.drift.ticks"]; c != 3 {
-		t.Fatalf("ticks = %d after Stop, want 3", c)
+		t.Fatalf("ticks = %d after three Ticks, want 3", c)
 	}
 }
 
@@ -220,14 +208,10 @@ func TestDriftMonitorNilSafe(t *testing.T) {
 	if evs := m.Tick(); evs != nil {
 		t.Fatalf("nil monitor ticked: %+v", evs)
 	}
-	m.Start()
-	m.Stop()
 
 	// A monitor with no gauges configured is inert too.
 	inert := NewDriftMonitor(DriftConfig{})
 	if evs := inert.Tick(); evs != nil {
 		t.Fatalf("unconfigured monitor ticked: %+v", evs)
 	}
-	inert.Start()
-	inert.Stop()
 }

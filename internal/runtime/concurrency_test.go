@@ -14,6 +14,7 @@ import (
 
 	"repro/internal/component"
 	"repro/internal/core"
+	"repro/internal/obs"
 	"repro/internal/qos"
 )
 
@@ -229,21 +230,51 @@ func TestShutdownRacesInflightFinds(t *testing.T) {
 }
 
 // TestRecomposeConcurrentWithFinds migrates live sessions while other
-// goroutines compose and close: Recompose walks on a composer of the
-// pool, never on one a FindApp is using (a data race before the pool).
+// goroutines compose and close, and one more closes and re-admits the
+// very sessions being migrated: Recompose walks on a composer of the
+// pool, never on one a FindApp is using (a data race before the pool),
+// and a Close that lands anywhere in its walk leaves nothing behind.
 func TestRecomposeConcurrentWithFinds(t *testing.T) {
 	c := contendedCluster(t)
-	var held []SessionID
-	for i := 0; i < 4; i++ {
+	var held [4]atomic.Int64
+	for i := range held {
 		id, err := c.FindApp(contendedRequest("held", i))
 		if err != nil {
 			t.Fatal(err)
 		}
-		held = append(held, id)
+		held[i].Store(int64(id))
 	}
 
 	done := make(chan struct{})
 	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		// Churns the first two held sessions; the other two stay, so flips
+		// keep happening however the goroutines are scheduled.
+		defer wg.Done()
+		for i := 0; ; i++ {
+			select {
+			case <-done:
+				return
+			default:
+			}
+			k := i % 2
+			if id := SessionID(held[k].Swap(0)); id != 0 {
+				if err := c.Close(id); err != nil {
+					t.Errorf("close held %d: %v", id, err)
+					return
+				}
+			}
+			id, err := c.FindApp(contendedRequest("held", k))
+			switch {
+			case err == nil:
+				held[k].Store(int64(id))
+			case !errors.Is(err, ErrNoComposition):
+				t.Errorf("re-admit held %d: %v", k, err)
+				return
+			}
+		}
+	}()
 	for w := 0; w < 3; w++ {
 		wg.Add(1)
 		go func(w int) {
@@ -265,12 +296,16 @@ func TestRecomposeConcurrentWithFinds(t *testing.T) {
 			}
 		}(w)
 	}
-	migrated := 0
-	for i := 0; i < 40; i++ {
-		err := c.Recompose(held[i%len(held)])
+	// Forty recomposes, and more while none has flipped: under the churn a
+	// run of them can all find nothing within the admission bound.
+	migrated, closed := 0, 0
+	for i := 0; i < 40 || (migrated == 0 && i < 400); i++ {
+		err := c.Recompose(SessionID(held[i%len(held)].Load()))
 		switch {
 		case err == nil:
 			migrated++
+		case errors.Is(err, ErrUnknownSession):
+			closed++
 		case errors.Is(err, ErrNoBetterComposition):
 		default:
 			t.Errorf("recompose: %v", err)
@@ -281,15 +316,80 @@ func TestRecomposeConcurrentWithFinds(t *testing.T) {
 	}
 	close(done)
 	wg.Wait()
+	t.Logf("%d flips, %d sessions closed under their recompose", migrated, closed)
 	if migrated == 0 {
 		t.Fatal("no re-composition ever flipped")
 	}
-	for _, id := range held {
-		if err := c.Close(id); err != nil {
-			t.Fatal(err)
+	for i := range held {
+		if id := SessionID(held[i].Load()); id != 0 {
+			if err := c.Close(id); err != nil {
+				t.Fatal(err)
+			}
 		}
 	}
 	assertPristine(t, c, "held", "churn")
+}
+
+// closeHook is a tracer sink that, once armed, closes session id from
+// inside the engine — synchronously, on the goroutine that emits — the
+// first time it sees an event of type at.
+type closeHook struct {
+	c     *Cluster
+	at    obs.EventType
+	id    SessionID
+	armed atomic.Bool
+	fired bool
+	err   error
+}
+
+func (h *closeHook) Emit(e obs.Event) {
+	if e.Type == h.at && h.armed.CompareAndSwap(true, false) {
+		h.fired = true
+		h.err = h.c.Close(h.id)
+	}
+}
+
+// TestCloseLandsInsideRecompose closes a session from inside its own
+// Recompose: at the walk's first hold, after which the flip must be
+// refused and the probe's holds go, and at the flip itself, after which
+// Recompose must give the new allocation back. Either way Recompose
+// reports the session unknown and nothing of it is left. With the walk
+// under Cluster.mu the hook deadlocks.
+func TestCloseLandsInsideRecompose(t *testing.T) {
+	for _, at := range []obs.EventType{obs.EventHoldAcquired, obs.EventSessionMigrated} {
+		t.Run(string(at), func(t *testing.T) {
+			hook := &closeHook{at: at}
+			cfg := DefaultConfig()
+			cfg.IPNodes = 256
+			cfg.OverlayNodes = 32
+			cfg.NumFunctions = 8
+			cfg.Tracer = obs.New(hook)
+			c, err := NewCluster(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(c.Shutdown)
+			hook.c = c
+			qosReq, resReq, bw := easyArgs(3)
+			id, err := c.Find(component.NewPathGraph([]component.FunctionID{0, 1, 2}), qosReq, resReq, bw)
+			if err != nil {
+				t.Fatal(err)
+			}
+			hook.id = id
+			hook.armed.Store(true)
+			err = c.Recompose(id)
+			if !hook.fired {
+				t.Fatalf("no %s event inside the recompose", at)
+			}
+			if hook.err != nil {
+				t.Fatalf("close inside the recompose: %v", hook.err)
+			}
+			if !errors.Is(err, ErrUnknownSession) {
+				t.Fatalf("recompose of a session closed under it: %v, want ErrUnknownSession", err)
+			}
+			assertPristine(t, c)
+		})
+	}
 }
 
 // TestSingleCallerSequenceGolden pins what one caller gets from a fixed

@@ -3,23 +3,20 @@ package runtime
 import (
 	"sync"
 	"sync/atomic"
-	"time"
-
-	"repro/internal/qos"
 )
 
 // startPipeline wires the session's component graph into goroutines and
 // channels: one goroutine per composed component, one bounded channel
 // per dependency edge (the component input queues of §2.1), a merger in
 // front of join components, and duplication after split components.
-func (c *Cluster) startPipeline(s *session) {
+func startPipeline(s *session) {
 	graph := s.request.Graph
 	n := graph.NumPositions()
 
 	// One channel per graph edge.
 	edgeCh := make([]chan DataUnit, len(graph.Edges))
 	for i := range edgeCh {
-		edgeCh[i] = make(chan DataUnit, c.cfg.QueueSize)
+		edgeCh[i] = make(chan DataUnit, queueSize)
 	}
 
 	var wg sync.WaitGroup
@@ -77,18 +74,6 @@ func (c *Cluster) startPipeline(s *session) {
 				case <-s.quit:
 					return // forced teardown
 				}
-				// Pace and loss derive from the *current* composition:
-				// loaded per unit so a migration flip retargets the
-				// running pipeline without restarting it.
-				if delay := time.Duration(atomic.LoadInt64(&s.paceNs[pos])); delay > 0 {
-					c.clock.Sleep(delay)
-				}
-				if thr := uint32(atomic.LoadInt64(&s.lossThr[pos])); thr > 0 && unitHash(unit.Seq, pos) < thr {
-					// Simulated overload drop (footnote 2 of the paper);
-					// deterministic per (sequence, position).
-					atomic.AddInt64(&s.dropped[pos], 1)
-					continue
-				}
 				results := []DataUnit{unit}
 				if fn != nil {
 					results = fn(unit)
@@ -126,17 +111,6 @@ func (c *Cluster) startPipeline(s *session) {
 		wg.Wait()
 		close(s.done)
 	}()
-}
-
-// setDataPlaneParams (re)derives each position's pacing sleep and loss
-// threshold from the session's current composition, storing them
-// atomically so a make-before-break flip retargets a live pipeline
-// mid-stream. Caller holds c.mu.
-func (c *Cluster) setDataPlaneParams(s *session) {
-	for pos := range s.paceNs {
-		atomic.StoreInt64(&s.paceNs[pos], int64(c.paceDelay(s, pos)))
-		atomic.StoreInt64(&s.lossThr[pos], int64(c.lossThreshold(s, pos)))
-	}
 }
 
 // mergeStreams funnels several input queues into one stream for join
@@ -181,38 +155,4 @@ func mergeStreams(wg *sync.WaitGroup, quit <-chan struct{}, ins []<-chan DataUni
 		close(merged)
 	}()
 	return merged
-}
-
-// paceDelay converts a component's processing delay into a real sleep
-// per data unit, scaled by the cluster's Pace factor.
-func (c *Cluster) paceDelay(s *session, pos int) time.Duration {
-	if c.cfg.Pace <= 0 {
-		return 0
-	}
-	comp := c.catalog.Component(s.comp.Components[pos])
-	return time.Duration(comp.QoS.Delay * c.cfg.Pace * float64(time.Millisecond))
-}
-
-// lossThreshold maps the component's loss probability onto the 32-bit
-// hash space; 0 disables loss injection.
-func (c *Cluster) lossThreshold(s *session, pos int) uint32 {
-	if !c.cfg.SimulateLoss {
-		return 0
-	}
-	comp := c.catalog.Component(s.comp.Components[pos])
-	p := qos.LossProb(comp.QoS.LossCost)
-	return uint32(p * float64(1<<32-1))
-}
-
-// unitHash mixes a unit's sequence number with the processing position
-// (splitmix64 finaliser), giving deterministic per-unit loss decisions
-// without shared random state.
-func unitHash(seq int64, pos int) uint32 {
-	x := uint64(seq)*0x9E3779B97F4A7C15 + uint64(pos)*0xBF58476D1CE4E5B9
-	x ^= x >> 30
-	x *= 0xBF58476D1CE4E5B9
-	x ^= x >> 27
-	x *= 0x94D049BB133111EB
-	x ^= x >> 31
-	return uint32(x >> 32)
 }

@@ -13,7 +13,6 @@ import (
 // sinks drain. Under the old per-goroutine close this panicked with
 // "close of closed channel".
 func TestPipelineMultiSinkSingleClose(t *testing.T) {
-	c := testCluster(t)
 	g := &component.Graph{
 		Functions: []component.FunctionID{0, 1, 2},
 		Edges:     []component.Edge{{From: 0, To: 1}, {From: 0, To: 2}},
@@ -24,15 +23,12 @@ func TestPipelineMultiSinkSingleClose(t *testing.T) {
 		running: true,
 		procFn:  make([]ProcessorFunc, 3),
 		perComp: make([]int64, 3),
-		dropped: make([]int64, 3),
-		paceNs:  make([]int64, 3),
-		lossThr: make([]int64, 3),
 		input:   make(chan DataUnit, 8),
 		output:  make(chan DataUnit, 16),
 		quit:    make(chan struct{}),
 		done:    make(chan struct{}),
 	}
-	c.startPipeline(s)
+	startPipeline(s)
 
 	const units = 5
 	go func() {
@@ -55,7 +51,6 @@ func TestPipelineMultiSinkSingleClose(t *testing.T) {
 // through the forced-quit path: closing quit with the input still open
 // must also resolve to exactly one output close.
 func TestPipelineMultiSinkForcedTeardown(t *testing.T) {
-	c := testCluster(t)
 	g := &component.Graph{
 		Functions: []component.FunctionID{0, 1, 2},
 		Edges:     []component.Edge{{From: 0, To: 1}, {From: 0, To: 2}},
@@ -66,15 +61,12 @@ func TestPipelineMultiSinkForcedTeardown(t *testing.T) {
 		running: true,
 		procFn:  make([]ProcessorFunc, 3),
 		perComp: make([]int64, 3),
-		dropped: make([]int64, 3),
-		paceNs:  make([]int64, 3),
-		lossThr: make([]int64, 3),
 		input:   make(chan DataUnit, 8),
 		output:  make(chan DataUnit, 16),
 		quit:    make(chan struct{}),
 		done:    make(chan struct{}),
 	}
-	c.startPipeline(s)
+	startPipeline(s)
 	s.input <- DataUnit{Seq: 1}
 	s.quitOnce.Do(func() { close(s.quit) })
 	go func() {

@@ -67,24 +67,6 @@ func makeRes(n int) []qos.Resources {
 	return res
 }
 
-// TestUnitHashUniform sanity-checks the loss hash: over many sequence
-// numbers the sub-threshold fraction approximates the probability.
-func TestUnitHashUniform(t *testing.T) {
-	p := 0.05
-	threshold := uint32(p * float64(1<<32-1))
-	hits := 0
-	const n = 200000
-	for seq := int64(0); seq < n; seq++ {
-		if unitHash(seq, 3) < threshold {
-			hits++
-		}
-	}
-	got := float64(hits) / n
-	if got < 0.9*p || got > 1.1*p {
-		t.Errorf("hash hit rate = %v, want ~%v", got, p)
-	}
-}
-
 // TestNoGoroutineLeaks: repeated session lifecycles (graceful and
 // forced) must not accumulate goroutines.
 func TestNoGoroutineLeaks(t *testing.T) {

@@ -3,7 +3,6 @@ package runtime
 import (
 	"errors"
 	"fmt"
-	"sort"
 
 	"repro/internal/component"
 	"repro/internal/qos"
@@ -140,29 +139,9 @@ func (c *Cluster) SetTenantQuota(tenant string, quota TenantQuota) {
 	c.quota.quotas[tenant] = quota
 }
 
-// TenantQuotaFor returns the tenant's configured quota (zero value =
-// unlimited).
-func (c *Cluster) TenantQuotaFor(tenant string) TenantQuota {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.quota.quotas[tenant]
-}
-
 // TenantUsageFor returns the tenant's live admission footprint.
 func (c *Cluster) TenantUsageFor(tenant string) TenantUsage {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.quota.usage[tenant]
-}
-
-// Tenants lists tenants with live usage, sorted.
-func (c *Cluster) Tenants() []string {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	out := make([]string, 0, len(c.quota.usage))
-	for t := range c.quota.usage {
-		out = append(out, t)
-	}
-	sort.Strings(out)
-	return out
 }

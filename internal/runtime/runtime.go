@@ -34,7 +34,6 @@ import (
 	"repro/internal/qos"
 	"repro/internal/state"
 	"repro/internal/topology"
-	"repro/internal/tuning"
 )
 
 // ErrNoComposition is returned by Find when no qualified component
@@ -93,29 +92,21 @@ type Config struct {
 	// Phi selects the composition objective (core.PhiSum is the paper's
 	// Eq. 1; the variants support multi-tenant fairness).
 	Phi core.PhiMode
-	// QueueSize bounds each component's input queue (the paper's input
-	// queues absorb transient rate mismatch; §2.1). Default 64.
-	QueueSize int
-	// Pace scales realistic per-unit processing sleep: each component
-	// sleeps Pace x its QoS processing delay per unit. 0 disables
-	// sleeping (full-speed processing).
-	Pace float64
-	// SimulateLoss drops data units at each component with the
-	// component's modelled loss probability. Drops are a deterministic
-	// function of (unit sequence, component), so runs are reproducible
-	// despite concurrency.
-	SimulateLoss bool
 	// Tracer, when non-nil, receives probe-lifecycle events from the
 	// composition engine. nil disables tracing.
 	Tracer *obs.Tracer
 	// Registry, when non-nil, exposes control-plane instruments
 	// (find outcomes, active sessions, find latency). nil disables.
 	Registry *obs.Registry
-	// Clock supplies time to hold expiry, find-latency measurement, and
-	// data-plane pacing sleeps. nil means the wall clock; the simulation
+	// Clock supplies time to hold expiry, find-latency measurement and
+	// the re-aggregation timer. nil means the wall clock; the simulation
 	// harness substitutes a virtual clock.
 	Clock clock.Clock
 }
+
+// queueSize bounds each component's input queue (the paper's input
+// queues absorb transient rate mismatch; §2.1).
+const queueSize = 64
 
 // DefaultConfig returns a laptop-sized cluster: 64 stream nodes over a
 // 512-node IP graph with two components per node.
@@ -130,7 +121,6 @@ func DefaultConfig() Config {
 		NodeCapacity:      qos.Resources{CPU: 100, Memory: 1000},
 		Algorithm:         core.AlgACP,
 		ProbingRatio:      0.5,
-		QueueSize:         64,
 	}
 }
 
@@ -150,21 +140,16 @@ type session struct {
 	requiredPhi float64
 	// migrations counts make-before-break flips this session survived.
 	migrations int64
-	running    bool
-	input      chan DataUnit
-	output     chan DataUnit
-	quit       chan struct{} // closed by Close to force teardown
-	quitOnce   sync.Once
-	done       chan struct{} // closed when the pipeline drains
-	procFn     []ProcessorFunc
-	processd   int64
-	perComp    []int64 // units emitted per position (atomic)
-	dropped    []int64 // units lost per position (atomic)
-	// paceNs and lossThr are the per-position data-plane parameters,
-	// derived from the current composition. Stored atomically so a
-	// migration flip retargets a running pipeline mid-stream.
-	paceNs  []int64
-	lossThr []int64
+	// The data plane, built by Process.
+	running  bool
+	input    chan DataUnit
+	output   chan DataUnit
+	quit     chan struct{} // closed by Close to force teardown
+	quitOnce sync.Once
+	done     chan struct{} // closed when the pipeline drains
+	procFn   []ProcessorFunc
+	processd int64
+	perComp  []int64 // units emitted per position (atomic)
 }
 
 // Cluster is an in-process distributed stream processing system.
@@ -220,19 +205,16 @@ type Cluster struct {
 	ccfg   core.Config
 
 	// mu guards the session table, the quota books, the request and
-	// client streams, the composer pool and the tuner — never a probe
-	// walk of FindApp (see DESIGN.md, concurrency model).
+	// client streams and the composer pool — never a probe walk (see
+	// DESIGN.md, concurrency model).
 	mu sync.Mutex
 	// quota is the per-tenant admission accounting. guarded by mu
 	quota quotaTable
 	// idle holds the pooled composers no caller is walking on; built
 	// counts every composer made, the index the next one is seeded with.
 	// guarded by mu
-	idle  []*core.Composer
-	built int64 // guarded by mu
-	// ratio is the probing ratio a composer is given when it is taken
-	// from the pool; the self-tuner moves it. guarded by mu
-	ratio     float64
+	idle      []*core.Composer
+	built     int64 // guarded by mu
 	rng       *rand.Rand
 	functions map[component.FunctionID]ProcessorFunc
 	sessions  map[SessionID]*session
@@ -244,11 +226,6 @@ type Cluster struct {
 	// state (see aggregate); Shutdown stops it. guarded by mu
 	aggTimer clock.Timer
 
-	tuner       tuning.RatioTuner
-	tuneEvery   int
-	tuneSuccess int
-	tuneTotal   int
-
 	// adaptTol is the fractional headroom re-compositions get over the
 	// admission-time phi bound; set by EnableAdaptation. guarded by mu
 	adaptTol float64
@@ -257,12 +234,6 @@ type Cluster struct {
 // NewCluster builds the network substrate, deploys components, and
 // starts the composition engine.
 func NewCluster(cfg Config) (*Cluster, error) {
-	if cfg.QueueSize <= 0 {
-		cfg.QueueSize = 64
-	}
-	if cfg.Pace < 0 {
-		return nil, fmt.Errorf("runtime: negative Pace %v", cfg.Pace)
-	}
 	rng := rand.New(rand.NewSource(cfg.Seed))
 
 	tcfg := topology.DefaultConfig()
@@ -299,7 +270,6 @@ func NewCluster(cfg Config) (*Cluster, error) {
 	c := &Cluster{
 		cfg:       cfg,
 		ccfg:      ccfg,
-		ratio:     ccfg.ProbingRatio,
 		mesh:      mesh,
 		catalog:   catalog,
 		counters:  &metrics.Counters{},
@@ -395,25 +365,19 @@ func (c *Cluster) putComposerLocked(composer *core.Composer) {
 }
 
 // takeComposerLocked pops an idle composer, building one when every
-// composer is out on a walk, and hands it the current probing ratio. A
-// composer's private random stream (SP/RP/Random selections) is seeded
-// from the cluster seed and the composer's index, never drawn from
-// c.rng: how many callers overlap must not move the client stream.
+// composer is out on a walk. A composer's private random stream
+// (SP/RP/Random selections) is seeded from the cluster seed and the
+// composer's index, never drawn from c.rng: how many callers overlap
+// must not move the client stream.
 func (c *Cluster) takeComposerLocked() (*core.Composer, error) {
 	if n := len(c.idle); n > 0 {
 		composer := c.idle[n-1]
 		c.idle = c.idle[:n-1]
-		if composer.ProbingRatio() != c.ratio {
-			// c.ratio is the ratio composers are built with until the tuner
-			// moves it, and observeFindLocked only stores ratios in (0, 1].
-			_ = composer.SetProbingRatio(c.ratio)
-		}
 		return composer, nil
 	}
-	env, ccfg := c.env, c.ccfg
+	env := c.env
 	env.Rand = rand.New(rand.NewSource(c.cfg.Seed ^ (c.built+1)*0x5851f42d4c957f2d))
-	ccfg.ProbingRatio = c.ratio
-	composer, err := core.NewComposer(env, ccfg)
+	composer, err := core.NewComposer(env, c.ccfg)
 	if err != nil {
 		return nil, err
 	}
@@ -424,65 +388,6 @@ func (c *Cluster) takeComposerLocked() (*core.Composer, error) {
 // now supplies monotonic time on the cluster's clock to the ledger's
 // hold expiry.
 func (c *Cluster) now() time.Duration { return c.clock.Since(c.start) }
-
-// EnableSelfTuning attaches a PI probing-ratio controller to the
-// cluster: every windowRequests Find calls, the observed composition
-// success rate drives one control step toward the target (§3.4 made
-// live; the controller is §6's control-theoretic variant, which needs no
-// trace replay). Call before issuing Finds.
-func (c *Cluster) EnableSelfTuning(target float64, windowRequests int) error {
-	if windowRequests < 1 {
-		return fmt.Errorf("runtime: windowRequests %d < 1", windowRequests)
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	cfg := tuning.DefaultPIConfig()
-	cfg.Target = target
-	cfg.Base = c.ratio
-	if cfg.Base < cfg.Min {
-		cfg.Base = cfg.Min
-	}
-	controller, err := tuning.NewPIController(cfg)
-	if err != nil {
-		return err
-	}
-	c.tuner = controller
-	c.tuneEvery = windowRequests
-	c.tuneSuccess, c.tuneTotal = 0, 0
-	return nil
-}
-
-// ProbingRatio returns the composition engine's current probing ratio.
-func (c *Cluster) ProbingRatio() float64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.ratio
-}
-
-// observeFindLocked feeds the tuner.
-func (c *Cluster) observeFindLocked(success bool) {
-	if c.tuner == nil {
-		return
-	}
-	c.tuneTotal++
-	if success {
-		c.tuneSuccess++
-	}
-	if c.tuneTotal < c.tuneEvery {
-		return
-	}
-	rate := float64(c.tuneSuccess) / float64(c.tuneTotal)
-	c.tuneSuccess, c.tuneTotal = 0, 0
-	if c.tuner.Observe(rate) {
-		// The PI output is clamped to (0, 1]; composers take the new ratio
-		// as they leave the pool.
-		if ratio := c.tuner.Ratio(); ratio > 0 && ratio <= 1 {
-			c.ratio = ratio
-		} else {
-			c.tuner = nil // defensive: disable rather than wedge
-		}
-	}
-}
 
 // RegisterFunction installs the per-unit processing work for a stream
 // processing function. Unregistered functions behave as identity.
@@ -609,10 +514,7 @@ func (c *Cluster) composeAndAdmit(composer *core.Composer, req *component.Reques
 	c.finds.Inc()
 	outcome, err := composer.Probe(req)
 	c.findQuantiles.Observe(float64(c.now()-findStart) / float64(time.Millisecond))
-	// A request the composer would not even walk (a malformed graph)
-	// says nothing about the success rate the tuner steers by.
-	walked := err == nil
-	if walked {
+	if err == nil {
 		if !outcome.Success() {
 			err = ErrNoComposition
 		} else if cerr := composer.Commit(outcome); cerr != nil {
@@ -627,9 +529,6 @@ func (c *Cluster) composeAndAdmit(composer *core.Composer, req *component.Reques
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.putComposerLocked(composer)
-	if walked {
-		c.observeFindLocked(err == nil)
-	}
 	if err == nil && c.closed {
 		// Shut down mid-walk: Shutdown has already swept the session
 		// table, so this session would leak. Give the allocation back.
@@ -649,33 +548,20 @@ func (c *Cluster) release(requestID int64) {
 	c.cfg.Tracer.SessionReleased(requestID)
 }
 
-// admit registers a committed composition as a live session: the data
-// plane's per-position processors and pace/loss parameters, the session
-// table entry and the session gauges. Every admission ends here, so a
-// session is usable by Process as soon as FindApp returns it.
+// admitLocked registers a committed composition as a live session: the
+// session table entry and the session gauges. Every admission ends here,
+// so a session is usable by Process as soon as FindApp returns it.
 func (c *Cluster) admitLocked(req *component.Request, outcome *core.Outcome, demand TenantUsage) SessionID {
 	c.nextID++
 	id := c.nextID
-	n := req.Graph.NumPositions()
-	procFn := make([]ProcessorFunc, n)
-	for pos, f := range req.Graph.Functions {
-		procFn[pos] = c.functions[f] // nil = identity
-	}
-	s := &session{
+	c.sessions[id] = &session{
 		id:          id,
 		request:     req,
 		comp:        outcome.Best,
 		tenant:      req.Tenant,
 		quotaCharge: demand,
 		requiredPhi: outcome.Best.Phi,
-		procFn:      procFn,
-		perComp:     make([]int64, n),
-		dropped:     make([]int64, n),
-		paceNs:      make([]int64, n),
-		lossThr:     make([]int64, n),
 	}
-	c.sessions[id] = s
-	c.setDataPlaneParams(s)
 	c.activeSessions.Set(float64(len(c.sessions)))
 	sess := sessionLabel(id)
 	c.sessionPhi.With(sess).Set(outcome.Best.Phi)
@@ -708,24 +594,26 @@ func tenantLabel(tenant string) string {
 // tolerance): that is ErrNoBetterComposition, the caller's cue to back
 // off and retry.
 //
-// Recompose still holds mu across its walk (on a pooled composer, so it
-// never shares scratch with a FindApp in flight): that keeps a session's
-// Close strictly before or after its migration.
+// Recompose runs FindApp's three phases: mu is held to prepare the
+// request and to record the flip, not while the walk probes and the
+// ledger flips. Close never waits on a walk; the ledger orders the two
+// (DESIGN.md §18).
 func (c *Cluster) Recompose(id SessionID) error {
 	c.mu.Lock()
-	defer c.mu.Unlock()
 	if c.closed {
+		c.mu.Unlock()
 		return errShutDown
 	}
 	s, ok := c.sessions[id]
 	if !ok {
+		c.mu.Unlock()
 		return ErrUnknownSession
 	}
 	composer, err := c.takeComposerLocked()
 	if err != nil {
+		c.mu.Unlock()
 		return err
 	}
-	defer c.putComposerLocked(composer)
 	prev := s.request
 	c.nextReq++
 	req := &component.Request{
@@ -740,27 +628,29 @@ func (c *Cluster) Recompose(id SessionID) error {
 		Weight:       prev.Weight,
 	}
 	bound := s.requiredPhi * (1 + c.adaptTol)
+	c.mu.Unlock()
+
 	start := c.now()
-	outcome, err := composer.ProbeRecompose(req, prev.ID)
+	outcome, err := migrate(composer, req, prev.ID, bound)
+	elapsed := c.now() - start
+
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.putComposerLocked(composer)
+	if c.sessions[id] != s {
+		// Closed while the walk ran (session IDs are never reused). A Close
+		// before the flip dropped the migration window, so the flip was
+		// refused; one after it released only the old allocation.
+		if err == nil {
+			c.release(req.ID)
+		}
+		return ErrUnknownSession
+	}
 	if err != nil {
 		c.migrationFailures.Inc()
-		return fmt.Errorf("runtime: recompose probe: %w", err)
+		return err
 	}
-	if !outcome.Success() {
-		c.migrationFailures.Inc()
-		return fmt.Errorf("%w: probe found no qualified composition", ErrNoBetterComposition)
-	}
-	if outcome.Best.Phi > bound {
-		composer.AbortRecompose(req.ID)
-		c.migrationFailures.Inc()
-		return fmt.Errorf("%w: best phi %.4g exceeds bound %.4g", ErrNoBetterComposition, outcome.Best.Phi, bound)
-	}
-	if err := composer.CommitMigration(outcome, prev.ID); err != nil {
-		composer.AbortRecompose(req.ID)
-		c.migrationFailures.Inc()
-		return fmt.Errorf("runtime: migrate: %w", err)
-	}
-	c.migrationLatency.Observe(float64(c.now()-start) / float64(time.Millisecond))
+	c.migrationLatency.Observe(float64(elapsed) / float64(time.Millisecond))
 	c.migrationsC.Inc()
 
 	// Flip the session onto the new composition. The gauge children keep
@@ -770,11 +660,33 @@ func (c *Cluster) Recompose(id SessionID) error {
 	s.request = req
 	s.comp = outcome.Best
 	s.migrations++
-	c.setDataPlaneParams(s)
 	sess := sessionLabel(id)
 	c.sessionPhi.With(sess).Set(outcome.Best.Phi)
 	c.sessionQoS.With(sess).Set(outcome.Best.QoS.MaxRatio(req.QoSReq))
 	return nil
+}
+
+// migrate is Recompose's walk and flip, run with no cluster lock: re-probe
+// req as a re-composition of the committed request prev, and flip the
+// ledger to the result if its phi is within bound. Any refusal after a
+// successful probe aborts the migration window and its holds.
+func migrate(composer *core.Composer, req *component.Request, prev int64, bound float64) (*core.Outcome, error) {
+	outcome, err := composer.ProbeRecompose(req, prev)
+	if err != nil {
+		return nil, fmt.Errorf("runtime: recompose probe: %w", err)
+	}
+	if !outcome.Success() {
+		return nil, fmt.Errorf("%w: probe found no qualified composition", ErrNoBetterComposition)
+	}
+	if outcome.Best.Phi > bound {
+		composer.AbortRecompose(req.ID)
+		return nil, fmt.Errorf("%w: best phi %.4g exceeds bound %.4g", ErrNoBetterComposition, outcome.Best.Phi, bound)
+	}
+	if err := composer.CommitMigration(outcome, prev); err != nil {
+		composer.AbortRecompose(req.ID)
+		return nil, fmt.Errorf("runtime: migrate: %w", err)
+	}
+	return outcome, nil
 }
 
 // sessionLabel renders a session ID as its gauge-vector label value.
@@ -862,10 +774,11 @@ func (c *Cluster) Describe(id SessionID) (Composition, error) {
 }
 
 // Process starts the session's continuous data stream processing (§2.2):
-// it wires one goroutine per composed component with bounded input
-// queues and returns the channel pair to feed and drain. Close the input
-// channel to flush the pipeline; the output channel closes once every
-// unit has drained. Process can be called once per session.
+// it wires one goroutine per composed component, running the functions
+// registered now, with bounded input queues and returns the channel pair
+// to feed and drain. Close the input channel to flush the pipeline; the
+// output channel closes once every unit has drained. Process can be
+// called once per session.
 func (c *Cluster) Process(id SessionID) (chan<- DataUnit, <-chan DataUnit, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -876,38 +789,31 @@ func (c *Cluster) Process(id SessionID) (chan<- DataUnit, <-chan DataUnit, error
 	if s.running {
 		return nil, nil, fmt.Errorf("runtime: session %d already processing", id)
 	}
+	graph := s.request.Graph
 	s.running = true
-	s.input = make(chan DataUnit, c.cfg.QueueSize)
-	s.output = make(chan DataUnit, c.cfg.QueueSize)
+	s.procFn = make([]ProcessorFunc, graph.NumPositions())
+	for pos, f := range graph.Functions {
+		s.procFn[pos] = c.functions[f] // nil = identity
+	}
+	s.perComp = make([]int64, graph.NumPositions())
+	s.input = make(chan DataUnit, queueSize)
+	s.output = make(chan DataUnit, queueSize)
 	s.quit = make(chan struct{})
 	s.done = make(chan struct{})
-	c.startPipeline(s)
+	startPipeline(s)
 	return s.input, s.output, nil
-}
-
-// Processed returns how many data units the session's sink has emitted.
-func (c *Cluster) Processed(id SessionID) (int64, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	s, ok := c.sessions[id]
-	if !ok {
-		return 0, ErrUnknownSession
-	}
-	return atomic.LoadInt64(&s.processd), nil
 }
 
 // SessionStats reports per-component data-plane counters.
 type SessionStats struct {
 	// Emitted counts output units per graph position.
 	Emitted []int64
-	// Dropped counts units lost to simulated loss per graph position.
-	Dropped []int64
 	// SinkEmitted is the sink's total output.
 	SinkEmitted int64
 }
 
-// Stats returns the session's data-plane counters. Safe to call while
-// the pipeline runs; values are monotone snapshots.
+// Stats returns the session's data-plane counters, zeros before Process.
+// Safe to call while the pipeline runs; values are monotone snapshots.
 func (c *Cluster) Stats(id SessionID) (SessionStats, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -916,13 +822,11 @@ func (c *Cluster) Stats(id SessionID) (SessionStats, error) {
 		return SessionStats{}, ErrUnknownSession
 	}
 	st := SessionStats{
-		Emitted:     make([]int64, len(s.perComp)),
-		Dropped:     make([]int64, len(s.dropped)),
+		Emitted:     make([]int64, s.request.Graph.NumPositions()),
 		SinkEmitted: atomic.LoadInt64(&s.processd),
 	}
 	for i := range s.perComp {
 		st.Emitted[i] = atomic.LoadInt64(&s.perComp[i])
-		st.Dropped[i] = atomic.LoadInt64(&s.dropped[i])
 	}
 	return st, nil
 }
@@ -968,8 +872,8 @@ func (c *Cluster) Close(id SessionID) error {
 		<-s.done
 	}
 
-	// Out of the table, the session can no longer migrate: its request
-	// is final, and the ledger guards itself.
+	// Out of the table, the session's request is final: a Recompose still
+	// walking finds it gone and gives back whatever it flipped to.
 	c.release(s.request.ID)
 	return nil
 }
@@ -1039,7 +943,9 @@ func (c *Cluster) AuditSessions() []SessionAudit {
 // CheckInvariants audits the ledger's conservation laws (Eqs. 4–5,
 // including any open migration windows) and that every live session
 // owns exactly one committed allocation — a session is never unheld,
-// even mid-migration.
+// even mid-migration. The second check names the owner the session
+// table records, which a Recompose between its flip and its finish has
+// already moved on the ledger: audit when no Recompose is in flight.
 func (c *Cluster) CheckInvariants() error {
 	c.mu.Lock()
 	defer c.mu.Unlock()

@@ -114,9 +114,9 @@ func TestProcessIdentityPipeline(t *testing.T) {
 			t.Fatalf("unit %d has seq %d", i, u.Seq)
 		}
 	}
-	n, err := c.Processed(id)
-	if err != nil || n != units {
-		t.Errorf("Processed = %d, %v", n, err)
+	st, err := c.Stats(id)
+	if err != nil || st.SinkEmitted != units {
+		t.Errorf("SinkEmitted = %d, %v", st.SinkEmitted, err)
 	}
 	if err := c.Close(id); err != nil {
 		t.Fatal(err)
@@ -246,8 +246,8 @@ func TestUnknownSessionErrors(t *testing.T) {
 	if err := c.Close(99); !errors.Is(err, ErrUnknownSession) {
 		t.Errorf("Close: %v", err)
 	}
-	if _, err := c.Processed(99); !errors.Is(err, ErrUnknownSession) {
-		t.Errorf("Processed: %v", err)
+	if _, err := c.Stats(99); !errors.Is(err, ErrUnknownSession) {
+		t.Errorf("Stats: %v", err)
 	}
 }
 
@@ -340,49 +340,8 @@ func TestShutdownClosesSessions(t *testing.T) {
 	}
 }
 
-func TestPaceSlowsProcessing(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.IPNodes = 256
-	cfg.OverlayNodes = 32
-	cfg.NumFunctions = 8
-	cfg.Pace = 0.01 // 1% of the modelled per-unit delay
-	c, err := NewCluster(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Shutdown()
-	graph := component.NewPathGraph([]component.FunctionID{0, 1})
-	qosReq, resReq, bw := easyArgs(2)
-	id, err := c.Find(graph, qosReq, resReq, bw)
-	if err != nil {
-		t.Fatal(err)
-	}
-	in, out, err := c.Process(id)
-	if err != nil {
-		t.Fatal(err)
-	}
-	go func() {
-		for i := 0; i < 5; i++ {
-			in <- DataUnit{Seq: int64(i)}
-		}
-		close(in)
-	}()
-	count := 0
-	for range out {
-		count++
-	}
-	if count != 5 {
-		t.Fatalf("drained %d units", count)
-	}
-}
-
 func TestNewClusterValidation(t *testing.T) {
 	cfg := DefaultConfig()
-	cfg.Pace = -1
-	if _, err := NewCluster(cfg); err == nil {
-		t.Error("negative pace accepted")
-	}
-	cfg = DefaultConfig()
 	cfg.OverlayNodes = cfg.IPNodes + 1
 	if _, err := NewCluster(cfg); err == nil {
 		t.Error("oversized overlay accepted")
@@ -423,6 +382,14 @@ func TestStatsPerComponent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// Before Process there is no data plane, and nothing was emitted.
+	st, err := c.Stats(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(st.Emitted) != 3 || st.Emitted[0] != 0 || st.Emitted[2] != 0 || st.SinkEmitted != 0 {
+		t.Fatalf("stats before Process = %+v, want three zero positions", st)
+	}
 	in, out, err := c.Process(id)
 	if err != nil {
 		t.Fatal(err)
@@ -435,7 +402,7 @@ func TestStatsPerComponent(t *testing.T) {
 	}()
 	for range out {
 	}
-	st, err := c.Stats(id)
+	st, err = c.Stats(id)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -448,160 +415,11 @@ func TestStatsPerComponent(t *testing.T) {
 	if st.Emitted[2] != 50 || st.SinkEmitted != 50 {
 		t.Errorf("sink emitted %d/%d, want 50", st.Emitted[2], st.SinkEmitted)
 	}
-	for pos, d := range st.Dropped {
-		if d != 0 {
-			t.Errorf("position %d dropped %d units without loss simulation", pos, d)
-		}
-	}
 	if err := c.Close(id); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := c.Stats(id); err == nil {
 		t.Error("Stats after close accepted")
-	}
-}
-
-func TestSimulatedLossDropsUnits(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.IPNodes = 256
-	cfg.OverlayNodes = 32
-	cfg.NumFunctions = 8
-	cfg.SimulateLoss = true
-	c, err := NewCluster(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Shutdown()
-	graph := component.NewPathGraph([]component.FunctionID{0, 1, 2})
-	qosReq, resReq, bw := easyArgs(3)
-	id, err := c.Find(graph, qosReq, resReq, bw)
-	if err != nil {
-		t.Fatal(err)
-	}
-	in, out, err := c.Process(id)
-	if err != nil {
-		t.Fatal(err)
-	}
-	const units = 5000
-	go func() {
-		for i := 0; i < units; i++ {
-			in <- DataUnit{Seq: int64(i)}
-		}
-		close(in)
-	}()
-	received := 0
-	for range out {
-		received++
-	}
-	st, err := c.Stats(id)
-	if err != nil {
-		t.Fatal(err)
-	}
-	totalDropped := int64(0)
-	for _, d := range st.Dropped {
-		totalDropped += d
-	}
-	if totalDropped == 0 {
-		t.Error("loss simulation dropped nothing over 5000 units")
-	}
-	if int64(received)+totalDropped != units {
-		t.Errorf("received %d + dropped %d != %d", received, totalDropped, units)
-	}
-	// Component loss rates are 0.1-1%: total loss over 3 hops must stay
-	// in the low percent range.
-	if totalDropped > units/10 {
-		t.Errorf("dropped %d of %d — loss far above modelled rates", totalDropped, units)
-	}
-	if err := c.Close(id); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestSimulatedLossDeterministic(t *testing.T) {
-	runOnce := func() int64 {
-		cfg := DefaultConfig()
-		cfg.IPNodes = 256
-		cfg.OverlayNodes = 32
-		cfg.NumFunctions = 8
-		cfg.SimulateLoss = true
-		c, err := NewCluster(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer c.Shutdown()
-		graph := component.NewPathGraph([]component.FunctionID{0, 1})
-		qosReq, resReq, bw := easyArgs(2)
-		id, err := c.Find(graph, qosReq, resReq, bw)
-		if err != nil {
-			t.Fatal(err)
-		}
-		in, out, err := c.Process(id)
-		if err != nil {
-			t.Fatal(err)
-		}
-		go func() {
-			for i := 0; i < 2000; i++ {
-				in <- DataUnit{Seq: int64(i)}
-			}
-			close(in)
-		}()
-		var n int64
-		for range out {
-			n++
-		}
-		return n
-	}
-	if a, b := runOnce(), runOnce(); a != b {
-		t.Errorf("loss not deterministic: %d vs %d delivered", a, b)
-	}
-}
-
-func TestSelfTuningAdjustsRatio(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.IPNodes = 256
-	cfg.OverlayNodes = 32
-	cfg.NumFunctions = 8
-	cfg.ProbingRatio = 0.2
-	c, err := NewCluster(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Shutdown()
-	if err := c.EnableSelfTuning(0.95, 0); err == nil {
-		t.Error("zero window accepted")
-	}
-	if err := c.EnableSelfTuning(0.95, 5); err != nil {
-		t.Fatal(err)
-	}
-	start := c.ProbingRatio()
-
-	graph := component.NewPathGraph([]component.FunctionID{0, 1})
-	qosReq, resReq, _ := easyArgs(2)
-	// Impossible bandwidth forces failures: the controller must raise
-	// the ratio chasing the unreachable target.
-	for i := 0; i < 15; i++ {
-		_, err := c.Find(graph, qosReq, resReq, 1e12)
-		if !errors.Is(err, ErrNoComposition) {
-			t.Fatalf("unexpected: %v", err)
-		}
-	}
-	if got := c.ProbingRatio(); got <= start {
-		t.Errorf("ratio did not rise under failures: %v -> %v", start, got)
-	}
-
-	// Now all-success traffic relaxes it again.
-	raised := c.ProbingRatio()
-	for i := 0; i < 40; i++ {
-		id, err := c.Find(graph, qosReq, resReq, 10)
-		if err != nil {
-			t.Fatalf("find %d: %v", i, err)
-		}
-		if err := c.Close(id); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if got := c.ProbingRatio(); got >= raised {
-		t.Errorf("ratio did not relax under success: %v -> %v", raised, got)
 	}
 }
 

@@ -213,9 +213,8 @@ func (r *ceilingRig) applyCeilingOp(op [4]byte) string {
 			// As core.AbortRecompose does: a probe's holds may overlap the
 			// share of the session it was re-composing, which only the open
 			// window credits.
-			l.EndMigration(owner)
-			l.ReleaseOwner(owner)
-			return "EndMigration+ReleaseOwner"
+			l.AbortMigration(owner)
+			return "AbortMigration"
 		}
 		_ = l.MigrateSession(l.migrations[owner], owner, shares, links) // with no window open: refused
 		return "MigrateSession"

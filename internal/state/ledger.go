@@ -574,13 +574,15 @@ func (l *Ledger) CommitSession(owner Owner, nodes map[int]qos.Resources, links m
 		return fmt.Errorf("state: owner %d is migrating session %d; use MigrateSession", owner, prev)
 	}
 	l.releaseOwner(owner)
+	// What open migration windows count twice is room: only one of the
+	// session's share and its probe's reusing holds can remain.
 	for node, amount := range nodes {
-		if !l.nodeAvailable(node, ledgerClock).Covers(amount) {
+		if !l.nodeAvailable(node, ledgerClock).Add(l.windowOverlapNode(node)).Covers(amount) {
 			return fmt.Errorf("state: node %d cannot cover %v", node, amount)
 		}
 	}
 	for link, bw := range links {
-		if l.linkAvailable(link, ledgerClock) < bw {
+		if l.linkAvailable(link, ledgerClock)+l.windowOverlapLink(link) < bw {
 			return fmt.Errorf("state: link %d cannot cover %.1f kbps", link, bw)
 		}
 	}
@@ -643,10 +645,11 @@ func (l *Ledger) HasSession(owner Owner) bool {
 }
 
 // BeginMigration opens a make-before-break window: probe becomes a
-// re-composition of the committed session, and until EndMigration or
-// MigrateSession closes the window, probe's availability views and hold
-// feasibility treat the session's committed allocation as reusable. A
-// session can be re-composed by at most one probe at a time.
+// re-composition of the committed session, and until EndMigration,
+// AbortMigration or MigrateSession closes the window, probe's
+// availability views and hold feasibility treat the session's committed
+// allocation as reusable. A session can be re-composed by at most one
+// probe at a time.
 func (l *Ledger) BeginMigration(probe, session Owner) error {
 	l.lock()
 	defer l.unlock()
@@ -672,13 +675,23 @@ func (l *Ledger) BeginMigration(probe, session Owner) error {
 }
 
 // EndMigration closes probe's migration window without flipping the
-// session. The probe's transient holds, if any, are untouched — release
-// them with ReleaseOwner (or let them expire). Unknown probes are
-// ignored.
+// session. The probe's transient holds, if any, are untouched — a probe
+// that still holds uses AbortMigration. Unknown probes are ignored.
 func (l *Ledger) EndMigration(probe Owner) {
 	l.lock()
 	defer l.unlock()
 	delete(l.migrations, probe)
+}
+
+// AbortMigration abandons probe's migration: the window closes and the
+// probe's transient holds are released under one lock acquisition, so no
+// observer sees holds that overlap the session's share without the
+// window that credits them. Unknown probes only lose their holds.
+func (l *Ledger) AbortMigration(probe Owner) {
+	l.lock()
+	defer l.unlock()
+	delete(l.migrations, probe)
+	l.releaseOwner(probe)
 }
 
 // MigrateSession atomically flips a committed session to the new shares
@@ -825,6 +838,30 @@ func (l *Ledger) migrationLinkCredit(owner Owner, link int) (float64, bool) {
 	return bw, ok
 }
 
+// windowOverlapNode is what the open migration windows count twice on
+// the node: each probe's holds there that reuse its session's committed
+// share are in both committed and held, though only one can remain.
+func (l *Ledger) windowOverlapNode(node int) qos.Resources {
+	var overlap qos.Resources
+	for probe, session := range l.migrations {
+		if amount, ok := l.sessions[session].nodes[node]; ok {
+			overlap = overlap.Add(minRes(amount, l.nodeHeldBy(probe, node)))
+		}
+	}
+	return overlap
+}
+
+// windowOverlapLink is windowOverlapNode for overlay links.
+func (l *Ledger) windowOverlapLink(link int) float64 {
+	overlap := 0.0
+	for probe, session := range l.migrations {
+		if bw, ok := l.sessions[session].links[link]; ok {
+			overlap += math.Min(bw, l.linkHeldBy(probe, link))
+		}
+	}
+	return overlap
+}
+
 // nodeHeldBy sums owner's live transient holds on the node.
 func (l *Ledger) nodeHeldBy(owner Owner, node int) qos.Resources {
 	var sum qos.Resources
@@ -912,13 +949,7 @@ func (l *Ledger) CheckInvariants() error {
 		// A migration probe's holds legitimately overlap its source
 		// session's committed share (make-before-break); credit that
 		// overlap before the over-allocation check.
-		var credit qos.Resources
-		for probe, session := range l.migrations {
-			if amount, ok := l.sessions[session].nodes[i]; ok {
-				credit = credit.Add(minRes(amount, l.nodeHeldBy(probe, i)))
-			}
-		}
-		if avail := n.capacity.Sub(n.committed).Sub(n.held).Add(credit); avail.CPU < -eps || avail.Memory < -eps {
+		if avail := n.capacity.Sub(n.committed).Sub(n.held).Add(l.windowOverlapNode(i)); avail.CPU < -eps || avail.Memory < -eps {
 			return fmt.Errorf("state: node %d over-allocated: available %v", i, avail)
 		}
 	}
@@ -935,13 +966,7 @@ func (l *Ledger) CheckInvariants() error {
 		if d := committedLinks[i] - lk.committed; d > eps || d < -eps {
 			return fmt.Errorf("state: link %d committed %v != session sum %v", i, lk.committed, committedLinks[i])
 		}
-		credit := 0.0
-		for probe, session := range l.migrations {
-			if bw, ok := l.sessions[session].links[i]; ok {
-				credit += math.Min(bw, l.linkHeldBy(probe, i))
-			}
-		}
-		if avail := lk.capacity - lk.committed - lk.held + credit; avail < -eps {
+		if avail := lk.capacity - lk.committed - lk.held + l.windowOverlapLink(i); avail < -eps {
 			return fmt.Errorf("state: link %d over-allocated: available %v", i, avail)
 		}
 	}

@@ -214,11 +214,65 @@ func TestMigrateSessionFailureKeepsWindow(t *testing.T) {
 	if err := l.MigrateSession(2, 100, nil, nil); err == nil {
 		t.Fatal("mismatched migration pair accepted")
 	}
-	// Abort path: end the window, release the probe's holds.
-	l.EndMigration(100)
-	l.ReleaseOwner(100)
+	// Abort path: the window closes and the probe's holds go.
+	l.AbortMigration(100)
 	if err := l.CheckInvariants(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestAbortMigrationRestoresLedger opens a window whose probe holds
+// reuse the session's whole share, node and link, and aborts it: the
+// ledger stays sound and every node and link is back where it stood
+// before the window opened. Closing the window and releasing the holds
+// as two operations leaves an instant in which the holds overlap a share
+// nothing credits any more, and CheckInvariants reports over-allocation.
+func TestAbortMigrationRestoresLedger(t *testing.T) {
+	l, _, mesh := newTestLedger(t)
+	share := qos.Resources{CPU: 90, Memory: 900}
+	bw := mesh.Link(0).Capacity * 0.9
+	commitTestSession(t, l, 1, map[int]qos.Resources{0: share}, map[int]float64{0: bw})
+	nodes := make([]qos.Resources, l.NumNodes())
+	for n := range nodes {
+		nodes[n] = l.NodeAvailable(n)
+	}
+	links := make([]float64, l.NumLinks())
+	for k := range links {
+		links[k] = l.LinkAvailable(k)
+	}
+
+	if err := l.BeginMigration(100, 1); err != nil {
+		t.Fatal(err)
+	}
+	if ok := l.HoldNode(100, 0, 0, share, time.Hour); !ok {
+		t.Fatal("hold on the reused node share rejected")
+	}
+	if ok := l.HoldLink(100, 0, 0, bw, time.Hour); !ok {
+		t.Fatal("hold on the reused link share rejected")
+	}
+	if err := l.CheckInvariants(); err != nil {
+		t.Fatalf("open window: %v", err)
+	}
+
+	l.AbortMigration(100)
+	if err := l.CheckInvariants(); err != nil {
+		t.Fatalf("after abort: %v", err)
+	}
+	for n, want := range nodes {
+		if got := l.NodeAvailable(n); got != want {
+			t.Fatalf("node %d has %v available after the abort, %v before the window", n, got, want)
+		}
+	}
+	for k, want := range links {
+		if got := l.LinkAvailable(k); got != want {
+			t.Fatalf("link %d has %v available after the abort, %v before the window", k, got, want)
+		}
+	}
+	if !l.HasSession(1) {
+		t.Fatal("source session lost on abort")
+	}
+	if err := l.MigrateSession(1, 100, map[int]qos.Resources{0: share}, nil); err == nil {
+		t.Fatal("flip through an aborted window accepted")
 	}
 }
 
@@ -231,6 +285,45 @@ func TestCommitSessionRefusesMigratingOwner(t *testing.T) {
 	err := l.CommitSession(100, map[int]qos.Resources{1: {CPU: 10, Memory: 100}}, nil)
 	if err == nil || !strings.Contains(err.Error(), "MigrateSession") {
 		t.Fatalf("plain commit during migration window: err = %v", err)
+	}
+}
+
+// TestCommitSessionCountsWindowOverlapOnce: a probe's holds that reuse
+// its session's share are counted in both committed and held, so a
+// bystander that held its share before the probe did must still be able
+// to commit it — and nothing beyond the true room may commit. Both ends
+// of the window stay sound: the flip, and the bystander's allocation.
+func TestCommitSessionCountsWindowOverlapOnce(t *testing.T) {
+	l, _, _ := newTestLedger(t)
+	commitTestSession(t, l, 1, map[int]qos.Resources{0: {CPU: 30, Memory: 300}}, nil)
+	if ok := l.HoldNode(200, 0, 0, qos.Resources{CPU: 30, Memory: 300}, time.Hour); !ok {
+		t.Fatal("bystander hold rejected")
+	}
+	if err := l.BeginMigration(100, 1); err != nil {
+		t.Fatal(err)
+	}
+	newShare := qos.Resources{CPU: 60, Memory: 600}
+	if ok := l.HoldNode(100, 0, 0, newShare, time.Hour); !ok {
+		t.Fatal("probe hold reusing the session's share rejected")
+	}
+	// 30 committed + 90 held on a node of 100, 30 of it counted twice.
+	if err := l.CommitSession(200, map[int]qos.Resources{0: {CPU: 30, Memory: 300}}, nil); err != nil {
+		t.Fatalf("bystander commit of its held share: %v", err)
+	}
+	if err := l.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.CommitSession(300, map[int]qos.Resources{0: {CPU: 20, Memory: 200}}, nil); err == nil {
+		t.Fatal("commit beyond the true room accepted")
+	}
+	if err := l.MigrateSession(1, 100, map[int]qos.Resources{0: newShare}, nil); err != nil {
+		t.Fatalf("flip: %v", err)
+	}
+	if err := l.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := l.NodeAvailable(0), l.NodeCapacity(0).Sub(qos.Resources{CPU: 90, Memory: 900}); got != want {
+		t.Fatalf("node 0 has %v available after the flip, want %v", got, want)
 	}
 }
 
