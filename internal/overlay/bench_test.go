@@ -40,20 +40,44 @@ func BenchmarkRouteBetween(b *testing.B) {
 	}
 }
 
-// BenchmarkBuild measures full mesh construction at the paper's N=400.
+// BenchmarkBuild measures full mesh construction at the repository
+// benchmark's shape: N=256 overlay nodes on the paper's 3200-node IP graph.
 func BenchmarkBuild(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
-	tcfg := topology.DefaultConfig()
-	tcfg.Nodes = 1600
-	g, err := topology.Generate(tcfg, rng)
+	g, err := topology.Generate(topology.DefaultConfig(), rng)
 	if err != nil {
 		b.Fatal(err)
 	}
 	cfg := DefaultConfig()
+	cfg.Nodes = 256
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := Build(g, cfg, rand.New(rand.NewSource(2))); err != nil {
 			b.Fatal(err)
 		}
 	}
+}
+
+// TestBuildAllocs bounds the allocations of one Build (800 IP nodes,
+// N=64): the shortest-path runs box nothing and reuse one tree, so what
+// is left is the mesh itself.
+func TestBuildAllocs(t *testing.T) {
+	tcfg := topology.DefaultConfig()
+	tcfg.Nodes = 800
+	g, err := topology.Generate(tcfg, rand.New(rand.NewSource(1)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := DefaultConfig()
+	cfg.Nodes = 64
+	allocs := testing.AllocsPerRun(5, func() {
+		if _, err := Build(g, cfg, rand.New(rand.NewSource(2))); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 1000 {
+		t.Errorf("Build allocates %.0f times, want <= 1000", allocs)
+	}
+	t.Logf("Build allocates %.0f times", allocs)
 }

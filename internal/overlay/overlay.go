@@ -11,7 +11,6 @@
 package overlay
 
 import (
-	"container/heap"
 	"fmt"
 	"math"
 	"math/rand"
@@ -82,10 +81,11 @@ type Mesh struct {
 	links  []Link
 	adj    [][]halfLink
 
-	// Routing state: dist[i][j], nextLink[i][j] = first link on the
-	// shortest overlay path i->j (-1 when i==j or unreachable).
+	// Routing state: dist[i][j], prevLink[i][j] = last link on the
+	// shortest overlay path i->j, the one into j (-1 when i==j or
+	// unreachable); buildRoute walks it backwards from j.
 	dist     [][]float64
-	nextLink [][]int32
+	prevLink [][]int32
 
 	// Route cache, one entry per ordered node pair at from*N+to, filled on
 	// first use and kept for the mesh's lifetime (the topology never
@@ -160,16 +160,28 @@ func Build(g *topology.Graph, cfg Config, rng *rand.Rand) (*Mesh, error) {
 		addLink(v, (v+1)%n)
 	}
 
-	// Map overlay links to IP shortest paths. One Dijkstra per overlay
-	// node over the IP graph covers all its incident links.
+	// Map overlay links to IP shortest paths. Each link is filled from its
+	// A side: one Dijkstra per overlay node over the IP graph, stopped once
+	// the far ends of the node's A-side links are settled.
+	var tree topology.PathTree
+	var targets []int
 	for v := 0; v < n; v++ {
-		tree := g.ShortestPaths(m.ipNode[v])
+		targets = targets[:0]
+		for _, h := range m.adj[v] {
+			if m.links[h.link].A == v {
+				targets = append(targets, m.ipNode[h.to])
+			}
+		}
+		if len(targets) == 0 {
+			continue
+		}
+		g.Route(&tree, m.ipNode[v], targets)
 		for _, h := range m.adj[v] {
 			lk := &m.links[h.link]
 			if lk.A != v {
-				continue // fill from the A side only
+				continue
 			}
-			delay, bw := g.PathMetrics(tree, m.ipNode[h.to])
+			delay, bw := g.PathMetrics(&tree, m.ipNode[h.to])
 			if math.IsInf(delay, 1) {
 				return nil, fmt.Errorf("overlay: IP nodes %d and %d disconnected", m.ipNode[v], m.ipNode[h.to])
 			}
@@ -213,56 +225,40 @@ func (m *Mesh) AdjacentLinks(v int) []int {
 	return out
 }
 
-type routeItem struct {
-	node int
-	dist float64
-}
-
-type routeHeap []routeItem
-
-func (h routeHeap) Len() int            { return len(h) }
-func (h routeHeap) Less(i, j int) bool  { return h[i].dist < h[j].dist }
-func (h routeHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *routeHeap) Push(x interface{}) { *h = append(*h, x.(routeItem)) }
-func (h *routeHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	item := old[n-1]
-	*h = old[:n-1]
-	return item
-}
-
-// computeRouting runs delay-based Dijkstra from every overlay node and
-// records, for each destination, the last link on the shortest path; a
-// route is then reconstructed by walking destinations backwards.
+// computeRouting runs delay-based Dijkstra from every overlay node, on the
+// IP graph's topology.MinHeap, and records, for each destination, the last
+// link on the shortest path; a route is then reconstructed by walking
+// destinations backwards.
 func (m *Mesh) computeRouting() {
 	n := m.NumNodes()
 	m.dist = make([][]float64, n)
-	m.nextLink = make([][]int32, n)
+	m.prevLink = make([][]int32, n)
+	distRows, prevRows := make([]float64, n*n), make([]int32, n*n)
+	var h topology.MinHeap
 	for src := 0; src < n; src++ {
-		dist := make([]float64, n)
-		prevLink := make([]int32, n)
+		dist := distRows[src*n : (src+1)*n : (src+1)*n]
+		prevLink := prevRows[src*n : (src+1)*n : (src+1)*n]
 		for i := range dist {
 			dist[i] = math.Inf(1)
 			prevLink[i] = -1
 		}
 		dist[src] = 0
-		h := &routeHeap{{node: src}}
+		h.Push(src, 0)
 		for h.Len() > 0 {
-			it := heap.Pop(h).(routeItem)
-			if it.dist > dist[it.node] {
+			u, du := h.Pop()
+			if du > dist[u] {
 				continue
 			}
-			for _, half := range m.adj[it.node] {
-				if d := it.dist + m.links[half.link].QoS.Delay; d < dist[half.to] {
+			for _, half := range m.adj[u] {
+				if d := du + m.links[half.link].QoS.Delay; d < dist[half.to] {
 					dist[half.to] = d
 					prevLink[half.to] = int32(half.link)
-					heap.Push(h, routeItem{node: half.to, dist: d})
+					h.Push(half.to, d)
 				}
 			}
 		}
 		m.dist[src] = dist
-		m.nextLink[src] = prevLink
+		m.prevLink[src] = prevLink
 	}
 	m.routes = make([]routeEntry, n*n)
 }
@@ -319,7 +315,7 @@ func (m *Mesh) buildRoute(a, b int) (Route, bool) {
 	}
 	var rev []int
 	for v := b; v != a; {
-		id := int(m.nextLink[a][v])
+		id := int(m.prevLink[a][v])
 		rev = append(rev, id)
 		v = m.otherEnd(id, v)
 	}

@@ -11,7 +11,6 @@
 package topology
 
 import (
-	"container/heap"
 	"fmt"
 	"math"
 	"math/rand"
@@ -58,16 +57,6 @@ func (g *Graph) Degree(v int) int { return len(g.adj[v]) }
 func (g *Graph) addLink(a, b int, delay, bandwidth float64) {
 	g.adj[a] = append(g.adj[a], Edge{To: b, Delay: delay, Bandwidth: bandwidth})
 	g.adj[b] = append(g.adj[b], Edge{To: a, Delay: delay, Bandwidth: bandwidth})
-}
-
-// hasLink reports whether a and b are directly connected.
-func (g *Graph) hasLink(a, b int) bool {
-	for _, e := range g.adj[a] {
-		if e.To == b {
-			return true
-		}
-	}
-	return false
 }
 
 // Config controls power-law graph generation.
@@ -166,63 +155,132 @@ func contains(s []int, v int) bool {
 	return false
 }
 
-// pathItem is a Dijkstra priority-queue entry.
-type pathItem struct {
+// MinHeap is the Dijkstra priority queue of both shortest-path runs, over
+// the IP graph and over the overlay: a binary min-heap of (node, dist)
+// entries. Push and Pop make exactly container/heap's sift steps, so
+// entries with equal dist pop in the order they would through it. The
+// zero value is an empty heap.
+type MinHeap struct{ items []heapItem }
+
+type heapItem struct {
 	node int
 	dist float64
 }
 
-type pathHeap []pathItem
+// Len returns the number of queued entries.
+func (h *MinHeap) Len() int { return len(h.items) }
 
-func (h pathHeap) Len() int            { return len(h) }
-func (h pathHeap) Less(i, j int) bool  { return h[i].dist < h[j].dist }
-func (h pathHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *pathHeap) Push(x interface{}) { *h = append(*h, x.(pathItem)) }
-func (h *pathHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	item := old[n-1]
-	*h = old[:n-1]
-	return item
+// Push queues node at dist: append, then container/heap's up.
+func (h *MinHeap) Push(node int, dist float64) {
+	h.items = append(h.items, heapItem{node: node, dist: dist})
+	s := h.items
+	for j := len(s) - 1; j > 0; {
+		i := (j - 1) / 2
+		if !(s[j].dist < s[i].dist) {
+			break
+		}
+		s[i], s[j] = s[j], s[i]
+		j = i
+	}
 }
 
-// PathTree is the result of a single-source shortest-path computation.
+// Pop removes the entry with the least dist: container/heap's swap of the
+// root with the last entry, then down over the others.
+func (h *MinHeap) Pop() (node int, dist float64) {
+	s := h.items
+	n := len(s) - 1
+	s[0], s[n] = s[n], s[0]
+	for i := 0; ; {
+		j := 2*i + 1
+		if j >= n {
+			break
+		}
+		if j2 := j + 1; j2 < n && s[j2].dist < s[j].dist {
+			j = j2
+		}
+		if !(s[j].dist < s[i].dist) {
+			break
+		}
+		s[i], s[j] = s[j], s[i]
+		i = j
+	}
+	h.items = s[:n]
+	return s[n].node, s[n].dist
+}
+
+// PathTree is the result of a single-source shortest-path run. The zero
+// value is ready for Route, which reuses its storage run after run.
 type PathTree struct {
 	src    int
 	dist   []float64
 	parent []int
+	// edge[v] indexes, in parent[v]'s adjacency, the edge that set parent[v].
+	edge    []int32
+	pending []bool // targets not yet popped; all false between runs
+	queue   MinHeap
 }
 
-// ShortestPaths runs Dijkstra from src using link delay as the metric,
-// matching the paper's "delay-based shortest path routing algorithm".
+// ShortestPaths runs Route from src to exhaustion into a new tree.
 func (g *Graph) ShortestPaths(src int) *PathTree {
+	t := &PathTree{}
+	g.Route(t, src, nil)
+	return t
+}
+
+// Route runs Dijkstra from src into t with link delay as the metric, the
+// paper's "delay-based shortest path routing algorithm", reusing t's
+// storage. It returns once every node of targets has been popped; nil
+// targets run to exhaustion. A popped node's distance and parent are
+// final, because delays are non-negative and relaxation is strict, and its
+// ancestors were popped before it, so a target's whole path is final too.
+// After an early return, other nodes may hold tentative values.
+func (g *Graph) Route(t *PathTree, src int, targets []int) {
 	n := g.NumNodes()
-	t := &PathTree{
-		src:    src,
-		dist:   make([]float64, n),
-		parent: make([]int, n),
+	if cap(t.dist) < n {
+		t.dist, t.parent = make([]float64, n), make([]int, n)
+		t.edge, t.pending = make([]int32, n), make([]bool, n)
 	}
+	t.src = src
+	t.dist, t.parent, t.edge, t.pending = t.dist[:n], t.parent[:n], t.edge[:n], t.pending[:n]
 	for i := range t.dist {
 		t.dist[i] = math.Inf(1)
 		t.parent[i] = -1
 	}
+	left := 0
+	for _, v := range targets {
+		if !t.pending[v] {
+			t.pending[v] = true
+			left++
+		}
+	}
 	t.dist[src] = 0
 
-	h := &pathHeap{{node: src}}
+	h := &t.queue
+	h.items = h.items[:0] // an early return leaves entries behind
+	h.Push(src, 0)
 	for h.Len() > 0 {
-		item := heap.Pop(h).(pathItem)
-		if item.dist > t.dist[item.node] {
+		u, du := h.Pop()
+		if du > t.dist[u] {
 			continue // stale entry
 		}
-		for _, e := range g.adj[item.node] {
-			if d := item.dist + e.Delay; d < t.dist[e.To] {
+		if t.pending[u] {
+			t.pending[u] = false
+			if left--; left == 0 {
+				return
+			}
+		}
+		for i, e := range g.adj[u] {
+			if d := du + e.Delay; d < t.dist[e.To] {
 				t.dist[e.To] = d
-				t.parent[e.To] = item.node
-				heap.Push(h, pathItem{node: e.To, dist: d})
+				t.parent[e.To] = u
+				t.edge[e.To] = int32(i)
+				h.Push(e.To, d)
 			}
 		}
 	}
-	return t
+	for _, v := range targets {
+		t.pending[v] = false // unreachable
+	}
 }
 
 // Distance returns the shortest-path delay from the tree's source to dst,
@@ -245,34 +303,21 @@ func (t *PathTree) PathTo(dst int) []int {
 	return rev
 }
 
-// PathMetrics walks the IP path from the tree's source to dst and returns
-// its total delay and bottleneck bandwidth. A zero-length path (src==dst)
-// has zero delay and infinite bandwidth. Unreachable destinations return
-// (+Inf, 0).
+// PathMetrics returns the total delay and bottleneck bandwidth of the IP
+// path from the tree's source to dst. The delay is dst's distance, which
+// the run set to its parent's distance plus the recorded edge's delay: the
+// path's delays added in source-to-destination order. The bottleneck is
+// read off the recorded edges. A zero-length path (src==dst) has zero
+// delay and infinite bandwidth. Unreachable destinations return (+Inf, 0).
 func (g *Graph) PathMetrics(t *PathTree, dst int) (delay, bottleneck float64) {
-	path := t.PathTo(dst)
-	if path == nil {
+	if math.IsInf(t.dist[dst], 1) {
 		return math.Inf(1), 0
 	}
 	bottleneck = math.Inf(1)
-	for i := 1; i < len(path); i++ {
-		e, ok := g.edgeBetween(path[i-1], path[i])
-		if !ok {
-			return math.Inf(1), 0
-		}
-		delay += e.Delay
-		bottleneck = math.Min(bottleneck, e.Bandwidth)
+	for v := dst; v != t.src; v = t.parent[v] {
+		bottleneck = math.Min(bottleneck, g.adj[t.parent[v]][t.edge[v]].Bandwidth)
 	}
-	return delay, bottleneck
-}
-
-func (g *Graph) edgeBetween(a, b int) (Edge, bool) {
-	for _, e := range g.adj[a] {
-		if e.To == b {
-			return e, true
-		}
-	}
-	return Edge{}, false
+	return t.dist[dst], bottleneck
 }
 
 // Connected reports whether the graph is a single connected component.

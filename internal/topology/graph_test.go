@@ -1,8 +1,10 @@
 package topology
 
 import (
+	"container/heap"
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -109,6 +111,16 @@ func TestGenerateEdgeAttributesInRange(t *testing.T) {
 			}
 		}
 	}
+}
+
+// edgeBetween returns the first edge from a to b in a's adjacency.
+func (g *Graph) edgeBetween(a, b int) (Edge, bool) {
+	for _, e := range g.adj[a] {
+		if e.To == b {
+			return e, true
+		}
+	}
+	return Edge{}, false
 }
 
 func TestGenerateSymmetricLinks(t *testing.T) {
@@ -246,16 +258,168 @@ func TestShortestPathsOptimality(t *testing.T) {
 	}
 }
 
-// TestPathDelayMatchesDistance: the delay along the reconstructed path
-// must equal the Dijkstra distance.
+// TestPathDelayMatchesDistance: PathMetrics' delay and bottleneck are, bit
+// for bit, the path's edge delays added in source-to-destination order and
+// the least bandwidth among them, the edges found hop by hop.
 func TestPathDelayMatchesDistance(t *testing.T) {
 	g := testGraph(t, 200, 11)
 	tree := g.ShortestPaths(0)
-	for dst := 0; dst < g.NumNodes(); dst += 17 {
-		delay, _ := g.PathMetrics(tree, dst)
-		if math.Abs(delay-tree.Distance(dst)) > 1e-9 {
+	for dst := 0; dst < g.NumNodes(); dst++ {
+		path := tree.PathTo(dst)
+		wantDelay, wantBW := 0.0, math.Inf(1)
+		for i := 1; i < len(path); i++ {
+			e, ok := g.edgeBetween(path[i-1], path[i])
+			if !ok {
+				t.Fatalf("path to %d uses a missing edge %d-%d", dst, path[i-1], path[i])
+			}
+			wantDelay += e.Delay
+			wantBW = math.Min(wantBW, e.Bandwidth)
+		}
+		delay, bw := g.PathMetrics(tree, dst)
+		if math.Float64bits(delay) != math.Float64bits(wantDelay) || bw != wantBW {
+			t.Errorf("PathMetrics(%d) = (%v, %v), hop by hop (%v, %v)", dst, delay, bw, wantDelay, wantBW)
+		}
+		if delay != tree.Distance(dst) {
 			t.Errorf("path delay to %d = %v, distance = %v", dst, delay, tree.Distance(dst))
 		}
+	}
+}
+
+// TestMinHeapMatchesContainerHeap: the typed heap pops the same sequence
+// as container/heap over the same pushes, ties included.
+func TestMinHeapMatchesContainerHeap(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	var h MinHeap
+	ref := &refHeap{}
+	for round := 0; round < 200; round++ {
+		// Few distinct keys, so most pops choose among equal ones.
+		for n := rng.Intn(40); n > 0; n-- {
+			node, dist := rng.Intn(1000), float64(rng.Intn(8))
+			h.Push(node, dist)
+			heap.Push(ref, heapItem{node: node, dist: dist})
+		}
+		for n := rng.Intn(h.Len() + 1); n > 0; n-- {
+			node, dist := h.Pop()
+			want := heap.Pop(ref).(heapItem)
+			if node != want.node || dist != want.dist {
+				t.Fatalf("round %d: Pop = (%d, %v), container/heap pops (%d, %v)", round, node, dist, want.node, want.dist)
+			}
+		}
+	}
+}
+
+type refHeap []heapItem
+
+func (h refHeap) Len() int            { return len(h) }
+func (h refHeap) Less(i, j int) bool  { return h[i].dist < h[j].dist }
+func (h refHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
+func (h *refHeap) Push(x interface{}) { *h = append(*h, x.(heapItem)) }
+func (h *refHeap) Pop() interface{} {
+	old := *h
+	it := old[len(old)-1]
+	*h = old[:len(old)-1]
+	return it
+}
+
+// sameOnTargets fails t unless the early-exit tree and the full run agree,
+// bit for bit, on every target's distance, parent, path and PathMetrics.
+func sameOnTargets(t *testing.T, g *Graph, early, full *PathTree, targets []int) {
+	t.Helper()
+	for _, v := range targets {
+		if math.Float64bits(early.Distance(v)) != math.Float64bits(full.Distance(v)) || early.parent[v] != full.parent[v] {
+			t.Fatalf("src %d target %d: early (%v, parent %d), full (%v, parent %d)",
+				early.src, v, early.Distance(v), early.parent[v], full.Distance(v), full.parent[v])
+		}
+		if !reflect.DeepEqual(early.PathTo(v), full.PathTo(v)) {
+			t.Fatalf("src %d target %d: early path %v, full path %v", early.src, v, early.PathTo(v), full.PathTo(v))
+		}
+		ed, eb := g.PathMetrics(early, v)
+		fd, fb := g.PathMetrics(full, v)
+		if math.Float64bits(ed) != math.Float64bits(fd) || math.Float64bits(eb) != math.Float64bits(fb) {
+			t.Fatalf("src %d target %d: early PathMetrics (%v, %v), full (%v, %v)", early.src, v, ed, eb, fd, fb)
+		}
+	}
+	for v, p := range early.pending {
+		if p {
+			t.Fatalf("src %d: node %d still pending after the run", early.src, v)
+		}
+	}
+}
+
+// TestRouteEarlyExitMatchesFullRun: a run that stops at its last target
+// agrees with a run to exhaustion on every target, on one tree reused for
+// every run.
+func TestRouteEarlyExitMatchesFullRun(t *testing.T) {
+	for i, nodes := range []int{300, 800, 1600} {
+		g := testGraph(t, nodes, int64(20+i))
+		rng := rand.New(rand.NewSource(int64(i)))
+		var early PathTree
+		for run := 0; run < 40; run++ {
+			src := rng.Intn(nodes)
+			targets := make([]int, 1+rng.Intn(8))
+			for j := range targets {
+				targets[j] = rng.Intn(nodes)
+			}
+			g.Route(&early, src, targets)
+			sameOnTargets(t, g, &early, g.ShortestPaths(src), targets)
+		}
+	}
+}
+
+// TestRouteStopsAtLastTarget: on the line 0-1-2-3 a run from 0 to 1
+// returns before it relaxes 1's edges, so 2 and 3 are never reached.
+func TestRouteStopsAtLastTarget(t *testing.T) {
+	g := &Graph{adj: make([][]Edge, 4)}
+	g.addLink(0, 1, 1, 100)
+	g.addLink(1, 2, 1, 100)
+	g.addLink(2, 3, 1, 100)
+	var tree PathTree
+	g.Route(&tree, 0, []int{1})
+	if tree.Distance(1) != 1 || !math.IsInf(tree.Distance(2), 1) || !math.IsInf(tree.Distance(3), 1) {
+		t.Errorf("distances after a run to 1 = %v, want [0 1 +Inf +Inf]", tree.dist)
+	}
+}
+
+// TestRouteUnreachableTarget: on two components, a target across them
+// costs a run to exhaustion that returns, reports (+Inf, 0) and leaves no
+// target pending for the tree's next run.
+func TestRouteUnreachableTarget(t *testing.T) {
+	g := &Graph{adj: make([][]Edge, 5)}
+	g.addLink(0, 1, 1, 100)
+	g.addLink(1, 2, 2, 50)
+	g.addLink(3, 4, 1, 100)
+	var tree PathTree
+	targets := []int{2, 4}
+	g.Route(&tree, 0, targets)
+	if delay, bw := g.PathMetrics(&tree, 4); !math.IsInf(delay, 1) || bw != 0 {
+		t.Errorf("PathMetrics to the other component = (%v, %v), want (+Inf, 0)", delay, bw)
+	}
+	if p := tree.PathTo(4); p != nil {
+		t.Errorf("PathTo the other component = %v, want nil", p)
+	}
+	sameOnTargets(t, g, &tree, g.ShortestPaths(0), targets)
+
+	g.Route(&tree, 3, []int{4})
+	sameOnTargets(t, g, &tree, g.ShortestPaths(3), []int{4})
+}
+
+// TestRouteDuplicateAndSourceTargets: a target named twice is waited for
+// once, and the source as a target is settled by the first pop.
+func TestRouteDuplicateAndSourceTargets(t *testing.T) {
+	g := testGraph(t, 400, 9)
+	var tree PathTree
+	cases := [][]int{
+		{7, 7, 123, 7},
+		{5},
+		{5, 5},
+		{5, 300, 5},
+	}
+	for _, targets := range cases {
+		g.Route(&tree, 5, targets)
+		sameOnTargets(t, g, &tree, g.ShortestPaths(5), targets)
+	}
+	if delay, bw := g.PathMetrics(&tree, 5); delay != 0 || !math.IsInf(bw, 1) {
+		t.Errorf("source as its own target = (%v, %v), want (0, +Inf)", delay, bw)
 	}
 }
 
