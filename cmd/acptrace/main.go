@@ -58,13 +58,15 @@ func run(args []string, w io.Writer) error {
 	fmt.Fprintf(w, "trace            %s: %d events, %d requests\n", name, len(events), len(s.requests))
 	fmt.Fprintf(w, "spans            %d spawned, %d returned, %d forwarded, %d dropped, %d pruned in flight\n",
 		s.spawned, s.returned, s.forwarded, s.dropped, s.prunedInFlight)
-	fmt.Fprintf(w, "selection        %d candidates cut before send (%d attributed to a parent probe)\n",
+	fmt.Fprintf(w, "before send      %d candidates cut, never sent (%d attributed to a parent probe)\n",
 		s.prunedPreSend, s.prunedWithParent)
 	fmt.Fprintf(w, "decisions        %d committed, %d rolled back\n", s.committed, s.rolledBack)
 	if len(s.pruneReasons) > 0 {
 		fmt.Fprintln(w, "prune reasons:")
+		fmt.Fprintf(w, "  %-16s %11s %9s\n", "", "before send", "in flight")
 		for _, reason := range sortedReasonKeys(s.pruneReasons) {
-			fmt.Fprintf(w, "  %-16s %d\n", reason, s.pruneReasons[reason])
+			n := s.pruneReasons[reason]
+			fmt.Fprintf(w, "  %-16s %11d %9d\n", reason, n[preSend], n[inFlight])
 		}
 	}
 	if s.drifts > 0 || s.recoveries > 0 {
@@ -100,22 +102,31 @@ type requestSummary struct {
 type summary struct {
 	spawned, returned, forwarded, dropped int
 	prunedInFlight                        int
-	// prunedPreSend counts candidates cut by per-hop selection before a
-	// probe was ever sent to them (probe id 0); prunedWithParent is the
-	// subset attributed to a live parent probe's span via Event.Parent
-	// rather than to the walk root.
+	// prunedPreSend counts candidates cut before a probe was ever sent to
+	// them (probe id 0) — by per-hop selection, the probe budget or the
+	// sender's incumbent bound; prunedWithParent is the subset attributed
+	// to a live parent probe's span via Event.Parent rather than to the
+	// walk root.
 	prunedPreSend         int
 	prunedWithParent      int
 	committed, rolledBack int
 	drifts, recoveries    int
 	lostEvents            int
-	pruneReasons          map[obs.Reason]int
-	requests              map[int64]*requestSummary
+	// pruneReasons counts each reason before send and in flight (pruned
+	// or dropped after the probe was sent).
+	pruneReasons map[obs.Reason][2]int
+	requests     map[int64]*requestSummary
 }
+
+// The two columns of summary.pruneReasons.
+const (
+	preSend = iota
+	inFlight
+)
 
 func summarise(events []obs.Event) summary {
 	s := summary{
-		pruneReasons: make(map[obs.Reason]int),
+		pruneReasons: make(map[obs.Reason][2]int),
 		requests:     make(map[int64]*requestSummary),
 	}
 	req := func(id int64) *requestSummary {
@@ -125,6 +136,11 @@ func summarise(events []obs.Event) summary {
 			s.requests[id] = r
 		}
 		return r
+	}
+	count := func(reason obs.Reason, column int) {
+		n := s.pruneReasons[reason]
+		n[column]++
+		s.pruneReasons[reason] = n
 	}
 	for _, e := range events {
 		switch e.Type {
@@ -140,13 +156,14 @@ func summarise(events []obs.Event) summary {
 			s.forwarded++
 		case obs.EventProbeDropped:
 			s.dropped++
-			s.pruneReasons[e.Reason]++
+			count(e.Reason, inFlight)
 		case obs.EventCandidatePruned:
-			s.pruneReasons[e.Reason]++
 			req(e.Req).pruned++
 			if e.Probe != 0 {
 				s.prunedInFlight++
+				count(e.Reason, inFlight)
 			} else {
+				count(e.Reason, preSend)
 				s.prunedPreSend++
 				if e.Parent != 0 {
 					s.prunedWithParent++
@@ -261,7 +278,7 @@ func printDurations(w io.Writer, events []obs.Event) {
 	}
 }
 
-func sortedReasonKeys(m map[obs.Reason]int) []obs.Reason {
+func sortedReasonKeys(m map[obs.Reason][2]int) []obs.Reason {
 	out := make([]obs.Reason, 0, len(m))
 	for k := range m {
 		out = append(out, k)

@@ -16,7 +16,10 @@ import (
 )
 
 // writeTrace records a small balanced trace: two requests, four probes,
-// two pruned in flight — one unqualified, one cut by the incumbent bound.
+// two pruned in flight — one unqualified, one cut by the incumbent bound
+// at its candidate — and three candidates cut before send: one by
+// selection at the root, one by selection under a parent, and one by the
+// sender's incumbent bound.
 func writeTrace(t *testing.T) string {
 	t.Helper()
 	path := filepath.Join(t.TempDir(), "probes.jsonl")
@@ -40,6 +43,7 @@ func writeTrace(t *testing.T) string {
 	tr.CandidatePruned(2, 0, 3, 1, 8, obs.ReasonRiskRank)
 	tr.ProbeSpawned(2, 4, 1, 9, 2.0)
 	tr.CandidatePruned(2, 4, 3, 1, 9, obs.ReasonBound)
+	tr.CandidatePruned(2, 0, 3, 1, 10, obs.ReasonBound)
 	tr.Decided(2, 5, obs.ReasonNoComposition)
 	if err := sink.Flush(); err != nil {
 		t.Fatal(err)
@@ -59,12 +63,13 @@ func TestSummariseTrace(t *testing.T) {
 	for _, want := range []string{
 		"2 requests",
 		"4 spawned, 1 returned, 1 forwarded, 0 dropped, 2 pruned in flight",
-		"2 candidates cut before send (1 attributed to a parent probe)",
+		"before send      3 candidates cut, never sent (2 attributed to a parent probe)",
 		"1 committed, 0 rolled back",
-		"qos",
-		"resources",
-		"risk-rank",
-		"incumbent-bound  1",
+		"                   before send in flight",
+		"qos                        1         0",
+		"resources                  0         1",
+		"risk-rank                  1         0",
+		"incumbent-bound            1         1",
 		"every spawned probe span closed",
 		"per-request spans",
 	} {

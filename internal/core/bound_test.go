@@ -539,3 +539,145 @@ func TestBoundedWalkKeepsSelectionOrderTies(t *testing.T) {
 		}
 	}
 }
+
+// senderCutInstance builds the case the sender cut exists for. F0 has a on
+// node A and b on B; F1 has x on the busy node X and u on the idle node
+// U. The virtual link A→X is too slow for the delay requirement, so a's
+// selection never offers x, and x's node is never read. A is a little
+// emptier than B, so a is expanded first and (a, u) becomes the
+// incumbent; b survives its re-check because the incumbent's link term
+// A→U is more than the difference. From b, x is offered first — and its
+// ceiling term alone already costs more than the incumbent, so b never
+// sends it.
+func senderCutInstance(t *testing.T) (env Env, req *component.Request, nodeX int) {
+	t.Helper()
+	mesh := boundMesh(t, 500)
+	pcfg := component.DefaultPlacementConfig()
+	pcfg.NumFunctions = mesh.NumNodes() / 2 // two candidates per function
+	cat, err := component.Place(mesh.NumNodes(), pcfg, rand.New(rand.NewSource(3)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	f0, f1 := cat.Candidates(0), cat.Candidates(1)
+	if len(f0) != 2 || len(f1) != 2 {
+		t.Fatalf("functions have %d and %d candidates, want 2 and 2", len(f0), len(f1))
+	}
+	a, b, x, u := cat.Component(f0[0]), cat.Component(f0[1]), cat.Component(f1[0]), cat.Component(f1[1])
+	delay := func(p, q component.Component, from, to int) float64 {
+		r, ok := mesh.RouteBetween(from, to)
+		if !ok {
+			return math.Inf(1)
+		}
+		return p.QoS.Delay + r.QoS.Delay + q.QoS.Delay
+	}
+	nodeA, nodeB, nodeU := -1, -1, -1
+	var slow, fast float64
+	n := mesh.NumNodes()
+search:
+	for qa := 0; qa < n; qa++ {
+		for qb := 0; qb < n; qb++ {
+			for qu := 0; qu < n; qu++ {
+				for qx := 0; qx < n; qx++ {
+					if qa == qb || qa == qu || qa == qx || qb == qu || qb == qx || qu == qx {
+						continue
+					}
+					s := delay(a, x, qa, qx)
+					f := max(delay(a, u, qa, qu), delay(b, u, qb, qu), delay(b, x, qb, qx))
+					if s > f+1 {
+						nodeA, nodeB, nodeU, nodeX, slow, fast = qa, qb, qu, qx, s, f
+						break search
+					}
+				}
+			}
+		}
+	}
+	if nodeA < 0 {
+		t.Fatal("no four nodes where only the link A→X is slow")
+	}
+	for id, node := range map[component.ComponentID]int{a.ID: nodeA, b.ID: nodeB, x.ID: nodeX, u.ID: nodeU} {
+		if err := cat.Move(id, node); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	env = boundEnv(t, mesh, cat, rand.New(rand.NewSource(4)), false)
+	capacity := env.Ledger.NodeCapacity(nodeA)
+	if err := env.Ledger.CommitSession(9001, map[int]qos.Resources{
+		nodeA: capacity.Scale(0.20),
+		nodeB: capacity.Scale(0.25),
+		nodeX: capacity.Scale(0.93),
+	}, nil); err != nil {
+		t.Fatal(err)
+	}
+	env.Global.ForceRefresh()
+	au, _ := mesh.RouteBetween(nodeA, nodeU)
+	need := capacity.Scale(0.05)
+	req = &component.Request{
+		ID:           1,
+		Graph:        component.NewPathGraph([]component.FunctionID{0, 1}),
+		QoSReq:       qos.Vector{Delay: (slow + fast) / 2, LossCost: 1e9},
+		ResReq:       []qos.Resources{need, need},
+		BandwidthReq: 0.1 * au.Capacity,
+		Client:       nodeU,
+		Duration:     time.Minute,
+	}
+	return env, req, nodeX
+}
+
+// TestSenderCutAccounting: a candidate cut by its sender is a probe that
+// was never sent. It opens no span, is pruned once before spawn with the
+// incumbent-bound reason, is not charged to ProbesSent or the probe
+// counter, and spends no budget: a walk given exactly the budget it
+// spends sends the same probes and decides the same.
+func TestSenderCutAccounting(t *testing.T) {
+	env, req, nodeX := senderCutInstance(t)
+	sink := &obs.MemorySink{}
+	env.Tracer = obs.New(sink)
+	cfg := DefaultConfig()
+	cfg.ProbingRatio = 1
+	c := mustComposer(t, env, cfg)
+	out, err := c.Probe(req)
+	if err != nil || !out.Success() {
+		t.Fatalf("probe: %v, success=%v", err, out != nil && out.Success())
+	}
+
+	spawned, senderCuts := 0, 0
+	for _, e := range sink.Events() {
+		switch {
+		case e.Type == obs.EventProbeSpawned:
+			spawned++
+			if e.Node == nodeX {
+				t.Errorf("a probe was sent to the busy node %d", nodeX)
+			}
+		case e.Type == obs.EventCandidatePruned && e.Reason == obs.ReasonBound && e.Probe == 0:
+			senderCuts++
+			if e.Node != nodeX || e.Pos != 1 || e.Parent == 0 {
+				t.Errorf("cut before send at position %d, node %d, parent %d; want position 1, node %d, a parent span", e.Pos, e.Node, e.Parent, nodeX)
+			}
+		}
+	}
+	if senderCuts != 1 {
+		t.Fatalf("%d candidates cut before send, want 1", senderCuts)
+	}
+	if out.ProbesSent != spawned || env.Counters.Snapshot().Probes != int64(spawned) {
+		t.Fatalf("ProbesSent %d, probe counter %d, %d probes spawned", out.ProbesSent, env.Counters.Snapshot().Probes, spawned)
+	}
+	c.Abort(req.ID)
+
+	exact := &obs.MemorySink{}
+	env.Tracer = obs.New(exact)
+	cfg.MaxProbesPerRequest = out.ProbesSent
+	again, err := mustComposer(t, env, cfg).Probe(req)
+	if err != nil || !again.Success() {
+		t.Fatalf("probe with budget %d: %v, success=%v", cfg.MaxProbesPerRequest, err, again != nil && again.Success())
+	}
+	for _, e := range exact.Events() {
+		if e.Type == obs.EventCandidatePruned && e.Reason == obs.ReasonBudget {
+			t.Fatalf("a walk given the %d probes the walk sends ran out of budget at position %d", out.ProbesSent, e.Pos)
+		}
+	}
+	if again.ProbesSent != out.ProbesSent || !slices.Equal(again.Best.Components, out.Best.Components) || again.Best.Phi != out.Best.Phi {
+		t.Fatalf("budget %d: %d probes, chose %v phi %x; default budget: %d probes, chose %v phi %x",
+			cfg.MaxProbesPerRequest, again.ProbesSent, again.Best.Components, again.Best.Phi, out.ProbesSent, out.Best.Components, out.Best.Phi)
+	}
+}

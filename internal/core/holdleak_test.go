@@ -294,10 +294,12 @@ func TestRolledBackHopLeavesNoMark(t *testing.T) {
 
 // TestBoundCutsLeaveNoHolds walks a loaded four-position path with the
 // bound cutting at every depth — a source-hop probe re-checked before it
-// fans out, probes stopped mid-graph, probes stopped at the last hop —
-// and accounts for every hold: a probe cut at its candidate never placed
-// one, every hold the walk did place is released with the decision, and
-// after the winner is abandoned the ledger is as it was.
+// fans out, probes cut by their sender mid-graph and at the last hop,
+// probes stopped at their candidate — and accounts for every hold and
+// span: a probe cut before send opens no span and places no hold, a probe
+// cut at its candidate never placed one, every hold the walk did place is
+// released with the decision, and after the winner is abandoned the
+// ledger is as it was.
 func TestBoundCutsLeaveNoHolds(t *testing.T) {
 	mesh := boundMesh(t, 501)
 	rng := rand.New(rand.NewSource(77))
@@ -320,11 +322,45 @@ func TestBoundCutsLeaveNoHolds(t *testing.T) {
 	if err := env.Ledger.CommitSession(9001, load, nil); err != nil {
 		t.Fatal(err)
 	}
-	sink := &obs.MemorySink{}
-	env.Tracer = obs.New(sink)
 	before := snapshotLedger(env.Ledger)
 
+	// A probe cut before it is sent is checked as it is cut: its parent's
+	// span is open, no span is opened for it, and the ledger holds on its
+	// node exactly what spawned probes of the walk placed there — nothing
+	// for the cut candidate.
 	need := qos.Resources{CPU: 5, Memory: 50}
+	var events []obs.Event
+	open := make(map[int64]bool)
+	heldAt := make(map[[2]int]bool) // (position, node) a spawned probe holds
+	var cutBeforeSend [4]int
+	env.Tracer = obs.New(sinkFunc(func(e obs.Event) {
+		events = append(events, e)
+		switch {
+		case e.OpensSpan():
+			open[e.Probe] = true
+		case e.ClosesSpan():
+			delete(open, e.Probe)
+		}
+		if e.Type == obs.EventHoldAcquired && e.Pos >= 0 {
+			heldAt[[2]int{e.Pos, e.Node}] = true
+		}
+		if e.Type != obs.EventCandidatePruned || e.Reason != obs.ReasonBound || e.Probe != 0 {
+			return
+		}
+		cutBeforeSend[e.Pos]++
+		if !open[e.Parent] {
+			t.Errorf("a probe cut before send at position %d names parent %d, whose span is not open", e.Pos, e.Parent)
+		}
+		want := before.nodes[e.Node]
+		for pos := range cutBeforeSend {
+			if heldAt[[2]int{pos, e.Node}] {
+				want = want.Sub(need)
+			}
+		}
+		if got := env.Ledger.NodeAvailable(e.Node); math.Abs(got.CPU-want.CPU) > 1e-9 || math.Abs(got.Memory-want.Memory) > 1e-9 {
+			t.Errorf("node %d has %v available when a probe to it is cut before send, want %v", e.Node, got, want)
+		}
+	}))
 	req := &component.Request{
 		ID:           1,
 		Graph:        component.NewPathGraph([]component.FunctionID{0, 1, 2, 3}),
@@ -345,7 +381,7 @@ func TestBoundCutsLeaveNoHolds(t *testing.T) {
 	held := make(map[int64]bool) // probe span -> placed (or shared) a hold
 	released := false
 	var cutAtCandidate, cutBeforeFanOut [4]int
-	for _, e := range sink.Events() {
+	for _, e := range events {
 		switch {
 		case e.Type == obs.EventHoldAcquired && e.Pos >= 0:
 			if released {
@@ -354,7 +390,9 @@ func TestBoundCutsLeaveNoHolds(t *testing.T) {
 			held[e.Probe] = true
 		case e.Type == obs.EventHoldReleased && e.Node == -1:
 			released = true
-		case e.Type == obs.EventCandidatePruned && e.Reason == obs.ReasonBound:
+		case e.Type == obs.EventCandidatePruned && e.Reason == obs.ReasonHoldLink:
+			t.Fatal("a link hold was refused: its rolled-back node hold leaves no event, so the per-node accounting above cannot be trusted")
+		case e.Type == obs.EventCandidatePruned && e.Reason == obs.ReasonBound && e.Probe != 0:
 			if held[e.Probe] {
 				cutBeforeFanOut[e.Pos]++
 			} else {
@@ -367,15 +405,21 @@ func TestBoundCutsLeaveNoHolds(t *testing.T) {
 	}
 	// No incumbent exists while the source hop's candidates are visited, so
 	// there the bound can only fire on the re-check.
-	if cutAtCandidate[0] != 0 || cutBeforeFanOut[0] == 0 {
-		t.Errorf("source hop: %d cut at the candidate, %d before fan-out; want 0 and some", cutAtCandidate[0], cutBeforeFanOut[0])
+	if cutBeforeSend[0]+cutAtCandidate[0] != 0 || cutBeforeFanOut[0] == 0 {
+		t.Errorf("source hop: %d cut before send, %d at the candidate, %d before fan-out; want 0, 0 and some",
+			cutBeforeSend[0], cutAtCandidate[0], cutBeforeFanOut[0])
 	}
-	if cutAtCandidate[1]+cutAtCandidate[2] == 0 || cutAtCandidate[3] == 0 {
-		t.Errorf("cuts at the candidate per position %v: want some mid-graph and some at the last hop", cutAtCandidate)
+	if cutBeforeSend[1]+cutBeforeSend[2] == 0 || cutBeforeSend[3] == 0 {
+		t.Errorf("cuts before send per position %v: want some mid-graph and some at the last hop", cutBeforeSend)
 	}
-	if leaked := obs.LeakedSpans(sink.Events()); len(leaked) != 0 {
+	if cutAtCandidate[1]+cutAtCandidate[2]+cutAtCandidate[3] == 0 {
+		t.Errorf("cuts at the candidate per position %v: want some after the sender cut let a probe go", cutAtCandidate)
+	}
+	if leaked := obs.LeakedSpans(events); len(leaked) != 0 {
 		t.Errorf("%d probe spans never closed: %v", len(leaked), leaked)
 	}
+
+	t.Logf("bound cuts per position: before send %v, at the candidate %v, before fan-out %v", cutBeforeSend, cutAtCandidate, cutBeforeFanOut)
 
 	c.Abort(req.ID)
 	after := snapshotLedger(env.Ledger)

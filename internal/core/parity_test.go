@@ -6,7 +6,10 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"regexp"
+	"slices"
 	"strconv"
+	"strings"
 	"testing"
 	"time"
 
@@ -114,7 +117,9 @@ func parityFingerprint(seed int64) []string {
 // TestDecisionParityGolden replays 50 seeds against fingerprints
 // captured from the walk implementation before the scratch-buffer
 // rework. Any drift — a different admission, component choice, phi bit,
-// probe count, or RNG draw — fails here with the first diverging line.
+// probe count, or RNG draw — fails here with a report that says whether
+// a decision moved or only the walk's counts, per token, and the first
+// diverging line.
 func TestDecisionParityGolden(t *testing.T) {
 	if testing.Short() {
 		t.Skip("parity sweep is a few seconds; skipped in -short")
@@ -151,16 +156,141 @@ func TestDecisionParityGolden(t *testing.T) {
 	if len(want) != numSeeds {
 		t.Fatalf("golden file has %d seeds, want %d", len(want), numSeeds)
 	}
+	if report := parityDrift(want, got, numSeeds); report != "" {
+		t.Fatal(report)
+	}
+}
+
+// decisionTokens are the fields of a parity line that say what was
+// decided; every other field counts what the walk did to get there. A
+// change to the walk's pruning may move only the latter.
+var decisionTokens = []string{"alg", "req", "client", "verdict", "comps", "phi", "delay", "loss"}
+
+// walkTokens are the walk's counts: probes sent, paths returned,
+// qualified returns, and the deepest probe's latency.
+var walkTokens = []string{"probes", "paths", "qual", "lat"}
+
+// parityTokenNames is every token, decision tokens first.
+var parityTokenNames = append(slices.Clone(decisionTokens), walkTokens...)
+
+var parityField = regexp.MustCompile(`(\w+)=(\[[^\]]*\]|\S+)`)
+
+// parityTokens splits one parity line into its named fields; the verdict
+// and the algorithm are the two unnamed ones.
+func parityTokens(line string) map[string]string {
+	tok := map[string]string{"verdict": "reject"}
+	if alg, _, ok := strings.Cut(line, " "); ok {
+		tok["alg"] = alg
+	}
+	if strings.Contains(line, " admit ") {
+		tok["verdict"] = "admit"
+	}
+	for _, m := range parityField.FindAllStringSubmatch(line, -1) {
+		tok[m[1]] = m[2]
+	}
+	return tok
+}
+
+// parityDrift compares got with the golden want and returns "" when they
+// are equal, else a report that says whether any decision moved or only
+// the walk's counts did, how many lines each token moved on (per
+// algorithm), and the first diverging line.
+func parityDrift(want, got map[string][]string, numSeeds int64) string {
+	moved := map[string]map[string]int{} // token -> algorithm -> lines
+	var lines, total, decisions int
+	first := ""
 	for seed := int64(1); seed <= numSeeds; seed++ {
 		key := strconv.FormatInt(seed, 10)
 		w, g := want[key], got[key]
 		if len(w) != len(g) {
-			t.Fatalf("seed %d: %d decisions, golden has %d", seed, len(g), len(w))
+			return fmt.Sprintf("parity golden: DECISIONS MOVED: seed %d has %d decisions, golden has %d", seed, len(g), len(w))
 		}
+		total += len(w)
 		for i := range w {
-			if g[i] != w[i] {
-				t.Fatalf("seed %d decision %d diverged:\n golden: %s\n    got: %s", seed, i, w[i], g[i])
+			if g[i] == w[i] {
+				continue
+			}
+			lines++
+			if first == "" {
+				first = fmt.Sprintf("first divergence, seed %d decision %d:\n golden: %s\n    got: %s", seed, i, w[i], g[i])
+			}
+			wt, gt := parityTokens(w[i]), parityTokens(g[i])
+			decision := false
+			for i, name := range parityTokenNames {
+				if wt[name] == gt[name] {
+					continue
+				}
+				if moved[name] == nil {
+					moved[name] = map[string]int{}
+				}
+				moved[name][wt["alg"]]++
+				decision = decision || i < len(decisionTokens)
+			}
+			if decision {
+				decisions++
 			}
 		}
+	}
+	if lines == 0 {
+		return ""
+	}
+	var b strings.Builder
+	if decisions > 0 {
+		fmt.Fprintf(&b, "parity golden: DECISIONS MOVED on %d lines (%d of %d lines differ)\n", decisions, lines, total)
+	} else {
+		fmt.Fprintf(&b, "parity golden: walk counts only, decisions unchanged (%d of %d lines differ)\n", lines, total)
+	}
+	for _, name := range parityTokenNames {
+		if moved[name] == nil {
+			continue
+		}
+		var algs []string
+		for alg := range moved[name] {
+			algs = append(algs, alg)
+		}
+		slices.Sort(algs)
+		n, per := 0, []string{}
+		for _, alg := range algs {
+			n += moved[name][alg]
+			per = append(per, fmt.Sprintf("%s %d", alg, moved[name][alg]))
+		}
+		fmt.Fprintf(&b, "  %-8s %4d lines (%s)\n", name, n, strings.Join(per, ", "))
+	}
+	b.WriteString(first)
+	return b.String()
+}
+
+// TestParityDriftReport pins the golden's drift classes: a line whose
+// probe count and latency moved is a walk-count drift, a line whose phi
+// or verdict moved is a decision drift, and equal maps report nothing.
+func TestParityDriftReport(t *testing.T) {
+	admit := "ACP req=1 client=3 probes=%d paths=2 qual=2 admit comps=[4 5] phi=%s delay=0x1p+00 loss=0x1p-04 lat=%d"
+	reject := "Optimal req=2 client=4 probes=30 paths=0 qual=0 reject"
+	want := map[string][]string{"1": {fmt.Sprintf(admit, 9, "0x1p-01", 100), reject}}
+	if got := parityDrift(want, want, 1); got != "" {
+		t.Fatalf("equal fingerprints drifted:\n%s", got)
+	}
+
+	walk := map[string][]string{"1": {fmt.Sprintf(admit, 7, "0x1p-01", 90), reject}}
+	got := parityDrift(want, walk, 1)
+	for _, line := range []string{"walk counts only, decisions unchanged (1 of 2 lines differ)", "probes      1 lines (ACP 1)", "lat         1 lines (ACP 1)"} {
+		if !strings.Contains(got, line) {
+			t.Errorf("walk-count drift report lacks %q:\n%s", line, got)
+		}
+	}
+	if strings.Contains(got, "DECISIONS") || strings.Contains(got, "phi ") {
+		t.Errorf("walk-count drift reported as a decision drift:\n%s", got)
+	}
+
+	decided := map[string][]string{"1": {fmt.Sprintf(admit, 9, "0x1.0000000000001p-01", 100), "Optimal req=2 client=4 probes=30 paths=1 qual=1 admit comps=[1 2] phi=0x1p+00 delay=0x1p+00 loss=0x1p+00 lat=5"}}
+	got = parityDrift(want, decided, 1)
+	for _, line := range []string{"DECISIONS MOVED on 2 lines (2 of 2 lines differ)", "verdict     1 lines (Optimal 1)", "phi         2 lines (ACP 1, Optimal 1)", "paths       1 lines (Optimal 1)"} {
+		if !strings.Contains(got, line) {
+			t.Errorf("decision drift report lacks %q:\n%s", line, got)
+		}
+	}
+
+	if got := parityDrift(want, map[string][]string{"1": {reject}}, 1); !strings.Contains(got, "DECISIONS MOVED: seed 1 has 1 decisions, golden has 2") {
+		t.Errorf("a lost decision line was not reported as a decision drift:\n%s", got)
 	}
 }

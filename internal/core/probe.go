@@ -271,7 +271,7 @@ func (c *Composer) routeAvail(r overlay.Route) float64 {
 	}
 	avail := math.Inf(1)
 	for _, link := range r.Links {
-		avail = math.Min(avail, c.linkAvail(link))
+		avail = min(avail, c.linkAvail(link))
 	}
 	return avail
 }
@@ -552,17 +552,25 @@ func (c *Composer) cut(idx int, bound float64) bool {
 			pos := w.order[i]
 			least := math.Inf(1)
 			for _, id := range c.lookup(w.req.Graph.Functions[pos]) {
-				node := c.env.Catalog.Component(id).Node
-				most := c.env.Ledger.NodeCapacity(node)
-				if w.coarseFloor {
-					most = sc.coarse.Ceiling(node, most)
-				}
-				least = min(least, BoundNode(w.req.ResReq[pos], most))
+				least = min(least, BoundNode(w.req.ResReq[pos], c.mostAvailable(c.env.Catalog.Component(id).Node)))
 			}
 			sc.floor[i] = BoundJoin(mode, sc.floor[i+1], least)
 		}
 	}
 	return BoundExceeds(mode, w.req, BoundJoin(mode, bound, sc.floor[idx]), w.best.Phi)
+}
+
+// mostAvailable is the most a node can have available as far as the walk
+// knows without visiting it: its ceiling in the coarse state, or its
+// capacity for a walk without coarseFloor.
+//
+//acp:hotpath
+func (c *Composer) mostAvailable(node int) qos.Resources {
+	most := c.env.Ledger.NodeCapacity(node)
+	if c.walk.coarseFloor {
+		most = c.scratch.coarse.Ceiling(node, most)
+	}
+	return most
 }
 
 // complete ends a probe that assigned every position: it travels back to
@@ -694,6 +702,21 @@ func (c *Composer) extendProbe(out *Outcome, p hopChild, depth, pos int, isSourc
 			}
 			break
 		}
+		cand := c.env.Catalog.Component(id)
+		// The sender cut: what the walk already knows of the candidate's
+		// node — its own frozen read if a probe of this walk has visited
+		// it, else the most the floor allows — cannot beat the incumbent,
+		// so the probe is never sent. No ledger read happens here.
+		if w.bounded && w.best != nil {
+			most := sc.nodeView[cand.Node]
+			if sc.nodeEpoch[cand.Node] != sc.epoch {
+				most = c.mostAvailable(cand.Node)
+			}
+			if c.cut(depth+1, BoundJoin(c.cfg.Phi, p.bound, BoundNode(w.req.ResReq[pos], most))) {
+				tr.CandidatePruned(w.req.ID, 0, p.id, pos, cand.Node, obs.ReasonBound)
+				continue
+			}
+		}
 		w.budget--
 		// Sending the probe to the candidate costs one message whether
 		// or not the candidate turns out to qualify; probeWalk charges the
@@ -703,7 +726,6 @@ func (c *Composer) extendProbe(out *Outcome, p hopChild, depth, pos int, isSourc
 			out.ProbesSent++
 		}
 
-		cand := c.env.Catalog.Component(id)
 		candIdx := int(sc.candIdx[id])
 		var linkQoS qos.Vector
 		for n := range preds {
@@ -763,8 +785,9 @@ func (c *Composer) extendProbe(out *Outcome, p hopChild, depth, pos int, isSourc
 			continue
 		}
 		// The probe was sent and is qualified so far, but what it has
-		// already accumulated cannot beat the incumbent: it stops here,
-		// before placing a hold, and does not return.
+		// already accumulated — the node as read now, and the link terms
+		// the sender cut leaves out — cannot beat the incumbent: it stops
+		// here, before placing a hold, and does not return.
 		if c.cut(depth+1, bound) {
 			tr.CandidatePruned(w.req.ID, pid, p.id, pos, cand.Node, obs.ReasonBound)
 			continue
@@ -872,7 +895,7 @@ func (c *Composer) selectCandidates(p hopChild, pos int, candidates []component.
 		for n := range sc.preds[pos] {
 			f := c.linkFactOf(pos, n, i, len(candidates), cand.Node)
 			linkQoS = linkQoS.Add(f.qos)
-			routeBW = math.Min(routeBW, f.coarse)
+			routeBW = min(routeBW, f.coarse)
 		}
 		c.kern.Consider(&hop, cand, p.acc.Add(linkQoS).Add(cand.QoS), sc.coarse.Nodes[cand.Node], routeBW)
 	}

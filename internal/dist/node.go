@@ -387,7 +387,7 @@ func (n *node) predecessorRoutes(plan *component.Plan, idx int, prefix *hopRecor
 			return qos.Vector{Delay: math.Inf(1)}, 0
 		}
 		linkQoS = linkQoS.Add(route.QoS)
-		routeBW = math.Min(routeBW, n.c.links.RouteAvailable(route))
+		routeBW = min(routeBW, n.c.links.RouteAvailable(route))
 	}
 	return linkQoS, routeBW
 }

@@ -76,7 +76,13 @@ func (v Vector) Within(req Vector) bool {
 // Metrics with a non-positive requirement are skipped unless the value
 // itself is positive, in which case the ratio is +Inf.
 func (v Vector) MaxRatio(req Vector) float64 {
-	return math.Max(ratio(v.Delay, req.Delay), ratio(v.LossCost, req.LossCost))
+	d, l := ratio(v.Delay, req.Delay), ratio(v.LossCost, req.LossCost)
+	if d > math.MaxFloat64 || l > math.MaxFloat64 {
+		// math.Max lets +Inf beat NaN (an unreachable route against an
+		// infinite requirement is Inf/Inf); the builtin max does not.
+		return math.Inf(1)
+	}
+	return max(d, l)
 }
 
 func ratio(val, bound float64) float64 {

@@ -240,3 +240,28 @@ func TestResourcesString(t *testing.T) {
 		t.Errorf("String = %q", s)
 	}
 }
+
+// specialValues are the float64 inputs on which a builtin max and
+// math.Max could disagree if either were not IEEE-754's maximum: NaN,
+// both zeros, both infinities, and two ordinary numbers.
+var specialValues = []float64{math.NaN(), math.Copysign(0, -1), 0, math.Inf(-1), math.Inf(1), -1, 0.5}
+
+// sameFloat reports whether a and b are the same value: both NaN, or the
+// same bits (which tells -0 from +0).
+func sameFloat(a, b float64) bool {
+	return math.IsNaN(a) && math.IsNaN(b) || math.Float64bits(a) == math.Float64bits(b)
+}
+
+// TestMaxRatioSpecialValues pins MaxRatio, which takes the builtin max of
+// the two ratios, to the math.Max form on every pair of special values.
+func TestMaxRatioSpecialValues(t *testing.T) {
+	req := Vector{Delay: 1, LossCost: 1}
+	for _, d := range specialValues {
+		for _, l := range specialValues {
+			v := Vector{Delay: d, LossCost: l}
+			if got, want := v.MaxRatio(req), math.Max(ratio(d, 1), ratio(l, 1)); !sameFloat(got, want) {
+				t.Errorf("MaxRatio(%v, %v) = %v (%#x), math.Max gives %v (%#x)", d, l, got, math.Float64bits(got), want, math.Float64bits(want))
+			}
+		}
+	}
+}

@@ -241,3 +241,30 @@ func FuzzLedgerCeiling(f *testing.F) {
 		}
 	})
 }
+
+// TestMinResSpecialValues pins minRes, which takes the builtin min per
+// dimension, to the math.Min form on NaN, both zeros, both infinities
+// and ordinary numbers, in either argument. The two differ on one pair:
+// math.Min lets -Inf beat NaN, the builtin returns NaN. minRes bounds a
+// capacity, which SetNodeCapacity keeps above zero, so -Inf never
+// reaches it; the pair is pinned to the builtin's answer.
+func TestMinResSpecialValues(t *testing.T) {
+	same := func(a, b float64) bool {
+		return math.IsNaN(a) && math.IsNaN(b) || math.Float64bits(a) == math.Float64bits(b)
+	}
+	want := func(a, b float64) float64 {
+		if math.IsNaN(a) || math.IsNaN(b) {
+			return math.NaN() // math.Min's answer too, except against -Inf
+		}
+		return math.Min(a, b)
+	}
+	values := []float64{math.NaN(), math.Copysign(0, -1), 0, math.Inf(-1), math.Inf(1), -1, 0.5}
+	for _, a := range values {
+		for _, b := range values {
+			got := minRes(qos.Resources{CPU: a, Memory: b}, qos.Resources{CPU: b, Memory: a})
+			if !same(got.CPU, want(a, b)) || !same(got.Memory, want(b, a)) {
+				t.Errorf("minRes on (%v, %v) = %v, want (%v, %v)", a, b, got, want(a, b), want(b, a))
+			}
+		}
+	}
+}

@@ -210,7 +210,7 @@ func (g *Global) RouteAvailable(r overlay.Route) float64 {
 func bottleneck(view []float64, links []int) float64 {
 	avail := math.Inf(1)
 	for _, id := range links {
-		avail = math.Min(avail, view[id])
+		avail = min(avail, view[id])
 	}
 	return avail
 }

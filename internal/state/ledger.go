@@ -333,7 +333,7 @@ func (l *Ledger) RouteAvailable(r overlay.Route) float64 {
 	defer l.unlock()
 	avail := math.Inf(1)
 	for _, id := range r.Links {
-		avail = math.Min(avail, l.linkAvailable(id, ledgerClock))
+		avail = min(avail, l.linkAvailable(id, ledgerClock))
 	}
 	return avail
 }
@@ -886,7 +886,7 @@ func (l *Ledger) linkHeldBy(owner Owner, link int) float64 {
 
 // minRes is the componentwise minimum of two resource vectors.
 func minRes(a, b qos.Resources) qos.Resources {
-	return qos.Resources{CPU: math.Min(a.CPU, b.CPU), Memory: math.Min(a.Memory, b.Memory)}
+	return qos.Resources{CPU: min(a.CPU, b.CPU), Memory: min(a.Memory, b.Memory)}
 }
 
 func (l *Ledger) notifyNode(node int) {
