@@ -108,10 +108,10 @@ func bruteForce(t *testing.T, env Env, req *component.Request, mode PhiMode) (be
 		complete++
 		nodes, links := k.Stack(req, assign, routes)
 		for i := range nodes {
-			nodes[i].Avail = env.Ledger.NodeAvailableFor(owner, nodes[i].Node)
+			nodes[i].Avail = env.Ledger.NodeAvailableForAt(env.Now(), owner, nodes[i].Node)
 		}
 		for i := range links {
-			links[i].Avail = env.Ledger.LinkAvailableFor(owner, links[i].Link)
+			links[i].Avail = env.Ledger.LinkAvailableForAt(env.Now(), owner, links[i].Link)
 		}
 		if got, ok := k.Score(req, assign, routes, mode); ok && (best == nil || got < phi) {
 			best, phi = slices.Clone(assign), got
@@ -200,11 +200,13 @@ func newBoundInstance(t *testing.T, mesh *overlay.Mesh, seed int64, lag bool) bo
 		env.Ledger.HoldNode(9002, j, n, env.Ledger.NodeCapacity(n).Scale(0.05), time.Hour)
 	}
 	lagging := 0
+	var rep state.Replica
 	for n := 0; lag && n < mesh.NumNodes(); n++ {
 		if rng.Intn(2) == 0 {
 			env.Ledger.ReleaseSession(state.Owner(9100 + n))
 		}
-		if truth, report := env.Ledger.NodeCommittedAvailable(n), env.Global.NodeAvailable(n); truth.CPU > report.CPU {
+		env.Global.Refresh(&rep)
+		if truth, report := env.Ledger.NodeCommittedAvailable(n), rep.Nodes[n]; truth.CPU > report.CPU {
 			lagging++
 		}
 	}
@@ -352,7 +354,7 @@ func TestRecomposeWalkFloorsAtCapacity(t *testing.T) {
 			var rep state.Replica
 			in.env.Global.Refresh(&rep)
 			for n := 0; n < mesh.NumNodes(); n++ {
-				if !rep.Ceiling(n, ledger.NodeCapacity(n)).Covers(ledger.NodeAvailableFor(probe, n)) {
+				if !rep.Ceiling(n, ledger.NodeCapacity(n)).Covers(ledger.NodeAvailableForAt(in.env.Now(), probe, n)) {
 					aboveCeiling++
 				}
 			}
@@ -399,7 +401,7 @@ func TestOverrunFallsBackToCapacityFloor(t *testing.T) {
 		// wherever the node is less than three quarters full.
 		surge := make(map[int]qos.Resources)
 		for n := 0; n < ledger.NumNodes(); n++ {
-			surge[n] = ledger.NodeAvailable(n).Scale(0.4)
+			surge[n] = freeOn(in.env, n).Scale(0.4)
 		}
 		if err := ledger.CommitSession(9003, surge, nil); err != nil {
 			t.Fatal(err)
@@ -506,12 +508,12 @@ func TestBoundedWalkKeepsSelectionOrderTies(t *testing.T) {
 		k := NewKernel(cat)
 		nodes, _ := k.Stack(req, tied, []overlay.Route{route})
 		for i := range nodes {
-			nodes[i].Avail = env.Ledger.NodeAvailable(nodes[i].Node)
+			nodes[i].Avail = freeOn(env, nodes[i].Node)
 		}
 		if phi, ok := k.Score(req, tied, []overlay.Route{route}, mode); !ok || phi != wantPhi {
 			t.Fatalf("%v: (y, v0) scores %x, (x0, u) %x: not an exact tie", mode, phi, wantPhi)
 		}
-		if a, b := BoundNode(need, env.Ledger.NodeAvailable(nodeA)), BoundNode(need, env.Ledger.NodeAvailable(nodeB)); b >= a {
+		if a, b := BoundNode(need, freeOn(env, nodeA)), BoundNode(need, freeOn(env, nodeB)); b >= a {
 			t.Fatalf("%v: bound on B %v not below bound on A %v: the bounded walk would not reorder", mode, b, a)
 		}
 

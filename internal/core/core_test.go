@@ -68,6 +68,12 @@ func testEnv(t *testing.T, seed int64) (Env, *testClock) {
 	}, clk
 }
 
+// freeOn is what an owner that holds nothing reads of the node at the
+// clock's instant: its plain availability.
+func freeOn(env Env, node int) qos.Resources {
+	return env.Ledger.NodeAvailableForAt(env.Now(), -1, node)
+}
+
 // easyRequest builds a request with generous QoS and modest resource
 // requirements over a 3-function path.
 func easyRequest(id int64) *component.Request {
@@ -216,7 +222,7 @@ func TestCommitAndRelease(t *testing.T) {
 	}
 	// The chosen nodes carry the committed demand.
 	node0 := env.Catalog.Component(out.Best.Components[0]).Node
-	if got := env.Ledger.NodeAvailable(node0); got.CPU > 90 {
+	if got := freeOn(env, node0); got.CPU > 90 {
 		t.Errorf("node %d CPU available = %v after commit", node0, got.CPU)
 	}
 	c.Release(req.ID)
@@ -224,7 +230,7 @@ func TestCommitAndRelease(t *testing.T) {
 		t.Errorf("ActiveSessions after release = %d", env.Ledger.ActiveSessions())
 	}
 	for n := 0; n < env.Ledger.NumNodes(); n++ {
-		if got := env.Ledger.NodeAvailable(n); got != (qos.Resources{CPU: 100, Memory: 1000}) {
+		if got := freeOn(env, n); got != (qos.Resources{CPU: 100, Memory: 1000}) {
 			t.Fatalf("node %d not restored: %v", n, got)
 		}
 	}
@@ -270,7 +276,7 @@ func TestInfeasibleQoSFails(t *testing.T) {
 	}
 	// All transient holds must be gone after a failed probe.
 	for n := 0; n < env.Ledger.NumNodes(); n++ {
-		if got := env.Ledger.NodeAvailable(n); got != (qos.Resources{CPU: 100, Memory: 1000}) {
+		if got := freeOn(env, n); got != (qos.Resources{CPU: 100, Memory: 1000}) {
 			t.Fatalf("node %d holds leaked after failure: %v", n, got)
 		}
 	}
@@ -409,7 +415,7 @@ func TestHoldsExpireWithoutCommit(t *testing.T) {
 	// Never committed: after the TTL the holds evaporate.
 	clk.now += DefaultConfig().HoldTTL + time.Second
 	for n := 0; n < env.Ledger.NumNodes(); n++ {
-		if got := env.Ledger.NodeAvailable(n); got != (qos.Resources{CPU: 100, Memory: 1000}) {
+		if got := freeOn(env, n); got != (qos.Resources{CPU: 100, Memory: 1000}) {
 			t.Fatalf("node %d holds survived TTL: %v", n, got)
 		}
 	}
@@ -662,7 +668,7 @@ func TestAbortReleasesHolds(t *testing.T) {
 	}
 	c.Abort(1)
 	for n := 0; n < env.Ledger.NumNodes(); n++ {
-		if got := env.Ledger.NodeAvailable(n); got != (qos.Resources{CPU: 100, Memory: 1000}) {
+		if got := freeOn(env, n); got != (qos.Resources{CPU: 100, Memory: 1000}) {
 			t.Fatalf("node %d holds leaked after abort: %v", n, got)
 		}
 	}

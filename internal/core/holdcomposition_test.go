@@ -56,17 +56,17 @@ func TestHoldCompositionRollsBackPartialHolds(t *testing.T) {
 		}
 		c.walk = walkState{req: req, owner: state.Owner(req.ID), expires: env.Now() + time.Minute}
 
-		before0 := env.Ledger.NodeAvailable(n0)
-		before1 := env.Ledger.NodeAvailable(n1)
+		before0 := freeOn(env, n0)
+		before1 := freeOn(env, n1)
 		comp := &Composition{Components: []component.ComponentID{c0, c1}}
 		if c.holdComposition(comp) {
 			t.Fatal("holdComposition succeeded despite oversized second demand")
 		}
-		if got := env.Ledger.NodeAvailable(n0); got != before0 {
+		if got := freeOn(env, n0); got != before0 {
 			t.Errorf("node %d availability %+v after failed holdComposition, want %+v (hold leaked)",
 				n0, got, before0)
 		}
-		if got := env.Ledger.NodeAvailable(n1); got != before1 {
+		if got := freeOn(env, n1); got != before1 {
 			t.Errorf("node %d availability %+v after failed holdComposition, want %+v",
 				n1, got, before1)
 		}
@@ -103,8 +103,8 @@ func TestHoldCompositionRollsBackPartialHolds(t *testing.T) {
 		if rt.CoLocated || len(rt.Links) == 0 {
 			t.Fatalf("route %d->%d has no links to contend on", n0, n1)
 		}
-		before0 := env.Ledger.NodeAvailable(n0)
-		before1 := env.Ledger.NodeAvailable(n1)
+		before0 := freeOn(env, n0)
+		before1 := freeOn(env, n1)
 		beforeLink := env.Ledger.LinkAvailable(rt.Links[0])
 
 		comp := &Composition{
@@ -114,11 +114,11 @@ func TestHoldCompositionRollsBackPartialHolds(t *testing.T) {
 		if c.holdComposition(comp) {
 			t.Fatal("holdComposition succeeded despite oversized bandwidth demand")
 		}
-		if got := env.Ledger.NodeAvailable(n0); got != before0 {
+		if got := freeOn(env, n0); got != before0 {
 			t.Errorf("node %d availability %+v after failed holdComposition, want %+v (hold leaked)",
 				n0, got, before0)
 		}
-		if got := env.Ledger.NodeAvailable(n1); got != before1 {
+		if got := freeOn(env, n1); got != before1 {
 			t.Errorf("node %d availability %+v after failed holdComposition, want %+v (hold leaked)",
 				n1, got, before1)
 		}

@@ -252,7 +252,7 @@ func TestRolledBackHopLeavesNoMark(t *testing.T) {
 	ws.cur[0] = source.choice
 	parents := append([]hopChild(nil), c.extendProbe(out, source, 1, 1, false)...)
 	viaA, viaD := onNode(parents, sc.nA), onNode(parents, sc.nD)
-	afterSource := sc.ledger.NodeAvailable(n0)
+	afterSource := freeOn(sc.composer.env, n0)
 
 	// From the parent on nA every candidate on n0 loses its link hold and
 	// gives its node hold back: nothing of position 2 stays on n0, on the
@@ -263,7 +263,7 @@ func TestRolledBackHopLeavesNoMark(t *testing.T) {
 			t.Fatal("a hop onto n0 from nA survived: the scenario does not refuse the link hold")
 		}
 	}
-	if got := sc.ledger.NodeAvailable(n0); got != afterSource {
+	if got := freeOn(sc.composer.env, n0); got != afterSource {
 		t.Fatalf("n0 has %v available after the refused hops, want %v: a node hold was not rolled back", got, afterSource)
 	}
 	if ws.heldNode[2*ws.numNodes+n0] == ws.epoch {
@@ -275,7 +275,7 @@ func TestRolledBackHopLeavesNoMark(t *testing.T) {
 	ws.cur[1] = viaD.choice
 	onNode(c.extendProbe(out, viaD, 2, 2, false), n0)
 	held := afterSource.Sub(req.ResReq[2])
-	if got := sc.ledger.NodeAvailable(n0); got != held {
+	if got := freeOn(sc.composer.env, n0); got != held {
 		t.Fatalf("n0 has %v available after the feasible hop, want %v: the node hold is not on the ledger", got, held)
 	}
 	if ws.heldNode[2*ws.numNodes+n0] != ws.epoch {
@@ -283,7 +283,7 @@ func TestRolledBackHopLeavesNoMark(t *testing.T) {
 	}
 	// Its repeat survives without another hold.
 	onNode(c.extendProbe(out, viaD, 2, 2, false), n0)
-	if got := sc.ledger.NodeAvailable(n0); got != held {
+	if got := freeOn(sc.composer.env, n0); got != held {
 		t.Fatalf("n0 has %v available after the repeated hop, want %v", got, held)
 	}
 	c.env.Ledger.ReleaseOwner(state.Owner(req.ID))
@@ -322,7 +322,7 @@ func TestBoundCutsLeaveNoHolds(t *testing.T) {
 	if err := env.Ledger.CommitSession(9001, load, nil); err != nil {
 		t.Fatal(err)
 	}
-	before := snapshotLedger(env.Ledger)
+	before := snapshotLedger(env)
 
 	// A probe cut before it is sent is checked as it is cut: its parent's
 	// span is open, no span is opened for it, and the ledger holds on its
@@ -357,7 +357,7 @@ func TestBoundCutsLeaveNoHolds(t *testing.T) {
 				want = want.Sub(need)
 			}
 		}
-		if got := env.Ledger.NodeAvailable(e.Node); math.Abs(got.CPU-want.CPU) > 1e-9 || math.Abs(got.Memory-want.Memory) > 1e-9 {
+		if got := freeOn(env, e.Node); math.Abs(got.CPU-want.CPU) > 1e-9 || math.Abs(got.Memory-want.Memory) > 1e-9 {
 			t.Errorf("node %d has %v available when a probe to it is cut before send, want %v", e.Node, got, want)
 		}
 	}))
@@ -422,7 +422,7 @@ func TestBoundCutsLeaveNoHolds(t *testing.T) {
 	t.Logf("bound cuts per position: before send %v, at the candidate %v, before fan-out %v", cutBeforeSend, cutAtCandidate, cutBeforeFanOut)
 
 	c.Abort(req.ID)
-	after := snapshotLedger(env.Ledger)
+	after := snapshotLedger(env)
 	for n := range before.nodes {
 		if d := after.nodes[n].Sub(before.nodes[n]); math.Abs(d.CPU) > 1e-9 || math.Abs(d.Memory) > 1e-9 {
 			t.Errorf("node %d has %v available after the walk, %v before", n, after.nodes[n], before.nodes[n])

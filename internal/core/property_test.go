@@ -87,7 +87,7 @@ func TestPropertyComposedRequestsAreSound(t *testing.T) {
 		c.Release(req.ID)
 		// Conservation: everything restored.
 		for n := 0; n < env.Ledger.NumNodes(); n++ {
-			if got := env.Ledger.NodeAvailable(n); got != (qos.Resources{CPU: 100, Memory: 1000}) {
+			if got := freeOn(env, n); got != (qos.Resources{CPU: 100, Memory: 1000}) {
 				t.Logf("node %d not restored: %v", n, got)
 				return false
 			}
@@ -192,7 +192,7 @@ func TestPropertyFailureReleasesEverything(t *testing.T) {
 			c.Abort(req.ID)
 		}
 		for n := 0; n < env.Ledger.NumNodes(); n++ {
-			if got := env.Ledger.NodeAvailable(n); got != (qos.Resources{CPU: 100, Memory: 1000}) {
+			if got := freeOn(env, n); got != (qos.Resources{CPU: 100, Memory: 1000}) {
 				return false
 			}
 		}

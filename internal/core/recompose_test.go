@@ -76,7 +76,7 @@ func TestProbeRecomposeAndCommitMigration(t *testing.T) {
 		t.Fatalf("ActiveSessions after release = %d", env.Ledger.ActiveSessions())
 	}
 	for n := 0; n < env.Ledger.NumNodes(); n++ {
-		if got := env.Ledger.NodeAvailable(n); got != (qos.Resources{CPU: 100, Memory: 1000}) {
+		if got := freeOn(env, n); got != (qos.Resources{CPU: 100, Memory: 1000}) {
 			t.Fatalf("node %d not restored: %v", n, got)
 		}
 	}
@@ -110,7 +110,7 @@ func TestAbortRecomposeKeepsSession(t *testing.T) {
 	// request can still be admitted exactly as before.
 	c.Release(req.ID)
 	for n := 0; n < env.Ledger.NumNodes(); n++ {
-		if got := env.Ledger.NodeAvailable(n); got != (qos.Resources{CPU: 100, Memory: 1000}) {
+		if got := freeOn(env, n); got != (qos.Resources{CPU: 100, Memory: 1000}) {
 			t.Fatalf("node %d not restored after abort+release: %v", n, got)
 		}
 	}

@@ -55,10 +55,11 @@ type ledgerSnapshot struct {
 	links []float64
 }
 
-func snapshotLedger(l *state.Ledger) ledgerSnapshot {
+func snapshotLedger(env Env) ledgerSnapshot {
+	l := env.Ledger
 	s := ledgerSnapshot{nodes: make([]qos.Resources, l.NumNodes()), links: make([]float64, l.NumLinks())}
 	for n := range s.nodes {
-		s.nodes[n] = l.NodeAvailable(n)
+		s.nodes[n] = freeOn(env, n)
 	}
 	for k := range s.links {
 		s.links[k] = l.LinkAvailable(k)
@@ -189,7 +190,7 @@ func TestPropertyWinnerPhiIsEq1OverThePreWalkLedger(t *testing.T) {
 				req = randomRequest(rng, i, numF, numN)
 			}
 
-			snap := snapshotLedger(env.Ledger)
+			snap := snapshotLedger(env)
 			var (
 				out *Outcome
 				err error
@@ -327,11 +328,11 @@ func TestStaleViewCostsAProbeNotAnOverAdmission(t *testing.T) {
 			}
 		case e.Type == obs.EventCandidatePruned && e.Reason == obs.ReasonHoldLink && e.Node == q && !afterRefusal.seen:
 			afterRefusal.seen = true
-			afterRefusal.p = env.Ledger.NodeAvailable(p)
-			afterRefusal.q = env.Ledger.NodeAvailable(q)
+			afterRefusal.p = freeOn(env, p)
+			afterRefusal.q = freeOn(env, q)
 			for _, k := range route.Links {
 				afterRefusal.linkHeld = append(afterRefusal.linkHeld,
-					env.Ledger.LinkAvailableFor(state.Owner(reqA.ID), k)-env.Ledger.LinkAvailable(k))
+					env.Ledger.LinkAvailableForAt(env.Now(), state.Owner(reqA.ID), k)-env.Ledger.LinkAvailable(k))
 			}
 		}
 	}))

@@ -362,8 +362,8 @@ func (hc *holdChecker) transfer(n ast.Node, state *holdState) {
 
 func (hc *holdChecker) assign(as *ast.AssignStmt, state *holdState) {
 	// Results of a hold call bind ok/created roles:
-	//   ok := l.HoldNode(...)            ok
-	//   ok, created := l.HoldNodeTracked(...)  ok, created
+	//   ok := l.HoldNode(...)                    ok
+	//   ok, created := l.HoldNodeTrackedAt(...)  ok, created
 	if len(as.Rhs) == 1 {
 		if call, ok := ast.Unparen(as.Rhs[0]).(*ast.CallExpr); ok {
 			if kind, isHold := holdCallKind(call); isHold {

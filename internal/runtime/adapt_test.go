@@ -45,6 +45,20 @@ func congestNodes(t *testing.T, c *Cluster, owner int64, nodes []int, leave qos.
 	}
 }
 
+// TestInjectLoadRefusesUnknownNodes: load on a node the cluster does not
+// have is an error, not an index out of range in the ledger.
+func TestInjectLoadRefusesUnknownNodes(t *testing.T) {
+	c, _, _ := adaptCluster(t)
+	for _, bad := range []int{-1, c.NumNodes()} {
+		if err := c.InjectLoad(-1, map[int]qos.Resources{bad: {CPU: 1, Memory: 1}}); err == nil {
+			t.Errorf("load on node %d accepted", bad)
+		}
+	}
+	if err := c.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func sessionNodes(t *testing.T, c *Cluster, id SessionID) []int {
 	t.Helper()
 	desc, err := c.Describe(id)

@@ -216,7 +216,7 @@ func TestFindBatchContendedWalksNeverOverAdmit(t *testing.T) {
 		// Every transient hold is gone once the batch returns: what is
 		// available is exactly what is not committed.
 		for n := 0; n < c.NumNodes(); n++ {
-			if avail, residual := c.ledger.NodeAvailable(n), c.NodeResidual(n); avail != residual {
+			if avail, residual := c.ledger.NodeAvailableForAt(c.now(), -1, n), c.NodeResidual(n); avail != residual {
 				t.Fatalf("round %d: node %d has %v available but %v uncommitted: a hold outlived its walk", round, n, avail, residual)
 			}
 			if residual := c.NodeResidual(n); residual.CPU < -1e-9 || residual.Memory < -1e-9 {
@@ -240,7 +240,7 @@ func TestFindBatchContendedWalksNeverOverAdmit(t *testing.T) {
 		t.Fatalf("%d sessions still live", got)
 	}
 	for n := 0; n < c.NumNodes(); n++ {
-		want, got := c.NodeCapacity(n), c.ledger.NodeAvailable(n)
+		want, got := c.NodeCapacity(n), c.ledger.NodeAvailableForAt(c.now(), -1, n)
 		if math.Abs(got.CPU-want.CPU) > 1e-6 || math.Abs(got.Memory-want.Memory) > 1e-6 {
 			t.Fatalf("node %d has %v available after teardown, want capacity %v", n, got, want)
 		}

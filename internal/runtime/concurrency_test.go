@@ -33,7 +33,7 @@ func assertPristine(t *testing.T, c *Cluster, tenants ...string) {
 		t.Fatalf("%d allocations still committed on the ledger", got)
 	}
 	for n := 0; n < c.NumNodes(); n++ {
-		want, got := c.NodeCapacity(n), c.ledger.NodeAvailable(n)
+		want, got := c.NodeCapacity(n), c.ledger.NodeAvailableForAt(c.now(), -1, n)
 		if math.Abs(got.CPU-want.CPU) > 1e-6 || math.Abs(got.Memory-want.Memory) > 1e-6 {
 			t.Fatalf("node %d has %v available, want capacity %v", n, got, want)
 		}

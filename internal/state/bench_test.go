@@ -45,17 +45,70 @@ func BenchmarkHoldRelease(b *testing.B) {
 	}
 }
 
-// BenchmarkNodeAvailable measures the precise local-state read probes
-// perform at every hop.
-func BenchmarkNodeAvailable(b *testing.B) {
+// BenchmarkHoldReleaseLink is BenchmarkHoldRelease on overlay links.
+func BenchmarkHoldReleaseLink(b *testing.B) {
+	l, _ := benchLedger(b)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		owner := Owner(i)
+		if !l.HoldLink(owner, 0, i%l.NumLinks(), 1, time.Hour) {
+			b.Fatal("hold rejected")
+		}
+		l.ReleaseOwner(owner)
+	}
+}
+
+// BenchmarkHoldReleaseNodeHold and BenchmarkHoldReleaseLinkHold are the
+// pairs the benchmark ladder times as state.hold_node_ns and
+// state.hold_link_ns: one hold and its targeted release.
+func BenchmarkHoldReleaseNodeHold(b *testing.B) {
+	l, _ := benchLedger(b)
+	req := qos.Resources{CPU: 1e-3, Memory: 1e-3}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		node := i % l.NumNodes()
+		l.HoldNode(Owner(i), 0, node, req, time.Hour)
+		l.ReleaseNodeHold(Owner(i), 0, node)
+	}
+}
+
+func BenchmarkHoldReleaseLinkHold(b *testing.B) {
+	l, _ := benchLedger(b)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		link := i % l.NumLinks()
+		l.HoldLink(Owner(i), 0, link, 1e-3, time.Hour)
+		l.ReleaseLinkHold(Owner(i), 0, link)
+	}
+}
+
+// BenchmarkNodeAvailableForAt measures the precise local-state read a
+// probe walk makes on first touch of a node, on a ledger where some
+// nodes carry holds of the reader and of others.
+func BenchmarkNodeAvailableForAt(b *testing.B) {
 	l, _ := benchLedger(b)
 	for i := 0; i < 50; i++ {
-		l.HoldNode(Owner(i), 0, i%l.NumNodes(), qos.Resources{CPU: 1, Memory: 1}, time.Hour)
+		l.HoldNode(Owner(i%5), i, i%l.NumNodes(), qos.Resources{CPU: 1, Memory: 1}, time.Hour)
 	}
 	b.ResetTimer()
 	sink := 0.0
 	for i := 0; i < b.N; i++ {
-		sink += l.NodeAvailable(i % l.NumNodes()).CPU
+		sink += l.NodeAvailableForAt(0, 1, i%l.NumNodes()).CPU
+	}
+	_ = sink
+}
+
+// BenchmarkLinkAvailableForAt is BenchmarkNodeAvailableForAt for overlay
+// links.
+func BenchmarkLinkAvailableForAt(b *testing.B) {
+	l, _ := benchLedger(b)
+	for i := 0; i < 50; i++ {
+		l.HoldLink(Owner(i%5), i, i%l.NumLinks(), 1, time.Hour)
+	}
+	b.ResetTimer()
+	sink := 0.0
+	for i := 0; i < b.N; i++ {
+		sink += l.LinkAvailableForAt(0, 1, i%l.NumLinks())
 	}
 	_ = sink
 }

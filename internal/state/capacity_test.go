@@ -17,7 +17,7 @@ func TestSetNodeCapacity(t *testing.T) {
 	if got := l.NodeCapacity(3); got != want {
 		t.Errorf("capacity = %+v, want %+v", got, want)
 	}
-	if got := l.NodeAvailable(3); got != want {
+	if got := nodeAvailable(l, 3); got != want {
 		t.Errorf("available = %+v, want %+v", got, want)
 	}
 	// Other nodes keep the uniform capacity.

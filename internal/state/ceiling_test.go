@@ -243,11 +243,13 @@ func FuzzLedgerCeiling(f *testing.F) {
 }
 
 // TestMinResSpecialValues pins minRes, which takes the builtin min per
-// dimension, to the math.Min form on NaN, both zeros, both infinities
-// and ordinary numbers, in either argument. The two differ on one pair:
-// math.Min lets -Inf beat NaN, the builtin returns NaN. minRes bounds a
-// capacity, which SetNodeCapacity keeps above zero, so -Inf never
-// reaches it; the pair is pinned to the builtin's answer.
+// dimension, and the link side's min, the builtin on bandwidth, to the
+// math.Min form on NaN, both zeros, both infinities and ordinary numbers,
+// in either argument. The two differ on one pair: math.Min lets -Inf
+// beat NaN, the builtin returns NaN. minRes bounds a capacity, which
+// SetNodeCapacity keeps above zero, and both sides take the minimum of a
+// committed share and held amounts, so -Inf never reaches either; the
+// pair is pinned to the builtin's answer.
 func TestMinResSpecialValues(t *testing.T) {
 	same := func(a, b float64) bool {
 		return math.IsNaN(a) && math.IsNaN(b) || math.Float64bits(a) == math.Float64bits(b)
@@ -264,6 +266,9 @@ func TestMinResSpecialValues(t *testing.T) {
 			got := minRes(qos.Resources{CPU: a, Memory: b}, qos.Resources{CPU: b, Memory: a})
 			if !same(got.CPU, want(a, b)) || !same(got.Memory, want(b, a)) {
 				t.Errorf("minRes on (%v, %v) = %v, want (%v, %v)", a, b, got, want(a, b), want(b, a))
+			}
+			if got := (bwArith{}).min(a, b); !same(got, want(a, b)) {
+				t.Errorf("bandwidth min on (%v, %v) = %v, want %v", a, b, got, want(a, b))
 			}
 		}
 	}

@@ -110,15 +110,8 @@ func NewGlobal(ledger *Ledger, mesh *overlay.Mesh, cfg GlobalConfig, counters *m
 		aggView:  make([]float64, ledger.NumLinks()),
 		counters: counters,
 	}
-	g.version.Store(1) // a zero Replica is behind every Global
-	for i := range g.nodeView {
-		g.nodeView[i] = ledger.NodeCommittedAvailable(i)
-	}
-	for i := range g.linkView {
-		g.linkView[i] = ledger.LinkCommittedAvailable(i)
-		g.aggView[i] = g.linkView[i]
-	}
-	ledger.SetChangeObservers(g.nodeChanged, g.linkChanged)
+	g.ForceRefresh() // version 1: a zero Replica is behind every Global
+	ledger.nodes.onChange, ledger.links.onChange = g.nodeChanged, g.linkChanged
 	return g, nil
 }
 
@@ -126,7 +119,7 @@ func NewGlobal(ledger *Ledger, mesh *overlay.Mesh, cfg GlobalConfig, counters *m
 // node. It runs under the ledger lock (when enabled), so it reads the
 // ledger through the unlocked internals.
 func (g *Global) nodeChanged(node int) {
-	truth := g.ledger.nodeCommittedAvailable(node)
+	truth := g.ledger.nodes.committedAvailable(node)
 	capacity := g.ledger.NodeCapacity(node)
 	g.lock()
 	defer g.unlock()
@@ -143,7 +136,7 @@ func (g *Global) nodeChanged(node int) {
 // overlay link. A triggered link update is a report to the aggregation
 // node (one message); dissemination happens at the aggregation period.
 func (g *Global) linkChanged(link int) {
-	truth := g.ledger.linkCommittedAvailable(link)
+	truth := g.ledger.links.committedAvailable(link)
 	capacity := g.ledger.LinkCapacity(link)
 	g.lock()
 	defer g.unlock()
@@ -183,38 +176,6 @@ func (g *Global) AggregationNode() int {
 // Period returns the configured aggregation period.
 func (g *Global) Period() time.Duration { return g.cfg.AggregationPeriod }
 
-// NodeAvailable returns the coarse-grain view of a node's available
-// resources — possibly stale within the update threshold.
-func (g *Global) NodeAvailable(node int) qos.Resources {
-	g.lock()
-	defer g.unlock()
-	return g.nodeView[node]
-}
-
-// RouteAvailable returns the coarse-grain available bandwidth of a
-// virtual link: the bottleneck over the aggregation snapshot of its
-// constituent overlay links, +Inf when co-located.
-func (g *Global) RouteAvailable(r overlay.Route) float64 {
-	if r.CoLocated {
-		return math.Inf(1)
-	}
-	g.lock()
-	defer g.unlock()
-	return bottleneck(g.aggView, r.Links)
-}
-
-// bottleneck is the smallest view entry over a route's overlay links,
-// +Inf for a route without links.
-//
-//acp:hotpath
-func bottleneck(view []float64, links []int) float64 {
-	avail := math.Inf(1)
-	for _, id := range links {
-		avail = min(avail, view[id])
-	}
-	return avail
-}
-
 // ForceRefresh resets every reported value to the current truth, as if
 // every threshold fired. The ablation benchmarks use it to emulate a
 // centralized always-fresh global state. Ledger reads happen before the
@@ -242,7 +203,8 @@ func (g *Global) ForceRefresh() {
 // value is an empty replica that the first Refresh fills. A Replica
 // belongs to one goroutine at a time.
 type Replica struct {
-	// Nodes is each node's coarse available resources (NodeAvailable).
+	// Nodes is each node's coarse available resources: its last
+	// threshold-triggered report, possibly stale within the threshold.
 	Nodes []qos.Resources
 	// Agg is each overlay link's aggregated available bandwidth, the
 	// snapshot RouteAvailable takes its bottleneck over.
@@ -269,11 +231,17 @@ func (r *Replica) Ceiling(node int, capacity qos.Resources) qos.Resources {
 	return minRes(capacity, r.Nodes[node].Add(capacity.Scale(r.threshold)))
 }
 
-// RouteAvailable is Global.RouteAvailable read from the replica.
+// RouteAvailable returns the coarse-grain available bandwidth of a
+// virtual link: the bottleneck over the aggregation snapshot of its
+// constituent overlay links, +Inf for a route without links (co-located).
 //
 //acp:hotpath
 func (r *Replica) RouteAvailable(route overlay.Route) float64 {
-	return bottleneck(r.Agg, route.Links)
+	avail := math.Inf(1)
+	for _, id := range route.Links {
+		avail = min(avail, r.Agg[id])
+	}
+	return avail
 }
 
 // Refresh brings r up to date and reports whether it had to copy: when

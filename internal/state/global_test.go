@@ -25,6 +25,22 @@ func newTestGlobal(t *testing.T) (*Global, *Ledger, *clock, *metrics.Counters) {
 	return g, l, clk, &c
 }
 
+// report is the node's coarse availability as a freshly refreshed
+// replica holds it.
+func report(g *Global, node int) qos.Resources {
+	var r Replica
+	g.Refresh(&r)
+	return r.Nodes[node]
+}
+
+// aggregated is the route's coarse bandwidth as a freshly refreshed
+// replica has it.
+func aggregated(g *Global, route overlay.Route) float64 {
+	var r Replica
+	g.Refresh(&r)
+	return r.RouteAvailable(route)
+}
+
 func TestNewGlobalValidation(t *testing.T) {
 	mesh := testMesh(t, 10, 3)
 	clk := &clock{}
@@ -52,7 +68,7 @@ func TestGlobalThresholdFiltering(t *testing.T) {
 	if err := l.CommitSession(1, map[int]qos.Resources{0: {CPU: 5, Memory: 20}}, nil); err != nil {
 		t.Fatal(err)
 	}
-	if got := g.NodeAvailable(0); got != (qos.Resources{CPU: 100, Memory: 1000}) {
+	if got := report(g, 0); got != (qos.Resources{CPU: 100, Memory: 1000}) {
 		t.Errorf("view updated for insignificant change: %v", got)
 	}
 	if c.StateUpdates != 0 {
@@ -63,7 +79,7 @@ func TestGlobalThresholdFiltering(t *testing.T) {
 	if err := l.CommitSession(2, map[int]qos.Resources{0: {CPU: 7}}, nil); err != nil {
 		t.Fatal(err)
 	}
-	if got := g.NodeAvailable(0); got != (qos.Resources{CPU: 88, Memory: 980}) {
+	if got := report(g, 0); got != (qos.Resources{CPU: 88, Memory: 980}) {
 		t.Errorf("view after significant change = %v, want fresh truth", got)
 	}
 	if c.StateUpdates != 1 {
@@ -92,12 +108,12 @@ func TestGlobalLinkThresholdAndAggregation(t *testing.T) {
 	// hand-built route to pin the link.
 	pinned := route
 	pinned.Links = []int{0}
-	if got := g.RouteAvailable(pinned); got != capacity {
+	if got := aggregated(g, pinned); got != capacity {
 		t.Errorf("pre-aggregation RouteAvailable = %v, want stale %v", got, capacity)
 	}
 
 	g.Aggregate()
-	if got := g.RouteAvailable(pinned); got != capacity/2 {
+	if got := aggregated(g, pinned); got != capacity/2 {
 		t.Errorf("post-aggregation RouteAvailable = %v, want %v", got, capacity/2)
 	}
 	if c.Aggregations != int64(g.mesh.NumNodes()) {
@@ -111,7 +127,7 @@ func TestGlobalIgnoresTransientHolds(t *testing.T) {
 	if !l.HoldNode(1, 0, 0, qos.Resources{CPU: 90, Memory: 900}, time.Minute) {
 		t.Fatal("hold rejected")
 	}
-	if got := g.NodeAvailable(0); got != (qos.Resources{CPU: 100, Memory: 1000}) {
+	if got := report(g, 0); got != (qos.Resources{CPU: 100, Memory: 1000}) {
 		t.Errorf("global view saw a transient hold: %v", got)
 	}
 	if c.StateUpdates != 0 {
@@ -124,11 +140,11 @@ func TestGlobalSessionReleaseTriggersUpdate(t *testing.T) {
 	if err := l.CommitSession(1, map[int]qos.Resources{3: {CPU: 50, Memory: 500}}, nil); err != nil {
 		t.Fatal(err)
 	}
-	if got := g.NodeAvailable(3).CPU; got != 50 {
+	if got := report(g, 3).CPU; got != 50 {
 		t.Fatalf("view after commit = %v", got)
 	}
 	l.ReleaseSession(1)
-	if got := g.NodeAvailable(3).CPU; got != 100 {
+	if got := report(g, 3).CPU; got != 100 {
 		t.Errorf("view after release = %v, want 100", got)
 	}
 }
@@ -155,16 +171,16 @@ func TestForceRefresh(t *testing.T) {
 	if err := l.CommitSession(1, map[int]qos.Resources{0: {CPU: 5}}, map[int]float64{0: 1}); err != nil {
 		t.Fatal(err)
 	}
-	if g.NodeAvailable(0).CPU != 100 {
+	if report(g, 0).CPU != 100 {
 		t.Fatal("unexpected eager update")
 	}
 	// ...until a forced refresh exposes the truth everywhere.
 	g.ForceRefresh()
-	if got := g.NodeAvailable(0).CPU; got != 95 {
+	if got := report(g, 0).CPU; got != 95 {
 		t.Errorf("CPU after refresh = %v, want 95", got)
 	}
 	route := overlay.Route{Links: []int{0}}
-	if got := g.RouteAvailable(route); got != l.LinkCapacity(0)-1 {
+	if got := aggregated(g, route); got != l.LinkCapacity(0)-1 {
 		t.Errorf("link view after refresh = %v, want %v", got, l.LinkCapacity(0)-1)
 	}
 }
@@ -172,7 +188,7 @@ func TestForceRefresh(t *testing.T) {
 func TestRouteAvailableCoLocated(t *testing.T) {
 	g, _, _, _ := newTestGlobal(t)
 	r, _ := g.mesh.RouteBetween(4, 4)
-	if got := g.RouteAvailable(r); !math.IsInf(got, 1) {
+	if got := aggregated(g, r); !math.IsInf(got, 1) {
 		t.Errorf("co-located RouteAvailable = %v, want +Inf", got)
 	}
 }
@@ -222,13 +238,13 @@ func TestReplicaTracksGlobal(t *testing.T) {
 			t.Fatalf("step %d: a second Refresh with nothing changed copied again", step)
 		}
 		for n := range r.Nodes {
-			if r.Nodes[n] != g.NodeAvailable(n) {
-				t.Fatalf("step %d: replica node %d = %v, global says %v", step, n, r.Nodes[n], g.NodeAvailable(n))
+			if r.Nodes[n] != g.nodeView[n] {
+				t.Fatalf("step %d: replica node %d = %v, global says %v", step, n, r.Nodes[n], g.nodeView[n])
 			}
 		}
 		for k := range r.Agg {
 			route := overlay.Route{Links: []int{k}}
-			if got, want := r.RouteAvailable(route), g.RouteAvailable(route); got != want {
+			if got, want := r.RouteAvailable(route), g.aggView[k]; got != want {
 				t.Fatalf("step %d: replica link %d = %v, global says %v", step, k, got, want)
 			}
 		}
@@ -290,8 +306,8 @@ func TestReplicaRefreshConcurrentWithUpdates(t *testing.T) {
 	var r Replica
 	g.Refresh(&r)
 	for n := range r.Nodes {
-		if r.Nodes[n] != g.NodeAvailable(n) {
-			t.Fatalf("replica node %d = %v, global says %v", n, r.Nodes[n], g.NodeAvailable(n))
+		if r.Nodes[n] != g.nodeView[n] {
+			t.Fatalf("replica node %d = %v, global says %v", n, r.Nodes[n], g.nodeView[n])
 		}
 	}
 }

@@ -36,8 +36,8 @@ func checkHoldIndex(t *testing.T, l *Ledger, swept bool) {
 			}
 		}
 	}
-	check("node", &l.heldNodes, len(l.nodes), func(id int) int { return len(l.nodes[id].holds) })
-	check("link", &l.heldLinks, len(l.links), func(id int) int { return len(l.links[id].holds) })
+	check("node", &l.nodes.index, len(l.nodes.accts), func(id int) int { return len(l.nodes.accts[id].holds) })
+	check("link", &l.links.index, len(l.links.accts), func(id int) int { return len(l.links.accts[id].holds) })
 }
 
 // TestReleaseOwnerEmptiesHoldIndex places holds on k nodes and links and
@@ -73,7 +73,7 @@ func TestReleaseOwnerEmptiesHoldIndex(t *testing.T) {
 
 		l.ReleaseOwner(1)
 		checkHoldIndex(t, l, true)
-		if got, want := len(l.heldNodes.ids), (k+1)/2; got != want {
+		if got, want := len(l.nodes.index.ids), (k+1)/2; got != want {
 			t.Fatalf("k=%d: %d nodes indexed after releasing owner 1, want owner 2's %d", k, got, want)
 		}
 
@@ -86,7 +86,7 @@ func TestReleaseOwnerEmptiesHoldIndex(t *testing.T) {
 			t.Fatal("short-lived hold rejected")
 		}
 		clk.now = 2 * time.Second
-		if got := l.NodeAvailable(nodes[0]); got != l.NodeCapacity(nodes[0]).Sub(amount) {
+		if got := nodeAvailable(l, nodes[0]); got != l.NodeCapacity(nodes[0]).Sub(amount) {
 			t.Fatalf("k=%d: after owner 3 expired node %d has %v available", k, nodes[0], got)
 		}
 		checkHoldIndex(t, l, false)
@@ -94,18 +94,18 @@ func TestReleaseOwnerEmptiesHoldIndex(t *testing.T) {
 			t.Fatal(err)
 		}
 		checkHoldIndex(t, l, true)
-		if n := len(l.heldNodes.ids) + len(l.heldLinks.ids); n != 0 {
+		if n := len(l.nodes.index.ids) + len(l.links.index.ids); n != 0 {
 			t.Fatalf("k=%d: %d entries left in the hold index after every owner released", k, n)
 		}
 		l.ReleaseSession(2)
 
-		for id := range l.nodes {
-			if n := &l.nodes[id]; n.held != (qos.Resources{}) || n.committed != (qos.Resources{}) {
+		for id := range l.nodes.accts {
+			if n := &l.nodes.accts[id]; n.held != (qos.Resources{}) || n.committed != (qos.Resources{}) {
 				t.Fatalf("k=%d: node %d left held %v committed %v", k, id, n.held, n.committed)
 			}
 		}
-		for id := range l.links {
-			if lk := &l.links[id]; lk.held != 0 || lk.committed != 0 {
+		for id := range l.links.accts {
+			if lk := &l.links.accts[id]; lk.held != 0 || lk.committed != 0 {
 				t.Fatalf("k=%d: link %d left held %v committed %v", k, id, lk.held, lk.committed)
 			}
 		}
@@ -137,7 +137,7 @@ func TestHoldIndexUnderStochasticOps(t *testing.T) {
 		case 5:
 			l.ReleaseOwner(owner)
 		case 6:
-			l.NodeAvailable(node) // purge on read
+			nodeAvailable(l, node) // purge on read
 			l.LinkAvailable(link)
 		}
 		checkHoldIndex(t, l, op == 5)
@@ -193,9 +193,9 @@ func TestAtVariantsUseTheCallersInstant(t *testing.T) {
 	if reads != 0 {
 		t.Fatalf("HoldNode on an unheld node read the clock %d times, want 0", reads)
 	}
-	l.NodeAvailable(5)
+	nodeAvailable(l, 5)
 	if reads != 1 {
-		t.Fatalf("NodeAvailable on a held node read the clock %d times, want 1", reads)
+		t.Fatalf("a read at the ledger's clock on a held node read it %d times, want 1", reads)
 	}
 	checkHoldIndex(t, l, false)
 }

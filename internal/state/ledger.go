@@ -20,32 +20,47 @@ import (
 // that resources belong to.
 type Owner int64
 
-type nodeHold struct {
+// arith is the arithmetic a book needs of the amount it keeps: end-system
+// resources on a node (Eq. 4) or bandwidth on an overlay link (Eq. 5).
+// Each side keeps the operations it had when the two were written out
+// separately, so the shared bookkeeping is bit for bit what each did.
+type arith[A any] interface {
+	add(a, b A) A
+	sub(a, b A) A
+	covers(a, b A) bool // a can supply b
+	min(a, b A) A
+}
+
+// resArith is a node's arithmetic: covers is a.Sub(b).NonNegative() per
+// dimension.
+type resArith struct{}
+
+func (resArith) add(a, b qos.Resources) qos.Resources { return a.Add(b) }
+func (resArith) sub(a, b qos.Resources) qos.Resources { return a.Sub(b) }
+func (resArith) covers(a, b qos.Resources) bool       { return a.Covers(b) }
+func (resArith) min(a, b qos.Resources) qos.Resources { return minRes(a, b) }
+
+// bwArith is an overlay link's arithmetic. Its min is the builtin, which
+// differs from math.Min only on (−Inf, NaN): no amount here is either.
+type bwArith struct{}
+
+func (bwArith) add(a, b float64) float64 { return a + b }
+func (bwArith) sub(a, b float64) float64 { return a - b }
+func (bwArith) covers(a, b float64) bool { return !(a < b) }
+func (bwArith) min(a, b float64) float64 { return min(a, b) }
+
+type hold[A any] struct {
 	owner   Owner
-	tag     int // distinguishes components of one request (footnote 7)
-	amount  qos.Resources
+	tag     int // distinguishes components (or virtual links) of one request (footnote 7)
+	amount  A
 	expires time.Duration
 }
 
-type linkHold struct {
-	owner   Owner
-	tag     int // distinguishes virtual links of one request
-	amount  float64
-	expires time.Duration
-}
-
-type nodeLedger struct {
-	capacity  qos.Resources
-	committed qos.Resources
-	held      qos.Resources
-	holds     []nodeHold
-}
-
-type linkLedger struct {
-	capacity  float64
-	committed float64
-	held      float64
-	holds     []linkHold
+type account[A any] struct {
+	capacity  A
+	committed A
+	held      A
+	holds     []hold[A]
 }
 
 type sessionAlloc struct {
@@ -79,6 +94,27 @@ func (x *holdIndex) dropAt(i int) {
 	x.ids = x.ids[:last]
 }
 
+// book keeps one side of the ledger — every node, or every overlay link —
+// under the rules the paper gives both (§3.3 step 2, footnote 7): one
+// transient hold per (owner, tag), expiry at a timeout, promotion by the
+// session confirmation, and a make-before-break window's reuse credit.
+type book[A any, M arith[A]] struct {
+	m     M
+	kind  string // "node" or "link", in errors
+	accts []account[A]
+	index holdIndex // every id whose hold list is non-empty (and some a sweep has yet to unlist)
+
+	l     *Ledger                      // clock, sessions and migration windows
+	share func(sessionAlloc) map[int]A // this side of a session record
+
+	// onChange, when set, is called after an id's committed amount
+	// changes: the global state applies its threshold-triggered update
+	// rule there. Transient holds do not call it: they are short-lived
+	// local state, never disseminated (§3.2). When locking is enabled it
+	// runs with the ledger lock held.
+	onChange func(id int)
+}
+
 // Ledger is the authoritative record of end-system resources per overlay
 // node and bandwidth per overlay link. It distinguishes committed session
 // allocations from transient holds placed by probes (§3.3 step 2):
@@ -91,14 +127,9 @@ func (x *holdIndex) dropAt(i int) {
 // worker goroutines; the disabled path costs only a nil check.
 type Ledger struct {
 	now      func() time.Duration
-	nodes    []nodeLedger
-	links    []linkLedger
+	nodes    book[qos.Resources, resArith]
+	links    book[float64, bwArith]
 	sessions map[Owner]sessionAlloc
-
-	// heldNodes and heldLinks list every node and link whose hold list
-	// is non-empty (and some a sweep has yet to unlist).
-	heldNodes holdIndex
-	heldLinks holdIndex
 
 	// migrations maps a re-probe owner to the committed session it is
 	// re-composing make-before-break. While registered, the probe's
@@ -108,12 +139,9 @@ type Ledger struct {
 	// or double-charged for — resources the session already owns.
 	migrations map[Owner]Owner
 
-	onNodeChange func(node int)
-	onLinkChange func(link int)
-
 	// mu, when non-nil, serializes every public operation. Change
-	// observers fire with the lock held and must only use the package's
-	// unlocked internals.
+	// observers (onChange) fire with the lock held and must only use the
+	// package's unlocked internals.
 	mu *sync.Mutex
 }
 
@@ -121,21 +149,20 @@ type Ledger struct {
 // capacity and every overlay link its mesh capacity. The now function
 // supplies virtual time for hold expiry.
 func NewLedger(mesh *overlay.Mesh, nodeCap qos.Resources, now func() time.Duration) *Ledger {
-	l := &Ledger{
-		now:      now,
-		nodes:    make([]nodeLedger, mesh.NumNodes()),
-		links:    make([]linkLedger, mesh.NumLinks()),
-		sessions: make(map[Owner]sessionAlloc),
-	}
-	l.heldNodes.listed = make([]bool, len(l.nodes))
-	l.heldLinks.listed = make([]bool, len(l.links))
-	for i := range l.nodes {
-		l.nodes[i].capacity = nodeCap
-	}
-	for i := range l.links {
-		l.links[i].capacity = mesh.Link(i).Capacity
-	}
+	l := &Ledger{now: now, sessions: make(map[Owner]sessionAlloc)}
+	l.nodes = book[qos.Resources, resArith]{kind: "node", l: l, share: func(s sessionAlloc) map[int]qos.Resources { return s.nodes }}
+	l.links = book[float64, bwArith]{kind: "link", l: l, share: func(s sessionAlloc) map[int]float64 { return s.links }}
+	l.nodes.open(mesh.NumNodes(), func(int) qos.Resources { return nodeCap })
+	l.links.open(mesh.NumLinks(), func(i int) float64 { return mesh.Link(i).Capacity })
 	return l
+}
+
+func (b *book[A, M]) open(n int, capacity func(id int) A) {
+	b.accts = make([]account[A], n)
+	b.index.listed = make([]bool, n)
+	for i := range b.accts {
+		b.accts[i].capacity = capacity(i)
+	}
 }
 
 // EnableLocking makes the ledger safe for concurrent use by guarding
@@ -159,24 +186,20 @@ func (l *Ledger) unlock() {
 	}
 }
 
-// SetChangeObservers registers callbacks fired after a node's or link's
-// committed allocation changes. The global state subscribes here to apply
-// its threshold-triggered update rule. Transient holds do not fire the
-// observers: they are short-lived local state, never disseminated (§3.2).
-// When locking is enabled the callbacks run with the ledger lock held.
-func (l *Ledger) SetChangeObservers(onNode func(int), onLink func(int)) {
-	l.onNodeChange = onNode
-	l.onLinkChange = onLink
+func (b *book[A, M]) notify(id int) {
+	if b.onChange != nil {
+		b.onChange(id)
+	}
 }
 
 // NumNodes returns the number of tracked nodes.
-func (l *Ledger) NumNodes() int { return len(l.nodes) }
+func (l *Ledger) NumNodes() int { return len(l.nodes.accts) }
 
 // NumLinks returns the number of tracked overlay links.
-func (l *Ledger) NumLinks() int { return len(l.links) }
+func (l *Ledger) NumLinks() int { return len(l.links.accts) }
 
 // NodeCapacity returns the node's total capacity.
-func (l *Ledger) NodeCapacity(node int) qos.Resources { return l.nodes[node].capacity }
+func (l *Ledger) NodeCapacity(node int) qos.Resources { return l.nodes.accts[node].capacity }
 
 // SetNodeCapacity overrides one node's capacity, supporting
 // heterogeneous node classes (fast/slow/memory-constrained). Call it
@@ -187,13 +210,13 @@ func (l *Ledger) NodeCapacity(node int) qos.Resources { return l.nodes[node].cap
 func (l *Ledger) SetNodeCapacity(node int, capacity qos.Resources) error {
 	l.lock()
 	defer l.unlock()
-	if node < 0 || node >= len(l.nodes) {
+	if node < 0 || node >= len(l.nodes.accts) {
 		return fmt.Errorf("state: node %d out of range", node)
 	}
 	if capacity.CPU <= 0 || capacity.Memory <= 0 {
 		return fmt.Errorf("state: node %d capacity %+v must be positive", node, capacity)
 	}
-	n := &l.nodes[node]
+	n := &l.nodes.accts[node]
 	used := n.committed.Add(n.held)
 	if used.CPU > 0 || used.Memory > 0 {
 		return fmt.Errorf("state: node %d has live allocations %+v; set capacity before use", node, used)
@@ -203,83 +226,58 @@ func (l *Ledger) SetNodeCapacity(node int, capacity qos.Resources) error {
 }
 
 // LinkCapacity returns the link's total bandwidth capacity.
-func (l *Ledger) LinkCapacity(link int) float64 { return l.links[link].capacity }
+func (l *Ledger) LinkCapacity(link int) float64 { return l.links.accts[link].capacity }
 
-// ledgerClock, passed as the instant, makes purgeNode/purgeLink read the
-// ledger's own clock — and only when there is a hold whose expiry the
-// reading decides, so operations on an unheld node or link cost no clock
-// read. A caller that brings its own instant (the *At methods) never
-// triggers one.
+// ledgerClock, passed as the instant, makes purge read the ledger's own
+// clock — and only when there is a hold whose expiry the reading decides,
+// so operations on an unheld node or link cost no clock read. A caller
+// that brings its own instant (the *At methods) never triggers one.
 const ledgerClock = time.Duration(math.MinInt64)
 
-// purgeNode drops the node's holds that have expired by now. The hold
-// slice is rewritten only from the first expired entry on: the common
-// read finds nothing to drop and writes nothing.
-func (l *Ledger) purgeNode(node int, now time.Duration) {
-	n := &l.nodes[node]
-	if len(n.holds) == 0 {
-		return
+// purge drops the account's holds that have expired by now. An unheld
+// account returns at once, from code small enough to inline; a held one
+// has its hold slice rewritten only from the first expired entry on: the
+// common read finds nothing to drop and writes nothing.
+func (b *book[A, M]) purge(id int, now time.Duration) {
+	if len(b.accts[id].holds) != 0 {
+		b.expire(&b.accts[id], now)
 	}
+}
+
+func (b *book[A, M]) expire(a *account[A], now time.Duration) {
 	if now == ledgerClock {
-		now = l.now()
+		now = b.l.now()
 	}
 	first := 0
-	for first < len(n.holds) && n.holds[first].expires > now {
+	for first < len(a.holds) && a.holds[first].expires > now {
 		first++
 	}
-	if first == len(n.holds) {
+	if first == len(a.holds) {
 		return
 	}
-	kept := n.holds[:first]
-	for _, h := range n.holds[first:] {
+	kept := a.holds[:first]
+	for _, h := range a.holds[first:] {
 		if h.expires > now {
 			kept = append(kept, h)
 		} else {
-			n.held = n.held.Sub(h.amount)
+			a.held = b.m.sub(a.held, h.amount)
 		}
 	}
-	n.holds = kept
+	a.holds = kept
 }
 
-func (l *Ledger) purgeLink(link int, now time.Duration) {
-	lk := &l.links[link]
-	if len(lk.holds) == 0 {
-		return
-	}
-	if now == ledgerClock {
-		now = l.now()
-	}
-	first := 0
-	for first < len(lk.holds) && lk.holds[first].expires > now {
-		first++
-	}
-	if first == len(lk.holds) {
-		return
-	}
-	kept := lk.holds[:first]
-	for _, h := range lk.holds[first:] {
-		if h.expires > now {
-			kept = append(kept, h)
-		} else {
-			lk.held -= h.amount
-		}
-	}
-	lk.holds = kept
+// available is the precise local state a probe reads at the node (or
+// link) itself: capacity minus committed sessions minus live transient
+// holds.
+func (b *book[A, M]) available(id int, now time.Duration) A {
+	b.purge(id, now)
+	a := &b.accts[id]
+	return b.m.sub(b.m.sub(a.capacity, a.committed), a.held)
 }
 
-// NodeAvailable returns the node's currently available resources: the
-// precise local state a probe reads at the node itself — capacity minus
-// committed sessions minus live transient holds.
-func (l *Ledger) NodeAvailable(node int) qos.Resources {
-	l.lock()
-	defer l.unlock()
-	return l.nodeAvailable(node, ledgerClock)
-}
-
-func (l *Ledger) nodeAvailable(node int, now time.Duration) qos.Resources {
-	l.purgeNode(node, now)
-	n := &l.nodes[node]
-	return n.capacity.Sub(n.committed).Sub(n.held)
+func (b *book[A, M]) committedAvailable(id int) A {
+	a := &b.accts[id]
+	return b.m.sub(a.capacity, a.committed)
 }
 
 // NodeCommittedAvailable returns capacity minus committed sessions only,
@@ -288,25 +286,14 @@ func (l *Ledger) nodeAvailable(node int, now time.Duration) qos.Resources {
 func (l *Ledger) NodeCommittedAvailable(node int) qos.Resources {
 	l.lock()
 	defer l.unlock()
-	return l.nodeCommittedAvailable(node)
-}
-
-func (l *Ledger) nodeCommittedAvailable(node int) qos.Resources {
-	n := &l.nodes[node]
-	return n.capacity.Sub(n.committed)
+	return l.nodes.committedAvailable(node)
 }
 
 // LinkAvailable returns the link's precise available bandwidth.
 func (l *Ledger) LinkAvailable(link int) float64 {
 	l.lock()
 	defer l.unlock()
-	return l.linkAvailable(link, ledgerClock)
-}
-
-func (l *Ledger) linkAvailable(link int, now time.Duration) float64 {
-	l.purgeLink(link, now)
-	lk := &l.links[link]
-	return lk.capacity - lk.committed - lk.held
+	return l.links.available(link, ledgerClock)
 }
 
 // LinkCommittedAvailable returns capacity minus committed bandwidth,
@@ -314,12 +301,7 @@ func (l *Ledger) linkAvailable(link int, now time.Duration) float64 {
 func (l *Ledger) LinkCommittedAvailable(link int) float64 {
 	l.lock()
 	defer l.unlock()
-	return l.linkCommittedAvailable(link)
-}
-
-func (l *Ledger) linkCommittedAvailable(link int) float64 {
-	lk := &l.links[link]
-	return lk.capacity - lk.committed
+	return l.links.committedAvailable(link)
 }
 
 // RouteAvailable returns the precise available bandwidth of a virtual
@@ -333,7 +315,7 @@ func (l *Ledger) RouteAvailable(r overlay.Route) float64 {
 	defer l.unlock()
 	avail := math.Inf(1)
 	for _, id := range r.Links {
-		avail = min(avail, l.linkAvailable(id, ledgerClock))
+		avail = min(avail, l.links.available(id, ledgerClock))
 	}
 	return avail
 }
@@ -350,45 +332,21 @@ func (l *Ledger) HoldNode(owner Owner, tag, node int, amount qos.Resources, expi
 	return ok
 }
 
-// HoldNodeTracked is HoldNode, additionally reporting whether this call
+// HoldNodeTrackedAt is HoldNode at the caller's instant in place of a
+// read of the ledger's clock, additionally reporting whether this call
 // created a new hold: created is false both on failure and when an
 // existing (owner, tag) hold made the call an idempotent no-op. Callers
 // that must undo a partially-placed reservation release exactly the
 // holds they created, leaving holds placed by sibling probes intact.
-func (l *Ledger) HoldNodeTracked(owner Owner, tag, node int, amount qos.Resources, expires time.Duration) (ok, created bool) {
-	return l.HoldNodeTrackedAt(ledgerClock, owner, tag, node, amount, expires)
-}
-
-// HoldNodeTrackedAt is HoldNodeTracked with the caller's instant in
-// place of a read of the ledger's clock: a probe walk reads the clock
-// once and every hold it places expires stale holds as of that instant.
-// An instant behind the clock only keeps an expired hold counted a
-// little longer — it can refuse a hold, never over-admit one.
+//
+// A probe walk reads the clock once and every hold it places expires
+// stale holds as of that instant. An instant behind the clock only keeps
+// an expired hold counted a little longer — it can refuse a hold, never
+// over-admit one.
 func (l *Ledger) HoldNodeTrackedAt(now time.Duration, owner Owner, tag, node int, amount qos.Resources, expires time.Duration) (ok, created bool) {
 	l.lock()
 	defer l.unlock()
-	l.purgeNode(node, now)
-	n := &l.nodes[node]
-	for _, h := range n.holds {
-		if h.owner == owner && h.tag == tag {
-			return true, false
-		}
-	}
-	avail := n.capacity.Sub(n.committed).Sub(n.held)
-	if credit, ok := l.migrationNodeCredit(owner, node); ok {
-		// Make-before-break: the probe may reuse its source session's
-		// committed share on this node, but only once — feasibility
-		// requires the part of (existing holds + amount) beyond the
-		// reusable share to fit the true availability.
-		avail = avail.Add(minRes(l.nodeHeldBy(owner, node).Add(amount), credit))
-	}
-	if !avail.Covers(amount) {
-		return false, false
-	}
-	n.holds = append(n.holds, nodeHold{owner: owner, tag: tag, amount: amount, expires: expires})
-	n.held = n.held.Add(amount)
-	l.heldNodes.add(node)
-	return true, true
+	return l.nodes.place(now, owner, tag, node, amount, expires)
 }
 
 // HoldLink places a transient bandwidth allocation on an overlay link.
@@ -398,34 +356,34 @@ func (l *Ledger) HoldLink(owner Owner, tag, link int, amount float64, expires ti
 	return ok
 }
 
-// HoldLinkTracked is HoldLink, additionally reporting whether this call
-// created a new hold (see HoldNodeTracked).
-func (l *Ledger) HoldLinkTracked(owner Owner, tag, link int, amount float64, expires time.Duration) (ok, created bool) {
-	return l.HoldLinkTrackedAt(ledgerClock, owner, tag, link, amount, expires)
-}
-
-// HoldLinkTrackedAt is HoldLinkTracked at the caller's instant (see
-// HoldNodeTrackedAt).
+// HoldLinkTrackedAt is HoldNodeTrackedAt for an overlay link.
 func (l *Ledger) HoldLinkTrackedAt(now time.Duration, owner Owner, tag, link int, amount float64, expires time.Duration) (ok, created bool) {
 	l.lock()
 	defer l.unlock()
-	l.purgeLink(link, now)
-	lk := &l.links[link]
-	for _, h := range lk.holds {
+	return l.links.place(now, owner, tag, link, amount, expires)
+}
+
+func (b *book[A, M]) place(now time.Duration, owner Owner, tag, id int, amount A, expires time.Duration) (ok, created bool) {
+	avail := b.available(id, now)
+	a := &b.accts[id]
+	for _, h := range a.holds {
 		if h.owner == owner && h.tag == tag {
 			return true, false
 		}
 	}
-	avail := lk.capacity - lk.committed - lk.held
-	if credit, ok := l.migrationLinkCredit(owner, link); ok {
-		avail += math.Min(l.linkHeldBy(owner, link)+amount, credit)
+	if credit, ok := b.credit(owner, id); ok {
+		// Make-before-break: the probe may reuse its source session's
+		// committed share here, but only once — feasibility requires the
+		// part of (existing holds + amount) beyond the reusable share to
+		// fit the true availability.
+		avail = b.m.add(avail, b.m.min(b.m.add(b.heldBy(owner, id), amount), credit))
 	}
-	if avail < amount {
+	if !b.m.covers(avail, amount) {
 		return false, false
 	}
-	lk.holds = append(lk.holds, linkHold{owner: owner, tag: tag, amount: amount, expires: expires})
-	lk.held += amount
-	l.heldLinks.add(link)
+	a.holds = append(a.holds, hold[A]{owner: owner, tag: tag, amount: amount, expires: expires})
+	a.held = b.m.add(a.held, amount)
+	b.index.add(id)
 	return true, true
 }
 
@@ -435,14 +393,7 @@ func (l *Ledger) HoldLinkTrackedAt(now time.Duration, owner Owner, tag, link int
 func (l *Ledger) ReleaseNodeHold(owner Owner, tag, node int) {
 	l.lock()
 	defer l.unlock()
-	n := &l.nodes[node]
-	for i, h := range n.holds {
-		if h.owner == owner && h.tag == tag {
-			n.held = n.held.Sub(h.amount)
-			n.holds = append(n.holds[:i], n.holds[i+1:]...)
-			return
-		}
-	}
+	l.nodes.release(owner, tag, node)
 }
 
 // ReleaseLinkHold cancels owner's tag hold on the overlay link, if
@@ -450,63 +401,50 @@ func (l *Ledger) ReleaseNodeHold(owner Owner, tag, node int) {
 func (l *Ledger) ReleaseLinkHold(owner Owner, tag, link int) {
 	l.lock()
 	defer l.unlock()
-	lk := &l.links[link]
-	for i, h := range lk.holds {
+	l.links.release(owner, tag, link)
+}
+
+func (b *book[A, M]) release(owner Owner, tag, id int) {
+	a := &b.accts[id]
+	for i, h := range a.holds {
 		if h.owner == owner && h.tag == tag {
-			lk.held -= h.amount
-			lk.holds = append(lk.holds[:i], lk.holds[i+1:]...)
+			a.held = b.m.sub(a.held, h.amount)
+			a.holds = append(a.holds[:i], a.holds[i+1:]...)
 			return
 		}
 	}
 }
 
-// NodeAvailableFor returns the node's available resources from owner's
-// perspective: precise availability with owner's own transient holds
-// credited back. The deputy evaluates candidate compositions with this
-// view so a request is not blocked by its own reservations. An owner
-// registered as a migration probe is additionally credited its source
-// session's committed share on the node.
-func (l *Ledger) NodeAvailableFor(owner Owner, node int) qos.Resources {
-	return l.NodeAvailableForAt(ledgerClock, owner, node)
-}
-
-// NodeAvailableForAt is NodeAvailableFor at the caller's instant (see
-// HoldNodeTrackedAt). A probe walk reads it once per node and scores
-// every probe from that one value.
+// NodeAvailableForAt returns the node's available resources from owner's
+// perspective at the caller's instant (see HoldNodeTrackedAt): precise
+// availability with owner's own transient holds credited back. The
+// deputy evaluates candidate compositions with this view so a request is
+// not blocked by its own reservations; a probe walk reads it once per
+// node and scores every probe from that one value. An owner registered
+// as a migration probe is additionally credited its source session's
+// committed share on the node.
 func (l *Ledger) NodeAvailableForAt(now time.Duration, owner Owner, node int) qos.Resources {
 	l.lock()
 	defer l.unlock()
-	avail := l.nodeAvailable(node, now)
-	for _, h := range l.nodes[node].holds {
-		if h.owner == owner {
-			avail = avail.Add(h.amount)
-		}
-	}
-	if credit, ok := l.migrationNodeCredit(owner, node); ok {
-		avail = avail.Add(credit)
-	}
-	return avail
+	return l.nodes.availableFor(now, owner, node)
 }
 
-// LinkAvailableFor returns the link's available bandwidth with owner's
-// own holds credited back.
-func (l *Ledger) LinkAvailableFor(owner Owner, link int) float64 {
-	return l.LinkAvailableForAt(ledgerClock, owner, link)
-}
-
-// LinkAvailableForAt is LinkAvailableFor at the caller's instant (see
-// HoldNodeTrackedAt).
+// LinkAvailableForAt is NodeAvailableForAt for an overlay link.
 func (l *Ledger) LinkAvailableForAt(now time.Duration, owner Owner, link int) float64 {
 	l.lock()
 	defer l.unlock()
-	avail := l.linkAvailable(link, now)
-	for _, h := range l.links[link].holds {
+	return l.links.availableFor(now, owner, link)
+}
+
+func (b *book[A, M]) availableFor(now time.Duration, owner Owner, id int) A {
+	avail := b.available(id, now)
+	for _, h := range b.accts[id].holds {
 		if h.owner == owner {
-			avail += h.amount
+			avail = b.m.add(avail, h.amount)
 		}
 	}
-	if credit, ok := l.migrationLinkCredit(owner, link); ok {
-		avail += credit
+	if credit, ok := b.credit(owner, id); ok {
+		avail = b.m.add(avail, credit)
 	}
 	return avail
 }
@@ -520,40 +458,28 @@ func (l *Ledger) ReleaseOwner(owner Owner) {
 	l.releaseOwner(owner)
 }
 
+func (l *Ledger) releaseOwner(owner Owner) {
+	l.nodes.releaseOwner(owner)
+	l.links.releaseOwner(owner)
+}
+
 // releaseOwner sweeps the hold index backwards, so that unlisting an
 // empty entry (which moves the last, already visited, id into its place)
 // skips nothing.
-func (l *Ledger) releaseOwner(owner Owner) {
-	for i := len(l.heldNodes.ids) - 1; i >= 0; i-- {
-		node := l.heldNodes.ids[i]
-		n := &l.nodes[node]
-		kept := n.holds[:0]
-		for _, h := range n.holds {
+func (b *book[A, M]) releaseOwner(owner Owner) {
+	for i := len(b.index.ids) - 1; i >= 0; i-- {
+		a := &b.accts[b.index.ids[i]]
+		kept := a.holds[:0]
+		for _, h := range a.holds {
 			if h.owner == owner {
-				n.held = n.held.Sub(h.amount)
+				a.held = b.m.sub(a.held, h.amount)
 			} else {
 				kept = append(kept, h)
 			}
 		}
-		n.holds = kept
+		a.holds = kept
 		if len(kept) == 0 {
-			l.heldNodes.dropAt(i)
-		}
-	}
-	for i := len(l.heldLinks.ids) - 1; i >= 0; i-- {
-		link := l.heldLinks.ids[i]
-		lk := &l.links[link]
-		kept := lk.holds[:0]
-		for _, h := range lk.holds {
-			if h.owner == owner {
-				lk.held -= h.amount
-			} else {
-				kept = append(kept, h)
-			}
-		}
-		lk.holds = kept
-		if len(kept) == 0 {
-			l.heldLinks.dropAt(i)
+			b.index.dropAt(i)
 		}
 	}
 }
@@ -561,9 +487,9 @@ func (l *Ledger) releaseOwner(owner Owner) {
 // CommitSession converts a composition decision into a durable session
 // allocation: owner's transient holds are released and the given per-node
 // resources and per-link bandwidths are committed. On failure (some node
-// or link cannot cover its share) nothing is committed, but the owner's
-// transient holds stay released — the request has failed and the paper's
-// protocol would let them time out regardless.
+// or link is out of range or cannot cover its share) nothing is
+// committed, but the owner's transient holds stay released — the request
+// has failed and the paper's protocol would let them time out regardless.
 func (l *Ledger) CommitSession(owner Owner, nodes map[int]qos.Resources, links map[int]float64) error {
 	l.lock()
 	defer l.unlock()
@@ -574,31 +500,39 @@ func (l *Ledger) CommitSession(owner Owner, nodes map[int]qos.Resources, links m
 		return fmt.Errorf("state: owner %d is migrating session %d; use MigrateSession", owner, prev)
 	}
 	l.releaseOwner(owner)
-	// What open migration windows count twice is room: only one of the
-	// session's share and its probe's reusing holds can remain.
-	for node, amount := range nodes {
-		if !l.nodeAvailable(node, ledgerClock).Add(l.windowOverlapNode(node)).Covers(amount) {
-			return fmt.Errorf("state: node %d cannot cover %v", node, amount)
-		}
+	if err := l.nodes.fits(nodes); err != nil {
+		return err
 	}
-	for link, bw := range links {
-		if l.linkAvailable(link, ledgerClock)+l.windowOverlapLink(link) < bw {
-			return fmt.Errorf("state: link %d cannot cover %.1f kbps", link, bw)
-		}
+	if err := l.links.fits(links); err != nil {
+		return err
 	}
-	alloc := sessionAlloc{nodes: make(map[int]qos.Resources, len(nodes)), links: make(map[int]float64, len(links))}
-	for node, amount := range nodes {
-		l.nodes[node].committed = l.nodes[node].committed.Add(amount)
-		alloc.nodes[node] = amount
-		l.notifyNode(node)
-	}
-	for link, bw := range links {
-		l.links[link].committed += bw
-		alloc.links[link] = bw
-		l.notifyLink(link)
-	}
-	l.sessions[owner] = alloc
+	l.sessions[owner] = sessionAlloc{nodes: l.nodes.commit(nodes), links: l.links.commit(links)}
 	return nil
+}
+
+// fits checks that every share names an account of this side that can
+// cover it. What open migration windows count twice is room: only one of
+// the session's share and its probe's reusing holds can remain.
+func (b *book[A, M]) fits(shares map[int]A) error {
+	for id, amount := range shares {
+		if id < 0 || id >= len(b.accts) {
+			return fmt.Errorf("state: %s %d out of range", b.kind, id)
+		}
+		if !b.m.covers(b.m.add(b.available(id, ledgerClock), b.windowOverlap(id)), amount) {
+			return fmt.Errorf("state: %s %d cannot cover %v", b.kind, id, amount)
+		}
+	}
+	return nil
+}
+
+func (b *book[A, M]) commit(shares map[int]A) map[int]A {
+	alloc := make(map[int]A, len(shares))
+	for id, amount := range shares {
+		b.accts[id].committed = b.m.add(b.accts[id].committed, amount)
+		alloc[id] = amount
+		b.notify(id)
+	}
+	return alloc
 }
 
 // ReleaseSession frees a committed session's resources when the
@@ -619,13 +553,14 @@ func (l *Ledger) ReleaseSession(owner Owner) {
 			delete(l.migrations, probe)
 		}
 	}
-	for node, amount := range alloc.nodes {
-		l.nodes[node].committed = l.nodes[node].committed.Sub(amount)
-		l.notifyNode(node)
-	}
-	for link, bw := range alloc.links {
-		l.links[link].committed -= bw
-		l.notifyLink(link)
+	l.nodes.uncommit(alloc.nodes)
+	l.links.uncommit(alloc.links)
+}
+
+func (b *book[A, M]) uncommit(shares map[int]A) {
+	for id, amount := range shares {
+		b.accts[id].committed = b.m.sub(b.accts[id].committed, amount)
+		b.notify(id)
 	}
 }
 
@@ -716,169 +651,97 @@ func (l *Ledger) MigrateSession(session, probe Owner, nodes map[int]qos.Resource
 	if _, ok := l.sessions[probe]; ok {
 		return fmt.Errorf("state: session %d already committed", probe)
 	}
-	// Post-flip feasibility: with the old allocation freed and the
-	// probe's holds released, every new share must fit. Keys are sorted
-	// so error selection is deterministic.
-	nodeIDs := make([]int, 0, len(nodes))
-	for node := range nodes {
-		nodeIDs = append(nodeIDs, node)
+	nodeIDs, err := l.nodes.fitsFlip(probe, old.nodes, nodes)
+	if err != nil {
+		return err
 	}
-	sort.Ints(nodeIDs)
-	for _, node := range nodeIDs {
-		if node < 0 || node >= len(l.nodes) {
-			return fmt.Errorf("state: migration references node %d", node)
-		}
-		l.purgeNode(node, ledgerClock)
-		n := &l.nodes[node]
-		avail := n.capacity.Sub(n.committed).Sub(n.held).Add(old.nodes[node]).Add(l.nodeHeldBy(probe, node))
-		if !avail.Covers(nodes[node]) {
-			return fmt.Errorf("state: node %d cannot cover %v post-flip", node, nodes[node])
-		}
+	linkIDs, err := l.links.fitsFlip(probe, old.links, links)
+	if err != nil {
+		return err
 	}
-	linkIDs := make([]int, 0, len(links))
-	for link := range links {
-		linkIDs = append(linkIDs, link)
-	}
-	sort.Ints(linkIDs)
-	for _, link := range linkIDs {
-		if link < 0 || link >= len(l.links) {
-			return fmt.Errorf("state: migration references link %d", link)
-		}
-		l.purgeLink(link, ledgerClock)
-		lk := &l.links[link]
-		if lk.capacity-lk.committed-lk.held+old.links[link]+l.linkHeldBy(probe, link) < links[link] {
-			return fmt.Errorf("state: link %d cannot cover %.1f kbps post-flip", link, links[link])
-		}
-	}
-	// Flip. Change observers fire once per touched node/link, after its
-	// committed amount reaches the post-flip value.
 	l.releaseOwner(probe)
 	delete(l.migrations, probe)
 	delete(l.sessions, session)
-	alloc := sessionAlloc{nodes: make(map[int]qos.Resources, len(nodes)), links: make(map[int]float64, len(links))}
-	for _, node := range nodeIDs {
-		l.nodes[node].committed = l.nodes[node].committed.Add(nodes[node])
-		alloc.nodes[node] = nodes[node]
-	}
-	oldNodeIDs := make([]int, 0, len(old.nodes))
-	for node := range old.nodes {
-		oldNodeIDs = append(oldNodeIDs, node)
-	}
-	sort.Ints(oldNodeIDs)
-	for _, node := range oldNodeIDs {
-		l.nodes[node].committed = l.nodes[node].committed.Sub(old.nodes[node])
-	}
-	for _, link := range linkIDs {
-		l.links[link].committed += links[link]
-		alloc.links[link] = links[link]
-	}
-	oldLinkIDs := make([]int, 0, len(old.links))
-	for link := range old.links {
-		oldLinkIDs = append(oldLinkIDs, link)
-	}
-	sort.Ints(oldLinkIDs)
-	for _, link := range oldLinkIDs {
-		l.links[link].committed -= old.links[link]
-	}
-	l.sessions[probe] = alloc
-	for _, node := range mergedIDs(nodeIDs, oldNodeIDs) {
-		l.notifyNode(node)
-	}
-	for _, link := range mergedIDs(linkIDs, oldLinkIDs) {
-		l.notifyLink(link)
-	}
+	l.sessions[probe] = sessionAlloc{nodes: l.nodes.flip(nodeIDs, old.nodes, nodes), links: l.links.flip(linkIDs, old.links, links)}
 	return nil
 }
 
-// mergedIDs unions two sorted ID slices, preserving order.
-func mergedIDs(a, b []int) []int {
-	out := make([]int, 0, len(a)+len(b))
-	i, j := 0, 0
-	for i < len(a) || j < len(b) {
-		switch {
-		case j >= len(b) || (i < len(a) && a[i] < b[j]):
-			out = append(out, a[i])
-			i++
-		case i >= len(a) || b[j] < a[i]:
-			out = append(out, b[j])
-			j++
-		default: // equal
-			out = append(out, a[i])
-			i, j = i+1, j+1
+// fitsFlip is MigrateSession's feasibility check on this side: with the
+// old shares freed and the probe's holds released, every new share must
+// fit. It returns the new shares' ids, sorted so error selection is
+// deterministic.
+func (b *book[A, M]) fitsFlip(probe Owner, old, shares map[int]A) ([]int, error) {
+	ids := make([]int, 0, len(shares))
+	for id := range shares {
+		ids = append(ids, id)
+	}
+	sort.Ints(ids)
+	for _, id := range ids {
+		if id < 0 || id >= len(b.accts) {
+			return nil, fmt.Errorf("state: migration references %s %d", b.kind, id)
+		}
+		avail := b.m.add(b.m.add(b.available(id, ledgerClock), old[id]), b.heldBy(probe, id))
+		if !b.m.covers(avail, shares[id]) {
+			return nil, fmt.Errorf("state: %s %d cannot cover %v post-flip", b.kind, id, shares[id])
 		}
 	}
-	return out
+	return ids, nil
 }
 
-// migrationNodeCredit returns the reusable committed share on node for
-// an owner registered as a migration probe. Zero-cost when no migration
-// is in flight.
-func (l *Ledger) migrationNodeCredit(owner Owner, node int) (qos.Resources, bool) {
-	if len(l.migrations) == 0 {
-		return qos.Resources{}, false
+// flip commits the new shares, then frees the old ones, and returns the
+// session's record of the new. The change observers fire once per
+// touched id, after its committed amount reaches the post-flip value.
+func (b *book[A, M]) flip(ids []int, old, shares map[int]A) map[int]A {
+	alloc := make(map[int]A, len(shares))
+	for _, id := range ids {
+		b.accts[id].committed = b.m.add(b.accts[id].committed, shares[id])
+		alloc[id] = shares[id]
 	}
-	session, ok := l.migrations[owner]
-	if !ok {
-		return qos.Resources{}, false
+	b.uncommit(old)
+	for _, id := range ids {
+		if _, freed := old[id]; !freed {
+			b.notify(id)
+		}
 	}
-	amount, ok := l.sessions[session].nodes[node]
+	return alloc
+}
+
+// credit returns the committed share on id that owner, registered as a
+// migration probe, may reuse. With no migration in flight it costs an
+// inlined length check.
+func (b *book[A, M]) credit(owner Owner, id int) (amount A, ok bool) {
+	if len(b.l.migrations) != 0 {
+		amount, ok = b.sessionShare(owner, id)
+	}
 	return amount, ok
 }
 
-// migrationLinkCredit is migrationNodeCredit for overlay links.
-func (l *Ledger) migrationLinkCredit(owner Owner, link int) (float64, bool) {
-	if len(l.migrations) == 0 {
-		return 0, false
+func (b *book[A, M]) sessionShare(owner Owner, id int) (amount A, ok bool) {
+	if session, migrating := b.l.migrations[owner]; migrating {
+		amount, ok = b.share(b.l.sessions[session])[id]
 	}
-	session, ok := l.migrations[owner]
-	if !ok {
-		return 0, false
-	}
-	bw, ok := l.sessions[session].links[link]
-	return bw, ok
+	return amount, ok
 }
 
-// windowOverlapNode is what the open migration windows count twice on
-// the node: each probe's holds there that reuse its session's committed
-// share are in both committed and held, though only one can remain.
-func (l *Ledger) windowOverlapNode(node int) qos.Resources {
-	var overlap qos.Resources
-	for probe, session := range l.migrations {
-		if amount, ok := l.sessions[session].nodes[node]; ok {
-			overlap = overlap.Add(minRes(amount, l.nodeHeldBy(probe, node)))
+// windowOverlap is what the open migration windows count twice on id:
+// each probe's holds there that reuse its session's committed share are
+// in both committed and held, though only one can remain.
+func (b *book[A, M]) windowOverlap(id int) A {
+	var overlap A
+	for probe, session := range b.l.migrations {
+		if amount, ok := b.share(b.l.sessions[session])[id]; ok {
+			overlap = b.m.add(overlap, b.m.min(amount, b.heldBy(probe, id)))
 		}
 	}
 	return overlap
 }
 
-// windowOverlapLink is windowOverlapNode for overlay links.
-func (l *Ledger) windowOverlapLink(link int) float64 {
-	overlap := 0.0
-	for probe, session := range l.migrations {
-		if bw, ok := l.sessions[session].links[link]; ok {
-			overlap += math.Min(bw, l.linkHeldBy(probe, link))
-		}
-	}
-	return overlap
-}
-
-// nodeHeldBy sums owner's live transient holds on the node.
-func (l *Ledger) nodeHeldBy(owner Owner, node int) qos.Resources {
-	var sum qos.Resources
-	for _, h := range l.nodes[node].holds {
+// heldBy sums owner's live transient holds on id.
+func (b *book[A, M]) heldBy(owner Owner, id int) A {
+	var sum A
+	for _, h := range b.accts[id].holds {
 		if h.owner == owner {
-			sum = sum.Add(h.amount)
-		}
-	}
-	return sum
-}
-
-// linkHeldBy sums owner's live transient holds on the overlay link.
-func (l *Ledger) linkHeldBy(owner Owner, link int) float64 {
-	sum := 0.0
-	for _, h := range l.links[link].holds {
-		if h.owner == owner {
-			sum += h.amount
+			sum = b.m.add(sum, h.amount)
 		}
 	}
 	return sum
@@ -889,18 +752,6 @@ func minRes(a, b qos.Resources) qos.Resources {
 	return qos.Resources{CPU: min(a.CPU, b.CPU), Memory: min(a.Memory, b.Memory)}
 }
 
-func (l *Ledger) notifyNode(node int) {
-	if l.onNodeChange != nil {
-		l.onNodeChange(node)
-	}
-}
-
-func (l *Ledger) notifyLink(link int) {
-	if l.onLinkChange != nil {
-		l.onLinkChange(link)
-	}
-}
-
 // CheckInvariants verifies the ledger's internal consistency: per-node
 // and per-link held totals match their hold lists, committed amounts
 // equal the sum of session allocations, and nothing exceeds capacity.
@@ -908,22 +759,6 @@ func (l *Ledger) notifyLink(link int) {
 func (l *Ledger) CheckInvariants() error {
 	l.lock()
 	defer l.unlock()
-	committedNodes := make([]qos.Resources, len(l.nodes))
-	committedLinks := make([]float64, len(l.links))
-	for owner, alloc := range l.sessions {
-		for node, amount := range alloc.nodes {
-			if node < 0 || node >= len(l.nodes) {
-				return fmt.Errorf("state: session %d references node %d", owner, node)
-			}
-			committedNodes[node] = committedNodes[node].Add(amount)
-		}
-		for link, bw := range alloc.links {
-			if link < 0 || link >= len(l.links) {
-				return fmt.Errorf("state: session %d references link %d", owner, link)
-			}
-			committedLinks[link] += bw
-		}
-	}
 	for probe, session := range l.migrations {
 		if _, ok := l.sessions[session]; !ok {
 			return fmt.Errorf("state: migration probe %d references unknown session %d", probe, session)
@@ -933,41 +768,44 @@ func (l *Ledger) CheckInvariants() error {
 		}
 	}
 	const eps = 1e-6
-	for i := range l.nodes {
-		l.purgeNode(i, ledgerClock)
-		n := &l.nodes[i]
-		var heldSum qos.Resources
-		for _, h := range n.holds {
-			heldSum = heldSum.Add(h.amount)
+	if err := l.nodes.audit(qos.Resources{CPU: eps, Memory: eps}); err != nil {
+		return err
+	}
+	return l.links.audit(eps)
+}
+
+// audit is CheckInvariants on this side; differences within tol are
+// rounding.
+func (b *book[A, M]) audit(tol A) error {
+	committed := make([]A, len(b.accts))
+	for owner, alloc := range b.l.sessions {
+		for id, amount := range b.share(alloc) {
+			if id < 0 || id >= len(b.accts) {
+				return fmt.Errorf("state: session %d references %s %d", owner, b.kind, id)
+			}
+			committed[id] = b.m.add(committed[id], amount)
 		}
-		if d := heldSum.Sub(n.held); d.CPU > eps || d.CPU < -eps || d.Memory > eps || d.Memory < -eps {
-			return fmt.Errorf("state: node %d held total %v != hold list sum %v", i, n.held, heldSum)
-		}
-		if d := committedNodes[i].Sub(n.committed); d.CPU > eps || d.CPU < -eps || d.Memory > eps || d.Memory < -eps {
-			return fmt.Errorf("state: node %d committed %v != session sum %v", i, n.committed, committedNodes[i])
-		}
+	}
+	near := func(x, y A) bool { return b.m.covers(tol, b.m.sub(x, y)) && b.m.covers(tol, b.m.sub(y, x)) }
+	var zero A
+	for id := range b.accts {
 		// A migration probe's holds legitimately overlap its source
 		// session's committed share (make-before-break); credit that
 		// overlap before the over-allocation check.
-		if avail := n.capacity.Sub(n.committed).Sub(n.held).Add(l.windowOverlapNode(i)); avail.CPU < -eps || avail.Memory < -eps {
-			return fmt.Errorf("state: node %d over-allocated: available %v", i, avail)
+		avail := b.m.add(b.available(id, ledgerClock), b.windowOverlap(id))
+		a := &b.accts[id]
+		var heldSum A
+		for _, h := range a.holds {
+			heldSum = b.m.add(heldSum, h.amount)
 		}
-	}
-	for i := range l.links {
-		l.purgeLink(i, ledgerClock)
-		lk := &l.links[i]
-		heldSum := 0.0
-		for _, h := range lk.holds {
-			heldSum += h.amount
+		if !near(heldSum, a.held) {
+			return fmt.Errorf("state: %s %d held total %v != hold list sum %v", b.kind, id, a.held, heldSum)
 		}
-		if d := heldSum - lk.held; d > eps || d < -eps {
-			return fmt.Errorf("state: link %d held total %v != hold list sum %v", i, lk.held, heldSum)
+		if !near(committed[id], a.committed) {
+			return fmt.Errorf("state: %s %d committed %v != session sum %v", b.kind, id, a.committed, committed[id])
 		}
-		if d := committedLinks[i] - lk.committed; d > eps || d < -eps {
-			return fmt.Errorf("state: link %d committed %v != session sum %v", i, lk.committed, committedLinks[i])
-		}
-		if avail := lk.capacity - lk.committed - lk.held + l.windowOverlapLink(i); avail < -eps {
-			return fmt.Errorf("state: link %d over-allocated: available %v", i, avail)
+		if !b.m.covers(avail, b.m.sub(zero, tol)) {
+			return fmt.Errorf("state: %s %d over-allocated: available %v", b.kind, id, avail)
 		}
 	}
 	return nil

@@ -41,11 +41,21 @@ func newTestLedger(t *testing.T) (*Ledger, *clock, *overlay.Mesh) {
 	return l, clk, mesh
 }
 
+// nobody holds nothing: what it reads of a node is the node's plain
+// availability.
+const nobody Owner = -1
+
+// nodeAvailable is the node's precise availability at the ledger's clock:
+// capacity minus committed sessions minus live transient holds.
+func nodeAvailable(l *Ledger, node int) qos.Resources {
+	return l.NodeAvailableForAt(ledgerClock, nobody, node)
+}
+
 func TestLedgerInitialAvailability(t *testing.T) {
 	l, _, mesh := newTestLedger(t)
 	want := qos.Resources{CPU: 100, Memory: 1000}
 	for n := 0; n < l.NumNodes(); n++ {
-		if got := l.NodeAvailable(n); got != want {
+		if got := nodeAvailable(l, n); got != want {
 			t.Fatalf("node %d available = %v, want %v", n, got, want)
 		}
 	}
@@ -63,26 +73,26 @@ func TestHoldNodeLifecycle(t *testing.T) {
 	if !l.HoldNode(1, 0, 0, req, 10*time.Second) {
 		t.Fatal("hold rejected with plenty of capacity")
 	}
-	if got := l.NodeAvailable(0); got != (qos.Resources{CPU: 70, Memory: 900}) {
+	if got := nodeAvailable(l, 0); got != (qos.Resources{CPU: 70, Memory: 900}) {
 		t.Errorf("available after hold = %v", got)
 	}
 	// Idempotent per owner (footnote 7).
 	if !l.HoldNode(1, 0, 0, req, 10*time.Second) {
 		t.Fatal("repeat hold by same owner rejected")
 	}
-	if got := l.NodeAvailable(0); got != (qos.Resources{CPU: 70, Memory: 900}) {
+	if got := nodeAvailable(l, 0); got != (qos.Resources{CPU: 70, Memory: 900}) {
 		t.Errorf("available after duplicate hold = %v", got)
 	}
 	// A different owner stacks.
 	if !l.HoldNode(2, 0, 0, req, 10*time.Second) {
 		t.Fatal("second owner's hold rejected")
 	}
-	if got := l.NodeAvailable(0); got != (qos.Resources{CPU: 40, Memory: 800}) {
+	if got := nodeAvailable(l, 0); got != (qos.Resources{CPU: 40, Memory: 800}) {
 		t.Errorf("available after two holds = %v", got)
 	}
 	// Expiry restores capacity.
 	clk.now = 11 * time.Second
-	if got := l.NodeAvailable(0); got != (qos.Resources{CPU: 100, Memory: 1000}) {
+	if got := nodeAvailable(l, 0); got != (qos.Resources{CPU: 100, Memory: 1000}) {
 		t.Errorf("available after expiry = %v", got)
 	}
 }
@@ -126,10 +136,10 @@ func TestReleaseOwner(t *testing.T) {
 	l.HoldNode(2, 0, 0, qos.Resources{CPU: 5}, time.Minute)
 
 	l.ReleaseOwner(1)
-	if got := l.NodeAvailable(0); got.CPU != 95 {
+	if got := nodeAvailable(l, 0); got.CPU != 95 {
 		t.Errorf("node 0 CPU = %v, want 95 (owner 2's hold kept)", got.CPU)
 	}
-	if got := l.NodeAvailable(1); got.CPU != 100 {
+	if got := nodeAvailable(l, 1); got.CPU != 100 {
 		t.Errorf("node 1 CPU = %v, want 100", got.CPU)
 	}
 	if got := l.LinkAvailable(0); got != l.LinkCapacity(0) {
@@ -152,7 +162,7 @@ func TestCommitSessionPromotesHolds(t *testing.T) {
 	}
 	// Holds are gone; committed allocation persists past hold expiry.
 	clk.now = time.Minute
-	if got := l.NodeAvailable(3); got != (qos.Resources{CPU: 60, Memory: 800}) {
+	if got := nodeAvailable(l, 3); got != (qos.Resources{CPU: 60, Memory: 800}) {
 		t.Errorf("available after commit = %v", got)
 	}
 	if got := l.LinkAvailable(0); got != l.LinkCapacity(0)-50 {
@@ -160,7 +170,7 @@ func TestCommitSessionPromotesHolds(t *testing.T) {
 	}
 	// Session release restores everything.
 	l.ReleaseSession(7)
-	if got := l.NodeAvailable(3); got != (qos.Resources{CPU: 100, Memory: 1000}) {
+	if got := nodeAvailable(l, 3); got != (qos.Resources{CPU: 100, Memory: 1000}) {
 		t.Errorf("available after release = %v", got)
 	}
 	if got := l.ActiveSessions(); got != 0 {
@@ -182,6 +192,24 @@ func TestCommitSessionFailures(t *testing.T) {
 	if err := l.CommitSession(3, map[int]qos.Resources{0: {CPU: 10}}, nil); err == nil {
 		t.Error("duplicate session commit accepted")
 	}
+	// Shares on nodes or links the ledger does not have are refused, as
+	// MigrateSession refuses them, and nothing is committed.
+	for _, bad := range []int{-1, l.NumNodes()} {
+		if err := l.CommitSession(4, map[int]qos.Resources{bad: {CPU: 1}}, nil); err == nil {
+			t.Errorf("commit on node %d accepted", bad)
+		}
+	}
+	for _, bad := range []int{-1, l.NumLinks()} {
+		if err := l.CommitSession(4, nil, map[int]float64{bad: 1}); err == nil {
+			t.Errorf("commit on link %d accepted", bad)
+		}
+	}
+	if l.HasSession(4) {
+		t.Error("a refused commit left a session")
+	}
+	if err := l.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
 }
 
 func TestCommitUsesOwnHeldResources(t *testing.T) {
@@ -200,7 +228,7 @@ func TestCommitUsesOwnHeldResources(t *testing.T) {
 func TestReleaseUnknownSession(t *testing.T) {
 	l, _, _ := newTestLedger(t)
 	l.ReleaseSession(99) // must not panic or change state
-	if got := l.NodeAvailable(0); got.CPU != 100 {
+	if got := nodeAvailable(l, 0); got.CPU != 100 {
 		t.Errorf("available changed: %v", got)
 	}
 }
@@ -263,7 +291,7 @@ func TestConservation(t *testing.T) {
 		case 3:
 			l.ReleaseOwner(owner)
 		}
-		if got := l.NodeAvailable(node); got.CPU < 0 || got.Memory < 0 {
+		if got := nodeAvailable(l, node); got.CPU < 0 || got.Memory < 0 {
 			t.Fatalf("step %d: node %d over-committed: %v", step, node, got)
 		}
 	}
@@ -272,7 +300,7 @@ func TestConservation(t *testing.T) {
 	}
 	clk.now += time.Hour // expire all holds
 	for n := 0; n < l.NumNodes(); n++ {
-		if got := l.NodeAvailable(n); got != (qos.Resources{CPU: 100, Memory: 1000}) {
+		if got := nodeAvailable(l, n); got != (qos.Resources{CPU: 100, Memory: 1000}) {
 			t.Fatalf("node %d did not return to full capacity: %v", n, got)
 		}
 	}
@@ -290,26 +318,26 @@ func TestAvailableForCreditsOwnHolds(t *testing.T) {
 		t.Fatal("other owner's hold rejected")
 	}
 	// Plain availability excludes everything.
-	if got := l.NodeAvailable(4); got != (qos.Resources{CPU: 40, Memory: 550}) {
+	if got := nodeAvailable(l, 4); got != (qos.Resources{CPU: 40, Memory: 550}) {
 		t.Errorf("NodeAvailable = %v", got)
 	}
 	// Owner 9 sees its own 50 CPU / 400 MB credited back.
-	if got := l.NodeAvailableFor(9, 4); got != (qos.Resources{CPU: 90, Memory: 950}) {
-		t.Errorf("NodeAvailableFor(9) = %v", got)
+	if got := l.NodeAvailableForAt(ledgerClock, 9, 4); got != (qos.Resources{CPU: 90, Memory: 950}) {
+		t.Errorf("NodeAvailableForAt(9) = %v", got)
 	}
 	// Owner 8 sees only its own 10/50 back.
-	if got := l.NodeAvailableFor(8, 4); got != (qos.Resources{CPU: 50, Memory: 600}) {
-		t.Errorf("NodeAvailableFor(8) = %v", got)
+	if got := l.NodeAvailableForAt(ledgerClock, 8, 4); got != (qos.Resources{CPU: 50, Memory: 600}) {
+		t.Errorf("NodeAvailableForAt(8) = %v", got)
 	}
 
 	if !l.HoldLink(9, 0, 0, 500, time.Minute) {
 		t.Fatal("link hold rejected")
 	}
-	if got := l.LinkAvailableFor(9, 0); got != l.LinkCapacity(0) {
-		t.Errorf("LinkAvailableFor = %v, want full capacity", got)
+	if got := l.LinkAvailableForAt(ledgerClock, 9, 0); got != l.LinkCapacity(0) {
+		t.Errorf("LinkAvailableForAt = %v, want full capacity", got)
 	}
-	if got := l.LinkAvailableFor(7, 0); got != l.LinkCapacity(0)-500 {
-		t.Errorf("LinkAvailableFor(other) = %v", got)
+	if got := l.LinkAvailableForAt(ledgerClock, 7, 0); got != l.LinkCapacity(0)-500 {
+		t.Errorf("LinkAvailableForAt(other) = %v", got)
 	}
 }
 

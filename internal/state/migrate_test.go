@@ -50,17 +50,17 @@ func TestMigrationCreditsSessionAllocation(t *testing.T) {
 	l, _, _ := newTestLedger(t)
 	// Node 0 is nearly full: session 1 owns 90 of 100 CPU.
 	commitTestSession(t, l, 1, map[int]qos.Resources{0: {CPU: 90, Memory: 900}}, nil)
-	free := l.NodeAvailableFor(100, 0)
+	free := l.NodeAvailableForAt(ledgerClock, 100, 0)
 
 	if err := l.BeginMigration(100, 1); err != nil {
 		t.Fatal(err)
 	}
 	// The probe's view credits the session's committed share back...
-	if got := l.NodeAvailableFor(100, 0); got != free.Add(qos.Resources{CPU: 90, Memory: 900}) {
+	if got := l.NodeAvailableForAt(ledgerClock, 100, 0); got != free.Add(qos.Resources{CPU: 90, Memory: 900}) {
 		t.Fatalf("probe view = %v, want committed share credited onto %v", got, free)
 	}
 	// ...while every other owner still sees the precise residual.
-	if got := l.NodeAvailableFor(200, 0); got != free {
+	if got := l.NodeAvailableForAt(ledgerClock, 200, 0); got != free {
 		t.Fatalf("bystander view = %v, want %v", got, free)
 	}
 	// A bystander competes only for the true residual.
@@ -96,7 +96,7 @@ func TestMigrationLinkCredit(t *testing.T) {
 	if err := l.BeginMigration(100, 1); err != nil {
 		t.Fatal(err)
 	}
-	if got, want := l.LinkAvailableFor(100, link), cap0; got < want-1e-9 {
+	if got, want := l.LinkAvailableForAt(ledgerClock, 100, link), cap0; got < want-1e-9 {
 		t.Fatalf("probe link view = %v, want ~%v", got, want)
 	}
 	if ok := l.HoldLink(100, 0, link, cap0*0.8, time.Hour); !ok {
@@ -175,7 +175,7 @@ func TestMigrateSessionFlip(t *testing.T) {
 		t.Fatalf("link 1 committed available = %v, want %v", got, want)
 	}
 	// No transient holds survive the flip.
-	if got := l.NodeAvailable(0); got != want0 {
+	if got := nodeAvailable(l, 0); got != want0 {
 		t.Fatalf("node 0 precise available = %v, want %v (holds released)", got, want0)
 	}
 	// Releasing the migrated session frees everything.
@@ -234,7 +234,7 @@ func TestAbortMigrationRestoresLedger(t *testing.T) {
 	commitTestSession(t, l, 1, map[int]qos.Resources{0: share}, map[int]float64{0: bw})
 	nodes := make([]qos.Resources, l.NumNodes())
 	for n := range nodes {
-		nodes[n] = l.NodeAvailable(n)
+		nodes[n] = nodeAvailable(l, n)
 	}
 	links := make([]float64, l.NumLinks())
 	for k := range links {
@@ -259,7 +259,7 @@ func TestAbortMigrationRestoresLedger(t *testing.T) {
 		t.Fatalf("after abort: %v", err)
 	}
 	for n, want := range nodes {
-		if got := l.NodeAvailable(n); got != want {
+		if got := nodeAvailable(l, n); got != want {
 			t.Fatalf("node %d has %v available after the abort, %v before the window", n, got, want)
 		}
 	}
@@ -322,7 +322,7 @@ func TestCommitSessionCountsWindowOverlapOnce(t *testing.T) {
 	if err := l.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
-	if got, want := l.NodeAvailable(0), l.NodeCapacity(0).Sub(qos.Resources{CPU: 90, Memory: 900}); got != want {
+	if got, want := nodeAvailable(l, 0), l.NodeCapacity(0).Sub(qos.Resources{CPU: 90, Memory: 900}); got != want {
 		t.Fatalf("node 0 has %v available after the flip, want %v", got, want)
 	}
 }
@@ -342,7 +342,7 @@ func TestReleaseSessionDropsMigrationWindow(t *testing.T) {
 		t.Fatalf("after release under window: %v", err)
 	}
 	// Credit is gone: the probe now competes for the true residual.
-	if got, want := l.NodeAvailableFor(100, 0), l.NodeCapacity(0); got != want {
+	if got, want := l.NodeAvailableForAt(ledgerClock, 100, 0), l.NodeCapacity(0); got != want {
 		t.Fatalf("probe view = %v, want %v (own hold credited, no reuse)", got, want)
 	}
 	// The flip can no longer happen.
@@ -370,7 +370,7 @@ func TestMigrationExpiredHoldsLoseProtection(t *testing.T) {
 	if err := l.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
-	if got, want := l.NodeAvailableFor(100, 0), l.NodeCapacity(0); got != want {
+	if got, want := l.NodeAvailableForAt(ledgerClock, 100, 0), l.NodeCapacity(0); got != want {
 		t.Fatalf("probe view after expiry = %v, want %v", got, want)
 	}
 	l.EndMigration(100)
