@@ -217,6 +217,7 @@ type Cluster struct {
 	faults     *faults.Injector
 	clock      clock.Clock
 	sweepEvery time.Duration
+	steps      stepLines // StepNode's memo, owned by the stepping goroutine
 
 	mu      sync.Mutex
 	nextReq int64
@@ -359,14 +360,14 @@ func (c *Cluster) start() {
 // mailbox is an observable backpressure signal (false), exactly as with
 // a direct send. With no injector configured the cost over a direct
 // send is this one nil check.
-func (c *Cluster) deliver(to int, m message, kind faults.Kind) bool {
+func (c *Cluster) deliver(to int, m *message, kind faults.Kind) bool {
 	if c.faults == nil {
 		return c.nodes[to].send(m)
 	}
 	return c.deliverFaulty(to, m, kind)
 }
 
-func (c *Cluster) deliverFaulty(to int, m message, kind faults.Kind) bool {
+func (c *Cluster) deliverFaulty(to int, m *message, kind faults.Kind) bool {
 	if c.faults.Down(to) {
 		c.dropInjected(to, m, obs.ReasonNodeDown)
 		return true
@@ -389,10 +390,11 @@ func (c *Cluster) deliverFaulty(to int, m message, kind faults.Kind) bool {
 		// reach the delay deadline, and the virtual driver orders that
 		// against protocol timeouts by deadline — a probe delayed past
 		// the collect window is *supposed* to miss the decide.
+		parked := *m // the sender reuses m once deliver returns
 		c.clock.AfterFunc(a.Delay, func() {
 			defer c.timers.Done()
-			if !c.nodes[to].send(m) {
-				c.dropInjected(to, m, obs.ReasonMailbox)
+			if !c.nodes[to].send(&parked) {
+				c.dropInjected(to, &parked, obs.ReasonMailbox)
 			}
 		})
 		return true
@@ -402,7 +404,7 @@ func (c *Cluster) deliverFaulty(to int, m message, kind faults.Kind) bool {
 
 // dropInjected loses a message, keeping the observability invariants: a
 // dropped probe still closes its span and counts as a dropped probe.
-func (c *Cluster) dropInjected(to int, m message, reason obs.Reason) {
+func (c *Cluster) dropInjected(to int, m *message, reason obs.Reason) {
 	c.ins.faultDrops.Inc()
 	if m.kind == msgProbe {
 		c.tracer.ProbeDropped(m.req.ID, m.probe, m.idx, to, reason)
@@ -412,22 +414,18 @@ func (c *Cluster) dropInjected(to int, m message, reason obs.Reason) {
 	c.tracer.MsgDropped(m.reqID, to, reason)
 }
 
-// sendRelease delivers a session-teardown message. Teardown rides a
-// reliable control channel — it is exempt from fault injection, because
-// a lost release would leak committed resources forever (there is no
-// lease on commits) — and a momentarily full mailbox is retried with
-// backoff instead of dropped.
-func (c *Cluster) sendRelease(to int, owner int64) {
-	c.trySendRelease(to, owner, 0)
-}
-
 const (
 	releaseRetries = 6
 	releaseBackoff = 5 * time.Millisecond
 )
 
-func (c *Cluster) trySendRelease(to int, owner int64, attempt int) {
-	if c.nodes[to].send(message{kind: msgRelease, reqID: owner}) {
+// sendRelease delivers a session-teardown message; attempt counts the
+// retries so far. Teardown rides a reliable control channel — it is exempt
+// from fault injection, because a lost release would leak committed
+// resources forever (there is no lease on commits) — and a momentarily
+// full mailbox is retried with backoff instead of dropped.
+func (c *Cluster) sendRelease(to int, owner int64, attempt int) {
+	if c.nodes[to].send(&message{kind: msgRelease, reqID: owner}) {
 		return
 	}
 	if attempt >= releaseRetries {
@@ -435,7 +433,7 @@ func (c *Cluster) trySendRelease(to int, owner int64, attempt int) {
 		return
 	}
 	c.clock.AfterFunc(releaseBackoff<<attempt, func() {
-		c.trySendRelease(to, owner, attempt+1)
+		c.sendRelease(to, owner, attempt+1)
 	})
 }
 
@@ -493,7 +491,7 @@ func (c *Cluster) submit(req *component.Request, alpha float64) (int64, chan com
 	r := *req
 	r.ID = reqID
 	reply := make(chan composeReply, 1)
-	if !c.nodes[r.Client].send(message{kind: msgCompose, reqID: reqID, req: &r, reply: reply, alpha: alpha}) {
+	if !c.nodes[r.Client].send(&message{kind: msgCompose, reqID: reqID, req: &r, reply: reply, alpha: alpha}) {
 		return reqID, nil, fmt.Errorf("dist: deputy node %d mailbox overloaded", r.Client)
 	}
 	return reqID, reply, nil
@@ -521,7 +519,7 @@ func (c *Cluster) Release(_ *component.Request, comp *Composition) {
 		return
 	}
 	for _, part := range comp.parts {
-		c.sendRelease(part.node, comp.owner)
+		c.sendRelease(part.node, comp.owner, 0)
 	}
 	c.links.ReleaseSession(state.Owner(comp.owner))
 	sess := strconv.FormatInt(comp.owner, 10)
@@ -599,7 +597,7 @@ func (c *Cluster) drainMailboxes() {
 		return
 	}
 	for _, n := range c.nodes {
-		for m, ok := n.mailbox.pop(); ok; m, ok = n.mailbox.pop() {
+		for m := new(message); n.mailbox.pop(m); {
 			if m.kind == msgProbe && m.probe != 0 {
 				c.tracer.ProbeDropped(m.req.ID, m.probe, m.idx, n.id, obs.ReasonShutdown)
 				c.ins.probesDropped.Inc()

@@ -101,7 +101,7 @@ func TestFaultDisabledSendZeroAlloc(t *testing.T) {
 	}
 	msg := message{kind: msgState, node: 1, amount: qos.Resources{CPU: 1}}
 	allocs := testing.AllocsPerRun(500, func() {
-		c.deliver(2, msg, faults.KindState)
+		c.deliver(2, &msg, faults.KindState)
 	})
 	if allocs != 0 {
 		t.Errorf("disabled deliver allocates %.1f per send, want 0", allocs)
@@ -116,7 +116,7 @@ func BenchmarkFaultDisabledDeliver(b *testing.B) {
 	msg := message{kind: msgState, node: 1, amount: qos.Resources{CPU: 1}}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		c.deliver(2, msg, faults.KindState)
+		c.deliver(2, &msg, faults.KindState)
 	}
 }
 
@@ -133,9 +133,9 @@ func TestFaultCommitNackOnFullMailbox(t *testing.T) {
 		t.Fatal(err)
 	}
 	deputy, peer := c.nodes[0], c.nodes[1]
-	for peer.send(message{kind: msgState}) {
+	for peer.send(&message{kind: msgState}) {
 	}
-	for deputy.send(message{kind: msgState}) { // the old self-nack had nowhere to go
+	for deputy.send(&message{kind: msgState}) { // the old self-nack had nowhere to go
 	}
 
 	const reqID = int64(42)
@@ -184,7 +184,8 @@ func TestFaultCommitTimeoutConfigured(t *testing.T) {
 	select {
 	case <-deputy.mailbox.wake:
 		elapsed := time.Since(start)
-		m, _ := deputy.mailbox.pop()
+		var m message
+		deputy.mailbox.pop(&m)
 		if m.kind != msgCommitTimeout {
 			t.Fatalf("unexpected deputy message %q", m.describe())
 		}

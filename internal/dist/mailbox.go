@@ -19,8 +19,8 @@ const (
 	// alpha — the probing ratio of this attempt, which retries widen (§3.6).
 	msgCompose msgKind = iota
 	// msgProbe is one probe hop (§3.3 step 2): the receiver hosts chosen,
-	// the candidate for position plan.Order[idx]. req, plan, alpha, node
-	// (the deputy), probe (tracer span, 0 untraced), hop (the prefix).
+	// the candidate for position walk.plan.Order[idx]. req, walk, alpha,
+	// node (the deputy), probe (tracer span, 0 untraced), hop (the prefix).
 	msgProbe
 	// msgReturn brings a complete probed composition back to the deputy
 	// (§3.3 step 3): hop, its last.
@@ -53,7 +53,7 @@ type message struct {
 	alpha   float64
 	amount  qos.Resources
 	req     *component.Request
-	plan    *component.Plan
+	walk    *reqWalk
 	hop     *hopRecord
 	reply   chan composeReply
 	inspect chan qos.Resources
@@ -62,6 +62,38 @@ type message struct {
 type composeReply struct {
 	comp *Composition
 	err  error
+}
+
+// reqWalk is what every probe of one request shares: the plan, and the
+// blocks its records are bumped from by an atomic index. Records point only
+// at records of the same request, so the blocks die with it.
+type reqWalk struct {
+	plan  *component.Plan
+	block atomic.Pointer[hopBlock] // the newest block
+	mu    sync.Mutex               // taken only to chain a bigger block
+}
+
+type hopBlock struct {
+	used atomic.Int32
+	recs []hopRecord
+}
+
+// newHop bump-allocates a record; a full block chains one twice its size.
+//
+//acp:hotpath
+func (w *reqWalk) newHop() *hopRecord {
+	for {
+		b := w.block.Load()
+		if i := int(b.used.Add(1)); i <= len(b.recs) {
+			return &b.recs[i-1]
+		}
+		w.mu.Lock()
+		if w.block.Load() == b {
+			//acp:alloc-ok a full block chains one twice its size: a request's records cost a few allocations, not one each
+			w.block.Store(&hopBlock{recs: make([]hopRecord, 2*len(b.recs))})
+		}
+		w.mu.Unlock()
+	}
 }
 
 // hopRecord is one filled position of a probe's prefix. A node writes it
@@ -123,6 +155,35 @@ func (m *message) describe() string {
 	return string(b)
 }
 
+// stepLines memoises step-log lines, direct-mapped by stepKey, all a line
+// depends on: a request's probes at one idx, its returns and every state
+// node=K repeat one. The stepping goroutine owns it.
+type stepLines [256]struct {
+	key  stepKey
+	line string
+}
+
+type stepKey struct {
+	kind      msgKind
+	ok        bool
+	idx, node int
+	reqID     int64
+}
+
+func (k stepKey) slot() uint8 {
+	return uint8((uint64(k.reqID) ^ uint64(k.idx)<<40 ^ uint64(k.node)<<24 ^ uint64(k.kind)<<56) * 0x9e3779b97f4a7c15 >> 56)
+}
+
+// line is m.describe(), formatted only when the slot holds another key.
+func (t *stepLines) line(m *message) string {
+	k := stepKey{m.kind, m.ok, m.idx, m.node, m.reqID}
+	e := &t[k.slot()]
+	if e.line == "" || e.key != k {
+		e.key, e.line = k, m.describe()
+	}
+	return e.line
+}
+
 // mailbox is a node's message queue: a ring that grows on demand up to
 // limit messages, so a generous limit costs nothing until it is used.
 // Started and stepped clusters share it; only a started node's goroutine
@@ -174,17 +235,17 @@ func (b *mailbox) push(m *message) bool {
 	return true
 }
 
-// pop takes the oldest message; false when the mailbox is empty.
+// pop moves the oldest message into m; false when the mailbox is empty.
 //
 //acp:hotpath
-func (b *mailbox) pop() (message, bool) {
+func (b *mailbox) pop(m *message) bool {
 	b.mu.Lock()
 	n := int(b.depth.Load())
 	if n == 0 {
 		b.mu.Unlock()
-		return message{}, false
+		return false
 	}
-	m := b.buf[b.head]
+	*m = b.buf[b.head]
 	b.buf[b.head] = message{} // the ring must not keep the request alive
 	b.head = (b.head + 1) & (len(b.buf) - 1)
 	b.depth.Store(int64(n - 1))
@@ -195,7 +256,7 @@ func (b *mailbox) pop() (message, bool) {
 	if n == b.limit {
 		signal(b.space)
 	}
-	return m, true
+	return true
 }
 
 // pushWait queues m, waiting for room; false when quit closes first. A

@@ -1,8 +1,12 @@
 package dist
 
 import (
+	"math/rand"
+	"sync"
 	"testing"
 	"time"
+
+	"repro/internal/component"
 )
 
 // TestMailboxKeepsOrderThroughGrowthAndWrap: a ring that grows while its
@@ -20,7 +24,8 @@ func TestMailboxKeepsOrderThroughGrowthAndWrap(t *testing.T) {
 	}
 	pop := func(k int) {
 		for ; k > 0; k-- {
-			m, ok := b.pop()
+			var m message
+			ok := b.pop(&m)
 			if !ok || m.reqID != want {
 				t.Fatalf("pop = (%d, %v), want %d", m.reqID, ok, want)
 			}
@@ -35,7 +40,7 @@ func TestMailboxKeepsOrderThroughGrowthAndWrap(t *testing.T) {
 	pop(30)
 	push(300)
 	pop(int(next - want))
-	if _, ok := b.pop(); ok || b.depth.Load() != 0 {
+	if b.pop(&message{}) || b.depth.Load() != 0 {
 		t.Fatalf("drained mailbox still reports depth %d", b.depth.Load())
 	}
 }
@@ -52,11 +57,11 @@ func TestSendReportsFullMailboxAtTheBound(t *testing.T) {
 	}
 	n := c.nodes[3]
 	for i := 0; i < cfg.MailboxSize; i++ {
-		if !n.send(message{kind: msgState, node: 1}) {
+		if !n.send(&message{kind: msgState, node: 1}) {
 			t.Fatalf("send %d of %d refused", i+1, cfg.MailboxSize)
 		}
 	}
-	if n.send(message{kind: msgState, node: 1}) {
+	if n.send(&message{kind: msgState, node: 1}) {
 		t.Fatalf("send accepted message %d of a mailbox bounded at %d", cfg.MailboxSize+1, cfg.MailboxSize)
 	}
 	if got := c.MailboxDepth(3); got != cfg.MailboxSize {
@@ -68,7 +73,7 @@ func TestSendReportsFullMailboxAtTheBound(t *testing.T) {
 	if desc, ok := c.StepNode(3); !ok || desc != "state node=1" {
 		t.Fatalf("StepNode = (%q, %v)", desc, ok)
 	}
-	if !n.send(message{kind: msgState, node: 1}) {
+	if !n.send(&message{kind: msgState, node: 1}) {
 		t.Fatal("send still refused after a step made room")
 	}
 }
@@ -83,7 +88,7 @@ func TestSendBlockingWaitsForRoom(t *testing.T) {
 		t.Fatal(err)
 	}
 	n := c.nodes[0]
-	for n.send(message{kind: msgState}) {
+	for n.send(&message{kind: msgState}) {
 	}
 	delivered := make(chan struct{}, 3)
 	for reqID := int64(1); reqID <= 3; reqID++ {
@@ -111,5 +116,73 @@ func TestSendBlockingWaitsForRoom(t *testing.T) {
 	<-delivered
 	if got := c.inflight.Load(); got != int64(c.cfg.MailboxSize) {
 		t.Fatalf("inflight = %d, want %d: the abandoned send must return its credit", got, c.cfg.MailboxSize)
+	}
+}
+
+// TestStepLabelsMatchDescribe: a memoised step-log line is byte for byte
+// the line describe builds, for every kind — on hits, on misses, and when
+// keys that share one slot keep evicting each other.
+func TestStepLabelsMatchDescribe(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	random := func() message {
+		return message{
+			kind:  msgKind(rng.Intn(int(msgInspect) + 1)),
+			reqID: rng.Int63n(8) + rng.Int63n(2)*rng.Int63(), // repeats, and IDs of every width
+			idx:   rng.Intn(6),
+			node:  rng.Intn(8),
+			ok:    rng.Intn(2) == 0,
+		}
+	}
+	var lines stepLines
+	check := func(m message) {
+		t.Helper()
+		if got, want := lines.line(&m), m.describe(); got != want {
+			t.Fatalf("line of %+v = %q, describe = %q", m, got, want)
+		}
+	}
+	for i := 0; i < 50_000; i++ {
+		check(random())
+	}
+	const slot = 17
+	var same []message
+	for len(same) < 8 {
+		m := random()
+		if (stepKey{m.kind, m.ok, m.idx, m.node, m.reqID}).slot() == slot {
+			same = append(same, m)
+		}
+	}
+	for i := 0; i < 1_000; i++ {
+		check(same[rng.Intn(len(same))])
+	}
+}
+
+// TestNewHopConcurrent: node goroutines bumping records of one request
+// at once, across several block doublings, each get a record of their own.
+func TestNewHopConcurrent(t *testing.T) {
+	const workers, each = 4, 500
+	w := &reqWalk{}
+	w.block.Store(&hopBlock{recs: make([]hopRecord, 64)})
+	got := make([][]*hopRecord, workers)
+	var wg sync.WaitGroup
+	for g := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < each; i++ {
+				h := w.newHop()
+				*h = hopRecord{chosen: component.ComponentID(g*each + i)}
+				got[g] = append(got[g], h)
+			}
+		}()
+	}
+	wg.Wait()
+	seen := make(map[*hopRecord]bool, workers*each)
+	for g := range got {
+		for i, h := range got[g] {
+			if seen[h] || h.chosen != component.ComponentID(g*each+i) {
+				t.Fatalf("record %d of worker %d was handed out twice", i, g)
+			}
+			seen[h] = true
+		}
 	}
 }

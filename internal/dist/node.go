@@ -18,7 +18,7 @@ import (
 // pendingCompose is the deputy-side state of one in-flight request.
 type pendingCompose struct {
 	req     *component.Request
-	plan    *component.Plan
+	walk    *reqWalk
 	reply   chan composeReply
 	returns []*hopRecord // last hop of each returned probe
 	// composeStart is the compose arrival on the cluster clock; the
@@ -58,7 +58,8 @@ type node struct {
 	view         []qos.Resources
 	lastReported qos.Resources
 	pending      map[int64]*pendingCompose
-	down         bool // inside a scheduled outage
+	down         bool         // inside a scheduled outage
+	spare        []*hopRecord // a decided request's returns, cleared, for the next
 
 	kern *core.Kernel // selection, stacking and Eq. 1 scratch
 	// Scratch of the return being evaluated: its per-edge routes, its
@@ -92,9 +93,9 @@ func newNode(c *Cluster, id int) *node {
 // messages treat a full mailbox as an overloaded peer.
 //
 //acp:hotpath
-func (n *node) send(m message) bool {
+func (n *node) send(m *message) bool {
 	n.c.inflight.Add(1) // before the enqueue: no visible-but-uncounted window
-	if n.mailbox.push(&m) {
+	if n.mailbox.push(m) {
 		return true
 	}
 	n.c.inflight.Add(-1)
@@ -123,7 +124,7 @@ func (n *node) run() {
 		case <-n.quit:
 			return
 		case <-n.mailbox.wake:
-			n.step() // a stale token finds the mailbox empty
+			n.step(&message{}) // a stale token finds the mailbox empty
 		case <-sweepC:
 			n.checkCrash()
 			n.sweep()
@@ -131,16 +132,16 @@ func (n *node) run() {
 	}
 }
 
-// step dispatches the oldest queued message, applying any due
-// crash/restart transition first; false when the mailbox is empty.
-func (n *node) step() (message, bool) {
-	m, ok := n.mailbox.pop()
+// step moves the oldest queued message into m and dispatches it, applying
+// any due crash/restart transition first; false when the mailbox is empty.
+func (n *node) step(m *message) bool {
+	ok := n.mailbox.pop(m)
 	if ok {
 		n.checkCrash()
-		n.dispatch(&m)
+		n.dispatch(m)
 		n.c.inflight.Add(-1) // dispatch done: every send it made is counted
 	}
-	return m, ok
+	return ok
 }
 
 // sweep is the periodic hold-expiry pass: transient allocations
@@ -186,7 +187,12 @@ func (n *node) crash() {
 	n.c.ins.nodeCrashes.Inc()
 	n.holds = n.holds[:0]
 	n.heldTotal = qos.Resources{}
-	for _, reqID := range sortedPendingIDs(n.pending) {
+	ids := make([]int64, 0, len(n.pending)) // failed in a reproducible order
+	for id := range n.pending {
+		ids = append(ids, id)
+	}
+	slices.Sort(ids)
+	for _, reqID := range ids {
 		p := n.pending[reqID]
 		if p.comp != nil {
 			n.rollback(p, reqID, obs.ReasonNodeCrash)
@@ -202,17 +208,6 @@ func (n *node) refuse(p *pendingCompose, reason obs.Reason) {
 	n.c.tracer.Decided(p.req.ID, n.id, reason)
 	n.c.ins.noComposition.Inc()
 	p.reply <- composeReply{err: ErrNoComposition}
-}
-
-// sortedPendingIDs orders the deputy's in-flight request IDs so a crash
-// fails them in a reproducible sequence.
-func sortedPendingIDs(pending map[int64]*pendingCompose) []int64 {
-	out := make([]int64, 0, len(pending))
-	for id := range pending {
-		out = append(out, id)
-	}
-	slices.Sort(out)
-	return out
 }
 
 // restart brings the node back: views may be stale (they refresh from
@@ -297,13 +292,13 @@ func (n *node) maybeBroadcast() {
 			peer.view[n.id] = avail
 			continue
 		}
-		n.c.deliver(peer.id, msg, faults.KindState) // drops are tolerated: the view stays stale
+		n.c.deliver(peer.id, &msg, faults.KindState) // drops are tolerated: the view stays stale
 	}
 }
 
-// onCompose initiates probing as the deputy node. The walk plan —
-// topological order and predecessor lists — is computed here, once, and
-// every probe of the request carries a pointer to it.
+// onCompose initiates probing as the deputy node. The walk — the plan's
+// topological order and predecessor lists, the first hop block — is made
+// here, once, and every probe of the request carries a pointer to it.
 func (n *node) onCompose(msg *message) {
 	req := msg.req
 	plan, err := req.Graph.Plan()
@@ -312,10 +307,13 @@ func (n *node) onCompose(msg *message) {
 		return
 	}
 	n.c.tracer.RequestReceived(req.ID, n.id)
-	p := &pendingCompose{req: req, plan: plan, reply: msg.reply, composeStart: n.c.clock.Now()}
+	w := &reqWalk{plan: plan}
+	w.block.Store(&hopBlock{recs: make([]hopRecord, 64)})
+	p := &pendingCompose{req: req, walk: w, reply: msg.reply, composeStart: n.c.clock.Now(), returns: n.spare}
+	n.spare = nil
 	n.pending[req.ID] = p
 
-	if n.fanOut(req, plan, 0, nil, msg.alpha, 0) == 0 {
+	if n.fanOut(req, w, 0, nil, msg.alpha, 0) == 0 {
 		n.refuse(p, obs.ReasonNoComposition)
 		return
 	}
@@ -325,7 +323,7 @@ func (n *node) onCompose(msg *message) {
 	})
 }
 
-// fanOut selects candidates for position plan.Order[idx] and sends one
+// fanOut selects candidates for position w.plan.Order[idx] and sends one
 // probe to each chosen candidate's host, returning how many were sent. The
 // kernel qualifies and ranks (§3.5); this engine supplies the coarse
 // state — the node's view of its peers and the link ledger. prefix is the
@@ -333,10 +331,10 @@ func (n *node) onCompose(msg *message) {
 // and parent its span, to which selection prunes are attributed.
 //
 //acp:hotpath
-func (n *node) fanOut(req *component.Request, plan *component.Plan, idx int,
+func (n *node) fanOut(req *component.Request, w *reqWalk, idx int,
 	prefix *hopRecord, alpha float64, parent int64) int {
 
-	pos := plan.Order[idx]
+	pos := w.plan.Order[idx]
 	tr := n.c.tracer
 	acc := prefix.accumulated()
 	candidates := n.c.catalog.Candidates(req.Graph.Functions[pos])
@@ -346,12 +344,12 @@ func (n *node) fanOut(req *component.Request, plan *component.Plan, idx int,
 			continue
 		}
 		cand := n.c.catalog.Component(id)
-		linkQoS, routeBW := n.predecessorRoutes(plan, idx, prefix, cand.Node)
+		linkQoS, routeBW := n.predecessorRoutes(w.plan, idx, prefix, cand.Node)
 		n.kern.Consider(&hop, cand, acc.Add(linkQoS).Add(cand.QoS), n.view[cand.Node], routeBW)
 	}
 	selected := n.kern.Select(&hop, core.SelectRiskThenCongestion, alpha, len(candidates))
 
-	msg := message{kind: msgProbe, reqID: req.ID, req: req, plan: plan, node: req.Client, idx: idx, hop: prefix, alpha: alpha}
+	msg := message{kind: msgProbe, reqID: req.ID, req: req, walk: w, node: req.Client, idx: idx, hop: prefix, alpha: alpha}
 	sent := 0
 	for _, id := range selected {
 		host := n.c.catalog.Component(id).Node
@@ -360,7 +358,7 @@ func (n *node) fanOut(req *component.Request, plan *component.Plan, idx int,
 			msg.probe = tr.NextProbeID()
 			tr.ProbeSpawned(req.ID, msg.probe, pos, host, acc.Delay)
 		}
-		if n.c.deliver(host, msg, faults.KindProbe) {
+		if n.c.deliver(host, &msg, faults.KindProbe) {
 			sent++
 			n.c.ins.probesSent.Inc()
 		} else {
@@ -398,7 +396,7 @@ func (n *node) predecessorRoutes(plan *component.Plan, idx int, prefix *hopRecor
 //
 //acp:hotpath
 func (n *node) onProbe(msg *message) {
-	req, plan := msg.req, msg.plan
+	req, plan := msg.req, msg.walk.plan
 	tr := n.c.tracer
 	gpos := plan.Order[msg.idx]
 	cand := n.c.catalog.Component(msg.chosen)
@@ -434,11 +432,12 @@ func (n *node) onProbe(msg *message) {
 	// the request's own perspective: holds of this request — this probe's
 	// and its siblings' — are credited back, so the deputy subtracts the
 	// request's stacked demand from it exactly once.
-	//acp:alloc-ok one immutable record per accepted probe, shared by every child, in place of four prefix slice copies per hop
-	hop := &hopRecord{parent: msg.hop, chosen: msg.chosen, avail: n.availableFor(req.ID), acc: acc}
+	hop := msg.walk.newHop()
+	*hop = hopRecord{parent: msg.hop, chosen: msg.chosen, avail: n.availableFor(req.ID), acc: acc}
 
 	if msg.idx == len(plan.Order)-1 {
-		if n.c.deliver(msg.node, message{kind: msgReturn, reqID: req.ID, hop: hop}, faults.KindProbe) {
+		ret := message{kind: msgReturn, reqID: req.ID, hop: hop}
+		if n.c.deliver(msg.node, &ret, faults.KindProbe) {
 			tr.ProbeReturned(req.ID, msg.probe, n.id, acc.Delay)
 			n.c.ins.probeReturns.Inc()
 			n.c.ins.probeDelayMs.Observe(acc.Delay)
@@ -448,7 +447,7 @@ func (n *node) onProbe(msg *message) {
 		}
 		return
 	}
-	children := n.fanOut(req, plan, msg.idx+1, hop, msg.alpha, msg.probe)
+	children := n.fanOut(req, msg.walk, msg.idx+1, hop, msg.alpha, msg.probe)
 	tr.ProbeForwarded(req.ID, msg.probe, gpos, n.id, children)
 }
 
@@ -471,6 +470,8 @@ func (n *node) onDecide(reqID int64) {
 			best, bestPhi = ret, phi
 		}
 	}
+	clear(p.returns) // the spare must not keep this request's records alive
+	n.spare, p.returns = p.returns[:0], nil
 	if best == nil {
 		n.refuse(p, obs.ReasonNoComposition)
 		return
@@ -480,7 +481,7 @@ func (n *node) onDecide(reqID int64) {
 	// Commit phase: bandwidth first (atomic all-or-nothing), then the
 	// per-node resource confirmations. The winner passed evaluateReturn,
 	// so its prefix unrolls and its edges are routable.
-	n.unroll(p.plan, best)
+	n.unroll(p.walk.plan, best)
 	comps := slices.Clone(n.assign)
 	nodes, links, _ := n.stack(p.req, comps)
 	_, linkDemand := core.DemandMaps(nil, links)
@@ -513,7 +514,7 @@ func (n *node) startCommit(reqID int64, p *pendingCompose) {
 			continue
 		}
 		msg := message{kind: msgCommit, reqID: reqID, amount: part.amount, node: n.id}
-		if !n.c.deliver(part.node, msg, faults.KindProtocol) {
+		if !n.c.deliver(part.node, &msg, faults.KindProtocol) {
 			// The peer's mailbox is full: record the nack inline (our own
 			// mailbox may be full too).
 			n.onCommitAck(reqID, part.node, false)
@@ -564,14 +565,14 @@ func (n *node) stack(req *component.Request, assign []component.ComponentID) ([]
 // overlay link what the link ledger has now.
 func (n *node) evaluateReturn(p *pendingCompose, ret *hopRecord) (float64, bool) {
 	req := p.req
-	if ret.acc.MaxRatio(req.QoSReq) > 1 || !n.unroll(p.plan, ret) {
+	if ret.acc.MaxRatio(req.QoSReq) > 1 || !n.unroll(p.walk.plan, ret) {
 		return 0, false
 	}
 	nodes, links, ok := n.stack(req, n.assign)
 	if !ok {
 		return 0, false
 	}
-	for i, gpos := range p.plan.Order {
+	for i, gpos := range p.walk.plan.Order {
 		host := n.c.catalog.Component(n.assign[gpos]).Node
 		for j := range nodes {
 			if nodes[j].Node == host {
@@ -606,7 +607,7 @@ func (n *node) onCommit(owner int64, amount qos.Resources, deputy int) {
 		n.onCommitAck(owner, n.id, ok)
 		return
 	}
-	n.c.deliver(deputy, message{kind: msgCommitAck, reqID: owner, node: n.id, ok: ok}, faults.KindProtocol)
+	n.c.deliver(deputy, &message{kind: msgCommitAck, reqID: owner, node: n.id, ok: ok}, faults.KindProtocol)
 }
 
 // onCommitAck gathers commit outcomes; all-acked resolves the request,
@@ -660,7 +661,7 @@ func (n *node) rollback(p *pendingCompose, reqID int64, reason obs.Reason) {
 				n.onRelease(reqID)
 				continue
 			}
-			n.c.sendRelease(part.node, reqID)
+			n.c.sendRelease(part.node, reqID, 0)
 		}
 	}
 	p.reply <- composeReply{err: ErrNoComposition}

@@ -75,11 +75,11 @@ func (c *Cluster) MailboxDepth(id int) int { return int(c.nodes[id].mailbox.dept
 // returns a short description of the message for the harness step log,
 // and false when the mailbox was empty.
 func (c *Cluster) StepNode(id int) (string, bool) {
-	m, ok := c.nodes[id].step()
-	if !ok {
+	var m message
+	if !c.nodes[id].step(&m) {
 		return "", false
 	}
-	return m.describe(), true
+	return c.steps.line(&m), true
 }
 
 // SweepNode runs one hold-expiry sweep pass on the node (the periodic
