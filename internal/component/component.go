@@ -11,6 +11,7 @@ package component
 import (
 	"fmt"
 	"math"
+	"slices"
 	"time"
 
 	"repro/internal/qos"
@@ -85,22 +86,9 @@ func (g *Graph) Predecessors(p int) []int {
 
 // Sources returns positions with no predecessors.
 func (g *Graph) Sources() []int {
-	return g.boundary(func(e Edge) int { return e.To })
-}
-
-// Sinks returns positions with no successors.
-func (g *Graph) Sinks() []int {
-	return g.boundary(func(e Edge) int { return e.From })
-}
-
-func (g *Graph) boundary(pick func(Edge) int) []int {
-	has := make([]bool, g.NumPositions())
-	for _, e := range g.Edges {
-		has[pick(e)] = true
-	}
 	var out []int
-	for p, h := range has {
-		if !h {
+	for p := range g.Functions {
+		if g.Predecessors(p) == nil {
 			out = append(out, p)
 		}
 	}
@@ -108,99 +96,12 @@ func (g *Graph) boundary(pick func(Edge) int) []int {
 }
 
 // Validate checks structural sanity: at least one position, edges in
-// range, no self-loops or duplicate edges, acyclic, weakly connected,
-// exactly one source and one sink. Composition probing relies on the
+// range, no self-loops or duplicate edges, acyclic, exactly one source
+// and one sink (see Plan.Build). Composition probing relies on the
 // single-source/single-sink shape to merge probed branch paths (§3.3).
 func (g *Graph) Validate() error {
-	n := g.NumPositions()
-	if n == 0 {
-		return fmt.Errorf("component: graph has no functions")
-	}
-	seen := make(map[Edge]bool, len(g.Edges))
-	for _, e := range g.Edges {
-		if e.From < 0 || e.From >= n || e.To < 0 || e.To >= n {
-			return fmt.Errorf("component: edge %v out of range", e)
-		}
-		if e.From == e.To {
-			return fmt.Errorf("component: self-loop at position %d", e.From)
-		}
-		if seen[e] {
-			return fmt.Errorf("component: duplicate edge %v", e)
-		}
-		seen[e] = true
-	}
-	if _, err := g.TopoOrder(); err != nil {
-		return err
-	}
-	if n > 1 {
-		if src := g.Sources(); len(src) != 1 {
-			return fmt.Errorf("component: graph has %d sources, want 1", len(src))
-		}
-		if snk := g.Sinks(); len(snk) != 1 {
-			return fmt.Errorf("component: graph has %d sinks, want 1", len(snk))
-		}
-		if !g.weaklyConnected() {
-			return fmt.Errorf("component: graph is not connected")
-		}
-	}
-	return nil
-}
-
-func (g *Graph) weaklyConnected() bool {
-	n := g.NumPositions()
-	adj := make([][]int, n)
-	for _, e := range g.Edges {
-		adj[e.From] = append(adj[e.From], e.To)
-		adj[e.To] = append(adj[e.To], e.From)
-	}
-	seen := make([]bool, n)
-	stack := []int{0}
-	seen[0] = true
-	count := 1
-	for len(stack) > 0 {
-		v := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		for _, w := range adj[v] {
-			if !seen[w] {
-				seen[w] = true
-				count++
-				stack = append(stack, w)
-			}
-		}
-	}
-	return count == n
-}
-
-// TopoOrder returns a topological ordering of positions, or an error when
-// the graph contains a cycle.
-func (g *Graph) TopoOrder() ([]int, error) {
-	n := g.NumPositions()
-	indeg := make([]int, n)
-	for _, e := range g.Edges {
-		indeg[e.To]++
-	}
-	var queue []int
-	for p := 0; p < n; p++ {
-		if indeg[p] == 0 {
-			queue = append(queue, p)
-		}
-	}
-	order := make([]int, 0, n)
-	for len(queue) > 0 {
-		p := queue[0]
-		queue = queue[1:]
-		order = append(order, p)
-		for _, s := range g.Successors(p) {
-			indeg[s]--
-			if indeg[s] == 0 {
-				queue = append(queue, s)
-			}
-		}
-	}
-	if len(order) != n {
-		return nil, fmt.Errorf("component: graph has a cycle")
-	}
-	return order, nil
+	var p Plan
+	return p.Build(g)
 }
 
 // Plan is what a probe needs of the graph at every hop, computed once per
@@ -213,39 +114,86 @@ type Plan struct {
 	// Index is the inverse of Order: Index[p] is the hop that fills p.
 	Index []int
 	// Preds[p] lists the positions directly upstream of p in edge order,
-	// element for element what Predecessors(p) returns.
+	// element for element what Predecessors(p) returns. The windows lie
+	// one after another in position order.
 	Preds [][]int
+
+	buf []int // backs Order, Index and the Preds windows
 }
 
-// Plan computes the graph's walk plan, or an error when the graph
-// contains a cycle.
-func (g *Graph) Plan() (*Plan, error) {
-	order, err := g.TopoOrder()
-	if err != nil {
-		return nil, err
+// Build validates g and makes p its walk plan, in p's own storage: a plan
+// rebuilt for a graph no larger than one it held allocates nothing. After
+// an error p is not the plan of any graph.
+//
+// It checks what Validate promises. Kahn's queue is Order itself and
+// successors come from scanning g.Edges in order, so Order is the
+// breadth-first topological order, sources by position. Connectivity
+// needs no check of its own: in a DAG every position reaches a sink, so
+// with exactly one sink every position is connected to it.
+func (p *Plan) Build(g *Graph) error {
+	n, m := len(g.Functions), len(g.Edges)
+	if n == 0 {
+		return fmt.Errorf("component: graph has no functions")
 	}
-	n := g.NumPositions()
-	index := make([]int, n)
-	for i, p := range order {
-		index[p] = i
+	for i, e := range g.Edges {
+		if e.From < 0 || e.From >= n || e.To < 0 || e.To >= n {
+			return fmt.Errorf("component: edge %v out of range", e)
+		}
+		if e.From == e.To {
+			return fmt.Errorf("component: self-loop at position %d", e.From)
+		}
+		if slices.Contains(g.Edges[:i], e) {
+			return fmt.Errorf("component: duplicate edge %v", e)
+		}
 	}
-	// Bucket the edges into one flat backing array: a count pass sizes
-	// each position's window, a fill pass appends into it.
-	counts := make([]int, n)
+	p.buf = slices.Grow(p.buf[:0], 2*n+m)[:2*n+m]
+	order, index, flat := p.buf[:0:n], p.buf[n:2*n], p.buf[2*n:]
+	// index holds the indegrees until the order is known; they size the
+	// predecessor windows.
+	clear(index)
 	for _, e := range g.Edges {
-		counts[e.To]++
+		index[e.To]++
 	}
-	flat := make([]int, len(g.Edges))
-	preds := make([][]int, n)
+	p.Preds = slices.Grow(p.Preds[:0], n)[:n]
 	off := 0
-	for p := range preds {
-		preds[p] = flat[off : off : off+counts[p]]
-		off += counts[p]
+	for v, deg := range index {
+		p.Preds[v] = flat[off : off : off+deg]
+		off += deg
+		if deg == 0 {
+			order = append(order, v)
+		}
 	}
 	for _, e := range g.Edges {
-		preds[e.To] = append(preds[e.To], e.From)
+		p.Preds[e.To] = append(p.Preds[e.To], e.From)
 	}
-	return &Plan{Order: order, Index: index, Preds: preds}, nil
+	sources, sinks := len(order), 0
+	for head := 0; head < len(order); head++ {
+		v, last := order[head], true
+		for _, e := range g.Edges {
+			if e.From == v {
+				last = false
+				if index[e.To]--; index[e.To] == 0 {
+					order = append(order, e.To)
+				}
+			}
+		}
+		if last {
+			sinks++
+		}
+	}
+	switch {
+	case len(order) != n:
+		return fmt.Errorf("component: graph has a cycle")
+	case sources != 1:
+		return fmt.Errorf("component: graph has %d sources, want 1", sources)
+	case sinks != 1:
+		return fmt.Errorf("component: graph has %d sinks, want 1", sinks)
+	}
+	for i, v := range order {
+		index[v] = i
+	}
+	p.Order, p.Index = order, index
+	return nil
 }
 
 // IsPath reports whether the graph is a simple chain.
@@ -362,10 +310,18 @@ func (r *Request) PhiWeight() float64 {
 
 // Validate checks the request is internally consistent.
 func (r *Request) Validate() error {
+	var p Plan
+	return r.Check(&p)
+}
+
+// Check is Validate that leaves the request's walk plan in p (see
+// Plan.Build), so a caller that walks the graph validates and plans it
+// in one pass over p's reused storage.
+func (r *Request) Check(p *Plan) error {
 	if r.Graph == nil {
 		return fmt.Errorf("component: request %d has no function graph", r.ID)
 	}
-	if err := r.Graph.Validate(); err != nil {
+	if err := p.Build(r.Graph); err != nil {
 		return fmt.Errorf("request %d: %w", r.ID, err)
 	}
 	if len(r.ResReq) != r.Graph.NumPositions() {

@@ -33,8 +33,10 @@ func TestNewPathGraph(t *testing.T) {
 	if src := g.Sources(); len(src) != 1 || src[0] != 0 {
 		t.Errorf("Sources = %v, want [0]", src)
 	}
-	if snk := g.Sinks(); len(snk) != 1 || snk[0] != 2 {
-		t.Errorf("Sinks = %v, want [2]", snk)
+	for p, sink := range []bool{false, false, true} {
+		if got := g.Successors(p) == nil; got != sink {
+			t.Errorf("position %d is a sink: %v, want %v", p, got, sink)
+		}
 	}
 }
 
@@ -85,8 +87,12 @@ func TestGraphValidateErrors(t *testing.T) {
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
-			if err := tt.g.Validate(); err == nil {
-				t.Error("Validate accepted invalid graph")
+			err, ref := tt.g.Validate(), refValidate(&tt.g)
+			if err == nil {
+				t.Fatal("Validate accepted invalid graph")
+			}
+			if err.Error() != ref.Error() {
+				t.Errorf("Validate says %q, the reference %q", err, ref)
 			}
 		})
 	}
@@ -94,10 +100,11 @@ func TestGraphValidateErrors(t *testing.T) {
 
 func TestTopoOrder(t *testing.T) {
 	g := mustBranchGraph(t)
-	order, err := g.TopoOrder()
-	if err != nil {
+	var plan Plan
+	if err := plan.Build(g); err != nil {
 		t.Fatal(err)
 	}
+	order := plan.Order
 	pos := make(map[int]int, len(order))
 	for i, p := range order {
 		pos[p] = i
@@ -112,21 +119,22 @@ func TestTopoOrder(t *testing.T) {
 	}
 }
 
-// TestPlanMatchesGraphQueries: the precomputed plan answers what
-// TopoOrder and Predecessors answer, element for element — a probe that
-// reads the plan sums link QoS in the order one that asks the graph does.
+// TestPlanMatchesGraphQueries: the precomputed plan answers what the
+// reference topological sort and Predecessors answer, element for
+// element — a probe that reads the plan sums link QoS in the order one
+// that asks the graph does.
 func TestPlanMatchesGraphQueries(t *testing.T) {
 	graphs := []*Graph{mustBranchGraph(t), NewPathGraph([]FunctionID{3, 1, 2}), NewPathGraph([]FunctionID{0}),
 		// edges listed against position order: a sink with three predecessors
 		{Functions: []FunctionID{0, 1, 2, 3}, Edges: []Edge{{2, 3}, {0, 1}, {0, 2}, {1, 3}, {0, 3}}}}
 	for _, g := range graphs {
-		plan, err := g.Plan()
-		if err != nil {
+		var plan Plan
+		if err := plan.Build(g); err != nil {
 			t.Fatal(err)
 		}
-		order, _ := g.TopoOrder()
+		order, _ := refTopoOrder(g)
 		if !slices.Equal(plan.Order, order) {
-			t.Errorf("Plan.Order = %v, TopoOrder = %v", plan.Order, order)
+			t.Errorf("Plan.Order = %v, reference %v", plan.Order, order)
 		}
 		for p := 0; p < g.NumPositions(); p++ {
 			if plan.Order[plan.Index[p]] != p {
@@ -138,8 +146,27 @@ func TestPlanMatchesGraphQueries(t *testing.T) {
 		}
 	}
 	cyclic := &Graph{Functions: []FunctionID{0, 1}, Edges: []Edge{{0, 1}, {1, 0}}}
-	if _, err := cyclic.Plan(); err == nil {
-		t.Error("Plan accepted a cyclic graph")
+	var plan Plan
+	if err := plan.Build(cyclic); err == nil {
+		t.Error("Build accepted a cyclic graph")
+	}
+}
+
+// TestPlanBuildAllocations: a warm plan rebuilt for a path or for a
+// two-branch DAG allocates nothing — what one validation per request costs
+// a walk that keeps its plan.
+func TestPlanBuildAllocations(t *testing.T) {
+	var plan Plan
+	for _, g := range []*Graph{NewPathGraph([]FunctionID{3, 1, 2, 4}), mustBranchGraph(t)} {
+		build := func() {
+			if err := plan.Build(g); err != nil {
+				t.Fatal(err)
+			}
+		}
+		build() // size the plan
+		if allocs := testing.AllocsPerRun(100, build); allocs != 0 {
+			t.Errorf("Plan.Build of %d positions allocates %.1f per call when warm, want 0", g.NumPositions(), allocs)
+		}
 	}
 }
 

@@ -10,6 +10,16 @@ import (
 	"repro/internal/state"
 )
 
+// beginPlannedWalk starts a walk on req the way Probe does: it validates
+// the request into the composer's plan, then resets the scratch.
+func beginPlannedWalk(t testing.TB, c *Composer, req *component.Request) {
+	t.Helper()
+	if err := req.Check(&c.scratch.plan); err != nil {
+		t.Fatal(err)
+	}
+	c.beginWalk(req)
+}
+
 // TestSelectCandidatesSteadyStateAllocations pins the per-hop candidate
 // selection at zero allocations once the composer's scratch buffers are
 // warm: the ranking, pruning, and shuffling all happen in reused slices.
@@ -23,7 +33,7 @@ func TestSelectCandidatesSteadyStateAllocations(t *testing.T) {
 	}()} {
 		c := mustComposer(t, env, cfg)
 		req := easyRequest(1)
-		c.beginWalk(req)
+		beginPlannedWalk(t, c, req)
 		cands := c.lookup(req.Graph.Functions[0])
 		if len(cands) == 0 {
 			t.Fatal("no candidates")
@@ -44,14 +54,10 @@ func TestProbeHopSteadyStateAllocations(t *testing.T) {
 	env, _ := testEnv(t, 7)
 	c := mustComposer(t, env, DefaultConfig())
 	req := easyRequest(1)
-	order, err := req.Graph.TopoOrder()
-	if err != nil {
-		t.Fatal(err)
-	}
 	out := &Outcome{Request: req}
 	run := func() {
-		c.beginWalk(req)
-		if children := c.extendProbe(out, hopChild{}, 0, order[0], true); len(children) == 0 {
+		beginPlannedWalk(t, c, req)
+		if children := c.extendProbe(out, hopChild{}, 0, c.walk.order[0], true); len(children) == 0 {
 			t.Fatal("source hop produced no children")
 		}
 		c.env.Ledger.ReleaseOwner(state.Owner(req.ID))
@@ -66,12 +72,12 @@ func TestProbeHopSteadyStateAllocations(t *testing.T) {
 	}
 }
 
-// TestProbeSteadyStateAllocations bounds a whole probe walk. A walk
-// cannot be literally allocation-free (the Outcome, the winning
-// composition's deep copy, and the per-request graph traversal remain),
-// but the former per-child prefix copies and per-walk maps are gone; the
-// old implementation spent thousands of allocations per walk on this
-// workload.
+// TestProbeSteadyStateAllocations bounds a whole probe walk. What a walk
+// allocates is what it hands back: the Outcome and the winning
+// composition's deep copy (three objects). Validation builds the walk plan
+// in the composer's scratch, so the graph costs nothing per request; the
+// per-child prefix copies and per-walk maps of earlier versions cost
+// thousands of allocations per walk on this workload.
 func TestProbeSteadyStateAllocations(t *testing.T) {
 	env, _ := testEnv(t, 8)
 	c := mustComposer(t, env, DefaultConfig())
@@ -89,10 +95,11 @@ func TestProbeSteadyStateAllocations(t *testing.T) {
 		}
 	}
 	probeAll() // size the scratch buffers
-	// 30.25 measured on this workload, with and without the walk's
-	// availability view: the view lives in two flat composer-lifetime
-	// arrays and must not add to it.
-	const maxAllocsPerProbe = 34
+	// 4.0 measured on this workload (30.25 when validation, the
+	// topological sort and the predecessor lists were per request). The
+	// availability view lives in two flat composer-lifetime arrays and
+	// must not add to it.
+	const maxAllocsPerProbe = 5
 	allocs := testing.AllocsPerRun(5, probeAll) / float64(len(reqs))
 	if allocs > maxAllocsPerProbe {
 		t.Errorf("probe walk allocates %.1f per request in steady state, want <= %d", allocs, maxAllocsPerProbe)
@@ -101,7 +108,7 @@ func TestProbeSteadyStateAllocations(t *testing.T) {
 	// The view itself: a new walk's first read of every node and every
 	// overlay link — and the repeat reads after it — allocate nothing.
 	readAll := func() {
-		c.beginWalk(reqs[0])
+		beginPlannedWalk(t, c, reqs[0])
 		for pass := 0; pass < 2; pass++ {
 			for n := 0; n < env.Mesh.NumNodes(); n++ {
 				c.nodeAvail(n)
@@ -124,7 +131,7 @@ func TestProbeSteadyStateAllocations(t *testing.T) {
 		}
 	}
 	markAll := func() {
-		c.beginWalk(reqs[0])
+		beginPlannedWalk(t, c, reqs[0])
 		for pos := 0; pos < reqs[0].Graph.NumPositions(); pos++ {
 			for n := 0; n < env.Mesh.NumNodes(); n++ {
 				if c.hopHeld(pos, n, routed) {

@@ -73,10 +73,11 @@ func boundEnv(t *testing.T, mesh *overlay.Mesh, cat *component.Catalog, rng *ran
 // qualified assignment and how many assignments met the QoS requirement.
 func bruteForce(t *testing.T, env Env, req *component.Request, mode PhiMode) (best []component.ComponentID, phi float64, complete int) {
 	t.Helper()
-	order, err := req.Graph.TopoOrder()
-	if err != nil {
+	var plan component.Plan
+	if err := plan.Build(req.Graph); err != nil {
 		t.Fatal(err)
 	}
+	order := plan.Order
 	k := NewKernel(env.Catalog)
 	owner := state.Owner(req.ID)
 	assign := make([]component.ComponentID, len(order))

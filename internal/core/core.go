@@ -344,7 +344,7 @@ func (c *Composer) ProbingRatio() float64 { return c.cfg.ProbingRatio }
 // transient holds (when enabled) awaiting Commit; on failure all of the
 // request's holds have been released.
 func (c *Composer) Probe(req *component.Request) (*Outcome, error) {
-	if err := req.Validate(); err != nil {
+	if err := req.Check(&c.scratch.plan); err != nil {
 		return nil, err
 	}
 	if req.Client < 0 || req.Client >= c.env.Mesh.NumNodes() {

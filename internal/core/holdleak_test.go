@@ -235,7 +235,7 @@ func TestRolledBackHopLeavesNoMark(t *testing.T) {
 	sc := newHoldLeakScenario(t, true)
 	c, req, n0 := sc.composer, sc.req, sc.n0
 	ws := &c.scratch
-	c.beginWalk(req)
+	beginPlannedWalk(t, c, req)
 	out := &Outcome{Request: req}
 	onNode := func(children []hopChild, node int) hopChild {
 		t.Helper()

@@ -111,9 +111,12 @@ type walkScratch struct {
 	heldNode []uint64 // [pos*numNodes+node] == epoch: hold placed this walk
 	heldLink []uint64 // [pos*numLinks+link] == epoch: hold placed this walk
 
+	// plan is the request's walk plan, built by Probe as it validates.
+	plan component.Plan
+
 	facts   []linkFact // the walk's link-fact blocks, one after another
-	factOff []int      // per graph edge, in predFlat order: where its block starts
-	predOff []int      // per position: where its predecessors start in predFlat
+	factOff []int      // per graph edge, in the order of the plan's predecessor windows: where its block starts
+	predOff []int      // per position: where its predecessors' edges start in factOff
 
 	cur       []component.ComponentID // DFS cursor assignment, one slot per position
 	rank      []int                   // the cursor's sibling rank per depth
@@ -124,9 +127,6 @@ type walkScratch struct {
 
 	children   [][]hopChild    // per-depth extendProbe output
 	predRoutes []overlay.Route // predecessorRoutes result buffer
-	preds      [][]int         // per-position predecessor lists, rebuilt per walk
-	predFlat   []int           // backing store for preds
-	predCounts []int           // per-position indegree scratch
 	shuffled   []component.ComponentID
 	heldLinks  []int // links newly held by the current candidate
 
@@ -151,7 +151,8 @@ func newWalkScratch(env *Env) walkScratch {
 	}
 }
 
-// beginWalk resets the per-request scratch state.
+// beginWalk resets the per-request scratch state for req, whose plan is
+// in the scratch.
 func (c *Composer) beginWalk(req *component.Request) {
 	sc := &c.scratch
 	sc.epoch++
@@ -167,42 +168,12 @@ func (c *Composer) beginWalk(req *component.Request) {
 			sc.cur[i] = 0
 		}
 	}
-	// Bucket the graph's edges into per-position predecessor lists once
-	// per walk: Graph.Predecessors allocates on every call, and the hot
-	// path asks once per candidate per hop. Buckets keep edge order, so
-	// the lists match Graph.Predecessors element for element.
-	edges := req.Graph.Edges
-	if cap(sc.predFlat) < len(edges) {
-		sc.predFlat = make([]int, len(edges))
-	}
-	if cap(sc.preds) < n {
-		sc.preds = make([][]int, n)
-	}
-	if cap(sc.predCounts) < n {
-		sc.predCounts = make([]int, n)
-		sc.predOff = make([]int, n)
-	}
-	if cap(sc.factOff) < len(edges) {
-		sc.factOff = make([]int, len(edges))
-	}
-	sc.factOff = sc.factOff[:len(edges)]
-	sc.preds = sc.preds[:n]
-	sc.predCounts = sc.predCounts[:n]
-	sc.predOff = sc.predOff[:n]
-	for i := range sc.predCounts {
-		sc.predCounts[i] = 0
-	}
-	for _, e := range edges {
-		sc.predCounts[e.To]++
-	}
+	sc.factOff = slices.Grow(sc.factOff[:0], len(req.Graph.Edges))[:len(req.Graph.Edges)]
+	sc.predOff = slices.Grow(sc.predOff[:0], n)[:n]
 	off := 0
-	for p := 0; p < n; p++ {
-		sc.preds[p] = sc.predFlat[off : off : off+sc.predCounts[p]]
+	for p, preds := range sc.plan.Preds {
 		sc.predOff[p] = off
-		off += sc.predCounts[p]
-	}
-	for _, e := range edges {
-		sc.preds[e.To] = append(sc.preds[e.To], e.From)
+		off += len(preds)
 	}
 	// Marks of earlier walks carry older epochs, so growing (zeroes) and
 	// re-slicing (stale epochs) both start the walk with nothing marked.
@@ -221,6 +192,7 @@ func (c *Composer) beginWalk(req *component.Request) {
 		now:         now,
 		expires:     now + c.cfg.HoldTTL,
 		budget:      c.cfg.MaxProbesPerRequest,
+		order:       sc.plan.Order,
 		bounded:     bounded,
 		coarseFloor: bounded && !c.recomposing,
 	}
@@ -294,7 +266,7 @@ type linkFact struct {
 func (c *Composer) layoutFacts(pos, k int) {
 	w := &c.walk
 	sc := &c.scratch
-	for n, pred := range sc.preds[pos] {
+	for n, pred := range sc.plan.Preds[pos] {
 		sc.factOff[sc.predOff[pos]+n] = w.factEnd
 		w.factEnd += len(c.lookup(w.req.Graph.Functions[pred])) * k
 	}
@@ -311,7 +283,7 @@ func (c *Composer) layoutFacts(pos, k int) {
 //acp:hotpath
 func (c *Composer) linkFactOf(pos, n, cand, k, candNode int) *linkFact {
 	sc := &c.scratch
-	pred := sc.preds[pos][n]
+	pred := sc.plan.Preds[pos][n]
 	f := &sc.facts[sc.factOff[sc.predOff[pos]+n]+int(sc.candIdx[sc.cur[pred]])*k+cand]
 	if f.epoch != sc.epoch {
 		r := c.route(c.env.Catalog.Component(sc.cur[pred]).Node, candNode)
@@ -330,7 +302,7 @@ func (c *Composer) linkFactOf(pos, n, cand, k, candNode int) *linkFact {
 func (c *Composer) linkPrecise(f *linkFact, pos, n, candNode int) float64 {
 	sc := &c.scratch
 	if f.visited != sc.epoch {
-		from := c.env.Catalog.Component(sc.cur[sc.preds[pos][n]]).Node
+		from := c.env.Catalog.Component(sc.cur[sc.plan.Preds[pos][n]]).Node
 		f.precise = c.routeAvail(c.route(from, candNode))
 		f.visited = sc.epoch
 	}
@@ -421,12 +393,6 @@ func (c *Composer) probeWalk(req *component.Request) (*Outcome, error) {
 	tr := c.env.Tracer
 	tr.RequestReceived(req.ID, req.Client)
 
-	order, err := req.Graph.TopoOrder()
-	if err != nil {
-		return nil, err
-	}
-	w.order = order
-
 	// Exhaustive-search accounting: the paper measures Optimal's
 	// overhead as "the number of probes required by the exhaustive
 	// search" (§4.2) — the full candidate tree, independent of the sound
@@ -437,7 +403,7 @@ func (c *Composer) probeWalk(req *component.Request) (*Outcome, error) {
 	exhaustive := c.cfg.Algorithm == AlgOptimal
 	if exhaustive {
 		total, width := int64(0), int64(1)
-		for _, pos := range order {
+		for _, pos := range w.order {
 			k := int64(len(c.lookup(req.Graph.Functions[pos])))
 			width *= k
 			if width > 1<<40 {
@@ -658,7 +624,7 @@ func (c *Composer) rollbackComposition(nodes []NodeDemand, links []LinkDemand) {
 func (c *Composer) predecessorRoutes(pos, candNode int) []overlay.Route {
 	sc := &c.scratch
 	routes := sc.predRoutes[:0]
-	for _, pred := range sc.preds[pos] {
+	for _, pred := range sc.plan.Preds[pos] {
 		routes = append(routes, c.route(c.env.Catalog.Component(sc.cur[pred]).Node, candNode))
 	}
 	sc.predRoutes = routes
@@ -687,7 +653,7 @@ func (c *Composer) extendProbe(out *Outcome, p hopChild, depth, pos int, isSourc
 	}
 	selected := c.selectCandidates(p, pos, candidates)
 	tr := c.env.Tracer
-	preds := sc.preds[pos]
+	preds := sc.plan.Preds[pos]
 
 	for len(sc.children) <= depth {
 		sc.children = append(sc.children, nil)
@@ -892,7 +858,7 @@ func (c *Composer) selectCandidates(p hopChild, pos int, candidates []component.
 		cand := c.env.Catalog.Component(id)
 		var linkQoS qos.Vector
 		routeBW := math.Inf(1)
-		for n := range sc.preds[pos] {
+		for n := range sc.plan.Preds[pos] {
 			f := c.linkFactOf(pos, n, i, len(candidates), cand.Node)
 			linkQoS = linkQoS.Add(f.qos)
 			routeBW = min(routeBW, f.coarse)

@@ -471,9 +471,11 @@ func (c *Cluster) Compose(req *component.Request) (*Composition, error) {
 // and returns the channel the outcome arrives on. The deputy works on a
 // private copy: transient holds and session records key on the ID, and
 // each retry gets a fresh one so stale holds of a failed attempt cannot
-// satisfy the new one.
+// satisfy the new one. Validating the request builds its walk plan, which
+// goes to the deputy with it.
 func (c *Cluster) submit(req *component.Request, alpha float64) (int64, chan composeReply, error) {
-	if err := req.Validate(); err != nil {
+	plan := new(component.Plan)
+	if err := req.Check(plan); err != nil {
 		return 0, nil, err
 	}
 	if req.Client < 0 || req.Client >= len(c.nodes) {
@@ -491,7 +493,7 @@ func (c *Cluster) submit(req *component.Request, alpha float64) (int64, chan com
 	r := *req
 	r.ID = reqID
 	reply := make(chan composeReply, 1)
-	if !c.nodes[r.Client].send(&message{kind: msgCompose, reqID: reqID, req: &r, reply: reply, alpha: alpha}) {
+	if !c.nodes[r.Client].send(&message{kind: msgCompose, reqID: reqID, req: &r, walk: &reqWalk{plan: plan}, reply: reply, alpha: alpha}) {
 		return reqID, nil, fmt.Errorf("dist: deputy node %d mailbox overloaded", r.Client)
 	}
 	return reqID, reply, nil

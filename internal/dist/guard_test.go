@@ -55,11 +55,12 @@ func (cy *steppedCycler) cycle() {
 
 // TestSteppedCycleAllocations bounds what one compose -> release cycle
 // allocates. On this request mix a cycle is about 600 steps, 250 of them
-// accepted probes, and costs about 85 allocations, all per request: its
-// copy, plan, walk and hop blocks (64 records, doubling), decision and
-// commit, and the dozen step-log lines the memo has not seen — none per
-// step, per accepted probe, per hold, per sort or per prefix copy. With a
-// fresh line per step and a record per probe it was 810; the
+// accepted probes, and costs 53 allocations, all per request: its copy,
+// plan (built once, as submit validates), walk and hop blocks (64 records,
+// doubling), decision and commit, and the dozen step-log lines the memo
+// has not seen — none per step, per accepted probe, per hold, per sort or
+// per prefix copy. Validating and planning the graph separately took 83;
+// with a fresh line per step and a record per probe it was 810; the
 // representation before that took 9 300.
 func TestSteppedCycleAllocations(t *testing.T) {
 	if testing.Short() {
@@ -69,8 +70,8 @@ func TestSteppedCycleAllocations(t *testing.T) {
 	for i := 0; i < 50; i++ {
 		cy.cycle() // warm the mailboxes, hold tables, kernel scratch and returns spares
 	}
-	if allocs := testing.AllocsPerRun(200, cy.cycle); allocs > 120 {
-		t.Errorf("one stepped compose -> release cycle allocates %.0f, want <= 120", allocs)
+	if allocs := testing.AllocsPerRun(200, cy.cycle); allocs > 58 {
+		t.Errorf("one stepped compose -> release cycle allocates %.0f, want <= 58", allocs)
 	}
 }
 

@@ -15,8 +15,9 @@ import (
 type msgKind uint8
 
 const (
-	// msgCompose asks a node to deputise for req (§3.3 step 1): reply,
-	// alpha — the probing ratio of this attempt, which retries widen (§3.6).
+	// msgCompose asks a node to deputise for req (§3.3 step 1): walk (its
+	// plan, without hop blocks yet), reply, alpha — the probing ratio of
+	// this attempt, which retries widen (§3.6).
 	msgCompose msgKind = iota
 	// msgProbe is one probe hop (§3.3 step 2): the receiver hosts chosen,
 	// the candidate for position walk.plan.Order[idx]. req, walk, alpha,

@@ -296,18 +296,13 @@ func (n *node) maybeBroadcast() {
 	}
 }
 
-// onCompose initiates probing as the deputy node. The walk — the plan's
-// topological order and predecessor lists, the first hop block — is made
-// here, once, and every probe of the request carries a pointer to it.
+// onCompose initiates probing as the deputy node. The walk arrives with
+// the plan submit built as it validated the request; the first hop block
+// is added here, once, and every probe of the request carries a pointer
+// to the walk.
 func (n *node) onCompose(msg *message) {
-	req := msg.req
-	plan, err := req.Graph.Plan()
-	if err != nil {
-		msg.reply <- composeReply{err: err}
-		return
-	}
+	req, w := msg.req, msg.walk
 	n.c.tracer.RequestReceived(req.ID, n.id)
-	w := &reqWalk{plan: plan}
 	w.block.Store(&hopBlock{recs: make([]hopRecord, 64)})
 	p := &pendingCompose{req: req, walk: w, reply: msg.reply, composeStart: n.c.clock.Now(), returns: n.spare}
 	n.spare = nil

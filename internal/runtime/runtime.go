@@ -760,7 +760,7 @@ func (c *Cluster) Describe(id SessionID) (Composition, error) {
 	if !ok {
 		return Composition{}, ErrUnknownSession
 	}
-	out := Composition{QoS: s.comp.QoS, Phi: s.comp.Phi}
+	out := Composition{QoS: s.comp.QoS, Phi: s.comp.Phi, Components: make([]PlacedComponent, 0, len(s.comp.Components))}
 	for pos, cid := range s.comp.Components {
 		comp := c.catalog.Component(cid)
 		out.Components = append(out.Components, PlacedComponent{
