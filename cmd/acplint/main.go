@@ -1,7 +1,6 @@
 // Command acplint runs the repository's custom analyzer suite
-// (internal/lint) over Go packages: probe-walk determinism, hot-path
-// allocation hygiene, hold/rollback pairing on the transient ledger, and
-// mutex-guarded field access.
+// (internal/lint) over Go packages: determinism of the seeded packages
+// and atomic-access consistency.
 //
 // Standalone, over package patterns:
 //

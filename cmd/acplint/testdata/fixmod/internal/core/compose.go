@@ -1,7 +1,7 @@
 // Package core is a deliberately broken miniature of repro/internal/core
 // used by the acplint command tests: its import path ends in
-// internal/core, so the determinism analyzer applies, and it violates one
-// invariant per function.
+// internal/core, so the determinism analyzer applies, and Stamp violates
+// it.
 package core
 
 import "time"
@@ -11,19 +11,7 @@ func Stamp() time.Time {
 	return time.Now()
 }
 
-// Gather appends to a fresh local inside a hot-path function.
-//
-//acp:hotpath
-func Gather(vals []int) []int {
-	var out []int
-	for _, v := range vals {
-		out = append(out, v)
-	}
-	return out
-}
-
-// Tidy is clean: collect-then-sort over scratch storage, no clock, no
-// global rand.
+// Tidy is clean: no clock, no global rand.
 func Tidy(vals []int) int {
 	total := 0
 	for _, v := range vals {

@@ -1,45 +1,9 @@
 // Package engine is the concurrency-safety half of the broken fixture
-// module: one violation per new analyzer (lock-order inversion,
-// untracked goroutine, mixed atomic/plain access) so the command tests
-// can assert the full suite fires end to end.
+// module: one mixed atomic/plain access, so the command tests can assert
+// the full suite fires end to end.
 package engine
 
-import (
-	"sync"
-	"sync/atomic"
-)
-
-// pair nests its two mutexes in both orders across methods.
-type pair struct {
-	a sync.Mutex
-	b sync.Mutex
-}
-
-func (p *pair) forward() {
-	p.a.Lock()
-	p.b.Lock()
-	p.b.Unlock()
-	p.a.Unlock()
-}
-
-func (p *pair) backward() {
-	p.b.Lock()
-	p.a.Lock()
-	p.a.Unlock()
-	p.b.Unlock()
-}
-
-// Start spawns a worker no shutdown path can reach.
-func Start() {
-	go spin()
-}
-
-func spin() {
-	n := 0
-	for {
-		n++
-	}
-}
+import "sync/atomic"
 
 // stats mixes atomic and plain access to the same field.
 type stats struct {

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/component"
+	"repro/internal/obs"
 	"repro/internal/overlay"
 	"repro/internal/qos"
 	"repro/internal/state"
@@ -72,20 +73,19 @@ func TestProbeHopSteadyStateAllocations(t *testing.T) {
 	}
 }
 
-// TestProbeSteadyStateAllocations bounds a whole probe walk. What a walk
-// allocates is what it hands back: the Outcome and the winning
-// composition's deep copy (three objects). Validation builds the walk plan
-// in the composer's scratch, so the graph costs nothing per request; the
-// per-child prefix copies and per-walk maps of earlier versions cost
-// thousands of allocations per walk on this workload.
-func TestProbeSteadyStateAllocations(t *testing.T) {
-	env, _ := testEnv(t, 8)
-	c := mustComposer(t, env, DefaultConfig())
+// steadyRequests is the request mix of the steady-state walk guards.
+func steadyRequests(env Env) []*component.Request {
 	reqRng := rand.New(rand.NewSource(42))
 	reqs := make([]*component.Request, 8)
 	for i := range reqs {
 		reqs[i] = randomRequest(reqRng, int64(i+1), 10, env.Mesh.NumNodes())
 	}
+	return reqs
+}
+
+// probeAllocsPerRequest is what one walk of reqs allocates per request
+// once the composer's scratch is warm.
+func probeAllocsPerRequest(t *testing.T, c *Composer, reqs []*component.Request) float64 {
 	probeAll := func() {
 		for _, req := range reqs {
 			if _, err := c.Probe(req); err != nil {
@@ -95,13 +95,25 @@ func TestProbeSteadyStateAllocations(t *testing.T) {
 		}
 	}
 	probeAll() // size the scratch buffers
+	return testing.AllocsPerRun(5, probeAll) / float64(len(reqs))
+}
+
+// TestProbeSteadyStateAllocations bounds a whole probe walk. What a walk
+// allocates is what it hands back: the Outcome and the winning
+// composition's deep copy (three objects). Validation builds the walk plan
+// in the composer's scratch, so the graph costs nothing per request; the
+// per-child prefix copies and per-walk maps of earlier versions cost
+// thousands of allocations per walk on this workload.
+func TestProbeSteadyStateAllocations(t *testing.T) {
+	env, _ := testEnv(t, 8)
+	c := mustComposer(t, env, DefaultConfig())
+	reqs := steadyRequests(env)
 	// 4.0 measured on this workload (30.25 when validation, the
 	// topological sort and the predecessor lists were per request). The
 	// availability view lives in two flat composer-lifetime arrays and
 	// must not add to it.
 	const maxAllocsPerProbe = 5
-	allocs := testing.AllocsPerRun(5, probeAll) / float64(len(reqs))
-	if allocs > maxAllocsPerProbe {
+	if allocs := probeAllocsPerRequest(t, c, reqs); allocs > maxAllocsPerProbe {
 		t.Errorf("probe walk allocates %.1f per request in steady state, want <= %d", allocs, maxAllocsPerProbe)
 	}
 
@@ -146,6 +158,33 @@ func TestProbeSteadyStateAllocations(t *testing.T) {
 	}
 	if allocs := testing.AllocsPerRun(20, markAll); allocs > 0 {
 		t.Errorf("the hold marks allocate %.1f per walk, want 0", allocs)
+	}
+}
+
+// TestTracedProbeSteadyStateAllocations: tracing costs a walk no
+// allocations. It is the walk above with a live tracer and a subscriber
+// attached, so every span, prune, rank-cut and hold event is built and
+// delivered, under each selection policy. Each policy is held to what the
+// same walk allocates untraced (4.0 per request for ACP both ways).
+func TestTracedProbeSteadyStateAllocations(t *testing.T) {
+	for _, alg := range []Algorithm{AlgACP, AlgOptimal, AlgSP, AlgRP} {
+		cfg := DefaultConfig()
+		cfg.Algorithm = alg
+		env, _ := testEnv(t, 8)
+		untraced := probeAllocsPerRequest(t, mustComposer(t, env, cfg), steadyRequests(env))
+
+		env, _ = testEnv(t, 8)
+		env.Tracer = obs.NewLive()
+		sub := env.Tracer.Subscribe(1 << 16)
+		traced := probeAllocsPerRequest(t, mustComposer(t, env, cfg), steadyRequests(env))
+		if sub.Drops() == 0 && len(sub.Drain()) == 0 {
+			t.Fatalf("%s: the subscriber saw no events", alg)
+		}
+		sub.Close()
+		t.Logf("%s: %.2f allocations per request untraced, %.2f traced", alg, untraced, traced)
+		if traced > untraced {
+			t.Errorf("%s: a traced walk allocates %.1f per request, want <= %.1f (untraced)", alg, traced, untraced)
+		}
 	}
 }
 

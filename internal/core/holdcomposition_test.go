@@ -31,7 +31,7 @@ func crossNodePair(t *testing.T, env Env) (c0, c1 component.ComponentID) {
 // HoldLink fails, every hold placed earlier in the same call must be
 // released before reporting failure. Previously those holds leaked
 // until the caller's owner-level release — the same shape as the
-// extendProbe leak, and exactly what the acpholdpair analyzer flags.
+// extendProbe leak (TestRefusedHopGivesBackEveryHold).
 func TestHoldCompositionRollsBackPartialHolds(t *testing.T) {
 	t.Run("node hold fails", func(t *testing.T) {
 		env, _ := testEnv(t, 7)

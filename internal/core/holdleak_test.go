@@ -437,3 +437,99 @@ func TestBoundCutsLeaveNoHolds(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestRefusedHopGivesBackEveryHold checks the other half of a hop's
+// rollback. A hop whose link hold is refused part-way along its route
+// gives back its node hold and every link hold placed before the refusal.
+// Every position-1 candidate sits on a node two or more links from the
+// source. Another caller takes the route's last link after the walk read
+// it, so the walk's precise check passes on its read, and the ledger
+// refuses the last link hold after the node and the earlier links were
+// held.
+func TestRefusedHopGivesBackEveryHold(t *testing.T) {
+	env, _ := testEnv(t, 7)
+	const n0 = 0
+	nX := -1
+	var route overlay.Route
+	for v := 1; v < env.Mesh.NumNodes() && nX < 0; v++ {
+		if r, ok := env.Mesh.RouteBetween(n0, v); ok && len(r.Links) >= 2 {
+			nX, route = v, r
+		}
+	}
+	if nX < 0 {
+		t.Fatal("no node two links away from node 0")
+	}
+	for f, node := range []int{n0, nX} {
+		for _, id := range env.Catalog.Candidates(component.FunctionID(f)) {
+			if err := env.Catalog.Move(id, node); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	env.Registry = discovery.NewRegistry(env.Catalog, env.Mesh.NumNodes(), env.Counters)
+	sink := &obs.MemorySink{}
+	env.Tracer = obs.New(sink)
+	cfg := DefaultConfig()
+	cfg.ProbingRatio = 1.0
+	c := mustComposer(t, env, cfg)
+	req := &component.Request{
+		ID:           61,
+		Graph:        component.NewPathGraph([]component.FunctionID{0, 1}),
+		QoSReq:       qos.Vector{Delay: 1e12, LossCost: 1e12},
+		ResReq:       []qos.Resources{{CPU: 10, Memory: 100}, {CPU: 10, Memory: 100}},
+		BandwidthReq: 10,
+		Client:       n0,
+		Duration:     time.Minute,
+	}
+	beginPlannedWalk(t, c, req)
+	out := &Outcome{Request: req}
+	sources := c.extendProbe(out, hopChild{}, 0, 0, true)
+	if len(sources) == 0 {
+		t.Fatal("the source hop produced no children")
+	}
+	c.scratch.cur[0] = sources[0].choice
+
+	// The walk reads every node and link now; its later reads see these.
+	for n := 0; n < env.Mesh.NumNodes(); n++ {
+		c.nodeAvail(n)
+	}
+	for k := 0; k < env.Mesh.NumLinks(); k++ {
+		c.linkAvail(k)
+	}
+	now := env.Now()
+	const rival = state.Owner(1 << 40)
+	last := route.Links[len(route.Links)-1]
+	if ok, _ := env.Ledger.HoldLinkTrackedAt(now, rival, 0, last, env.Ledger.LinkAvailableForAt(now, rival, last), now+time.Minute); !ok {
+		t.Fatal("the rival could not take the last link")
+	}
+	before := snapshotLedger(env)
+
+	if children := c.extendProbe(out, sources[0], 1, 1, false); len(children) != 0 {
+		t.Fatalf("%d hops onto node %d survived the refused link", len(children), nX)
+	}
+	refused := 0
+	for _, e := range sink.Events() {
+		if e.Type == obs.EventCandidatePruned && e.Reason == obs.ReasonHoldLink && e.Pos == 1 {
+			refused++
+		}
+	}
+	if refused == 0 {
+		t.Fatal("no position-1 hop was refused at its link hold")
+	}
+	after := snapshotLedger(env)
+	for n := range before.nodes {
+		if after.nodes[n] != before.nodes[n] {
+			t.Errorf("node %d has %v available after the refused hops, %v before (a node hold was not given back)", n, after.nodes[n], before.nodes[n])
+		}
+	}
+	for k := range before.links {
+		if after.links[k] != before.links[k] {
+			t.Errorf("link %d has %v available after the refused hops, %v before (a link hold was not given back)", k, after.links[k], before.links[k])
+		}
+	}
+	env.Ledger.ReleaseOwner(state.Owner(req.ID))
+	env.Ledger.ReleaseOwner(rival)
+	if err := env.Ledger.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+}

@@ -66,7 +66,6 @@ type Hop struct {
 	Tracer *obs.Tracer
 }
 
-//acp:hotpath
 func (h *Hop) pruned(node int, reason obs.Reason) {
 	h.Tracer.CandidatePruned(h.Req.ID, 0, h.Parent, h.Pos, node, reason)
 }
@@ -80,8 +79,6 @@ func (h *Hop) pruned(node int, reason obs.Reason) {
 // view of the candidate's node; routeBW, the coarse bottleneck bandwidth
 // over those virtual links (+Inf when there are none or all are
 // co-located).
-//
-//acp:hotpath
 func (k *Kernel) Consider(h *Hop, cand component.Component, acc qos.Vector, avail qos.Resources, routeBW float64) {
 	req := h.Req
 	if cand.Security < req.MinSecurity {
@@ -112,8 +109,6 @@ func (k *Kernel) Consider(h *Hop, cand component.Component, acc qos.Vector, avai
 // of the candidates that qualified, ranked under the policy. numCandidates
 // counts what discovery returned, qualified or not. The returned slice is
 // scratch, valid until the next Select.
-//
-//acp:hotpath
 func (k *Kernel) Select(h *Hop, policy SelectionPolicy, alpha float64, numCandidates int) []component.ComponentID {
 	qualified := k.ranked
 	if m := probeWidth(alpha, numCandidates); len(qualified) > m {
@@ -146,8 +141,6 @@ func (k *Kernel) Select(h *Hop, policy SelectionPolicy, alpha float64, numCandid
 }
 
 // probeWidth is M = ceil(alpha*k), at least one (§3.4).
-//
-//acp:hotpath
 func probeWidth(alpha float64, k int) int {
 	m := int(math.Ceil(alpha * float64(k)))
 	if m < 1 {
@@ -160,7 +153,6 @@ func probeWidth(alpha float64, k int) int {
 // larger, to count as different (§3.5).
 const riskBand = 0.05
 
-//acp:hotpath
 func risksDiffer(ri, rj float64) bool {
 	return math.Abs(ri-rj) > riskBand*max(ri, rj)
 }
@@ -168,8 +160,6 @@ func risksDiffer(ri, rj float64) bool {
 // rankBefore orders two ranked candidates under the selection policy. The
 // paper compares risk values first and falls back to the congestion
 // function when the risks are similar.
-//
-//acp:hotpath
 func rankBefore(policy SelectionPolicy, a, b rankedCand) bool {
 	switch policy {
 	case SelectRiskOnly:
@@ -188,8 +178,6 @@ func rankBefore(policy SelectionPolicy, a, b rankedCand) bool {
 // congestion function W: a cut candidate whose risk differs from the last
 // admitted one's lost on risk; one inside the band was tie-broken by
 // congestion.
-//
-//acp:hotpath
 func rankCutReason(policy SelectionPolicy, cutRisk, lastKeptRisk float64) obs.Reason {
 	switch policy {
 	case SelectRiskOnly:
@@ -229,8 +217,6 @@ type LinkDemand struct {
 // links, where a linear scan beats a map — and entries appear in
 // first-seen order, which keeps every downstream float summation
 // deterministic. They are scratch, valid until the next Stack.
-//
-//acp:hotpath
 func (k *Kernel) Stack(req *component.Request, comps []component.ComponentID, routes []overlay.Route) ([]NodeDemand, []LinkDemand) {
 	nodes := k.nodes[:0]
 	for pos, id := range comps {
@@ -284,8 +270,6 @@ func (k *Kernel) Stack(req *component.Request, comps []component.ComponentID, ro
 // variants only post-process: PhiWeighted scales the sum by the request's
 // phi weight, PhiBottleneck returns the single worst term tracked
 // alongside the sum.
-//
-//acp:hotpath
 func (k *Kernel) Score(req *component.Request, comps []component.ComponentID, routes []overlay.Route, mode PhiMode) (float64, bool) {
 	nodes, links := k.nodes, k.links
 	for i := range nodes {
@@ -362,23 +346,17 @@ const boundMargin = 1e-9
 // that has avail: against the availability a probe read at the node it is
 // a lower bound of Score's term, against the node's capacity a floor for
 // a component not placed yet.
-//
-//acp:hotpath
 func BoundNode(need, avail qos.Resources) float64 {
 	return qos.CongestionTerm(need, avail.Sub(need))
 }
 
 // BoundLink is BoundNode for a virtual link with bottleneck bandwidth
 // avail (+Inf, and a zero term, when co-located).
-//
-//acp:hotpath
 func BoundLink(bw, avail float64) float64 {
 	return qos.BandwidthCongestionTerm(bw, avail-bw)
 }
 
 // BoundJoin folds one more term, or a floor, into a lower bound.
-//
-//acp:hotpath
 func BoundJoin(mode PhiMode, bound, term float64) float64 {
 	if mode == PhiBottleneck {
 		return max(bound, term)
@@ -388,8 +366,6 @@ func BoundJoin(mode PhiMode, bound, term float64) float64 {
 
 // BoundExceeds reports whether a composition whose terms join to at least
 // bound cannot score below incumbent, a phi Score returned under mode.
-//
-//acp:hotpath
 func BoundExceeds(mode PhiMode, req *component.Request, bound, incumbent float64) bool {
 	if mode == PhiWeighted {
 		bound *= req.PhiWeight()

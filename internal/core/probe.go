@@ -204,8 +204,6 @@ func (c *Composer) beginWalk(req *component.Request) {
 // only now, so a session another caller released in between can put the
 // reading above the node's ceiling: the ceilings of this walk are then
 // not bounds, and it finishes on the capacity floor.
-//
-//acp:hotpath
 func (c *Composer) nodeAvail(node int) qos.Resources {
 	sc := &c.scratch
 	if sc.nodeEpoch[node] != sc.epoch {
@@ -222,8 +220,6 @@ func (c *Composer) nodeAvail(node int) qos.Resources {
 }
 
 // linkAvail is nodeAvail for an overlay link's bandwidth.
-//
-//acp:hotpath
 func (c *Composer) linkAvail(link int) float64 {
 	sc := &c.scratch
 	if sc.linkEpoch[link] != sc.epoch {
@@ -235,8 +231,6 @@ func (c *Composer) linkAvail(link int) float64 {
 
 // routeAvail is the walk's view of a virtual link: the bottleneck over
 // its overlay links, +Inf for a co-located route (footnote 4).
-//
-//acp:hotpath
 func (c *Composer) routeAvail(r overlay.Route) float64 {
 	if r.CoLocated {
 		return math.Inf(1)
@@ -279,8 +273,6 @@ func (c *Composer) layoutFacts(pos, k int) {
 // linkFactOf returns the walk's facts about the virtual link from the
 // candidate the cursor holds at the n-th predecessor of pos to candidate
 // cand (of k, on candNode) of pos, with QoS and coarse bottleneck filled.
-//
-//acp:hotpath
 func (c *Composer) linkFactOf(pos, n, cand, k, candNode int) *linkFact {
 	sc := &c.scratch
 	pred := sc.plan.Preds[pos][n]
@@ -297,8 +289,6 @@ func (c *Composer) linkFactOf(pos, n, cand, k, candNode int) *linkFact {
 // linkPrecise is the link's bottleneck in the walk's link view, read the
 // first time a probe is sent from the cursor's n-th predecessor of pos
 // over it to candNode.
-//
-//acp:hotpath
 func (c *Composer) linkPrecise(f *linkFact, pos, n, candNode int) float64 {
 	sc := &c.scratch
 	if f.visited != sc.epoch {
@@ -311,8 +301,6 @@ func (c *Composer) linkPrecise(f *linkFact, pos, n, candNode int) float64 {
 
 // lookup resolves a function's candidates, caching per request so the
 // discovery system is charged once per function (§3.3 step 2).
-//
-//acp:hotpath
 func (c *Composer) lookup(f component.FunctionID) []component.ComponentID {
 	sc := &c.scratch
 	if int(f) < 0 || int(f) >= len(sc.cands) {
@@ -333,8 +321,6 @@ func (c *Composer) lookup(f component.FunctionID) []component.ComponentID {
 
 // route returns the virtual link between two overlay nodes from the
 // mesh's route cache.
-//
-//acp:hotpath
 func (c *Composer) route(from, to int) overlay.Route {
 	r, ok := c.env.Mesh.RouteBetween(from, to)
 	if !ok {
@@ -350,8 +336,6 @@ var unreachableRoute = overlay.Route{QoS: qos.Vector{Delay: math.Inf(1), LossCos
 
 // hopHeld reports whether this walk already placed the transient holds
 // of a hop onto node over routes at position pos.
-//
-//acp:hotpath
 func (c *Composer) hopHeld(pos, node int, routes []overlay.Route) bool {
 	sc := &c.scratch
 	if sc.heldNode[pos*sc.numNodes+node] != sc.epoch {
@@ -368,8 +352,6 @@ func (c *Composer) hopHeld(pos, node int, routes []overlay.Route) bool {
 }
 
 // markHop records that the hop's holds are on the ledger.
-//
-//acp:hotpath
 func (c *Composer) markHop(pos, node int, routes []overlay.Route) {
 	sc := &c.scratch
 	sc.heldNode[pos*sc.numNodes+node] = sc.epoch
@@ -501,8 +483,6 @@ func (c *Composer) expand(out *Outcome, idx int, p hopChild) {
 // itself, which a probe learns only by visiting (§3.3) — or, for a walk
 // without coarseFloor, the node's full capacity. It is computed once per
 // walk (again after an overrun), and only once there is an incumbent.
-//
-//acp:hotpath
 func (c *Composer) cut(idx int, bound float64) bool {
 	w := &c.walk
 	sc := &c.scratch
@@ -529,8 +509,6 @@ func (c *Composer) cut(idx int, bound float64) bool {
 // mostAvailable is the most a node can have available as far as the walk
 // knows without visiting it: its ceiling in the coarse state, or its
 // capacity for a walk without coarseFloor.
-//
-//acp:hotpath
 func (c *Composer) mostAvailable(node int) qos.Resources {
 	most := c.env.Ledger.NodeCapacity(node)
 	if c.walk.coarseFloor {
@@ -619,8 +597,6 @@ func (c *Composer) rollbackComposition(nodes []NodeDemand, links []LinkDemand) {
 // predecessor of pos to the candidate node, for the hop's holds to be
 // placed along. The result slice is a shared scratch buffer, valid only
 // until the next call.
-//
-//acp:hotpath
 func (c *Composer) predecessorRoutes(pos, candNode int) []overlay.Route {
 	sc := &c.scratch
 	routes := sc.predRoutes[:0]
@@ -638,8 +614,6 @@ func (c *Composer) predecessorRoutes(pos, candNode int) []overlay.Route {
 // and return the surviving child probes (valid until the next
 // extendProbe call at the same depth). isSource marks the graph's source
 // position, whose probe hop starts from the deputy node.
-//
-//acp:hotpath
 func (c *Composer) extendProbe(out *Outcome, p hopChild, depth, pos int, isSource bool) []hopChild {
 	w := &c.walk
 	sc := &c.scratch
@@ -827,8 +801,6 @@ func (c *Composer) extendProbe(out *Outcome, p hopChild, depth, pos int, isSourc
 // state.Global; SelectRandom (RP) picks uniformly without consulting the
 // global state. The returned slice is scratch, valid until the next
 // selectCandidates call.
-//
-//acp:hotpath
 func (c *Composer) selectCandidates(p hopChild, pos int, candidates []component.ComponentID) []component.ComponentID {
 	if c.cfg.Algorithm == AlgOptimal {
 		return candidates
@@ -842,7 +814,6 @@ func (c *Composer) selectCandidates(p hopChild, pos int, candidates []component.
 			return candidates
 		}
 		picked := append(sc.shuffled[:0], candidates...)
-		//acp:alloc-ok Shuffle's swap closure does not escape: the compiler keeps it and picked on the stack
 		c.env.Rand.Shuffle(len(picked), func(i, j int) { picked[i], picked[j] = picked[j], picked[i] })
 		if tr.Enabled() {
 			for _, cut := range picked[m:] {
@@ -887,8 +858,6 @@ func (comp *Composition) clone() *Composition {
 // composition lives in the double-buffered evaluation scratch and aliases
 // assign: it is valid until the buffer is flipped twice (complete flips on
 // keep, and gives the incumbent its own copy of the assignment).
-//
-//acp:hotpath
 func (c *Composer) evaluate(assign []component.ComponentID) (*Composition, bool) {
 	req := c.walk.req
 	sc := &c.scratch

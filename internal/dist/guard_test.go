@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/component"
 	"repro/internal/harness/clock"
+	"repro/internal/obs"
 )
 
 // steppedCycler runs compose -> release cycles on the dist_stepped
@@ -23,9 +24,11 @@ type steppedSession struct {
 	comp *Composition
 }
 
-func newSteppedCycler(t testing.TB, ring int) *steppedCycler {
+func newSteppedCycler(t testing.TB, ring int, tr *obs.Tracer) *steppedCycler {
 	clk := clock.NewVirtual()
-	c, err := NewUnstarted(steppedConfig(clk))
+	cfg := steppedConfig(clk)
+	cfg.Tracer = tr
+	c, err := NewUnstarted(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,17 +69,44 @@ func TestSteppedCycleAllocations(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds the dist_stepped substrate")
 	}
-	cy := newSteppedCycler(t, 150)
-	for i := 0; i < 50; i++ {
-		cy.cycle() // warm the mailboxes, hold tables, kernel scratch and returns spares
-	}
-	if allocs := testing.AllocsPerRun(200, cy.cycle); allocs > 58 {
+	if allocs := steppedCycleAllocs(t, nil); allocs > 58 {
 		t.Errorf("one stepped compose -> release cycle allocates %.0f, want <= 58", allocs)
 	}
 }
 
+// steppedCycleAllocs is what one warm compose -> release cycle allocates.
+func steppedCycleAllocs(t *testing.T, tr *obs.Tracer) float64 {
+	cy := newSteppedCycler(t, 150, tr)
+	for i := 0; i < 50; i++ {
+		cy.cycle() // warm the mailboxes, hold tables, kernel scratch and returns spares
+	}
+	return testing.AllocsPerRun(200, cy.cycle)
+}
+
+// TestTracedSteppedCycleAllocations: tracing costs the stepped engine
+// nothing per cycle. The cycle above with a live tracer and a subscriber
+// attached, so every span, prune, hold and decision event is built and
+// delivered, is held to what it allocates untraced.
+func TestTracedSteppedCycleAllocations(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds the dist_stepped substrate")
+	}
+	untraced := steppedCycleAllocs(t, nil)
+	tr := obs.NewLive()
+	sub := tr.Subscribe(1 << 16)
+	defer sub.Close()
+	traced := steppedCycleAllocs(t, tr)
+	if sub.Drops() == 0 && len(sub.Drain()) == 0 {
+		t.Fatal("the subscriber saw no events")
+	}
+	t.Logf("%.0f allocations per cycle untraced, %.0f traced", untraced, traced)
+	if traced > untraced {
+		t.Errorf("a traced stepped cycle allocates %.0f, want <= %.0f (untraced)", traced, untraced)
+	}
+}
+
 func BenchmarkSteppedCycle(b *testing.B) {
-	cy := newSteppedCycler(b, 150)
+	cy := newSteppedCycler(b, 150, nil)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

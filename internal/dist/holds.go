@@ -50,15 +50,11 @@ func holdOrder(a, b hold) int {
 }
 
 // find returns where (owner, pos) is, or where it would be inserted.
-//
-//acp:hotpath
 func (t *holdTable) find(owner int64, pos int) (int, bool) {
 	return slices.BinarySearchFunc(t.holds, hold{owner: owner, pos: pos}, holdOrder)
 }
 
 // span returns the bounds of owner's run of holds (positions start at 0).
-//
-//acp:hotpath
 func (t *holdTable) span(owner int64) (lo, hi int) {
 	lo, _ = t.find(owner, 0)
 	for hi = lo; hi < len(t.holds) && t.holds[hi].owner == owner; hi++ {
@@ -67,8 +63,6 @@ func (t *holdTable) span(owner int64) (lo, hi int) {
 }
 
 // available returns this node's precise local availability.
-//
-//acp:hotpath
 func (n *node) available() qos.Resources {
 	n.purgeHolds()
 	return n.capacity.Sub(n.committed).Sub(n.heldTotal)
@@ -76,8 +70,6 @@ func (n *node) available() qos.Resources {
 
 // availableFor credits back the owner's own holds (the request must not
 // block on its own reservations).
-//
-//acp:hotpath
 func (n *node) availableFor(owner int64) qos.Resources {
 	avail := n.available()
 	lo, hi := n.span(owner)
@@ -90,8 +82,6 @@ func (n *node) availableFor(owner int64) qos.Resources {
 // purgeHolds drops expired transient allocations and tombstones,
 // returning how many holds expired. While nothing can have expired it
 // costs one clock read and two comparisons.
-//
-//acp:hotpath
 func (n *node) purgeHolds() int {
 	if len(n.holds) == 0 && len(n.tombs) == 0 {
 		return 0
@@ -124,8 +114,6 @@ func (n *node) purgeHolds() int {
 
 // holdFor places the transient allocation for (owner, pos); idempotent
 // per key (footnote 7).
-//
-//acp:hotpath
 func (n *node) holdFor(owner int64, pos int, amount qos.Resources) bool {
 	if _, ok := n.find(owner, pos); ok {
 		return true
@@ -145,7 +133,6 @@ func (n *node) holdFor(owner int64, pos int, amount qos.Resources) bool {
 	return true
 }
 
-//acp:hotpath
 func (n *node) releaseHolds(owner int64) {
 	lo, hi := n.span(owner)
 	if lo == hi {

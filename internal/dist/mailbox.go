@@ -80,8 +80,6 @@ type hopBlock struct {
 }
 
 // newHop bump-allocates a record; a full block chains one twice its size.
-//
-//acp:hotpath
 func (w *reqWalk) newHop() *hopRecord {
 	for {
 		b := w.block.Load()
@@ -90,7 +88,6 @@ func (w *reqWalk) newHop() *hopRecord {
 		}
 		w.mu.Lock()
 		if w.block.Load() == b {
-			//acp:alloc-ok a full block chains one twice its size: a request's records cost a few allocations, not one each
 			w.block.Store(&hopBlock{recs: make([]hopRecord, 2*len(b.recs))})
 		}
 		w.mu.Unlock()
@@ -109,8 +106,6 @@ type hopRecord struct {
 }
 
 // back returns the record k hops before h.
-//
-//acp:hotpath
 func (h *hopRecord) back(k int) *hopRecord {
 	for ; k > 0; k-- {
 		h = h.parent
@@ -119,8 +114,6 @@ func (h *hopRecord) back(k int) *hopRecord {
 }
 
 // accumulated is the QoS accumulated through h; zero before the first hop.
-//
-//acp:hotpath
 func (h *hopRecord) accumulated() qos.Vector {
 	if h == nil {
 		return qos.Vector{}
@@ -215,8 +208,6 @@ func signal(c chan struct{}) {
 }
 
 // push queues m, reporting false when the mailbox holds limit messages.
-//
-//acp:hotpath
 func (b *mailbox) push(m *message) bool {
 	b.mu.Lock()
 	n := int(b.depth.Load())
@@ -237,8 +228,6 @@ func (b *mailbox) push(m *message) bool {
 }
 
 // pop moves the oldest message into m; false when the mailbox is empty.
-//
-//acp:hotpath
 func (b *mailbox) pop(m *message) bool {
 	b.mu.Lock()
 	n := int(b.depth.Load())

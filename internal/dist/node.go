@@ -91,8 +91,6 @@ func newNode(c *Cluster, id int) *node {
 // send enqueues a message, reporting false if the mailbox is full. State
 // broadcasts tolerate drops (the view just goes stale); protocol
 // messages treat a full mailbox as an overloaded peer.
-//
-//acp:hotpath
 func (n *node) send(m *message) bool {
 	n.c.inflight.Add(1) // before the enqueue: no visible-but-uncounted window
 	if n.mailbox.push(m) {
@@ -324,8 +322,6 @@ func (n *node) onCompose(msg *message) {
 // state — the node's view of its peers and the link ledger. prefix is the
 // last hop of the probe being extended (nil at the deputy's first hop)
 // and parent its span, to which selection prunes are attributed.
-//
-//acp:hotpath
 func (n *node) fanOut(req *component.Request, w *reqWalk, idx int,
 	prefix *hopRecord, alpha float64, parent int64) int {
 
@@ -368,8 +364,6 @@ func (n *node) fanOut(req *component.Request, w *reqWalk, idx int,
 // predecessors of position plan.Order[idx] to the candidate host: their
 // aggregated QoS and their bottleneck bandwidth as the link ledger has it
 // now. prefix is hop idx-1 of the probe.
-//
-//acp:hotpath
 func (n *node) predecessorRoutes(plan *component.Plan, idx int, prefix *hopRecord, host int) (qos.Vector, float64) {
 	var linkQoS qos.Vector
 	routeBW := math.Inf(1)
@@ -388,8 +382,6 @@ func (n *node) predecessorRoutes(plan *component.Plan, idx int, prefix *hopRecor
 // onProbe performs per-hop probe processing for the candidate this node
 // hosts (§3.3 step 2): precise conformance, transient allocation, and
 // forwarding or return.
-//
-//acp:hotpath
 func (n *node) onProbe(msg *message) {
 	req, plan := msg.req, msg.walk.plan
 	tr := n.c.tracer

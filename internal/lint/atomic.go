@@ -130,9 +130,11 @@ func atomicTargetClass(pass *Pass, target ast.Expr) (types.Object, string) {
 		if !ok {
 			return nil, ""
 		}
-		_, name := syncRecvClass(pass, t)
-		if name == "" {
-			name = v.Name()
+		name := v.Name()
+		if sel, ok := pass.TypesInfo.Selections[t]; ok {
+			if named, ok := derefType(sel.Recv()).(*types.Named); ok {
+				name = named.Obj().Name() + "." + name
+			}
 		}
 		return v, name
 	case *ast.Ident:
@@ -307,4 +309,11 @@ func is64BitBasic(t types.Type) bool {
 		return true
 	}
 	return false
+}
+
+func derefType(t types.Type) types.Type {
+	if p, ok := t.Underlying().(*types.Pointer); ok {
+		return p.Elem()
+	}
+	return t
 }

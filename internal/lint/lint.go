@@ -1,7 +1,8 @@
-// Package lint implements acplint, a suite of custom static analyzers
-// that machine-check the repository's load-bearing invariants: probe-walk
-// determinism, hot-path allocation hygiene, hold/rollback pairing on the
-// transient-resource ledger, and mutex-guarded field access.
+// Package lint implements acplint, two custom static analyzers for the
+// invariants no test sees break: determinism of the seeded packages (map
+// order and wall clocks that no golden happens to reach), and
+// atomic-access consistency on memory the race detector only flags when
+// a test races it.
 //
 // The analyzer model mirrors golang.org/x/tools/go/analysis (Analyzer,
 // Pass, Diagnostic) but is built on the standard library alone: the
@@ -57,26 +58,20 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 
 // All returns the full analyzer suite in a stable order.
 func All() []*Analyzer {
-	return []*Analyzer{Determinism, Hotpath, HoldPair, Guarded, LockOrder, Goroutine, Atomic}
+	return []*Analyzer{Determinism, Atomic}
 }
 
 // ---------------------------------------------------------------------------
 // acp:* annotations
 //
-// Escape hatches and opt-ins are ordinary line comments:
+// Waivers are ordinary line comments:
 //
-//	//acp:hotpath                      opt a function into alloc hygiene
 //	//acp:nondeterminism-ok <why>      waive a determinism finding
-//	//acp:alloc-ok <why>               waive a hot-path allocation finding
-//	//acp:holdpair-ok <why>            waive a hold/rollback finding
-//	//acp:guarded-ok <why>             waive a guarded-field finding
-//	//acp:lockorder-ok <why>           waive a lock-order inversion finding
-//	//acp:goroutine-ok <why>           waive a goroutine-lifecycle finding
 //	//acp:atomic-ok <why>              waive an atomic-consistency finding
 //
 // A waiver applies when it sits on the offending line, on the line
-// directly above it, or in the enclosing function's doc comment. All
-// waivers except acp:hotpath require a non-empty justification.
+// directly above it, or in the enclosing function's doc comment. Every
+// waiver requires a non-empty justification.
 
 var annotationRe = regexp.MustCompile(`acp:([a-z-]+)(?:\s+(.*))?`)
 
@@ -190,21 +185,6 @@ func enclosingFuncDecl(f *ast.File, pos token.Pos) *ast.FuncDecl {
 	return nil
 }
 
-// funcHasAnnotation reports whether the function's doc comment carries
-// acp:<name> (e.g. acp:hotpath).
-func funcHasAnnotation(fd *ast.FuncDecl, name string) bool {
-	if fd.Doc == nil {
-		return false
-	}
-	for _, c := range fd.Doc.List {
-		m := annotationRe.FindStringSubmatch(c.Text)
-		if m != nil && m[1] == name {
-			return true
-		}
-	}
-	return false
-}
-
 // ---------------------------------------------------------------------------
 // small shared AST/type helpers
 
@@ -218,18 +198,6 @@ func calleeObj(info *types.Info, call *ast.CallExpr) types.Object {
 		return info.Uses[fun.Sel]
 	}
 	return nil
-}
-
-// isPkgFunc reports whether obj is the package-level function pkgPath.name.
-func isPkgFunc(obj types.Object, pkgPath, name string) bool {
-	fn, ok := obj.(*types.Func)
-	if !ok || fn.Pkg() == nil {
-		return false
-	}
-	if fn.Type().(*types.Signature).Recv() != nil {
-		return false
-	}
-	return fn.Pkg().Path() == pkgPath && fn.Name() == name
 }
 
 // rootIdent returns the leftmost identifier of a selector/index chain,

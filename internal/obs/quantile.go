@@ -73,8 +73,6 @@ func qBucketBounds(i int) (lo, hi float64) {
 }
 
 // Observe records one sample. No-op on a nil histogram.
-//
-//acp:hotpath
 func (h *QHistogram) Observe(v float64) {
 	if h == nil {
 		return

@@ -3,6 +3,7 @@ package obs
 import (
 	"sync"
 	"testing"
+	"time"
 )
 
 func TestSubscribeDeliversEvents(t *testing.T) {
@@ -120,11 +121,14 @@ func TestSubscribeFanOut(t *testing.T) {
 }
 
 // TestSubscribeConcurrent is the -race gate: concurrent emitters, a
-// draining subscriber, and subscribers churning on and off.
+// draining subscriber, and subscribers churning on and off. It is also
+// the lock-order gate for the tracer's subscriber list and each
+// subscription's ring: every method that takes either lock runs against
+// every other, four churners at once, so a nested acquisition in one
+// order and its inverse deadlock here, and the watchdog fails the test.
 func TestSubscribeConcurrent(t *testing.T) {
 	tr := NewLive()
-	stable := tr.Subscribe(256)
-	defer stable.Close()
+	stable := tr.Subscribe(256) // closed at the end: a deferred Close would wait on a deadlock
 
 	var wg sync.WaitGroup
 	const emitters, perEmitter = 4, 1000
@@ -137,15 +141,21 @@ func TestSubscribeConcurrent(t *testing.T) {
 			}
 		}(e)
 	}
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for i := 0; i < 50; i++ {
-			s := tr.Subscribe(16)
-			_ = s.Drain()
-			s.Close()
-		}
-	}()
+	const churners = 4
+	for c := 0; c < churners; c++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 2000; i++ {
+				s := tr.Subscribe(16)
+				_ = s.Drain()
+				_ = s.Drops()
+				_ = tr.Subscribers()
+				s.Close()
+				_ = s.Closed()
+			}
+		}()
+	}
 
 	var received int64
 	done := make(chan struct{})
@@ -164,7 +174,16 @@ func TestSubscribeConcurrent(t *testing.T) {
 			}
 		}
 	}()
-	wg.Wait()
+	joined := make(chan struct{})
+	go func() {
+		wg.Wait()
+		close(joined)
+	}()
+	select {
+	case <-joined:
+	case <-time.After(10 * time.Second):
+		t.Fatal("emitters and churners did not finish in 10 s: a lock-order inversion deadlocked them")
+	}
 	done <- struct{}{}
 	<-done
 	for _, ev := range stable.Drain() {
@@ -176,6 +195,7 @@ func TestSubscribeConcurrent(t *testing.T) {
 		t.Fatalf("received %d + dropped %d = %d, want %d",
 			received, stable.Drops(), got, emitters*perEmitter)
 	}
+	stable.Close()
 }
 
 // TestEmitAllocationFreeWithoutSubscribers guards the disabled path: a

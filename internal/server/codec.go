@@ -35,8 +35,6 @@ func plain(c byte) bool {
 }
 
 // appendString appends s quoted; ok turns false if s needs escaping.
-//
-//acp:hotpath
 func appendString(dst []byte, s string, ok bool) ([]byte, bool) {
 	for i := 0; i < len(s); i++ {
 		if !plain(s[i]) {
@@ -49,8 +47,6 @@ func appendString(dst []byte, s string, ok bool) ([]byte, bool) {
 }
 
 // appendInt appends key and v unless v is zero (omitempty).
-//
-//acp:hotpath
 func appendInt(dst []byte, key string, v int64) []byte {
 	if v == 0 {
 		return dst
@@ -62,8 +58,6 @@ func appendInt(dst []byte, key string, v int64) []byte {
 // as encoding/json's floatEncoder does: shortest round-trip digits, 'e'
 // form below 1e-6 and from 1e21 with a two-digit negative exponent cut
 // to one. ok turns false on NaN and ±Inf, which JSON cannot represent.
-//
-//acp:hotpath
 func appendFloat(dst []byte, key string, f float64, ok bool) ([]byte, bool) {
 	if f == 0 {
 		return dst, ok
@@ -105,8 +99,6 @@ func decodeSlow[T any](line []byte, v *T) error {
 }
 
 // appendRequest appends r's frame, newline included, to dst.
-//
-//acp:hotpath
 func appendRequest(dst []byte, r *Request) ([]byte, error) {
 	start := len(dst)
 	dst, ok := appendString(append(dst, `{"op":`...), r.Op, true)
@@ -138,8 +130,6 @@ func appendRequest(dst []byte, r *Request) ([]byte, error) {
 }
 
 // appendResponse appends r's frame, newline included, to dst.
-//
-//acp:hotpath
 func appendResponse(dst []byte, r *Response) ([]byte, error) {
 	start := len(dst)
 	dst = strconv.AppendBool(append(dst, `{"ok":`...), r.OK)
@@ -188,8 +178,6 @@ type decoder struct {
 }
 
 // peek skips JSON whitespace and returns the next byte, 0 at the end.
-//
-//acp:hotpath
 func (d *decoder) peek() byte {
 	for d.i < len(d.b) {
 		switch c := d.b[d.i]; c {
@@ -203,8 +191,6 @@ func (d *decoder) peek() byte {
 }
 
 // expect consumes c (after whitespace) or latches bad.
-//
-//acp:hotpath
 func (d *decoder) expect(c byte) {
 	if d.bad || d.peek() != c {
 		d.bad = true
@@ -217,8 +203,6 @@ func (d *decoder) expect(c byte) {
 // byte is end: it consumes the separator before every element but the
 // first and reports whether an element follows. A separator before the
 // closing byte leaves the cursor on end, where no element parses.
-//
-//acp:hotpath
 func (d *decoder) more(end byte, first bool) bool {
 	c := d.peek()
 	if d.bad || c == 0 {
@@ -236,8 +220,6 @@ func (d *decoder) more(end byte, first bool) bool {
 }
 
 // str returns the bytes between the quotes of a plain string.
-//
-//acp:hotpath
 func (d *decoder) str() []byte {
 	d.expect('"')
 	start := d.i
@@ -256,8 +238,6 @@ func (d *decoder) str() []byte {
 }
 
 // key returns an object key and consumes the colon after it.
-//
-//acp:hotpath
 func (d *decoder) key() []byte {
 	k := d.str()
 	d.expect(':')
@@ -266,8 +246,6 @@ func (d *decoder) key() []byte {
 
 // seen marks bit in a key set, latching bad on a repeat: encoding/json
 // lets the last duplicate win, which the fast path does not model.
-//
-//acp:hotpath
 func (d *decoder) seen(set *uint, bit uint) {
 	if *set&(1<<bit) != 0 {
 		d.bad = true
@@ -276,8 +254,6 @@ func (d *decoder) seen(set *uint, bit uint) {
 }
 
 // digits consumes a run of decimal digits and returns its length.
-//
-//acp:hotpath
 func (d *decoder) digits() int {
 	start := d.i
 	for d.i < len(d.b) && d.b[d.i] >= '0' && d.b[d.i] <= '9' {
@@ -288,8 +264,6 @@ func (d *decoder) digits() int {
 
 // number returns the bytes of a JSON number literal; integer reports
 // that it has neither fraction nor exponent.
-//
-//acp:hotpath
 func (d *decoder) number() (lit []byte, integer bool) {
 	d.peek()
 	if d.bad {
@@ -330,8 +304,6 @@ func (d *decoder) number() (lit []byte, integer bool) {
 // int64 reads an integer literal that fits; encoding/json refuses
 // fractions, exponents and overflow for integer fields, so the fast
 // path does not take them.
-//
-//acp:hotpath
 func (d *decoder) int64() int64 {
 	lit, integer := d.number()
 	if !integer {
@@ -357,8 +329,6 @@ func (d *decoder) int64() int64 {
 }
 
 // int reads an integer literal into the platform int.
-//
-//acp:hotpath
 func (d *decoder) int() int {
 	v := d.int64()
 	if int64(int(v)) != v {
@@ -368,8 +338,6 @@ func (d *decoder) int() int {
 }
 
 // float reads a number literal as encoding/json does, by ParseFloat.
-//
-//acp:hotpath
 func (d *decoder) float() float64 {
 	lit, _ := d.number()
 	if d.bad {
@@ -383,8 +351,6 @@ func (d *decoder) float() float64 {
 }
 
 // boolean reads true or false.
-//
-//acp:hotpath
 func (d *decoder) boolean() bool {
 	d.peek()
 	rest := d.b[d.i:]
@@ -406,8 +372,6 @@ func (d *decoder) boolean() bool {
 // plus one) or of flat objects (c = '{'). It only sizes the slice —
 // append grows a longer array — so a frame of nothing but commas
 // cannot make the decoder allocate eight times its length.
-//
-//acp:hotpath
 func (d *decoder) count(c byte) int {
 	n := 0
 	for _, x := range d.b[d.i:] {
@@ -422,8 +386,6 @@ func (d *decoder) count(c byte) int {
 }
 
 // finish reports whether the frame parsed and nothing follows it.
-//
-//acp:hotpath
 func (d *decoder) finish() bool {
 	d.peek()
 	return !d.bad && d.i == len(d.b)
@@ -432,8 +394,6 @@ func (d *decoder) finish() bool {
 // intern returns table's own string for b when it has one, so a frame
 // whose op and code are the package's constants decodes without a
 // string allocation.
-//
-//acp:hotpath
 func intern(b []byte, table []string) string {
 	for _, s := range table {
 		if string(b) == s {
@@ -445,8 +405,6 @@ func intern(b []byte, table []string) string {
 
 // decodeRequest parses one request line into r, which it resets first.
 // Accept/reject, error text and decoded value are json.Unmarshal's.
-//
-//acp:hotpath
 func decodeRequest(line []byte, r *Request) error {
 	*r = Request{}
 	d := decoder{b: line}
@@ -457,7 +415,6 @@ func decodeRequest(line []byte, r *Request) error {
 	return decodeSlow(line, r)
 }
 
-//acp:hotpath
 func (d *decoder) request(r *Request) {
 	d.expect('{')
 	var set uint
@@ -511,8 +468,6 @@ func (d *decoder) request(r *Request) {
 
 // decodeResponse parses one response line into r, which it resets
 // first; the contract is decodeRequest's.
-//
-//acp:hotpath
 func decodeResponse(line []byte, r *Response) error {
 	*r = Response{}
 	d := decoder{b: line}
@@ -523,7 +478,6 @@ func decodeResponse(line []byte, r *Response) error {
 	return decodeSlow(line, r)
 }
 
-//acp:hotpath
 func (d *decoder) response(r *Response) {
 	d.expect('{')
 	var set uint
@@ -572,7 +526,6 @@ func (d *decoder) response(r *Response) {
 	}
 }
 
-//acp:hotpath
 func (d *decoder) component() (pc PlacedComponent) {
 	d.expect('{')
 	var set uint

@@ -225,8 +225,6 @@ type Replica struct {
 // the coarse state knows nothing of. A commitment released after the
 // Refresh can overrun it: a reader that goes on to read precise state
 // compares (the probe walk does, on first touch of a node).
-//
-//acp:hotpath
 func (r *Replica) Ceiling(node int, capacity qos.Resources) qos.Resources {
 	return minRes(capacity, r.Nodes[node].Add(capacity.Scale(r.threshold)))
 }
@@ -234,8 +232,6 @@ func (r *Replica) Ceiling(node int, capacity qos.Resources) qos.Resources {
 // RouteAvailable returns the coarse-grain available bandwidth of a
 // virtual link: the bottleneck over the aggregation snapshot of its
 // constituent overlay links, +Inf for a route without links (co-located).
-//
-//acp:hotpath
 func (r *Replica) RouteAvailable(route overlay.Route) float64 {
 	avail := math.Inf(1)
 	for _, id := range route.Links {

@@ -311,3 +311,53 @@ func TestReplicaRefreshConcurrentWithUpdates(t *testing.T) {
 		}
 	}
 }
+
+// TestLedgerBeforeGlobalLockOrder pins the one nested lock pair in the
+// repository. A committed change runs the threshold rule (nodeChanged,
+// linkChanged) under the ledger lock, and the rule takes the global lock:
+// so no method holding the global lock may read the ledger. Every method
+// that takes the global lock races commits and releases; an inversion
+// deadlocks the two goroutines, and the watchdog fails the test instead
+// of hanging the binary.
+func TestLedgerBeforeGlobalLockOrder(t *testing.T) {
+	g, l, _, counters := newTestGlobal(t)
+	l.EnableLocking()
+	g.EnableLocking()
+	const cycles = 2000
+	var wg sync.WaitGroup
+	wg.Add(2)
+	go func() {
+		defer wg.Done()
+		var r Replica
+		for i := 0; i < cycles; i++ {
+			g.Aggregate()
+			g.ForceRefresh()
+			g.AggregationNode()
+			g.Refresh(&r)
+		}
+	}()
+	go func() {
+		defer wg.Done()
+		for i := 0; i < cycles; i++ {
+			owner := Owner(i + 1)
+			if err := l.CommitSession(owner, map[int]qos.Resources{i % l.NumNodes(): {CPU: 40, Memory: 400}}, map[int]float64{i % l.NumLinks(): 1}); err != nil {
+				t.Error(err)
+				return
+			}
+			l.ReleaseSession(owner)
+		}
+	}()
+	done := make(chan struct{})
+	go func() {
+		wg.Wait()
+		close(done)
+	}()
+	select {
+	case <-done:
+	case <-time.After(10 * time.Second):
+		t.Fatal("the global-state readers and the ledger's commits did not finish in 10 s: a lock-order inversion deadlocked them")
+	}
+	if counters.Snapshot().StateUpdates == 0 {
+		t.Fatal("no commit crossed the update threshold, so the ledger never took the global lock")
+	}
+}
