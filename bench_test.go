@@ -18,10 +18,8 @@ import (
 	"repro/internal/core"
 	"repro/internal/experiment"
 	"repro/internal/harness/clock"
-	"repro/internal/placement"
 	"repro/internal/topology"
 	"repro/internal/tuning"
-	"repro/internal/workload"
 
 	"math/rand"
 )
@@ -51,24 +49,6 @@ func BenchmarkFig5a(b *testing.B) { benchFigure(b, "5a") }
 // BenchmarkFig5b regenerates Figure 5(b): success rate vs probing ratio
 // under low/high/very-high QoS requirements.
 func BenchmarkFig5b(b *testing.B) { benchFigure(b, "5b") }
-
-// BenchmarkFig5aParallel regenerates Figure 5(a) with the concurrent
-// multi-request driver: the figure's 22 independent simulation cells run
-// across GOMAXPROCS workers instead of serially. allocs/op matches the
-// serial benchmark; ns/op shows the wall-clock speedup.
-func BenchmarkFig5aParallel(b *testing.B) {
-	opts := benchOptions()
-	opts.Parallel = -1
-	for i := 0; i < b.N; i++ {
-		tables, err := acp.ReproduceFigure("5a", opts)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(tables) == 0 || len(tables[0].Rows) == 0 {
-			b.Fatal("empty figure result")
-		}
-	}
-}
 
 // BenchmarkFig6a regenerates Figure 6(a): success rate vs request rate
 // for all six algorithms.
@@ -122,25 +102,6 @@ func benchRun(b *testing.B, p *experiment.Platform, mutate func(*experiment.RunC
 		b.ReportMetric(100*last.SuccessRate, "success%")
 		b.ReportMetric(last.OverheadPerMinute, "msgs/min")
 	}
-}
-
-// BenchmarkAblationTransient compares composition with and without
-// transient resource allocation (§3.3 step 2): disabling it allows
-// conflicting admissions during the probing round trip.
-func BenchmarkAblationTransient(b *testing.B) {
-	p := benchPlatform(b, 1)
-	// Saturating load maximises the window for conflicting admissions.
-	b.Run("with-transient", func(b *testing.B) {
-		benchRun(b, p, func(rc *experiment.RunConfig) {
-			rc.Phases[0].RatePerMinute = 100
-		})
-	})
-	b.Run("without-transient", func(b *testing.B) {
-		benchRun(b, p, func(rc *experiment.RunConfig) {
-			rc.Phases[0].RatePerMinute = 100
-			rc.DisableTransient = true
-		})
-	})
 }
 
 // BenchmarkAblationStaleness compares the coarse threshold-triggered
@@ -400,50 +361,6 @@ func BenchmarkPlatformBuild(b *testing.B) {
 	}
 }
 
-// BenchmarkExtensionPITuner compares the paper's profiling tuner with
-// the control-theoretic PI controller (§6 future work) under the
-// dynamic workload.
-func BenchmarkExtensionPITuner(b *testing.B) {
-	p := benchPlatform(b, 2)
-	b.Run("profiling-tuner", func(b *testing.B) {
-		benchRun(b, p, func(rc *experiment.RunConfig) {
-			rc.ProbingRatio = 0.1
-			rc.MaxProbesPerRequest = 2000
-			tcfg := tuning.DefaultConfig()
-			tcfg.ErrorThreshold = 0.05
-			rc.Tuning = &tcfg
-		})
-	})
-	b.Run("pi-controller", func(b *testing.B) {
-		benchRun(b, p, func(rc *experiment.RunConfig) {
-			rc.ProbingRatio = 0.1
-			rc.MaxProbesPerRequest = 2000
-			picfg := tuning.DefaultPIConfig()
-			rc.PITuning = &picfg
-		})
-	})
-}
-
-// BenchmarkExtensionMigration measures the effect of dynamic component
-// placement (§6 future work) under load.
-func BenchmarkExtensionMigration(b *testing.B) {
-	p := benchPlatform(b, 1)
-	b.Run("static-placement", func(b *testing.B) {
-		benchRun(b, p, func(rc *experiment.RunConfig) {
-			rc.Phases[0].RatePerMinute = 80
-		})
-	})
-	b.Run("dynamic-placement", func(b *testing.B) {
-		benchRun(b, p, func(rc *experiment.RunConfig) {
-			rc.Phases[0].RatePerMinute = 80
-			pcfg := placement.DefaultConfig()
-			pcfg.Period = 2 * time.Minute
-			pcfg.UtilizationGap = 0.25
-			rc.Migration = &pcfg
-		})
-	})
-}
-
 // BenchmarkExtensionFailover measures composition under node crashes,
 // with and without automatic recomposition of disrupted sessions.
 func BenchmarkExtensionFailover(b *testing.B) {
@@ -470,30 +387,4 @@ func BenchmarkExtensionFailover(b *testing.B) {
 	}
 	b.Run("no-recovery", func(b *testing.B) { run(b, false) })
 	b.Run("recompose", func(b *testing.B) { run(b, true) })
-}
-
-// BenchmarkExtensionSecurity measures the cost of the application-
-// specific security-level constraint (§6 future work): requests that
-// demand hardened components restrict their candidate sets.
-func BenchmarkExtensionSecurity(b *testing.B) {
-	p := benchPlatform(b, 2)
-	for _, frac := range []struct {
-		name string
-		frac float64
-	}{
-		{name: "open", frac: 0},
-		{name: "half-secure", frac: 0.5},
-		{name: "all-secure", frac: 1},
-	} {
-		b.Run(frac.name, func(b *testing.B) {
-			benchRun(b, p, func(rc *experiment.RunConfig) {
-				rc.MaxProbesPerRequest = 2000
-				f := frac.frac
-				rc.WorkloadOverride = func(w *workload.Config) {
-					w.SecureFraction = f
-					w.SecureLevel = 2
-				}
-			})
-		})
-	}
 }

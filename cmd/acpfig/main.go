@@ -5,10 +5,10 @@
 //	acpfig -fig 6a                # one figure at full paper scale
 //	acpfig -fig all -scale 0.2    # everything, at 20% simulated duration
 //	acpfig -fig 8b -seed 7        # different randomness
-//	acpfig -fig ablations -scale 0.1   # the ablation/extension sweeps
+//	acpfig -fig ablations -scale 0.1   # the ablation sweeps
 //
 // Figure identifiers: 5a 5b 6 6a 6b 7 7a 7b 8a 8b, plus
-// ablation-{transient,staleness,selection,threshold,tuners,failures,security}.
+// ablation-{staleness,selection,threshold}.
 package main
 
 import (

@@ -26,7 +26,6 @@ import (
 	"repro/internal/faults"
 	"repro/internal/harness"
 	"repro/internal/obs"
-	"repro/internal/placement"
 	"repro/internal/trace"
 	"repro/internal/tuning"
 	"repro/internal/workload"
@@ -68,11 +67,9 @@ func run(args []string) error {
 		series   = fs.Bool("series", false, "print the per-window success series")
 		record   = fs.String("record", "", "record the workload trace to this file")
 		replay   = fs.String("replay", "", "replay a recorded workload trace instead of generating one")
-		pi       = fs.Bool("pi", false, "use the PI-controller tuner instead of the profiling tuner")
 		failures = fs.Float64("failures", 0, "node failures per minute (0 = none)")
 		repair   = fs.Float64("repair", 10, "minutes a failed node stays down")
 		recomp   = fs.Bool("recompose", false, "re-compose sessions disrupted by failures")
-		migrate  = fs.Bool("migrate", false, "enable dynamic component placement")
 		traceOut = fs.String("trace-out", "", "write probe-lifecycle span events (JSONL) to this file")
 		metrOut  = fs.String("metrics-out", "", "write the instrument snapshot (the /metrics.json document) to this file")
 		serveObs = fs.String("serve-obs", "", "serve the observability plane (/metrics, /trace, /healthz, pprof) at this address, e.g. :9090")
@@ -148,12 +145,7 @@ func run(args []string) error {
 	rc.ProbingRatio = *alpha
 	rc.Duration = time.Duration(*minutes * float64(time.Minute))
 	rc.QoSLevel = level
-	switch {
-	case *tune && *pi:
-		picfg := tuning.DefaultPIConfig()
-		picfg.Target = *target
-		rc.PITuning = &picfg
-	case *tune:
+	if *tune {
 		tcfg := tuning.DefaultConfig()
 		tcfg.Target = *target
 		rc.Tuning = &tcfg
@@ -162,10 +154,6 @@ func run(args []string) error {
 		rc.FailuresPerMinute = *failures
 		rc.RepairTime = time.Duration(*repair * float64(time.Minute))
 		rc.RecomposeOnFailure = *recomp
-	}
-	if *migrate {
-		pcfg := placement.DefaultConfig()
-		rc.Migration = &pcfg
 	}
 	var recordFile *os.File
 	if *record != "" {
@@ -261,9 +249,6 @@ func run(args []string) error {
 	if *failures > 0 {
 		fmt.Printf("failures         %d crashes, %d sessions disrupted, %d recomposed\n",
 			res.Failures, res.Disrupted, res.Recomposed)
-	}
-	if *migrate {
-		fmt.Printf("migrations       %d component moves\n", res.MigrationMoves)
 	}
 	fmt.Printf("wall clock       %v\n", time.Since(start).Round(time.Millisecond))
 	if recordFile != nil {

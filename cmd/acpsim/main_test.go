@@ -44,9 +44,6 @@ func TestRunWithTuners(t *testing.T) {
 	if err := run(tiny("-tune", "-series")); err != nil {
 		t.Fatal(err)
 	}
-	if err := run(tiny("-tune", "-pi")); err != nil {
-		t.Fatal(err)
-	}
 }
 
 func TestRunQoSLevels(t *testing.T) {
@@ -173,11 +170,8 @@ func TestTraceMatchesCounters(t *testing.T) {
 	}
 }
 
-func TestRunFailuresAndMigration(t *testing.T) {
+func TestRunFailures(t *testing.T) {
 	if err := run(tiny("-failures", "0.5", "-repair", "3", "-recompose")); err != nil {
-		t.Fatal(err)
-	}
-	if err := run(tiny("-migrate")); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -42,11 +42,11 @@ func DefaultPlacementConfig() PlacementConfig {
 }
 
 // Catalog records which components are deployed where, indexed both by
-// function (for discovery) and by node. Placement is mutable: the
-// dynamic placement manager migrates components between nodes (footnote
-// 1 of the paper: "components can be dynamically migrated among nodes;
-// composition operates based on the current component placement"), and
-// failure injection marks whole nodes unavailable.
+// function (for discovery) and by node. Placement is mutable: Move
+// migrates a component between nodes (footnote 1 of the paper:
+// "components can be dynamically migrated among nodes; composition
+// operates based on the current component placement"), and failure
+// injection marks whole nodes unavailable.
 type Catalog struct {
 	components []Component
 	byFunction [][]ComponentID

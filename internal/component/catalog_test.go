@@ -202,3 +202,60 @@ func TestNodeAvailability(t *testing.T) {
 		t.Error("out-of-range nodes reported available")
 	}
 }
+
+func TestCatalogMoveUpdatesIndexes(t *testing.T) {
+	cat, err := Place(20, DefaultPlacementConfig(), rand.New(rand.NewSource(11)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	id := cat.OnNode(0)[0]
+	if err := cat.Move(id, 5); err != nil {
+		t.Fatal(err)
+	}
+	if cat.Component(id).Node != 5 {
+		t.Errorf("component node = %d", cat.Component(id).Node)
+	}
+	for _, cid := range cat.OnNode(0) {
+		if cid == id {
+			t.Error("component still indexed on old node")
+		}
+	}
+	found := false
+	for _, cid := range cat.OnNode(5) {
+		if cid == id {
+			found = true
+		}
+	}
+	if !found {
+		t.Error("component not indexed on new node")
+	}
+	// Idempotent move and error cases.
+	if err := cat.Move(id, 5); err != nil {
+		t.Errorf("same-node move: %v", err)
+	}
+	if err := cat.Move(ComponentID(-1), 5); err == nil {
+		t.Error("unknown component accepted")
+	}
+	if err := cat.Move(id, 999); err == nil {
+		t.Error("out-of-range node accepted")
+	}
+}
+
+func TestCatalogCloneIndependence(t *testing.T) {
+	cat, err := Place(20, DefaultPlacementConfig(), rand.New(rand.NewSource(12)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	clone := cat.Clone()
+	id := cat.OnNode(0)[0]
+	if err := clone.Move(id, 3); err != nil {
+		t.Fatal(err)
+	}
+	if cat.Component(id).Node == 3 {
+		t.Error("move on clone mutated the original")
+	}
+	clone.SetNodeAvailable(2, false)
+	if !cat.NodeIsAvailable(2) {
+		t.Error("availability change on clone mutated the original")
+	}
+}

@@ -184,8 +184,8 @@ type Config struct {
 	// HoldTTL is the transient resource allocation timeout: holds placed
 	// by probes expire after this long unless confirmed (§3.3 step 2).
 	HoldTTL time.Duration
-	// TransientAllocation toggles transient holds; disabling it is the
-	// over-admission ablation.
+	// TransientAllocation toggles transient holds. The harness oracle and
+	// the tuner's shadow composer turn it off.
 	TransientAllocation bool
 	// Selection is the per-hop candidate ranking policy. Zero value
 	// means the algorithm's natural policy (ACP/Optimal/SP: risk then

@@ -5,10 +5,7 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/placement"
 	"repro/internal/state"
-	"repro/internal/tuning"
-	"repro/internal/workload"
 )
 
 // ablationRates is the request-rate x-axis shared by the ablation sweeps.
@@ -40,29 +37,6 @@ func ablationSweep(o Options, p *Platform, title string, variants []struct {
 		t.AddRow(row...)
 	}
 	return t, nil
-}
-
-// AblationTransient compares ACP with and without transient resource
-// allocation (§3.3 step 2).
-func AblationTransient(o Options) ([]*Table, error) {
-	o = o.normalize()
-	p, err := sparsePlatform(o, 400)
-	if err != nil {
-		return nil, err
-	}
-	t, err := ablationSweep(o, p,
-		"Ablation: transient resource allocation (ACP success %, N=400, alpha=0.3)",
-		[]struct {
-			name   string
-			mutate func(*RunConfig)
-		}{
-			{name: "with holds", mutate: func(rc *RunConfig) {}},
-			{name: "without holds", mutate: func(rc *RunConfig) { rc.DisableTransient = true }},
-		})
-	if err != nil {
-		return nil, err
-	}
-	return []*Table{t}, nil
 }
 
 // AblationStaleness compares the paper's coarse threshold-triggered
@@ -158,139 +132,12 @@ func AblationUpdateThreshold(o Options) ([]*Table, error) {
 	return []*Table{t}, nil
 }
 
-// ExtensionTuners compares the profiling tuner with the PI controller
-// under the Figure 8 dynamic workload (§6 future work (1)).
-func ExtensionTuners(o Options) ([]*Table, error) {
-	o = o.normalize()
-	p, err := densePlatform(o, 400)
-	if err != nil {
-		return nil, err
-	}
-	phases, total := figure8Phases(o)
-	run := func(mutate func(*RunConfig)) (*Result, error) {
-		rc := DefaultRunConfig(0)
-		rc.Seed = o.Seed
-		rc.Phases = phases
-		rc.Duration = total
-		rc.ProbingRatio = 0.1
-		rc.MaxProbesPerRequest = probeBudget
-		mutate(&rc)
-		return Run(p, rc)
-	}
-
-	profRes, err := run(func(rc *RunConfig) {
-		tcfg := tuning.DefaultConfig()
-		tcfg.ErrorThreshold = 0.05
-		rc.Tuning = &tcfg
-		rc.TraceCap = 100
-	})
-	if err != nil {
-		return nil, err
-	}
-	piRes, err := run(func(rc *RunConfig) {
-		picfg := tuning.DefaultPIConfig()
-		rc.PITuning = &picfg
-	})
-	if err != nil {
-		return nil, err
-	}
-
-	t := &Table{
-		Title:  "Extension: profiling tuner vs PI controller (dynamic workload, target 90%)",
-		Header: []string{"tuner", "cumulative success %", "overhead/min", "reprofiles"},
-	}
-	t.AddRow("profiling (paper §3.4)", fmtPct(profRes.SuccessRate),
-		fmt.Sprintf("%.0f", profRes.OverheadPerMinute), fmt.Sprintf("%d", profRes.Reprofiles))
-	t.AddRow("PI controller (§6)", fmtPct(piRes.SuccessRate),
-		fmt.Sprintf("%.0f", piRes.OverheadPerMinute), "0")
-	return []*Table{t}, nil
-}
-
-// ExtensionResilience measures node-crash handling with and without
-// recomposition, and with dynamic placement added.
-func ExtensionResilience(o Options) ([]*Table, error) {
-	o = o.normalize()
-	p, err := sparsePlatform(o, 400)
-	if err != nil {
-		return nil, err
-	}
-	t := &Table{
-		Title:  "Extension: failures and recovery (rate=60, 1 crash/min, 5 min repair)",
-		Header: []string{"mode", "success %", "crashes", "disrupted", "recovered"},
-	}
-	variants := []struct {
-		name   string
-		mutate func(*RunConfig)
-	}{
-		{name: "no failures", mutate: func(rc *RunConfig) { rc.FailuresPerMinute = 0 }},
-		{name: "crashes", mutate: func(rc *RunConfig) {}},
-		{name: "crashes + recompose", mutate: func(rc *RunConfig) { rc.RecomposeOnFailure = true }},
-		{name: "crashes + recompose + migration", mutate: func(rc *RunConfig) {
-			rc.RecomposeOnFailure = true
-			pcfg := placement.DefaultConfig()
-			rc.Migration = &pcfg
-		}},
-	}
-	for _, v := range variants {
-		rc := DefaultRunConfig(60)
-		rc.Seed = o.Seed
-		rc.Duration = o.duration(100 * time.Minute)
-		rc.FailuresPerMinute = 1
-		rc.RepairTime = 5 * time.Minute
-		v.mutate(&rc)
-		res, err := Run(p, rc)
-		if err != nil {
-			return nil, err
-		}
-		t.AddRow(v.name, fmtPct(res.SuccessRate),
-			fmt.Sprintf("%d", res.Failures),
-			fmt.Sprintf("%d", res.Disrupted),
-			fmt.Sprintf("%d", res.Recomposed))
-	}
-	return []*Table{t}, nil
-}
-
-// ExtensionSecurity sweeps the fraction of requests demanding hardened
-// components (§6 future work (2)).
-func ExtensionSecurity(o Options) ([]*Table, error) {
-	o = o.normalize()
-	p, err := densePlatform(o, 400)
-	if err != nil {
-		return nil, err
-	}
-	t := &Table{
-		Title:  "Extension: security-constrained requests (rate=60, level >= 2 of 3)",
-		Header: []string{"secure fraction", "success %"},
-	}
-	for _, frac := range []float64{0, 0.25, 0.5, 0.75, 1} {
-		rc := DefaultRunConfig(60)
-		rc.Seed = o.Seed
-		rc.Duration = o.duration(100 * time.Minute)
-		rc.MaxProbesPerRequest = probeBudget
-		f := frac
-		rc.WorkloadOverride = func(w *workload.Config) {
-			w.SecureFraction = f
-			w.SecureLevel = 2
-		}
-		res, err := Run(p, rc)
-		if err != nil {
-			return nil, err
-		}
-		t.AddRow(fmt.Sprintf("%.2f", frac), fmtPct(res.SuccessRate))
-	}
-	return []*Table{t}, nil
-}
-
-// Ablations maps ablation/extension experiment identifiers to runners,
-// the companion registry to Figures.
+// Ablations maps ablation identifiers to runners, the companion
+// registry to Figures.
 func Ablations() map[string]FigureFunc {
 	return map[string]FigureFunc{
-		"transient": AblationTransient,
 		"staleness": AblationStaleness,
 		"selection": AblationSelection,
 		"threshold": AblationUpdateThreshold,
-		"tuners":    ExtensionTuners,
-		"failures":  ExtensionResilience,
-		"security":  ExtensionSecurity,
 	}
 }

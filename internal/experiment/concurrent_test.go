@@ -69,26 +69,3 @@ func TestRunConcurrentMatchesSerial(t *testing.T) {
 		t.Error("default-worker run diverged from serial")
 	}
 }
-
-// TestFigureParallelMatchesSerial: the figure drivers with Parallel set
-// must fill the same table cells as the serial sweep.
-func TestFigureParallelMatchesSerial(t *testing.T) {
-	if testing.Short() {
-		t.Skip("figure sweep; skipped in -short")
-	}
-	base := Options{Seed: 5, DurationScale: 0.01, IPNodes: 800}
-	par := base
-	par.Parallel = -1
-
-	serial, err := Figure5a(base)
-	if err != nil {
-		t.Fatal(err)
-	}
-	parallel, err := Figure5a(par)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(serial, parallel) {
-		t.Fatalf("parallel Figure5a table diverged from serial:\n%+v\nvs\n%+v", parallel, serial)
-	}
-}

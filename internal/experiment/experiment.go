@@ -18,7 +18,6 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/obs"
 	"repro/internal/overlay"
-	"repro/internal/placement"
 	"repro/internal/qos"
 	"repro/internal/state"
 	"repro/internal/topology"
@@ -155,12 +154,6 @@ type RunConfig struct {
 	// tuner (Figure 8(b)); ProbingRatio then only sets the starting
 	// point.
 	Tuning *tuning.Config
-	// PITuning, when non-nil, uses the control-theoretic PI tuner
-	// instead (§6 future work). Mutually exclusive with Tuning.
-	PITuning *tuning.PIConfig
-	// DisableTransient turns off transient resource allocation
-	// (ablation).
-	DisableTransient bool
 	// Selection overrides the per-hop candidate ranking (ablation); zero
 	// means the algorithm's natural policy.
 	Selection core.SelectionPolicy
@@ -177,10 +170,6 @@ type RunConfig struct {
 	// WorkloadOverride, when non-nil, adjusts the workload configuration
 	// after defaults are applied (calibration and ablation hook).
 	WorkloadOverride func(*workload.Config)
-	// Migration, when non-nil, enables dynamic component placement: a
-	// manager periodically migrates components off hot nodes (§6 future
-	// work). The run operates on a private clone of the platform catalog.
-	Migration *placement.Config
 	// FailuresPerMinute injects node crashes at this Poisson rate; a
 	// crashed node's components become undiscoverable and its sessions
 	// are disrupted. Zero disables failure injection.
@@ -246,8 +235,6 @@ type Result struct {
 	MeanPhi float64
 	// Reprofiles counts tuner profiling sweeps (0 without tuning).
 	Reprofiles int
-	// MigrationMoves counts component migrations (0 without migration).
-	MigrationMoves int
 	// Failures and Disrupted count injected node crashes and the
 	// sessions they terminated early.
 	Failures  int64
@@ -323,9 +310,9 @@ func Run(p *Platform, rc RunConfig) (*Result, error) {
 	}
 
 	catalog := p.Catalog
-	if cfg.Migration != nil || cfg.FailuresPerMinute > 0 {
-		// Mutating features operate on a private copy so the shared
-		// platform stays pristine across runs.
+	if cfg.FailuresPerMinute > 0 {
+		// Crashes mutate the catalog, so they operate on a private copy
+		// and the shared platform stays pristine across runs.
 		catalog = p.Catalog.Clone()
 	}
 	if cfg.Tracer != nil {
@@ -349,7 +336,7 @@ func Run(p *Platform, rc RunConfig) (*Result, error) {
 		Algorithm:           cfg.Algorithm,
 		ProbingRatio:        cfg.ProbingRatio,
 		HoldTTL:             10 * time.Second,
-		TransientAllocation: !cfg.DisableTransient,
+		TransientAllocation: true,
 		Selection:           cfg.Selection,
 		MaxProbesPerRequest: cfg.MaxProbesPerRequest,
 	}
@@ -390,32 +377,13 @@ func Run(p *Platform, rc RunConfig) (*Result, error) {
 		arrivals: arrivals,
 		active:   make(map[int64]*activeSession),
 	}
-	if cfg.Migration != nil {
-		manager, err := placement.NewManager(catalog, ledger, *cfg.Migration, counters)
-		if err != nil {
-			return nil, err
-		}
-		r.manager = manager
-	}
-	if cfg.Tuning != nil && cfg.PITuning != nil {
-		return nil, fmt.Errorf("experiment: Tuning and PITuning are mutually exclusive")
-	}
 	if cfg.Tuning != nil {
 		tuner, err := tuning.NewTuner(*cfg.Tuning, r.profileAlpha)
 		if err != nil {
 			return nil, err
 		}
 		r.tuner = tuner
-	}
-	if cfg.PITuning != nil {
-		tuner, err := tuning.NewPIController(*cfg.PITuning)
-		if err != nil {
-			return nil, err
-		}
-		r.tuner = tuner
-	}
-	if r.tuner != nil {
-		if err := composer.SetProbingRatio(r.tuner.Ratio()); err != nil {
+		if err := composer.SetProbingRatio(tuner.Ratio()); err != nil {
 			return nil, err
 		}
 	}
@@ -439,8 +407,7 @@ type run struct {
 	catalog  *component.Catalog
 	gen      *workload.Generator
 	arrivals *workload.Arrivals
-	tuner    tuning.RatioTuner
-	manager  *placement.Manager
+	tuner    *tuning.Tuner
 
 	active        map[int64]*activeSession // session id -> live state
 	failures      int64
@@ -491,10 +458,6 @@ func (r *run) execute() (*Result, error) {
 	if r.cfg.State == StateCoarse {
 		r.clock.AfterFunc(r.global.Period(), r.onAggregate)
 	}
-	// Dynamic placement chain (§6 future work).
-	if r.manager != nil {
-		r.clock.AfterFunc(r.manager.Period(), r.onRebalance)
-	}
 	// Failure injection chain.
 	if r.cfg.FailuresPerMinute > 0 {
 		r.clock.AfterFunc(r.nextFailureGap(), r.onFailure)
@@ -527,11 +490,8 @@ func (r *run) execute() (*Result, error) {
 	if r.phiCount > 0 {
 		res.MeanPhi = r.totalPhi / float64(r.phiCount)
 	}
-	if profiler, ok := r.tuner.(*tuning.Tuner); ok {
-		res.Reprofiles = profiler.Reprofiles()
-	}
-	if r.manager != nil {
-		res.MigrationMoves = r.manager.Moves()
+	if r.tuner != nil {
+		res.Reprofiles = r.tuner.Reprofiles()
 	}
 	res.Failures = r.failures
 	res.Disrupted = r.disrupted
@@ -650,14 +610,6 @@ func (r *run) trackSession(outcome *core.Outcome) {
 	})
 }
 
-// onRebalance fires a dynamic-placement pass.
-func (r *run) onRebalance() {
-	r.manager.Rebalance()
-	if r.now() < r.cfg.Duration {
-		r.clock.AfterFunc(r.manager.Period(), r.onRebalance)
-	}
-}
-
 // nextFailureGap draws the exponential inter-failure gap.
 func (r *run) nextFailureGap() time.Duration {
 	gapMinutes := r.rng.ExpFloat64() / r.cfg.FailuresPerMinute
@@ -774,9 +726,7 @@ func (r *run) onAggregate() {
 
 // recordTrace keeps the most recent requests for the tuner's replay.
 func (r *run) recordTrace(req *component.Request) {
-	// Only the profiling tuner replays traces; the PI controller needs
-	// none.
-	if _, ok := r.tuner.(*tuning.Tuner); !ok {
+	if r.tuner == nil {
 		return
 	}
 	if len(r.trace) >= r.cfg.TraceCap {

@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/placement"
 	"repro/internal/trace"
 	"repro/internal/tuning"
 	"repro/internal/workload"
@@ -253,15 +252,6 @@ func TestRunStatePolicies(t *testing.T) {
 	}
 }
 
-func TestRunDisableTransient(t *testing.T) {
-	p := smallPlatform(t, 8)
-	rc := shortRun(30)
-	rc.DisableTransient = true
-	if _, err := Run(p, rc); err != nil {
-		t.Fatalf("run without transient allocation failed: %v", err)
-	}
-}
-
 func TestWorkloadOverrideApplied(t *testing.T) {
 	p := smallPlatform(t, 9)
 	rc := shortRun(30)
@@ -320,36 +310,6 @@ func TestSessionsDrainAfterRun(t *testing.T) {
 	}
 }
 
-func TestRunWithMigration(t *testing.T) {
-	p := smallPlatform(t, 12)
-	pcfg := placement.DefaultConfig()
-	pcfg.Period = 2 * time.Minute
-	pcfg.UtilizationGap = 0.2
-
-	rc := shortRun(30)
-	rc.Migration = &pcfg
-	res, err := Run(p, rc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.MigrationMoves == 0 {
-		t.Log("no migrations triggered (system stayed balanced)")
-	}
-	// The shared platform catalog must be untouched: a second run
-	// without migration behaves exactly like a fresh platform's run.
-	base, err := Run(p, shortRun(30))
-	if err != nil {
-		t.Fatal(err)
-	}
-	fresh, err := Run(smallPlatform(t, 12), shortRun(30))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if base.SuccessRate != fresh.SuccessRate || base.Messages != fresh.Messages {
-		t.Error("migration run mutated the shared platform catalog")
-	}
-}
-
 func TestRunWithFailures(t *testing.T) {
 	p := smallPlatform(t, 13)
 	rc := shortRun(30)
@@ -368,6 +328,19 @@ func TestRunWithFailures(t *testing.T) {
 	if res.Recomposed != 0 {
 		t.Errorf("recompositions without RecomposeOnFailure: %d", res.Recomposed)
 	}
+	// Crashes act on a private catalog: a later run on the shared
+	// platform behaves exactly like a fresh platform's run.
+	base, err := Run(p, shortRun(30))
+	if err != nil {
+		t.Fatal(err)
+	}
+	fresh, err := Run(smallPlatform(t, 13), shortRun(30))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if base.SuccessRate != fresh.SuccessRate || base.Messages != fresh.Messages {
+		t.Error("failure run mutated the shared platform catalog")
+	}
 }
 
 func TestRunFailuresWithRecomposition(t *testing.T) {
@@ -385,53 +358,6 @@ func TestRunFailuresWithRecomposition(t *testing.T) {
 	}
 	if res.Recomposed > res.Disrupted {
 		t.Errorf("recomposed %d > disrupted %d", res.Recomposed, res.Disrupted)
-	}
-}
-
-func TestRunWithPITuner(t *testing.T) {
-	p := smallPlatform(t, 15)
-	rc := shortRun(30)
-	rc.ProbingRatio = 0.1
-	picfg := tuning.DefaultPIConfig()
-	rc.PITuning = &picfg
-	res, err := Run(p, rc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.RatioSeries) == 0 {
-		t.Fatal("no ratio series with PI tuner")
-	}
-	if res.Reprofiles != 0 {
-		t.Errorf("PI tuner reported %d reprofiles", res.Reprofiles)
-	}
-	// Exclusivity check.
-	tcfg := tuning.DefaultConfig()
-	rc.Tuning = &tcfg
-	if _, err := Run(p, rc); err == nil {
-		t.Error("both tuners accepted simultaneously")
-	}
-}
-
-func TestRunSecureWorkload(t *testing.T) {
-	p := smallPlatform(t, 16)
-	plain := shortRun(25)
-	base, err := Run(p, plain)
-	if err != nil {
-		t.Fatal(err)
-	}
-	secure := shortRun(25)
-	secure.WorkloadOverride = func(w *workload.Config) {
-		w.SecureFraction = 1
-		w.SecureLevel = 3
-	}
-	res, err := Run(p, secure)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Demanding level-3 components everywhere must cost success: only a
-	// third of components qualify.
-	if res.SuccessRate >= base.SuccessRate {
-		t.Errorf("security constraint did not reduce success: %v vs %v", res.SuccessRate, base.SuccessRate)
 	}
 }
 

@@ -20,11 +20,6 @@ type Options struct {
 	DurationScale float64
 	// IPNodes overrides the IP-layer graph size (default 3200).
 	IPNodes int
-	// Parallel caps how many independent simulation cells run
-	// concurrently within one figure (see RunConcurrent). 0 or 1 keeps
-	// the runs serial; negative selects GOMAXPROCS. Cell results are
-	// identical either way — each cell is a self-contained simulation.
-	Parallel int
 }
 
 func (o Options) normalize() Options {
@@ -38,18 +33,6 @@ func (o Options) normalize() Options {
 		o.IPNodes = 3200
 	}
 	return o
-}
-
-// workers translates the Parallel knob into a RunConcurrent worker count.
-func (o Options) workers() int {
-	switch {
-	case o.Parallel < 0:
-		return 0 // RunConcurrent picks GOMAXPROCS
-	case o.Parallel == 0:
-		return 1
-	default:
-		return o.Parallel
-	}
 }
 
 func (o Options) duration(full time.Duration) time.Duration {
@@ -120,7 +103,7 @@ func Figure5a(o Options) ([]*Table, error) {
 			rcs = append(rcs, rc)
 		}
 	}
-	results, err := RunConcurrent(p, rcs, o.workers())
+	results, err := RunConcurrent(p, rcs, 0)
 	if err != nil {
 		return nil, err
 	}
@@ -165,7 +148,7 @@ func Figure5b(o Options) ([]*Table, error) {
 			rcs = append(rcs, rc)
 		}
 	}
-	results, err := RunConcurrent(p, rcs, o.workers())
+	results, err := RunConcurrent(p, rcs, 0)
 	if err != nil {
 		return nil, err
 	}

@@ -1,6 +1,7 @@
 package experiment
 
 import (
+	"fmt"
 	"strconv"
 	"strings"
 	"testing"
@@ -62,35 +63,50 @@ func TestFigure5aShape(t *testing.T) {
 	}
 }
 
+// TestFigure6Shape holds Figure 6 to its verdict at every request rate,
+// on seeds 1-5: ACP tracks Optimal within 3 points, the baselines keep
+// their order RP > Random > Static, and ACP's overhead stays under RP's
+// and within 5 % of Optimal's. ACP > SP and ACP > RP are not asserted:
+// at this scale they fail on some seeds (seed 4, rate 100).
 func TestFigure6Shape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("figure run in -short mode")
 	}
-	tables, err := Figure6(tinyOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	succ, ovh := tables[0], tables[1]
-	if len(succ.Rows) != 5 || len(ovh.Rows) != 5 {
-		t.Fatalf("row counts: %d, %d", len(succ.Rows), len(ovh.Rows))
-	}
-	// At the highest rate: Optimal ~>= ACP and ACP > Static.
-	lastRow := succ.Rows[len(succ.Rows)-1]
-	optimal, acp := parsePct(t, lastRow[1]), parsePct(t, lastRow[2])
-	static := parsePct(t, lastRow[6])
-	if optimal+5 < acp {
-		t.Errorf("Optimal (%v) far below ACP (%v)", optimal, acp)
-	}
-	if acp <= static {
-		t.Errorf("ACP (%v) not above Static (%v)", acp, static)
-	}
-	// Overhead: Optimal >> ACP at every rate.
-	for _, row := range ovh.Rows {
-		opt := parsePct(t, row[1])
-		acpOvh := parsePct(t, row[2])
-		if opt < 5*acpOvh {
-			t.Errorf("rate %s: Optimal overhead %v not well above ACP %v", row[0], opt, acpOvh)
-		}
+	for seed := int64(1); seed <= 5; seed++ {
+		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
+			t.Parallel()
+			o := tinyOptions()
+			o.Seed = seed
+			tables, err := Figure6(o)
+			if err != nil {
+				t.Fatal(err)
+			}
+			succ, ovh := tables[0], tables[1]
+			if len(succ.Rows) != 5 || len(ovh.Rows) != 5 {
+				t.Fatalf("row counts: %d, %d", len(succ.Rows), len(ovh.Rows))
+			}
+			// Columns: rate, Optimal, ACP, SP, RP, Random, Static.
+			for _, row := range succ.Rows {
+				optimal, acp := parsePct(t, row[1]), parsePct(t, row[2])
+				rp, random, static := parsePct(t, row[4]), parsePct(t, row[5]), parsePct(t, row[6])
+				if acp > optimal || acp < optimal-3 {
+					t.Errorf("rate %s: ACP %v not within [Optimal-3, Optimal] of %v", row[0], acp, optimal)
+				}
+				if !(rp > random && random > static) {
+					t.Errorf("rate %s: want RP > Random > Static, got %v, %v, %v", row[0], rp, random, static)
+				}
+			}
+			// Columns: rate, Optimal, ACP, RP.
+			for _, row := range ovh.Rows {
+				opt, acp, rp := parsePct(t, row[1]), parsePct(t, row[2]), parsePct(t, row[3])
+				if acp >= rp {
+					t.Errorf("rate %s: ACP overhead %v not below RP's %v", row[0], acp, rp)
+				}
+				if acp > 0.05*opt {
+					t.Errorf("rate %s: ACP overhead %v above 5%% of Optimal's %v", row[0], acp, opt)
+				}
+			}
+		})
 	}
 }
 
@@ -228,7 +244,7 @@ func TestReproduceAveraged(t *testing.T) {
 
 func TestAblationRegistry(t *testing.T) {
 	m := Ablations()
-	want := []string{"failures", "security", "selection", "staleness", "threshold", "transient", "tuners"}
+	want := []string{"selection", "staleness", "threshold"}
 	if len(m) != len(want) {
 		t.Fatalf("Ablations has %d entries", len(m))
 	}
@@ -236,35 +252,6 @@ func TestAblationRegistry(t *testing.T) {
 		if m[name] == nil {
 			t.Errorf("missing ablation %q", name)
 		}
-	}
-}
-
-func TestAblationTransientRuns(t *testing.T) {
-	if testing.Short() {
-		t.Skip("ablation run in -short mode")
-	}
-	tables, err := AblationTransient(tinyOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(tables[0].Rows) != 5 {
-		t.Errorf("rows = %d", len(tables[0].Rows))
-	}
-}
-
-func TestExtensionSecurityMonotone(t *testing.T) {
-	if testing.Short() {
-		t.Skip("ablation run in -short mode")
-	}
-	tables, err := ExtensionSecurity(tinyOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	rows := tables[0].Rows
-	first := parsePct(t, rows[0][1])
-	last := parsePct(t, rows[len(rows)-1][1])
-	if last >= first {
-		t.Errorf("all-secure success %v not below open %v", last, first)
 	}
 }
 
@@ -294,12 +281,14 @@ func TestFigure5bAnd8aShapes(t *testing.T) {
 	}
 }
 
+// TestFigure7TinyShape holds Figure 7 to its verdict: Optimal's success
+// is at least ACP's at every N, and Optimal's overhead outgrows ACP's —
+// the Optimal/ACP overhead ratio rises strictly with N.
 func TestFigure7TinyShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("figure run in -short mode")
 	}
-	opts := tinyOptions()
-	tables, err := Figure7(opts)
+	tables, err := Figure7(tinyOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -307,10 +296,17 @@ func TestFigure7TinyShape(t *testing.T) {
 	if len(succ.Rows) != 5 || len(ovh.Rows) != 5 {
 		t.Fatalf("row counts %d/%d", len(succ.Rows), len(ovh.Rows))
 	}
-	// Optimal's exhaustive overhead must grow with system size.
-	first := parsePct(t, ovh.Rows[0][1])
-	lastV := parsePct(t, ovh.Rows[len(ovh.Rows)-1][1])
-	if lastV <= first {
-		t.Errorf("Optimal overhead did not grow with N: %v -> %v", first, lastV)
+	for _, row := range succ.Rows {
+		if optimal, acp := parsePct(t, row[1]), parsePct(t, row[2]); optimal < acp {
+			t.Errorf("N=%s: Optimal success %v below ACP's %v", row[0], optimal, acp)
+		}
+	}
+	prev := 0.0
+	for _, row := range ovh.Rows {
+		ratio := parsePct(t, row[1]) / parsePct(t, row[2])
+		if ratio <= prev {
+			t.Errorf("N=%s: Optimal/ACP overhead ratio %.1f not above %.1f at the smaller N", row[0], ratio, prev)
+		}
+		prev = ratio
 	}
 }

@@ -37,8 +37,6 @@ type Counters struct {
 	Confirmations int64
 	// Discovery counts service-discovery lookup messages.
 	Discovery int64
-	// Migrations counts dynamic-placement migration messages.
-	Migrations int64
 }
 
 // AddProbes atomically adds n probe transmissions.
@@ -59,9 +57,6 @@ func (c *Counters) AddConfirmations(n int64) { atomic.AddInt64(&c.Confirmations,
 // AddDiscovery atomically adds n discovery lookup messages.
 func (c *Counters) AddDiscovery(n int64) { atomic.AddInt64(&c.Discovery, n) }
 
-// AddMigrations atomically adds n migration messages.
-func (c *Counters) AddMigrations(n int64) { atomic.AddInt64(&c.Migrations, n) }
-
 // Snapshot returns an atomically-read copy of a live shared instance.
 func (c *Counters) Snapshot() Counters {
 	return Counters{
@@ -71,7 +66,6 @@ func (c *Counters) Snapshot() Counters {
 		Aggregations:  atomic.LoadInt64(&c.Aggregations),
 		Confirmations: atomic.LoadInt64(&c.Confirmations),
 		Discovery:     atomic.LoadInt64(&c.Discovery),
-		Migrations:    atomic.LoadInt64(&c.Migrations),
 	}
 }
 
@@ -79,7 +73,7 @@ func (c *Counters) Snapshot() Counters {
 func (c *Counters) Total() int64 {
 	s := c.Snapshot()
 	return s.Probes + s.ProbeReturns + s.StateUpdates + s.Aggregations +
-		s.Confirmations + s.Discovery + s.Migrations
+		s.Confirmations + s.Discovery
 }
 
 // ProbingTotal returns probe traffic only (sent plus returned), the
@@ -97,14 +91,13 @@ func (c Counters) Sub(o Counters) Counters {
 		Aggregations:  c.Aggregations - o.Aggregations,
 		Confirmations: c.Confirmations - o.Confirmations,
 		Discovery:     c.Discovery - o.Discovery,
-		Migrations:    c.Migrations - o.Migrations,
 	}
 }
 
 // String summarises the counters.
 func (c Counters) String() string {
-	return fmt.Sprintf("msgs(probe=%d ret=%d state=%d agg=%d confirm=%d disc=%d migrate=%d)",
-		c.Probes, c.ProbeReturns, c.StateUpdates, c.Aggregations, c.Confirmations, c.Discovery, c.Migrations)
+	return fmt.Sprintf("msgs(probe=%d ret=%d state=%d agg=%d confirm=%d disc=%d)",
+		c.Probes, c.ProbeReturns, c.StateUpdates, c.Aggregations, c.Confirmations, c.Discovery)
 }
 
 // SuccessSampler accumulates composition outcomes within a sampling

@@ -24,7 +24,6 @@ func TestCountersConcurrentAdds(t *testing.T) {
 				c.AddAggregations(1)
 				c.AddConfirmations(1)
 				c.AddDiscovery(1)
-				c.AddMigrations(1)
 				_ = c.ProbingTotal()
 				if i%200 == 0 {
 					_ = c.Snapshot()
@@ -34,18 +33,18 @@ func TestCountersConcurrentAdds(t *testing.T) {
 	}
 	wg.Wait()
 	s := c.Snapshot()
-	if s.Probes != workers*iters || s.Migrations != workers*iters {
+	if s.Probes != workers*iters || s.Discovery != workers*iters {
 		t.Errorf("Snapshot = %+v, want %d per field", s, workers*iters)
 	}
-	if got := c.Total(); got != 7*workers*iters {
-		t.Errorf("Total = %d, want %d", got, 7*workers*iters)
+	if got := c.Total(); got != 6*workers*iters {
+		t.Errorf("Total = %d, want %d", got, 6*workers*iters)
 	}
 }
 
 func TestCountersTotalAndSub(t *testing.T) {
-	c := Counters{Probes: 10, ProbeReturns: 2, StateUpdates: 3, Aggregations: 4, Confirmations: 5, Discovery: 6, Migrations: 7}
-	if got := c.Total(); got != 37 {
-		t.Errorf("Total = %d, want 37", got)
+	c := Counters{Probes: 10, ProbeReturns: 2, StateUpdates: 3, Aggregations: 4, Confirmations: 5, Discovery: 6}
+	if got := c.Total(); got != 30 {
+		t.Errorf("Total = %d, want 30", got)
 	}
 	if got := c.ProbingTotal(); got != 12 {
 		t.Errorf("ProbingTotal = %d, want 12", got)

@@ -19,13 +19,13 @@ func sampleRequest(t *testing.T, seed int64) *component.Request {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := workload.DefaultConfig(lib, 100)
-	cfg.SecureFraction = 0.5
-	gen, err := workload.NewGenerator(cfg, rand.New(rand.NewSource(seed)))
+	gen, err := workload.NewGenerator(workload.DefaultConfig(lib, 100), rand.New(rand.NewSource(seed)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	return gen.Next()
+	req := gen.Next()
+	req.MinSecurity = 2 // so the round trip carries a security constraint
+	return req
 }
 
 func TestRecordRoundTrip(t *testing.T) {

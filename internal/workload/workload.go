@@ -84,15 +84,6 @@ type Config struct {
 
 	// Level scales the drawn QoS requirements (Figure 5(b)).
 	Level QoSLevel
-
-	// SecureFraction is the probability a request demands components of
-	// at least SecureLevel — the application-specific security
-	// constraint from the paper's future-work list (§6). Zero disables
-	// the constraint (the paper's baseline experiments).
-	SecureFraction float64
-	// SecureLevel is the minimum component security level demanded by
-	// secure requests (default 2 when SecureFraction > 0).
-	SecureLevel int
 }
 
 // DefaultConfig returns requirement ranges calibrated so that a 400-node
@@ -146,12 +137,6 @@ func (c *Config) validate() error {
 	if c.Level.Scale() <= 0 {
 		return fmt.Errorf("workload: invalid QoS level %d", c.Level)
 	}
-	if c.SecureFraction < 0 || c.SecureFraction > 1 {
-		return fmt.Errorf("workload: SecureFraction %v out of [0, 1]", c.SecureFraction)
-	}
-	if c.SecureLevel < 0 {
-		return fmt.Errorf("workload: SecureLevel %d < 0", c.SecureLevel)
-	}
 	return nil
 }
 
@@ -202,13 +187,6 @@ func (g *Generator) Next() *component.Request {
 			CPU:    g.uniform(cfg.CPUReqMin, cfg.CPUReqMax),
 			Memory: g.uniform(cfg.MemoryReqMin, cfg.MemoryReqMax),
 		}
-	}
-	if cfg.SecureFraction > 0 && g.rng.Float64() < cfg.SecureFraction {
-		level := cfg.SecureLevel
-		if level == 0 {
-			level = 2
-		}
-		req.MinSecurity = level
 	}
 	return req
 }
