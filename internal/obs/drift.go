@@ -56,8 +56,12 @@ type DriftMonitor struct {
 	forgottenC  *Counter
 	inViolation *Gauge
 
-	mu       sync.Mutex
-	exceeded map[string]bool // session key -> currently in violation. guarded by mu
+	mu sync.Mutex
+	// tick numbers the Ticks. guarded by mu
+	tick uint64
+	// violating holds every session in violation, keyed by labelKey, with
+	// the tick that last saw it. guarded by mu
+	violating map[string]uint64
 }
 
 // NewDriftMonitor builds a monitor; call Tick to compare once.
@@ -88,47 +92,51 @@ func (m *DriftMonitor) Tick() []DriftEvent {
 	m.ticks.Inc()
 	var events []DriftEvent
 	m.mu.Lock()
-	if m.exceeded == nil {
-		m.exceeded = make(map[string]bool)
+	// One read of each vector per tick, both from one scrape, joined on
+	// their common label order.
+	scrape := newScrape()
+	observed := gaugeValues(m.cfg.Observed, scrape)
+	required := gaugeValues(m.cfg.Required, scrape)
+	if m.violating == nil {
+		m.violating = make(map[string]uint64)
 	}
-	live := make(map[string]bool)
-	for _, labels := range m.cfg.Observed.LabelValues() {
-		req := m.cfg.Required.Get(labels...)
-		obsG := m.cfg.Observed.Get(labels...)
-		if req == nil || obsG == nil {
+	m.tick++
+	j := 0
+	for _, o := range observed {
+		for j < len(required) && compareLabels(required[j].Labels, o.Labels) < 0 {
+			j++
+		}
+		if j == len(required) || compareLabels(required[j].Labels, o.Labels) != 0 {
 			continue
 		}
-		key := labelKey(labels)
-		live[key] = true
-		observed, required := obsG.Value(), req.Value()
-		nowExceeded := observed > required*(1+m.cfg.Tolerance)
-		if nowExceeded != m.exceeded[key] {
-			m.exceeded[key] = nowExceeded
+		req := required[j].Value
+		key := labelKey(o.Labels)
+		_, wasExceeded := m.violating[key]
+		nowExceeded := o.Value > req*(1+m.cfg.Tolerance)
+		if nowExceeded {
+			m.violating[key] = m.tick
+		} else if wasExceeded {
+			delete(m.violating, key)
+		}
+		if nowExceeded != wasExceeded {
 			events = append(events, DriftEvent{
-				Session:  strings.Join(labels, "/"),
-				Observed: observed,
-				Required: required,
+				Session:  strings.Join(o.Labels, "/"),
+				Observed: o.Value,
+				Required: req,
 				Exceeded: nowExceeded,
 			})
 		}
 	}
 	forgotten := 0
-	for key := range m.exceeded {
-		if !live[key] {
-			if m.exceeded[key] {
-				// Released while in violation: no recovery event will
-				// ever fire, so account the episode as forgotten.
-				forgotten++
-			}
-			delete(m.exceeded, key)
+	for key, seen := range m.violating {
+		if seen != m.tick {
+			// Released while in violation: no recovery event will
+			// ever fire, so account the episode as forgotten.
+			forgotten++
+			delete(m.violating, key)
 		}
 	}
-	violating := 0
-	for _, v := range m.exceeded {
-		if v {
-			violating++
-		}
-	}
+	violating := len(m.violating)
 	m.mu.Unlock()
 
 	if forgotten > 0 {

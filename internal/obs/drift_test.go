@@ -1,6 +1,9 @@
 package obs
 
-import "testing"
+import (
+	"fmt"
+	"testing"
+)
 
 // driftFixture wires a registry-backed monitor over one observed /
 // required gauge pair.
@@ -213,5 +216,50 @@ func TestDriftMonitorNilSafe(t *testing.T) {
 	inert := NewDriftMonitor(DriftConfig{})
 	if evs := inert.Tick(); evs != nil {
 		t.Fatalf("unconfigured monitor ticked: %+v", evs)
+	}
+}
+
+// TestDriftTickReadsEachVectorOnce: a tick reads Observed and Required
+// once each, from one scrape, and joins them in one pass — what it
+// allocates does not grow with the session count beyond the two row
+// arrays. Reading each session's two gauges apart costs a source-backed
+// vector a full read per session, quadratic in the sessions.
+func TestDriftTickReadsEachVectorOnce(t *testing.T) {
+	tick := func(sessions int) float64 {
+		observed, required := &tableSource{}, &tableSource{}
+		drifting := 0
+		for i := 0; i < sessions; i++ {
+			label := []string{fmt.Sprint(i)}
+			observed.rows = append(observed.rows, label)
+			observed.values = append(observed.values, 0.5+float64(i%2)) // every other session drifts
+			if i%3 != 0 {                                               // a third have no requirement
+				drifting += i % 2
+				required.rows = append(required.rows, label)
+				required.values = append(required.values, 1)
+			}
+		}
+		r := NewRegistry()
+		m := NewDriftMonitor(DriftConfig{
+			Observed: r.GaugeVecFunc("session.phi", observed.collect, "session"),
+			Required: r.GaugeVecFunc("session.phi.required", required.collect, "session"),
+		})
+		evs := m.Tick()
+		if len(evs) != drifting {
+			t.Fatalf("%d sessions: %d drift events, want %d", sessions, len(evs), drifting)
+		}
+		if observed.reads != 1 || required.reads != 1 {
+			t.Fatalf("one tick read observed %d times and required %d times, want once each", observed.reads, required.reads)
+		}
+		for scrape := range observed.scrapes {
+			if required.scrapes[scrape] != 1 {
+				t.Fatal("observed and required were read for different scrapes")
+			}
+		}
+		return testing.AllocsPerRun(20, func() { m.Tick() })
+	}
+	small, large := tick(300), tick(3000)
+	t.Logf("a tick allocates %.0f at 300 sessions, %.0f at 3000", small, large)
+	if large > small+64 {
+		t.Errorf("a tick allocates %.0f at 3000 sessions, %.0f at 300: more than the row arrays' growth", large, small)
 	}
 }

@@ -279,6 +279,24 @@ func (r *Registry) GaugeVec(name string, labelNames ...string) *GaugeVec {
 	return vecIn(r, &r.gaugeVecs, name, labelNames, newOf[Gauge])
 }
 
+// GaugeVecFunc registers the named gauge vector as backed by collect:
+// its children are read from the caller's table whenever the registry is
+// read, never stored (see Collect). A name already registered is refused
+// and counted as a label error, and the registry keeps what it had; the
+// returned vector still reads collect, so the caller's own reads work,
+// but the registry does not export it. A nil registry returns a nil
+// (no-op) vector.
+func (r *Registry) GaugeVecFunc(name string, collect Collect, labelNames ...string) *GaugeVec {
+	if r == nil {
+		return nil
+	}
+	own := &GaugeVec{labels: append([]string(nil), labelNames...), newChild: newOf[Gauge], onLabelError: r.labelErrors.Inc, collect: collect}
+	if r.gaugeVecs.get(name, func() *GaugeVec { return own }) != own {
+		r.labelErrors.Inc()
+	}
+	return own
+}
+
 // HistogramVec returns the named quantile-histogram vector with the
 // given label names, creating it on first use. Registration semantics
 // match CounterVec. A nil registry returns a nil (no-op) vector.
@@ -294,7 +312,7 @@ func (r *Registry) HistogramVec(name string, labelNames ...string) *HistogramVec
 // error.
 func vecIn[T any](r *Registry, x *index[*Vec[T]], name string, labelNames []string, newChild func() *T) *Vec[T] {
 	v := x.get(name, func() *Vec[T] {
-		return &Vec[T]{labels: append([]string(nil), labelNames...), newChild: newChild, onArity: r.labelErrors.Inc}
+		return &Vec[T]{labels: append([]string(nil), labelNames...), newChild: newChild, onLabelError: r.labelErrors.Inc}
 	})
 	if !slices.Equal(v.labels, labelNames) {
 		r.labelErrors.Inc()
@@ -356,23 +374,33 @@ func (r *Registry) Snapshot() Snapshot {
 	})
 	r.quantiles.each(func(name string, q *QHistogram) { s.Quantiles[name] = q.Snapshot() })
 	r.counterVecs.each(func(name string, v *CounterVec) {
-		names, values := snapshotVec(v, func(labels []string, c *Counter) LabeledValue {
+		s.CounterVecs[name] = VecSnapshot{LabelNames: append([]string(nil), v.labels...), Values: vecValues(v, func(labels []string, c *Counter) LabeledValue {
 			return LabeledValue{Labels: labels, Value: float64(c.Value())}
-		})
-		s.CounterVecs[name] = VecSnapshot{LabelNames: names, Values: values}
+		})}
 	})
+	type named struct {
+		name string
+		v    *GaugeVec
+	}
+	var collected []named
 	r.gaugeVecs.each(func(name string, v *GaugeVec) {
-		names, values := snapshotVec(v, func(labels []string, g *Gauge) LabeledValue {
-			return LabeledValue{Labels: labels, Value: g.Value()}
-		})
-		s.GaugeVecs[name] = VecSnapshot{LabelNames: names, Values: values}
+		if v.collect != nil {
+			collected = append(collected, named{name, v})
+			return
+		}
+		s.GaugeVecs[name] = VecSnapshot{LabelNames: append([]string(nil), v.labels...), Values: gaugeValues(v, 0)}
 	})
 	r.histogramVecs.each(func(name string, v *HistogramVec) {
-		names, values := snapshotVec(v, func(labels []string, q *QHistogram) LabeledQHistogram {
+		s.HistogramVecs[name] = HistogramVecSnapshot{LabelNames: append([]string(nil), v.labels...), Values: vecValues(v, func(labels []string, q *QHistogram) LabeledQHistogram {
 			return LabeledQHistogram{Labels: labels, Histogram: q.Snapshot()}
-		})
-		s.HistogramVecs[name] = HistogramVecSnapshot{LabelNames: names, Values: values}
+		})}
 	})
+	// Collectors run with no registry lock held: a source takes its own
+	// locks, and a holder of those may be waiting on a registry lock.
+	scrape := newScrape()
+	for _, c := range collected {
+		s.GaugeVecs[c.name] = VecSnapshot{LabelNames: append([]string(nil), c.v.labels...), Values: gaugeValues(c.v, scrape)}
+	}
 	// Self-monitoring counters appear once they have something to say,
 	// keeping snapshots from clean registries unchanged.
 	if n := r.boundsConflicts.Value(); n > 0 {

@@ -1,8 +1,11 @@
 package obs
 
 import (
+	"cmp"
 	"fmt"
+	"math/rand"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 )
@@ -176,5 +179,163 @@ func TestRegistryHistogramBoundsConflict(t *testing.T) {
 	}
 	if got := r.Snapshot().Counters["obs.registry.histogram_bounds_conflicts"]; got != 1 {
 		t.Fatalf("snapshot conflict counter = %d, want 1", got)
+	}
+}
+
+// tableSource is a collect-backed gauge family over a fixed table, in
+// the order given; it counts its reads and the scrapes they served.
+type tableSource struct {
+	rows    [][]string
+	values  []float64
+	reads   int
+	scrapes map[uint64]int
+}
+
+func (s *tableSource) collect(scrape uint64, emit func([]string, float64)) {
+	s.reads++
+	if s.scrapes == nil {
+		s.scrapes = make(map[uint64]int)
+	}
+	s.scrapes[scrape]++
+	for i, labels := range s.rows {
+		emit(labels, s.values[i])
+	}
+}
+
+// TestGaugeVecFuncRefusesWrites: a collect-backed vector has no children
+// to write, so With hands out a nil child, Delete does nothing, and both
+// count a label error; the collected rows are untouched.
+func TestGaugeVecFuncRefusesWrites(t *testing.T) {
+	r := NewRegistry()
+	src := &tableSource{rows: [][]string{{"7"}}, values: []float64{0.5}}
+	gv := r.GaugeVecFunc("session.phi", src.collect, "session")
+	if c := gv.With("7"); c != nil {
+		t.Fatal("With on a collect-backed vector returned a child")
+	}
+	gv.With("8").Set(3) // the nil child is safe to use
+	gv.Delete("7")
+	s := r.Snapshot()
+	if got := s.Counters["obs.registry.label_errors"]; got != 3 {
+		t.Fatalf("label_errors = %d, want 3", got)
+	}
+	want := []LabeledValue{{Labels: []string{"7"}, Value: 0.5}}
+	if got := s.GaugeVecs["session.phi"].Values; !reflect.DeepEqual(got, want) {
+		t.Fatalf("rows = %+v, want %+v", got, want)
+	}
+
+	var nilReg *Registry
+	if v := nilReg.GaugeVecFunc("x", src.collect, "l"); v != nil {
+		t.Fatal("nil registry returned a vector")
+	}
+}
+
+// TestGaugeVecFuncReadsMatchStored: a collect-backed vector reads like a
+// stored one holding the same children — Snapshot, LabelValues and Get
+// agree, in the order stored children sort in, whatever order the source
+// emits. The label values include prefixes of each other, on both sides
+// of the key separator, which is where joined-key order and element-wise
+// order part.
+func TestGaugeVecFuncReadsMatchStored(t *testing.T) {
+	rows := [][]string{
+		{"10", "b"}, {"1", "b"}, {"1", "a"}, {"2", "a"}, {"100", "a"},
+		{"1\x1e", "a"}, {"1\n", "z"}, {"", "q"}, {"1", ""}, {"1 ", "a"},
+	}
+	src := &tableSource{rows: rows}
+	for i := range rows {
+		src.values = append(src.values, float64(i))
+	}
+	r := NewRegistry()
+	stored := r.GaugeVec("stored", "session", "tenant")
+	for i, labels := range rows {
+		stored.With(labels...).Set(src.values[i])
+	}
+	collected := r.GaugeVecFunc("collected", src.collect, "session", "tenant")
+
+	s := r.Snapshot()
+	if !reflect.DeepEqual(s.GaugeVecs["collected"], s.GaugeVecs["stored"]) {
+		t.Fatalf("collected snapshot %+v\n stored snapshot %+v", s.GaugeVecs["collected"], s.GaugeVecs["stored"])
+	}
+	if got, want := collected.LabelValues(), stored.LabelValues(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("LabelValues = %q, want %q", got, want)
+	}
+	for _, lv := range s.GaugeVecs["stored"].Values {
+		if g := collected.Get(lv.Labels...); g == nil || g.Value() != lv.Value {
+			t.Fatalf("Get(%q) = %v, want %v", lv.Labels, g, lv.Value)
+		}
+	}
+	if collected.Get("3", "a") != nil {
+		t.Fatal("Get found a row the source never emitted")
+	}
+}
+
+// TestCompareLabelsMatchesKeys holds compareLabels to the order of the
+// joined keys over short random tuples drawn from an alphabet that
+// includes the separator and bytes either side of it.
+func TestCompareLabelsMatchesKeys(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	alphabet := []byte{'\n', '\x1e', '\x1f', ' ', '0', '1', 'a'}
+	tuple := func() []string {
+		out := make([]string, 1+rng.Intn(3))
+		for i := range out {
+			b := make([]byte, rng.Intn(4))
+			for j := range b {
+				b[j] = alphabet[rng.Intn(len(alphabet))]
+			}
+			out[i] = string(b)
+		}
+		return out
+	}
+	sign := func(x int) int { return cmp.Compare(x, 0) }
+	for i := 0; i < 200000; i++ {
+		a, b := tuple(), tuple()
+		if got, want := sign(compareLabels(a, b)), strings.Compare(labelKey(a), labelKey(b)); got != want {
+			t.Fatalf("compareLabels(%q, %q) = %d, keys order %d", a, b, got, want)
+		}
+	}
+}
+
+// TestGaugeVecFuncOneScrapePerSnapshot: every collect-backed family one
+// Snapshot reads sees the same scrape, and the next Snapshot a new one.
+func TestGaugeVecFuncOneScrapePerSnapshot(t *testing.T) {
+	r := NewRegistry()
+	src := &tableSource{rows: [][]string{{"1"}}, values: []float64{1}}
+	for _, name := range []string{"a", "b", "c"} {
+		r.GaugeVecFunc(name, src.collect, "session")
+	}
+	r.Snapshot()
+	r.Snapshot()
+	if src.reads != 6 || len(src.scrapes) != 2 {
+		t.Fatalf("%d reads over %d scrapes, want 6 over 2", src.reads, len(src.scrapes))
+	}
+}
+
+// TestGaugeVecFuncSecondSourceRefused: a family has one source. A second
+// GaugeVecFunc for a registered name — collect-backed or stored — is
+// refused and counted; the registry keeps exporting what it had, and the
+// refused caller's vector still reads its own source.
+func TestGaugeVecFuncSecondSourceRefused(t *testing.T) {
+	r := NewRegistry()
+	first := &tableSource{rows: [][]string{{"1"}}, values: []float64{1}}
+	second := &tableSource{rows: [][]string{{"2"}}, values: []float64{2}}
+	r.GaugeVecFunc("session.phi", first.collect, "session")
+	refused := r.GaugeVecFunc("session.phi", second.collect, "session")
+	r.GaugeVec("stored", "session").With("3").Set(3)
+	r.GaugeVecFunc("stored", second.collect, "session")
+
+	s := r.Snapshot()
+	if got := s.Counters["obs.registry.label_errors"]; got != 2 {
+		t.Fatalf("label_errors = %d, want 2", got)
+	}
+	if got := s.GaugeVecs["session.phi"].Values; len(got) != 1 || got[0].Labels[0] != "1" {
+		t.Fatalf("session.phi exports %+v, want the first source's row", got)
+	}
+	if got := s.GaugeVecs["stored"].Values; len(got) != 1 || got[0].Labels[0] != "3" {
+		t.Fatalf("stored exports %+v, want its stored child", got)
+	}
+	if got := refused.LabelValues(); !reflect.DeepEqual(got, [][]string{{"2"}}) {
+		t.Fatalf("refused vector reads %q, want its own source", got)
+	}
+	if r.GaugeVec("session.phi", "session").With("9") != nil {
+		t.Fatal("GaugeVec on a collect-backed name handed out a writable child")
 	}
 }

@@ -111,7 +111,10 @@ func (cy *findCloseCycler) cycle(t *testing.T) {
 // Measured: 68 per cycle when validation, the walk's topological sort and
 // its predecessor lists were each worked out anew per request, 32 with one
 // plan per request, built as the request is validated. Describe took 4
-// while it grew its slice by appending.
+// while it grew its slice by appending. The cycle went from 32 to 19 when
+// the five per-session gauge families stopped being registry children
+// written at admission and deleted at Close, and became reads of the
+// session table at scrape time.
 func TestFindAppCloseAllocations(t *testing.T) {
 	if testing.Short() {
 		t.Skip("fills a cluster")
@@ -120,7 +123,7 @@ func TestFindAppCloseAllocations(t *testing.T) {
 	for i := 0; i < 50; i++ {
 		cy.cycle(t) // warm the composer pool, scratch, ledger and gauges
 	}
-	const maxAllocs = 34
+	const maxAllocs = 20
 	if allocs := testing.AllocsPerRun(200, func() { cy.cycle(t) }); allocs > maxAllocs {
 		t.Errorf("one FindApp + Close cycle allocates %.1f, want <= %d", allocs, maxAllocs)
 	}

@@ -19,7 +19,6 @@ import (
 	"math"
 	"math/rand"
 	"sort"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -138,6 +137,9 @@ type session struct {
 	// composition engine accepted at Find. Re-compositions must meet it
 	// (within the adaptation tolerance); it never changes on migration.
 	requiredPhi float64
+	// phi is what the session.phi gauge reads: decision phi at admission
+	// and at each migration flip, observed phi after RefreshSessionGauges.
+	phi float64
 	// migrations counts make-before-break flips this session survived.
 	migrations int64
 	// The data plane, built by Process.
@@ -173,23 +175,17 @@ type Cluster struct {
 	migrationFailures *obs.Counter
 	migrationLatency  *obs.QHistogram
 
-	// Per-session gauges (same families the dist engine exposes): each
-	// live session's phi, its observed Eq. 3 standing (QoS MaxRatio),
-	// and the constant requirement 1. Children are deleted on Close.
+	// The per-session gauge families (registerSessionFamilies) are read
+	// from the session table when the registry is read; admission and
+	// teardown never touch them. sessionPhi and sessionPhiReq are the two
+	// the adaptation drift monitor compares.
 	sessionPhi    *obs.GaugeVec
-	sessionQoS    *obs.GaugeVec
-	sessionQoSReq *obs.GaugeVec
-	// sessionPhiReq carries each session's admission-time phi bound — the
-	// requirement gauge the adaptation drift monitor compares against.
-	// Set at Find, untouched by migration flips, deleted on Close.
 	sessionPhiReq *obs.GaugeVec
+	scrape        sessionScrape
 
-	// Multi-tenant instruments. sessionTenant labels each live session
-	// with its tenant (value = phi weight) so scrapes can group the
-	// session gauge families by tenant; tenantSessions gauges each
-	// tenant's live session count; quotaRejections counts typed quota
-	// admissions refusals per tenant.
-	sessionTenant   *obs.GaugeVec
+	// Multi-tenant instruments: tenantSessions gauges each tenant's live
+	// session count; quotaRejections counts typed quota admission
+	// refusals per tenant.
 	tenantSessions  *obs.GaugeVec
 	quotaRejections *obs.CounterVec
 
@@ -288,17 +284,12 @@ func NewCluster(cfg Config) (*Cluster, error) {
 		migrationFailures: cfg.Registry.Counter("runtime.migration_failures"),
 		migrationLatency:  cfg.Registry.QHistogram("runtime.migration.latency_quantiles_ms"),
 
-		sessionPhi:    cfg.Registry.GaugeVec("session.phi", "session"),
-		sessionQoS:    cfg.Registry.GaugeVec("session.qos.observed", "session"),
-		sessionQoSReq: cfg.Registry.GaugeVec("session.qos.required", "session"),
-		sessionPhiReq: cfg.Registry.GaugeVec("session.phi.required", "session"),
-
-		sessionTenant:   cfg.Registry.GaugeVec("session.tenant", "session", "tenant"),
 		tenantSessions:  cfg.Registry.GaugeVec("runtime.tenant.sessions", "tenant"),
 		quotaRejections: cfg.Registry.CounterVec("runtime.quota_rejections", "tenant"),
 
 		quota: newQuotaTable(),
 	}
+	c.registerSessionFamilies()
 	c.ledger = state.NewLedger(mesh, cfg.NodeCapacity, c.now)
 	c.ledger.EnableLocking()
 	if caps := cfg.NodeCapacities; caps != nil {
@@ -548,9 +539,9 @@ func (c *Cluster) release(requestID int64) {
 	c.cfg.Tracer.SessionReleased(requestID)
 }
 
-// admitLocked registers a committed composition as a live session: the
-// session table entry and the session gauges. Every admission ends here,
-// so a session is usable by Process as soon as FindApp returns it.
+// admitLocked registers a committed composition as a live session in the
+// session table, where the session gauges read it. Every admission ends
+// here, so a session is usable by Process as soon as FindApp returns it.
 func (c *Cluster) admitLocked(req *component.Request, outcome *core.Outcome, demand TenantUsage) SessionID {
 	c.nextID++
 	id := c.nextID
@@ -561,15 +552,10 @@ func (c *Cluster) admitLocked(req *component.Request, outcome *core.Outcome, dem
 		tenant:      req.Tenant,
 		quotaCharge: demand,
 		requiredPhi: outcome.Best.Phi,
+		phi:         outcome.Best.Phi,
 	}
 	c.activeSessions.Set(float64(len(c.sessions)))
-	sess := sessionLabel(id)
-	c.sessionPhi.With(sess).Set(outcome.Best.Phi)
-	c.sessionQoS.With(sess).Set(outcome.Best.QoS.MaxRatio(req.QoSReq))
-	c.sessionQoSReq.With(sess).Set(1)
-	c.sessionPhiReq.With(sess).Set(outcome.Best.Phi)
 	if req.Tenant != "" {
-		c.sessionTenant.With(sess, req.Tenant).Set(req.PhiWeight())
 		c.tenantSessions.With(req.Tenant).Set(float64(c.quota.usageSessions(req.Tenant)))
 	}
 	return id
@@ -653,16 +639,14 @@ func (c *Cluster) Recompose(id SessionID) error {
 	c.migrationLatency.Observe(float64(elapsed) / float64(time.Millisecond))
 	c.migrationsC.Inc()
 
-	// Flip the session onto the new composition. The gauge children keep
+	// Flip the session onto the new composition. Its gauge series keep
 	// their label, so the drift monitor sees an in-place update — one
 	// recovery transition, not a forget/re-register storm. The required
-	// gauges are untouched: migrating does not renegotiate the contract.
+	// phi is untouched: migrating does not renegotiate the contract.
 	s.request = req
 	s.comp = outcome.Best
+	s.phi = outcome.Best.Phi
 	s.migrations++
-	sess := sessionLabel(id)
-	c.sessionPhi.With(sess).Set(outcome.Best.Phi)
-	c.sessionQoS.With(sess).Set(outcome.Best.QoS.MaxRatio(req.QoSReq))
 	return nil
 }
 
@@ -689,25 +673,17 @@ func migrate(composer *core.Composer, req *component.Request, prev int64, bound 
 	return outcome, nil
 }
 
-// sessionLabel renders a session ID as its gauge-vector label value.
-func sessionLabel(id SessionID) string { return strconv.FormatInt(int64(id), 10) }
-
 // RefreshSessionGauges recomputes every live session's observed phi
-// (Eq. 1) under the ledger's *current* committed residuals and updates
-// the "session.phi" gauge vector. At commit time the gauge carries
+// (Eq. 1) under the ledger's *current* committed residuals, which the
+// "session.phi" gauge vector reads. At commit time the gauge carries
 // decision-time phi; as other sessions commit and release around it,
 // the same composition's congestion drifts — this is the observation
 // the drift monitor compares against the Eq. 3 requirement gauges.
 func (c *Cluster) RefreshSessionGauges() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	ids := make([]SessionID, 0, len(c.sessions))
-	for id := range c.sessions {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	for _, id := range ids {
-		c.sessionPhi.With(sessionLabel(id)).Set(c.observedPhi(c.sessions[id]))
+	for _, s := range c.sessions {
+		s.phi = c.observedPhi(s)
 	}
 }
 
@@ -847,14 +823,8 @@ func (c *Cluster) Close(id SessionID) error {
 	}
 	delete(c.sessions, id)
 	c.activeSessions.Set(float64(len(c.sessions)))
-	sess := sessionLabel(id)
-	c.sessionPhi.Delete(sess)
-	c.sessionQoS.Delete(sess)
-	c.sessionQoSReq.Delete(sess)
-	c.sessionPhiReq.Delete(sess)
 	c.quota.refund(s.tenant, s.quotaCharge)
 	if s.tenant != "" {
-		c.sessionTenant.Delete(sess, s.tenant)
 		c.tenantSessions.With(s.tenant).Set(float64(c.quota.usageSessions(s.tenant)))
 	}
 	c.mu.Unlock()

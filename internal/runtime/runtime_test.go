@@ -458,7 +458,7 @@ func TestCloseWithoutDrainingOutput(t *testing.T) {
 // TestSessionGaugesLifecycle checks the per-session observability
 // plane: Find publishes phi and Eq. 3 standing gauges labeled by
 // session, RefreshSessionGauges re-derives phi from current ledger
-// residuals, and Close deletes the children.
+// residuals, and Close takes the session's series away.
 func TestSessionGaugesLifecycle(t *testing.T) {
 	reg := obs.NewRegistry()
 	cfg := DefaultConfig()
