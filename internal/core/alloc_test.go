@@ -233,7 +233,7 @@ func TestKernelSteadyStateAllocations(t *testing.T) {
 		hop := Hop{Req: req, Pos: 1, Tracer: env.Tracer}
 		for i, id := range candidates {
 			cand := env.Catalog.Component(id)
-			k.Consider(&hop, cand, reach[i].QoS.Add(cand.QoS), view[cand.Node], reach[i].Capacity)
+			k.Consider(&hop, cand, reach[i].QoS.Add(cand.QoS), view[cand.Node], staticBottleneck(env.Mesh, reach[i]))
 		}
 		picked = len(k.Select(&hop, SelectRiskThenCongestion, 0.5, len(candidates)))
 	}

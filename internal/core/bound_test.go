@@ -620,11 +620,21 @@ search:
 		Graph:        component.NewPathGraph([]component.FunctionID{0, 1}),
 		QoSReq:       qos.Vector{Delay: (slow + fast) / 2, LossCost: 1e9},
 		ResReq:       []qos.Resources{need, need},
-		BandwidthReq: 0.1 * au.Capacity,
+		BandwidthReq: 0.1 * staticBottleneck(mesh, au),
 		Client:       nodeU,
 		Duration:     time.Minute,
 	}
 	return env, req, nodeX
+}
+
+// staticBottleneck is the smallest static capacity among a route's links
+// (kbps), +Inf for a co-located route.
+func staticBottleneck(m *overlay.Mesh, r overlay.Route) float64 {
+	bw := math.Inf(1)
+	for _, id := range r.Links {
+		bw = math.Min(bw, m.Link(id).Capacity)
+	}
+	return bw
 }
 
 // TestSenderCutAccounting: a candidate cut by its sender is a probe that

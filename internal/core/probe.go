@@ -320,7 +320,7 @@ func (c *Composer) lookup(f component.FunctionID) []component.ComponentID {
 }
 
 // route returns the virtual link between two overlay nodes from the
-// mesh's route cache.
+// mesh's route table.
 func (c *Composer) route(from, to int) overlay.Route {
 	r, ok := c.env.Mesh.RouteBetween(from, to)
 	if !ok {

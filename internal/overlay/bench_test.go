@@ -26,8 +26,7 @@ func benchMesh(b *testing.B, overlayNodes int) *Mesh {
 }
 
 // BenchmarkRouteBetween measures the virtual-link lookup every probe hop
-// performs: the mesh's route cache once warm, path reconstruction for
-// the first b.N up to N*N distinct pairs.
+// performs: one read of the table Build laid out.
 func BenchmarkRouteBetween(b *testing.B) {
 	m := benchMesh(b, 400)
 	b.ResetTimer()
@@ -60,8 +59,10 @@ func BenchmarkBuild(b *testing.B) {
 }
 
 // TestBuildAllocs bounds the allocations of one Build (800 IP nodes,
-// N=64): the shortest-path runs box nothing and reuse one tree, so what
-// is left is the mesh itself.
+// N=64): the shortest-path runs box nothing and reuse one tree, and the
+// routes are laid out in one table and one arena, so what is left is the
+// mesh itself (measured 360). One allocation per source, let alone per
+// route (4032 of them), fails it.
 func TestBuildAllocs(t *testing.T) {
 	tcfg := topology.DefaultConfig()
 	tcfg.Nodes = 800
@@ -76,8 +77,8 @@ func TestBuildAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	if allocs > 1000 {
-		t.Errorf("Build allocates %.0f times, want <= 1000", allocs)
+	if allocs > 380 {
+		t.Errorf("Build allocates %.0f times, want <= 380", allocs)
 	}
 	t.Logf("Build allocates %.0f times", allocs)
 }

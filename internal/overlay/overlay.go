@@ -6,16 +6,16 @@
 // delay-based IP shortest path between its endpoints, inheriting that
 // path's total delay and bottleneck bandwidth. A virtual link between two
 // arbitrary overlay nodes is the overlay path between them; its QoS is the
-// aggregation of its constituent overlay links and its capacity is the
-// bottleneck among them (§2.1).
+// aggregation of its constituent overlay links and its bandwidth is the
+// bottleneck among them (§2.1), which the state ledger reads per link.
+// Build lays out every pair's virtual link once; the mesh is read-only
+// after it.
 package overlay
 
 import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sync"
-	"sync/atomic"
 
 	"repro/internal/qos"
 	"repro/internal/topology"
@@ -42,9 +42,6 @@ type Route struct {
 	Links []int
 	// QoS aggregates delay and loss cost over the path's links.
 	QoS qos.Vector
-	// Capacity is the bottleneck static capacity among the links (kbps);
-	// +Inf for a co-located route (footnote 4 of the paper).
-	Capacity float64
 	// CoLocated is true when source and destination are the same overlay
 	// node: the virtual link has zero delay and consumes no bandwidth.
 	CoLocated bool
@@ -81,33 +78,20 @@ type Mesh struct {
 	links  []Link
 	adj    [][]halfLink
 
-	// Routing state: dist[i][j], prevLink[i][j] = last link on the
-	// shortest overlay path i->j, the one into j (-1 when i==j or
-	// unreachable); buildRoute walks it backwards from j.
-	dist     [][]float64
-	prevLink [][]int32
-
-	// Route cache, one entry per ordered node pair at from*N+to, filled on
-	// first use and kept for the mesh's lifetime (the topology never
-	// changes).
-	routes  []routeEntry
-	routeMu sync.Mutex // serializes fills; readers never take it
+	// Routing table, laid out once by Build and never written again: the
+	// route from a to b is routes[a*N+b], its links the span of arena it
+	// names.
+	routes []routeEntry
+	arena  []int
 }
 
-// routeEntry is one slot of the route cache. state publishes route: a
-// reader that loads routeKnown sees the route written before that store.
-// State and route share the entry — 64 bytes, one cache line per lookup.
+// routeEntry is one ordered pair of the routing table: the path's
+// aggregated QoS and its links as arena[off:off+n]; n is -1 when the
+// pair is unreachable. 24 bytes.
 type routeEntry struct {
-	state atomic.Uint32
-	route Route
+	qos    qos.Vector
+	off, n int32
 }
-
-// States of a route cache entry.
-const (
-	routeUnknown uint32 = iota
-	routeKnown
-	routeUnreachable
-)
 
 // Build selects overlay nodes from the IP graph, wires the mesh, maps
 // links onto IP paths, and precomputes all-pairs overlay routing. All
@@ -191,7 +175,9 @@ func Build(g *topology.Graph, cfg Config, rng *rand.Rand) (*Mesh, error) {
 		}
 	}
 
-	m.computeRouting()
+	if err := m.computeRouting(); err != nil {
+		return nil, err
+	}
 	return m, nil
 }
 
@@ -201,53 +187,44 @@ func (m *Mesh) NumNodes() int { return len(m.ipNode) }
 // NumLinks returns the number of overlay links.
 func (m *Mesh) NumLinks() int { return len(m.links) }
 
-// IPNode returns the IP-layer node hosting overlay node v.
-func (m *Mesh) IPNode(v int) int { return m.ipNode[v] }
-
 // Link returns the overlay link with the given ID.
 func (m *Mesh) Link(id int) Link { return m.links[id] }
 
-// Neighbors returns the overlay node indices adjacent to v.
-func (m *Mesh) Neighbors(v int) []int {
-	out := make([]int, len(m.adj[v]))
-	for i, h := range m.adj[v] {
-		out[i] = h.to
-	}
-	return out
-}
-
-// AdjacentLinks returns the IDs of the overlay links incident to v.
-func (m *Mesh) AdjacentLinks(v int) []int {
-	out := make([]int, len(m.adj[v]))
-	for i, h := range m.adj[v] {
-		out[i] = h.link
-	}
-	return out
-}
-
 // computeRouting runs delay-based Dijkstra from every overlay node, on the
-// IP graph's topology.MinHeap, and records, for each destination, the last
-// link on the shortest path; a route is then reconstructed by walking
-// destinations backwards.
-func (m *Mesh) computeRouting() {
+// IP graph's topology.MinHeap, and lays out every ordered pair's route.
+// A popped node's distance and last link are final (delays are
+// non-negative, relaxation is strict) and its tree parent was popped
+// before it, so a route's QoS is folded in pop order as its parent's QoS
+// plus the last link: the links added source to destination. The last
+// links are kept per source until the hop total sizes the arena; each
+// route is then written backwards from its destination.
+func (m *Mesh) computeRouting() error {
 	n := m.NumNodes()
-	m.dist = make([][]float64, n)
-	m.prevLink = make([][]int32, n)
-	distRows, prevRows := make([]float64, n*n), make([]int32, n*n)
+	m.routes = make([]routeEntry, n*n)
+	dist := make([]float64, n)
+	prevLinks := make([]int32, n*n)
 	var h topology.MinHeap
+	hops := 0
 	for src := 0; src < n; src++ {
-		dist := distRows[src*n : (src+1)*n : (src+1)*n]
-		prevLink := prevRows[src*n : (src+1)*n : (src+1)*n]
+		row := m.routes[src*n : (src+1)*n : (src+1)*n]
+		prevLink := prevLinks[src*n : (src+1)*n : (src+1)*n]
 		for i := range dist {
 			dist[i] = math.Inf(1)
 			prevLink[i] = -1
+			row[i].n = -1
 		}
 		dist[src] = 0
+		row[src].n = 0
 		h.Push(src, 0)
 		for h.Len() > 0 {
 			u, du := h.Pop()
 			if du > dist[u] {
 				continue
+			}
+			if id := prevLink[u]; id >= 0 {
+				p := &row[m.otherEnd(int(id), u)]
+				row[u].qos, row[u].n = p.qos.Add(m.links[id].QoS), p.n+1
+				hops += int(row[u].n)
 			}
 			for _, half := range m.adj[u] {
 				if d := du + m.links[half.link].QoS.Delay; d < dist[half.to] {
@@ -257,10 +234,27 @@ func (m *Mesh) computeRouting() {
 				}
 			}
 		}
-		m.dist[src] = dist
-		m.prevLink[src] = prevLink
 	}
-	m.routes = make([]routeEntry, n*n)
+	if hops > math.MaxInt32 {
+		return fmt.Errorf("overlay: %d route hops overflow the link arena", hops)
+	}
+	m.arena = make([]int, hops)
+	off := int32(0)
+	for i := range m.routes {
+		e := &m.routes[i]
+		if e.n <= 0 {
+			continue
+		}
+		e.off = off
+		off += e.n
+		src := i / n
+		for v, k := i%n, off-1; v != src; k-- {
+			id := int(prevLinks[src*n+v])
+			m.arena[k] = id
+			v = m.otherEnd(id, v)
+		}
+	}
+	return nil
 }
 
 // otherEnd returns the endpoint of link id that is not v.
@@ -273,66 +267,20 @@ func (m *Mesh) otherEnd(id, v int) int {
 }
 
 // RouteBetween returns the virtual link from overlay node a to overlay
-// node b. When a == b the route is co-located: zero QoS, infinite
-// capacity, no links (footnote 4). The bool result is false when the two
-// nodes are disconnected in the overlay (which Build prevents, but callers
-// of hand-assembled meshes may encounter). Each pair's path is
-// reconstructed once; the returned Links slice is the cached one and
-// must not be modified. Safe for concurrent use.
+// node b. When a == b the route is co-located: zero QoS, no links
+// (footnote 4). The bool result is false when the two nodes are
+// disconnected in the overlay (which Build prevents, but callers of
+// hand-assembled meshes may encounter). The returned Links slice is the
+// mesh's own and must not be modified. Safe for concurrent use: the
+// table is read-only after Build.
 func (m *Mesh) RouteBetween(a, b int) (Route, bool) {
 	if a == b {
-		return Route{Capacity: math.Inf(1), CoLocated: true}, true
+		return Route{CoLocated: true}, true
 	}
-	e := &m.routes[a*len(m.ipNode)+b]
-	state := e.state.Load()
-	if state == routeUnknown {
-		state = m.fillRoute(a, b, e)
-	}
-	return e.route, state == routeKnown
-}
-
-// fillRoute computes a cache entry once and returns its state: whoever
-// gets the mutex first writes the route and then publishes it.
-func (m *Mesh) fillRoute(a, b int, e *routeEntry) uint32 {
-	m.routeMu.Lock()
-	defer m.routeMu.Unlock()
-	if state := e.state.Load(); state != routeUnknown {
-		return state
-	}
-	state := routeUnreachable
-	if r, ok := m.buildRoute(a, b); ok {
-		e.route, state = r, routeKnown
-	}
-	e.state.Store(state)
-	return state
-}
-
-// buildRoute reconstructs the overlay path between two distinct nodes by
-// walking the routing table backwards from b.
-func (m *Mesh) buildRoute(a, b int) (Route, bool) {
-	if math.IsInf(m.dist[a][b], 1) {
+	e := m.routes[a*len(m.ipNode)+b]
+	if e.n < 0 {
 		return Route{}, false
 	}
-	var rev []int
-	for v := b; v != a; {
-		id := int(m.prevLink[a][v])
-		rev = append(rev, id)
-		v = m.otherEnd(id, v)
-	}
-	r := Route{Links: make([]int, len(rev)), Capacity: math.Inf(1)}
-	for i := range rev {
-		id := rev[len(rev)-1-i]
-		r.Links[i] = id
-		r.QoS = r.QoS.Add(m.links[id].QoS)
-		r.Capacity = math.Min(r.Capacity, m.links[id].Capacity)
-	}
-	return r, true
-}
-
-// Delay returns the shortest overlay path delay between two nodes.
-func (m *Mesh) Delay(a, b int) float64 {
-	if a == b {
-		return 0
-	}
-	return m.dist[a][b]
+	end := e.off + e.n
+	return Route{Links: m.arena[e.off:end:end], QoS: e.qos}, true
 }

@@ -68,14 +68,14 @@ func TestBuildBasicShape(t *testing.T) {
 	}
 	// Every node must reach its target degree (ring chord may add more).
 	for v := 0; v < m.NumNodes(); v++ {
-		if got := len(m.Neighbors(v)); got < DefaultConfig().NeighborsPerNode {
+		if got := len(m.adj[v]); got < DefaultConfig().NeighborsPerNode {
 			t.Errorf("node %d degree = %d, want >= %d", v, got, DefaultConfig().NeighborsPerNode)
 		}
 	}
 	// Distinct IP nodes per overlay node.
 	seen := make(map[int]bool)
 	for v := 0; v < m.NumNodes(); v++ {
-		ip := m.IPNode(v)
+		ip := m.ipNode[v]
 		if seen[ip] {
 			t.Fatalf("IP node %d used twice", ip)
 		}
@@ -105,10 +105,10 @@ func TestBuildLinkAttributes(t *testing.T) {
 func TestAdjacentLinksConsistent(t *testing.T) {
 	m := testMesh(t, 40, 5)
 	for v := 0; v < m.NumNodes(); v++ {
-		for _, id := range m.AdjacentLinks(v) {
-			lk := m.Link(id)
-			if lk.A != v && lk.B != v {
-				t.Fatalf("link %d listed adjacent to %d but connects %d-%d", id, v, lk.A, lk.B)
+		for _, h := range m.adj[v] {
+			lk := m.Link(h.link)
+			if lk.A != v && lk.B != v || m.otherEnd(h.link, v) != h.to {
+				t.Fatalf("link %d listed adjacent to %d toward %d but connects %d-%d", h.link, v, h.to, lk.A, lk.B)
 			}
 		}
 	}
@@ -125,9 +125,6 @@ func TestRouteBetweenSelf(t *testing.T) {
 	}
 	if r.QoS != (qos.Vector{}) {
 		t.Errorf("self route QoS = %v, want zero", r.QoS)
-	}
-	if !math.IsInf(r.Capacity, 1) {
-		t.Errorf("self route capacity = %v, want +Inf", r.Capacity)
 	}
 	if len(r.Links) != 0 {
 		t.Errorf("self route has %d links", len(r.Links))
@@ -147,7 +144,6 @@ func TestRouteBetweenAggregation(t *testing.T) {
 			}
 			// Recompute aggregation by hand from the link sequence.
 			var wantQoS qos.Vector
-			wantCap := math.Inf(1)
 			at := a
 			for _, id := range r.Links {
 				lk := m.Link(id)
@@ -155,7 +151,6 @@ func TestRouteBetweenAggregation(t *testing.T) {
 					t.Fatalf("route %d->%d: link %d does not continue from node %d", a, b, id, at)
 				}
 				wantQoS = wantQoS.Add(lk.QoS)
-				wantCap = math.Min(wantCap, lk.Capacity)
 				at = m.otherEnd(id, at)
 			}
 			if at != b {
@@ -164,14 +159,14 @@ func TestRouteBetweenAggregation(t *testing.T) {
 			if math.Abs(wantQoS.Delay-r.QoS.Delay) > 1e-9 || math.Abs(wantQoS.LossCost-r.QoS.LossCost) > 1e-9 {
 				t.Errorf("route %d->%d QoS %v, recomputed %v", a, b, r.QoS, wantQoS)
 			}
-			if wantCap != r.Capacity {
-				t.Errorf("route %d->%d capacity %v, recomputed %v", a, b, r.Capacity, wantCap)
-			}
-			if math.Abs(r.QoS.Delay-m.Delay(a, b)) > 1e-9 {
-				t.Errorf("route %d->%d delay %v != Delay() %v", a, b, r.QoS.Delay, m.Delay(a, b))
-			}
 		}
 	}
+}
+
+// delay is the shortest overlay path delay from a to b.
+func delay(m *Mesh, a, b int) float64 {
+	r, _ := m.RouteBetween(a, b)
+	return r.QoS.Delay
 }
 
 // TestRouteSymmetricDelay: with undirected links, shortest delays must be
@@ -181,7 +176,7 @@ func TestRouteSymmetricDelay(t *testing.T) {
 	f := func(x, y uint8) bool {
 		a := int(x) % m.NumNodes()
 		b := int(y) % m.NumNodes()
-		return math.Abs(m.Delay(a, b)-m.Delay(b, a)) < 1e-9
+		return math.Abs(delay(m, a, b)-delay(m, b, a)) < 1e-9
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
@@ -196,7 +191,7 @@ func TestRouteTriangleInequality(t *testing.T) {
 		a := int(x) % m.NumNodes()
 		b := int(y) % m.NumNodes()
 		c := int(z) % m.NumNodes()
-		return m.Delay(a, c) <= m.Delay(a, b)+m.Delay(b, c)+1e-9
+		return delay(m, a, c) <= delay(m, a, b)+delay(m, b, c)+1e-9
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
@@ -216,47 +211,37 @@ func TestBuildDeterministic(t *testing.T) {
 	}
 }
 
-// TestRouteCacheConcurrentMatchesReconstruction asks for every ordered
-// pair from several goroutines at once, each in its own order, against
-// a cold cache (meaningful under -race): whoever fills an entry, every
-// caller gets exactly the route the uncached reconstruction builds, and
-// a pair's Links slice is the one shared copy.
-func TestRouteCacheConcurrentMatchesReconstruction(t *testing.T) {
+// TestRouteBetweenConcurrentReaders reads every ordered pair from
+// several goroutines at once, each in its own order (meaningful under
+// -race): the table is read-only after Build, so every reader sees the
+// route a serial pass saw, on the same shared Links.
+func TestRouteBetweenConcurrentReaders(t *testing.T) {
 	m := testMesh(t, 40, 9)
 	n := m.NumNodes()
+	want := make([]Route, n*n)
+	for i := range want {
+		want[i], _ = m.RouteBetween(i/n, i%n)
+	}
 	var wg sync.WaitGroup
 	for w := 0; w < 4; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
 			for _, i := range rand.New(rand.NewSource(int64(w))).Perm(n * n) {
-				a, b := i/n, i%n
-				got, ok := m.RouteBetween(a, b)
-				want, wantOK := Route{Capacity: math.Inf(1), CoLocated: true}, true
-				if a != b {
-					want, wantOK = m.buildRoute(a, b)
-				}
-				if ok != wantOK || !reflect.DeepEqual(got, want) {
-					t.Errorf("route %d->%d = %+v (%v), reconstruction gives %+v (%v)", a, b, got, ok, want, wantOK)
+				got, ok := m.RouteBetween(i/n, i%n)
+				if !ok || !reflect.DeepEqual(got, want[i]) || len(got.Links) > 0 && &got.Links[0] != &want[i].Links[0] {
+					t.Errorf("route %d->%d = %+v (%v), serial pass saw %+v", i/n, i%n, got, ok, want[i])
 					return
 				}
 			}
 		}(w)
 	}
 	wg.Wait()
-	if size := unsafe.Sizeof(routeEntry{}); size != 64 {
-		t.Errorf("a route cache entry is %d bytes, want one 64-byte cache line", size)
-	}
-	first, _ := m.RouteBetween(0, n-1)
-	again, _ := m.RouteBetween(0, n-1)
-	if len(first.Links) == 0 || &first.Links[0] != &again.Links[0] {
-		t.Error("two lookups of one pair do not share the cached Links slice")
-	}
 }
 
 // TestRouteBetweenUnreachable hand-assembles a mesh of two islands: a
-// pair across them reports false, on the first lookup and from the
-// cache, and a pair inside an island still routes.
+// pair across them reports false either way, a pair inside an island
+// still routes, and both agree with the reference reconstruction.
 func TestRouteBetweenUnreachable(t *testing.T) {
 	m := &Mesh{
 		ipNode: []int{0, 1, 2, 3},
@@ -266,14 +251,36 @@ func TestRouteBetweenUnreachable(t *testing.T) {
 		},
 		adj: [][]halfLink{{{to: 1, link: 0}}, {{to: 0, link: 0}}, {{to: 3, link: 1}}, {{to: 2, link: 1}}},
 	}
-	m.computeRouting()
-	for pass := 0; pass < 2; pass++ {
-		if r, ok := m.RouteBetween(0, 3); ok {
-			t.Fatalf("pass %d: islands are connected by %+v", pass, r)
+	if err := m.computeRouting(); err != nil {
+		t.Fatal(err)
+	}
+	for _, pair := range [][2]int{{0, 3}, {3, 0}, {1, 2}} {
+		if r, ok := m.RouteBetween(pair[0], pair[1]); ok {
+			t.Fatalf("islands are connected %d->%d by %+v", pair[0], pair[1], r)
 		}
-		r, ok := m.RouteBetween(2, 3)
-		if !ok || len(r.Links) != 1 || r.Links[0] != 1 || r.Capacity != 20 {
-			t.Fatalf("pass %d: route 2->3 = %+v (%v)", pass, r, ok)
-		}
+	}
+	r, ok := m.RouteBetween(3, 2)
+	if !ok || len(r.Links) != 1 || r.Links[0] != 1 || r.QoS.Delay != 2 {
+		t.Fatalf("route 3->2 = %+v (%v)", r, ok)
+	}
+	if diff := routeDiff(m, refRoutes(m)); diff != "" {
+		t.Fatal(diff)
+	}
+}
+
+// TestRouteTableSize pins the layout's cost: a table entry is at most 24
+// bytes, and the link arena holds every route's hops exactly, with no
+// growth slack.
+func TestRouteTableSize(t *testing.T) {
+	if size := unsafe.Sizeof(routeEntry{}); size > 24 {
+		t.Errorf("a route table entry is %d bytes, want <= 24", size)
+	}
+	m := testMesh(t, 64, 11)
+	hops := 0
+	for _, e := range m.routes {
+		hops += max(int(e.n), 0)
+	}
+	if len(m.arena) != hops || cap(m.arena) != hops {
+		t.Errorf("arena len %d cap %d, routes hold %d hops", len(m.arena), cap(m.arena), hops)
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/qos"
@@ -14,8 +15,9 @@ import (
 // refBuild is Build as it was before the shortest-path runs shared one
 // typed heap and stopped early: a full container/heap Dijkstra over the IP
 // graph per overlay node, a path's metrics found edge by edge in each
-// hop's adjacency, and a container/heap Dijkstra per overlay source. It
-// is the reference TestBuildMatchesReference holds Build to.
+// hop's adjacency. Its routing is refRoutes, a container/heap Dijkstra per
+// overlay source. It is the reference TestBuildMatchesReference holds
+// Build to.
 func refBuild(g *topology.Graph, cfg Config, rng *rand.Rand) *Mesh {
 	n := cfg.Nodes
 	m := &Mesh{
@@ -62,8 +64,22 @@ func refBuild(g *topology.Graph, cfg Config, rng *rand.Rand) *Mesh {
 		}
 	}
 
-	m.dist = make([][]float64, n)
-	m.prevLink = make([][]int32, n)
+	return m
+}
+
+// refRouting is the routing table Build kept before it laid out every
+// route: per source, each destination's shortest delay and the last link
+// on its path (-1 for the source and for an unreachable destination).
+type refRouting struct {
+	dist     [][]float64
+	prevLink [][]int32
+}
+
+// refRoutes runs a container/heap Dijkstra per overlay source over m's
+// links.
+func refRoutes(m *Mesh) *refRouting {
+	n := len(m.adj)
+	r := &refRouting{dist: make([][]float64, n), prevLink: make([][]int32, n)}
 	for src := 0; src < n; src++ {
 		dist := make([]float64, n)
 		prevLink := make([]int32, n)
@@ -86,10 +102,59 @@ func refBuild(g *topology.Graph, cfg Config, rng *rand.Rand) *Mesh {
 				}
 			}
 		}
-		m.dist[src] = dist
-		m.prevLink[src] = prevLink
+		r.dist[src] = dist
+		r.prevLink[src] = prevLink
 	}
-	return m
+	return r
+}
+
+// buildRoute is how RouteBetween reconstructed a pair before the layout:
+// walk the last links backwards from b, then add the links' QoS source
+// to destination.
+func (r *refRouting) buildRoute(m *Mesh, a, b int) (Route, bool) {
+	if a == b {
+		return Route{CoLocated: true}, true
+	}
+	if math.IsInf(r.dist[a][b], 1) {
+		return Route{}, false
+	}
+	var rev []int
+	for v := b; v != a; {
+		id := int(r.prevLink[a][v])
+		rev = append(rev, id)
+		v = m.otherEnd(id, v)
+	}
+	route := Route{Links: make([]int, len(rev))}
+	for i := range rev {
+		id := rev[len(rev)-1-i]
+		route.Links[i] = id
+		route.QoS = route.QoS.Add(m.links[id].QoS)
+	}
+	return route, true
+}
+
+// routeDiff holds every ordered pair of m's table to the reference
+// reconstruction: reachability, the links element for element, the QoS
+// bits, and a path delay that is the reference distance bit for bit. It
+// names the first pair that differs, or is empty.
+func routeDiff(m *Mesh, ref *refRouting) string {
+	bits := math.Float64bits
+	n := m.NumNodes()
+	for a := 0; a < n; a++ {
+		for b := 0; b < n; b++ {
+			got, ok := m.RouteBetween(a, b)
+			want, wantOK := ref.buildRoute(m, a, b)
+			if ok != wantOK || !slices.Equal(got.Links, want.Links) || got.CoLocated != want.CoLocated ||
+				bits(got.QoS.Delay) != bits(want.QoS.Delay) || bits(got.QoS.LossCost) != bits(want.QoS.LossCost) {
+				return fmt.Sprintf("route %d->%d = %v %v %v %v (%v), reference %v %v %v %v (%v)", a, b,
+					got.Links, got.QoS.Delay, got.QoS.LossCost, got.CoLocated, ok, want.Links, want.QoS.Delay, want.QoS.LossCost, want.CoLocated, wantOK)
+			}
+			if ok && bits(got.QoS.Delay) != bits(ref.dist[a][b]) {
+				return fmt.Sprintf("route %d->%d delay %v, reference distance %v", a, b, got.QoS.Delay, ref.dist[a][b])
+			}
+		}
+	}
+	return ""
 }
 
 func refIPDijkstra(g *topology.Graph, src int) (dist []float64, parent []int) {
@@ -156,9 +221,10 @@ func (h *refHeap) Pop() interface{} {
 }
 
 // TestBuildMatchesReference holds Build to refBuild bit for bit: overlay
-// node placement, every link's endpoints, QoS and capacity bits, the
-// routing table's distance bits and last links, and where Build leaves
-// rng (the next draw). One parallel subtest per IP graph.
+// node placement, every link's endpoints, QoS and capacity bits, every
+// ordered pair's route against the reference reconstruction (routeDiff),
+// and where Build leaves rng (the next draw). One parallel subtest per IP
+// graph.
 func TestBuildMatchesReference(t *testing.T) {
 	for _, ipNodes := range []int{400, 1600, 3200} {
 		for seed := int64(1); seed <= 3; seed++ {
@@ -178,7 +244,11 @@ func TestBuildMatchesReference(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					if diff := meshDiff(got, refBuild(g, cfg, refRNG)); diff != "" {
+					want := refBuild(g, cfg, refRNG)
+					if diff := meshDiff(got, want); diff != "" {
+						t.Fatalf("N %d: %s", n, diff)
+					}
+					if diff := routeDiff(got, refRoutes(want)); diff != "" {
 						t.Fatalf("N %d: %s", n, diff)
 					}
 					if a, b := rng.Int63(), refRNG.Int63(); a != b {
@@ -206,13 +276,6 @@ func meshDiff(got, want *Mesh) string {
 		if g.ID != w.ID || g.A != w.A || g.B != w.B || bits(g.QoS.Delay) != bits(w.QoS.Delay) ||
 			bits(g.QoS.LossCost) != bits(w.QoS.LossCost) || bits(g.Capacity) != bits(w.Capacity) {
 			return fmt.Sprintf("link %d = %+v, reference %+v", id, g, w)
-		}
-	}
-	for a := range want.dist {
-		for b := range want.dist[a] {
-			if bits(got.dist[a][b]) != bits(want.dist[a][b]) || got.prevLink[a][b] != want.prevLink[a][b] {
-				return fmt.Sprintf("route %d->%d = (%v, %d), reference (%v, %d)", a, b, got.dist[a][b], got.prevLink[a][b], want.dist[a][b], want.prevLink[a][b])
-			}
 		}
 	}
 	return ""
