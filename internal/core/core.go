@@ -242,6 +242,7 @@ type Outcome struct {
 	// Qualified is the number of distinct qualified compositions the
 	// deputy evaluated.
 	Qualified int
+	best      Composition // what Best points at: the winner, copied out of the walk's scratch
 }
 
 // Success reports whether a composition was found.
@@ -375,8 +376,9 @@ func (c *Composer) Commit(o *Outcome) error {
 	if o == nil || o.Best == nil {
 		return fmt.Errorf("core: commit of unsuccessful outcome")
 	}
-	nodes, links := DemandMaps(c.kern.Stack(o.Request, o.Best.Components, o.Best.Routes))
-	if err := c.env.Ledger.CommitSession(state.Owner(o.Request.ID), nodes, links); err != nil {
+	c.kern.Stack(o.Request, o.Best.Components, o.Best.Routes)
+	nodes, links := c.kern.Shares()
+	if err := c.env.Ledger.CommitShares(state.Owner(o.Request.ID), nodes, links); err != nil {
 		c.env.Tracer.RolledBack(o.Request.ID, o.Request.Client, obs.ReasonCommitNack)
 		return fmt.Errorf("request %d: %w", o.Request.ID, err)
 	}
@@ -420,7 +422,8 @@ func (c *Composer) CommitMigration(o *Outcome, prev int64) error {
 	if o == nil || o.Best == nil {
 		return fmt.Errorf("core: migration commit of unsuccessful outcome")
 	}
-	nodes, links := DemandMaps(c.kern.Stack(o.Request, o.Best.Components, o.Best.Routes))
+	c.kern.Stack(o.Request, o.Best.Components, o.Best.Routes)
+	nodes, links := c.kern.Shares()
 	if err := c.env.Ledger.MigrateSession(state.Owner(prev), state.Owner(o.Request.ID), nodes, links); err != nil {
 		c.env.Tracer.RolledBack(o.Request.ID, o.Request.Client, obs.ReasonCommitNack)
 		return fmt.Errorf("request %d: %w", o.Request.ID, err)
@@ -450,18 +453,4 @@ func (c *Composer) Release(requestID int64) {
 func (c *Composer) Abort(requestID int64) {
 	c.env.Ledger.ReleaseOwner(state.Owner(requestID))
 	c.env.Tracer.RolledBack(requestID, -1, obs.ReasonAbort)
-}
-
-// DemandMaps renders stacked demands in the map form Ledger.CommitSession
-// and the dist commit protocol take.
-func DemandMaps(nodes []NodeDemand, links []LinkDemand) (map[int]qos.Resources, map[int]float64) {
-	nm := make(map[int]qos.Resources, len(nodes))
-	for _, nd := range nodes {
-		nm[nd.Node] = nd.Amount
-	}
-	lm := make(map[int]float64, len(links))
-	for _, ld := range links {
-		lm[ld.Link] = ld.BW
-	}
-	return nm, lm
 }

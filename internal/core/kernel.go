@@ -7,6 +7,7 @@ import (
 	"repro/internal/obs"
 	"repro/internal/overlay"
 	"repro/internal/qos"
+	"repro/internal/state"
 )
 
 // This file is the composition kernel: the decisions of the ACP protocol
@@ -36,11 +37,13 @@ import (
 type Kernel struct {
 	catalog *component.Catalog
 
-	ranked    []rankedCand
-	selected  []component.ComponentID
-	nodes     []NodeDemand
-	links     []LinkDemand
-	residuals []qos.Resources
+	ranked     []rankedCand
+	selected   []component.ComponentID
+	nodes      []NodeDemand
+	links      []LinkDemand
+	nodeShares []state.NodeShare
+	linkShares []state.LinkShare
+	residuals  []qos.Resources
 }
 
 // NewKernel returns a kernel over the deployment catalog.
@@ -253,6 +256,21 @@ func (k *Kernel) Stack(req *component.Request, comps []component.ComponentID, ro
 		}
 	}
 	k.nodes, k.links = nodes, links
+	return nodes, links
+}
+
+// Shares renders the demand last stacked in the dense form the ledger
+// commits, entries in Stack's order. The slices are scratch, valid until
+// the next Shares.
+func (k *Kernel) Shares() ([]state.NodeShare, []state.LinkShare) {
+	nodes, links := k.nodeShares[:0], k.linkShares[:0]
+	for _, d := range k.nodes {
+		nodes = append(nodes, state.NodeShare{ID: d.Node, Amount: d.Amount})
+	}
+	for _, d := range k.links {
+		links = append(links, state.LinkShare{ID: d.Link, Amount: d.BW})
+	}
+	k.nodeShares, k.linkShares = nodes, links
 	return nodes, links
 }
 

@@ -416,7 +416,7 @@ func (c *Composer) probeWalk(req *component.Request) (*Outcome, error) {
 		tr.Decided(req.ID, req.Client, obs.ReasonNoComposition)
 		return out, nil
 	}
-	best := w.best.clone()
+	best := w.best.copyTo(&out.best)
 	// The deputy has decided: cancel the transient allocations of every
 	// losing probe and keep only the winning composition reserved until
 	// the confirmation message arrives (§3.3 step 4). Without this,
@@ -839,15 +839,16 @@ func (c *Composer) selectCandidates(p hopChild, pos int, candidates []component.
 	return c.kern.Select(&hop, c.cfg.Selection, c.cfg.ProbingRatio, len(candidates))
 }
 
-// clone deep-copies a composition out of the evaluation scratch, so a
-// winner stays valid across later walks.
-func (comp *Composition) clone() *Composition {
-	return &Composition{
+// copyTo deep-copies a composition out of the evaluation scratch into
+// dst, so a winner stays valid across later walks, and returns dst.
+func (comp *Composition) copyTo(dst *Composition) *Composition {
+	*dst = Composition{
 		Components: slices.Clone(comp.Components),
 		Routes:     slices.Clone(comp.Routes),
 		QoS:        comp.QoS,
 		Phi:        comp.Phi,
 	}
+	return dst
 }
 
 // evaluate builds the full composition for an assignment and checks the
@@ -961,7 +962,7 @@ func (c *Composer) probeDirect(req *component.Request) (*Outcome, error) {
 		tr.Decided(req.ID, req.Client, obs.ReasonNoComposition)
 		return out, nil
 	}
-	comp := scratchComp.clone()
+	comp := scratchComp.copyTo(&out.best)
 	if c.cfg.TransientAllocation {
 		// The verification probe transiently reserves what it visits so
 		// the allocation survives until the confirmation arrives.

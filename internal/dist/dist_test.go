@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/component"
 	"repro/internal/qos"
+	"repro/internal/state"
 )
 
 // testCluster runs on the auto-advanced virtual clock (virtual_test.go)
@@ -234,7 +235,7 @@ func TestLinkTableReserveAtomicity(t *testing.T) {
 
 	// A reservation that fits on link 0 but not link 1 must change
 	// nothing.
-	if err := l.CommitSession(1001, nil, map[int]float64{0: avail0 / 2, 1: avail1 + 1}); err == nil {
+	if err := l.CommitShares(1001, nil, []state.LinkShare{{ID: 0, Amount: avail0 / 2}, {ID: 1, Amount: avail1 + 1}}); err == nil {
 		t.Fatal("over-capacity reservation accepted")
 	}
 	if got := l.LinkAvailable(0); got != avail0 {
@@ -245,7 +246,7 @@ func TestLinkTableReserveAtomicity(t *testing.T) {
 	}
 
 	// A feasible reservation succeeds and releases exactly.
-	if err := l.CommitSession(1002, nil, map[int]float64{0: 10, 1: 10}); err != nil {
+	if err := l.CommitShares(1002, nil, []state.LinkShare{{ID: 0, Amount: 10}, {ID: 1, Amount: 10}}); err != nil {
 		t.Fatalf("feasible reservation rejected: %v", err)
 	}
 	if got := l.LinkAvailable(0); got != avail0-10 {
@@ -278,9 +279,13 @@ func TestReleaseTwiceReleasesOnce(t *testing.T) {
 	s.release(reqA, compA)
 	s.release(reqA, compA)
 	avail, capacity := c.LinkAvailability()
+	reserved := make([]float64, len(avail))
+	for _, d := range linksB {
+		reserved[d.Link] = d.BW
+	}
 	for i := range avail {
-		if math.Abs(avail[i]-(capacity[i]-linksB[i])) > 1e-9 {
-			t.Errorf("link %d: %v available of %v with %v reserved by the live session", i, avail[i], capacity[i], linksB[i])
+		if math.Abs(avail[i]-(capacity[i]-reserved[i])) > 1e-9 {
+			t.Errorf("link %d: %v available of %v with %v reserved by the live session", i, avail[i], capacity[i], reserved[i])
 		}
 	}
 

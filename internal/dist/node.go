@@ -470,9 +470,9 @@ func (n *node) onDecide(reqID int64) {
 	// so its prefix unrolls and its edges are routable.
 	n.unroll(p.walk.plan, best)
 	comps := slices.Clone(n.assign)
-	nodes, links, _ := n.stack(p.req, comps)
-	_, linkDemand := core.DemandMaps(nil, links)
-	if err := n.c.links.CommitSession(state.Owner(reqID), nil, linkDemand); err != nil {
+	nodes, _, _ := n.stack(p.req, comps)
+	_, links := n.kern.Shares()
+	if err := n.c.links.CommitShares(state.Owner(reqID), nil, links); err != nil {
 		n.rollback(p, reqID, obs.ReasonBandwidth)
 		return
 	}

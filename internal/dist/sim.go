@@ -155,10 +155,10 @@ func (c *Cluster) Catalog() *component.Catalog { return c.catalog }
 // SessionDemands reports the per-node resource and per-link bandwidth
 // demand of a composition for the given request — what commit placed
 // and release must return.
-func (c *Cluster) SessionDemands(req *component.Request, comp *Composition) (nodes map[int]qos.Resources, links map[int]float64) {
+func (c *Cluster) SessionDemands(req *component.Request, comp *Composition) ([]core.NodeDemand, []core.LinkDemand) {
 	// A committed composition's edges are all routable.
 	routes, _ := c.routesOf(nil, req, comp.Components)
-	return core.DemandMaps(core.NewKernel(c.catalog).Stack(req, comp.Components, routes))
+	return core.NewKernel(c.catalog).Stack(req, comp.Components, routes)
 }
 
 // Owner reports the internal request identity a composition was

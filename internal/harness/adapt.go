@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"time"
 
 	"repro/internal/component"
@@ -11,6 +12,7 @@ import (
 	"repro/internal/obs"
 	"repro/internal/qos"
 	"repro/internal/runtime"
+	"repro/internal/state"
 )
 
 // AdaptBed is the substrate every adaptation run plays on — this
@@ -70,13 +72,13 @@ func (b *AdaptBed) Surge(owner int64, id runtime.SessionID) error {
 	if err != nil {
 		return err
 	}
-	load := map[int]qos.Resources{}
+	var load []state.NodeShare
 	for _, pc := range desc.Components {
-		if _, dup := load[pc.Node]; dup {
+		if slices.ContainsFunc(load, func(s state.NodeShare) bool { return s.ID == pc.Node }) {
 			continue
 		}
 		avail := b.Cluster.NodeResidual(pc.Node)
-		load[pc.Node] = qos.Resources{CPU: avail.CPU - 1, Memory: avail.Memory - 10}
+		load = append(load, state.NodeShare{ID: pc.Node, Amount: qos.Resources{CPU: avail.CPU - 1, Memory: avail.Memory - 10}})
 	}
 	return b.Cluster.InjectLoad(owner, load)
 }

@@ -105,11 +105,11 @@ func (a *Auditor) CheckQuiescent(outcomes []SessionOutcome) error {
 			continue
 		}
 		nodes, _ := a.c.SessionDemands(o.Req, o.Comp)
-		for nodeID, amount := range nodes {
-			if expect[nodeID] == nil {
-				expect[nodeID] = make(map[int64]qos.Resources)
+		for _, d := range nodes {
+			if expect[d.Node] == nil {
+				expect[d.Node] = make(map[int64]qos.Resources)
 			}
-			expect[nodeID][o.Owner] = amount
+			expect[d.Node][o.Owner] = d.Amount
 		}
 	}
 	for id := 0; id < a.c.NumNodes(); id++ {

@@ -660,12 +660,12 @@ func RunMultiAppScenario(cfg MultiAppConfig) (*MultiAppReport, error) {
 					continue // already saturated; nothing to pin
 				}
 				b.load = avail
-				if err := c.InjectLoad(b.owner, map[int]qos.Resources{b.node: avail}); err != nil {
+				pin := []state.NodeShare{{ID: b.node, Amount: avail}}
+				if err := c.InjectLoad(b.owner, pin); err != nil {
 					return fail(fmt.Errorf("tick %d: blackout node %d: %w", tick, b.node, err))
 				}
 				if oracle != nil {
-					if err := oracle.ledger.CommitSession(state.Owner(b.owner),
-						map[int]qos.Resources{b.node: avail}, nil); err != nil {
+					if err := oracle.ledger.CommitShares(state.Owner(b.owner), pin, nil); err != nil {
 						return fail(fmt.Errorf("tick %d: oracle blackout node %d: %w", tick, b.node, err))
 					}
 					b.oracleCommitted = true

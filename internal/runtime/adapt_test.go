@@ -9,6 +9,7 @@ import (
 	"repro/internal/harness/clock"
 	"repro/internal/obs"
 	"repro/internal/qos"
+	"repro/internal/state"
 )
 
 // adaptCluster builds a small cluster on a virtual clock with a live
@@ -35,10 +36,10 @@ func adaptCluster(t *testing.T) (*Cluster, *obs.Registry, *clock.Virtual) {
 // on the given nodes, leaving roughly `leave` of each resource free.
 func congestNodes(t *testing.T, c *Cluster, owner int64, nodes []int, leave qos.Resources) {
 	t.Helper()
-	load := make(map[int]qos.Resources, len(nodes))
+	load := make([]state.NodeShare, 0, len(nodes))
 	for _, n := range nodes {
 		avail := c.NodeResidual(n)
-		load[n] = qos.Resources{CPU: avail.CPU - leave.CPU, Memory: avail.Memory - leave.Memory}
+		load = append(load, state.NodeShare{ID: n, Amount: qos.Resources{CPU: avail.CPU - leave.CPU, Memory: avail.Memory - leave.Memory}})
 	}
 	if err := c.InjectLoad(owner, load); err != nil {
 		t.Fatalf("synthetic load: %v", err)
@@ -50,7 +51,7 @@ func congestNodes(t *testing.T, c *Cluster, owner int64, nodes []int, leave qos.
 func TestInjectLoadRefusesUnknownNodes(t *testing.T) {
 	c, _, _ := adaptCluster(t)
 	for _, bad := range []int{-1, c.NumNodes()} {
-		if err := c.InjectLoad(-1, map[int]qos.Resources{bad: {CPU: 1, Memory: 1}}); err == nil {
+		if err := c.InjectLoad(-1, []state.NodeShare{{ID: bad, Amount: qos.Resources{CPU: 1, Memory: 1}}}); err == nil {
 			t.Errorf("load on node %d accepted", bad)
 		}
 	}
@@ -343,9 +344,9 @@ func TestAdaptPredictiveMigratesBeforeViolation(t *testing.T) {
 	// Ramp: each tick another slice of the session's nodes is consumed.
 	// The trend is visible well before observed phi crosses the bound.
 	for step := int64(1); step <= 20; step++ {
-		load := make(map[int]qos.Resources, len(oldNodes))
+		load := make([]state.NodeShare, 0, len(oldNodes))
 		for _, n := range oldNodes {
-			load[n] = qos.Resources{CPU: 4, Memory: 40}
+			load = append(load, state.NodeShare{ID: n, Amount: qos.Resources{CPU: 4, Memory: 40}})
 		}
 		if err := c.InjectLoad(-step, load); err != nil {
 			break // nodes exhausted; ramp is over

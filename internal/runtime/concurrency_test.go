@@ -16,6 +16,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/obs"
 	"repro/internal/qos"
+	"repro/internal/state"
 )
 
 // assertPristine checks that nothing is left of any session: no live
@@ -94,9 +95,9 @@ func TestConcurrentCallersFindDescribeClose(t *testing.T) {
 	// tenant starts one session short of its cap: a caller alone already
 	// meets its quota on its second request, and four callers more than
 	// fill the substrate.
-	background := make(map[int]qos.Resources, c.NumNodes())
-	for n := 0; n < c.NumNodes(); n++ {
-		background[n] = qos.Resources{CPU: 60, Memory: 600}
+	background := make([]state.NodeShare, c.NumNodes())
+	for n := range background {
+		background[n] = state.NodeShare{ID: n, Amount: qos.Resources{CPU: 60, Memory: 600}}
 	}
 	if err := c.InjectLoad(-1, background); err != nil {
 		t.Fatal(err)

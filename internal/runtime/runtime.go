@@ -126,7 +126,8 @@ func DefaultConfig() Config {
 // session is one live composed application.
 type session struct {
 	id      SessionID
-	request *component.Request
+	request *component.Request // what the ledger keeps the allocation under: &found until a migration
+	found   component.Request  // FindApp's request, allocated with the session
 	comp    *core.Composition
 	// tenant and quotaCharge record what Find charged against the
 	// tenant's quota, refunded exactly on Close. Empty tenant sessions
@@ -451,7 +452,8 @@ func (c *Cluster) FindApp(r FindRequest) (SessionID, error) {
 		c.mu.Unlock()
 		return 0, err
 	}
-	req := &component.Request{
+	s := &session{tenant: r.Tenant, quotaCharge: demand}
+	s.found = component.Request{
 		Graph:        r.Graph,
 		QoSReq:       r.QoSReq,
 		ResReq:       append([]qos.Resources(nil), r.ResReq...),
@@ -461,9 +463,10 @@ func (c *Cluster) FindApp(r FindRequest) (SessionID, error) {
 		Tenant:       r.Tenant,
 		Weight:       r.Weight,
 	}
-	c.drawLocked(req, r.PinClient)
+	s.request = &s.found
+	c.drawLocked(s.request, r.PinClient)
 	c.mu.Unlock()
-	return c.composeAndAdmit(composer, req, demand)
+	return c.composeAndAdmit(composer, s)
 }
 
 // drawLocked gives the request the next request ID and, unless pinned,
@@ -500,16 +503,16 @@ func (c *Cluster) beginLocked(tenant string, demand TenantUsage) (*core.Composer
 // caller's composer with no cluster lock held — the transient holds are
 // the concurrency control between overlapping walks (§3.3 step 2) — then
 // finish under mu.
-func (c *Cluster) composeAndAdmit(composer *core.Composer, req *component.Request, demand TenantUsage) (SessionID, error) {
+func (c *Cluster) composeAndAdmit(composer *core.Composer, s *session) (SessionID, error) {
 	findStart := c.now()
 	c.finds.Inc()
-	outcome, err := composer.Probe(req)
+	outcome, err := composer.Probe(s.request)
 	c.findQuantiles.Observe(float64(c.now()-findStart) / float64(time.Millisecond))
 	if err == nil {
 		if !outcome.Success() {
 			err = ErrNoComposition
 		} else if cerr := composer.Commit(outcome); cerr != nil {
-			composer.Abort(req.ID)
+			composer.Abort(s.request.ID)
 			err = fmt.Errorf("runtime: commit: %w", cerr)
 		}
 	}
@@ -523,14 +526,14 @@ func (c *Cluster) composeAndAdmit(composer *core.Composer, req *component.Reques
 	if err == nil && c.closed {
 		// Shut down mid-walk: Shutdown has already swept the session
 		// table, so this session would leak. Give the allocation back.
-		c.release(req.ID)
+		c.release(s.request.ID)
 		err = errShutDown
 	}
 	if err != nil {
-		c.quota.refund(req.Tenant, demand)
+		c.quota.refund(s.tenant, s.quotaCharge)
 		return 0, err
 	}
-	return c.admitLocked(req, outcome, demand), nil
+	return c.admitLocked(s, outcome), nil
 }
 
 // release frees a committed allocation on the ledger.
@@ -542,23 +545,18 @@ func (c *Cluster) release(requestID int64) {
 // admitLocked registers a committed composition as a live session in the
 // session table, where the session gauges read it. Every admission ends
 // here, so a session is usable by Process as soon as FindApp returns it.
-func (c *Cluster) admitLocked(req *component.Request, outcome *core.Outcome, demand TenantUsage) SessionID {
+func (c *Cluster) admitLocked(s *session, outcome *core.Outcome) SessionID {
 	c.nextID++
-	id := c.nextID
-	c.sessions[id] = &session{
-		id:          id,
-		request:     req,
-		comp:        outcome.Best,
-		tenant:      req.Tenant,
-		quotaCharge: demand,
-		requiredPhi: outcome.Best.Phi,
-		phi:         outcome.Best.Phi,
-	}
+	s.id = c.nextID
+	s.comp = outcome.Best
+	s.requiredPhi = outcome.Best.Phi
+	s.phi = outcome.Best.Phi
+	c.sessions[s.id] = s
 	c.activeSessions.Set(float64(len(c.sessions)))
-	if req.Tenant != "" {
-		c.tenantSessions.With(req.Tenant).Set(float64(c.quota.usageSessions(req.Tenant)))
+	if s.tenant != "" {
+		c.tenantSessions.With(s.tenant).Set(float64(c.quota.usageSessions(s.tenant)))
 	}
-	return id
+	return s.id
 }
 
 // tenantLabel renders a tenant for label values; the anonymous tenant
@@ -974,17 +972,13 @@ func (c *Cluster) Catalog() *component.Catalog { return c.catalog }
 // negative owner ID (positive IDs belong to composed sessions), the
 // harness's and experiments' way of manufacturing congestion surges
 // that drive sessions into QoS drift. Release with ReleaseLoad.
-func (c *Cluster) InjectLoad(owner int64, load map[int]qos.Resources) error {
+func (c *Cluster) InjectLoad(owner int64, load []state.NodeShare) error {
 	if owner >= 0 {
 		return fmt.Errorf("runtime: injected load owner %d must be negative", owner)
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	nodes := make(map[int]qos.Resources, len(load))
-	for n, r := range load {
-		nodes[n] = r
-	}
-	return c.ledger.CommitSession(state.Owner(owner), nodes, nil)
+	return c.ledger.CommitShares(state.Owner(owner), load, nil)
 }
 
 // ReleaseLoad removes previously injected background load. Unknown

@@ -18,6 +18,7 @@ import (
 	"repro/internal/harness/clock"
 	"repro/internal/obs"
 	"repro/internal/qos"
+	"repro/internal/state"
 )
 
 // TestSessionSeriesGolden pins both metric exports of a seeded cluster —
@@ -83,9 +84,9 @@ func TestSessionSeriesGolden(t *testing.T) {
 			t.Fatalf("recompose %d: %v", id, err)
 		}
 	}
-	load := make(map[int]qos.Resources)
+	var load []state.NodeShare
 	for node := 0; node < c.NumNodes(); node += 3 {
-		load[node] = qos.Resources{CPU: 45, Memory: 450}
+		load = append(load, state.NodeShare{ID: node, Amount: qos.Resources{CPU: 45, Memory: 450}})
 	}
 	if err := c.InjectLoad(-1, load); err != nil {
 		t.Fatal(err)

@@ -157,7 +157,7 @@ func TestCeilingBoundsCommittedAvailability(t *testing.T) {
 		t.Fatal(err)
 	}
 	r.check(t, "BeginMigration")
-	if err := l.MigrateSession(100, 3, map[int]qos.Resources{1: r.share(1, 30)}, nil); err != nil {
+	if err := l.MigrateSession(100, 3, []NodeShare{{ID: 1, Amount: r.share(1, 30)}}, nil); err != nil {
 		t.Fatal(err)
 	}
 	r.check(t, "MigrateSession")
@@ -166,7 +166,7 @@ func TestCeilingBoundsCommittedAvailability(t *testing.T) {
 	if err := l.BeginMigration(4, 302); err != nil {
 		t.Fatal(err)
 	}
-	if err := l.MigrateSession(302, 4, map[int]qos.Resources{3: r.share(3, 5)}, nil); err != nil {
+	if err := l.MigrateSession(302, 4, []NodeShare{{ID: 3, Amount: r.share(3, 5)}}, nil); err != nil {
 		t.Fatal(err)
 	}
 	r.check(t, "a migration past a lagging report")
@@ -184,14 +184,17 @@ func (r *ceilingRig) applyCeilingOp(op [4]byte) string {
 	link := int(op[2]) % l.NumLinks()
 	amount := r.share(node, op[3]%128)
 	other := (node + 1 + int(op[1]>>4)) % l.NumNodes()
-	shares := map[int]qos.Resources{node: amount, other: r.share(other, op[3]>>2)}
-	links := map[int]float64{link: l.LinkCapacity(link) * float64(op[3]%64) / 256}
+	// other wraps onto node now and then: a session that lists a node
+	// twice, which the ledger refuses.
+	shares := []NodeShare{{ID: node, Amount: amount}, {ID: other, Amount: r.share(other, op[3]>>2)}}
+	bw := l.LinkCapacity(link) * float64(op[3]%64) / 256
+	links := []LinkShare{{ID: link, Amount: bw}}
 	switch op[0] % 9 {
 	case 0:
 		l.HoldNode(owner, int(op[1]>>4)%3, node, amount, r.clk.now+ceilingTTL)
 		return "HoldNode"
 	case 1:
-		l.HoldLink(owner, int(op[1]>>4)%3, link, links[link], r.clk.now+ceilingTTL)
+		l.HoldLink(owner, int(op[1]>>4)%3, link, bw, r.clk.now+ceilingTTL)
 		return "HoldLink"
 	case 2:
 		l.ReleaseNodeHold(owner, int(op[1]>>4)%3, node)
@@ -200,8 +203,8 @@ func (r *ceilingRig) applyCeilingOp(op [4]byte) string {
 		l.ReleaseOwner(owner)
 		return "ReleaseOwner"
 	case 4:
-		_ = l.CommitSession(owner, shares, links) // may not fit, may be committed already
-		return "CommitSession"
+		_ = l.CommitShares(owner, shares, links) // may not fit, may be committed already
+		return "CommitShares"
 	case 5:
 		l.ReleaseSession(owner)
 		return "ReleaseSession"

@@ -8,7 +8,7 @@ package state
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 	"sync"
 	"time"
 
@@ -63,9 +63,33 @@ type account[A any] struct {
 	holds     []hold[A]
 }
 
+// Share is one id's part of a session allocation: the resources it takes
+// on a node, or the bandwidth on an overlay link.
+type Share[A any] struct {
+	ID     int
+	Amount A
+}
+
+// NodeShare and LinkShare are the two sides' shares.
+type (
+	NodeShare = Share[qos.Resources]
+	LinkShare = Share[float64]
+)
+
+// sessionAlloc is a committed session's record: each side's shares, ids distinct.
 type sessionAlloc struct {
-	nodes map[int]qos.Resources
-	links map[int]float64
+	nodes []NodeShare
+	links []LinkShare
+}
+
+// shareOf finds id's amount in shares by a scan: a session touches a few.
+func shareOf[A any](shares []Share[A], id int) (amount A, ok bool) {
+	for _, s := range shares {
+		if s.ID == id {
+			return s.Amount, true
+		}
+	}
+	return amount, false
 }
 
 // holdIndex lists the nodes (or overlay links) that may carry transient
@@ -104,8 +128,8 @@ type book[A any, M arith[A]] struct {
 	accts []account[A]
 	index holdIndex // every id whose hold list is non-empty (and some a sweep has yet to unlist)
 
-	l     *Ledger                      // clock, sessions and migration windows
-	share func(sessionAlloc) map[int]A // this side of a session record
+	l     *Ledger                       // clock, sessions and migration windows
+	share func(sessionAlloc) []Share[A] // this side of a session record
 
 	// onChange, when set, is called after an id's committed amount
 	// changes: the global state applies its threshold-triggered update
@@ -150,8 +174,8 @@ type Ledger struct {
 // supplies virtual time for hold expiry.
 func NewLedger(mesh *overlay.Mesh, nodeCap qos.Resources, now func() time.Duration) *Ledger {
 	l := &Ledger{now: now, sessions: make(map[Owner]sessionAlloc)}
-	l.nodes = book[qos.Resources, resArith]{kind: "node", l: l, share: func(s sessionAlloc) map[int]qos.Resources { return s.nodes }}
-	l.links = book[float64, bwArith]{kind: "link", l: l, share: func(s sessionAlloc) map[int]float64 { return s.links }}
+	l.nodes = book[qos.Resources, resArith]{kind: "node", l: l, share: func(s sessionAlloc) []NodeShare { return s.nodes }}
+	l.links = book[float64, bwArith]{kind: "link", l: l, share: func(s sessionAlloc) []LinkShare { return s.links }}
 	l.nodes.open(mesh.NumNodes(), func(int) qos.Resources { return nodeCap })
 	l.links.open(mesh.NumLinks(), func(i int) float64 { return mesh.Link(i).Capacity })
 	return l
@@ -322,7 +346,7 @@ func (l *Ledger) RouteAvailable(r overlay.Route) float64 {
 
 // HoldNode places a transient resource allocation for owner's component
 // tag on the node, expiring at the given virtual time unless promoted by
-// CommitSession. It fails (returning false) when the node cannot
+// CommitShares. It fails (returning false) when the node cannot
 // currently cover the amount. Each node reserves resources once per
 // component per request (footnote 7): a second hold with the same owner
 // and tag — another concurrent probe of the same request visiting the
@@ -484,13 +508,14 @@ func (b *book[A, M]) releaseOwner(owner Owner) {
 	}
 }
 
-// CommitSession converts a composition decision into a durable session
+// CommitShares converts a composition decision into a durable session
 // allocation: owner's transient holds are released and the given per-node
-// resources and per-link bandwidths are committed. On failure (some node
-// or link is out of range or cannot cover its share) nothing is
-// committed, but the owner's transient holds stay released — the request
-// has failed and the paper's protocol would let them time out regardless.
-func (l *Ledger) CommitSession(owner Owner, nodes map[int]qos.Resources, links map[int]float64) error {
+// resources and per-link bandwidths are committed, the ledger keeping its
+// own copy. On failure (a share out of range, repeating an earlier id, or
+// not covered) nothing is committed and the error names the first failing
+// share; the owner's transient holds stay released — the request has
+// failed and the paper's protocol would let them time out regardless.
+func (l *Ledger) CommitShares(owner Owner, nodes []NodeShare, links []LinkShare) error {
 	l.lock()
 	defer l.unlock()
 	if _, ok := l.sessions[owner]; ok {
@@ -500,39 +525,65 @@ func (l *Ledger) CommitSession(owner Owner, nodes map[int]qos.Resources, links m
 		return fmt.Errorf("state: owner %d is migrating session %d; use MigrateSession", owner, prev)
 	}
 	l.releaseOwner(owner)
-	if err := l.nodes.fits(nodes); err != nil {
+	if err := l.nodes.fits(nodes, l.nodes.commitRoom); err != nil {
 		return err
 	}
-	if err := l.links.fits(links); err != nil {
+	if err := l.links.fits(links, l.links.commitRoom); err != nil {
 		return err
 	}
 	l.sessions[owner] = sessionAlloc{nodes: l.nodes.commit(nodes), links: l.links.commit(links)}
 	return nil
 }
 
-// fits checks that every share names an account of this side that can
-// cover it. What open migration windows count twice is room: only one of
-// the session's share and its probe's reusing holds can remain.
-func (b *book[A, M]) fits(shares map[int]A) error {
-	for id, amount := range shares {
-		if id < 0 || id >= len(b.accts) {
-			return fmt.Errorf("state: %s %d out of range", b.kind, id)
+// CommitSession is CommitShares over maps, each side's shares taken in id
+// order. It stays only because bench/ladder.go, in the separately pinned
+// benchmark module, calls it; the change that moves that benchmark to
+// CommitShares deletes it.
+func (l *Ledger) CommitSession(owner Owner, nodes map[int]qos.Resources, links map[int]float64) error {
+	return l.CommitShares(owner, sortedShares(nodes), sortedShares(links))
+}
+
+func sortedShares[A any](m map[int]A) []Share[A] {
+	shares := make([]Share[A], 0, len(m))
+	for id, amount := range m {
+		shares = append(shares, Share[A]{ID: id, Amount: amount})
+	}
+	slices.SortFunc(shares, func(a, b Share[A]) int { return a.ID - b.ID })
+	return shares
+}
+
+// fits checks shares in input order and names the first that is out of
+// range on this side, repeats an earlier share's id — it would be checked
+// against availability twice — or that room(id) cannot cover.
+func (b *book[A, M]) fits(shares []Share[A], room func(id int) A) error {
+	for i, s := range shares {
+		if s.ID < 0 || s.ID >= len(b.accts) {
+			return fmt.Errorf("state: %s %d out of range", b.kind, s.ID)
 		}
-		if !b.m.covers(b.m.add(b.available(id, ledgerClock), b.windowOverlap(id)), amount) {
-			return fmt.Errorf("state: %s %d cannot cover %v", b.kind, id, amount)
+		if _, dup := shareOf(shares[:i], s.ID); dup {
+			return fmt.Errorf("state: %s %d listed twice", b.kind, s.ID)
+		}
+		if !b.m.covers(room(s.ID), s.Amount) {
+			return fmt.Errorf("state: %s %d cannot cover %v", b.kind, s.ID, s.Amount)
 		}
 	}
 	return nil
 }
 
-func (b *book[A, M]) commit(shares map[int]A) map[int]A {
-	alloc := make(map[int]A, len(shares))
-	for id, amount := range shares {
-		b.accts[id].committed = b.m.add(b.accts[id].committed, amount)
-		alloc[id] = amount
-		b.notify(id)
+// commitRoom is what a commit may take on id, room counted twice by open
+// migration windows included: only one of a session's share and its
+// probe's reusing holds can remain.
+func (b *book[A, M]) commitRoom(id int) A {
+	return b.m.add(b.available(id, ledgerClock), b.windowOverlap(id))
+}
+
+// commit adds the shares to their accounts and returns the session's copy.
+func (b *book[A, M]) commit(shares []Share[A]) []Share[A] {
+	for _, s := range shares {
+		b.accts[s.ID].committed = b.m.add(b.accts[s.ID].committed, s.Amount)
+		b.notify(s.ID)
 	}
-	return alloc
+	return slices.Clone(shares)
 }
 
 // ReleaseSession frees a committed session's resources when the
@@ -557,10 +608,10 @@ func (l *Ledger) ReleaseSession(owner Owner) {
 	l.links.uncommit(alloc.links)
 }
 
-func (b *book[A, M]) uncommit(shares map[int]A) {
-	for id, amount := range shares {
-		b.accts[id].committed = b.m.sub(b.accts[id].committed, amount)
-		b.notify(id)
+func (b *book[A, M]) uncommit(shares []Share[A]) {
+	for _, s := range shares {
+		b.accts[s.ID].committed = b.m.sub(b.accts[s.ID].committed, s.Amount)
+		b.notify(s.ID)
 	}
 }
 
@@ -633,12 +684,13 @@ func (l *Ledger) AbortMigration(probe Owner) {
 // reserved by its migration probe: the probe's transient holds are
 // released, the old allocation is freed, the new per-node resources and
 // per-link bandwidths are committed under the probe's owner ID, and the
-// migration window closes. Feasibility of the post-flip state is checked
-// before any mutation, so on error the window — and the holds protecting
-// the new composition — survive for a retry or an abort. Conservation
-// (Eqs. 4–5) holds at every observable point: the session is committed
-// throughout, and the flip happens under one lock acquisition.
-func (l *Ledger) MigrateSession(session, probe Owner, nodes map[int]qos.Resources, links map[int]float64) error {
+// migration window closes. The shares, checked as CommitShares checks
+// them, must fit the post-flip state before anything changes, so on error
+// the window — and the holds protecting the new composition — survive for
+// a retry or an abort. Conservation (Eqs. 4–5) holds at every observable
+// point: the session is committed throughout, and the flip happens under
+// one lock acquisition.
+func (l *Ledger) MigrateSession(session, probe Owner, nodes []NodeShare, links []LinkShare) error {
 	l.lock()
 	defer l.unlock()
 	old, ok := l.sessions[session]
@@ -651,59 +703,42 @@ func (l *Ledger) MigrateSession(session, probe Owner, nodes map[int]qos.Resource
 	if _, ok := l.sessions[probe]; ok {
 		return fmt.Errorf("state: session %d already committed", probe)
 	}
-	nodeIDs, err := l.nodes.fitsFlip(probe, old.nodes, nodes)
-	if err != nil {
+	if err := l.nodes.fits(nodes, l.nodes.flipRoom(probe, old.nodes)); err != nil {
 		return err
 	}
-	linkIDs, err := l.links.fitsFlip(probe, old.links, links)
-	if err != nil {
+	if err := l.links.fits(links, l.links.flipRoom(probe, old.links)); err != nil {
 		return err
 	}
 	l.releaseOwner(probe)
 	delete(l.migrations, probe)
 	delete(l.sessions, session)
-	l.sessions[probe] = sessionAlloc{nodes: l.nodes.flip(nodeIDs, old.nodes, nodes), links: l.links.flip(linkIDs, old.links, links)}
+	l.sessions[probe] = sessionAlloc{nodes: l.nodes.flip(old.nodes, nodes), links: l.links.flip(old.links, links)}
 	return nil
 }
 
-// fitsFlip is MigrateSession's feasibility check on this side: with the
-// old shares freed and the probe's holds released, every new share must
-// fit. It returns the new shares' ids, sorted so error selection is
-// deterministic.
-func (b *book[A, M]) fitsFlip(probe Owner, old, shares map[int]A) ([]int, error) {
-	ids := make([]int, 0, len(shares))
-	for id := range shares {
-		ids = append(ids, id)
+// flipRoom is what MigrateSession may take on id: the room left with
+// the session's old shares freed and the probe's holds released.
+func (b *book[A, M]) flipRoom(probe Owner, old []Share[A]) func(id int) A {
+	return func(id int) A {
+		freed, _ := shareOf(old, id)
+		return b.m.add(b.m.add(b.available(id, ledgerClock), freed), b.heldBy(probe, id))
 	}
-	sort.Ints(ids)
-	for _, id := range ids {
-		if id < 0 || id >= len(b.accts) {
-			return nil, fmt.Errorf("state: migration references %s %d", b.kind, id)
-		}
-		avail := b.m.add(b.m.add(b.available(id, ledgerClock), old[id]), b.heldBy(probe, id))
-		if !b.m.covers(avail, shares[id]) {
-			return nil, fmt.Errorf("state: %s %d cannot cover %v post-flip", b.kind, id, shares[id])
-		}
-	}
-	return ids, nil
 }
 
 // flip commits the new shares, then frees the old ones, and returns the
-// session's record of the new. The change observers fire once per
-// touched id, after its committed amount reaches the post-flip value.
-func (b *book[A, M]) flip(ids []int, old, shares map[int]A) map[int]A {
-	alloc := make(map[int]A, len(shares))
-	for _, id := range ids {
-		b.accts[id].committed = b.m.add(b.accts[id].committed, shares[id])
-		alloc[id] = shares[id]
+// session's copy of the new. The change observers fire once per touched
+// id, after its committed amount reaches the post-flip value.
+func (b *book[A, M]) flip(old, shares []Share[A]) []Share[A] {
+	for _, s := range shares {
+		b.accts[s.ID].committed = b.m.add(b.accts[s.ID].committed, s.Amount)
 	}
 	b.uncommit(old)
-	for _, id := range ids {
-		if _, freed := old[id]; !freed {
-			b.notify(id)
+	for _, s := range shares {
+		if _, freed := shareOf(old, s.ID); !freed {
+			b.notify(s.ID)
 		}
 	}
-	return alloc
+	return slices.Clone(shares)
 }
 
 // credit returns the committed share on id that owner, registered as a
@@ -718,7 +753,7 @@ func (b *book[A, M]) credit(owner Owner, id int) (amount A, ok bool) {
 
 func (b *book[A, M]) sessionShare(owner Owner, id int) (amount A, ok bool) {
 	if session, migrating := b.l.migrations[owner]; migrating {
-		amount, ok = b.share(b.l.sessions[session])[id]
+		amount, ok = shareOf(b.share(b.l.sessions[session]), id)
 	}
 	return amount, ok
 }
@@ -729,7 +764,7 @@ func (b *book[A, M]) sessionShare(owner Owner, id int) (amount A, ok bool) {
 func (b *book[A, M]) windowOverlap(id int) A {
 	var overlap A
 	for probe, session := range b.l.migrations {
-		if amount, ok := b.share(b.l.sessions[session])[id]; ok {
+		if amount, ok := shareOf(b.share(b.l.sessions[session]), id); ok {
 			overlap = b.m.add(overlap, b.m.min(amount, b.heldBy(probe, id)))
 		}
 	}
@@ -779,11 +814,11 @@ func (l *Ledger) CheckInvariants() error {
 func (b *book[A, M]) audit(tol A) error {
 	committed := make([]A, len(b.accts))
 	for owner, alloc := range b.l.sessions {
-		for id, amount := range b.share(alloc) {
-			if id < 0 || id >= len(b.accts) {
-				return fmt.Errorf("state: session %d references %s %d", owner, b.kind, id)
+		for _, s := range b.share(alloc) {
+			if s.ID < 0 || s.ID >= len(b.accts) {
+				return fmt.Errorf("state: session %d references %s %d", owner, b.kind, s.ID)
 			}
-			committed[id] = b.m.add(committed[id], amount)
+			committed[s.ID] = b.m.add(committed[s.ID], s.Amount)
 		}
 	}
 	near := func(x, y A) bool { return b.m.covers(tol, b.m.sub(x, y)) && b.m.covers(tol, b.m.sub(y, x)) }

@@ -1,8 +1,10 @@
 package state
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 	"time"
 
@@ -209,6 +211,128 @@ func TestCommitSessionFailures(t *testing.T) {
 	}
 	if err := l.CheckInvariants(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// pristine reports the first node or link whose availability is not its
+// full capacity: something is committed or held there.
+func pristine(l *Ledger) error {
+	for n := 0; n < l.NumNodes(); n++ {
+		if got := nodeAvailable(l, n); got != l.NodeCapacity(n) {
+			return fmt.Errorf("node %d has %v available of %v", n, got, l.NodeCapacity(n))
+		}
+	}
+	for k := 0; k < l.NumLinks(); k++ {
+		if got := l.LinkAvailable(k); got != l.LinkCapacity(k) {
+			return fmt.Errorf("link %d has %v available of %v", k, got, l.LinkCapacity(k))
+		}
+	}
+	return l.CheckInvariants()
+}
+
+// TestCommitSharesRefusesBadShares: the dense form refuses a share whose
+// id is out of range or repeats an earlier share's — a map could not
+// carry the repeat, and it would be checked against availability twice —
+// before anything is committed. As for a share that cannot be covered,
+// the owner's holds are released; a refusal of the owner itself (already
+// committed, or migrating) leaves them. The error names the first failing
+// share in input order.
+func TestCommitSharesRefusesBadShares(t *testing.T) {
+	l, _, _ := newTestLedger(t)
+	one := qos.Resources{CPU: 1, Memory: 1}
+	over := qos.Resources{CPU: 101, Memory: 1}
+	for _, tc := range []struct {
+		nodes []NodeShare
+		links []LinkShare
+		want  string
+	}{
+		{[]NodeShare{{0, one}, {1, one}, {0, one}}, nil, "node 0 listed twice"},
+		{[]NodeShare{{0, one}}, []LinkShare{{2, 1}, {3, 1}, {2, 1}}, "link 2 listed twice"},
+		{[]NodeShare{{-1, one}}, nil, "node -1 out of range"},
+		{[]NodeShare{{0, one}, {l.NumNodes(), one}}, nil, fmt.Sprintf("node %d out of range", l.NumNodes())},
+		{nil, []LinkShare{{1, 1}, {l.NumLinks(), 1}}, fmt.Sprintf("link %d out of range", l.NumLinks())},
+		// Input order, not id order, decides which failure is named.
+		{[]NodeShare{{4, over}, {2, one}, {2, one}}, nil, "node 4 cannot cover"},
+		{[]NodeShare{{4, one}, {2, one}, {2, one}, {1, over}}, nil, "node 2 listed twice"},
+		{[]NodeShare{{4, one}}, []LinkShare{{5, l.LinkCapacity(5) + 1}, {-1, 1}}, "link 5 cannot cover"},
+	} {
+		if !l.HoldNode(9, 0, 6, one, time.Hour) || !l.HoldLink(9, 0, 7, 1, time.Hour) {
+			t.Fatal("hold rejected")
+		}
+		err := l.CommitShares(9, tc.nodes, tc.links)
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("CommitShares(%v, %v) = %v, want an error naming %q", tc.nodes, tc.links, err, tc.want)
+		}
+		if l.HasSession(9) {
+			t.Fatalf("a refused commit left a session")
+		}
+		if err := pristine(l); err != nil {
+			t.Fatalf("after refusing %q: %v", tc.want, err)
+		}
+	}
+	// The map form takes its shares in id order, so its error is as
+	// deterministic.
+	for i := 0; i < 20; i++ {
+		err := l.CommitSession(9, map[int]qos.Resources{5: over, 3: over, 8: over}, nil)
+		if err == nil || !strings.Contains(err.Error(), "node 3 cannot cover") {
+			t.Fatalf("map-form commit = %v, want an error naming node 3", err)
+		}
+	}
+
+	// A refused owner keeps its holds, as before shares are looked at.
+	if err := l.CommitShares(1, []NodeShare{{0, one}}, nil); err != nil {
+		t.Fatal(err)
+	}
+	if !l.HoldNode(1, 0, 6, one, time.Hour) {
+		t.Fatal("hold rejected")
+	}
+	if err := l.CommitShares(1, []NodeShare{{2, one}, {2, one}}, nil); err == nil || !strings.Contains(err.Error(), "already committed") {
+		t.Fatalf("second commit = %v, want already committed", err)
+	}
+	if got, want := nodeAvailable(l, 6), l.NodeCapacity(6).Sub(one); got != want {
+		t.Fatalf("node 6 has %v available after a refused second commit, want %v (hold kept)", got, want)
+	}
+}
+
+// TestCommitSharesSides: either side may be empty, and both sides commit
+// and release cleanly; the ledger keeps its own copy of what it is given,
+// so a caller may reuse its slices.
+func TestCommitSharesSides(t *testing.T) {
+	l, _, _ := newTestLedger(t)
+	one := qos.Resources{CPU: 1, Memory: 1}
+	nodes := []NodeShare{{3, qos.Resources{CPU: 30, Memory: 300}}, {1, one}}
+	links := []LinkShare{{4, 25}, {0, 5}}
+	for owner, tc := range []struct {
+		nodes []NodeShare
+		links []LinkShare
+	}{{nil, nil}, {nodes, nil}, {nil, links}, {nodes, links}, {[]NodeShare{}, []LinkShare{}}} {
+		if err := l.CommitShares(Owner(owner), tc.nodes, tc.links); err != nil {
+			t.Fatalf("commit %v, %v: %v", tc.nodes, tc.links, err)
+		}
+		if len(tc.nodes) != 0 {
+			if got, want := l.NodeCommittedAvailable(3), l.NodeCapacity(3).Sub(qos.Resources{CPU: 30, Memory: 300}); got != want {
+				t.Fatalf("node 3 committed available %v, want %v", got, want)
+			}
+		}
+		if len(tc.links) != 0 {
+			if got, want := l.LinkCommittedAvailable(4), l.LinkCapacity(4)-25; got != want {
+				t.Fatalf("link 4 committed available %v, want %v", got, want)
+			}
+		}
+		if err := l.CheckInvariants(); err != nil {
+			t.Fatal(err)
+		}
+		// The caller's slices are its own again.
+		scribble := append([]NodeShare(nil), nodes...)
+		copy(nodes, []NodeShare{{0, one}, {2, one}})
+		l.ReleaseSession(Owner(owner))
+		copy(nodes, scribble)
+		if l.HasSession(Owner(owner)) {
+			t.Fatal("released session still committed")
+		}
+		if err := pristine(l); err != nil {
+			t.Fatalf("after releasing %v, %v: %v", tc.nodes, tc.links, err)
+		}
 	}
 }
 

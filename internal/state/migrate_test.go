@@ -17,6 +17,12 @@ func commitTestSession(t *testing.T, l *Ledger, owner Owner, nodes map[int]qos.R
 	}
 }
 
+// migrateMaps is MigrateSession over maps, each side's shares taken in id
+// order, as the map-form CommitSession takes them.
+func migrateMaps(l *Ledger, session, probe Owner, nodes map[int]qos.Resources, links map[int]float64) error {
+	return l.MigrateSession(session, probe, sortedShares(nodes), sortedShares(links))
+}
+
 func TestBeginMigrationValidation(t *testing.T) {
 	l, _, _ := newTestLedger(t)
 	commitTestSession(t, l, 1, map[int]qos.Resources{0: {CPU: 10, Memory: 100}}, nil)
@@ -143,7 +149,7 @@ func TestMigrateSessionFlip(t *testing.T) {
 		t.Fatalf("mid-migration sessions = %d", got)
 	}
 
-	if err := l.MigrateSession(1, 100, newNodes, newLinks); err != nil {
+	if err := migrateMaps(l, 1, 100, newNodes, newLinks); err != nil {
 		t.Fatalf("migrate: %v", err)
 	}
 	if err := l.CheckInvariants(); err != nil {
@@ -196,22 +202,36 @@ func TestMigrateSessionFailureKeepsWindow(t *testing.T) {
 	if err := l.BeginMigration(100, 1); err != nil {
 		t.Fatal(err)
 	}
-	err := l.MigrateSession(1, 100, map[int]qos.Resources{1: {CPU: 50, Memory: 500}}, nil)
+	err := migrateMaps(l, 1, 100, map[int]qos.Resources{1: {CPU: 50, Memory: 500}}, nil)
 	if err == nil {
 		t.Fatal("infeasible flip accepted")
 	}
 	if !strings.Contains(err.Error(), "node 1") {
 		t.Fatalf("unexpected error: %v", err)
 	}
+	// Shares are checked as a commit checks them: a repeated or
+	// out-of-range id is refused, the first in input order named.
+	small := qos.Resources{CPU: 1, Memory: 1}
+	for _, tc := range []struct {
+		shares []NodeShare
+		want   string
+	}{
+		{[]NodeShare{{3, small}, {0, small}, {3, small}}, "node 3 listed twice"},
+		{[]NodeShare{{0, small}, {l.NumNodes(), small}}, "out of range"},
+	} {
+		if err := l.MigrateSession(1, 100, tc.shares, nil); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Fatalf("flip of %v = %v, want an error naming %q", tc.shares, err, tc.want)
+		}
+	}
 	// The window survives for a retry; the old session is untouched.
-	if !l.HasSession(1) {
-		t.Fatal("source session lost on failed flip")
+	if !l.HasSession(1) || l.migrations[100] != 1 {
+		t.Fatal("source session or window lost on failed flip")
 	}
 	if err := l.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
 	// Mismatched (session, probe) pairs are rejected.
-	if err := l.MigrateSession(2, 100, nil, nil); err == nil {
+	if err := migrateMaps(l, 2, 100, nil, nil); err == nil {
 		t.Fatal("mismatched migration pair accepted")
 	}
 	// Abort path: the window closes and the probe's holds go.
@@ -271,7 +291,7 @@ func TestAbortMigrationRestoresLedger(t *testing.T) {
 	if !l.HasSession(1) {
 		t.Fatal("source session lost on abort")
 	}
-	if err := l.MigrateSession(1, 100, map[int]qos.Resources{0: share}, nil); err == nil {
+	if err := migrateMaps(l, 1, 100, map[int]qos.Resources{0: share}, nil); err == nil {
 		t.Fatal("flip through an aborted window accepted")
 	}
 }
@@ -316,7 +336,7 @@ func TestCommitSessionCountsWindowOverlapOnce(t *testing.T) {
 	if err := l.CommitSession(300, map[int]qos.Resources{0: {CPU: 20, Memory: 200}}, nil); err == nil {
 		t.Fatal("commit beyond the true room accepted")
 	}
-	if err := l.MigrateSession(1, 100, map[int]qos.Resources{0: newShare}, nil); err != nil {
+	if err := migrateMaps(l, 1, 100, map[int]qos.Resources{0: newShare}, nil); err != nil {
 		t.Fatalf("flip: %v", err)
 	}
 	if err := l.CheckInvariants(); err != nil {
@@ -346,7 +366,7 @@ func TestReleaseSessionDropsMigrationWindow(t *testing.T) {
 		t.Fatalf("probe view = %v, want %v (own hold credited, no reuse)", got, want)
 	}
 	// The flip can no longer happen.
-	if err := l.MigrateSession(1, 100, map[int]qos.Resources{0: {CPU: 80, Memory: 800}}, nil); err == nil {
+	if err := migrateMaps(l, 1, 100, map[int]qos.Resources{0: {CPU: 80, Memory: 800}}, nil); err == nil {
 		t.Fatal("flip of released session accepted")
 	}
 	l.ReleaseOwner(100)

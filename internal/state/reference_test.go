@@ -283,7 +283,45 @@ func (l *referenceLedger) ReleaseOwner(owner Owner) {
 	}
 }
 
-func (l *referenceLedger) CommitSession(owner Owner, nodes map[int]qos.Resources, links map[int]float64) error {
+// CommitShares is commitSession over dense shares. A map cannot carry a
+// repeated id, so the reference refuses one itself, at the point Ledger
+// does: after the owner checks and the hold release, before any commit.
+func (l *referenceLedger) CommitShares(owner Owner, nodes []NodeShare, links []LinkShare) error {
+	nm, lm, dup := refMaps(nodes, links)
+	if !dup {
+		return l.commitSession(owner, nm, lm)
+	}
+	_, committed := l.sessions[owner]
+	if _, migrating := l.migrations[owner]; !committed && !migrating {
+		l.ReleaseOwner(owner)
+	}
+	return fmt.Errorf("state: session %d lists an id twice", owner)
+}
+
+// MigrateSession is migrateSession over dense shares; a repeated id is
+// refused before anything changes, as Ledger refuses it.
+func (l *referenceLedger) MigrateSession(session, probe Owner, nodes []NodeShare, links []LinkShare) error {
+	nm, lm, dup := refMaps(nodes, links)
+	if dup {
+		return fmt.Errorf("state: migration of session %d lists an id twice", session)
+	}
+	return l.migrateSession(session, probe, nm, lm)
+}
+
+// refMaps renders dense shares in the reference's map form, reporting
+// whether some id repeats.
+func refMaps(nodes []NodeShare, links []LinkShare) (map[int]qos.Resources, map[int]float64, bool) {
+	nm, lm := make(map[int]qos.Resources, len(nodes)), make(map[int]float64, len(links))
+	for _, s := range nodes {
+		nm[s.ID] = s.Amount
+	}
+	for _, s := range links {
+		lm[s.ID] = s.Amount
+	}
+	return nm, lm, len(nm) < len(nodes) || len(lm) < len(links)
+}
+
+func (l *referenceLedger) commitSession(owner Owner, nodes map[int]qos.Resources, links map[int]float64) error {
 	if _, ok := l.sessions[owner]; ok {
 		return fmt.Errorf("state: session %d already committed", owner)
 	}
@@ -364,7 +402,7 @@ func (l *referenceLedger) AbortMigration(probe Owner) {
 	l.ReleaseOwner(probe)
 }
 
-func (l *referenceLedger) MigrateSession(session, probe Owner, nodes map[int]qos.Resources, links map[int]float64) error {
+func (l *referenceLedger) migrateSession(session, probe Owner, nodes map[int]qos.Resources, links map[int]float64) error {
 	old, ok := l.sessions[session]
 	if !ok {
 		return fmt.Errorf("state: migration source session %d not committed", session)
@@ -565,12 +603,12 @@ type fuzzedLedger interface {
 	ReleaseNodeHold(owner Owner, tag, node int)
 	ReleaseLinkHold(owner Owner, tag, link int)
 	ReleaseOwner(owner Owner)
-	CommitSession(owner Owner, nodes map[int]qos.Resources, links map[int]float64) error
+	CommitShares(owner Owner, nodes []NodeShare, links []LinkShare) error
 	ReleaseSession(owner Owner)
 	BeginMigration(probe, session Owner) error
 	EndMigration(probe Owner)
 	AbortMigration(probe Owner)
-	MigrateSession(session, probe Owner, nodes map[int]qos.Resources, links map[int]float64) error
+	MigrateSession(session, probe Owner, nodes []NodeShare, links []LinkShare) error
 	NodeAvailableForAt(now time.Duration, owner Owner, node int) qos.Resources
 	LinkAvailableForAt(now time.Duration, owner Owner, link int) float64
 	NodeCommittedAvailable(node int) qos.Resources
@@ -606,8 +644,11 @@ func (r *ceilingRig) decodeRefOp(op [4]byte) refOp {
 	link := int(op[2]) % l.NumLinks()
 	amount := r.share(node, op[3]%128)
 	other := (node + 1 + int(op[1]>>4)) % l.NumNodes()
-	shares := map[int]qos.Resources{node: amount, other: r.share(other, op[3]>>2)}
-	links := map[int]float64{link: l.LinkCapacity(link) * float64(op[3]%64) / 256}
+	// other wraps onto node now and then: a session that lists a node
+	// twice, which both ledgers refuse.
+	shares := []NodeShare{{ID: node, Amount: amount}, {ID: other, Amount: r.share(other, op[3]>>2)}}
+	bw := l.LinkCapacity(link) * float64(op[3]%64) / 256
+	links := []LinkShare{{ID: link, Amount: bw}}
 	at := [3]time.Duration{ledgerClock, r.clk.now - ceilingTTL/2, r.clk.now + ceilingTTL/2}[op[0]/14%3]
 	expires := r.clk.now + ceilingTTL
 	held := func(ok, created bool) string { return fmt.Sprint(ok, created) }
@@ -619,14 +660,14 @@ func (r *ceilingRig) decodeRefOp(op [4]byte) refOp {
 		}, at}
 	case 1:
 		return refOp{"HoldLinkTrackedAt", func(l fuzzedLedger) string {
-			return held(l.HoldLinkTrackedAt(at, owner, tag, link, links[link], expires))
+			return held(l.HoldLinkTrackedAt(at, owner, tag, link, bw, expires))
 		}, at}
 	case 2:
 		return refOp{"ReleaseNodeHold", func(l fuzzedLedger) string { l.ReleaseNodeHold(owner, tag, node); return "" }, at}
 	case 3:
 		return refOp{"ReleaseOwner", func(l fuzzedLedger) string { l.ReleaseOwner(owner); return "" }, at}
 	case 4:
-		return refOp{"CommitSession", func(l fuzzedLedger) string { return failed(l.CommitSession(owner, shares, links)) }, at}
+		return refOp{"CommitShares", func(l fuzzedLedger) string { return failed(l.CommitShares(owner, shares, links)) }, at}
 	case 5:
 		return refOp{"ReleaseSession", func(l fuzzedLedger) string { l.ReleaseSession(owner); return "" }, at}
 	case 6:
@@ -695,7 +736,10 @@ func readAll(l fuzzedLedger, at time.Duration, nodes, links int) []uint64 {
 // referenceLedger and requires, after every operation, the same result
 // (ok and created of a hold, nil or non-nil of an error), the same
 // migration windows, the same reads bit for bit, and both ledgers sound.
-// It is seeded with the FuzzLedgerCeiling corpus.
+// Commits and flips go through the dense CommitShares and MigrateSession;
+// the reference renders the shares into its maps and refuses a repeated
+// id itself. It is seeded with the FuzzLedgerCeiling corpus and its own,
+// which lists a node twice in a commit and in a flip.
 func FuzzLedgerMatchesReference(f *testing.F) {
 	files, err := filepath.Glob("testdata/fuzz/FuzzLedgerCeiling/*")
 	if err != nil || len(files) == 0 {
