@@ -20,7 +20,9 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -161,14 +163,6 @@ type instruments struct {
 	// final commit ack (or rollback).
 	collectMs *obs.QHistogram
 	commitMs  *obs.QHistogram
-
-	// Per-session gauges, set at commit and deleted at release, so every
-	// live composition exposes its observed phi and its Eq. 3 standing
-	// (MaxRatio of accumulated QoS to requirement; <= 1 satisfies the
-	// requirement, so the required gauge is the constant 1).
-	sessionPhi    *obs.GaugeVec
-	sessionQoS    *obs.GaugeVec
-	sessionQoSReq *obs.GaugeVec
 }
 
 func newInstruments(r *obs.Registry) instruments {
@@ -192,10 +186,58 @@ func newInstruments(r *obs.Registry) instruments {
 
 		collectMs: r.QHistogram("dist.phase.collect_ms"),
 		commitMs:  r.QHistogram("dist.phase.commit_ms"),
+	}
+}
 
-		sessionPhi:    r.GaugeVec("session.phi", "session"),
-		sessionQoS:    r.GaugeVec("session.qos.observed", "session"),
-		sessionQoSReq: r.GaugeVec("session.qos.required", "session"),
+// sessionTable holds what the per-session gauge families read whenever the
+// registry is read (DESIGN.md §12): the deputy adds a row at the final
+// commit ack and Release takes it out. The first family of a registry read
+// labels the rows still unlabelled and sorts them by label for all three.
+type sessionTable struct {
+	mu     sync.Mutex   // a leaf: nothing is taken under it
+	rows   []sessionRow // guarded by mu
+	scrape uint64       // guarded by mu: the read rows were sorted for
+}
+
+// sessionRow is one committed session: its phi, its Eq. 3 standing (MaxRatio
+// of accumulated QoS to requirement) and the requirement, the constant 1.
+type sessionRow struct {
+	owner int64
+	vals  [3]float64
+	label [1]string // set by the first read that sees the row
+}
+
+func (t *sessionTable) add(r sessionRow) {
+	t.mu.Lock()
+	t.rows = append(t.rows, r)
+	t.mu.Unlock()
+}
+
+func (t *sessionTable) remove(owner int64) {
+	t.mu.Lock()
+	t.rows = slices.DeleteFunc(t.rows, func(r sessionRow) bool { return r.owner == owner })
+	t.mu.Unlock()
+}
+
+// register registers the per-session families over the table in r.
+func (t *sessionTable) register(r *obs.Registry) {
+	for f, name := range [...]string{"session.phi", "session.qos.observed", "session.qos.required"} {
+		r.GaugeVecFunc(name, func(scrape uint64, emit func([]string, float64)) {
+			t.mu.Lock()
+			defer t.mu.Unlock()
+			if t.scrape != scrape {
+				for i := range t.rows {
+					if t.rows[i].label[0] == "" {
+						t.rows[i].label[0] = strconv.FormatInt(t.rows[i].owner, 10)
+					}
+				}
+				slices.SortFunc(t.rows, func(a, b sessionRow) int { return strings.Compare(a.label[0], b.label[0]) })
+				t.scrape = scrape
+			}
+			for i := range t.rows {
+				emit(t.rows[i].label[:], t.rows[i].vals[f])
+			}
+		}, "session")
 	}
 }
 
@@ -214,6 +256,7 @@ type Cluster struct {
 	links      *state.Ledger
 	tracer     *obs.Tracer
 	ins        instruments
+	sessions   sessionTable
 	faults     *faults.Injector
 	clock      clock.Clock
 	sweepEvery time.Duration
@@ -330,6 +373,7 @@ func build(cfg Config) (*Cluster, error) {
 		clock:   clk,
 		done:    make(chan struct{}),
 	}
+	c.sessions.register(cfg.Registry)
 	switch {
 	case cfg.SweepInterval > 0:
 		c.sweepEvery = cfg.SweepInterval
@@ -407,7 +451,7 @@ func (c *Cluster) deliverFaulty(to int, m *message, kind faults.Kind) bool {
 func (c *Cluster) dropInjected(to int, m *message, reason obs.Reason) {
 	c.ins.faultDrops.Inc()
 	if m.kind == msgProbe {
-		c.tracer.ProbeDropped(m.req.ID, m.probe, m.idx, to, reason)
+		c.tracer.ProbeDropped(m.reqID, m.probe, m.idx, to, reason)
 		c.ins.probesDropped.Inc()
 		return
 	}
@@ -448,9 +492,18 @@ func (c *Cluster) NumNodes() int { return c.mesh.NumNodes() }
 func (c *Cluster) Compose(req *component.Request) (*Composition, error) {
 	alpha := c.cfg.ProbingRatio
 	for attempt := 0; ; attempt++ {
-		comp, reqID, err := c.composeOnce(req, alpha)
-		if err == nil || !errors.Is(err, ErrNoComposition) || attempt >= c.cfg.ComposeRetries {
-			return comp, err
+		reqID, reply, err := c.submit(req, alpha)
+		if err != nil {
+			return nil, err
+		}
+		var out composeReply
+		select {
+		case out = <-reply:
+		case <-c.done:
+			return nil, ErrClosed
+		}
+		if out.err == nil || !errors.Is(out.err, ErrNoComposition) || attempt >= c.cfg.ComposeRetries {
+			return out.comp, out.err
 		}
 		// A failed attempt under transient loss or contention is worth
 		// retrying with the probing widened (§3.6): the holds of the
@@ -469,13 +522,13 @@ func (c *Cluster) Compose(req *component.Request) (*Composition, error) {
 
 // submit hands the request to its deputy under a fresh cluster-unique ID
 // and returns the channel the outcome arrives on. The deputy works on a
-// private copy: transient holds and session records key on the ID, and
-// each retry gets a fresh one so stale holds of a failed attempt cannot
-// satisfy the new one. Validating the request builds its walk plan, which
-// goes to the deputy with it.
+// private copy in the attempt's record: transient holds and session
+// records key on the ID, and each retry gets a fresh one so stale holds of
+// a failed attempt cannot satisfy the new one. Validating the request
+// builds its walk plan into the record.
 func (c *Cluster) submit(req *component.Request, alpha float64) (int64, chan composeReply, error) {
-	plan := new(component.Plan)
-	if err := req.Check(plan); err != nil {
+	rq := new(request)
+	if err := req.Check(&rq.plan); err != nil {
 		return 0, nil, err
 	}
 	if req.Client < 0 || req.Client >= len(c.nodes) {
@@ -490,27 +543,15 @@ func (c *Cluster) submit(req *component.Request, alpha float64) (int64, chan com
 	reqID := c.nextReq
 	c.mu.Unlock()
 
-	r := *req
-	r.ID = reqID
-	reply := make(chan composeReply, 1)
-	if !c.nodes[r.Client].send(&message{kind: msgCompose, reqID: reqID, req: &r, walk: &reqWalk{plan: plan}, reply: reply, alpha: alpha}) {
-		return reqID, nil, fmt.Errorf("dist: deputy node %d mailbox overloaded", r.Client)
+	rq.req = *req
+	rq.req.ID = reqID
+	rq.reply = make(chan composeReply, 1)
+	rq.first.recs = rq.recs[:]
+	rq.block.Store(&rq.first)
+	if !c.nodes[req.Client].send(&message{kind: msgCompose, reqID: reqID, rq: rq, alpha: alpha}) {
+		return reqID, nil, fmt.Errorf("dist: deputy node %d mailbox overloaded", req.Client)
 	}
-	return reqID, reply, nil
-}
-
-// composeOnce runs one protocol round under the given probing ratio.
-func (c *Cluster) composeOnce(req *component.Request, alpha float64) (*Composition, int64, error) {
-	reqID, reply, err := c.submit(req, alpha)
-	if err != nil {
-		return nil, reqID, err
-	}
-	select {
-	case out := <-reply:
-		return out.comp, reqID, out.err
-	case <-c.done:
-		return nil, reqID, ErrClosed
-	}
+	return reqID, rq.reply, nil
 }
 
 // Release tears down a composed session, freeing its resources on every
@@ -524,10 +565,7 @@ func (c *Cluster) Release(_ *component.Request, comp *Composition) {
 		c.sendRelease(part.node, comp.owner, 0)
 	}
 	c.links.ReleaseSession(state.Owner(comp.owner))
-	sess := strconv.FormatInt(comp.owner, 10)
-	c.ins.sessionPhi.Delete(sess)
-	c.ins.sessionQoS.Delete(sess)
-	c.ins.sessionQoSReq.Delete(sess)
+	c.sessions.remove(comp.owner)
 	c.tracer.SessionReleased(comp.owner)
 }
 
@@ -601,7 +639,7 @@ func (c *Cluster) drainMailboxes() {
 	for _, n := range c.nodes {
 		for m := new(message); n.mailbox.pop(m); {
 			if m.kind == msgProbe && m.probe != 0 {
-				c.tracer.ProbeDropped(m.req.ID, m.probe, m.idx, n.id, obs.ReasonShutdown)
+				c.tracer.ProbeDropped(m.reqID, m.probe, m.idx, n.id, obs.ReasonShutdown)
 				c.ins.probesDropped.Inc()
 			}
 		}

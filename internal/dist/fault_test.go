@@ -140,7 +140,7 @@ func TestFaultCommitNackOnFullMailbox(t *testing.T) {
 
 	const reqID = int64(42)
 	reply := make(chan composeReply, 1)
-	p := &pendingCompose{
+	p := &request{
 		reply: reply,
 		comp:  &Composition{owner: reqID, parts: []participant{{node: peer.id, amount: qos.Resources{CPU: 1}}}},
 	}
@@ -173,7 +173,7 @@ func TestFaultCommitTimeoutConfigured(t *testing.T) {
 
 	const reqID = int64(7)
 	reply := make(chan composeReply, 1)
-	p := &pendingCompose{
+	p := &request{
 		reply: reply,
 		comp:  &Composition{owner: reqID, parts: []participant{{node: peer.id, amount: qos.Resources{CPU: 1}}}},
 	}

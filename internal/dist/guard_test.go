@@ -30,6 +30,7 @@ func newSteppedCycler(t testing.TB, ring int, tr *obs.Tracer) *steppedCycler {
 	clk := clock.NewVirtual()
 	cfg := steppedConfig(clk)
 	cfg.Tracer = tr
+	cfg.Registry = obs.NewRegistry() // as the benchmark has it: the session gauges are in the count
 	c, err := NewUnstarted(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -59,22 +60,37 @@ func (cy *steppedCycler) cycle() {
 }
 
 // TestSteppedCycleAllocations bounds what one compose -> release cycle
-// allocates. On this request mix a cycle is about 600 steps, 250 of them
-// accepted probes, and costs 49 allocations, all per request: its copy,
-// plan (built once, as submit validates), walk and hop blocks (64 records,
-// doubling), decision, the link ledger's record of the commit, and the
-// dozen step-log lines the memo has not seen — none per step, per
-// accepted probe, per hold, per sort or per prefix copy. With the link
-// demand passed and kept as maps it took 52; validating and planning the
-// graph separately took 83; with a fresh line per step and a record per
-// probe it was 810; the representation before that took 9 300. The race
-// detector adds 3 more, and CI runs this under it: the bound is that count.
+// allocates, a registry attached as the benchmark has it. On this request
+// mix a cycle is about 600 steps, 250 of them accepted probes, and costs 28
+// allocations. Each is attributed (2 000 warm cycles at MemProfileRate 1):
+//
+//	source, per cycle                                                 allocs
+//	this test's request: graph, functions, demands, permutation        10.9
+//	the request's record: copy, plan storage, walk, first hop block     1
+//	  with its 64 records, the deputy's pending state
+//	its plan (Plan.Build) 2, reply channel 2, SimHandle 1                 5
+//	collect and commit timers, a closure and a timer each                 4
+//	decision: components, participants, Composition, link-ledger record   4
+//	hop blocks chained past the first, doubling                         2.1
+//	step-log arena chunks, and scratch still growing: tombstones,       0.4
+//	  commit tables, returns spares, kernel, mailboxes
+//
+// None is per step, per accepted probe, per hold, per tombstone, per sort
+// or per prefix copy; none per step-log line (cut from an arena, one
+// allocation per 4 KB chunk) and none per session gauge (read from the
+// session table at scrape time). With the gauges stored, the request in
+// five pieces and a string per line the memo missed it took 55, 49 without
+// a registry. Without one, earlier forms took 52 with the link demand
+// passed and kept as maps, 83 validating and planning the graph
+// separately, 810 with a fresh line per step and a record per probe, and
+// 9 300 before that. The race detector adds 2 more, and CI runs this under
+// it: the bound is that count.
 func TestSteppedCycleAllocations(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds the dist_stepped substrate")
 	}
-	if allocs := steppedCycleAllocs(t, nil); allocs > 52 {
-		t.Errorf("one stepped compose -> release cycle allocates %.0f, want <= 52", allocs)
+	if allocs := steppedCycleAllocs(t, nil); allocs > 30 {
+		t.Errorf("one stepped compose -> release cycle allocates %.0f, want <= 30", allocs)
 	}
 }
 

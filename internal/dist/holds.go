@@ -91,7 +91,7 @@ func (n *node) purgeHolds() int {
 	for dead < len(n.tombs) && !n.tombs[dead].expires.After(now) {
 		dead++
 	}
-	n.tombs = n.tombs[dead:]
+	n.tombs = slices.Delete(n.tombs, 0, dead) // in place: reslicing would give up the front's capacity
 	if len(n.holds) == 0 || n.earliest.After(now) {
 		return 0
 	}

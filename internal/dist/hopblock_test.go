@@ -10,17 +10,21 @@ import (
 )
 
 // TestHopBlocksDieWithTheirRequest: once a request is decided, committed,
-// released and its messages stepped out, nothing reaches its hop blocks —
-// not the deputy's spare returns slice, not a stepped message, not a later
-// request's records. A per-node slab, whose records' parents chained slabs
-// across requests, failed this.
+// released and its messages stepped out, nothing reaches its record or its
+// hop blocks — not the deputy's pending table, its timers or its spare
+// returns slice, not a late probe or a stepped message, not the
+// composition, not a later request's records. A per-node slab, whose
+// records' parents chained slabs across requests, failed this.
 func TestHopBlocksDieWithTheirRequest(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds the dist_stepped substrate")
 	}
 	s := newStepped(t)
 	rng := rand.New(rand.NewSource(3))
-	var first weak.Pointer[hopRecord] // the first block's records
+	var (
+		first  weak.Pointer[hopRecord] // the first block's records
+		record weak.Pointer[request]   // the pending state and everything else inline
+	)
 	for admitted := false; !admitted; {
 		req := steppedRequest(rng, s.cluster.cfg, 0)
 		h, err := s.cluster.ComposeAsync(req)
@@ -28,8 +32,9 @@ func TestHopBlocksDieWithTheirRequest(t *testing.T) {
 			t.Fatal(err)
 		}
 		s.step() // the deputy takes the compose and fans out
-		block := s.cluster.nodes[req.Client].pending[h.ReqID].walk.block.Load()
-		first = weak.Make(&block.recs[0])
+		rq := s.cluster.nodes[req.Client].pending[h.ReqID]
+		block := rq.block.Load()
+		first, record = weak.Make(&block.recs[0]), weak.Make(rq)
 		var comp *Composition
 		s.quiesce(func() bool {
 			c, _, done := h.Poll()
@@ -46,6 +51,9 @@ func TestHopBlocksDieWithTheirRequest(t *testing.T) {
 	runtime.GC()
 	if first.Value() != nil {
 		t.Fatal("a released request's first hop block is still reachable")
+	}
+	if record.Value() != nil {
+		t.Fatal("a released request's record is still reachable")
 	}
 	runtime.KeepAlive(s.cluster) // the cluster, not only the block, must outlive the GC
 }

@@ -2,8 +2,10 @@ package dist
 
 import (
 	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"repro/internal/component"
 	"repro/internal/qos"
@@ -15,13 +17,12 @@ import (
 type msgKind uint8
 
 const (
-	// msgCompose asks a node to deputise for req (§3.3 step 1): walk (its
-	// plan, without hop blocks yet), reply, alpha — the probing ratio of
-	// this attempt, which retries widen (§3.6).
+	// msgCompose asks a node to deputise for a request (§3.3 step 1): rq,
+	// alpha — the probing ratio of this attempt, which retries widen (§3.6).
 	msgCompose msgKind = iota
 	// msgProbe is one probe hop (§3.3 step 2): the receiver hosts chosen,
-	// the candidate for position walk.plan.Order[idx]. req, walk, alpha,
-	// node (the deputy), probe (tracer span, 0 untraced), hop (the prefix).
+	// the candidate for position rq.plan.Order[idx]. rq, alpha, node (the
+	// deputy), probe (tracer span, 0 untraced), hop (the prefix).
 	msgProbe
 	// msgReturn brings a complete probed composition back to the deputy
 	// (§3.3 step 3): hop, its last.
@@ -53,10 +54,8 @@ type message struct {
 	probe   int64
 	alpha   float64
 	amount  qos.Resources
-	req     *component.Request
-	walk    *reqWalk
+	rq      *request
 	hop     *hopRecord
-	reply   chan composeReply
 	inspect chan qos.Resources
 }
 
@@ -65,13 +64,28 @@ type composeReply struct {
 	err  error
 }
 
-// reqWalk is what every probe of one request shares: the plan, and the
-// blocks its records are bumped from by an atomic index. Records point only
-// at records of the same request, so the blocks die with it.
-type reqWalk struct {
-	plan  *component.Plan
+// request is one compose attempt, allocated once by submit. A message of
+// the attempt that needs more than its ID points at it; its hop records
+// point only at records of the same attempt, and a Composition at none of
+// it, so the whole record dies with the attempt.
+type request struct {
+	req  component.Request // the deputy's private copy, under the attempt's ID
+	plan component.Plan    // built as submit validated req
+
+	// The walk: probes bump hop records from a chain of blocks, the first inline.
 	block atomic.Pointer[hopBlock] // the newest block
 	mu    sync.Mutex               // taken only to chain a bigger block
+	first hopBlock
+	recs  [64]hopRecord
+
+	// The deputy's state. The collect phase runs from composeStart to the
+	// decision, the commit phase from commitStart to the last ack or rollback.
+	reply        chan composeReply
+	returns      []*hopRecord // last hop of each returned probe
+	composeStart time.Time
+	comp         *Composition // set by the decision: non-nil closes the collection window
+	acked        int          // participants whose ack has arrived
+	commitStart  time.Time
 }
 
 type hopBlock struct {
@@ -80,17 +94,17 @@ type hopBlock struct {
 }
 
 // newHop bump-allocates a record; a full block chains one twice its size.
-func (w *reqWalk) newHop() *hopRecord {
+func (rq *request) newHop() *hopRecord {
 	for {
-		b := w.block.Load()
+		b := rq.block.Load()
 		if i := int(b.used.Add(1)); i <= len(b.recs) {
 			return &b.recs[i-1]
 		}
-		w.mu.Lock()
-		if w.block.Load() == b {
-			w.block.Store(&hopBlock{recs: make([]hopRecord, 2*len(b.recs))})
+		rq.mu.Lock()
+		if rq.block.Load() == b {
+			rq.block.Store(&hopBlock{recs: make([]hopRecord, 2*len(b.recs))})
 		}
-		w.mu.Unlock()
+		rq.mu.Unlock()
 	}
 }
 
@@ -128,17 +142,19 @@ var stepLabel = [...]string{
 	msgRelease: "release owner=", msgState: "state node=", msgInspect: "inspect",
 }
 
-// describe is the harness step-log line of a message.
-func (m *message) describe() string {
+// maxStepLine is the longest step-log line: a commit-ack of two minimum int64s.
+const maxStepLine = len("commit-ack req=") + 20 + len(" node=") + 20 + len(" ok=false")
+
+// appendLine appends the harness step-log line of a message to b.
+func (m *message) appendLine(b []byte) []byte {
 	id := m.reqID
 	switch m.kind {
 	case msgInspect:
-		return stepLabel[msgInspect]
+		return append(b, stepLabel[msgInspect]...)
 	case msgState:
 		id = int64(m.node)
 	}
-	var buf [64]byte
-	b := strconv.AppendInt(append(buf[:0], stepLabel[m.kind]...), id, 10)
+	b = strconv.AppendInt(append(b, stepLabel[m.kind]...), id, 10)
 	switch m.kind {
 	case msgProbe:
 		b = strconv.AppendInt(append(b, " idx="...), int64(m.idx), 10)
@@ -146,15 +162,21 @@ func (m *message) describe() string {
 		b = strconv.AppendInt(append(b, " node="...), int64(m.node), 10)
 		b = strconv.AppendBool(append(b, " ok="...), m.ok)
 	}
-	return string(b)
+	return b
 }
 
 // stepLines memoises step-log lines, direct-mapped by stepKey, all a line
 // depends on: a request's probes at one idx, its returns and every state
-// node=K repeat one. The stepping goroutine owns it.
-type stepLines [256]struct {
-	key  stepKey
-	line string
+// node=K repeat one. A missed line is cut from arena, a 4 KB chunk a
+// Builder only appends to, so a line handed out never changes; a chunk
+// without room for the longest line is left to the slots still holding
+// its lines. The stepping goroutine owns it.
+type stepLines struct {
+	memo [256]struct {
+		key  stepKey
+		line string
+	}
+	arena strings.Builder
 }
 
 type stepKey struct {
@@ -168,12 +190,18 @@ func (k stepKey) slot() uint8 {
 	return uint8((uint64(k.reqID) ^ uint64(k.idx)<<40 ^ uint64(k.node)<<24 ^ uint64(k.kind)<<56) * 0x9e3779b97f4a7c15 >> 56)
 }
 
-// line is m.describe(), formatted only when the slot holds another key.
+// line is m's step-log line, formatted only when the slot holds another key.
 func (t *stepLines) line(m *message) string {
 	k := stepKey{m.kind, m.ok, m.idx, m.node, m.reqID}
-	e := &t[k.slot()]
+	e := &t.memo[k.slot()]
 	if e.line == "" || e.key != k {
-		e.key, e.line = k, m.describe()
+		if t.arena.Cap()-t.arena.Len() < maxStepLine {
+			t.arena = strings.Builder{}
+			t.arena.Grow(4 << 10)
+		}
+		start := t.arena.Len()
+		t.arena.Write(m.appendLine(make([]byte, 0, maxStepLine)))
+		e.key, e.line = k, t.arena.String()[start:]
 	}
 	return e.line
 }

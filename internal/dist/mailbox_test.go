@@ -1,6 +1,7 @@
 package dist
 
 import (
+	"math"
 	"math/rand"
 	"sync"
 	"testing"
@@ -156,11 +157,73 @@ func TestStepLabelsMatchDescribe(t *testing.T) {
 	}
 }
 
+// TestStepLinesOutliveTheirChunk: a line cut from the arena stays byte for
+// byte what describe formats after its slot was reused and the chunk it
+// sits in was given up for later ones.
+func TestStepLinesOutliveTheirChunk(t *testing.T) {
+	var lines stepLines
+	type handed struct {
+		m    message
+		line string
+	}
+	var all []handed
+	chunks := 0
+	for i := int64(0); chunks < 8 && i < 1e5; i++ {
+		m := message{kind: msgKind(i % int64(msgInspect)), reqID: i * 1_000_003, idx: int(i % 5), node: int(i % 64), ok: i%2 == 0}
+		used := lines.arena.Len()
+		all = append(all, handed{m, lines.line(&m)})
+		if lines.arena.Len() < used { // the line opened a fresh chunk
+			chunks++
+		}
+	}
+	if chunks < 8 {
+		t.Fatalf("%d lines turned over %d chunks, want 8", len(all), chunks)
+	}
+	for _, h := range all {
+		if want := h.m.describe(); h.line != want {
+			t.Fatalf("line of %+v reads %q after %d chunks, describe = %q", h.m, h.line, chunks, want)
+		}
+	}
+}
+
+// TestLongestStepLineFitsTheReserve: no message formats longer than the
+// room a chunk keeps free for the next line, a commit-ack of two minimum
+// int64s and ok=false the longest of all.
+func TestLongestStepLineFitsTheReserve(t *testing.T) {
+	longest := message{kind: msgCommitAck, reqID: math.MinInt64, node: math.MinInt64}
+	if got := len(longest.describe()); got != maxStepLine {
+		t.Fatalf("%q is %d bytes, maxStepLine = %d", longest.describe(), got, maxStepLine)
+	}
+	for k := msgCompose; k <= msgInspect; k++ {
+		m := message{kind: k, reqID: math.MinInt64, idx: math.MinInt64, node: math.MinInt64}
+		if line := m.describe(); len(line) > maxStepLine {
+			t.Errorf("%q is %d bytes, over maxStepLine = %d", line, len(line), maxStepLine)
+		}
+	}
+}
+
+// TestStepLineMissesAllocatePerChunk: lines the memo has not seen cost an
+// allocation per arena chunk, not one each.
+func TestStepLineMissesAllocatePerChunk(t *testing.T) {
+	var lines stepLines
+	next := int64(1_000_000_000_000)
+	const misses = 10_000
+	allocs := testing.AllocsPerRun(1, func() {
+		for i := 0; i < misses; i++ {
+			next++
+			lines.line(&message{kind: msgProbe, reqID: next, idx: i % 5})
+		}
+	})
+	if allocs > misses/40 {
+		t.Errorf("%d step-line misses allocate %.0f times, want <= %d", misses, allocs, misses/40)
+	}
+}
+
 // TestNewHopConcurrent: node goroutines bumping records of one request
 // at once, across several block doublings, each get a record of their own.
 func TestNewHopConcurrent(t *testing.T) {
 	const workers, each = 4, 500
-	w := &reqWalk{}
+	w := &request{}
 	w.block.Store(&hopBlock{recs: make([]hopRecord, 64)})
 	got := make([][]*hopRecord, workers)
 	var wg sync.WaitGroup
@@ -186,3 +249,6 @@ func TestNewHopConcurrent(t *testing.T) {
 		}
 	}
 }
+
+// describe is the harness step-log line of a message, formatted afresh.
+func (m *message) describe() string { return string(m.appendLine(nil)) }

@@ -3,7 +3,6 @@ package dist
 import (
 	"math"
 	"slices"
-	"strconv"
 	"time"
 
 	"repro/internal/component"
@@ -14,24 +13,6 @@ import (
 	"repro/internal/qos"
 	"repro/internal/state"
 )
-
-// pendingCompose is the deputy-side state of one in-flight request.
-type pendingCompose struct {
-	req     *component.Request
-	walk    *reqWalk
-	reply   chan composeReply
-	returns []*hopRecord // last hop of each returned probe
-	// composeStart is the compose arrival on the cluster clock; the
-	// collect phase runs from here to the decision.
-	composeStart time.Time
-
-	// commit phase
-	comp  *Composition // set by the decision: non-nil closes the collection window
-	acked int          // participants whose ack has arrived
-	// commitStart is the decision instant; the commit phase runs from
-	// here to the final ack or rollback.
-	commitStart time.Time
-}
 
 // participant is one node of a decided composition with the request's
 // stacked demand on it. A composition lists them by ascending node ID,
@@ -57,7 +38,7 @@ type node struct {
 	commits      map[int64]qos.Resources // owner -> committed amount
 	view         []qos.Resources
 	lastReported qos.Resources
-	pending      map[int64]*pendingCompose
+	pending      map[int64]*request
 	down         bool         // inside a scheduled outage
 	spare        []*hopRecord // a decided request's returns, cleared, for the next
 
@@ -77,7 +58,7 @@ func newNode(c *Cluster, id int) *node {
 		quit:    make(chan struct{}),
 		commits: make(map[int64]qos.Resources),
 		view:    make([]qos.Resources, c.mesh.NumNodes()),
-		pending: make(map[int64]*pendingCompose),
+		pending: make(map[int64]*request),
 		kern:    core.NewKernel(c.catalog),
 	}
 	n.capacity = c.cfg.NodeCapacity
@@ -201,7 +182,7 @@ func (n *node) crash() {
 }
 
 // refuse answers a request that found no composition.
-func (n *node) refuse(p *pendingCompose, reason obs.Reason) {
+func (n *node) refuse(p *request, reason obs.Reason) {
 	delete(n.pending, p.req.ID)
 	n.c.tracer.Decided(p.req.ID, n.id, reason)
 	n.c.ins.noComposition.Inc()
@@ -260,9 +241,9 @@ func (n *node) dispatch(m *message) {
 func (n *node) dispatchDown(m *message) {
 	switch m.kind {
 	case msgCompose:
-		m.reply <- composeReply{err: ErrNoComposition}
+		m.rq.reply <- composeReply{err: ErrNoComposition}
 	case msgProbe:
-		n.c.tracer.ProbeDropped(m.req.ID, m.probe, m.idx, n.id, obs.ReasonNodeDown)
+		n.c.tracer.ProbeDropped(m.reqID, m.probe, m.idx, n.id, obs.ReasonNodeDown)
 		n.c.ins.probesDropped.Inc()
 	case msgRelease:
 		n.onRelease(m.reqID)
@@ -294,38 +275,35 @@ func (n *node) maybeBroadcast() {
 	}
 }
 
-// onCompose initiates probing as the deputy node. The walk arrives with
-// the plan submit built as it validated the request; the first hop block
-// is added here, once, and every probe of the request carries a pointer
-// to the walk.
+// onCompose initiates probing as the deputy node. The request's record
+// arrives with the plan submit built as it validated the request and its
+// first hop block; the deputy keeps its pending state in it, and every
+// probe of the request carries a pointer to it.
 func (n *node) onCompose(msg *message) {
-	req, w := msg.req, msg.walk
-	n.c.tracer.RequestReceived(req.ID, n.id)
-	w.block.Store(&hopBlock{recs: make([]hopRecord, 64)})
-	p := &pendingCompose{req: req, walk: w, reply: msg.reply, composeStart: n.c.clock.Now(), returns: n.spare}
-	n.spare = nil
-	n.pending[req.ID] = p
+	p := msg.rq
+	reqID := p.req.ID
+	n.c.tracer.RequestReceived(reqID, n.id)
+	p.composeStart, p.returns, n.spare = n.c.clock.Now(), n.spare, nil
+	n.pending[reqID] = p
 
-	if n.fanOut(req, w, 0, nil, msg.alpha, 0) == 0 {
+	if n.fanOut(p, 0, nil, msg.alpha, 0) == 0 {
 		n.refuse(p, obs.ReasonNoComposition)
 		return
 	}
-	reqID := req.ID
 	n.c.clock.AfterFunc(n.c.cfg.CollectTimeout, func() {
 		n.sendBlocking(message{kind: msgDecide, reqID: reqID})
 	})
 }
 
-// fanOut selects candidates for position w.plan.Order[idx] and sends one
+// fanOut selects candidates for position rq.plan.Order[idx] and sends one
 // probe to each chosen candidate's host, returning how many were sent. The
 // kernel qualifies and ranks (§3.5); this engine supplies the coarse
 // state — the node's view of its peers and the link ledger. prefix is the
 // last hop of the probe being extended (nil at the deputy's first hop)
 // and parent its span, to which selection prunes are attributed.
-func (n *node) fanOut(req *component.Request, w *reqWalk, idx int,
-	prefix *hopRecord, alpha float64, parent int64) int {
-
-	pos := w.plan.Order[idx]
+func (n *node) fanOut(rq *request, idx int, prefix *hopRecord, alpha float64, parent int64) int {
+	req := &rq.req
+	pos := rq.plan.Order[idx]
 	tr := n.c.tracer
 	acc := prefix.accumulated()
 	candidates := n.c.catalog.Candidates(req.Graph.Functions[pos])
@@ -335,12 +313,12 @@ func (n *node) fanOut(req *component.Request, w *reqWalk, idx int,
 			continue
 		}
 		cand := n.c.catalog.Component(id)
-		linkQoS, routeBW := n.predecessorRoutes(w.plan, idx, prefix, cand.Node)
+		linkQoS, routeBW := n.predecessorRoutes(&rq.plan, idx, prefix, cand.Node)
 		n.kern.Consider(&hop, cand, acc.Add(linkQoS).Add(cand.QoS), n.view[cand.Node], routeBW)
 	}
 	selected := n.kern.Select(&hop, core.SelectRiskThenCongestion, alpha, len(candidates))
 
-	msg := message{kind: msgProbe, reqID: req.ID, req: req, walk: w, node: req.Client, idx: idx, hop: prefix, alpha: alpha}
+	msg := message{kind: msgProbe, reqID: req.ID, rq: rq, node: req.Client, idx: idx, hop: prefix, alpha: alpha}
 	sent := 0
 	for _, id := range selected {
 		host := n.c.catalog.Component(id).Node
@@ -383,7 +361,7 @@ func (n *node) predecessorRoutes(plan *component.Plan, idx int, prefix *hopRecor
 // hosts (§3.3 step 2): precise conformance, transient allocation, and
 // forwarding or return.
 func (n *node) onProbe(msg *message) {
-	req, plan := msg.req, msg.walk.plan
+	req, plan := &msg.rq.req, &msg.rq.plan
 	tr := n.c.tracer
 	gpos := plan.Order[msg.idx]
 	cand := n.c.catalog.Component(msg.chosen)
@@ -419,7 +397,7 @@ func (n *node) onProbe(msg *message) {
 	// the request's own perspective: holds of this request — this probe's
 	// and its siblings' — are credited back, so the deputy subtracts the
 	// request's stacked demand from it exactly once.
-	hop := msg.walk.newHop()
+	hop := msg.rq.newHop()
 	*hop = hopRecord{parent: msg.hop, chosen: msg.chosen, avail: n.availableFor(req.ID), acc: acc}
 
 	if msg.idx == len(plan.Order)-1 {
@@ -434,7 +412,7 @@ func (n *node) onProbe(msg *message) {
 		}
 		return
 	}
-	children := n.fanOut(req, msg.walk, msg.idx+1, hop, msg.alpha, msg.probe)
+	children := n.fanOut(msg.rq, msg.idx+1, hop, msg.alpha, msg.probe)
 	tr.ProbeForwarded(req.ID, msg.probe, gpos, n.id, children)
 }
 
@@ -468,9 +446,9 @@ func (n *node) onDecide(reqID int64) {
 	// Commit phase: bandwidth first (atomic all-or-nothing), then the
 	// per-node resource confirmations. The winner passed evaluateReturn,
 	// so its prefix unrolls and its edges are routable.
-	n.unroll(p.walk.plan, best)
+	n.unroll(&p.plan, best)
 	comps := slices.Clone(n.assign)
-	nodes, _, _ := n.stack(p.req, comps)
+	nodes, _, _ := n.stack(&p.req, comps)
 	_, links := n.kern.Shares()
 	if err := n.c.links.CommitShares(state.Owner(reqID), nil, links); err != nil {
 		n.rollback(p, reqID, obs.ReasonBandwidth)
@@ -488,7 +466,7 @@ func (n *node) onDecide(reqID int64) {
 
 // startCommit sends the per-node confirmations of the decided
 // composition and arms the commit-ack timeout.
-func (n *node) startCommit(reqID int64, p *pendingCompose) {
+func (n *node) startCommit(reqID int64, p *request) {
 	for _, part := range p.comp.parts {
 		if _, live := n.pending[reqID]; !live {
 			// An inline nack already rolled the commit back; every
@@ -550,16 +528,16 @@ func (n *node) stack(req *component.Request, assign []component.ComponentID) ([]
 // the precise state: per node the availability the probe carried back —
 // the latest snapshot when the composition visits a host twice — and per
 // overlay link what the link ledger has now.
-func (n *node) evaluateReturn(p *pendingCompose, ret *hopRecord) (float64, bool) {
-	req := p.req
-	if ret.acc.MaxRatio(req.QoSReq) > 1 || !n.unroll(p.walk.plan, ret) {
+func (n *node) evaluateReturn(p *request, ret *hopRecord) (float64, bool) {
+	req := &p.req
+	if ret.acc.MaxRatio(req.QoSReq) > 1 || !n.unroll(&p.plan, ret) {
 		return 0, false
 	}
 	nodes, links, ok := n.stack(req, n.assign)
 	if !ok {
 		return 0, false
 	}
-	for i, gpos := range p.walk.plan.Order {
+	for i, gpos := range p.plan.Order {
 		host := n.c.catalog.Component(n.assign[gpos]).Node
 		for j := range nodes {
 			if nodes[j].Node == host {
@@ -621,10 +599,7 @@ func (n *node) onCommitAck(reqID int64, from int, ok bool) {
 	n.c.tracer.Committed(reqID, n.id)
 	n.c.ins.commits.Inc()
 	n.c.ins.commitMs.Observe(float64(n.c.clock.Since(p.commitStart)) / float64(time.Millisecond))
-	sess := strconv.FormatInt(reqID, 10)
-	n.c.ins.sessionPhi.With(sess).Set(p.comp.Phi)
-	n.c.ins.sessionQoS.With(sess).Set(p.comp.QoS.MaxRatio(p.req.QoSReq))
-	n.c.ins.sessionQoSReq.With(sess).Set(1)
+	n.c.sessions.add(sessionRow{owner: reqID, vals: [3]float64{p.comp.Phi, p.comp.QoS.MaxRatio(p.req.QoSReq), 1}})
 	p.reply <- composeReply{comp: p.comp}
 }
 
@@ -636,7 +611,7 @@ func (n *node) onCommitAck(reqID int64, from int, ok bool) {
 // a release racing ahead of its commit leaves a tombstone that refuses
 // the late commit. A request refused its bandwidth (p.comp still nil)
 // reserved nothing and has nobody to release.
-func (n *node) rollback(p *pendingCompose, reqID int64, reason obs.Reason) {
+func (n *node) rollback(p *request, reqID int64, reason obs.Reason) {
 	delete(n.pending, reqID)
 	n.c.tracer.RolledBack(reqID, n.id, reason)
 	n.c.ins.rollbacks.Inc()

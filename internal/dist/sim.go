@@ -1,6 +1,8 @@
 package dist
 
 import (
+	"maps"
+
 	"repro/internal/component"
 	"repro/internal/core"
 	"repro/internal/overlay"
@@ -119,16 +121,13 @@ func (c *Cluster) NodeAccountingAt(id int) NodeAccounting {
 		Committed:  n.committed,
 		HeldTotal:  n.heldTotal,
 		Holds:      len(n.holds),
-		Commits:    make(map[int64]qos.Resources, len(n.commits)),
+		Commits:    maps.Clone(n.commits),
 		Tombstones: len(n.tombs),
 		Pending:    len(n.pending),
 		Down:       n.down,
 	}
 	for i := range n.holds {
 		acc.HoldSum = acc.HoldSum.Add(n.holds[i].amount)
-	}
-	for owner, amount := range n.commits {
-		acc.Commits[owner] = amount
 	}
 	return acc
 }
