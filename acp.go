@@ -123,9 +123,8 @@ func LossProb(cost float64) float64 { return qos.LossProb(cost) }
 func LossCost(p float64) float64 { return qos.LossCost(p) }
 
 // ReproduceFigure regenerates one figure of the paper's evaluation
-// ("5a", "5b", "6", "6a", "6b", "7", "7a", "7b", "8a", "8b"), or the
-// beyond-the-paper "faults" degradation sweep, at the given options,
-// returning its result tables.
+// ("5a", "5b", "6", "6a", "6b", "7", "7a", "7b", "8a", "8b") at the
+// given options, returning its result tables.
 func ReproduceFigure(name string, opts FigureOptions) ([]*ResultTable, error) {
 	fn, ok := experiment.Figures()[name]
 	if !ok {

@@ -2,6 +2,7 @@ package acp_test
 
 import (
 	"errors"
+	"slices"
 	"testing"
 
 	acp "repro"
@@ -81,19 +82,9 @@ func TestReproduceFigureUnknown(t *testing.T) {
 
 func TestFigureNames(t *testing.T) {
 	names := acp.FigureNames()
-	if len(names) != 13 {
-		t.Errorf("FigureNames = %v", names)
-	}
-	for _, want := range []string{"faults", "adaptation", "fairness"} {
-		found := false
-		for _, n := range names {
-			if n == want {
-				found = true
-			}
-		}
-		if !found {
-			t.Errorf("FigureNames missing %s sweep: %v", want, names)
-		}
+	want := []string{"5a", "5b", "6", "6a", "6b", "7", "7a", "7b", "8a", "8b"}
+	if !slices.Equal(names, want) {
+		t.Errorf("FigureNames = %v, want the paper's figures %v", names, want)
 	}
 }
 

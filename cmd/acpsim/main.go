@@ -8,9 +8,9 @@
 //	acpsim -alg ACP -rate 60 -tune -target 0.9
 //	acpsim -record run.trace && acpsim -replay run.trace
 //	acpsim -trace-out probes.jsonl -metrics-out metrics.json
-//	acpsim -dist -fault-drop 0.2 -fault-crashes 3 -requests 64
-//	acpsim -adapt -surges 4 && acpsim -adapt -adapt-predictive
-//	acpsim -multi-app -family diurnal -tenants 4 && acpsim -fairness
+//	acpsim -dist -seed 7 -requests 32
+//	acpsim -adapt -seed 4 -adapt-predictive
+//	acpsim -multi-app -family diurnal -tenants 4 && acpsim -multi-app -family all
 package main
 
 import (
@@ -23,7 +23,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/experiment"
-	"repro/internal/faults"
 	"repro/internal/harness"
 	"repro/internal/obs"
 	"repro/internal/trace"
@@ -75,39 +74,27 @@ func run(args []string) error {
 		serveObs = fs.String("serve-obs", "", "serve the observability plane (/metrics, /trace, /healthz, pprof) at this address, e.g. :9090")
 		srvHold  = fs.Duration("serve-hold", 0, "keep -serve-obs up this long after the run (0 = close immediately)")
 
-		distMode  = fs.Bool("dist", false, "run the goroutine-per-node distributed engine instead of the simulator")
-		requests  = fs.Int("requests", 48, "dist: number of requests in the batch")
-		retries   = fs.Int("retries", 3, "dist: per-request compose retry budget")
-		faultDrop = fs.Float64("fault-drop", 0, "dist: injected message-loss probability [0, 1]")
-		faultDup  = fs.Float64("fault-dup", 0, "dist: injected message-duplication probability [0, 1]")
-		faultLag  = fs.Duration("fault-delay", 0, "dist: max injected delivery delay (uniform jitter)")
-		faultCr   = fs.Int("fault-crashes", 0, "dist: number of scheduled node crashes")
-		faultDown = fs.Duration("fault-downtime", 200*time.Millisecond, "dist: how long each crashed node stays down")
+		distMode = fs.Bool("dist", false, "run a seeded, step-audited scenario on the distributed engine under the seed's fault mix")
+		requests = fs.Int("requests", 16, "dist: compose requests in the scenario")
 
-		adaptMode = fs.Bool("adapt", false, "run the drift-adaptation scenario on the live runtime instead of the simulator")
-		adaptOff  = fs.Bool("adapt-monitor-only", false, "adapt: observe drift without re-composing (the baseline)")
+		adaptMode = fs.Bool("adapt", false, "run a seeded, tick-audited drift-adaptation scenario on the live runtime")
 		adaptPred = fs.Bool("adapt-predictive", false, "adapt: migrate on Holt forecast before the bound is crossed")
-		surges    = fs.Int("surges", 4, "adapt: number of congestion surges in the schedule")
-		sessions  = fs.Int("sessions", 4, "adapt: concurrent session population")
+		sessions  = fs.Int("sessions", 4, "adapt: concurrent sessions the workload tops up to each round")
 
 		multiApp = fs.Bool("multi-app", false, "run an oracle-audited concurrent multi-application episode on the live runtime")
 		famName  = fs.String("family", "flash-crowd", "multi-app: workload scenario family ("+strings.Join(familyNames(), ", ")+", or all)")
 		tenants  = fs.Int("tenants", 3, "multi-app: competing application count")
 		ticks    = fs.Int("ticks", 18, "multi-app: episode length in admission rounds")
 		load     = fs.Float64("load", 1.5, "multi-app: expected arrivals per tenant per tick")
-		fairFig  = fs.Bool("fairness", false, "print the multi-application fairness figure (success rate and Jain index vs load per family)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
 	if *distMode {
-		return runDist(*seed, *nodes, *requests, *retries, *faultDrop, *faultDup, *faultLag, *faultCr, *faultDown)
+		return runDist(*seed, *requests)
 	}
 	if *adaptMode {
-		return runAdapt(*seed, *sessions, *surges, !*adaptOff, *adaptPred)
-	}
-	if *fairFig {
-		return runFairness(*seed)
+		return runAdapt(*seed, *sessions, *adaptPred)
 	}
 	if *multiApp {
 		return runMultiApp(*seed, *famName, *tenants, *ticks, *load)
@@ -289,73 +276,46 @@ func run(args []string) error {
 	return nil
 }
 
-// runDist pushes a request batch through the distributed engine with
-// fault injection and reports degradation and recovery.
-func runDist(seed int64, nodes, requests, retries int, drop, dup float64,
-	maxDelay time.Duration, crashes int, downtime time.Duration) error {
-
-	cfg := experiment.DistFaultConfig{
-		Seed:         seed,
-		OverlayNodes: nodes,
-		Requests:     requests,
-		Retries:      retries,
-		DropProb:     drop,
-		DupProb:      dup,
-		MaxDelay:     maxDelay,
-	}
-	if crashes > 0 {
-		cfg.Crashes = faults.RandomCrashes(seed, nodes, crashes, 500*time.Millisecond, downtime)
-	}
+// runDist plays one seeded scenario through the distributed engine
+// under the seed's fault mix, auditing the resource invariants at every
+// step. A failing run prints the flags that replay it exactly.
+func runDist(seed int64, requests int) error {
 	start := time.Now()
-	res, err := experiment.DistFaultRun(cfg)
+	rep, err := harness.RunScenario(harness.ScenarioConfig{Seed: seed, Requests: requests})
 	if err != nil {
-		return err
+		return fmt.Errorf("%w (replay: acpsim -dist -seed %d -requests %d)", err, seed, requests)
 	}
-	fmt.Printf("engine           distributed (goroutine per node), N=%d\n", nodes)
-	fmt.Printf("faults           drop=%.0f%% dup=%.0f%% delay<=%v crashes=%d (down %v)\n",
-		100*drop, 100*dup, maxDelay, crashes, downtime)
-	fmt.Printf("requests         %d (%d retries each)\n", res.Requests, retries)
-	fmt.Printf("success rate     %.2f%%\n", 100*res.SuccessRate())
-	fmt.Printf("no composition   %d\n", res.Failed)
-	fmt.Printf("errors           %d\n", res.Errored)
-	fmt.Printf("injected         %d dropped, %d duplicated, %d delayed, %d crashes\n",
-		res.Dropped, res.Duplicated, res.Delayed, res.Crashes)
-	fmt.Printf("recovery         %d retries, %d holds swept, recovered=%v\n",
-		res.Retries, res.HoldsSwept, res.Recovered)
-	fmt.Printf("wall clock       %v\n", time.Since(start).Round(time.Millisecond))
-	if !res.Recovered {
-		return fmt.Errorf("cluster did not return to full capacity")
-	}
+	fmt.Printf("engine           distributed, stepped on a virtual clock under seed %d's fault mix\n", seed)
+	fmt.Printf("requests         %d (%d admitted)\n", rep.Requests, rep.Admitted)
+	fmt.Printf("steps            %d messages dispatched\n", rep.Steps)
+	fmt.Printf("wall clock       %v (audited at every step)\n", time.Since(start).Round(time.Millisecond))
 	return nil
 }
 
-// runAdapt plays the deterministic surge schedule against the live
-// runtime cluster on the virtual clock and reports drift exposure.
-func runAdapt(seed int64, sessions, surges int, adapt, predictive bool) error {
-	mode := "monitor only"
-	switch {
-	case predictive:
-		mode = "recompose + Holt forecast"
-	case adapt:
-		mode = "recompose on drift"
+// runAdapt plays one seeded drift and churn scenario against the live
+// runtime with the re-composition controller on, auditing the ledger and
+// every migration at each tick. A failing run prints the flags that
+// replay it exactly.
+func runAdapt(seed int64, sessions int, predictive bool) error {
+	mode, replay := "recompose on drift", ""
+	if predictive {
+		mode, replay = "recompose + Holt forecast", " -adapt-predictive"
 	}
 	start := time.Now()
-	res, err := experiment.RunAdaptation(experiment.AdaptationConfig{
+	rep, err := harness.RunAdaptScenario(harness.AdaptScenarioConfig{
 		Seed:       seed,
 		Sessions:   sessions,
-		Surges:     surges,
-		Adapt:      adapt,
 		Predictive: predictive,
 	})
 	if err != nil {
-		return err
+		return fmt.Errorf("%w (replay: acpsim -adapt -seed %d -sessions %d%s)", err, seed, sessions, replay)
 	}
-	fmt.Printf("engine           live runtime on virtual clock, %d sessions, %d surges\n", sessions, surges)
+	fmt.Printf("engine           live runtime on virtual clock, seed %d, %d sessions\n", seed, sessions)
 	fmt.Printf("mode             %s\n", mode)
-	fmt.Printf("drift episodes   %d (%d recovered)\n", res.Episodes, res.Recovered)
-	fmt.Printf("violation ticks  %d (mean %.1f per episode)\n", res.ViolationTicks, res.MeanViolationTicks)
-	fmt.Printf("migrations       %d (%d preemptive, %d abandoned)\n", res.Migrations, res.Preemptive, res.Abandoned)
-	fmt.Printf("wall clock       %v\n", time.Since(start).Round(time.Millisecond))
+	fmt.Printf("admitted         %d\n", rep.Admitted)
+	fmt.Printf("drift episodes   %d (%d recovered, %d closed mid-violation)\n", rep.Exceeded, rep.Recovered, rep.Forgotten)
+	fmt.Printf("migrations       %d (%d episodes abandoned)\n", rep.Migrations, rep.Abandoned)
+	fmt.Printf("wall clock       %v (audited at every tick)\n", time.Since(start).Round(time.Millisecond))
 	return nil
 }
 
@@ -406,21 +366,6 @@ func runMultiApp(seed int64, famName string, tenants, ticks int, load float64) e
 			rep.Fairness, rep.MinLiveFairness)
 	}
 	fmt.Printf("wall clock       %v (oracle-audited)\n", time.Since(start).Round(time.Millisecond))
-	return nil
-}
-
-// runFairness prints the multi-application fairness figure.
-func runFairness(seed int64) error {
-	tables, err := experiment.FairnessSweep(experiment.Options{Seed: seed})
-	if err != nil {
-		return err
-	}
-	for _, t := range tables {
-		if err := t.Fprint(os.Stdout); err != nil {
-			return err
-		}
-		fmt.Println()
-	}
 	return nil
 }
 

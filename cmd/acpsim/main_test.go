@@ -176,14 +176,24 @@ func TestRunFailures(t *testing.T) {
 	}
 }
 
+// TestRunDistFaultMode plays two seeds' scenarios on the distributed
+// engine, each under its own fault mix and audited at every step.
 func TestRunDistFaultMode(t *testing.T) {
-	args := []string{"-dist", "-nodes", "24", "-requests", "8",
-		"-fault-drop", "0.1", "-fault-crashes", "1"}
-	if err := run(args); err != nil {
+	for _, seed := range []string{"1", "7"} {
+		if err := run([]string{"-dist", "-seed", seed, "-requests", "8"}); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestRunAdapt plays a drift-adaptation scenario with the controller
+// recomposing on drift, then with the Holt forecast on.
+func TestRunAdapt(t *testing.T) {
+	if err := run([]string{"-adapt", "-seed", "2", "-sessions", "3"}); err != nil {
 		t.Fatal(err)
 	}
-	if err := run([]string{"-dist", "-fault-drop", "2"}); err == nil {
-		t.Error("out-of-range drop probability accepted")
+	if err := run([]string{"-adapt", "-seed", "4", "-adapt-predictive"}); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -214,14 +224,5 @@ func TestRunMultiApp(t *testing.T) {
 	}
 	if err := run([]string{"-multi-app", "-family", "bogus"}); err == nil {
 		t.Error("unknown scenario family accepted")
-	}
-}
-
-func TestRunFairnessFigure(t *testing.T) {
-	if testing.Short() {
-		t.Skip("figure run in -short mode")
-	}
-	if err := run([]string{"-fairness", "-seed", "3"}); err != nil {
-		t.Fatal(err)
 	}
 }

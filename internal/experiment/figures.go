@@ -374,15 +374,6 @@ func Figures() map[string]FigureFunc {
 		"7":  Figure7,
 		"8a": Figure8a,
 		"8b": Figure8b,
-		// Not a paper figure: the dist engine's success-vs-loss
-		// degradation curve under injected faults.
-		"faults": FaultSweep,
-		// Not a paper figure: QoS-drift exposure with the runtime
-		// re-composition controller off vs on vs predictive.
-		"adaptation": AdaptationSweep,
-		// Not a paper figure: multi-application success rate and Jain
-		// fairness vs offered load per workload scenario family.
-		"fairness": FairnessSweep,
 	}
 }
 

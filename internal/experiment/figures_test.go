@@ -24,7 +24,7 @@ func parsePct(t *testing.T, cell string) float64 {
 
 func TestFigureNamesComplete(t *testing.T) {
 	names := FigureNames()
-	want := []string{"5a", "5b", "6", "6a", "6b", "7", "7a", "7b", "8a", "8b", "adaptation", "fairness", "faults"}
+	want := []string{"5a", "5b", "6", "6a", "6b", "7", "7a", "7b", "8a", "8b"}
 	if len(names) != len(want) {
 		t.Fatalf("FigureNames = %v, want %v", names, want)
 	}

@@ -13,10 +13,7 @@ import (
 // testdata/figures_golden.txt, so a change to the event scheduler, the
 // engines or the workload cannot move the paper's tables silently. The
 // combined 6 and 7 runners cover 6a/6b and 7a/7b. Regenerate (only for a
-// deliberate behaviour change) with ACP_WRITE_FIGURES_GOLDEN=1. The
-// fault sweep is left out: eight concurrent callers on the
-// goroutine-per-node engine make its retry and sweep counts vary run to
-// run.
+// deliberate behaviour change) with ACP_WRITE_FIGURES_GOLDEN=1.
 func TestFiguresGolden(t *testing.T) {
 	if testing.Short() {
 		t.Skip("figure runs in -short mode")
@@ -24,7 +21,7 @@ func TestFiguresGolden(t *testing.T) {
 	runners := make(map[string]FigureFunc)
 	for name, fn := range Figures() {
 		switch name {
-		case "6a", "6b", "7a", "7b", "faults":
+		case "6a", "6b", "7a", "7b":
 		default:
 			runners[name] = fn
 		}

@@ -15,22 +15,21 @@ import (
 	"repro/internal/state"
 )
 
-// AdaptBed is the substrate every adaptation run plays on — this
-// package's scenarios and experiment.RunAdaptation's figure: an 8-node
+// adaptBed is the substrate every adaptation run plays on: an 8-node
 // runtime cluster on a virtual clock with a registry attached, the
 // session draw admitted into it, and the surge that squeezes a session.
-type AdaptBed struct {
+type adaptBed struct {
 	Cluster  *runtime.Cluster
 	Clock    *clock.Virtual
 	Registry *obs.Registry
 }
 
-// adaptFunctions is how many stream functions an AdaptBed deploys.
+// adaptFunctions is how many stream functions an adaptBed deploys.
 const adaptFunctions = 4
 
-// NewAdaptBed builds the adaptation substrate for seed.
-func NewAdaptBed(seed int64) (*AdaptBed, error) {
-	b := &AdaptBed{Clock: clock.NewVirtual(), Registry: obs.NewRegistry()}
+// newAdaptBed builds the adaptation substrate for seed.
+func newAdaptBed(seed int64) (*adaptBed, error) {
+	b := &adaptBed{Clock: clock.NewVirtual(), Registry: obs.NewRegistry()}
 	rcfg := runtime.DefaultConfig()
 	rcfg.Seed = seed
 	rcfg.IPNodes = 64
@@ -51,7 +50,7 @@ func NewAdaptBed(seed int64) (*AdaptBed, error) {
 
 // Admit draws one session from draws — a path of 2 or 3 functions, CPU
 // 2–10 and memory 20–100 per position, 20–80 kbps — and composes it.
-func (b *AdaptBed) Admit(draws *rand.Rand) (runtime.SessionID, error) {
+func (b *adaptBed) Admit(draws *rand.Rand) (runtime.SessionID, error) {
 	length := 2 + draws.Intn(2)
 	fns := make([]component.FunctionID, length)
 	for i := range fns {
@@ -67,7 +66,7 @@ func (b *AdaptBed) Admit(draws *rand.Rand) (runtime.SessionID, error) {
 
 // Surge injects load under owner that leaves every node of the session's
 // composition a sliver of its residual: one CPU and ten memory units.
-func (b *AdaptBed) Surge(owner int64, id runtime.SessionID) error {
+func (b *adaptBed) Surge(owner int64, id runtime.SessionID) error {
 	desc, err := b.Cluster.Describe(id)
 	if err != nil {
 		return err
@@ -142,7 +141,7 @@ func RunAdaptScenario(sc AdaptScenarioConfig) (*AdaptReport, error) {
 	}
 	wrng := rand.New(rand.NewSource(mix(sc.Seed ^ 0xada7)))
 
-	bed, err := NewAdaptBed(sc.Seed)
+	bed, err := newAdaptBed(sc.Seed)
 	if err != nil {
 		return nil, err
 	}

@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/metrics"
 	"repro/internal/workload"
 )
 
@@ -103,9 +104,8 @@ func TestMultiAppDeterminism(t *testing.T) {
 }
 
 // TestMultiAppFairnessBounds: the reported indices are genuine Jain
-// values — inside [1/n, 1] — and the flash-crowd family, whose quota
-// gate deliberately clips the surging tenant, still reports a
-// non-degenerate admission fairness.
+// values — inside [1/n, 1] — and the admission index covers every
+// tenant's success rate, a tenant that admitted nothing included.
 func TestMultiAppFairnessBounds(t *testing.T) {
 	for _, f := range workload.Families() {
 		rep, err := RunMultiAppScenario(MultiAppConfig{Seed: 7, Family: f, Oracle: false})
@@ -119,6 +119,15 @@ func TestMultiAppFairnessBounds(t *testing.T) {
 		}
 		if rep.MinLiveFairness < lo-1e-9 || rep.MinLiveFairness > 1+1e-9 {
 			t.Errorf("family %s: live fairness %v outside [%v, 1]", f, rep.MinLiveFairness, lo)
+		}
+		rates := make([]float64, rep.Tenants)
+		for i := range rates {
+			if rep.TenantArrivals[i] > 0 {
+				rates[i] = float64(rep.TenantAdmitted[i]) / float64(rep.TenantArrivals[i])
+			}
+		}
+		if want := metrics.JainIndex(rates); rep.Fairness != want {
+			t.Errorf("family %s: admission fairness %v, want %v over all %d tenants", f, rep.Fairness, want, rep.Tenants)
 		}
 	}
 }

@@ -131,7 +131,7 @@ func (c *Cluster) EnableAdaptation(cfg AdaptConfig) (*AdaptController, error) {
 // feed the forecasters (predictive mode), then let the drift monitor
 // report transitions — its OnDrift callback drives re-composition.
 func (a *AdaptController) Step() {
-	a.c.RefreshSessionGauges()
+	a.c.refreshSessionGauges()
 	if a.cfg.Predictive {
 		a.forecastStep()
 	}

@@ -139,7 +139,7 @@ type session struct {
 	// (within the adaptation tolerance); it never changes on migration.
 	requiredPhi float64
 	// phi is what the session.phi gauge reads: decision phi at admission
-	// and at each migration flip, observed phi after RefreshSessionGauges.
+	// and at each migration flip, observed phi after refreshSessionGauges.
 	phi float64
 	// migrations counts make-before-break flips this session survived.
 	migrations int64
@@ -671,13 +671,13 @@ func migrate(composer *core.Composer, req *component.Request, prev int64, bound 
 	return outcome, nil
 }
 
-// RefreshSessionGauges recomputes every live session's observed phi
+// refreshSessionGauges recomputes every live session's observed phi
 // (Eq. 1) under the ledger's *current* committed residuals, which the
 // "session.phi" gauge vector reads. At commit time the gauge carries
 // decision-time phi; as other sessions commit and release around it,
 // the same composition's congestion drifts — this is the observation
 // the drift monitor compares against the Eq. 3 requirement gauges.
-func (c *Cluster) RefreshSessionGauges() {
+func (c *Cluster) refreshSessionGauges() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	for _, s := range c.sessions {

@@ -457,7 +457,7 @@ func TestCloseWithoutDrainingOutput(t *testing.T) {
 
 // TestSessionGaugesLifecycle checks the per-session observability
 // plane: Find publishes phi and Eq. 3 standing gauges labeled by
-// session, RefreshSessionGauges re-derives phi from current ledger
+// session, refreshSessionGauges re-derives phi from current ledger
 // residuals, and Close takes the session's series away.
 func TestSessionGaugesLifecycle(t *testing.T) {
 	reg := obs.NewRegistry()
@@ -509,7 +509,7 @@ func TestSessionGaugesLifecycle(t *testing.T) {
 
 	// A refresh recomputes phi against the live ledger; with this
 	// session still the only load the value stays finite and positive.
-	c.RefreshSessionGauges()
+	c.refreshSessionGauges()
 	if g := c.sessionPhi.Get(sess); g == nil || g.Value() <= 0 {
 		t.Fatalf("refreshed phi gauge = %v", g)
 	}
