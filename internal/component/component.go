@@ -231,23 +231,32 @@ func (g *Graph) Paths() [][]int {
 	return out
 }
 
-// NewPathGraph builds a simple chain over the given functions.
+// NewPathGraph builds a simple chain over the given functions. It makes
+// three allocations at any length — the Graph, Functions and Edges —
+// and two for a single position, which has no edges.
 func NewPathGraph(functions []FunctionID) *Graph {
 	g := &Graph{Functions: append([]FunctionID(nil), functions...)}
-	for i := 1; i < len(functions); i++ {
-		g.Edges = append(g.Edges, Edge{From: i - 1, To: i})
+	if len(functions) > 1 {
+		g.Edges = make([]Edge, len(functions)-1)
+		for i := range g.Edges {
+			g.Edges[i] = Edge{From: i, To: i + 1}
+		}
 	}
 	return g
 }
 
 // NewBranchGraph builds the paper's two-branch DAG shape: a shared source,
 // two parallel internal branches, and a shared sink (Figure 1(b)/(c)).
-// branch1 and branch2 must each be non-empty.
+// branch1 and branch2 must each be non-empty. Like NewPathGraph it
+// sizes Functions and Edges once: every position but the source has one
+// incoming edge, and the sink two.
 func NewBranchGraph(source FunctionID, branch1, branch2 []FunctionID, sink FunctionID) (*Graph, error) {
 	if len(branch1) == 0 || len(branch2) == 0 {
 		return nil, fmt.Errorf("component: branch graphs need non-empty branches")
 	}
-	g := &Graph{Functions: []FunctionID{source}}
+	n := len(branch1) + len(branch2) + 2
+	g := &Graph{Functions: make([]FunctionID, 1, n), Edges: make([]Edge, 0, n)}
+	g.Functions[0] = source
 	appendBranch := func(branch []FunctionID) int {
 		prev := 0 // source position
 		for _, f := range branch {

@@ -3,6 +3,7 @@ package runtime
 import (
 	"errors"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"repro/internal/component"
@@ -144,5 +145,38 @@ func TestFindAppCloseAllocations(t *testing.T) {
 		}
 	}); allocs != 1 {
 		t.Errorf("Describe allocates %.1f per call, want 1", allocs)
+	}
+}
+
+// TestDescribeInto: one Composition reused across every session of a
+// filled ring reads what Describe returns for each, allocates nothing
+// once its slice has grown to the longest, and reads empty for a
+// session that is not live.
+func TestDescribeInto(t *testing.T) {
+	if testing.Short() {
+		t.Skip("fills a cluster")
+	}
+	cy := newFindCloseCycler(t, 100)
+	var comp Composition
+	for _, id := range cy.ring {
+		want, err := cy.c.Describe(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := cy.c.DescribeInto(id, &comp); err != nil || !reflect.DeepEqual(comp, want) {
+			t.Fatalf("DescribeInto(%d) = %+v, %v; Describe says %+v", id, comp, err, want)
+		}
+	}
+	i := 0
+	if allocs := testing.AllocsPerRun(200, func() {
+		if err := cy.c.DescribeInto(cy.ring[i%len(cy.ring)], &comp); err != nil {
+			t.Fatal(err)
+		}
+		i++
+	}); allocs != 0 {
+		t.Errorf("DescribeInto allocates %.1f per call when warm, want 0", allocs)
+	}
+	if err := cy.c.DescribeInto(1<<40, &comp); !errors.Is(err, ErrUnknownSession) || !reflect.DeepEqual(comp, Composition{Components: comp.Components[:0]}) || len(comp.Components) != 0 {
+		t.Errorf("DescribeInto(unknown) = %+v, %v; want an empty composition and ErrUnknownSession", comp, err)
 	}
 }

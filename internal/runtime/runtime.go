@@ -728,13 +728,28 @@ type PlacedComponent struct {
 
 // Describe reports a session's composition.
 func (c *Cluster) Describe(id SessionID) (Composition, error) {
+	var out Composition
+	err := c.DescribeInto(id, &out)
+	return out, err
+}
+
+// DescribeInto is Describe writing into out, whose Components slice it
+// reuses: a caller that describes sessions one after another passes
+// the same Composition and allocates only when a session has more
+// positions than any before it. An unknown session leaves out zero
+// apart from that slice's capacity.
+func (c *Cluster) DescribeInto(id SessionID, out *Composition) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	*out = Composition{Components: out.Components[:0]}
 	s, ok := c.sessions[id]
 	if !ok {
-		return Composition{}, ErrUnknownSession
+		return ErrUnknownSession
 	}
-	out := Composition{QoS: s.comp.QoS, Phi: s.comp.Phi, Components: make([]PlacedComponent, 0, len(s.comp.Components))}
+	out.QoS, out.Phi = s.comp.QoS, s.comp.Phi
+	if n := len(s.comp.Components); cap(out.Components) < n {
+		out.Components = make([]PlacedComponent, 0, n)
+	}
 	for pos, cid := range s.comp.Components {
 		comp := c.catalog.Component(cid)
 		out.Components = append(out.Components, PlacedComponent{
@@ -744,7 +759,7 @@ func (c *Cluster) Describe(id SessionID) (Composition, error) {
 			Node:      comp.Node,
 		})
 	}
-	return out, nil
+	return nil
 }
 
 // Process starts the session's continuous data stream processing (§2.2):

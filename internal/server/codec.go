@@ -404,18 +404,22 @@ func intern(b []byte, table []string) string {
 }
 
 // decodeRequest parses one request line into r, which it resets first.
-// Accept/reject, error text and decoded value are json.Unmarshal's.
-func decodeRequest(line []byte, r *Request) error {
+// Accept/reject, error text and decoded value are json.Unmarshal's. A
+// functions array is decoded into fns[:0], the caller's scratch, which
+// it may grow; what fns held is never read, and a caller that passes
+// nil gets a fresh slice. An absent key leaves Functions nil, and [] makes it
+// empty but non-nil, as encoding/json does.
+func decodeRequest(line []byte, r *Request, fns []int) error {
 	*r = Request{}
 	d := decoder{b: line}
-	d.request(r)
+	d.request(r, fns)
 	if d.finish() {
 		return nil
 	}
 	return decodeSlow(line, r)
 }
 
-func (d *decoder) request(r *Request) {
+func (d *decoder) request(r *Request, fns []int) {
 	d.expect('{')
 	var set uint
 	for first := true; d.more('}', first); first = false {
@@ -435,7 +439,10 @@ func (d *decoder) request(r *Request) {
 		case "functions":
 			d.seen(&set, 4)
 			d.expect('[')
-			r.Functions = make([]int, 0, d.count(',')+1)
+			r.Functions = fns[:0]
+			if r.Functions == nil {
+				r.Functions = make([]int, 0, d.count(',')+1)
+			}
 			for first := true; d.more(']', first); first = false {
 				r.Functions = append(r.Functions, d.int())
 			}

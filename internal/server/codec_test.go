@@ -6,6 +6,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"strconv"
 	"testing"
 )
@@ -22,18 +23,27 @@ func sameError(a, b error) bool {
 }
 
 // checkDecodeRequest holds decodeRequest against json.Unmarshal on one
-// line: same error (nil-ness and text), same value. got starts dirty,
-// so a missed reset shows.
+// line: same error (nil-ness and text), same value. It decodes twice,
+// without scratch and with a warm scratch that holds an earlier compose
+// frame's functions, as a connection's does. got starts dirty, so a
+// missed reset shows, and its stale Functions must come through
+// untouched: the decoder writes only into the scratch it is handed.
 func checkDecodeRequest(t *testing.T, line []byte) {
 	t.Helper()
-	got := Request{Op: "stale", Seq: 7, Tenant: "stale", Functions: []int{9}, CPU: 9, Session: 9}
 	var want Request
-	gerr, werr := decodeRequest(line, &got), json.Unmarshal(line, &want)
-	if !sameError(gerr, werr) {
-		t.Fatalf("decodeRequest(%q) error = %v, encoding/json says %v", line, gerr, werr)
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("decodeRequest(%q)\n got %#v\nwant %#v", line, got, want)
+	werr := json.Unmarshal(line, &want)
+	for _, fns := range [][]int{nil, {5, 4, 3, 2, 1}} {
+		stale := []int{9, 9, 9, 9, 9, 9, 9, 9}
+		got := Request{Op: "stale", Seq: 7, Tenant: "stale", Functions: stale[:1], CPU: 9, Session: 9}
+		if gerr := decodeRequest(line, &got, fns); !sameError(gerr, werr) {
+			t.Fatalf("decodeRequest(%q, scratch %v) error = %v, encoding/json says %v", line, fns, gerr, werr)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("decodeRequest(%q, scratch %v)\n got %#v\nwant %#v", line, fns, got, want)
+		}
+		if !slices.Equal(stale, []int{9, 9, 9, 9, 9, 9, 9, 9}) {
+			t.Fatalf("decodeRequest(%q) wrote into the previous request's functions: %v", line, stale)
+		}
 	}
 }
 
@@ -174,9 +184,11 @@ func TestCodecMatchesEncodingJSON(t *testing.T) {
 }
 
 // TestCodecAllocs pins the point of the codec: a warm buffer encodes
-// any frame without allocating, frames that carry only ops, codes and
-// numbers decode without allocating (ops and codes are interned to the
-// package constants), and a compose frame costs its functions slice.
+// any frame without allocating, and frames that carry only ops, codes
+// and numbers decode without allocating (ops and codes are interned to
+// the package constants), as does a compose frame whose functions go
+// into warm scratch. It cost its functions slice, 1 or 2, before the
+// connection kept that scratch.
 func TestCodecAllocs(t *testing.T) {
 	compose := composeReq()
 	compose.Op, compose.Seq = OpCompose, 12
@@ -193,7 +205,7 @@ func TestCodecAllocs(t *testing.T) {
 	var req Request
 	for _, op := range opNames[:opUnknown] {
 		line := []byte(`{"op":"` + op + `","seq":3,"session":1}`)
-		if n := testing.AllocsPerRun(100, func() { _ = decodeRequest(line, &req) }); n != 0 || req.Op != op || req.Session != 1 {
+		if n := testing.AllocsPerRun(100, func() { _ = decodeRequest(line, &req, nil) }); n != 0 || req.Op != op || req.Session != 1 {
 			t.Errorf("decodeRequest(%s) allocates %v times, got %+v", op, n, req)
 		}
 	}
@@ -205,8 +217,43 @@ func TestCodecAllocs(t *testing.T) {
 		}
 	}
 	line, _ := appendRequest(nil, &compose)
-	if n := testing.AllocsPerRun(100, func() { _ = decodeRequest(line, &req) }); n > 2 || !reflect.DeepEqual(req, compose) {
-		t.Errorf("decodeRequest(compose) allocates %v times (want at most 2), got %+v", n, req)
+	fns := make([]int, 0, maxFunctions)
+	if n := testing.AllocsPerRun(100, func() { _ = decodeRequest(line, &req, fns) }); n != 0 || !reflect.DeepEqual(req, compose) {
+		t.Errorf("decodeRequest(compose) allocates %v times into warm scratch, got %+v", n, req)
+	}
+}
+
+// TestConnScratchBound: a frame of 1 000 functions decodes to what
+// encoding/json reads, and leaves the connection holding the scratch it
+// had, not the slice that frame grew. The next compose frame reuses
+// that scratch without allocating.
+func TestConnScratchBound(t *testing.T) {
+	var c conn
+	var req Request
+	small := []byte(`{"op":"compose","functions":[1,2,3]}`)
+	if err := c.decode(small, &req); err != nil || len(req.Functions) != 3 {
+		t.Fatalf("decode(%s) = %+v, %v", small, req, err)
+	}
+	kept := c.fns
+	var big bytes.Buffer
+	big.WriteString(`{"op":"compose","functions":[0`)
+	for i := 1; i < 1000; i++ {
+		big.WriteString("," + strconv.Itoa(i))
+	}
+	big.WriteString("]}")
+	var want Request
+	if err := json.Unmarshal(big.Bytes(), &want); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.decode(big.Bytes(), &req); err != nil || !reflect.DeepEqual(req, want) {
+		t.Fatalf("decode of 1 000 functions = %d functions, %v; want encoding/json's %d", len(req.Functions), err, len(want.Functions))
+	}
+	if cap(c.fns) > maxFunctions || &c.fns[:1][0] != &kept[:1][0] {
+		t.Fatalf("after 1 000 functions the connection holds a scratch of capacity %d (kept %d), want its own of at most %d",
+			cap(c.fns), cap(kept), maxFunctions)
+	}
+	if n := testing.AllocsPerRun(10, func() { _ = c.decode(small, &req) }); n != 0 || len(req.Functions) != 3 {
+		t.Errorf("the next compose frame allocates %v times, got %+v", n, req)
 	}
 }
 
@@ -228,7 +275,7 @@ func TestFastPathBoundary(t *testing.T) {
 	fast := func(line string) bool {
 		var r Request
 		d := decoder{b: []byte(line)}
-		d.request(&r)
+		d.request(&r, nil)
 		return d.finish()
 	}
 	for line, want := range map[string]bool{

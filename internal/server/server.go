@@ -59,14 +59,24 @@ type wireSession struct {
 }
 
 // conn is one client connection. owned is guarded by Server.mu; the
-// write buffer is only touched by the connection's handler goroutine,
-// which serialises all responses.
+// rest is only touched by the connection's handler goroutine, which
+// serialises the connection's frames.
 type conn struct {
 	nc      net.Conn
-	wbuf    []byte // the last response frame, reused for the next
 	helloed bool
 	tenant  string
 	owned   map[runtime.SessionID]*wireSession
+
+	// The handler's scratch, reused frame after frame: a frame is
+	// answered before the next is read, and NewPathGraph and FindApp
+	// copy what a session keeps. Every slice but wbuf holds at most
+	// maxFunctions entries.
+	wbuf   []byte                 // the last response frame
+	fns    []int                  // a compose frame's decoded functions
+	fids   []component.FunctionID // its path, for NewPathGraph
+	res    []qos.Resources        // its per-position demand, for FindApp
+	comp   runtime.Composition    // DescribeInto's result
+	placed []PlacedComponent      // the reply's components
 }
 
 // Server accepts session-protocol connections and multiplexes them
@@ -230,7 +240,7 @@ func (s *Server) handleConn(c *conn) {
 		if len(line) == 0 {
 			continue
 		}
-		if err := decodeRequest(line, &req); err != nil {
+		if err := c.decode(line, &req); err != nil {
 			_ = c.send(s.fail(Response{Op: "?"}, CodeProtocol, "malformed frame: "+err.Error()))
 			return
 		}
@@ -242,6 +252,18 @@ func (s *Server) handleConn(c *conn) {
 	if errors.Is(sc.Err(), bufio.ErrTooLong) {
 		_ = c.send(s.fail(Response{Op: "?"}, CodeProtocol, fmt.Sprintf("frame exceeds %d bytes", s.cfg.MaxFrameBytes)))
 	}
+}
+
+// decode reads one request frame into req, its functions into the
+// connection's scratch. The scratch is kept for the next frame unless
+// a hostile frame grew it past maxFunctions, so a connection never
+// holds a larger one.
+func (c *conn) decode(line []byte, req *Request) error {
+	err := decodeRequest(line, req, c.fns)
+	if n := cap(req.Functions); n > cap(c.fns) && n <= maxFunctions {
+		c.fns = req.Functions
+	}
+	return err
 }
 
 // send writes one response frame with a single Write.
@@ -304,23 +326,19 @@ func (s *Server) opCompose(c *conn, req *Request, resp Response) Response {
 	if len(req.Functions) == 0 || len(req.Functions) > maxFunctions {
 		return s.fail(resp, CodeProtocol, fmt.Sprintf("compose needs 1..%d functions, got %d", maxFunctions, len(req.Functions)))
 	}
-	fns := make([]component.FunctionID, len(req.Functions))
-	for i, f := range req.Functions {
+	c.fids, c.res = c.fids[:0], c.res[:0]
+	for _, f := range req.Functions {
 		if f < 0 {
 			return s.fail(resp, CodeProtocol, fmt.Sprintf("negative function id %d", f))
 		}
-		fns[i] = component.FunctionID(f)
+		c.fids = append(c.fids, component.FunctionID(f))
+		c.res = append(c.res, qos.Resources{CPU: req.CPU, Memory: req.MemoryMB})
 	}
 	if req.CPU < 0 || req.MemoryMB < 0 || req.BandwidthKbps < 0 || req.Weight < 0 {
 		return s.fail(resp, CodeProtocol, "negative resource requirement")
 	}
 	if req.Delay <= 0 || req.LossProb <= 0 || req.LossProb >= 1 {
 		return s.fail(resp, CodeProtocol, "compose needs delay > 0 and lossProb in (0,1)")
-	}
-	graph := component.NewPathGraph(fns)
-	res := make([]qos.Resources, len(fns))
-	for i := range res {
-		res[i] = qos.Resources{CPU: req.CPU, Memory: req.MemoryMB}
 	}
 
 	// Admission control: reserve a MaxSessions slot and an in-flight
@@ -346,9 +364,9 @@ func (s *Server) opCompose(c *conn, req *Request, resp Response) Response {
 	id, err := s.cluster.FindApp(runtime.FindRequest{
 		Tenant: c.tenant,
 		Weight: req.Weight,
-		Graph:  graph,
+		Graph:  component.NewPathGraph(c.fids),
 		QoSReq: qos.Vector{Delay: req.Delay, LossCost: qos.LossCost(req.LossProb)},
-		ResReq: res,
+		ResReq: c.res,
 
 		BandwidthKbps: req.BandwidthKbps,
 	})
@@ -368,7 +386,7 @@ func (s *Server) opCompose(c *conn, req *Request, resp Response) Response {
 			return s.fail(resp, CodeInternal, err.Error())
 		}
 	}
-	comp, derr := s.cluster.Describe(id)
+	s.describe(c, id, &resp)
 	ws := &wireSession{id: id, owner: c, deadline: s.clk.Now().Add(s.cfg.CommitTimeout)}
 	s.mu.Lock()
 	s.composing--
@@ -380,11 +398,18 @@ func (s *Server) opCompose(c *conn, req *Request, resp Response) Response {
 	resp.OK = true
 	resp.Session = int64(id)
 	resp.CommitDeadlineMs = s.cfg.CommitTimeout.Milliseconds()
-	if derr == nil {
-		resp.Phi = comp.Phi
-		resp.Components = wireComponents(comp)
-	}
 	return resp
+}
+
+// describe sets resp's phi and components from the session's
+// composition, rendered in c's scratch; a session gone meanwhile
+// leaves them unset.
+func (s *Server) describe(c *conn, id runtime.SessionID, resp *Response) {
+	if s.cluster.DescribeInto(id, &c.comp) != nil {
+		return
+	}
+	c.placed = appendWire(c.placed[:0], c.comp.Components)
+	resp.Phi, resp.Components = c.comp.Phi, c.placed
 }
 
 // opSession handles the ops addressed to a live session.
@@ -449,12 +474,8 @@ func (s *Server) opSession(c *conn, kind opKind, req *Request, resp Response) Re
 			ws.deadline = s.clk.Now().Add(s.cfg.HeartbeatTimeout)
 		}
 		s.mu.Unlock()
-		comp, derr := s.cluster.Describe(id)
+		s.describe(c, id, &resp)
 		resp.OK = true
-		if derr == nil {
-			resp.Phi = comp.Phi
-			resp.Components = wireComponents(comp)
-		}
 		return resp
 
 	default: // opTeardown

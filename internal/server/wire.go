@@ -180,16 +180,16 @@ type Response struct {
 	CommitDeadlineMs int64 `json:"commitDeadlineMs,omitempty"`
 }
 
-// wireComponents renders a runtime composition for the wire.
-func wireComponents(comp runtime.Composition) []PlacedComponent {
-	out := make([]PlacedComponent, 0, len(comp.Components))
-	for _, pc := range comp.Components {
-		out = append(out, PlacedComponent{
+// appendWire appends a runtime composition's placements, rendered for
+// the wire, to dst.
+func appendWire(dst []PlacedComponent, comps []runtime.PlacedComponent) []PlacedComponent {
+	for _, pc := range comps {
+		dst = append(dst, PlacedComponent{
 			Position:  pc.Position,
 			Function:  int(pc.Function),
 			Component: int(pc.Component),
 			Node:      pc.Node,
 		})
 	}
-	return out
+	return dst
 }
