@@ -79,7 +79,7 @@ func run(args []string) error {
 
 		adaptMode = fs.Bool("adapt", false, "run a seeded, tick-audited drift-adaptation scenario on the live runtime")
 		adaptPred = fs.Bool("adapt-predictive", false, "adapt: migrate on Holt forecast before the bound is crossed")
-		sessions  = fs.Int("sessions", 4, "adapt: concurrent sessions the workload tops up to each round")
+		sessions  = fs.Int("sessions", 3, "adapt: concurrent sessions the workload tops up to each round; the default replays the adaptation sweep's seed N, with -adapt-predictive when N % 4 == 0")
 
 		multiApp = fs.Bool("multi-app", false, "run an oracle-audited concurrent multi-application episode on the live runtime")
 		famName  = fs.String("family", "flash-crowd", "multi-app: workload scenario family ("+strings.Join(familyNames(), ", ")+", or all)")

@@ -172,17 +172,16 @@ func (s *stepped) timeOutCommit(rng *rand.Rand) int64 {
 }
 
 // TestSessionScrapeRaces: registry reads race the protocol on a started
-// cluster. Snapshots, the Prometheus export, a drift monitor's ticks and
-// single-series Gets read the session families while callers compose and
-// release; afterwards the table, and a scrape of it, hold exactly the
-// sessions still live. CI runs it twenty times under the race detector.
+// cluster. Snapshots, the Prometheus export and single-series Gets read
+// the session families while callers compose and release; afterwards
+// the table, and a scrape of it, hold exactly the sessions still live.
+// CI runs it twenty times under the race detector.
 func TestSessionScrapeRaces(t *testing.T) {
 	reg := obs.NewRegistry()
 	cfg := DefaultConfig()
 	cfg.Registry = reg
 	c := virtualCluster(t, cfg)
 	observed := reg.GaugeVec("session.qos.observed", "session")
-	monitor := obs.NewDriftMonitor(obs.DriftConfig{Observed: observed, Required: reg.GaugeVec("session.qos.required", "session")})
 
 	const callers, cycles, kept = 3, 40, 2
 	var mu sync.Mutex
@@ -217,7 +216,6 @@ func TestSessionScrapeRaces(t *testing.T) {
 	for _, read := range []func(){
 		func() { reg.Snapshot() },
 		func() { obs.WritePrometheus(io.Discard, reg.Snapshot()) },
-		func() { monitor.Tick() },
 		func() {
 			for _, labels := range observed.LabelValues() {
 				observed.Get(labels...) // may be gone by now

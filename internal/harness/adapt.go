@@ -131,7 +131,7 @@ const adaptTolerance = 0.5
 //     same-tick placements by other migrations).
 //
 // At teardown it verifies full resource recovery and the drift
-// monitor's accounting identity.
+// pass's accounting identity.
 func RunAdaptScenario(sc AdaptScenarioConfig) (*AdaptReport, error) {
 	if sc.Rounds <= 0 {
 		sc.Rounds = 6
@@ -297,7 +297,7 @@ func RunAdaptScenario(sc AdaptScenarioConfig) (*AdaptReport, error) {
 	}
 
 	fillAdaptReport(rep, reg)
-	// The drift monitor's books must balance: every violation episode
+	// The drift pass's books must balance: every violation episode
 	// ends in exactly one of recovery, forgetting (closed mid-violation),
 	// or still-in-violation (impossible here — the cluster is idle).
 	s := reg.Snapshot()

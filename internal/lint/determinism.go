@@ -16,9 +16,9 @@ import (
 // replica oracle and the scenario-family plans promise bit-identical
 // materialisation per seed; runtime already injects rand/clock and must
 // stay that way. server and obs promise virtual-clock determinism too:
-// the lease reaper and the QoS DriftMonitor both tick on the injected
-// harness clock, so a stray wall-clock read there would desynchronize
-// replayed sessions. Tests may extend this to cover fixture packages.
+// the lease reaper ticks on the injected harness clock and obs's scrape
+// surface stamps snapshots from it, so a stray wall-clock read there would
+// desynchronize replayed sessions. Tests may extend this to cover fixture packages.
 var DeterminismScope = []string{
 	"internal/core",
 	"internal/dist",

@@ -20,7 +20,7 @@ func TestDeterminism(t *testing.T) {
 // plans), and metrics (Jain aggregation) joined core/dist/harness/faults
 // when the multi-app suite started shadowing them; dropping one from
 // scope would let wall-clock or map-order leaks back into replayed code.
-// server (lease reaper) and obs (DriftMonitor) joined when they adopted
+// server (lease reaper) and obs (scrape timestamps) joined when they adopted
 // the injected harness clock: both promise virtual-clock determinism.
 func TestDeterminismScopeCoversReplayedPackages(t *testing.T) {
 	want := []string{

@@ -2,9 +2,8 @@
 // concurrency-safe instrument registry (counters, gauges, fixed-bucket
 // histograms, auto-ranging quantile histograms, and labeled instrument
 // vectors), a probe-lifecycle tracer emitting structured span events
-// with an in-process subscription fanout, an HTTP scrape surface
-// (Serve), and a QoS drift monitor comparing per-session observed
-// gauges against their Eq. 3 requirements.
+// with an in-process subscription fanout, and an HTTP scrape surface
+// (Serve).
 //
 // Both halves are nil-safe: a nil *Registry hands out nil instruments,
 // and every operation on a nil instrument or nil *Tracer is a no-op

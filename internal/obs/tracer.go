@@ -85,10 +85,10 @@ const (
 	// auditor at the step where the invariant first broke, so a recorded
 	// trace pinpoints the violating schedule position.
 	EventAuditViolation EventType = "audit.violation"
-	// EventQoSDrift marks the drift monitor seeing a session's observed
-	// gauge cross its Eq. 3 requirement (reason drift-exceeded) or come
-	// back under it (drift-recovered). Session, Observed, and Required
-	// carry the comparison.
+	// EventQoSDrift marks the adaptation controller seeing a session's
+	// observed phi cross its admission-time bound (reason drift-exceeded)
+	// or come back under it (drift-recovered). Session, Observed, and
+	// Required carry the comparison.
 	EventQoSDrift EventType = "qos.drift"
 	// EventTraceDropped is synthesized into a subscription's stream in
 	// place of events its bounded ring overwrote; Count says how many
@@ -268,8 +268,7 @@ func New(sink Sink) *Tracer {
 }
 
 // NewLive returns a tracer with no base sink, for consumers that attach
-// through Subscribe (the /trace endpoint, the drift monitor's event
-// feed). Until the first subscriber arrives the tracer reports
+// through Subscribe (the /trace endpoint, a test's event feed). Until the first subscriber arrives the tracer reports
 // disabled and emission costs two atomic loads.
 func NewLive() *Tracer {
 	return &Tracer{start: time.Now()} //acp:nondeterminism-ok wall-clock base is the documented default; deterministic harnesses substitute virtual time via SetClock
@@ -335,9 +334,9 @@ func (t *Tracer) emit(e Event) {
 	}
 }
 
-// QoSDrift records the drift monitor's verdict for one session: its
-// observed gauge crossed (drift-exceeded) or re-satisfied
-// (drift-recovered) the Eq. 3 requirement.
+// QoSDrift records the adaptation controller's verdict for one session:
+// its observed phi crossed (drift-exceeded) or re-satisfied
+// (drift-recovered) its admission-time bound.
 func (t *Tracer) QoSDrift(session string, observed, required float64, reason Reason) {
 	t.emit(Event{Type: EventQoSDrift, Pos: -1, Node: -1, Session: session, Observed: observed, Required: required, Reason: reason})
 }

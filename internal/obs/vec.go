@@ -17,8 +17,8 @@ import (
 // Label cardinality is the caller's contract: children live until
 // Delete, so label sets must be bounded by something the caller tears
 // down (sessions, nodes) — never by unbounded values (request IDs,
-// timestamps). The drift monitor and the /metrics exposition iterate
-// every child.
+// timestamps). Snapshots and the /metrics exposition iterate every
+// child.
 //
 // Vectors are nil-safe the same way the scalar instruments are: a nil
 // vector hands out nil (no-op) children. With called with the wrong

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"sort"
-	"strconv"
 	"sync"
 	"time"
 
@@ -32,12 +31,10 @@ type AdaptConfig struct {
 	// Predictive enables acting on a Holt forecast of each session's phi
 	// before the bound is actually crossed.
 	Predictive bool
-	// Holt smooths the per-session forecasts; zero value means defaults.
-	Holt tuning.HoltConfig
-	// ForecastSteps is how many ticks ahead predictive mode looks;
-	// default 2.
-	ForecastSteps int
 }
+
+// forecastSteps is how many ticks ahead predictive mode looks.
+const forecastSteps = 2
 
 // retryState is one session's in-flight violation episode.
 type retryState struct {
@@ -46,40 +43,50 @@ type retryState struct {
 }
 
 // AdaptController is the adaptation plane: it periodically refreshes
-// every session's observed congestion, watches for drift past the
-// admission-time phi bound via an obs.DriftMonitor, and answers each
-// violation by re-composing the session make-before-break
+// every session's observed congestion, compares it with the
+// admission-time phi bound in a drift pass over the session table, and
+// answers each violation by re-composing the session make-before-break
 // (Cluster.Recompose). When no better composition exists it backs off
 // and retries on the harness clock, abandoning the episode after
 // MaxRetries. In predictive mode a Holt forecaster per session triggers
 // re-composition on projected violations before they happen.
 type AdaptController struct {
-	c       *Cluster
-	cfg     AdaptConfig
-	clk     clock.Clock
-	monitor *obs.DriftMonitor
+	c   *Cluster
+	cfg AdaptConfig
+	clk clock.Clock
 
 	migrations *obs.Counter // successful drift-triggered migrations
 	preemptive *obs.Counter // successful forecast-triggered migrations
 	failures   *obs.Counter // attempts that found nothing better
 	abandonedC *obs.Counter // episodes dropped after MaxRetries
 
+	// The drift pass's instruments. Every episode ends in exactly one of
+	// recovered, forgotten (closed mid-violation) or still exceeded:
+	// exceeded == recovered + forgotten + sessionsExceeded.
+	ticks            *obs.Counter
+	exceeded         *obs.Counter
+	recovered        *obs.Counter
+	forgotten        *obs.Counter
+	sessionsExceeded *obs.Gauge
+	tracer           *obs.Tracer
+
 	mu          sync.Mutex
 	retries     map[SessionID]*retryState
 	forecasters map[SessionID]*tuning.Holt
-	timer       clock.Timer
-	stopped     bool
+	// pass numbers the drift passes; violating holds every session in
+	// violation with the pass that last saw it. guarded by mu
+	pass      uint64
+	violating map[SessionID]uint64
+	timer     clock.Timer
+	stopped   bool
 }
 
 // EnableAdaptation builds the cluster's re-composition controller and
 // installs its tolerance as the Recompose acceptance headroom. Call
 // Start on the returned controller to begin ticking, or Step to drive
-// it manually (deterministic harness). Requires a Registry (the drift
-// monitor reads the session gauge vectors).
+// it manually (deterministic harness). The controller's instruments are
+// the cluster's Registry's, and inert without one.
 func (c *Cluster) EnableAdaptation(cfg AdaptConfig) (*AdaptController, error) {
-	if c.cfg.Registry == nil {
-		return nil, errors.New("runtime: adaptation requires a Registry")
-	}
 	if cfg.Tolerance < 0 {
 		return nil, fmt.Errorf("runtime: negative adaptation tolerance %v", cfg.Tolerance)
 	}
@@ -92,50 +99,99 @@ func (c *Cluster) EnableAdaptation(cfg AdaptConfig) (*AdaptController, error) {
 	if cfg.RetryBackoff <= 0 {
 		cfg.RetryBackoff = 2 * cfg.Period
 	}
-	if cfg.ForecastSteps <= 0 {
-		cfg.ForecastSteps = 2
-	}
-	if cfg.Holt == (tuning.HoltConfig{}) {
-		cfg.Holt = tuning.DefaultHoltConfig()
-	} else if _, err := tuning.NewHolt(cfg.Holt); err != nil {
-		return nil, err
-	}
 
 	c.mu.Lock()
 	c.adaptTol = cfg.Tolerance
 	c.mu.Unlock()
 
-	a := &AdaptController{
-		c:           c,
-		cfg:         cfg,
-		clk:         c.clock,
-		migrations:  c.cfg.Registry.Counter("adapt.migrations"),
-		preemptive:  c.cfg.Registry.Counter("adapt.preemptive_migrations"),
-		failures:    c.cfg.Registry.Counter("adapt.recompose_failures"),
-		abandonedC:  c.cfg.Registry.Counter("adapt.abandoned"),
-		retries:     make(map[SessionID]*retryState),
-		forecasters: make(map[SessionID]*tuning.Holt),
-	}
-	a.monitor = obs.NewDriftMonitor(obs.DriftConfig{
-		Observed:  c.sessionPhi,
-		Required:  c.sessionPhiReq,
-		Tolerance: cfg.Tolerance,
-		Registry:  c.cfg.Registry,
-		Tracer:    c.cfg.Tracer,
-		OnDrift:   a.onDrift,
-	})
-	return a, nil
+	reg := c.cfg.Registry
+	return &AdaptController{
+		c:                c,
+		cfg:              cfg,
+		clk:              c.clock,
+		migrations:       reg.Counter("adapt.migrations"),
+		preemptive:       reg.Counter("adapt.preemptive_migrations"),
+		failures:         reg.Counter("adapt.recompose_failures"),
+		abandonedC:       reg.Counter("adapt.abandoned"),
+		ticks:            reg.Counter("obs.drift.ticks"),
+		exceeded:         reg.Counter("obs.drift.exceeded_total"),
+		recovered:        reg.Counter("obs.drift.recovered_total"),
+		forgotten:        reg.Counter("obs.drift.forgotten_total"),
+		sessionsExceeded: reg.Gauge("obs.drift.sessions_exceeded"),
+		tracer:           c.cfg.Tracer,
+		retries:          make(map[SessionID]*retryState),
+		forecasters:      make(map[SessionID]*tuning.Holt),
+		violating:        make(map[SessionID]uint64),
+	}, nil
 }
 
 // Step runs one adaptation tick synchronously: refresh observed phi,
-// feed the forecasters (predictive mode), then let the drift monitor
-// report transitions — its OnDrift callback drives re-composition.
+// feed the forecasters (predictive mode), then run the drift pass, which
+// drives re-composition.
 func (a *AdaptController) Step() {
 	a.c.refreshSessionGauges()
 	if a.cfg.Predictive {
 		a.forecastStep()
 	}
-	a.monitor.Tick()
+	a.driftPass()
+}
+
+// driftPass compares every live session's phi with its admission-time
+// bound and acts on each crossing: a session entering violation gets a
+// re-composition attempt, one leaving it ends its retry episode. The
+// state is level-triggered, so a drifting session crosses once, not every
+// pass. All crossings are decided on one copy of the session table,
+// taken before any attempt moves a session. Sessions are visited in the
+// order of their decimal labels, the order the session gauge vectors
+// export: an attempt's walk sees the ledger the attempts before it left,
+// so another order makes other migrations (numeric ID order moves
+// testdata/session_series_golden.txt). Cluster.mu is never taken while
+// a.mu is held.
+func (a *AdaptController) driftPass() {
+	a.ticks.Inc()
+	rows := a.c.sessionRows(nil)
+	var crossed []sessionRow
+	a.mu.Lock()
+	a.pass++
+	for _, r := range rows {
+		_, was := a.violating[r.id]
+		now := r.phi > a.bound(r.requiredPhi)
+		if now {
+			a.violating[r.id] = a.pass
+		} else if was {
+			delete(a.violating, r.id)
+		}
+		if now != was {
+			crossed = append(crossed, r)
+		}
+	}
+	forgotten := 0
+	for id, seen := range a.violating {
+		if seen != a.pass {
+			// Closed while in violation: no recovery will ever come, so
+			// the episode is accounted as forgotten.
+			forgotten++
+			delete(a.violating, id)
+		}
+	}
+	violating := len(a.violating)
+	a.mu.Unlock()
+
+	if forgotten > 0 {
+		a.forgotten.Add(int64(forgotten))
+	}
+	a.sessionsExceeded.Set(float64(violating))
+	for _, r := range crossed {
+		if r.phi > a.bound(r.requiredPhi) {
+			a.exceeded.Inc()
+			a.tracer.QoSDrift(r.labels[0], r.phi, r.requiredPhi, obs.ReasonDriftExceeded)
+			a.attempt(r.id, a.migrations)
+		} else {
+			a.recovered.Inc()
+			a.tracer.QoSDrift(r.labels[0], r.phi, r.requiredPhi, obs.ReasonDriftRecovered)
+			a.clearRetry(r.id)
+		}
+	}
 }
 
 // Start begins ticking every Period on the cluster clock. Under a
@@ -191,20 +247,6 @@ func (a *AdaptController) Stop() {
 	}
 }
 
-// onDrift is the monitor callback: violations trigger an attempt,
-// recoveries clear any pending retry episode.
-func (a *AdaptController) onDrift(ev obs.DriftEvent) {
-	id, err := strconv.ParseInt(ev.Session, 10, 64)
-	if err != nil {
-		return // not a session gauge label
-	}
-	if ev.Exceeded {
-		a.attempt(SessionID(id), a.migrations)
-	} else {
-		a.clearRetry(SessionID(id))
-	}
-}
-
 // attempt re-composes the session once, crediting onSuccess, and on
 // ErrNoBetterComposition schedules a backed-off retry. Reports whether
 // the migration happened.
@@ -228,7 +270,10 @@ func (a *AdaptController) attempt(id SessionID, onSuccess *obs.Counter) bool {
 }
 
 // scheduleRetry arms the episode's next attempt with doubling backoff,
-// abandoning the episode past MaxRetries.
+// abandoning the episode past MaxRetries. An episode holds at most one
+// pending timer: a second failure before the retry fires (a forecast
+// attempt, in predictive mode) replaces it rather than starting a second
+// chain of attempts.
 func (a *AdaptController) scheduleRetry(id SessionID) {
 	a.mu.Lock()
 	if a.stopped {
@@ -239,6 +284,9 @@ func (a *AdaptController) scheduleRetry(id SessionID) {
 	if rs == nil {
 		rs = &retryState{}
 		a.retries[id] = rs
+	}
+	if rs.timer != nil {
+		rs.timer.Stop()
 	}
 	rs.attempts++
 	if rs.attempts > a.cfg.MaxRetries {
@@ -253,7 +301,7 @@ func (a *AdaptController) scheduleRetry(id SessionID) {
 }
 
 // retry re-checks the session before attempting again: if it recovered
-// on its own (or closed) the episode simply ends — the monitor reports
+// on its own (or closed) the episode simply ends — the drift pass reports
 // the recovery on its next tick.
 func (a *AdaptController) retry(id SessionID) {
 	a.mu.Lock()
@@ -269,15 +317,20 @@ func (a *AdaptController) retry(id SessionID) {
 	a.attempt(id, a.migrations)
 }
 
-// inViolation recomputes the session's current standing directly from
-// the ledger (not the gauges, which may be a tick stale).
+// inViolation recomputes the session's current standing from the
+// ledger (not its stored phi, which may be a tick stale).
 func (a *AdaptController) inViolation(id SessionID) bool {
-	for _, s := range a.c.AuditSessions() {
-		if s.ID == id {
-			return s.ObservedPhi > s.RequiredPhi*(1+a.cfg.Tolerance)
-		}
-	}
-	return false
+	c := a.c
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	s, ok := c.sessions[id]
+	return ok && c.observedPhi(s) > a.bound(s.requiredPhi)
+}
+
+// bound is the phi past which a session admitted under required is in
+// violation.
+func (a *AdaptController) bound(required float64) float64 {
+	return required * (1 + a.cfg.Tolerance)
 }
 
 func (a *AdaptController) clearRetry(id SessionID) {
@@ -293,7 +346,7 @@ func (a *AdaptController) clearRetry(id SessionID) {
 // forecastStep feeds each live session's observed phi to its Holt
 // forecaster and pre-emptively re-composes sessions whose projected phi
 // crosses the bound while their current phi is still compliant (actual
-// violations are the monitor's job, with retry semantics).
+// violations are the drift pass's job, with retry semantics).
 func (a *AdaptController) forecastStep() {
 	audits := a.c.AuditSessions()
 	live := make(map[SessionID]bool, len(audits))
@@ -302,13 +355,13 @@ func (a *AdaptController) forecastStep() {
 		a.mu.Lock()
 		h := a.forecasters[s.ID]
 		if h == nil {
-			h, _ = tuning.NewHolt(a.cfg.Holt) // cfg validated at Enable
+			h, _ = tuning.NewHolt(tuning.DefaultHoltConfig())
 			a.forecasters[s.ID] = h
 		}
 		a.mu.Unlock()
 		h.Observe(s.ObservedPhi)
-		bound := s.RequiredPhi * (1 + a.cfg.Tolerance)
-		if s.ObservedPhi <= bound && h.Forecast(a.cfg.ForecastSteps) > bound {
+		bound := a.bound(s.RequiredPhi)
+		if s.ObservedPhi <= bound && h.Forecast(forecastSteps) > bound {
 			if a.attempt(s.ID, a.preemptive) {
 				// Re-prime on the new composition: the old trend no
 				// longer describes this session.

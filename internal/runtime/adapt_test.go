@@ -2,6 +2,7 @@ package runtime
 
 import (
 	"errors"
+	"slices"
 	"testing"
 	"time"
 
@@ -16,20 +17,50 @@ import (
 // registry, the fixture for deterministic adaptation schedules.
 func adaptCluster(t *testing.T) (*Cluster, *obs.Registry, *clock.Virtual) {
 	t.Helper()
-	vc := clock.NewVirtual()
 	r := obs.NewRegistry()
+	c, vc := adaptClusterWith(t, r, nil)
+	return c, r, vc
+}
+
+// adaptClusterWith builds adaptCluster's cluster with the given registry
+// and tracer, either of which may be nil.
+func adaptClusterWith(t *testing.T, r *obs.Registry, tr *obs.Tracer) (*Cluster, *clock.Virtual) {
+	t.Helper()
+	vc := clock.NewVirtual()
 	cfg := DefaultConfig()
 	cfg.IPNodes = 256
 	cfg.OverlayNodes = 32
 	cfg.NumFunctions = 8
 	cfg.Clock = vc
 	cfg.Registry = r
+	cfg.Tracer = tr
 	c, err := NewCluster(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(c.Shutdown)
-	return c, r, vc
+	return c, vc
+}
+
+// findEasy composes one easy three-function path session on c.
+func findEasy(t *testing.T, c *Cluster) SessionID {
+	t.Helper()
+	qosReq, resReq, bw := easyArgs(3)
+	id, err := c.Find(component.NewPathGraph([]component.FunctionID{0, 1, 2}), qosReq, resReq, bw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return id
+}
+
+// setPhi sets the phi the drift pass reads for session id to scale times
+// its admission-time bound, and returns the value set.
+func setPhi(c *Cluster, id SessionID, scale float64) float64 {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	s := c.sessions[id]
+	s.phi = scale * s.requiredPhi
+	return s.phi
 }
 
 // congestNodes injects synthetic background load under a negative owner
@@ -121,7 +152,7 @@ func TestRecomposeIdleClusterFlips(t *testing.T) {
 
 // TestAdaptDriftRecoverDeterministic is the tentpole schedule: one
 // session drifts under synthetic congestion, the controller migrates it
-// make-before-break, and the monitor reports compliance — with exactly
+// make-before-break, and the drift pass reports compliance — with exactly
 // one exceeded event, one migration, and one recovery on the virtual
 // clock, invariants audited at every step.
 func TestAdaptDriftRecoverDeterministic(t *testing.T) {
@@ -322,10 +353,9 @@ func TestAdaptRetryClearsOnNaturalRecovery(t *testing.T) {
 func TestAdaptPredictiveMigratesBeforeViolation(t *testing.T) {
 	c, r, vc := adaptCluster(t)
 	ctrl, err := c.EnableAdaptation(AdaptConfig{
-		Period:        time.Second,
-		Tolerance:     1.0,
-		Predictive:    true,
-		ForecastSteps: 3,
+		Period:     time.Second,
+		Tolerance:  1.0,
+		Predictive: true,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -369,5 +399,328 @@ func TestAdaptPredictiveMigratesBeforeViolation(t *testing.T) {
 	}
 	if audit := c.AuditSessions()[0]; audit.Migrations != 1 {
 		t.Fatalf("session migrations = %d, want 1", audit.Migrations)
+	}
+}
+
+// TestDriftPassTolerance: phi over the admission-time bound but within
+// bound·(1+Tolerance) is no crossing; past it, one.
+func TestDriftPassTolerance(t *testing.T) {
+	c, r, _ := adaptCluster(t)
+	ctrl, err := c.EnableAdaptation(AdaptConfig{Tolerance: 0.5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ctrl.Stop()
+	id := findEasy(t, c)
+
+	setPhi(c, id, 1.4)
+	ctrl.driftPass()
+	if got := r.Snapshot().Counters["obs.drift.exceeded_total"]; got != 0 {
+		t.Fatalf("phi within the tolerance crossed: exceeded_total = %d", got)
+	}
+	setPhi(c, id, 1.6)
+	ctrl.driftPass()
+	if got := r.Snapshot().Counters["obs.drift.exceeded_total"]; got != 1 {
+		t.Fatalf("phi past the tolerance: exceeded_total = %d, want 1", got)
+	}
+}
+
+// TestDriftPassTransitions: a session crosses into violation once, is
+// not reported again while it stays there, and crosses back once, with
+// the counters and trace events agreeing on the two crossings.
+func TestDriftPassTransitions(t *testing.T) {
+	r, tr := obs.NewRegistry(), obs.NewLive()
+	c, _ := adaptClusterWith(t, r, tr)
+	ctrl, err := c.EnableAdaptation(AdaptConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ctrl.Stop()
+	id := findEasy(t, c)
+	sub := tr.Subscribe(1024)
+	defer sub.Close()
+	counts := func() (exceeded, recovered int64) {
+		s := r.Snapshot()
+		return s.Counters["obs.drift.exceeded_total"], s.Counters["obs.drift.recovered_total"]
+	}
+
+	setPhi(c, id, 0.8)
+	ctrl.driftPass()
+	if e, rc := counts(); e != 0 || rc != 0 {
+		t.Fatalf("healthy session crossed: exceeded=%d recovered=%d", e, rc)
+	}
+	setPhi(c, id, 1.5)
+	ctrl.driftPass()
+	if e, rc := counts(); e != 1 || rc != 0 {
+		t.Fatalf("after drifting: exceeded=%d recovered=%d, want 1 and 0", e, rc)
+	}
+	// The pass's attempt may have moved the session; drift it again so it
+	// is still in violation on the next pass.
+	setPhi(c, id, 1.5)
+	ctrl.driftPass()
+	if e, rc := counts(); e != 1 || rc != 0 {
+		t.Fatalf("still-violating session re-reported: exceeded=%d recovered=%d", e, rc)
+	}
+	setPhi(c, id, 0.9)
+	ctrl.driftPass()
+	if e, rc := counts(); e != 1 || rc != 1 {
+		t.Fatalf("after recovering: exceeded=%d recovered=%d, want 1 and 1", e, rc)
+	}
+	if g := r.Snapshot().Gauges["obs.drift.sessions_exceeded"]; g != 0 {
+		t.Fatalf("sessions_exceeded = %v, want 0", g)
+	}
+	drifts := 0
+	for _, ev := range sub.Drain() {
+		if ev.Type == obs.EventQoSDrift {
+			drifts++
+		}
+	}
+	if drifts != 2 {
+		t.Fatalf("%d qos.drift events, want 2", drifts)
+	}
+}
+
+// TestDriftPassForgetsClosedSessions: a session closed in violation
+// leaves the pass's state without a phantom recovery, and a session that
+// drifts after it is reported anew.
+func TestDriftPassForgetsClosedSessions(t *testing.T) {
+	c, r, _ := adaptCluster(t)
+	ctrl, err := c.EnableAdaptation(AdaptConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ctrl.Stop()
+	id := findEasy(t, c)
+	setPhi(c, id, 2)
+	ctrl.driftPass()
+	if got := r.Snapshot().Counters["obs.drift.exceeded_total"]; got != 1 {
+		t.Fatalf("exceeded_total = %d, want 1", got)
+	}
+
+	if err := c.Close(id); err != nil {
+		t.Fatal(err)
+	}
+	ctrl.driftPass()
+	s := r.Snapshot()
+	if got := s.Counters["obs.drift.recovered_total"]; got != 0 {
+		t.Fatalf("closed session recovered: recovered_total = %d", got)
+	}
+	if g := s.Gauges["obs.drift.sessions_exceeded"]; g != 0 {
+		t.Fatalf("sessions_exceeded = %v after close, want 0", g)
+	}
+	ctrl.mu.Lock()
+	left := len(ctrl.violating)
+	ctrl.mu.Unlock()
+	if left != 0 {
+		t.Fatalf("%d sessions still held as violating after close", left)
+	}
+
+	next := findEasy(t, c)
+	setPhi(c, next, 2)
+	ctrl.driftPass()
+	if got := r.Snapshot().Counters["obs.drift.exceeded_total"]; got != 2 {
+		t.Fatalf("a later drifting session missed: exceeded_total = %d, want 2", got)
+	}
+}
+
+// TestDriftPassReadsSessionTable: one pass decides every crossing from
+// the session table itself, not from the session gauge families, and
+// visits the sessions in the order of their decimal labels.
+func TestDriftPassReadsSessionTable(t *testing.T) {
+	r, tr := obs.NewRegistry(), obs.NewLive()
+	c, _ := adaptClusterWith(t, r, tr)
+	ctrl, err := c.EnableAdaptation(AdaptConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ctrl.Stop()
+	var ids []SessionID
+	for i := 0; i < 12; i++ {
+		ids = append(ids, findEasy(t, c))
+	}
+	var want []string
+	for i, id := range ids {
+		if i%2 == 1 { // every other session drifts
+			setPhi(c, id, 2)
+			want = append(want, sessionLabel(id))
+		}
+	}
+	slices.Sort(want) // label order: "10" and "12" come before "2"
+	sub := tr.Subscribe(4096)
+	defer sub.Close()
+
+	lastScrape := func() uint64 {
+		c.scrape.mu.Lock()
+		defer c.scrape.mu.Unlock()
+		return c.scrape.scrape
+	}
+	before := lastScrape()
+	ctrl.driftPass()
+	if after := lastScrape(); after != before {
+		t.Fatalf("the drift pass read the session gauge families (scrape %d, was %d)", after, before)
+	}
+	var got []string
+	for _, ev := range sub.Drain() {
+		if ev.Type == obs.EventQoSDrift && ev.Reason == obs.ReasonDriftExceeded {
+			got = append(got, ev.Session)
+		}
+	}
+	if !slices.Equal(got, want) {
+		t.Fatalf("exceeded sessions in order %v, want %v", got, want)
+	}
+	if n := r.Snapshot().Counters["obs.drift.exceeded_total"]; n != int64(len(want)) {
+		t.Fatalf("exceeded_total = %d, want %d", n, len(want))
+	}
+}
+
+// TestDriftPassForgottenAccounting pins the identity exceeded_total ==
+// recovered_total + forgotten_total + sessions_exceeded: a session closed
+// while in violation is counted as forgotten, one closed while healthy is
+// not counted at all.
+func TestDriftPassForgottenAccounting(t *testing.T) {
+	c, r, _ := adaptCluster(t)
+	ctrl, err := c.EnableAdaptation(AdaptConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ctrl.Stop()
+	// s1 drifts and is closed mid-violation; s2 drifts and recovers; s3
+	// is closed while healthy.
+	s1, s2, s3 := findEasy(t, c), findEasy(t, c), findEasy(t, c)
+	ctrl.driftPass()
+	setPhi(c, s1, 2)
+	setPhi(c, s2, 2)
+	ctrl.driftPass()
+	for _, id := range []SessionID{s1, s3} {
+		if err := c.Close(id); err != nil {
+			t.Fatal(err)
+		}
+	}
+	setPhi(c, s2, 0.5)
+	ctrl.driftPass()
+
+	s := r.Snapshot()
+	exceeded := s.Counters["obs.drift.exceeded_total"]
+	recovered := s.Counters["obs.drift.recovered_total"]
+	forgotten := s.Counters["obs.drift.forgotten_total"]
+	inViolation := int64(s.Gauges["obs.drift.sessions_exceeded"])
+	if exceeded != 2 || recovered != 1 || forgotten != 1 || inViolation != 0 {
+		t.Fatalf("exceeded=%d recovered=%d forgotten=%d in_violation=%d",
+			exceeded, recovered, forgotten, inViolation)
+	}
+	if exceeded != recovered+forgotten+inViolation {
+		t.Fatalf("accounting identity broken: %d != %d + %d + %d",
+			exceeded, recovered, forgotten, inViolation)
+	}
+}
+
+// TestDriftPassTraceEvents checks what a step publishes: one qos.drift
+// event per crossing, carrying the session label, its phi, its bound and
+// the reason, and one obs.drift.ticks count per Step.
+func TestDriftPassTraceEvents(t *testing.T) {
+	r, tr := obs.NewRegistry(), obs.NewLive()
+	c, _ := adaptClusterWith(t, r, tr)
+	ctrl, err := c.EnableAdaptation(AdaptConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ctrl.Stop()
+	id := findEasy(t, c)
+	sub := tr.Subscribe(1024)
+	defer sub.Close()
+	drifts := func() []obs.Event {
+		var out []obs.Event
+		for _, ev := range sub.Drain() {
+			if ev.Type == obs.EventQoSDrift {
+				out = append(out, ev)
+			}
+		}
+		return out
+	}
+
+	ctrl.Step()
+	ctrl.Step()
+	if got := r.Snapshot().Counters["obs.drift.ticks"]; got != 2 {
+		t.Fatalf("ticks = %d after two Steps, want 2", got)
+	}
+	if evs := drifts(); len(evs) != 0 {
+		t.Fatalf("healthy session drifted: %+v", evs)
+	}
+
+	phi := setPhi(c, id, 3)
+	ctrl.driftPass()
+	evs := drifts()
+	if len(evs) != 1 || evs[0].Reason != obs.ReasonDriftExceeded {
+		t.Fatalf("trace events = %+v, want one qos.drift exceeded", evs)
+	}
+	if evs[0].Session != sessionLabel(id) || evs[0].Observed != phi || evs[0].Required != phi/3 {
+		t.Fatalf("qos.drift payload = %+v, want session %s observed %v required %v", evs[0], sessionLabel(id), phi, phi/3)
+	}
+
+	setPhi(c, id, 0.5)
+	ctrl.driftPass()
+	if evs := drifts(); len(evs) != 1 || evs[0].Reason != obs.ReasonDriftRecovered {
+		t.Fatalf("trace events = %+v, want one qos.drift recovered", evs)
+	}
+}
+
+// TestAdaptWithoutRegistry: the controller needs no metrics registry; a
+// drifted session on a cluster without one still migrates.
+func TestAdaptWithoutRegistry(t *testing.T) {
+	c, vc := adaptClusterWith(t, nil, nil)
+	ctrl, err := c.EnableAdaptation(AdaptConfig{Period: time.Second, Tolerance: 0.5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ctrl.Stop()
+	id := findEasy(t, c)
+	congestNodes(t, c, -1, sessionNodes(t, c, id), qos.Resources{CPU: 1, Memory: 10})
+
+	ctrl.Start()
+	vc.Advance(time.Second)
+	if audit := c.AuditSessions()[0]; audit.Migrations != 1 {
+		t.Fatalf("session migrations = %d, want 1", audit.Migrations)
+	}
+	if err := c.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestAdaptRetryHoldsOneTimer: an episode that fails twice before its
+// retry fires holds one pending retry, not two, and abandoning an episode
+// stops its pending retry. Every node is congested, so every attempt
+// fails.
+func TestAdaptRetryHoldsOneTimer(t *testing.T) {
+	c, r, vc := adaptCluster(t)
+	ctrl, err := c.EnableAdaptation(AdaptConfig{Tolerance: 0.5, MaxRetries: 3, RetryBackoff: 2 * time.Second})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ctrl.Stop()
+	id := findEasy(t, c)
+	all := make([]int, c.NumNodes())
+	for i := range all {
+		all[i] = i
+	}
+	congestNodes(t, c, -1, all, qos.Resources{CPU: 1, Memory: 10})
+	failures := func() int64 { return r.Snapshot().Counters["adapt.recompose_failures"] }
+
+	// Two failures in one episode: the retry armed at +2 s gives way to
+	// the one at +4 s, so advancing 4 s runs one attempt.
+	ctrl.attempt(id, ctrl.migrations)
+	ctrl.attempt(id, ctrl.migrations)
+	vc.Advance(4 * time.Second)
+	if got := failures(); got != 3 {
+		t.Fatalf("failures = %d after the backoff, want 3: the first retry's timer outlived the second failure", got)
+	}
+	// The fourth failure, with the third's retry pending at +8 s, is past
+	// MaxRetries: the episode ends and its retry never runs.
+	ctrl.attempt(id, ctrl.migrations)
+	if got := r.Snapshot().Counters["adapt.abandoned"]; got != 1 {
+		t.Fatalf("abandoned = %d, want 1", got)
+	}
+	vc.Advance(time.Minute)
+	if got := failures(); got != 4 {
+		t.Fatalf("failures = %d after abandonment, want 4: the abandoned episode's retry ran", got)
 	}
 }

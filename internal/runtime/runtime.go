@@ -143,6 +143,9 @@ type session struct {
 	phi float64
 	// migrations counts make-before-break flips this session survived.
 	migrations int64
+	// recomposing is set while a Recompose of this session walks: the
+	// ledger takes one migration of a session at a time.
+	recomposing bool
 	// The data plane, built by Process.
 	running  bool
 	input    chan DataUnit
@@ -178,11 +181,8 @@ type Cluster struct {
 
 	// The per-session gauge families (registerSessionFamilies) are read
 	// from the session table when the registry is read; admission and
-	// teardown never touch them. sessionPhi and sessionPhiReq are the two
-	// the adaptation drift monitor compares.
-	sessionPhi    *obs.GaugeVec
-	sessionPhiReq *obs.GaugeVec
-	scrape        sessionScrape
+	// teardown never touch them.
+	scrape sessionScrape
 
 	// Multi-tenant instruments: tenantSessions gauges each tenant's live
 	// session count; quotaRejections counts typed quota admission
@@ -576,7 +576,8 @@ func tenantLabel(tenant string) string {
 // holds). The flip is rejected, leaving the session untouched, when no
 // composition meets the admission-time phi bound (within the adaptation
 // tolerance): that is ErrNoBetterComposition, the caller's cue to back
-// off and retry.
+// off and retry. So is a Recompose of a session another Recompose is
+// still walking for.
 //
 // Recompose runs FindApp's three phases: mu is held to prepare the
 // request and to record the flip, not while the walk probes and the
@@ -592,6 +593,12 @@ func (c *Cluster) Recompose(id SessionID) error {
 	if !ok {
 		c.mu.Unlock()
 		return ErrUnknownSession
+	}
+	if s.recomposing {
+		// The adaptation controller and a caller can both re-compose one
+		// session; the one that comes second backs off.
+		c.mu.Unlock()
+		return fmt.Errorf("%w: session %d is being re-composed", ErrNoBetterComposition, id)
 	}
 	composer, err := c.takeComposerLocked()
 	if err != nil {
@@ -612,6 +619,7 @@ func (c *Cluster) Recompose(id SessionID) error {
 		Weight:       prev.Weight,
 	}
 	bound := s.requiredPhi * (1 + c.adaptTol)
+	s.recomposing = true
 	c.mu.Unlock()
 
 	start := c.now()
@@ -621,6 +629,7 @@ func (c *Cluster) Recompose(id SessionID) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.putComposerLocked(composer)
+	s.recomposing = false
 	if c.sessions[id] != s {
 		// Closed while the walk ran (session IDs are never reused). A Close
 		// before the flip dropped the migration window, so the flip was
@@ -637,10 +646,10 @@ func (c *Cluster) Recompose(id SessionID) error {
 	c.migrationLatency.Observe(float64(elapsed) / float64(time.Millisecond))
 	c.migrationsC.Inc()
 
-	// Flip the session onto the new composition. Its gauge series keep
-	// their label, so the drift monitor sees an in-place update — one
-	// recovery transition, not a forget/re-register storm. The required
-	// phi is untouched: migrating does not renegotiate the contract.
+	// Flip the session onto the new composition. It keeps its ID, so the
+	// drift pass sees an in-place update — one recovery transition, not a
+	// forget/re-admit storm. The required phi is untouched: migrating
+	// does not renegotiate the contract.
 	s.request = req
 	s.comp = outcome.Best
 	s.phi = outcome.Best.Phi
@@ -676,7 +685,7 @@ func migrate(composer *core.Composer, req *component.Request, prev int64, bound 
 // "session.phi" gauge vector reads. At commit time the gauge carries
 // decision-time phi; as other sessions commit and release around it,
 // the same composition's congestion drifts — this is the observation
-// the drift monitor compares against the Eq. 3 requirement gauges.
+// the adaptation controller's drift pass compares against the bound.
 func (c *Cluster) refreshSessionGauges() {
 	c.mu.Lock()
 	defer c.mu.Unlock()

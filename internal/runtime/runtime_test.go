@@ -510,7 +510,7 @@ func TestSessionGaugesLifecycle(t *testing.T) {
 	// A refresh recomputes phi against the live ledger; with this
 	// session still the only load the value stays finite and positive.
 	c.refreshSessionGauges()
-	if g := c.sessionPhi.Get(sess); g == nil || g.Value() <= 0 {
+	if g := reg.GaugeVec("session.phi", "session").Get(sess); g == nil || g.Value() <= 0 {
 		t.Fatalf("refreshed phi gauge = %v", g)
 	}
 

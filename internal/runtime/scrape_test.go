@@ -146,11 +146,12 @@ func TestSessionSeriesGolden(t *testing.T) {
 // lock held, and the source takes the scrape lock, then Cluster.mu. So a
 // Cluster.mu holder may use the registry — here it registers a gauge
 // vector, which waits for the vector table's write lock — while scrapes,
-// the Prometheus export and a drift monitor's ticks race callers that
-// find, recompose and close. A source called under the table's read lock
-// deadlocks the scrape (waiting for mu) against the registration (waiting
-// for the read lock to go); the watchdog fails the test instead of
-// hanging the binary.
+// the Prometheus export and adaptation steps race callers that find,
+// recompose and close. A step's drift pass takes Cluster.mu itself, with
+// no registry or scrape lock held. A source called under the table's
+// read lock deadlocks the scrape (waiting for mu) against the
+// registration (waiting for the read lock to go); the watchdog fails the
+// test instead of hanging the binary.
 func TestSessionScrapeLockOrder(t *testing.T) {
 	reg := obs.NewRegistry()
 	cfg := DefaultConfig()
@@ -164,13 +165,20 @@ func TestSessionScrapeLockOrder(t *testing.T) {
 		t.Fatal(err)
 	}
 	// No t.Cleanup(c.Shutdown): after a deadlock it would wait on mu.
-	monitor := obs.NewDriftMonitor(obs.DriftConfig{
-		Observed: reg.GaugeVec("session.phi", "session"),
-		Required: reg.GaugeVec("session.phi.required", "session"),
-		Registry: reg,
-	})
+	ctrl, err := c.EnableAdaptation(AdaptConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	const callers, cycles = 3, 60
+	// lateNames bounds the vectors the registering reader adds; past it
+	// the reader re-registers names it made, under the read lock only.
+	// Every scrape walks every vector, so an unbounded table made a run's
+	// length grow with how fast that reader spun: up to 38 000 vectors and
+	// 7 s of the 10 s watchdog under -race on two vCPUs. A source called
+	// under the table's read lock deadlocked within the first 1 600
+	// registrations in each of 20 runs.
+	const lateNames = 10000
 	var callersDone sync.WaitGroup
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
@@ -201,10 +209,10 @@ func TestSessionScrapeLockOrder(t *testing.T) {
 	readers := []func(i int){
 		func(int) { reg.Snapshot() },
 		func(int) { _ = obs.WritePrometheus(io.Discard, reg.Snapshot()) },
-		func(int) { monitor.Tick() },
+		func(int) { ctrl.Step() },
 		func(i int) {
 			c.mu.Lock()
-			reg.GaugeVec("late."+strconv.Itoa(i), "k")
+			reg.GaugeVec("late."+strconv.Itoa(i%lateNames), "k")
 			c.mu.Unlock()
 		},
 	}
@@ -232,8 +240,9 @@ func TestSessionScrapeLockOrder(t *testing.T) {
 	select {
 	case <-done:
 	case <-time.After(10 * time.Second):
-		t.Fatal("scrapes, drift ticks, registrations and callers did not finish in 10 s: a lock-order inversion deadlocked them")
+		t.Fatal("scrapes, adaptation steps, registrations and callers did not finish in 10 s: a lock-order inversion deadlocked them")
 	}
+	ctrl.Stop()
 	c.Shutdown()
 	if got := reg.Snapshot().Counters["obs.registry.label_errors"]; got != 0 {
 		t.Fatalf("label_errors = %d: something wrote a session family", got)

@@ -5,8 +5,6 @@ import (
 	"strconv"
 	"strings"
 	"sync"
-
-	"repro/internal/obs"
 )
 
 // The per-session gauge families are not written on admission and
@@ -14,7 +12,7 @@ import (
 // is read (DESIGN.md §12). A session's series appear with it and vanish
 // when Close takes it out of the table.
 
-// sessionRow is one live session as a scrape reads it.
+// sessionRow is one live session as a scrape or a drift pass reads it.
 type sessionRow struct {
 	id SessionID
 	// labels holds the session label and the tenant ("" when anonymous).
@@ -35,26 +33,26 @@ type sessionScrape struct {
 // registerSessionFamilies registers the per-session families (the same
 // names the dist engine stores): each live session's phi, its observed
 // Eq. 3 standing (QoS MaxRatio), the constant requirement 1, the
-// admission-time phi bound the drift monitor compares against, and, for
-// sessions of a named tenant, the tenant valued at the phi weight.
+// admission-time phi bound, and, for sessions of a named tenant, the
+// tenant valued at the phi weight.
 func (c *Cluster) registerSessionFamilies() {
-	c.sessionPhi = c.sessionFamily("session.phi", func(r *sessionRow) float64 { return r.phi }, "session")
+	c.sessionFamily("session.phi", func(r *sessionRow) float64 { return r.phi }, "session")
 	c.sessionFamily("session.qos.observed", func(r *sessionRow) float64 { return r.qos }, "session")
 	c.sessionFamily("session.qos.required", func(*sessionRow) float64 { return 1 }, "session")
-	c.sessionPhiReq = c.sessionFamily("session.phi.required", func(r *sessionRow) float64 { return r.requiredPhi }, "session")
+	c.sessionFamily("session.phi.required", func(r *sessionRow) float64 { return r.requiredPhi }, "session")
 	c.sessionFamily("session.tenant", func(r *sessionRow) float64 { return r.weight }, "session", "tenant")
 }
 
 // sessionFamily registers one family over the session table; value gives
 // a session's value.
-func (c *Cluster) sessionFamily(name string, value func(r *sessionRow) float64, labels ...string) *obs.GaugeVec {
+func (c *Cluster) sessionFamily(name string, value func(r *sessionRow) float64, labels ...string) {
 	arity := len(labels)
-	return c.cfg.Registry.GaugeVecFunc(name, func(scrape uint64, emit func([]string, float64)) {
+	c.cfg.Registry.GaugeVecFunc(name, func(scrape uint64, emit func([]string, float64)) {
 		sc := &c.scrape
 		sc.mu.Lock()
 		defer sc.mu.Unlock()
 		if sc.scrape != scrape {
-			c.readSessions(scrape)
+			sc.rows, sc.scrape = c.sessionRows(sc.rows[:0]), scrape
 		}
 		for i := range sc.rows {
 			// An anonymous session has no tenant label, so no tenant series.
@@ -65,11 +63,12 @@ func (c *Cluster) sessionFamily(name string, value func(r *sessionRow) float64, 
 	}, labels...)
 }
 
-// readSessions refills the scrape's rows for scrape: one pass under mu
-// copies every session's values, then the labels are formatted and
-// sorted with mu released. Caller holds c.scrape.mu.
-func (c *Cluster) readSessions(scrape uint64) {
-	rows := c.scrape.rows[:0]
+// sessionRows appends a row for every live session to rows and sorts
+// them by session label: one pass under mu copies every session's
+// values, then the labels are formatted and sorted with mu released.
+// The scrape and the adaptation controller's drift pass both read the
+// session table through it.
+func (c *Cluster) sessionRows(rows []sessionRow) []sessionRow {
 	c.mu.Lock()
 	for id, s := range c.sessions {
 		rows = append(rows, sessionRow{
@@ -86,7 +85,7 @@ func (c *Cluster) readSessions(scrape uint64) {
 		rows[i].labels[0] = sessionLabel(rows[i].id)
 	}
 	slices.SortFunc(rows, func(a, b sessionRow) int { return strings.Compare(a.labels[0], b.labels[0]) })
-	c.scrape.rows, c.scrape.scrape = rows, scrape
+	return rows
 }
 
 // sessionLabel renders a session ID as its gauge-vector label value.
