@@ -219,6 +219,16 @@ func BenchmarkEmitNoSubscribers(b *testing.B) {
 	}
 }
 
+// BenchmarkEmitNilTracer is the cost core.Env documents for a walk with no
+// tracer: an emitting method on a nil *Tracer, which builds no Event.
+func BenchmarkEmitNilTracer(b *testing.B) {
+	var tr *Tracer
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		tr.CandidatePruned(int64(i), 0, 0, 1, 2, ReasonQoS)
+	}
+}
+
 func BenchmarkEmitOneSubscriber(b *testing.B) {
 	tr := NewLive()
 	sub := tr.Subscribe(1024)

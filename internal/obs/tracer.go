@@ -79,12 +79,6 @@ const (
 	// EventComposeRetried marks the deputy-side retry of a compose
 	// attempt that failed under transient loss.
 	EventComposeRetried EventType = "request.retried"
-	// EventAuditViolation marks an invariant violated during a
-	// deterministic simulation run (resource conservation, commit-ledger
-	// consistency, tombstone idempotency). Emitted by the harness
-	// auditor at the step where the invariant first broke, so a recorded
-	// trace pinpoints the violating schedule position.
-	EventAuditViolation EventType = "audit.violation"
 	// EventQoSDrift marks the adaptation controller seeing a session's
 	// observed phi cross its admission-time bound (reason drift-exceeded)
 	// or come back under it (drift-recovered). Session, Observed, and
@@ -193,8 +187,8 @@ type Event struct {
 	// Count is a small event-specific tally: holds expired on
 	// hold.swept, the attempt number on request.retried.
 	Count int `json:"count,omitempty"`
-	// Detail carries free-form context on audit.violation events: which
-	// invariant broke and the offending values.
+	// Detail carries free-form context: the superseded request on
+	// session.migrated events.
 	Detail string `json:"detail,omitempty"`
 	// Session names the committed session a qos.drift event is about.
 	Session string `json:"session,omitempty"`
@@ -269,7 +263,7 @@ func New(sink Sink) *Tracer {
 
 // NewLive returns a tracer with no base sink, for consumers that attach
 // through Subscribe (the /trace endpoint, a test's event feed). Until the first subscriber arrives the tracer reports
-// disabled and emission costs two atomic loads.
+// disabled and emission costs one atomic load.
 func NewLive() *Tracer {
 	return &Tracer{start: time.Now()} //acp:nondeterminism-ok wall-clock base is the documented default; deterministic harnesses substitute virtual time via SetClock
 }
@@ -310,15 +304,9 @@ func (t *Tracer) Enabled() bool {
 	return list != nil && len(*list) > 0
 }
 
+// emit stamps e and hands it to the sink and every live subscription.
+// Callers check Enabled first, so a disabled tracer builds no Event.
 func (t *Tracer) emit(e Event) {
-	if t == nil {
-		return
-	}
-	list := t.subs.Load()
-	fanout := list != nil && len(*list) > 0
-	if t.sink == nil && !fanout {
-		return
-	}
 	if t.now != nil {
 		e.AtMicros = t.now().Microseconds()
 	} else {
@@ -327,7 +315,7 @@ func (t *Tracer) emit(e Event) {
 	if t.sink != nil {
 		t.sink.Emit(e)
 	}
-	if fanout {
+	if list := t.subs.Load(); list != nil {
 		for _, s := range *list {
 			s.push(e)
 		}
@@ -338,7 +326,9 @@ func (t *Tracer) emit(e Event) {
 // its observed phi crossed (drift-exceeded) or re-satisfied
 // (drift-recovered) its admission-time bound.
 func (t *Tracer) QoSDrift(session string, observed, required float64, reason Reason) {
-	t.emit(Event{Type: EventQoSDrift, Pos: -1, Node: -1, Session: session, Observed: observed, Required: required, Reason: reason})
+	if t.Enabled() {
+		t.emit(Event{Type: EventQoSDrift, Pos: -1, Node: -1, Session: session, Observed: observed, Required: required, Reason: reason})
+	}
 }
 
 // NextProbeID allocates a tracer-unique probe span ID; 0 (the "no span"
@@ -352,30 +342,40 @@ func (t *Tracer) NextProbeID() int64 {
 
 // RequestReceived records the deputy accepting a request.
 func (t *Tracer) RequestReceived(req int64, node int) {
-	t.emit(Event{Type: EventRequestReceived, Req: req, Pos: -1, Node: node})
+	if t.Enabled() {
+		t.emit(Event{Type: EventRequestReceived, Req: req, Pos: -1, Node: node})
+	}
 }
 
 // ProbeSpawned opens a probe span: one probe message sent toward the
 // candidate for graph position pos hosted at node.
 func (t *Tracer) ProbeSpawned(req, probe int64, pos, node int, latencyMs float64) {
-	t.emit(Event{Type: EventProbeSpawned, Req: req, Probe: probe, Pos: pos, Node: node, LatencyMs: latencyMs})
+	if t.Enabled() {
+		t.emit(Event{Type: EventProbeSpawned, Req: req, Probe: probe, Pos: pos, Node: node, LatencyMs: latencyMs})
+	}
 }
 
 // ProbeForwarded closes a probe span that passed its per-hop checks and
 // fanned out children child probes for the next position.
 func (t *Tracer) ProbeForwarded(req, probe int64, pos, node, children int) {
-	t.emit(Event{Type: EventProbeForwarded, Req: req, Probe: probe, Pos: pos, Node: node, Children: children})
+	if t.Enabled() {
+		t.emit(Event{Type: EventProbeForwarded, Req: req, Probe: probe, Pos: pos, Node: node, Children: children})
+	}
 }
 
 // ProbeReturned closes the span of a probe whose complete composition
 // reached the deputy, with its full round-trip travel time.
 func (t *Tracer) ProbeReturned(req, probe int64, node int, latencyMs float64) {
-	t.emit(Event{Type: EventProbeReturned, Req: req, Probe: probe, Pos: -1, Node: node, LatencyMs: latencyMs})
+	if t.Enabled() {
+		t.emit(Event{Type: EventProbeReturned, Req: req, Probe: probe, Pos: -1, Node: node, LatencyMs: latencyMs})
+	}
 }
 
 // ProbeDropped closes the span of a probe lost in transit.
 func (t *Tracer) ProbeDropped(req, probe int64, pos, node int, reason Reason) {
-	t.emit(Event{Type: EventProbeDropped, Req: req, Probe: probe, Pos: pos, Node: node, Reason: reason})
+	if t.Enabled() {
+		t.emit(Event{Type: EventProbeDropped, Req: req, Probe: probe, Pos: pos, Node: node, Reason: reason})
+	}
 }
 
 // CandidatePruned records a rejected candidate. probe is 0 when the
@@ -385,91 +385,114 @@ func (t *Tracer) ProbeDropped(req, probe int64, pos, node int, reason Reason) {
 // parent for pre-send cuts — so summaries can tell a root-level cut from
 // one deep in the walk; 0 when the hop has no live span.
 func (t *Tracer) CandidatePruned(req, probe, parent int64, pos, node int, reason Reason) {
-	t.emit(Event{Type: EventCandidatePruned, Req: req, Probe: probe, Parent: parent, Pos: pos, Node: node, Reason: reason})
+	if t.Enabled() {
+		t.emit(Event{Type: EventCandidatePruned, Req: req, Probe: probe, Parent: parent, Pos: pos, Node: node, Reason: reason})
+	}
 }
 
 // HoldAcquired records a transient node allocation placed for (req, pos).
 func (t *Tracer) HoldAcquired(req, probe int64, pos, node int) {
-	t.emit(Event{Type: EventHoldAcquired, Req: req, Probe: probe, Pos: pos, Node: node})
+	if t.Enabled() {
+		t.emit(Event{Type: EventHoldAcquired, Req: req, Probe: probe, Pos: pos, Node: node})
+	}
 }
 
 // HoldReleased records the request's transient allocations released at
 // node, or everywhere when node is -1.
 func (t *Tracer) HoldReleased(req int64, node int) {
-	t.emit(Event{Type: EventHoldReleased, Req: req, Pos: -1, Node: node})
+	if t.Enabled() {
+		t.emit(Event{Type: EventHoldReleased, Req: req, Pos: -1, Node: node})
+	}
 }
 
 // Decided records the deputy's decision for the request: reason
 // ReasonNoComposition on failure, empty on success.
 func (t *Tracer) Decided(req int64, node int, reason Reason) {
-	t.emit(Event{Type: EventDecided, Req: req, Pos: -1, Node: node, Reason: reason})
+	if t.Enabled() {
+		t.emit(Event{Type: EventDecided, Req: req, Pos: -1, Node: node, Reason: reason})
+	}
 }
 
 // Committed records the composition's confirmation completing.
 func (t *Tracer) Committed(req int64, node int) {
-	t.emit(Event{Type: EventCommitted, Req: req, Pos: -1, Node: node})
+	if t.Enabled() {
+		t.emit(Event{Type: EventCommitted, Req: req, Pos: -1, Node: node})
+	}
 }
 
 // RolledBack records the commit phase (or a held outcome) undone.
 func (t *Tracer) RolledBack(req int64, node int, reason Reason) {
-	t.emit(Event{Type: EventRolledBack, Req: req, Pos: -1, Node: node, Reason: reason})
+	if t.Enabled() {
+		t.emit(Event{Type: EventRolledBack, Req: req, Pos: -1, Node: node, Reason: reason})
+	}
 }
 
 // SessionMigrated records a make-before-break re-composition flip from
 // the session owned by oldReq to the composition probed under newReq.
 func (t *Tracer) SessionMigrated(oldReq, newReq int64, node int) {
-	t.emit(Event{Type: EventSessionMigrated, Req: newReq, Pos: -1, Node: node, Detail: fmt.Sprintf("from-request=%d", oldReq)})
+	if t.Enabled() {
+		t.emit(Event{Type: EventSessionMigrated, Req: newReq, Pos: -1, Node: node, Detail: fmt.Sprintf("from-request=%d", oldReq)})
+	}
 }
 
 // SessionReleased records a committed session torn down.
 func (t *Tracer) SessionReleased(req int64) {
-	t.emit(Event{Type: EventSessionReleased, Req: req, Pos: -1, Node: -1})
+	if t.Enabled() {
+		t.emit(Event{Type: EventSessionReleased, Req: req, Pos: -1, Node: -1})
+	}
 }
 
 // MsgDropped records a non-probe protocol message lost in transit to
 // node (fault injection or outage). Lost probes are recorded with
 // ProbeDropped instead so their span closes.
 func (t *Tracer) MsgDropped(req int64, node int, reason Reason) {
-	t.emit(Event{Type: EventMsgDropped, Req: req, Pos: -1, Node: node, Reason: reason})
+	if t.Enabled() {
+		t.emit(Event{Type: EventMsgDropped, Req: req, Pos: -1, Node: node, Reason: reason})
+	}
 }
 
 // MsgDelayed records an injected delivery delay toward node.
 func (t *Tracer) MsgDelayed(req int64, node int, delayMs float64) {
-	t.emit(Event{Type: EventMsgDelayed, Req: req, Pos: -1, Node: node, Reason: ReasonFaultInjected, LatencyMs: delayMs})
+	if t.Enabled() {
+		t.emit(Event{Type: EventMsgDelayed, Req: req, Pos: -1, Node: node, Reason: ReasonFaultInjected, LatencyMs: delayMs})
+	}
 }
 
 // MsgDuplicated records an injected duplicate delivery toward node.
 func (t *Tracer) MsgDuplicated(req int64, node int) {
-	t.emit(Event{Type: EventMsgDuplicated, Req: req, Pos: -1, Node: node, Reason: ReasonFaultInjected})
+	if t.Enabled() {
+		t.emit(Event{Type: EventMsgDuplicated, Req: req, Pos: -1, Node: node, Reason: ReasonFaultInjected})
+	}
 }
 
 // NodeCrashed marks node entering an outage, losing its volatile state.
 func (t *Tracer) NodeCrashed(node int) {
-	t.emit(Event{Type: EventNodeCrashed, Pos: -1, Node: node, Reason: ReasonNodeCrash})
+	if t.Enabled() {
+		t.emit(Event{Type: EventNodeCrashed, Pos: -1, Node: node, Reason: ReasonNodeCrash})
+	}
 }
 
 // NodeRestarted marks node coming back from an outage.
 func (t *Tracer) NodeRestarted(node int) {
-	t.emit(Event{Type: EventNodeRestarted, Pos: -1, Node: node})
+	if t.Enabled() {
+		t.emit(Event{Type: EventNodeRestarted, Pos: -1, Node: node})
+	}
 }
 
 // HoldSwept records the periodic sweep at node expiring count orphaned
 // transient allocations past their TTL.
 func (t *Tracer) HoldSwept(node, count int) {
-	t.emit(Event{Type: EventHoldSwept, Pos: -1, Node: node, Count: count})
+	if t.Enabled() {
+		t.emit(Event{Type: EventHoldSwept, Pos: -1, Node: node, Count: count})
+	}
 }
 
 // ComposeRetried records the deputy retrying a failed compose attempt;
 // attempt is 1-based and req is the ID of the attempt that failed.
 func (t *Tracer) ComposeRetried(req int64, node, attempt int) {
-	t.emit(Event{Type: EventComposeRetried, Req: req, Pos: -1, Node: node, Count: attempt})
-}
-
-// AuditViolation records an invariant broken at node (or -1 for a
-// cluster-wide invariant), with free-form detail naming the invariant
-// and the offending values. Emitted by the simulation harness auditor.
-func (t *Tracer) AuditViolation(node int, detail string) {
-	t.emit(Event{Type: EventAuditViolation, Pos: -1, Node: node, Detail: detail})
+	if t.Enabled() {
+		t.emit(Event{Type: EventComposeRetried, Req: req, Pos: -1, Node: node, Count: attempt})
+	}
 }
 
 // MemorySink collects events in memory for tests and in-process

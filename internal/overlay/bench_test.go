@@ -1,6 +1,7 @@
 package overlay
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -39,22 +40,27 @@ func BenchmarkRouteBetween(b *testing.B) {
 	}
 }
 
-// BenchmarkBuild measures full mesh construction at the repository
-// benchmark's shape: N=256 overlay nodes on the paper's 3200-node IP graph.
+// BenchmarkBuild measures full mesh construction on the paper's 3200-node
+// IP graph, at the overlay sizes of the repository benchmark's workloads
+// (N = 64 dist_stepped, 128 walk_loaded, 256 the two wire workloads) and
+// at Figure 7's largest system (N = 600).
 func BenchmarkBuild(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	g, err := topology.Generate(topology.DefaultConfig(), rng)
 	if err != nil {
 		b.Fatal(err)
 	}
-	cfg := DefaultConfig()
-	cfg.Nodes = 256
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := Build(g, cfg, rand.New(rand.NewSource(2))); err != nil {
-			b.Fatal(err)
-		}
+	for _, n := range []int{64, 128, 256, 600} {
+		b.Run(fmt.Sprintf("N=%d", n), func(b *testing.B) {
+			cfg := DefaultConfig()
+			cfg.Nodes = n
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := Build(g, cfg, rand.New(rand.NewSource(2))); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

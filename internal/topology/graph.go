@@ -13,7 +13,9 @@ package topology
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"math/rand"
+	"slices"
 	"sort"
 )
 
@@ -32,6 +34,9 @@ type Edge struct {
 // mirrored directed edges with identical delay and bandwidth.
 type Graph struct {
 	adj [][]Edge
+	// minDelay and maxDelay are the least and greatest link delay, which
+	// size Route's buckets; both 0 while the graph has no link.
+	minDelay, maxDelay float64
 }
 
 // NumNodes returns the number of nodes in the graph.
@@ -53,8 +58,16 @@ func (g *Graph) Neighbors(v int) []Edge { return g.adj[v] }
 // Degree returns the number of links incident to v.
 func (g *Graph) Degree(v int) int { return len(g.adj[v]) }
 
-// addLink inserts an undirected link between a and b.
+// addLink inserts an undirected link between a and b. It panics on a
+// delay that is not finite and positive: Route's buckets rest on it.
 func (g *Graph) addLink(a, b int, delay, bandwidth float64) {
+	if !(delay > 0) || math.IsInf(delay, 1) {
+		panic(fmt.Sprintf("topology: link %d-%d has delay %v, want finite and > 0", a, b, delay))
+	}
+	if g.minDelay == 0 || delay < g.minDelay {
+		g.minDelay = delay
+	}
+	g.maxDelay = math.Max(g.maxDelay, delay)
 	g.adj[a] = append(g.adj[a], Edge{To: b, Delay: delay, Bandwidth: bandwidth})
 	g.adj[b] = append(g.adj[b], Edge{To: a, Delay: delay, Bandwidth: bandwidth})
 }
@@ -155,9 +168,9 @@ func contains(s []int, v int) bool {
 	return false
 }
 
-// MinHeap is the Dijkstra priority queue of both shortest-path runs, over
-// the IP graph and over the overlay: a binary min-heap of (node, dist)
-// entries. Push and Pop make exactly container/heap's sift steps, so
+// MinHeap is the Dijkstra priority queue of the overlay's routing (the IP
+// graph's runs settle from Route's buckets): a binary min-heap of (node,
+// dist) entries. Push and Pop make exactly container/heap's sift steps, so
 // entries with equal dist pop in the order they would through it. The
 // zero value is an empty heap.
 type MinHeap struct{ items []heapItem }
@@ -216,8 +229,32 @@ type PathTree struct {
 	parent []int
 	// edge[v] indexes, in parent[v]'s adjacency, the edge that set parent[v].
 	edge    []int32
-	pending []bool // targets not yet popped; all false between runs
-	queue   MinHeap
+	pending []bool // targets not yet settled; all false between runs
+	// Route's ring of buckets, each a list of queued nodes; -1 ends one.
+	head, next, prev []int32
+}
+
+// link queues v at the front of bucket s.
+func (t *PathTree) link(v int32, s int) {
+	h := t.head[s]
+	t.next[v], t.prev[v] = h, -1
+	if h >= 0 {
+		t.prev[h] = v
+	}
+	t.head[s] = v
+}
+
+// unlink takes v out of bucket s.
+func (t *PathTree) unlink(v int32, s int) {
+	p, n := t.prev[v], t.next[v]
+	if p >= 0 {
+		t.next[p] = n
+	} else {
+		t.head[s] = n
+	}
+	if n >= 0 {
+		t.prev[n] = p
+	}
 }
 
 // ShortestPaths runs Route from src to exhaustion into a new tree.
@@ -229,16 +266,19 @@ func (g *Graph) ShortestPaths(src int) *PathTree {
 
 // Route runs Dijkstra from src into t with link delay as the metric, the
 // paper's "delay-based shortest path routing algorithm", reusing t's
-// storage. It returns once every node of targets has been popped; nil
-// targets run to exhaustion. A popped node's distance and parent are
-// final, because delays are non-negative and relaxation is strict, and its
-// ancestors were popped before it, so a target's whole path is final too.
-// After an early return, other nodes may hold tentative values.
+// storage. It returns once every node of targets has been settled; nil
+// targets run to exhaustion. After an early return, other nodes may hold
+// tentative values. Nodes settle from a bucket queue (DESIGN.md §2): a
+// queued node at dist d sits in bucket ⌊d/w⌋, w the greatest power of two
+// at most the least delay, so a relaxation lands past the settling bucket
+// and that bucket's nodes are final in any order. The ring spans
+// ⌊max/w⌋ + 2 buckets and one more for a sum rounded up onto a multiple of w.
 func (g *Graph) Route(t *PathTree, src int, targets []int) {
 	n := g.NumNodes()
 	if cap(t.dist) < n {
 		t.dist, t.parent = make([]float64, n), make([]int, n)
 		t.edge, t.pending = make([]int32, n), make([]bool, n)
+		t.next, t.prev = make([]int32, n), make([]int32, n)
 	}
 	t.src = src
 	t.dist, t.parent, t.edge, t.pending = t.dist[:n], t.parent[:n], t.edge[:n], t.pending[:n]
@@ -255,26 +295,40 @@ func (g *Graph) Route(t *PathTree, src int, targets []int) {
 	}
 	t.dist[src] = 0
 
-	h := &t.queue
-	h.items = h.items[:0] // an early return leaves entries behind
-	h.Push(src, 0)
-	for h.Len() > 0 {
-		u, du := h.Pop()
-		if du > t.dist[u] {
-			continue // stale entry
-		}
-		if t.pending[u] {
-			t.pending[u] = false
-			if left--; left == 0 {
-				return
+	_, exp := math.Frexp(g.minDelay)              // w = 2^(exp-1) <= minDelay < 2^exp
+	inv := math.Ldexp(1, 1-exp)                   // no links: any w, only src queues
+	size := 1 << bits.Len(uint(g.maxDelay*inv)+2) // a power of two >= ⌊max/w⌋ + 3
+	t.head = slices.Grow(t.head[:0], size)[:size]
+	for i := range t.head {
+		t.head[i] = -1 // an early return leaves nodes queued
+	}
+	mask := size - 1
+	t.link(int32(src), 0)
+	for b, queued := 0, 1; queued > 0; b++ {
+		for s := b & mask; t.head[s] >= 0; {
+			u := t.head[s]
+			t.unlink(u, s)
+			queued--
+			if t.pending[u] {
+				t.pending[u] = false
+				if left--; left == 0 {
+					return
+				}
 			}
-		}
-		for i, e := range g.adj[u] {
-			if d := du + e.Delay; d < t.dist[e.To] {
-				t.dist[e.To] = d
-				t.parent[e.To] = u
-				t.edge[e.To] = int32(i)
-				h.Push(e.To, d)
+			du := t.dist[u]
+			for i, e := range g.adj[u] {
+				if d := du + e.Delay; d < t.dist[e.To] {
+					v := int32(e.To)
+					if old := t.dist[v]; math.IsInf(old, 1) {
+						queued++
+					} else {
+						t.unlink(v, int(old*inv)&mask)
+					}
+					t.link(v, int(d*inv)&mask)
+					t.dist[v] = d
+					t.parent[v] = int(u)
+					t.edge[v] = int32(i)
+				}
 			}
 		}
 	}
