@@ -137,10 +137,12 @@ func TestProbeSteadyStateAllocations(t *testing.T) {
 
 	// The hold marks likewise: a new walk starts with none, and marking
 	// and asking at every position over a routed hop allocate nothing.
-	var routed []overlay.Route
+	var routed []state.LinkShare
 	for n := 1; n < env.Mesh.NumNodes() && len(routed) == 0; n++ {
 		if r, ok := env.Mesh.RouteBetween(0, n); ok && len(r.Links) > 0 {
-			routed = []overlay.Route{r}
+			for _, link := range r.Links {
+				routed = append(routed, state.LinkShare{ID: link, Amount: 1})
+			}
 		}
 	}
 	markAll := func() {

@@ -12,9 +12,9 @@ import (
 
 // rivalSink plays another caller on the shared ledger. Random and Static
 // visit their one composition with a verification probe and hold what it
-// visited afterwards; the sink takes a resource of that composition in
-// between, at the moment the probe's hold at position fillAt lands, so
-// the next hold is refused.
+// visited afterwards, hop by hop; the sink takes a resource of that
+// composition in between, at the moment the probe's hop at position
+// fillAt is held, so the next hop is refused at its node or at its link.
 type rivalSink struct {
 	env    Env
 	c      *Composer
@@ -61,7 +61,7 @@ func TestDirectProbeReleasesRefusedHolds(t *testing.T) {
 			link   bool
 		}{
 			{"node hold refused", 0, false},
-			{"link hold refused", 1, true},
+			{"link hold refused", 0, true},
 		} {
 			t.Run(alg.String()+"/"+tc.name, func(t *testing.T) {
 				env, _ := testEnv(t, 7)

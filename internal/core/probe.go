@@ -125,10 +125,10 @@ type walkScratch struct {
 
 	floor []float64 // [i]: lower bound of what positions order[i:] add to phi; empty until a walk asks
 
-	children   [][]hopChild    // per-depth extendProbe output
-	predRoutes []overlay.Route // predecessorRoutes result buffer
-	shuffled   []component.ComponentID
-	heldLinks  []int // links newly held by the current candidate
+	children [][]hopChild      // per-depth extendProbe output
+	hopLinks []state.LinkShare // hopLinks result buffer
+	shuffled []component.ComponentID
+	unseen   []int // routeAvail's links not yet in the view
 
 	evalBuf [2]Composition // double-buffered composition evaluation
 	evalIdx int
@@ -230,14 +230,27 @@ func (c *Composer) linkAvail(link int) float64 {
 }
 
 // routeAvail is the walk's view of a virtual link: the bottleneck over
-// its overlay links, +Inf for a co-located route (footnote 4).
+// its overlay links, +Inf for a co-located route (footnote 4). The links
+// the view lacks are read in one ledger call.
 func (c *Composer) routeAvail(r overlay.Route) float64 {
 	if r.CoLocated {
 		return math.Inf(1)
 	}
+	sc := &c.scratch
+	unseen := sc.unseen[:0]
+	for _, link := range r.Links {
+		if sc.linkEpoch[link] != sc.epoch {
+			sc.linkEpoch[link] = sc.epoch
+			unseen = append(unseen, link)
+		}
+	}
+	if len(unseen) != 0 {
+		c.env.Ledger.LinksAvailableForAt(c.walk.now, c.walk.owner, unseen, sc.linkView)
+	}
+	sc.unseen = unseen
 	avail := math.Inf(1)
 	for _, link := range r.Links {
-		avail = min(avail, c.linkAvail(link))
+		avail = min(avail, sc.linkView[link])
 	}
 	return avail
 }
@@ -335,30 +348,34 @@ func (c *Composer) route(from, to int) overlay.Route {
 var unreachableRoute = overlay.Route{QoS: qos.Vector{Delay: math.Inf(1), LossCost: math.Inf(1)}}
 
 // hopHeld reports whether this walk already placed the transient holds
-// of a hop onto node over routes at position pos.
-func (c *Composer) hopHeld(pos, node int, routes []overlay.Route) bool {
+// of a hop onto node over links at position pos.
+func (c *Composer) hopHeld(pos, node int, links []state.LinkShare) bool {
 	sc := &c.scratch
 	if sc.heldNode[pos*sc.numNodes+node] != sc.epoch {
 		return false
 	}
-	for _, route := range routes {
-		for _, link := range route.Links {
-			if sc.heldLink[pos*sc.numLinks+link] != sc.epoch {
-				return false
-			}
+	for _, l := range links {
+		if sc.heldLink[pos*sc.numLinks+l.ID] != sc.epoch {
+			return false
 		}
 	}
 	return true
 }
 
+// holdHop places the transient holds of a hop onto node at position pos
+// in one ledger call, all tagged by position so distinct positions of the
+// request stack (footnote 7).
+func (c *Composer) holdHop(pos, node int, links []state.LinkShare) state.HopResult {
+	w := &c.walk
+	return c.env.Ledger.HoldHopAt(w.now, w.owner, pos, []state.NodeShare{{ID: node, Amount: w.req.ResReq[pos]}}, links, w.expires)
+}
+
 // markHop records that the hop's holds are on the ledger.
-func (c *Composer) markHop(pos, node int, routes []overlay.Route) {
+func (c *Composer) markHop(pos, node int, links []state.LinkShare) {
 	sc := &c.scratch
 	sc.heldNode[pos*sc.numNodes+node] = sc.epoch
-	for _, route := range routes {
-		for _, link := range route.Links {
-			sc.heldLink[pos*sc.numLinks+link] = sc.epoch
-		}
+	for _, l := range links {
+		sc.heldLink[pos*sc.numLinks+l.ID] = sc.epoch
 	}
 }
 
@@ -556,55 +573,37 @@ func (c *Composer) complete(out *Outcome, p hopChild) {
 }
 
 // holdComposition places aggregated transient holds covering exactly one
-// composition's demands. It reports false if any hold cannot be placed
-// (impossible within a single probing walk, but defended regardless).
+// composition's demands, all or nothing, in one ledger call. It reports
+// false if they cannot be placed (impossible within a single probing
+// walk, but defended regardless); the ledger has then kept none of them.
 func (c *Composer) holdComposition(comp *Composition) bool {
 	w := &c.walk
-	nodes, links := c.kern.Stack(w.req, comp.Components, comp.Routes)
-	for i, nd := range nodes {
-		if ok, _ := c.env.Ledger.HoldNodeTrackedAt(w.now, w.owner, 0, nd.Node, nd.Amount, w.expires); !ok {
-			c.rollbackComposition(nodes[:i], nil)
-			return false
-		}
-		c.env.Tracer.HoldAcquired(w.req.ID, 0, -1, nd.Node)
+	c.kern.Stack(w.req, comp.Components, comp.Routes)
+	nodes, links := c.kern.Shares()
+	if c.env.Ledger.HoldHopAt(w.now, w.owner, 0, nodes, links, w.expires) != state.HopHeld {
+		return false
 	}
-	for i, ld := range links {
-		if ok, _ := c.env.Ledger.HoldLinkTrackedAt(w.now, w.owner, 0, ld.Link, ld.BW, w.expires); !ok {
-			c.rollbackComposition(nodes, links[:i])
-			return false
-		}
+	for _, nd := range nodes {
+		c.env.Tracer.HoldAcquired(w.req.ID, 0, -1, nd.ID)
 	}
 	return true
 }
 
-// rollbackComposition releases the aggregate holds holdComposition
-// placed before one failed, so a failed placement leaves no residue on
-// the ledger regardless of what the caller does next. (Previously a
-// mid-sequence failure leaked every earlier hold until the caller's
-// owner-level release — the same shape as the extendProbe partial-hold
-// leak fixed in the allocation-free-walk change.)
-func (c *Composer) rollbackComposition(nodes []NodeDemand, links []LinkDemand) {
-	w := &c.walk
-	for _, nd := range nodes {
-		c.env.Ledger.ReleaseNodeHold(w.owner, 0, nd.Node)
-	}
-	for _, ld := range links {
-		c.env.Ledger.ReleaseLinkHold(w.owner, 0, ld.Link)
-	}
-}
-
-// predecessorRoutes collects the virtual links from each already-assigned
-// predecessor of pos to the candidate node, for the hop's holds to be
-// placed along. The result slice is a shared scratch buffer, valid only
-// until the next call.
-func (c *Composer) predecessorRoutes(pos, candNode int) []overlay.Route {
+// hopLinks lists the request's bandwidth on every overlay link of the
+// virtual links from each already-assigned predecessor of pos to the
+// candidate node, in route order, for the hop's holds to be placed
+// along. The result slice is a shared scratch buffer, valid only until
+// the next call.
+func (c *Composer) hopLinks(pos, candNode int) []state.LinkShare {
 	sc := &c.scratch
-	routes := sc.predRoutes[:0]
+	links := sc.hopLinks[:0]
 	for _, pred := range sc.plan.Preds[pos] {
-		routes = append(routes, c.route(c.env.Catalog.Component(sc.cur[pred]).Node, candNode))
+		for _, link := range c.route(c.env.Catalog.Component(sc.cur[pred]).Node, candNode).Links {
+			links = append(links, state.LinkShare{ID: link, Amount: c.walk.req.BandwidthReq})
+		}
 	}
-	sc.predRoutes = routes
-	return routes
+	sc.hopLinks = links
+	return links
 }
 
 // extendProbe performs one hop of per-hop probe processing (§3.3 step 2)
@@ -735,57 +734,31 @@ func (c *Composer) extendProbe(out *Outcome, p hopChild, depth, pos int, isSourc
 		child := hopChild{choice: id, acc: acc, latency: latency, id: pid, bound: bound, rank: i}
 
 		// Transient resource allocation (§3.3 step 2): reserve once per
-		// component (tag = position) and per virtual link hop. A probe
-		// that cannot secure its allocation is dropped — and releases
-		// exactly the holds it newly placed, so a loser's partial
-		// reservation cannot squat on resources that later candidates of
-		// the same request are raw-checked against. Holds created by
-		// sibling probes (idempotent no-ops here) stay untouched — and a
-		// hop whose holds this walk has all placed already would get only
-		// such no-ops, so it does not go to the ledger at all.
+		// component (tag = position) and per virtual link hop, all or
+		// nothing. A probe that cannot secure its allocation is dropped,
+		// and the ledger has given back exactly the holds the hop created,
+		// so a loser's partial reservation cannot squat on resources that
+		// later candidates of the same request are raw-checked against.
+		// Holds created by sibling probes (idempotent no-ops here) stay
+		// untouched — and a hop whose holds this walk has all placed
+		// already would get only such no-ops, so it does not go to the
+		// ledger at all.
 		if c.cfg.TransientAllocation {
-			routes := c.predecessorRoutes(pos, cand.Node)
-			if c.hopHeld(pos, cand.Node, routes) {
-				tr.HoldAcquired(w.req.ID, pid, pos, cand.Node)
-				children = append(children, child)
-				continue
-			}
-			okNode, createdNode := c.env.Ledger.HoldNodeTrackedAt(w.now, w.owner, pos, cand.Node, w.req.ResReq[pos], w.expires)
-			if !okNode {
-				tr.CandidatePruned(w.req.ID, pid, p.id, pos, cand.Node, obs.ReasonHoldNode)
-				continue
+			links := c.hopLinks(pos, cand.Node)
+			if !c.hopHeld(pos, cand.Node, links) {
+				switch c.holdHop(pos, cand.Node, links) {
+				case state.HopNodeRefused:
+					tr.CandidatePruned(w.req.ID, pid, p.id, pos, cand.Node, obs.ReasonHoldNode)
+					continue
+				case state.HopLinkRefused:
+					// The node was held, then given back with the links.
+					tr.HoldAcquired(w.req.ID, pid, pos, cand.Node)
+					tr.CandidatePruned(w.req.ID, pid, p.id, pos, cand.Node, obs.ReasonHoldLink)
+					continue
+				}
+				c.markHop(pos, cand.Node, links)
 			}
 			tr.HoldAcquired(w.req.ID, pid, pos, cand.Node)
-			held := true
-			sc.heldLinks = sc.heldLinks[:0]
-			for _, route := range routes {
-				for _, link := range route.Links {
-					// Link holds are tagged by position so distinct
-					// edges of the same request stack correctly.
-					okLink, createdLink := c.env.Ledger.HoldLinkTrackedAt(w.now, w.owner, pos, link, w.req.BandwidthReq, w.expires)
-					if !okLink {
-						held = false
-						break
-					}
-					if createdLink {
-						sc.heldLinks = append(sc.heldLinks, link)
-					}
-				}
-				if !held {
-					break
-				}
-			}
-			if !held {
-				if createdNode {
-					c.env.Ledger.ReleaseNodeHold(w.owner, pos, cand.Node)
-				}
-				for _, link := range sc.heldLinks {
-					c.env.Ledger.ReleaseLinkHold(w.owner, pos, link)
-				}
-				tr.CandidatePruned(w.req.ID, pid, p.id, pos, cand.Node, obs.ReasonHoldLink)
-				continue
-			}
-			c.markHop(pos, cand.Node, routes)
 		}
 
 		children = append(children, child)
@@ -964,27 +937,18 @@ func (c *Composer) probeDirect(req *component.Request) (*Outcome, error) {
 	}
 	comp := scratchComp.copyTo(&out.best)
 	if c.cfg.TransientAllocation {
-		// The verification probe transiently reserves what it visits so
-		// the allocation survives until the confirmation arrives.
+		// The verification probe transiently reserves what it visits, hop
+		// by hop as a walk does, so the allocation survives until the
+		// confirmation arrives.
 		for pos, id := range assign {
 			node := c.env.Catalog.Component(id).Node
-			if ok, _ := c.env.Ledger.HoldNodeTrackedAt(w.now, w.owner, pos, node, req.ResReq[pos], w.expires); !ok {
+			if c.holdHop(pos, node, c.hopLinks(pos, node)) != state.HopHeld {
 				c.env.Ledger.ReleaseOwner(w.owner)
 				tr.HoldReleased(req.ID, -1)
 				tr.Decided(req.ID, req.Client, obs.ReasonNoComposition)
 				return out, nil
 			}
 			tr.HoldAcquired(req.ID, 0, pos, node)
-		}
-		for i, route := range comp.Routes {
-			for _, link := range route.Links {
-				if ok, _ := c.env.Ledger.HoldLinkTrackedAt(w.now, w.owner, i, link, req.BandwidthReq, w.expires); !ok {
-					c.env.Ledger.ReleaseOwner(w.owner)
-					tr.HoldReleased(req.ID, -1)
-					tr.Decided(req.ID, req.Client, obs.ReasonNoComposition)
-					return out, nil
-				}
-			}
 		}
 	}
 	out.Qualified = 1

@@ -10,7 +10,6 @@ import (
 	"repro/internal/discovery"
 	"repro/internal/obs"
 	"repro/internal/qos"
-	"repro/internal/state"
 )
 
 // TestProbeReadsTheClockOnce wires one counting clock into both the
@@ -241,13 +240,17 @@ func (f sinkFunc) Emit(e obs.Event) { f(e) }
 
 // TestStaleViewCostsAProbeNotAnOverAdmission drives the one interleaving
 // the view has to survive, deterministically. Composers A and B share
-// one locked ledger. A (exhaustive, so its visiting order is the
-// catalog's) reads the route P→Q and node Q into its view and places its
-// node hold on Q; at that hold's trace event — before A's link holds — B
-// composes and commits a session over the same route that takes the
-// bottleneck link's bandwidth. A's view still says the route has room;
-// the ledger refuses A's link hold, A gives back exactly the holds that
-// candidate created, and nothing is over-admitted.
+// one locked ledger. A (exhaustive, so on an empty ledger its first
+// source probe is the catalog's first candidate) walks a triangle whose
+// last position is fed from the source and from the middle: its hop onto
+// Q at position 1 reads node Q and the route P→Q into its view and holds
+// them. When that source probe is forwarded — after the reads, before
+// any position-2 hop — B composes and commits a session over the same
+// route that takes most of what is left on its bottleneck link. A's hop
+// onto Q at position 2 then crosses P→Q again on its view, which still
+// says the route has room; the ledger refuses the hop at a link, the hop
+// leaves the ledger as it found it (its node hold on Q included), and
+// nothing is over-admitted.
 func TestStaleViewCostsAProbeNotAnOverAdmission(t *testing.T) {
 	env, _ := testEnv(t, 7)
 	env.Ledger.EnableLocking()
@@ -283,18 +286,30 @@ func TestStaleViewCostsAProbeNotAnOverAdmission(t *testing.T) {
 		bottleneck = math.Min(bottleneck, env.Ledger.LinkCapacity(k))
 	}
 
-	request := func(id int64, bw float64) *component.Request {
-		return &component.Request{
-			ID:           id,
-			Graph:        component.NewPathGraph([]component.FunctionID{fx, fy}),
-			QoSReq:       qos.Vector{Delay: 1e6, LossCost: qos.LossCost(0.9)},
-			ResReq:       []qos.Resources{{CPU: 10, Memory: 100}, {CPU: 10, Memory: 100}},
-			BandwidthReq: bw,
-			Client:       p,
-			Duration:     time.Minute,
-		}
+	share := qos.Resources{CPU: 10, Memory: 100}
+	reqA := &component.Request{
+		ID: 1,
+		Graph: &component.Graph{
+			Functions: []component.FunctionID{fx, fy, fy},
+			Edges:     []component.Edge{{From: 0, To: 1}, {From: 1, To: 2}, {From: 0, To: 2}},
+		},
+		QoSReq:       qos.Vector{Delay: 1e6, LossCost: qos.LossCost(0.9)},
+		ResReq:       []qos.Resources{share, share, share},
+		BandwidthReq: bottleneck * 0.4,
+		Client:       p,
+		Duration:     time.Minute,
 	}
-	reqA, reqB := request(1, bottleneck*0.4), request(2, bottleneck*0.8)
+	// B fits beside A's position-1 hold on P→Q (0.4 + 0.5), not beside a
+	// second one (0.4 + 0.5 + 0.4).
+	reqB := &component.Request{
+		ID:           2,
+		Graph:        component.NewPathGraph([]component.FunctionID{fx, fy}),
+		QoSReq:       reqA.QoSReq,
+		ResReq:       []qos.Resources{share, share},
+		BandwidthReq: bottleneck * 0.5,
+		Client:       p,
+		Duration:     time.Minute,
+	}
 
 	envB := env
 	envB.Registry = discovery.NewRegistry(env.Catalog, env.Mesh.NumNodes(), env.Counters)
@@ -302,12 +317,9 @@ func TestStaleViewCostsAProbeNotAnOverAdmission(t *testing.T) {
 	b := mustComposer(t, envB, Config{Algorithm: AlgStatic, HoldTTL: time.Minute, TransientAllocation: true})
 
 	var (
-		bCommitted   bool
-		afterRefusal struct {
-			seen     bool
-			p, q     qos.Resources
-			linkHeld []float64
-		}
+		bCommitted bool
+		beforeHop  ledgerSnapshot // at A's latest position-2 probe onto Q, after B committed
+		refused    int            // A's position-2 hops onto Q the ledger refused at a link
 	)
 	envA := env
 	envA.Tracer = obs.New(sinkFunc(func(e obs.Event) {
@@ -315,8 +327,14 @@ func TestStaleViewCostsAProbeNotAnOverAdmission(t *testing.T) {
 			return
 		}
 		switch {
-		case e.Type == obs.EventHoldAcquired && e.Pos == 1 && e.Node == q && !bCommitted:
-			// A has read Q and P→Q and holds Q; its link holds come next.
+		case e.Type == obs.EventProbeForwarded && e.Pos == 0 && !bCommitted:
+			if e.Node != p {
+				t.Errorf("A's first source probe went to node %d, not P = %d", e.Node, p)
+				return
+			}
+			// A's source probe at P has been forwarded: its hop onto Q at
+			// position 1 read Q and P→Q into the view; no position-2 hop
+			// has been placed.
 			bCommitted = true
 			out, err := b.Probe(reqB)
 			if err != nil || !out.Success() {
@@ -326,13 +344,18 @@ func TestStaleViewCostsAProbeNotAnOverAdmission(t *testing.T) {
 			if err := b.Commit(out); err != nil {
 				t.Errorf("B's commit inside A's walk: %v", err)
 			}
-		case e.Type == obs.EventCandidatePruned && e.Reason == obs.ReasonHoldLink && e.Node == q && !afterRefusal.seen:
-			afterRefusal.seen = true
-			afterRefusal.p = freeOn(env, p)
-			afterRefusal.q = freeOn(env, q)
-			for _, k := range route.Links {
-				afterRefusal.linkHeld = append(afterRefusal.linkHeld,
-					env.Ledger.LinkAvailableForAt(env.Now(), state.Owner(reqA.ID), k)-env.Ledger.LinkAvailable(k))
+		case e.Type == obs.EventProbeSpawned && e.Pos == 2 && e.Node == q && bCommitted:
+			beforeHop = snapshotLedger(env)
+		case e.Type == obs.EventCandidatePruned && e.Pos == 2 && e.Node == q && e.Reason == obs.ReasonHoldLink:
+			refused++
+			after := snapshotLedger(env)
+			if after.nodes[q] != beforeHop.nodes[q] {
+				t.Errorf("Q after a refused hop: %v available, %v before it (its node hold survived)", after.nodes[q], beforeHop.nodes[q])
+			}
+			for k := range after.links {
+				if after.links[k] != beforeHop.links[k] {
+					t.Errorf("link %d after a refused hop: %v available, %v before it (a link hold survived)", k, after.links[k], beforeHop.links[k])
+				}
 			}
 		}
 	}))
@@ -343,35 +366,20 @@ func TestStaleViewCostsAProbeNotAnOverAdmission(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !bCommitted {
-		t.Fatal("A never held Q at position 1; the interleaving did not happen")
+		t.Fatal("A's source probe was never forwarded; the interleaving did not happen")
 	}
-	if !afterRefusal.seen {
-		t.Fatal("A's link hold over P→Q was not refused: the stale view was trusted past the ledger")
-	}
-	// At the refusal A had rolled back what that candidate created — the
-	// node hold on Q and every link hold — and kept what it did not: the
-	// position-0 hold on P, a sibling's. B's committed 10 CPU sits on both.
-	capacity := qos.Resources{CPU: 100, Memory: 1000}
-	share := qos.Resources{CPU: 10, Memory: 100}
-	if want := capacity.Sub(share); afterRefusal.q != want {
-		t.Errorf("Q after the refused candidate: %v available, want %v (B's share only; A's hold rolled back)", afterRefusal.q, want)
-	}
-	if want := capacity.Sub(share).Sub(share); afterRefusal.p != want {
-		t.Errorf("P after the refused candidate: %v available, want %v (B's share and A's position-0 hold)", afterRefusal.p, want)
-	}
-	for i, held := range afterRefusal.linkHeld {
-		if held != 0 {
-			t.Errorf("link %d of P→Q still carries %v of A's bandwidth after the rollback", route.Links[i], held)
-		}
+	if refused == 0 {
+		t.Fatal("no hop of A onto Q at position 2 was refused at a link: the stale view was trusted past the ledger")
 	}
 	if err := env.Ledger.CheckInvariants(); err != nil {
 		t.Fatalf("after A's walk: %v", err)
 	}
 	// Whatever A decided, committing it must keep the books sound, and
-	// the winner cannot be the composition the ledger refused.
+	// the winner cannot be a composition the ledger refused.
 	if out.Success() {
-		if nodeP, nodeQ := env.Catalog.Component(out.Best.Components[0]).Node, env.Catalog.Component(out.Best.Components[1]).Node; nodeP == p && nodeQ == q {
-			t.Error("A's winner rides P→Q, which cannot carry both sessions")
+		comps := out.Best.Components
+		if env.Catalog.Component(comps[0]).Node == p && env.Catalog.Component(comps[2]).Node == q {
+			t.Error("A's winner holds Q at position 2 over P→Q, the hop the ledger refused")
 		}
 		if err := a.Commit(out); err != nil {
 			t.Fatalf("A's commit: %v", err)

@@ -222,6 +222,42 @@ func (l *referenceLedger) ReleaseLinkHold(owner Owner, tag, link int) {
 	}
 }
 
+// HoldHopAt is a hop as the walk placed it one hold at a time: the node
+// holds, then the link holds in route order, and at a refusal the holds
+// those calls created released again.
+func (l *referenceLedger) HoldHopAt(now time.Duration, owner Owner, tag int, nodes []NodeShare, links []LinkShare, expires time.Duration) HopResult {
+	var madeNodes, madeLinks []int
+	undo := func() {
+		for _, n := range madeNodes {
+			l.ReleaseNodeHold(owner, tag, n)
+		}
+		for _, k := range madeLinks {
+			l.ReleaseLinkHold(owner, tag, k)
+		}
+	}
+	for _, s := range nodes {
+		ok, created := l.HoldNodeTrackedAt(now, owner, tag, s.ID, s.Amount, expires)
+		if !ok {
+			undo()
+			return HopNodeRefused
+		}
+		if created {
+			madeNodes = append(madeNodes, s.ID)
+		}
+	}
+	for _, s := range links {
+		ok, created := l.HoldLinkTrackedAt(now, owner, tag, s.ID, s.Amount, expires)
+		if !ok {
+			undo()
+			return HopLinkRefused
+		}
+		if created {
+			madeLinks = append(madeLinks, s.ID)
+		}
+	}
+	return HopHeld
+}
+
 func (l *referenceLedger) NodeAvailableForAt(now time.Duration, owner Owner, node int) qos.Resources {
 	avail := l.nodeAvailable(node, now)
 	for _, h := range l.nodes[node].holds {
@@ -600,6 +636,7 @@ func (l *referenceLedger) ActiveSessions() int { return len(l.sessions) }
 type fuzzedLedger interface {
 	HoldNodeTrackedAt(now time.Duration, owner Owner, tag, node int, amount qos.Resources, expires time.Duration) (ok, created bool)
 	HoldLinkTrackedAt(now time.Duration, owner Owner, tag, link int, amount float64, expires time.Duration) (ok, created bool)
+	HoldHopAt(now time.Duration, owner Owner, tag int, nodes []NodeShare, links []LinkShare, expires time.Duration) HopResult
 	ReleaseNodeHold(owner Owner, tag, node int)
 	ReleaseLinkHold(owner Owner, tag, link int)
 	ReleaseOwner(owner Owner)
@@ -631,8 +668,11 @@ type refOp struct {
 // placed at an instant the clock has just moved past (11), as by a walk
 // that read the clock before it advanced, and holds of exactly what the
 // owner reads on a node (12) or link (13), which land on the boundary of
-// every feasibility check. Holds report whether they created one, and
-// take the instant op[0]/14 picks: the ledger's clock,
+// every feasibility check. A hop (14) holds one node, or the two of a
+// commit's shares, then three links in route order — the second wraps
+// onto the first now and then — as one HoldHopAt. Holds report whether
+// they created one (a hop, how it ended), and
+// take the instant op[0]/15 picks: the ledger's clock,
 // half a hold timeout behind it, or half a timeout ahead. A clock advance
 // is applied here, once for both ledgers, and is read across at the
 // instant before it.
@@ -649,11 +689,11 @@ func (r *ceilingRig) decodeRefOp(op [4]byte) refOp {
 	shares := []NodeShare{{ID: node, Amount: amount}, {ID: other, Amount: r.share(other, op[3]>>2)}}
 	bw := l.LinkCapacity(link) * float64(op[3]%64) / 256
 	links := []LinkShare{{ID: link, Amount: bw}}
-	at := [3]time.Duration{ledgerClock, r.clk.now - ceilingTTL/2, r.clk.now + ceilingTTL/2}[op[0]/14%3]
+	at := [3]time.Duration{ledgerClock, r.clk.now - ceilingTTL/2, r.clk.now + ceilingTTL/2}[op[0]/15%3]
 	expires := r.clk.now + ceilingTTL
 	held := func(ok, created bool) string { return fmt.Sprint(ok, created) }
 	failed := func(err error) string { return fmt.Sprint(err != nil) }
-	switch op[0] % 14 {
+	switch op[0] % 15 {
 	case 0:
 		return refOp{"HoldNodeTrackedAt", func(l fuzzedLedger) string {
 			return held(l.HoldNodeTrackedAt(at, owner, tag, node, amount, expires))
@@ -702,9 +742,19 @@ func (r *ceilingRig) decodeRefOp(op [4]byte) refOp {
 		return refOp{"hold all a node offers", func(l fuzzedLedger) string {
 			return held(l.HoldNodeTrackedAt(at, owner, tag, node, l.NodeAvailableForAt(at, owner, node), expires))
 		}, at}
-	default:
+	case 13:
 		return refOp{"hold all a link offers", func(l fuzzedLedger) string {
 			return held(l.HoldLinkTrackedAt(at, owner, tag, link, l.LinkAvailableForAt(at, owner, link), expires))
+		}, at}
+	default:
+		route := []LinkShare{
+			{ID: link, Amount: bw},
+			{ID: (link + 1 + int(op[1]>>4)) % r.l.NumLinks(), Amount: bw},
+			{ID: (link + 2) % r.l.NumLinks(), Amount: bw},
+		}
+		hop := shares[:1+int(op[1]>>6)%2]
+		return refOp{"HoldHopAt", func(l fuzzedLedger) string {
+			return fmt.Sprint(l.HoldHopAt(at, owner, tag, hop, route, expires))
 		}, at}
 	}
 }
@@ -739,7 +789,9 @@ func readAll(l fuzzedLedger, at time.Duration, nodes, links int) []uint64 {
 // Commits and flips go through the dense CommitShares and MigrateSession;
 // the reference renders the shares into its maps and refuses a repeated
 // id itself. It is seeded with the FuzzLedgerCeiling corpus and its own,
-// which lists a node twice in a commit and in a flip.
+// which lists a node twice in a commit and in a flip, and refuses a hop
+// at its node, at its first link and at a later one (over a hold of the
+// hop's own tag the rollback must keep).
 func FuzzLedgerMatchesReference(f *testing.F) {
 	files, err := filepath.Glob("testdata/fuzz/FuzzLedgerCeiling/*")
 	if err != nil || len(files) == 0 {

@@ -84,45 +84,51 @@ func TestReleaseLinkHoldIsTargeted(t *testing.T) {
 	}
 }
 
-// TestPartialHoldRollback models the extendProbe failure path: a
-// candidate's node hold and some link holds succeed, a later link hold
-// fails, and the caller rolls back exactly what it created — restoring
-// the raw availability other candidates of the same request are checked
-// against, without touching holds that pre-existed under other tags.
+// TestPartialHoldRollback models a refused probe hop: HoldHopAt places
+// the candidate's node hold and a link hold, a later link refuses, and
+// the ledger rolls back exactly what the call created — restoring the
+// raw availability other candidates of the same request are checked
+// against, without touching holds that pre-existed under other tags or
+// under the hop's own.
 func TestPartialHoldRollback(t *testing.T) {
 	l, _, mesh := newTestLedger(t)
 	owner := Owner(7)
 	capacity := mesh.Link(0).Capacity
 
-	// An earlier position's hold that must survive the rollback.
+	// An earlier position's holds, and one of the hop's own tag on link 2
+	// (a sibling probe's), that must survive the rollback.
 	l.HoldNode(owner, 0, 0, qos.Resources{CPU: 10}, time.Minute)
 	l.HoldLink(owner, 0, 0, capacity/2, time.Minute)
-
-	// The failing candidate at position 2: node hold and link 0 hold
-	// succeed, link 1 hold fails.
-	okNode, createdNode := l.HoldNodeTrackedAt(ledgerClock, owner, 2, 0, qos.Resources{CPU: 20}, time.Minute)
-	if !okNode || !createdNode {
-		t.Fatal("candidate node hold rejected")
-	}
-	okLink, createdLink := l.HoldLinkTrackedAt(ledgerClock, owner, 2, 0, capacity/4, time.Minute)
-	if !okLink || !createdLink {
-		t.Fatal("candidate link hold rejected")
-	}
-	// Saturate link 1 so the candidate's next hold fails.
+	l.HoldLink(owner, 2, 2, 1, time.Minute)
+	// Saturate link 1 so the hop's second link refuses.
 	l.HoldLink(99, 0, 1, mesh.Link(1).Capacity, time.Minute)
-	if ok, _ := l.HoldLinkTrackedAt(ledgerClock, owner, 2, 1, 1, time.Minute); ok {
-		t.Fatal("saturated link hold accepted")
+	beforeLink2 := l.LinkAvailable(2)
+
+	nodes := []NodeShare{{ID: 0, Amount: qos.Resources{CPU: 20}}}
+	links := []LinkShare{{ID: 0, Amount: capacity / 4}, {ID: 2, Amount: 1}, {ID: 1, Amount: 1}}
+	if got := l.HoldHopAt(ledgerClock, owner, 2, nodes, links, time.Minute); got != HopLinkRefused {
+		t.Fatalf("hop over a saturated link: %v, want HopLinkRefused", got)
 	}
-
-	// Roll back what the candidate created.
-	l.ReleaseNodeHold(owner, 2, 0)
-	l.ReleaseLinkHold(owner, 2, 0)
-
 	if got := nodeAvailable(l, 0).CPU; got != 90 {
 		t.Errorf("node raw availability after rollback = %v, want 90 (position 0 hold intact)", got)
 	}
 	if got := l.LinkAvailable(0); math.Abs(got-capacity/2) > 1e-9*capacity {
 		t.Errorf("link raw availability after rollback = %v, want %v", got, capacity/2)
+	}
+	if got := l.LinkAvailable(2); got != beforeLink2 {
+		t.Errorf("link 2 after rollback = %v, want %v (the sibling's hold of the same tag intact)", got, beforeLink2)
+	}
+
+	// A node that cannot cover its share refuses before any link is tried.
+	big := []NodeShare{{ID: 1, Amount: qos.Resources{CPU: 20}}, {ID: 0, Amount: qos.Resources{CPU: 95}}}
+	if got := l.HoldHopAt(ledgerClock, owner, 3, big, links[:1], time.Minute); got != HopNodeRefused {
+		t.Fatalf("hop onto an over-asked node: %v, want HopNodeRefused", got)
+	}
+	if got := nodeAvailable(l, 1).CPU; got != 100 {
+		t.Errorf("node 1 after a refusal at node 0 = %v, want 100 (its hold rolled back)", got)
+	}
+	if got := l.LinkAvailable(0); math.Abs(got-capacity/2) > 1e-9*capacity {
+		t.Errorf("link 0 after a refusal at a node = %v, want %v", got, capacity/2)
 	}
 	if err := l.CheckInvariants(); err != nil {
 		t.Fatal(err)
@@ -130,8 +136,9 @@ func TestPartialHoldRollback(t *testing.T) {
 }
 
 // TestLockedLedgerConcurrentUse exercises the opt-in locked mode from
-// many goroutines (meaningful under -race): concurrent holds, commits,
-// releases and global-state reads must leave the ledger consistent.
+// many goroutines (meaningful under -race): concurrent holds, one by one
+// and per hop, commits, releases, route reads and global-state reads must
+// leave the ledger consistent.
 func TestLockedLedgerConcurrentUse(t *testing.T) {
 	l, _, mesh := newTestLedger(t)
 	g, err := NewGlobal(l, mesh, DefaultGlobalConfig(), nil)
@@ -149,6 +156,7 @@ func TestLockedLedgerConcurrentUse(t *testing.T) {
 			defer wg.Done()
 			owner := Owner(w + 1)
 			var rep Replica
+			view := make([]float64, l.NumLinks())
 			for i := 0; i < 200; i++ {
 				node := (w + i) % l.NumNodes()
 				link := (w + i) % l.NumLinks()
@@ -160,8 +168,11 @@ func TestLockedLedgerConcurrentUse(t *testing.T) {
 				if ok, _ := l.HoldLinkTrackedAt(ledgerClock, owner, i, link, 1, time.Minute); ok && i%3 == 1 {
 					l.ReleaseLinkHold(owner, i, link)
 				}
+				l.HoldHopAt(ledgerClock, owner, 1000+i, []NodeShare{{ID: node, Amount: qos.Resources{CPU: 1, Memory: 1}}},
+					[]LinkShare{{ID: link, Amount: 1}, {ID: (link + 1) % l.NumLinks(), Amount: 1}}, time.Minute)
 				g.Refresh(&rep)
 				_ = l.NodeAvailableForAt(ledgerClock, owner, node)
+				l.LinksAvailableForAt(ledgerClock, owner, []int{link, (link + 1) % l.NumLinks()}, view)
 				if i%50 == 49 {
 					l.ReleaseOwner(owner)
 				}
