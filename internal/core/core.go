@@ -382,7 +382,7 @@ func (c *Composer) Commit(o *Outcome) error {
 		c.env.Tracer.RolledBack(o.Request.ID, o.Request.Client, obs.ReasonCommitNack)
 		return fmt.Errorf("request %d: %w", o.Request.ID, err)
 	}
-	c.env.Counters.AddConfirmations(int64(len(o.Best.Components)))
+	c.env.Counters.Confirmations.Add(int64(len(o.Best.Components)))
 	c.env.Tracer.Committed(o.Request.ID, o.Request.Client)
 	return nil
 }
@@ -428,7 +428,7 @@ func (c *Composer) CommitMigration(o *Outcome, prev int64) error {
 		c.env.Tracer.RolledBack(o.Request.ID, o.Request.Client, obs.ReasonCommitNack)
 		return fmt.Errorf("request %d: %w", o.Request.ID, err)
 	}
-	c.env.Counters.AddConfirmations(int64(len(o.Best.Components)))
+	c.env.Counters.Confirmations.Add(int64(len(o.Best.Components)))
 	c.env.Tracer.SessionMigrated(prev, o.Request.ID, o.Request.Client)
 	return nil
 }

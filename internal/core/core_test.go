@@ -217,8 +217,8 @@ func TestCommitAndRelease(t *testing.T) {
 		t.Errorf("ActiveSessions = %d", env.Ledger.ActiveSessions())
 	}
 	// Confirmation messages: one per component.
-	if env.Counters.Confirmations != 3 {
-		t.Errorf("Confirmations = %d, want 3", env.Counters.Confirmations)
+	if got := env.Counters.Confirmations.Load(); got != 3 {
+		t.Errorf("Confirmations = %d, want 3", got)
 	}
 	// The chosen nodes carry the committed demand.
 	node0 := env.Catalog.Component(out.Best.Components[0]).Node
@@ -544,7 +544,7 @@ func TestOptimalChargesExhaustiveTree(t *testing.T) {
 	if out.ProbesSent != want {
 		t.Errorf("exhaustive probes = %d, want %d", out.ProbesSent, want)
 	}
-	if got := env.Counters.Probes; got != int64(want) {
+	if got := env.Counters.Probes.Load(); got != int64(want) {
 		t.Errorf("probe counter = %d, want %d", got, want)
 	}
 }

@@ -410,7 +410,7 @@ func (c *Composer) probeWalk(req *component.Request) (*Outcome, error) {
 			}
 			total += width
 		}
-		c.env.Counters.AddProbes(total)
+		c.env.Counters.Probes.Add(total)
 		out.ProbesSent = clampToInt(total)
 	}
 
@@ -422,9 +422,9 @@ func (c *Composer) probeWalk(req *component.Request) (*Outcome, error) {
 	// what gives a bounded walk its incumbent early.
 	c.expand(out, 0, hopChild{})
 	if !exhaustive {
-		c.env.Counters.AddProbes(int64(out.ProbesSent))
+		c.env.Counters.Probes.Add(int64(out.ProbesSent))
 	}
-	c.env.Counters.AddProbeReturns(int64(out.PathsReturned))
+	c.env.Counters.ProbeReturns.Add(int64(out.PathsReturned))
 	out.Latency = 2 * time.Duration(w.maxLatency*float64(time.Millisecond))
 
 	if w.best == nil {
@@ -902,7 +902,7 @@ func (c *Composer) probeDirect(req *component.Request) (*Outcome, error) {
 
 	// One verification probe visits each chosen component in turn; each
 	// hop is charged as one probe message.
-	c.env.Counters.AddProbes(int64(n))
+	c.env.Counters.Probes.Add(int64(n))
 	out.ProbesSent = n
 	prev := req.Client
 	latency := 0.0
@@ -926,7 +926,7 @@ func (c *Composer) probeDirect(req *component.Request) (*Outcome, error) {
 		tr.ProbeReturned(req.ID, lastPid, prev, latency)
 	}
 	w.maxLatency = latency
-	c.env.Counters.AddProbeReturns(1)
+	c.env.Counters.ProbeReturns.Add(1)
 	out.PathsReturned = 1
 	out.Latency = 2 * time.Duration(w.maxLatency*float64(time.Millisecond))
 

@@ -67,8 +67,8 @@ func TestProbeRecomposeAndCommitMigration(t *testing.T) {
 		t.Fatalf("post-flip: %v", err)
 	}
 	// Confirmations charged for both the admission and the migration.
-	if env.Counters.Confirmations != 6 {
-		t.Errorf("Confirmations = %d, want 6", env.Counters.Confirmations)
+	if env.Counters.Confirmations.Load() != 6 {
+		t.Errorf("Confirmations = %d, want 6", env.Counters.Confirmations.Load())
 	}
 
 	c.Release(re.ID)

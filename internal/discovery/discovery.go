@@ -40,7 +40,7 @@ func NewRegistry(catalog *component.Catalog, numNodes int, counters *metrics.Cou
 // traversal to the discovery counter. The returned slice is shared
 // storage; callers must not modify it.
 func (r *Registry) Lookup(f component.FunctionID) []component.ComponentID {
-	r.counters.AddDiscovery(r.hopCost)
+	r.counters.Discovery.Add(r.hopCost)
 	candidates := r.catalog.Candidates(f)
 	if !r.catalog.HasDownNodes() {
 		return candidates

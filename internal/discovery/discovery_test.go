@@ -43,8 +43,8 @@ func TestLookupAccounting(t *testing.T) {
 	}
 	reg.Lookup(0)
 	reg.Lookup(1)
-	if c.Discovery != 16 {
-		t.Errorf("Discovery = %d, want 16", c.Discovery)
+	if got := c.Discovery.Load(); got != 16 {
+		t.Errorf("Discovery = %d, want 16", got)
 	}
 }
 

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"repro/internal/faults"
+	"repro/internal/harness/clock"
 	"repro/internal/obs"
 	"repro/internal/qos"
 )
@@ -339,6 +340,46 @@ func TestFaultCrashRecovery(t *testing.T) {
 	}
 	t.Logf("successes=%d/30 crashes=%d restarts=%d",
 		successes, snap.Counters["dist.node.crashes"], snap.Counters["dist.node.restarts"])
+}
+
+// TestCrashFailsPendingInIDOrder: a crashing deputy fails the requests it
+// holds, which sit in a map, in request-ID order; in map order the replies
+// and rollback releases would go out in a new order on every run. The
+// tracer's Decided events show the order.
+func TestCrashFailsPendingInIDOrder(t *testing.T) {
+	sink := &obs.MemorySink{}
+	vc := clock.NewVirtual()
+	cfg := DefaultConfig()
+	cfg.Clock = vc
+	cfg.Tracer = obs.New(sink)
+	cfg.Faults = &faults.Config{Seed: 1, Crashes: []faults.Crash{{Node: 0, At: time.Second, Downtime: time.Minute}}}
+	c, err := NewUnstarted(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want, got []int64
+	for i := 0; i < 16; i++ {
+		h, err := c.ComposeAsync(easyRequest(0))
+		if err != nil {
+			t.Fatal(err)
+		}
+		want = append(want, h.ReqID)
+	}
+	for { // node 0 takes every request; no other node answers its probes
+		if _, ok := c.StepNode(0); !ok {
+			break
+		}
+	}
+	vc.Advance(2 * time.Second)
+	c.SweepNode(0) // the crash
+	for _, e := range sink.Events() {
+		if e.Type == obs.EventDecided && e.Reason == obs.ReasonNodeDown {
+			got = append(got, e.Req)
+		}
+	}
+	if fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Errorf("crash failed requests %v, want ID order %v", got, want)
+	}
 }
 
 // TestFaultRetryWidensAlpha: the retry path re-probes with a larger

@@ -217,7 +217,7 @@ type Result struct {
 	// Requests is the number of composition requests issued.
 	Requests int64
 	// Messages are the raw control-message counters.
-	Messages metrics.Counters
+	Messages metrics.Counts
 	// OverheadPerMinute is the algorithm-appropriate overhead figure:
 	// probes (+ returns) for all algorithms, plus global-state update and
 	// aggregation messages for the algorithms that consume global state
@@ -253,7 +253,7 @@ type PhaseOverhead struct {
 	Discovery    int64 `json:"discovery"`
 }
 
-func phaseBreakdown(c metrics.Counters) PhaseOverhead {
+func phaseBreakdown(c metrics.Counts) PhaseOverhead {
 	return PhaseOverhead{
 		Probing:      c.Probes + c.ProbeReturns,
 		StateUpdates: c.StateUpdates + c.Aggregations,
@@ -523,12 +523,12 @@ func (r *run) publishInstruments(res *Result) {
 // exhaustive probing for Optimal, probing plus global-state maintenance
 // for the global-state consumers (ACP, SP), probing only for RP and the
 // direct heuristics.
-func overheadMessages(alg core.Algorithm, c metrics.Counters) int64 {
+func overheadMessages(alg core.Algorithm, c metrics.Counts) int64 {
 	switch alg {
 	case core.AlgACP, core.AlgSP:
-		return c.ProbingTotal() + c.StateUpdates + c.Aggregations
+		return c.Probes + c.ProbeReturns + c.StateUpdates + c.Aggregations
 	default:
-		return c.ProbingTotal()
+		return c.Probes + c.ProbeReturns
 	}
 }
 

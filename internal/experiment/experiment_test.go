@@ -278,7 +278,7 @@ func TestOverheadAccountingPerAlgorithm(t *testing.T) {
 		t.Fatal(err)
 	}
 	// ACP's reported overhead must include state maintenance.
-	want := float64(res.Messages.ProbingTotal()+res.Messages.StateUpdates+res.Messages.Aggregations) /
+	want := float64(res.Messages.Probes+res.Messages.ProbeReturns+res.Messages.StateUpdates+res.Messages.Aggregations) /
 		rc.Duration.Minutes()
 	if math.Abs(res.OverheadPerMinute-want) > 1e-9 {
 		t.Errorf("ACP overhead = %v, want %v", res.OverheadPerMinute, want)
@@ -289,7 +289,7 @@ func TestOverheadAccountingPerAlgorithm(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want = float64(res.Messages.ProbingTotal()) / rc.Duration.Minutes()
+	want = float64(res.Messages.Probes+res.Messages.ProbeReturns) / rc.Duration.Minutes()
 	if math.Abs(res.OverheadPerMinute-want) > 1e-9 {
 		t.Errorf("RP overhead = %v, want %v", res.OverheadPerMinute, want)
 	}

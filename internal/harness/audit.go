@@ -13,6 +13,22 @@ import (
 // eps absorbs float accumulation error in resource sums.
 const eps = 1e-6
 
+// sumCommits adds a node's commits in owner order: float addition does
+// not associate, so a sum in map order differs in its low bits from one
+// call to the next.
+func sumCommits(commits map[int64]qos.Resources) qos.Resources {
+	owners := make([]int64, 0, len(commits))
+	for owner := range commits {
+		owners = append(owners, owner)
+	}
+	sort.Slice(owners, func(i, j int) bool { return owners[i] < owners[j] })
+	var sum qos.Resources
+	for _, owner := range owners {
+		sum = sum.Add(commits[owner])
+	}
+	return sum
+}
+
 // Auditor checks the cluster's resource-safety invariants. CheckStep
 // runs after every simulation step; the quiescent checks need the
 // harness's knowledge of which requests resolved how.
@@ -51,15 +67,7 @@ func (a *Auditor) CheckStep() error {
 			return fmt.Errorf("node %d: hold bookkeeping drifted: running=%v sum-of-holds=%v",
 				id, acc.HeldTotal, acc.HoldSum)
 		}
-		var commitSum qos.Resources
-		owners := make([]int64, 0, len(acc.Commits))
-		for owner := range acc.Commits {
-			owners = append(owners, owner)
-		}
-		sort.Slice(owners, func(i, j int) bool { return owners[i] < owners[j] })
-		for _, owner := range owners {
-			commitSum = commitSum.Add(acc.Commits[owner])
-		}
+		commitSum := sumCommits(acc.Commits)
 		if !close2(acc.Committed, commitSum) {
 			return fmt.Errorf("node %d: commit bookkeeping drifted: running=%v sum-of-commits=%v",
 				id, acc.Committed, commitSum)

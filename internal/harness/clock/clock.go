@@ -68,7 +68,8 @@ func (w wallTicker) Stop()               { w.t.Stop() }
 
 // wallClock is the one sanctioned boundary to package time: everything
 // else in the deterministic packages reaches the clock through the Clock
-// interface, so each method carries the acplint determinism waiver.
+// interface, so each method carries the determinism waiver that
+// internal/harness.TestDeterminism accepts.
 func (wallClock) Now() time.Time                         { return time.Now() }    //acp:nondeterminism-ok wallClock is the real-time Clock implementation
 func (wallClock) Since(t time.Time) time.Duration        { return time.Since(t) } //acp:nondeterminism-ok wallClock is the real-time Clock implementation
 func (wallClock) Sleep(d time.Duration)                  { time.Sleep(d) }        //acp:nondeterminism-ok wallClock is the real-time Clock implementation

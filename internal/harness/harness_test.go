@@ -5,6 +5,8 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+
+	"repro/internal/qos"
 )
 
 // seedCount reads ACP_SIM_SEEDS: how many randomized seeds each
@@ -158,5 +160,39 @@ func TestSimAdmitsFeasibleWorkload(t *testing.T) {
 	}
 	if rep.Admitted == 0 {
 		t.Fatalf("zero of %d feasible requests admitted under zero faults", rep.Requests)
+	}
+}
+
+// TestSortedLiveOrdersByOwner: the scenario releases live sessions in the
+// order sortedLive gives, drawing one rng value per session, so a map-order
+// list would release a different set on every run of the same seed.
+func TestSortedLiveOrdersByOwner(t *testing.T) {
+	live := make(map[int64]int)
+	for i := 0; i < 64; i++ {
+		live[int64(1000-7*i)] = 63 - i // owner 559 holds index 0, owner 1000 index 63
+	}
+	for i, idx := range sortedLive(live) {
+		if idx != i {
+			t.Fatalf("sortedLive = %v, want indices in owner order", sortedLive(live))
+		}
+	}
+}
+
+// TestSumCommitsIsReproducible: a node's commit sum must not depend on
+// map order. Float addition does not associate: 1e16 swallows a 1 added
+// after it, so only owner order gives the same bits on every call.
+func TestSumCommitsIsReproducible(t *testing.T) {
+	commits := map[int64]qos.Resources{0: {CPU: 1e16}}
+	for owner := int64(1); owner <= 64; owner++ {
+		commits[owner] = qos.Resources{CPU: 1}
+	}
+	var want qos.Resources
+	for owner := int64(0); owner <= 64; owner++ {
+		want = want.Add(commits[owner])
+	}
+	for i := 0; i < 20; i++ {
+		if got := sumCommits(commits); got != want {
+			t.Fatalf("sumCommits = %v, want the owner-order sum %v", got, want)
+		}
 	}
 }

@@ -18,84 +18,44 @@ import (
 // only for RP, and exhaustive probes for Optimal.
 //
 // One instance may be shared across goroutines (e.g. the dist cluster's
-// node goroutines) provided every mutation goes through the Add*
-// methods, which use sync/atomic; the exported fields remain plain
-// int64s so value copies, literals, and snapshot reads keep working.
-// Read a live shared instance with Snapshot rather than copying it.
+// node goroutines): every field is an atomic, so a plain read or write
+// does not compile and go vet rejects a copy. Read it with Snapshot.
 type Counters struct {
 	// Probes counts probe message transmissions (one per hop per probe).
-	Probes int64
+	Probes atomic.Int64
 	// ProbeReturns counts complete probed paths returning to the deputy.
-	ProbeReturns int64
+	ProbeReturns atomic.Int64
 	// StateUpdates counts threshold-triggered coarse global state
 	// updates for nodes and overlay links.
-	StateUpdates int64
+	StateUpdates atomic.Int64
 	// Aggregations counts virtual-link aggregation dissemination
 	// messages from the rotating aggregation node.
-	Aggregations int64
+	Aggregations atomic.Int64
 	// Confirmations counts session-setup confirmation messages.
-	Confirmations int64
+	Confirmations atomic.Int64
 	// Discovery counts service-discovery lookup messages.
-	Discovery int64
+	Discovery atomic.Int64
 }
 
-// AddProbes atomically adds n probe transmissions.
-func (c *Counters) AddProbes(n int64) { atomic.AddInt64(&c.Probes, n) }
-
-// AddProbeReturns atomically adds n probe returns.
-func (c *Counters) AddProbeReturns(n int64) { atomic.AddInt64(&c.ProbeReturns, n) }
-
-// AddStateUpdates atomically adds n global-state update messages.
-func (c *Counters) AddStateUpdates(n int64) { atomic.AddInt64(&c.StateUpdates, n) }
-
-// AddAggregations atomically adds n aggregation messages.
-func (c *Counters) AddAggregations(n int64) { atomic.AddInt64(&c.Aggregations, n) }
-
-// AddConfirmations atomically adds n confirmation messages.
-func (c *Counters) AddConfirmations(n int64) { atomic.AddInt64(&c.Confirmations, n) }
-
-// AddDiscovery atomically adds n discovery lookup messages.
-func (c *Counters) AddDiscovery(n int64) { atomic.AddInt64(&c.Discovery, n) }
+// Counts is a plain copy of Counters, field for field.
+type Counts struct {
+	Probes, ProbeReturns, StateUpdates, Aggregations, Confirmations, Discovery int64
+}
 
 // Snapshot returns an atomically-read copy of a live shared instance.
-func (c *Counters) Snapshot() Counters {
-	return Counters{
-		Probes:        atomic.LoadInt64(&c.Probes),
-		ProbeReturns:  atomic.LoadInt64(&c.ProbeReturns),
-		StateUpdates:  atomic.LoadInt64(&c.StateUpdates),
-		Aggregations:  atomic.LoadInt64(&c.Aggregations),
-		Confirmations: atomic.LoadInt64(&c.Confirmations),
-		Discovery:     atomic.LoadInt64(&c.Discovery),
-	}
-}
-
-// Total returns the sum of all message counters.
-func (c *Counters) Total() int64 {
-	s := c.Snapshot()
-	return s.Probes + s.ProbeReturns + s.StateUpdates + s.Aggregations +
-		s.Confirmations + s.Discovery
-}
-
-// ProbingTotal returns probe traffic only (sent plus returned), the
-// quantity reported for the RP baseline.
-func (c *Counters) ProbingTotal() int64 {
-	return atomic.LoadInt64(&c.Probes) + atomic.LoadInt64(&c.ProbeReturns)
-}
-
-// Sub returns c - o field-wise; useful for measuring a window.
-func (c Counters) Sub(o Counters) Counters {
-	return Counters{
-		Probes:        c.Probes - o.Probes,
-		ProbeReturns:  c.ProbeReturns - o.ProbeReturns,
-		StateUpdates:  c.StateUpdates - o.StateUpdates,
-		Aggregations:  c.Aggregations - o.Aggregations,
-		Confirmations: c.Confirmations - o.Confirmations,
-		Discovery:     c.Discovery - o.Discovery,
+func (c *Counters) Snapshot() Counts {
+	return Counts{
+		Probes:        c.Probes.Load(),
+		ProbeReturns:  c.ProbeReturns.Load(),
+		StateUpdates:  c.StateUpdates.Load(),
+		Aggregations:  c.Aggregations.Load(),
+		Confirmations: c.Confirmations.Load(),
+		Discovery:     c.Discovery.Load(),
 	}
 }
 
 // String summarises the counters.
-func (c Counters) String() string {
+func (c Counts) String() string {
 	return fmt.Sprintf("msgs(probe=%d ret=%d state=%d agg=%d confirm=%d disc=%d)",
 		c.Probes, c.ProbeReturns, c.StateUpdates, c.Aggregations, c.Confirmations, c.Discovery)
 }

@@ -18,13 +18,12 @@ func TestCountersConcurrentAdds(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < iters; i++ {
-				c.AddProbes(1)
-				c.AddProbeReturns(1)
-				c.AddStateUpdates(1)
-				c.AddAggregations(1)
-				c.AddConfirmations(1)
-				c.AddDiscovery(1)
-				_ = c.ProbingTotal()
+				c.Probes.Add(1)
+				c.ProbeReturns.Add(1)
+				c.StateUpdates.Add(1)
+				c.Aggregations.Add(1)
+				c.Confirmations.Add(1)
+				c.Discovery.Add(1)
 				if i%200 == 0 {
 					_ = c.Snapshot()
 				}
@@ -32,26 +31,9 @@ func TestCountersConcurrentAdds(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	s := c.Snapshot()
-	if s.Probes != workers*iters || s.Discovery != workers*iters {
-		t.Errorf("Snapshot = %+v, want %d per field", s, workers*iters)
-	}
-	if got := c.Total(); got != 6*workers*iters {
-		t.Errorf("Total = %d, want %d", got, 6*workers*iters)
-	}
-}
-
-func TestCountersTotalAndSub(t *testing.T) {
-	c := Counters{Probes: 10, ProbeReturns: 2, StateUpdates: 3, Aggregations: 4, Confirmations: 5, Discovery: 6}
-	if got := c.Total(); got != 30 {
-		t.Errorf("Total = %d, want 30", got)
-	}
-	if got := c.ProbingTotal(); got != 12 {
-		t.Errorf("ProbingTotal = %d, want 12", got)
-	}
-	d := c.Sub(Counters{Probes: 4, Confirmations: 5})
-	if d.Probes != 6 || d.Confirmations != 0 || d.StateUpdates != 3 {
-		t.Errorf("Sub = %+v", d)
+	const n = workers * iters
+	if s, want := c.Snapshot(), (Counts{n, n, n, n, n, n}); s != want {
+		t.Errorf("Snapshot = %+v, want %d per field", s, n)
 	}
 }
 

@@ -244,7 +244,7 @@ type Tracer struct {
 	sink     Sink
 	start    time.Time
 	now      func() time.Duration
-	probeSeq int64 // atomic
+	probeSeq atomic.Int64
 
 	// subs is the copy-on-write live-subscription list (see Subscribe):
 	// emit loads it with one atomic read, mutation happens under subsMu.
@@ -337,7 +337,7 @@ func (t *Tracer) NextProbeID() int64 {
 	if t == nil {
 		return 0
 	}
-	return atomic.AddInt64(&t.probeSeq, 1)
+	return t.probeSeq.Add(1)
 }
 
 // RequestReceived records the deputy accepting a request.

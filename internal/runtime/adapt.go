@@ -3,7 +3,6 @@ package runtime
 import (
 	"errors"
 	"fmt"
-	"sort"
 	"sync"
 	"time"
 
@@ -226,24 +225,16 @@ func (a *AdaptController) Stop() {
 	a.stopped = true
 	t := a.timer
 	a.timer = nil
-	ids := make([]SessionID, 0, len(a.retries))
-	for id := range a.retries {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	pending := make([]*retryState, 0, len(ids))
-	for _, id := range ids {
-		pending = append(pending, a.retries[id])
-		delete(a.retries, id)
-	}
-	a.mu.Unlock()
-	if t != nil {
-		t.Stop()
-	}
-	for _, rs := range pending {
+	// Stopping timers commutes, so the map's order is unobservable here.
+	for _, rs := range a.retries {
 		if rs.timer != nil {
 			rs.timer.Stop()
 		}
+	}
+	clear(a.retries)
+	a.mu.Unlock()
+	if t != nil {
+		t.Stop()
 	}
 }
 

@@ -2,7 +2,6 @@ package runtime
 
 import (
 	"sync"
-	"sync/atomic"
 )
 
 // startPipeline wires the session's component graph into goroutines and
@@ -79,9 +78,9 @@ func startPipeline(s *session) {
 					results = fn(unit)
 				}
 				for _, r := range results {
-					atomic.AddInt64(&s.perComp[pos], 1)
+					s.perComp[pos].Add(1)
 					if isSink {
-						atomic.AddInt64(&s.processd, 1)
+						s.processd.Add(1)
 					}
 					// Splits duplicate the unit to every outgoing branch;
 					// quit unblocks sends into queues whose consumer has

@@ -2,6 +2,7 @@ package runtime
 
 import (
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/component"
@@ -22,7 +23,7 @@ func TestPipelineMultiSinkSingleClose(t *testing.T) {
 		request: &component.Request{Graph: g},
 		running: true,
 		procFn:  make([]ProcessorFunc, 3),
-		perComp: make([]int64, 3),
+		perComp: make([]atomic.Int64, 3),
 		input:   make(chan DataUnit, 8),
 		output:  make(chan DataUnit, 16),
 		quit:    make(chan struct{}),
@@ -60,7 +61,7 @@ func TestPipelineMultiSinkForcedTeardown(t *testing.T) {
 		request: &component.Request{Graph: g},
 		running: true,
 		procFn:  make([]ProcessorFunc, 3),
-		perComp: make([]int64, 3),
+		perComp: make([]atomic.Int64, 3),
 		input:   make(chan DataUnit, 8),
 		output:  make(chan DataUnit, 16),
 		quit:    make(chan struct{}),

@@ -154,8 +154,8 @@ type session struct {
 	quitOnce sync.Once
 	done     chan struct{} // closed when the pipeline drains
 	procFn   []ProcessorFunc
-	processd int64
-	perComp  []int64 // units emitted per position (atomic)
+	processd atomic.Int64
+	perComp  []atomic.Int64 // units emitted per position
 }
 
 // Cluster is an in-process distributed stream processing system.
@@ -393,7 +393,7 @@ func (c *Cluster) RegisterFunction(f component.FunctionID, fn ProcessorFunc) {
 func (c *Cluster) NumNodes() int { return c.mesh.NumNodes() }
 
 // Counters returns a snapshot of the control-plane message counters.
-func (c *Cluster) Counters() metrics.Counters {
+func (c *Cluster) Counters() metrics.Counts {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.counters.Snapshot()
@@ -793,7 +793,7 @@ func (c *Cluster) Process(id SessionID) (chan<- DataUnit, <-chan DataUnit, error
 	for pos, f := range graph.Functions {
 		s.procFn[pos] = c.functions[f] // nil = identity
 	}
-	s.perComp = make([]int64, graph.NumPositions())
+	s.perComp = make([]atomic.Int64, graph.NumPositions())
 	s.input = make(chan DataUnit, queueSize)
 	s.output = make(chan DataUnit, queueSize)
 	s.quit = make(chan struct{})
@@ -821,10 +821,10 @@ func (c *Cluster) Stats(id SessionID) (SessionStats, error) {
 	}
 	st := SessionStats{
 		Emitted:     make([]int64, s.request.Graph.NumPositions()),
-		SinkEmitted: atomic.LoadInt64(&s.processd),
+		SinkEmitted: s.processd.Load(),
 	}
 	for i := range s.perComp {
-		st.Emitted[i] = atomic.LoadInt64(&s.perComp[i])
+		st.Emitted[i] = s.perComp[i].Load()
 	}
 	return st, nil
 }

@@ -1,8 +1,10 @@
 package runtime
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -337,6 +339,45 @@ func TestShutdownClosesSessions(t *testing.T) {
 	}
 	if _, err := c.Find(graph, qosReq, resReq, bw); err == nil {
 		t.Error("Find accepted after shutdown")
+	}
+}
+
+// TestShutdownClosesSessionsInIDOrder holds Shutdown to session-ID order.
+// It collects the session table, a map, and releases each session in turn;
+// without the sort the ledger releases run in Go's per-range random map
+// order. The tracer's SessionReleased events show the order.
+func TestShutdownClosesSessionsInIDOrder(t *testing.T) {
+	sink := &obs.MemorySink{}
+	cfg := DefaultConfig()
+	cfg.IPNodes = 256
+	cfg.OverlayNodes = 32
+	cfg.NumFunctions = 8
+	cfg.Tracer = obs.New(sink)
+	c, err := NewCluster(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	graph := component.NewPathGraph([]component.FunctionID{0, 1})
+	qosReq, resReq, bw := easyArgs(2)
+	for i := 0; i < 16; i++ {
+		if _, err := c.Find(graph, qosReq, resReq, bw); err != nil {
+			t.Fatal(err)
+		}
+	}
+	audit := c.AuditSessions()
+	slices.SortFunc(audit, func(a, b SessionAudit) int { return cmp.Compare(a.ID, b.ID) })
+	var want, got []int64
+	for _, a := range audit {
+		want = append(want, a.RequestID)
+	}
+	c.Shutdown()
+	for _, e := range sink.Events() {
+		if e.Type == obs.EventSessionReleased {
+			got = append(got, e.Req)
+		}
+	}
+	if fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Errorf("Shutdown released requests %v, want session-ID order %v", got, want)
 	}
 }
 

@@ -189,7 +189,7 @@ func (s *Server) Close() error {
 		s.reapT.Stop()
 	}
 	conns := make([]*conn, 0, len(s.conns))
-	//acp:nondeterminism-ok severing order is unobservable: each handler tears down its own sessions independently and Close joins them all via wg.Wait
+	// Severing order is unobservable: each handler tears down its own sessions independently and Close joins them all via wg.Wait
 	for c := range s.conns {
 		conns = append(conns, c)
 	}

@@ -3,8 +3,10 @@ package server
 import (
 	"bufio"
 	"bytes"
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -514,6 +516,58 @@ func TestDisconnectReleasesSessions(t *testing.T) {
 	auditPristine(t, c, "t0")
 	if s.Sessions() != 0 {
 		t.Fatalf("server still tracks %d wire sessions", s.Sessions())
+	}
+}
+
+// TestReleasesRunInSessionIDOrder: the reaper and a disconnect each
+// collect the sessions they release from a map, and must close them in
+// session-ID order; in map order a virtual-clock run would replay its
+// ledger releases in a new order every time. The cluster tracer's
+// SessionReleased events show the order.
+func TestReleasesRunInSessionIDOrder(t *testing.T) {
+	for _, path := range []string{"reap", "disconnect"} {
+		t.Run(path, func(t *testing.T) {
+			vc := clock.NewVirtual()
+			sink := &obs.MemorySink{}
+			cfg := runtime.DefaultConfig()
+			cfg.IPNodes, cfg.OverlayNodes, cfg.NeighborsPerNode = 128, 24, 4
+			cfg.NumFunctions, cfg.ComponentsPerNode = 8, 3
+			cfg.Clock, cfg.Tracer = vc, obs.New(sink)
+			c, err := runtime.NewCluster(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(c.Shutdown)
+			s := testServer(t, c, func(cfg *Config) {
+				cfg.Clock = vc
+				cfg.CommitTimeout = 10 * time.Second
+				cfg.ReapInterval = time.Second
+			})
+			cl := dialHello(t, s, "t0")
+			for i := 0; i < 12; i++ {
+				mustCompose(t, cl, false)
+			}
+			audit := c.AuditSessions()
+			slices.SortFunc(audit, func(a, b runtime.SessionAudit) int { return cmp.Compare(a.ID, b.ID) })
+			var want, got []int64
+			for _, a := range audit {
+				want = append(want, a.RequestID)
+			}
+			if path == "reap" {
+				vc.Advance(11 * time.Second)
+			} else {
+				_ = cl.Close()
+			}
+			waitSessions(t, c, 0)
+			for _, e := range sink.Events() {
+				if e.Type == obs.EventSessionReleased {
+					got = append(got, e.Req)
+				}
+			}
+			if fmt.Sprint(got) != fmt.Sprint(want) {
+				t.Errorf("released requests %v, want session-ID order %v", got, want)
+			}
+		})
 	}
 }
 

@@ -128,7 +128,7 @@ func (g *Global) nodeChanged(node int) {
 		exceeds(view.Memory, truth.Memory, capacity.Memory, g.cfg.UpdateThreshold) {
 		g.nodeView[node] = truth
 		g.version.Add(1)
-		g.counters.AddStateUpdates(1)
+		g.counters.StateUpdates.Add(1)
 	}
 }
 
@@ -142,7 +142,7 @@ func (g *Global) linkChanged(link int) {
 	defer g.unlock()
 	if exceeds(g.linkView[link], truth, capacity, g.cfg.UpdateThreshold) {
 		g.linkView[link] = truth
-		g.counters.AddStateUpdates(1)
+		g.counters.StateUpdates.Add(1)
 	}
 }
 
@@ -163,7 +163,7 @@ func (g *Global) Aggregate() {
 	copy(g.aggView, g.linkView)
 	g.version.Add(1)
 	g.aggNode = (g.aggNode + 1) % g.mesh.NumNodes()
-	g.counters.AddAggregations(int64(g.mesh.NumNodes()))
+	g.counters.Aggregations.Add(int64(g.mesh.NumNodes()))
 }
 
 // AggregationNode returns the node currently holding the aggregation role.

@@ -71,8 +71,8 @@ func TestGlobalThresholdFiltering(t *testing.T) {
 	if got := report(g, 0); got != (qos.Resources{CPU: 100, Memory: 1000}) {
 		t.Errorf("view updated for insignificant change: %v", got)
 	}
-	if c.StateUpdates != 0 {
-		t.Errorf("StateUpdates = %d, want 0", c.StateUpdates)
+	if c.StateUpdates.Load() != 0 {
+		t.Errorf("StateUpdates = %d, want 0", c.StateUpdates.Load())
 	}
 
 	// A further commit pushing total drift past 10% triggers an update.
@@ -82,8 +82,8 @@ func TestGlobalThresholdFiltering(t *testing.T) {
 	if got := report(g, 0); got != (qos.Resources{CPU: 88, Memory: 980}) {
 		t.Errorf("view after significant change = %v, want fresh truth", got)
 	}
-	if c.StateUpdates != 1 {
-		t.Errorf("StateUpdates = %d, want 1", c.StateUpdates)
+	if c.StateUpdates.Load() != 1 {
+		t.Errorf("StateUpdates = %d, want 1", c.StateUpdates.Load())
 	}
 }
 
@@ -96,8 +96,8 @@ func TestGlobalLinkThresholdAndAggregation(t *testing.T) {
 	if err := l.CommitSession(1, nil, map[int]float64{0: capacity / 2}); err != nil {
 		t.Fatal(err)
 	}
-	if c.StateUpdates != 1 {
-		t.Fatalf("StateUpdates = %d, want 1", c.StateUpdates)
+	if c.StateUpdates.Load() != 1 {
+		t.Fatalf("StateUpdates = %d, want 1", c.StateUpdates.Load())
 	}
 	lk := g.mesh.Link(0)
 	route, ok := g.mesh.RouteBetween(lk.A, lk.B)
@@ -116,8 +116,8 @@ func TestGlobalLinkThresholdAndAggregation(t *testing.T) {
 	if got := aggregated(g, pinned); got != capacity/2 {
 		t.Errorf("post-aggregation RouteAvailable = %v, want %v", got, capacity/2)
 	}
-	if c.Aggregations != int64(g.mesh.NumNodes()) {
-		t.Errorf("Aggregations = %d, want %d", c.Aggregations, g.mesh.NumNodes())
+	if c.Aggregations.Load() != int64(g.mesh.NumNodes()) {
+		t.Errorf("Aggregations = %d, want %d", c.Aggregations.Load(), g.mesh.NumNodes())
 	}
 }
 
@@ -130,8 +130,8 @@ func TestGlobalIgnoresTransientHolds(t *testing.T) {
 	if got := report(g, 0); got != (qos.Resources{CPU: 100, Memory: 1000}) {
 		t.Errorf("global view saw a transient hold: %v", got)
 	}
-	if c.StateUpdates != 0 {
-		t.Errorf("StateUpdates = %d, want 0", c.StateUpdates)
+	if c.StateUpdates.Load() != 0 {
+		t.Errorf("StateUpdates = %d, want 0", c.StateUpdates.Load())
 	}
 }
 
