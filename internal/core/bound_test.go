@@ -694,3 +694,90 @@ func TestSenderCutAccounting(t *testing.T) {
 			cfg.MaxProbesPerRequest, again.ProbesSent, again.Best.Components, again.Best.Phi, out.ProbesSent, out.Best.Components, out.Best.Phi)
 	}
 }
+
+// TestSkippedHopPrunesEveryCandidate: a hop whose every discovered
+// candidate the sender would cut selects nothing and sends nothing, and
+// still accounts for each candidate. Across a traced ACP walk and an
+// Optimal one over a loaded path, every candidate discovery returned at
+// every hop ends in exactly one pre-spawn prune or one spawned probe, and
+// some hops were skipped whole: all their candidates pruned before send
+// for the incumbent bound, with no ranking cut among them.
+func TestSkippedHopPrunesEveryCandidate(t *testing.T) {
+	for _, alg := range []Algorithm{AlgACP, AlgOptimal} {
+		mesh := boundMesh(t, 501)
+		rng := rand.New(rand.NewSource(77))
+		pcfg := component.DefaultPlacementConfig()
+		pcfg.NumFunctions = 4
+		pcfg.ComponentsPerNode = 2
+		cat, err := component.Place(mesh.NumNodes(), pcfg, rng)
+		if err != nil {
+			t.Fatal(err)
+		}
+		env := boundEnv(t, mesh, cat, rng, true)
+		load := make(map[int]qos.Resources)
+		for n := 0; n < mesh.NumNodes(); n++ {
+			load[n] = env.Ledger.NodeCapacity(n).Scale(0.5 * rng.Float64())
+		}
+		if err := env.Ledger.CommitSession(9001, load, nil); err != nil {
+			t.Fatal(err)
+		}
+		env.Global.ForceRefresh()
+		sink := &obs.MemorySink{}
+		env.Tracer = obs.New(sink)
+		need := qos.Resources{CPU: 5, Memory: 50}
+		req := &component.Request{
+			ID:           1,
+			Graph:        component.NewPathGraph([]component.FunctionID{0, 1, 2, 3}),
+			QoSReq:       qos.Vector{Delay: 1e9, LossCost: 1e9},
+			ResReq:       []qos.Resources{need, need, need, need},
+			BandwidthReq: 10,
+			Client:       0,
+			Duration:     time.Minute,
+		}
+		cfg := DefaultConfig()
+		cfg.Algorithm = alg
+		cfg.ProbingRatio = 0.5
+		out, err := mustComposer(t, env, cfg).Probe(req)
+		if err != nil || !out.Success() {
+			t.Fatalf("%v: probe: %v, success=%v", alg, err, out != nil && out.Success())
+		}
+
+		// A hop is the extension of one probe span (0 at the root) at the
+		// position after the span's own; the path's positions are its order.
+		discovered := func(pos int) int { return len(cat.Candidates(req.Graph.Functions[pos])) }
+		want, got := discovered(0), 0
+		type hop struct {
+			parent int64
+			pos    int
+		}
+		bound, ended := make(map[hop]int), make(map[hop]int)
+		for _, e := range sink.Events() {
+			switch {
+			case e.Type == obs.EventProbeForwarded:
+				want += discovered(e.Pos + 1)
+			case e.Type == obs.EventProbeSpawned:
+				got++
+			case e.Type == obs.EventCandidatePruned && e.Probe == 0:
+				got++
+				h := hop{e.Parent, e.Pos}
+				ended[h]++
+				if e.Reason == obs.ReasonBound {
+					bound[h]++
+				}
+			}
+		}
+		if got != want {
+			t.Errorf("%v: discovery returned %d candidates over the walk's hops, %d ended in a prune before send or a spawned probe", alg, want, got)
+		}
+		skipped := 0
+		for h, n := range bound {
+			if n == discovered(h.pos) && ended[h] == n {
+				skipped++
+			}
+		}
+		if skipped == 0 {
+			t.Errorf("%v: no hop had every candidate cut before send", alg)
+		}
+		t.Logf("%v: %d candidates over the hops, %d hops skipped whole", alg, want, skipped)
+	}
+}

@@ -115,21 +115,11 @@ func (k *Kernel) Consider(h *Hop, cand component.Component, acc qos.Vector, avai
 func (k *Kernel) Select(h *Hop, policy SelectionPolicy, alpha float64, numCandidates int) []component.ComponentID {
 	qualified := k.ranked
 	if m := probeWidth(alpha, numCandidates); len(qualified) > m {
-		// Stable insertion sort on the scratch buffer: candidate lists are
-		// a handful of entries, and insertion is what sort.SliceStable
-		// does at these sizes, without its interface and closure
-		// allocations. The band makes the order non-transitive, so the
-		// algorithm is part of the decision.
-		for i := 1; i < len(qualified); i++ {
-			x, j := qualified[i], i
-			for ; j > 0 && rankBefore(policy, x, qualified[j-1]); j-- {
-				qualified[j] = qualified[j-1]
-			}
-			qualified[j] = x
-		}
+		r := rankingOf(policy)
+		r.topM(qualified, m)
 		if h.Tracer.Enabled() {
 			for _, cut := range qualified[m:] {
-				h.pruned(cut.node, rankCutReason(policy, cut.risk, qualified[m-1].risk))
+				h.pruned(cut.node, rankCutReason[r.byRisk(cut.risk, qualified[m-1].risk)])
 			}
 		}
 		qualified = qualified[:m]
@@ -156,42 +146,73 @@ func probeWidth(alpha float64, k int) int {
 // larger, to count as different (§3.5).
 const riskBand = 0.05
 
-func risksDiffer(ri, rj float64) bool {
-	return math.Abs(ri-rj) > riskBand*max(ri, rj)
+// ranking is a selection policy as two masks, so that ranking needs no
+// branch: the paper's policy compares risks when they differ by more than
+// the band, else congestions; the other two always risks or congestions.
+type ranking struct{ riskOnly, congOnly uint8 }
+
+func rankingOf(policy SelectionPolicy) ranking {
+	return ranking{bit(policy == SelectRiskOnly), bit(policy == SelectCongestionOnly)}
 }
 
-// rankBefore orders two ranked candidates under the selection policy. The
-// paper compares risk values first and falls back to the congestion
-// function when the risks are similar.
-func rankBefore(policy SelectionPolicy, a, b rankedCand) bool {
-	switch policy {
-	case SelectRiskOnly:
-		return a.risk < b.risk
-	case SelectCongestionOnly:
-		return a.cong < b.cong
-	default: // SelectRiskThenCongestion
-		if risksDiffer(a.risk, b.risk) {
-			return a.risk < b.risk
-		}
-		return a.cong < b.cong
+// rankCutReason attributes a ranking cut, by byRisk against the last
+// admitted candidate, to the congestion function W or the risk function D.
+var rankCutReason = [2]obs.Reason{obs.ReasonCongestionRank, obs.ReasonRiskRank}
+
+// byRisk is 1 when risks ra and rb are compared, 0 when congestions are.
+// For ra >= rb the band test |ra-rb| > riskBand*max(ra, rb) is ra-rb >
+// riskBand*ra, and rb-ra > riskBand*rb can hold only for rb < 0, where the
+// first holds too (unless ra = +Inf, where neither does): the OR of the
+// one-sided tests is exact for every pair of floats and has no branch.
+func (r ranking) byRisk(ra, rb float64) uint8 {
+	return (bit(ra-rb > riskBand*ra) | bit(rb-ra > riskBand*rb) | r.riskOnly) &^ r.congOnly
+}
+
+// before is 1 when a ranks before b; it is small enough to inline.
+func (r ranking) before(a, b rankedCand) uint8 {
+	cong := bit(a.cong < b.cong)
+	return cong ^ r.byRisk(a.risk, b.risk)&(bit(a.risk < b.risk)^cong)
+}
+
+// bit is 1 for true and 0 for false, a flag read rather than a branch.
+func bit(b bool) uint8 {
+	if b {
+		return 1
 	}
+	return 0
 }
 
-// rankCutReason attributes a ranking cut to the risk function D or the
-// congestion function W: a cut candidate whose risk differs from the last
-// admitted one's lost on risk; one inside the band was tie-broken by
-// congestion.
-func rankCutReason(policy SelectionPolicy, cutRisk, lastKeptRisk float64) obs.Reason {
-	switch policy {
-	case SelectRiskOnly:
-		return obs.ReasonRiskRank
-	case SelectCongestionOnly:
-		return obs.ReasonCongestionRank
-	default:
-		if risksDiffer(cutRisk, lastKeptRisk) {
-			return obs.ReasonRiskRank
+// topM leaves in q[:m], in order, the first m entries of a stable insertion
+// sort of q (the band makes the order non-transitive, so the sort is part
+// of the decision) and the rest, the tail, unordered in q[m:]. An entry
+// moves only while inserted, past entries it ranks before, so it enters
+// the head exactly when it ranks before the head's last and every entry
+// then in the tail: a conjunction, taken over the tail without a branch.
+func (r ranking) topM(q []rankedCand, m int) {
+	for i := 1; i < len(q); i++ {
+		x, h := q[i], min(i, m)
+		j := h
+		if i > m {
+			if r.before(x, q[m-1]) == 0 {
+				continue
+			}
+			all := uint8(1)
+			for _, t := range q[m:i] {
+				all &= r.before(x, t)
+			}
+			if all == 0 {
+				continue
+			}
+			j--
 		}
-		return obs.ReasonCongestionRank
+		for j > 0 && r.before(x, q[j-1]) != 0 {
+			j--
+		}
+		if j < h {
+			q[i] = q[h-1]
+			copy(q[j+1:h], q[j:h-1])
+			q[j] = x
+		}
 	}
 }
 

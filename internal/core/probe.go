@@ -128,7 +128,9 @@ type walkScratch struct {
 	children [][]hopChild      // per-depth extendProbe output
 	hopLinks []state.LinkShare // hopLinks result buffer
 	shuffled []component.ComponentID
-	unseen   []int // routeAvail's links not yet in the view
+	unseen   []int        // routeAvail's links not yet in the view
+	rows     [][]linkFact // factRows result: a link-fact row per predecessor
+	rowFrom  []int        // and the node the cursor holds at each
 
 	evalBuf [2]Composition // double-buffered composition evaluation
 	evalIdx int
@@ -283,15 +285,27 @@ func (c *Composer) layoutFacts(pos, k int) {
 	w.laidOut++
 }
 
-// linkFactOf returns the walk's facts about the virtual link from the
-// candidate the cursor holds at the n-th predecessor of pos to candidate
-// cand (of k, on candNode) of pos, with QoS and coarse bottleneck filled.
-func (c *Composer) linkFactOf(pos, n, cand, k, candNode int) *linkFact {
+// factRows returns, per predecessor of pos, the link facts from the
+// candidate the cursor holds there to each of pos's k candidates, and that
+// candidate's node. The slices are scratch, valid until the next call.
+func (c *Composer) factRows(pos, k int) ([][]linkFact, []int) {
 	sc := &c.scratch
-	pred := sc.plan.Preds[pos][n]
-	f := &sc.facts[sc.factOff[sc.predOff[pos]+n]+int(sc.candIdx[sc.cur[pred]])*k+cand]
+	rows, from := sc.rows[:0], sc.rowFrom[:0]
+	for n, pred := range sc.plan.Preds[pos] {
+		held := sc.cur[pred]
+		off := sc.factOff[sc.predOff[pos]+n] + int(sc.candIdx[held])*k
+		rows, from = append(rows, sc.facts[off:off+k]), append(from, c.env.Catalog.Component(held).Node)
+	}
+	sc.rows, sc.rowFrom = rows, from
+	return rows, from
+}
+
+// fill returns f, the fact about the route from node from to node to,
+// with QoS and coarse bottleneck filled.
+func (c *Composer) fill(f *linkFact, from, to int) *linkFact {
+	sc := &c.scratch
 	if f.epoch != sc.epoch {
-		r := c.route(c.env.Catalog.Component(sc.cur[pred]).Node, candNode)
+		r := c.route(from, to)
 		f.qos = r.QoS
 		f.coarse = sc.coarse.RouteAvailable(r)
 		f.epoch = sc.epoch
@@ -300,13 +314,11 @@ func (c *Composer) linkFactOf(pos, n, cand, k, candNode int) *linkFact {
 }
 
 // linkPrecise is the link's bottleneck in the walk's link view, read the
-// first time a probe is sent from the cursor's n-th predecessor of pos
-// over it to candNode.
-func (c *Composer) linkPrecise(f *linkFact, pos, n, candNode int) float64 {
+// first time a probe is sent over it from node from to node to.
+func (c *Composer) linkPrecise(f *linkFact, from, to int) float64 {
 	sc := &c.scratch
 	if f.visited != sc.epoch {
-		from := c.env.Catalog.Component(sc.cur[sc.plan.Preds[pos][n]]).Node
-		f.precise = c.routeAvail(c.route(from, candNode))
+		f.precise = c.routeAvail(c.route(from, to))
 		f.visited = sc.epoch
 	}
 	return f.precise
@@ -624,9 +636,19 @@ func (c *Composer) extendProbe(out *Outcome, p hopChild, depth, pos int, isSourc
 	if depth == w.laidOut {
 		c.layoutFacts(pos, len(candidates))
 	}
-	selected := c.selectCandidates(p, pos, candidates)
 	tr := c.env.Tracer
-	preds := sc.plan.Preds[pos]
+	if c.hopLoses(p, depth, pos, candidates) {
+		// Selection reads no ledger state and draws nothing, and the sender
+		// would cut all it picked: skipping it moves only trace events.
+		if tr.Enabled() {
+			for _, id := range candidates {
+				tr.CandidatePruned(w.req.ID, 0, p.id, pos, c.env.Catalog.Component(id).Node, obs.ReasonBound)
+			}
+		}
+		return nil
+	}
+	selected := c.selectCandidates(p, pos, candidates)
+	rows, from := c.factRows(pos, len(candidates))
 
 	for len(sc.children) <= depth {
 		sc.children = append(sc.children, nil)
@@ -642,19 +664,9 @@ func (c *Composer) extendProbe(out *Outcome, p hopChild, depth, pos int, isSourc
 			break
 		}
 		cand := c.env.Catalog.Component(id)
-		// The sender cut: what the walk already knows of the candidate's
-		// node — its own frozen read if a probe of this walk has visited
-		// it, else the most the floor allows — cannot beat the incumbent,
-		// so the probe is never sent. No ledger read happens here.
-		if w.bounded && w.best != nil {
-			most := sc.nodeView[cand.Node]
-			if sc.nodeEpoch[cand.Node] != sc.epoch {
-				most = c.mostAvailable(cand.Node)
-			}
-			if c.cut(depth+1, BoundJoin(c.cfg.Phi, p.bound, BoundNode(w.req.ResReq[pos], most))) {
-				tr.CandidatePruned(w.req.ID, 0, p.id, pos, cand.Node, obs.ReasonBound)
-				continue
-			}
+		if c.senderCut(p, depth, pos, cand.Node) {
+			tr.CandidatePruned(w.req.ID, 0, p.id, pos, cand.Node, obs.ReasonBound)
+			continue
 		}
 		w.budget--
 		// Sending the probe to the candidate costs one message whether
@@ -667,8 +679,8 @@ func (c *Composer) extendProbe(out *Outcome, p hopChild, depth, pos int, isSourc
 
 		candIdx := int(sc.candIdx[id])
 		var linkQoS qos.Vector
-		for n := range preds {
-			linkQoS = linkQoS.Add(c.linkFactOf(pos, n, candIdx, len(candidates), cand.Node).qos)
+		for n, row := range rows {
+			linkQoS = linkQoS.Add(c.fill(&row[candIdx], from[n], cand.Node).qos)
 		}
 		acc := p.acc.Add(linkQoS).Add(cand.QoS)
 
@@ -678,7 +690,7 @@ func (c *Composer) extendProbe(out *Outcome, p hopChild, depth, pos int, isSourc
 		if isSource {
 			travel = c.route(w.req.Client, cand.Node).QoS.Delay
 		} else {
-			travel = c.linkFactOf(pos, 0, candIdx, len(candidates), cand.Node).qos.Delay
+			travel = c.fill(&rows[0][candIdx], from[0], cand.Node).qos.Delay
 		}
 		latency := p.latency + travel
 		if latency > w.maxLatency {
@@ -711,8 +723,8 @@ func (c *Composer) extendProbe(out *Outcome, p hopChild, depth, pos int, isSourc
 		}
 		bound := BoundJoin(c.cfg.Phi, p.bound, BoundNode(w.req.ResReq[pos], avail))
 		feasible := true
-		for n := range preds {
-			bw := c.linkPrecise(c.linkFactOf(pos, n, candIdx, len(candidates), cand.Node), pos, n, cand.Node)
+		for n, row := range rows {
+			bw := c.linkPrecise(c.fill(&row[candIdx], from[n], cand.Node), from[n], cand.Node)
 			if bw < w.req.BandwidthReq {
 				feasible = false
 				break
@@ -767,6 +779,32 @@ func (c *Composer) extendProbe(out *Outcome, p hopChild, depth, pos int, isSourc
 	return children
 }
 
+// senderCut reports whether p's sender can show, without a ledger read,
+// that a candidate of pos on node cannot beat the incumbent: what the walk
+// knows of the node (its frozen read if a probe of this walk visited it,
+// else the most the floor allows) joined to p's bound. It is never sent.
+func (c *Composer) senderCut(p hopChild, depth, pos, node int) bool {
+	sc := &c.scratch
+	if !c.walk.bounded || c.walk.best == nil {
+		return false
+	}
+	most := sc.nodeView[node]
+	if sc.nodeEpoch[node] != sc.epoch {
+		most = c.mostAvailable(node)
+	}
+	return c.cut(depth+1, BoundJoin(c.cfg.Phi, p.bound, BoundNode(c.walk.req.ResReq[pos], most)))
+}
+
+// hopLoses reports whether the sender cut would drop every candidate.
+func (c *Composer) hopLoses(p hopChild, depth, pos int, candidates []component.ComponentID) bool {
+	for _, id := range candidates {
+		if !c.senderCut(p, depth, pos, c.env.Catalog.Component(id).Node) {
+			return false
+		}
+	}
+	return true
+}
+
 // selectCandidates picks the M = ceil(alpha*k) next-hop candidates to
 // probe (§3.5). For Optimal every candidate is probed. For the guided
 // policies the kernel qualifies and ranks the candidates against the
@@ -797,13 +835,14 @@ func (c *Composer) selectCandidates(p hopChild, pos int, candidates []component.
 		return picked[:m]
 	}
 
+	rows, from := c.factRows(pos, len(candidates))
 	hop := Hop{Req: w.req, Pos: pos, Parent: p.id, Tracer: tr}
 	for i, id := range candidates {
 		cand := c.env.Catalog.Component(id)
 		var linkQoS qos.Vector
 		routeBW := math.Inf(1)
-		for n := range sc.plan.Preds[pos] {
-			f := c.linkFactOf(pos, n, i, len(candidates), cand.Node)
+		for n, row := range rows {
+			f := c.fill(&row[i], from[n], cand.Node)
 			linkQoS = linkQoS.Add(f.qos)
 			routeBW = min(routeBW, f.coarse)
 		}
