@@ -42,16 +42,16 @@ func DefaultPlacementConfig() PlacementConfig {
 }
 
 // Catalog records which components are deployed where, indexed both by
-// function (for discovery) and by node. Placement is mutable: Move
-// migrates a component between nodes (footnote 1 of the paper:
-// "components can be dynamically migrated among nodes; composition
-// operates based on the current component placement"), and failure
-// injection marks whole nodes unavailable.
+// function (for discovery) and by node. It records placement only: which
+// nodes are down is the outage schedule's business (discovery hides
+// their components). Move migrates a component between nodes (footnote 1
+// of the paper: "components can be dynamically migrated among nodes;
+// composition operates based on the current component placement"); a
+// catalog nobody moves is read-only and safe to share across goroutines.
 type Catalog struct {
 	components []Component
 	byFunction [][]ComponentID
 	byNode     [][]ComponentID
-	nodeDown   []bool
 }
 
 // Place deploys components across numNodes overlay nodes. Functions are
@@ -84,7 +84,6 @@ func Place(numNodes int, cfg PlacementConfig, rng *rand.Rand) (*Catalog, error) 
 		components: make([]Component, 0, total),
 		byFunction: make([][]ComponentID, cfg.NumFunctions),
 		byNode:     make([][]ComponentID, numNodes),
-		nodeDown:   make([]bool, numNodes),
 	}
 
 	// Shuffle (node, slot) placements, then deal functions round-robin so
@@ -113,25 +112,6 @@ func Place(numNodes int, cfg PlacementConfig, rng *rand.Rand) (*Catalog, error) 
 	return c, nil
 }
 
-// Clone returns a deep copy of the catalog. Experiment runs that enable
-// migration or failure injection clone the shared platform catalog so
-// runs stay independent.
-func (c *Catalog) Clone() *Catalog {
-	out := &Catalog{
-		components: append([]Component(nil), c.components...),
-		byFunction: make([][]ComponentID, len(c.byFunction)),
-		byNode:     make([][]ComponentID, len(c.byNode)),
-		nodeDown:   append([]bool(nil), c.nodeDown...),
-	}
-	for i, ids := range c.byFunction {
-		out.byFunction[i] = append([]ComponentID(nil), ids...)
-	}
-	for i, ids := range c.byNode {
-		out.byNode[i] = append([]ComponentID(nil), ids...)
-	}
-	return out
-}
-
 // Move migrates a component to another node, updating the per-node
 // indexes. Subsequent compositions operate on the new placement
 // (footnote 1).
@@ -156,36 +136,6 @@ func (c *Catalog) Move(id ComponentID, node int) error {
 	comp.Node = node
 	c.byNode[node] = append(c.byNode[node], id)
 	return nil
-}
-
-// SetNodeAvailable marks an overlay node up or down. Components on a
-// down node stop being offered as candidates.
-func (c *Catalog) SetNodeAvailable(node int, up bool) {
-	if node >= 0 && node < len(c.nodeDown) {
-		c.nodeDown[node] = !up
-	}
-}
-
-// HasDownNodes reports whether any node is currently marked down; the
-// discovery fast path skips candidate filtering while everything is up.
-func (c *Catalog) HasDownNodes() bool {
-	for _, down := range c.nodeDown {
-		if down {
-			return true
-		}
-	}
-	return false
-}
-
-// NodeIsAvailable reports whether the overlay node is up.
-func (c *Catalog) NodeIsAvailable(node int) bool {
-	return node >= 0 && node < len(c.nodeDown) && !c.nodeDown[node]
-}
-
-// Usable reports whether a component can currently be composed: its
-// hosting node must be up.
-func (c *Catalog) Usable(id ComponentID) bool {
-	return c.NodeIsAvailable(c.components[id].Node)
 }
 
 // NumComponents returns the number of deployed components.

@@ -171,38 +171,6 @@ func TestPlaceRejectsZeroSecurityLevels(t *testing.T) {
 	}
 }
 
-func TestNodeAvailability(t *testing.T) {
-	cat, err := Place(20, DefaultPlacementConfig(), rand.New(rand.NewSource(10)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cat.HasDownNodes() {
-		t.Error("fresh catalog reports down nodes")
-	}
-	cat.SetNodeAvailable(5, false)
-	if !cat.HasDownNodes() || cat.NodeIsAvailable(5) {
-		t.Error("node 5 not marked down")
-	}
-	for _, id := range cat.OnNode(5) {
-		if cat.Usable(id) {
-			t.Errorf("component %d on down node usable", id)
-		}
-	}
-	cat.SetNodeAvailable(5, true)
-	if cat.HasDownNodes() {
-		t.Error("repair not applied")
-	}
-	// Out-of-range is ignored gracefully.
-	cat.SetNodeAvailable(-1, false)
-	cat.SetNodeAvailable(999, false)
-	if cat.HasDownNodes() {
-		t.Error("out-of-range availability change took effect")
-	}
-	if cat.NodeIsAvailable(-1) || cat.NodeIsAvailable(999) {
-		t.Error("out-of-range nodes reported available")
-	}
-}
-
 func TestCatalogMoveUpdatesIndexes(t *testing.T) {
 	cat, err := Place(20, DefaultPlacementConfig(), rand.New(rand.NewSource(11)))
 	if err != nil {
@@ -238,24 +206,5 @@ func TestCatalogMoveUpdatesIndexes(t *testing.T) {
 	}
 	if err := cat.Move(id, 999); err == nil {
 		t.Error("out-of-range node accepted")
-	}
-}
-
-func TestCatalogCloneIndependence(t *testing.T) {
-	cat, err := Place(20, DefaultPlacementConfig(), rand.New(rand.NewSource(12)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	clone := cat.Clone()
-	id := cat.OnNode(0)[0]
-	if err := clone.Move(id, 3); err != nil {
-		t.Fatal(err)
-	}
-	if cat.Component(id).Node == 3 {
-		t.Error("move on clone mutated the original")
-	}
-	clone.SetNodeAvailable(2, false)
-	if !cat.NodeIsAvailable(2) {
-		t.Error("availability change on clone mutated the original")
 	}
 }

@@ -255,7 +255,7 @@ func (o *Outcome) Success() bool { return o.Best != nil }
 // hold marks, the replica of the global state, the kernel's ranking and
 // demand accumulators) to stay allocation-free in steady state. Concurrent
 // drivers give every caller its own composer over the shared environment
-// and enable locking on the ledger and global state.
+// and enable locking on the ledger; the global state always locks.
 type Composer struct {
 	env Env
 	cfg Config

@@ -254,7 +254,6 @@ func (f sinkFunc) Emit(e obs.Event) { f(e) }
 func TestStaleViewCostsAProbeNotAnOverAdmission(t *testing.T) {
 	env, _ := testEnv(t, 7)
 	env.Ledger.EnableLocking()
-	env.Global.EnableLocking()
 
 	// Functions fx, fy whose first candidates sit on distinct nodes P, Q
 	// with a routed path between them: Static (B) picks exactly those,

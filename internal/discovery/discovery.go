@@ -10,6 +10,7 @@ import (
 	"math"
 
 	"repro/internal/component"
+	"repro/internal/faults"
 	"repro/internal/metrics"
 )
 
@@ -19,6 +20,7 @@ type Registry struct {
 	catalog  *component.Catalog
 	hopCost  int64
 	counters *metrics.Counters
+	outages  *faults.Injector // nodes it reports down offer nothing; nil: all up
 }
 
 // NewRegistry builds a registry over the deployed catalog. numNodes sizes
@@ -35,6 +37,11 @@ func NewRegistry(catalog *component.Catalog, numNodes int, counters *metrics.Cou
 	return &Registry{catalog: catalog, hopCost: hop, counters: counters}
 }
 
+// SetOutages hides the components of every node the injector reports
+// down from later lookups. A nil injector (the default) reports every
+// node up.
+func (r *Registry) SetOutages(in *faults.Injector) { r.outages = in }
+
 // Lookup returns the IDs of components providing function f that are
 // currently reachable (their hosting node is up), charging one DHT
 // traversal to the discovery counter. The returned slice is shared
@@ -42,12 +49,12 @@ func NewRegistry(catalog *component.Catalog, numNodes int, counters *metrics.Cou
 func (r *Registry) Lookup(f component.FunctionID) []component.ComponentID {
 	r.counters.Discovery.Add(r.hopCost)
 	candidates := r.catalog.Candidates(f)
-	if !r.catalog.HasDownNodes() {
+	if r.outages == nil {
 		return candidates
 	}
 	usable := make([]component.ComponentID, 0, len(candidates))
 	for _, id := range candidates {
-		if r.catalog.Usable(id) {
+		if !r.outages.Down(r.catalog.Component(id).Node) {
 			usable = append(usable, id)
 		}
 	}

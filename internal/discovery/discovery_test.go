@@ -3,8 +3,11 @@ package discovery
 import (
 	"math/rand"
 	"testing"
+	"time"
 
 	"repro/internal/component"
+	"repro/internal/faults"
+	"repro/internal/harness/clock"
 	"repro/internal/metrics"
 )
 
@@ -74,9 +77,22 @@ func TestLookupFiltersDownNodes(t *testing.T) {
 	if before == 0 {
 		t.Fatal("no candidates for function 0")
 	}
-	// Take one candidate's node down: it must vanish from lookups.
+	// Take one candidate's node down for a minute: it must vanish from
+	// lookups inside the outage and return after it.
 	victim := cat.Candidates(f)[0]
-	cat.SetNodeAvailable(cat.Component(victim).Node, false)
+	clk := clock.NewVirtual()
+	outages, err := faults.New(faults.Config{
+		Crashes: []faults.Crash{{Node: cat.Component(victim).Node, At: time.Minute, Downtime: time.Minute}},
+		Clock:   clk,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg.SetOutages(outages)
+	if got := len(reg.Lookup(f)); got != before {
+		t.Fatalf("lookup before the outage = %d, want %d", got, before)
+	}
+	clk.Advance(time.Minute)
 	after := reg.Lookup(f)
 	if len(after) >= before {
 		t.Fatalf("lookup returned %d candidates with a node down, had %d", len(after), before)
@@ -87,7 +103,7 @@ func TestLookupFiltersDownNodes(t *testing.T) {
 		}
 	}
 	// Repair restores it.
-	cat.SetNodeAvailable(cat.Component(victim).Node, true)
+	clk.Advance(time.Minute)
 	if got := len(reg.Lookup(f)); got != before {
 		t.Errorf("lookup after repair = %d, want %d", got, before)
 	}

@@ -309,9 +309,6 @@ func (n *node) fanOut(rq *request, idx int, prefix *hopRecord, alpha float64, pa
 	candidates := n.c.catalog.Candidates(req.Graph.Functions[pos])
 	hop := core.Hop{Req: req, Pos: pos, Parent: parent, Tracer: tr}
 	for _, id := range candidates {
-		if !n.c.catalog.Usable(id) {
-			continue
-		}
 		cand := n.c.catalog.Component(id)
 		linkQoS, routeBW := n.predecessorRoutes(&rq.plan, idx, prefix, cand.Node)
 		n.kern.Consider(&hop, cand, acc.Add(linkQoS).Add(cand.QoS), n.view[cand.Node], routeBW)

@@ -3,23 +3,32 @@ package experiment
 import (
 	"reflect"
 	"testing"
+	"time"
 
 	"repro/internal/core"
 )
 
 // TestRunConcurrentMatchesSerial: runs are independent — each builds its
-// own engine, ledger, and composer over the shared immutable platform —
-// so the concurrent driver must reproduce the serial results exactly, in
-// input order.
+// own engine, ledger, outage schedule and composer over the shared
+// read-only platform — so the concurrent driver must reproduce the serial
+// results exactly, in input order. The last two cells crash nodes, one of
+// them recomposing the disrupted sessions: node failures live in each
+// run's own schedule, never in the shared catalog.
 func TestRunConcurrentMatchesSerial(t *testing.T) {
 	p := smallPlatform(t, 3)
-	algs := []core.Algorithm{core.AlgACP, core.AlgRP, core.AlgSP, core.AlgACP}
+	algs := []core.Algorithm{core.AlgACP, core.AlgRP, core.AlgSP, core.AlgACP, core.AlgACP, core.AlgACP}
 	rcs := make([]RunConfig, len(algs))
 	for i, alg := range algs {
 		rc := shortRun(20)
 		rc.Seed = int64(i + 1)
 		rc.Algorithm = alg
 		rcs[i] = rc
+	}
+	for i, recompose := range []bool{false, true} {
+		rc := &rcs[len(rcs)-2+i]
+		rc.FailuresPerMinute = 1
+		rc.RepairTime = 5 * time.Minute
+		rc.RecomposeOnFailure = recompose
 	}
 
 	serial := make([]*Result, len(rcs))
@@ -58,6 +67,14 @@ func TestRunConcurrentMatchesSerial(t *testing.T) {
 		if s.MeanProbeLatency != c.MeanProbeLatency {
 			t.Errorf("run %d: probe latency %v != %v", i, c.MeanProbeLatency, s.MeanProbeLatency)
 		}
+		if s.Failures != c.Failures || s.Disrupted != c.Disrupted || s.Recomposed != c.Recomposed {
+			t.Errorf("run %d: concurrent failures/disrupted/recomposed %d/%d/%d, serial %d/%d/%d",
+				i, c.Failures, c.Disrupted, c.Recomposed, s.Failures, s.Disrupted, s.Recomposed)
+		}
+	}
+	if last := serial[len(serial)-1]; last.Failures == 0 || last.Disrupted == 0 || last.Recomposed == 0 {
+		t.Errorf("the recomposing failure cell crashed %d nodes, disrupted %d and recomposed %d: it exercises nothing",
+			last.Failures, last.Disrupted, last.Recomposed)
 	}
 
 	// workers <= 0 selects a sensible default rather than failing.

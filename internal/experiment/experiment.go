@@ -14,6 +14,7 @@ import (
 	"repro/internal/component"
 	"repro/internal/core"
 	"repro/internal/discovery"
+	"repro/internal/faults"
 	"repro/internal/harness/clock"
 	"repro/internal/metrics"
 	"repro/internal/obs"
@@ -63,8 +64,8 @@ func DefaultSystemConfig() SystemConfig {
 }
 
 // Platform is the immutable part of a simulated system: the network, the
-// component deployment, and the template library. One platform serves
-// many runs.
+// component deployment, and the template library. No run writes to it,
+// so one platform serves many runs, concurrent ones included.
 type Platform struct {
 	Config  SystemConfig
 	Mesh    *overlay.Mesh
@@ -170,8 +171,9 @@ type RunConfig struct {
 	// WorkloadOverride, when non-nil, adjusts the workload configuration
 	// after defaults are applied (calibration and ablation hook).
 	WorkloadOverride func(*workload.Config)
-	// FailuresPerMinute injects node crashes at this Poisson rate; a
-	// crashed node's components become undiscoverable and its sessions
+	// FailuresPerMinute injects node crashes at this Poisson rate, drawn
+	// up front as a faults.Crash schedule from a seed derived from Seed;
+	// a crashed node's components become undiscoverable and its sessions
 	// are disrupted. Zero disables failure injection.
 	FailuresPerMinute float64
 	// RepairTime is how long a failed node stays down (default 10 min).
@@ -291,7 +293,19 @@ func Run(p *Platform, rc RunConfig) (*Result, error) {
 	if cfg.Duration <= 0 {
 		return nil, fmt.Errorf("experiment: Duration %v <= 0", cfg.Duration)
 	}
+	// The outage schedule is drawn before the run from its own seed, so a
+	// run's arrivals are the same with failures on or off.
+	r, err := newRun(p, cfg, faults.PoissonCrashes(cfg.Seed*1_000_003+5, p.Mesh.NumNodes(),
+		cfg.FailuresPerMinute, cfg.Duration, cfg.RepairTime))
+	if err != nil {
+		return nil, err
+	}
+	return r.execute()
+}
 
+// newRun builds one simulation on the platform whose nodes crash on the
+// given schedule.
+func newRun(p *Platform, cfg RunConfig, crashes []faults.Crash) (*run, error) {
 	clk := clock.NewVirtual()
 	epoch := clk.Now()
 	now := func() time.Duration { return clk.Since(epoch) }
@@ -309,12 +323,12 @@ func Run(p *Platform, rc RunConfig) (*Result, error) {
 		return nil, err
 	}
 
-	catalog := p.Catalog
-	if cfg.FailuresPerMinute > 0 {
-		// Crashes mutate the catalog, so they operate on a private copy
-		// and the shared platform stays pristine across runs.
-		catalog = p.Catalog.Clone()
+	outages, err := faults.New(faults.Config{Crashes: crashes, Clock: clk})
+	if err != nil {
+		return nil, err
 	}
+	registry := discovery.NewRegistry(p.Catalog, p.Mesh.NumNodes(), counters)
+	registry.SetOutages(outages)
 	if cfg.Tracer != nil {
 		// Trace timestamps follow the simulated clock, so a recorded
 		// trace replays onto the same timeline the run reports.
@@ -322,8 +336,8 @@ func Run(p *Platform, rc RunConfig) (*Result, error) {
 	}
 	env := core.Env{
 		Mesh:     p.Mesh,
-		Catalog:  catalog,
-		Registry: discovery.NewRegistry(catalog, p.Mesh.NumNodes(), counters),
+		Catalog:  p.Catalog,
+		Registry: registry,
 		Ledger:   ledger,
 		Global:   global,
 		Counters: counters,
@@ -372,7 +386,8 @@ func Run(p *Platform, rc RunConfig) (*Result, error) {
 		ledger:   ledger,
 		global:   global,
 		composer: composer,
-		catalog:  catalog,
+		crashes:  crashes,
+		outages:  outages,
 		gen:      gen,
 		arrivals: arrivals,
 		active:   make(map[int64]*activeSession),
@@ -387,7 +402,7 @@ func Run(p *Platform, rc RunConfig) (*Result, error) {
 			return nil, err
 		}
 	}
-	return r.execute()
+	return r, nil
 }
 
 // run carries one simulation's mutable state.
@@ -404,13 +419,13 @@ type run struct {
 	ledger   *state.Ledger
 	global   *state.Global
 	composer *core.Composer
-	catalog  *component.Catalog
+	crashes  []faults.Crash
+	outages  *faults.Injector // reports the crashes' windows; nil without any
 	gen      *workload.Generator
 	arrivals *workload.Arrivals
 	tuner    *tuning.Tuner
 
 	active        map[int64]*activeSession // session id -> live state
-	failures      int64
 	disrupted     int64
 	recomposed    int64
 	nextRecompose int64
@@ -458,9 +473,11 @@ func (r *run) execute() (*Result, error) {
 	if r.cfg.State == StateCoarse {
 		r.clock.AfterFunc(r.global.Period(), r.onAggregate)
 	}
-	// Failure injection chain.
-	if r.cfg.FailuresPerMinute > 0 {
-		r.clock.AfterFunc(r.nextFailureGap(), r.onFailure)
+	// Node crashes: a crashed node's components leave discovery for the
+	// crash window (the registry reads the injector), and its sessions
+	// end at the crash.
+	for _, cr := range r.crashes {
+		r.clock.AfterFunc(cr.At, func() { r.disruptSessionsOn(cr.Node) })
 	}
 
 	r.clock.Advance(r.cfg.Duration)
@@ -493,7 +510,7 @@ func (r *run) execute() (*Result, error) {
 	if r.tuner != nil {
 		res.Reprofiles = r.tuner.Reprofiles()
 	}
-	res.Failures = r.failures
+	res.Failures = int64(len(r.crashes))
 	res.Disrupted = r.disrupted
 	res.Recomposed = r.recomposed
 	r.publishInstruments(res)
@@ -601,47 +618,13 @@ func (r *run) trackSession(outcome *core.Outcome) {
 	id := outcome.Request.ID
 	nodes := make([]int, 0, len(outcome.Best.Components))
 	for _, cid := range outcome.Best.Components {
-		nodes = append(nodes, r.catalog.Component(cid).Node)
+		nodes = append(nodes, r.platform.Catalog.Component(cid).Node)
 	}
 	r.active[id] = &activeSession{request: outcome.Request, nodes: nodes}
 	r.clock.AfterFunc(outcome.Request.Duration, func() {
 		r.composer.Release(id)
 		delete(r.active, id)
 	})
-}
-
-// nextFailureGap draws the exponential inter-failure gap.
-func (r *run) nextFailureGap() time.Duration {
-	gapMinutes := r.rng.ExpFloat64() / r.cfg.FailuresPerMinute
-	gap := time.Duration(gapMinutes * float64(time.Minute))
-	if gap <= 0 {
-		gap = time.Nanosecond
-	}
-	return gap
-}
-
-// onFailure crashes one random up node: its components disappear from
-// discovery and every session it carries is disrupted (and optionally
-// re-composed). The node repairs after RepairTime.
-func (r *run) onFailure() {
-	var up []int
-	for node := 0; node < r.platform.Mesh.NumNodes(); node++ {
-		if r.catalog.NodeIsAvailable(node) {
-			up = append(up, node)
-		}
-	}
-	if len(up) > 0 {
-		node := up[r.rng.Intn(len(up))]
-		r.catalog.SetNodeAvailable(node, false)
-		r.failures++
-		r.disruptSessionsOn(node)
-		r.clock.AfterFunc(r.cfg.RepairTime, func() {
-			r.catalog.SetNodeAvailable(node, true)
-		})
-	}
-	if r.now() < r.cfg.Duration {
-		r.clock.AfterFunc(r.nextFailureGap(), r.onFailure)
-	}
 }
 
 // disruptSessionsOn terminates the sessions placed on a crashed node.
@@ -745,10 +728,12 @@ func (r *run) profileAlpha(alpha float64) float64 {
 		return 1
 	}
 	shadowCounters := &metrics.Counters{}
+	registry := discovery.NewRegistry(r.platform.Catalog, r.platform.Mesh.NumNodes(), shadowCounters)
+	registry.SetOutages(r.outages)
 	env := core.Env{
 		Mesh:     r.platform.Mesh,
 		Catalog:  r.platform.Catalog,
-		Registry: discovery.NewRegistry(r.platform.Catalog, r.platform.Mesh.NumNodes(), shadowCounters),
+		Registry: registry,
 		Ledger:   r.ledger,
 		Global:   r.global,
 		Counters: shadowCounters,

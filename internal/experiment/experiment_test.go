@@ -3,10 +3,14 @@ package experiment
 import (
 	"bytes"
 	"math"
+	"slices"
+	"sort"
 	"testing"
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/discovery"
+	"repro/internal/faults"
 	"repro/internal/trace"
 	"repro/internal/tuning"
 	"repro/internal/workload"
@@ -328,8 +332,8 @@ func TestRunWithFailures(t *testing.T) {
 	if res.Recomposed != 0 {
 		t.Errorf("recompositions without RecomposeOnFailure: %d", res.Recomposed)
 	}
-	// Crashes act on a private catalog: a later run on the shared
-	// platform behaves exactly like a fresh platform's run.
+	// Crashes live in the run's own outage schedule: a later run on the
+	// shared platform behaves exactly like a fresh platform's run.
 	base, err := Run(p, shortRun(30))
 	if err != nil {
 		t.Fatal(err)
@@ -422,5 +426,119 @@ func TestRunReplayCutoff(t *testing.T) {
 	}
 	if res.Requests >= int64(len(records)) {
 		t.Errorf("cutoff replay issued %d of %d requests", res.Requests, len(records))
+	}
+}
+
+// TestKnownCrashHidesNodeForItsWindow runs one crash on a node that
+// carries a session: the session ends at the crash, discovery offers none
+// of the node's components until the crash window closes and all of them
+// after it, and nothing composed inside the window — the disrupted
+// sessions' recompositions included — is placed on the node. The checks
+// are events on the run's own clock.
+func TestKnownCrashHidesNodeForItsWindow(t *testing.T) {
+	p := smallPlatform(t, 13)
+	rc := shortRun(30)
+	rc.RepairTime = 3 * time.Minute
+	rc.RecomposeOnFailure = true
+	cfg := rc.withDefaults()
+	const at = 6 * time.Minute
+	end := at + cfg.RepairTime
+	crashOn := func(node int) *run {
+		r, err := newRun(p, cfg, []faults.Crash{{Node: node, At: at, Downtime: cfg.RepairTime}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return r
+	}
+
+	// Crashes do not move arrivals, so a crash-free run shows which
+	// sessions are live at the crash. Crash the first of their nodes, in
+	// session order, whose disrupted sessions are recomposed at least
+	// once: the window check needs a recomposition inside the window.
+	dry, err := newRun(p, cfg, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var live []int64
+	nodesOf := make(map[int64][]int)
+	dry.clock.AfterFunc(at, func() {
+		for id, sess := range dry.active {
+			live = append(live, id)
+			nodesOf[id] = sess.nodes
+		}
+	})
+	if _, err := dry.execute(); err != nil {
+		t.Fatal(err)
+	}
+	sort.Slice(live, func(i, j int) bool { return live[i] < live[j] })
+	node, victim := -1, int64(-1)
+search:
+	for _, id := range live {
+		for _, n := range nodesOf[id] {
+			if res, err := crashOn(n).execute(); err == nil && res.Recomposed > 0 {
+				node, victim = n, id
+				break search
+			}
+		}
+	}
+	if node < 0 {
+		t.Fatalf("no crash on the %d sessions live at %v leads to a recomposition", len(live), at)
+	}
+
+	r := crashOn(node)
+	reg := discovery.NewRegistry(p.Catalog, p.Mesh.NumNodes(), nil)
+	reg.SetOutages(r.outages)
+	hosted := p.Catalog.OnNode(node)
+	offered := func() int {
+		n := 0
+		for _, id := range hosted {
+			for _, cand := range reg.Lookup(p.Catalog.Component(id).Function) {
+				if cand == id {
+					n++
+				}
+			}
+		}
+		return n
+	}
+	// Registered before the run's own events, this fires just before the
+	// crash at the same instant; the event it schedules fires just after.
+	r.clock.AfterFunc(at, func() {
+		if r.active[victim] == nil || r.disrupted != 0 {
+			t.Errorf("session %d not live, or %d sessions disrupted, just before the crash", victim, r.disrupted)
+		}
+		r.clock.AfterFunc(0, func() {
+			if r.active[victim] != nil || r.disrupted == 0 {
+				t.Errorf("session %d not disrupted at the crash", victim)
+			}
+		})
+	})
+	onNode := 0
+	for step := at; step < end; step += time.Second {
+		r.clock.AfterFunc(step+time.Nanosecond, func() {
+			if got := offered(); got != 0 {
+				t.Errorf("at %v discovery offers %d components of the down node", step, got)
+			}
+			for _, sess := range r.active {
+				if slices.Contains(sess.nodes, node) {
+					onNode++
+				}
+			}
+		})
+	}
+	r.clock.AfterFunc(end, func() {
+		if got := offered(); got != len(hosted) {
+			t.Errorf("after repair discovery offers %d of the node's %d components", got, len(hosted))
+		}
+	})
+	res, err := r.execute()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if onNode != 0 {
+		t.Errorf("sessions were placed on the node inside its crash window (%d sightings)", onNode)
+	}
+	if res.Failures != 1 || res.Disrupted == 0 || res.Recomposed == 0 {
+		t.Errorf("run reports %d failures, %d disrupted, %d recomposed; want 1 and some of each",
+			res.Failures, res.Disrupted, res.Recomposed)
 	}
 }

@@ -2,7 +2,9 @@ package experiment
 
 import (
 	"fmt"
+	"slices"
 	"sort"
+	"strconv"
 	"time"
 
 	"repro/internal/core"
@@ -75,8 +77,53 @@ func sparsePlatform(o Options, overlayNodes int) (*Platform, error) {
 	return BuildPlatform(cfg)
 }
 
-func fmtPct(v float64) string  { return fmt.Sprintf("%.1f", 100*v) }
-func fmtRate(v float64) string { return fmt.Sprintf("%.0f", v) }
+func fmtPct(v float64) string   { return fmt.Sprintf("%.1f", 100*v) }
+func fmtRate(v float64) string  { return fmt.Sprintf("%.0f", v) }
+func fmtRatio(v float64) string { return fmt.Sprintf("%.2f", v) }
+
+// rateAxis is the request-rate x-axis of Figure 6 and the ablations.
+var rateAxis = []float64{20, 40, 60, 80, 100}
+
+// baseRun is a grid figure's default run at a constant request rate: the
+// options' seed over the scaled 100-minute duration.
+func (o Options) baseRun(rate float64) RunConfig {
+	rc := DefaultRunConfig(rate)
+	rc.Seed = o.Seed
+	rc.Duration = o.duration(100 * time.Minute)
+	return rc
+}
+
+// labels formats a grid's row axis.
+func labels[T any](axis []T, format func(T) string) []string {
+	out := make([]string, len(axis))
+	for i, v := range axis {
+		out[i] = format(v)
+	}
+	return out
+}
+
+// successFigure runs a grid with one row per label in rows and one column
+// per header after the first, and tabulates its success rates.
+func successFigure(title string, header, rows []string, at func(r, c int) (*Platform, RunConfig)) ([]*Table, error) {
+	results, err := sweep(len(rows), len(header)-1, 0, at)
+	if err != nil {
+		return nil, err
+	}
+	return []*Table{successTable(title, header, rows, results)}, nil
+}
+
+// successTable tabulates a sweep's success rates, row r labelled rows[r].
+func successTable(title string, header, rows []string, results [][]*Result) *Table {
+	t := &Table{Title: title, Header: header}
+	for r, row := range results {
+		cells := []string{rows[r]}
+		for _, res := range row {
+			cells = append(cells, fmtPct(res.SuccessRate))
+		}
+		t.AddRow(cells...)
+	}
+	return t
+}
 
 // Figure5a reproduces Figure 5(a): composition success rate as a
 // function of the probing ratio under different request rates (50 and
@@ -88,33 +135,14 @@ func Figure5a(o Options) ([]*Table, error) {
 		return nil, err
 	}
 	rates := []float64{50, 100}
-	t := &Table{
-		Title:  "Figure 5(a): success rate (%) vs probing ratio under request rates",
-		Header: []string{"probing ratio", "50 reqs/min", "100 reqs/min"},
-	}
-	var rcs []RunConfig
-	for _, alpha := range alphaGrid {
-		for _, rate := range rates {
-			rc := DefaultRunConfig(rate)
-			rc.Seed = o.Seed
-			rc.ProbingRatio = alpha
-			rc.Duration = o.duration(100 * time.Minute)
+	return successFigure("Figure 5(a): success rate (%) vs probing ratio under request rates",
+		[]string{"probing ratio", "50 reqs/min", "100 reqs/min"}, labels(alphaGrid, fmtRatio),
+		func(r, c int) (*Platform, RunConfig) {
+			rc := o.baseRun(rates[c])
+			rc.ProbingRatio = alphaGrid[r]
 			rc.MaxProbesPerRequest = probeBudget
-			rcs = append(rcs, rc)
-		}
-	}
-	results, err := RunConcurrent(p, rcs, 0)
-	if err != nil {
-		return nil, err
-	}
-	for i, alpha := range alphaGrid {
-		row := []string{fmt.Sprintf("%.2f", alpha)}
-		for j := range rates {
-			row = append(row, fmtPct(results[i*len(rates)+j].SuccessRate))
-		}
-		t.AddRow(row...)
-	}
-	return []*Table{t}, nil
+			return p, rc
+		})
 }
 
 // Figure5b reproduces Figure 5(b): success rate vs probing ratio under
@@ -128,38 +156,19 @@ func Figure5b(o Options) ([]*Table, error) {
 		return nil, err
 	}
 	levels := []workload.QoSLevel{workload.QoSLow, workload.QoSHigh, workload.QoSVeryHigh}
-	t := &Table{
-		Title:  "Figure 5(b): success rate (%) vs probing ratio under QoS requirements",
-		Header: []string{"probing ratio", "low QoS", "high QoS", "very high QoS"},
-	}
-	var rcs []RunConfig
-	for _, alpha := range alphaGrid {
-		for _, lvl := range levels {
-			rc := DefaultRunConfig(80)
-			rc.Seed = o.Seed
-			rc.ProbingRatio = alpha
-			rc.QoSLevel = lvl
-			rc.Duration = o.duration(100 * time.Minute)
+	return successFigure("Figure 5(b): success rate (%) vs probing ratio under QoS requirements",
+		[]string{"probing ratio", "low QoS", "high QoS", "very high QoS"}, labels(alphaGrid, fmtRatio),
+		func(r, c int) (*Platform, RunConfig) {
+			rc := o.baseRun(80)
+			rc.ProbingRatio = alphaGrid[r]
+			rc.QoSLevel = levels[c]
 			rc.MaxProbesPerRequest = probeBudget
 			rc.WorkloadOverride = func(w *workload.Config) {
 				w.DelayReqPerFunctionMin = 45
 				w.DelayReqPerFunctionMax = 80
 			}
-			rcs = append(rcs, rc)
-		}
-	}
-	results, err := RunConcurrent(p, rcs, 0)
-	if err != nil {
-		return nil, err
-	}
-	for i, alpha := range alphaGrid {
-		row := []string{fmt.Sprintf("%.2f", alpha)}
-		for j := range levels {
-			row = append(row, fmtPct(results[i*len(levels)+j].SuccessRate))
-		}
-		t.AddRow(row...)
-	}
-	return []*Table{t}, nil
+			return p, rc
+		})
 }
 
 // figure6Algorithms is the legend of Figure 6(a)/7(a).
@@ -170,6 +179,36 @@ var figure6Algorithms = []core.Algorithm{
 // overheadAlgorithms is the legend of Figure 6(b)/7(b).
 var overheadAlgorithms = []core.Algorithm{core.AlgOptimal, core.AlgACP, core.AlgRP}
 
+// algorithmFigure runs Figures 6 and 7: one row per x-axis value, one
+// run per algorithm of figure6Algorithms, tabulated as (a) the success
+// rate of every algorithm and (b) the overhead of overheadAlgorithms.
+func algorithmFigure(titleA, titleB, axis string, rows []string, at func(r int, alg core.Algorithm) (*Platform, RunConfig)) ([]*Table, error) {
+	results, err := sweep(len(rows), len(figure6Algorithms), 0, func(r, c int) (*Platform, RunConfig) {
+		return at(r, figure6Algorithms[c])
+	})
+	if err != nil {
+		return nil, err
+	}
+	header := []string{axis}
+	for _, alg := range figure6Algorithms {
+		header = append(header, alg.String())
+	}
+	succ := successTable(titleA, header, rows, results)
+	ovh := &Table{Title: titleB, Header: []string{axis}}
+	for _, alg := range overheadAlgorithms {
+		ovh.Header = append(ovh.Header, alg.String())
+	}
+	for r, row := range results {
+		cells := []string{rows[r]}
+		for _, alg := range overheadAlgorithms {
+			res := row[slices.Index(figure6Algorithms, alg)]
+			cells = append(cells, fmt.Sprintf("%.0f", res.OverheadPerMinute))
+		}
+		ovh.AddRow(cells...)
+	}
+	return []*Table{succ, ovh}, nil
+}
+
 // Figure6 reproduces the efficiency evaluation: Figure 6(a) success rate
 // and Figure 6(b) control overhead versus request rate on a 400-node
 // system with probing ratio 0.3.
@@ -179,46 +218,15 @@ func Figure6(o Options) ([]*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	rates := []float64{20, 40, 60, 80, 100}
-
-	succ := &Table{
-		Title:  "Figure 6(a): success rate (%) vs request rate (reqs/min), N=400, alpha=0.3",
-		Header: []string{"request rate"},
-	}
-	ovh := &Table{
-		Title:  "Figure 6(b): overhead (messages/min) vs request rate, N=400, alpha=0.3",
-		Header: []string{"request rate"},
-	}
-	for _, alg := range figure6Algorithms {
-		succ.Header = append(succ.Header, alg.String())
-	}
-	for _, alg := range overheadAlgorithms {
-		ovh.Header = append(ovh.Header, alg.String())
-	}
-
-	for _, rate := range rates {
-		succRow := []string{fmtRate(rate)}
-		ovhByAlg := make(map[core.Algorithm]float64, len(figure6Algorithms))
-		for _, alg := range figure6Algorithms {
-			rc := DefaultRunConfig(rate)
-			rc.Seed = o.Seed
+	return algorithmFigure(
+		"Figure 6(a): success rate (%) vs request rate (reqs/min), N=400, alpha=0.3",
+		"Figure 6(b): overhead (messages/min) vs request rate, N=400, alpha=0.3",
+		"request rate", labels(rateAxis, fmtRate),
+		func(r int, alg core.Algorithm) (*Platform, RunConfig) {
+			rc := o.baseRun(rateAxis[r])
 			rc.Algorithm = alg
-			rc.Duration = o.duration(100 * time.Minute)
-			res, err := Run(p, rc)
-			if err != nil {
-				return nil, err
-			}
-			succRow = append(succRow, fmtPct(res.SuccessRate))
-			ovhByAlg[alg] = res.OverheadPerMinute
-		}
-		succ.AddRow(succRow...)
-		ovhRow := []string{fmtRate(rate)}
-		for _, alg := range overheadAlgorithms {
-			ovhRow = append(ovhRow, fmt.Sprintf("%.0f", ovhByAlg[alg]))
-		}
-		ovh.AddRow(ovhRow...)
-	}
-	return []*Table{succ, ovh}, nil
+			return p, rc
+		})
 }
 
 // Figure7 reproduces the scalability evaluation: Figure 7(a) success
@@ -228,49 +236,23 @@ func Figure6(o Options) ([]*Table, error) {
 func Figure7(o Options) ([]*Table, error) {
 	o = o.normalize()
 	sizes := []int{200, 300, 400, 500, 600}
-
-	succ := &Table{
-		Title:  "Figure 7(a): success rate (%) vs node number, rate=80, alpha=0.3",
-		Header: []string{"node number"},
-	}
-	ovh := &Table{
-		Title:  "Figure 7(b): overhead (messages/min) vs node number, rate=80, alpha=0.3",
-		Header: []string{"node number"},
-	}
-	for _, alg := range figure6Algorithms {
-		succ.Header = append(succ.Header, alg.String())
-	}
-	for _, alg := range overheadAlgorithms {
-		ovh.Header = append(ovh.Header, alg.String())
-	}
-
-	for _, n := range sizes {
+	platforms := make([]*Platform, len(sizes))
+	for i, n := range sizes {
 		p, err := sparsePlatform(o, n)
 		if err != nil {
 			return nil, err
 		}
-		succRow := []string{fmt.Sprintf("%d", n)}
-		ovhByAlg := make(map[core.Algorithm]float64, len(figure6Algorithms))
-		for _, alg := range figure6Algorithms {
-			rc := DefaultRunConfig(80)
-			rc.Seed = o.Seed
-			rc.Algorithm = alg
-			rc.Duration = o.duration(100 * time.Minute)
-			res, err := Run(p, rc)
-			if err != nil {
-				return nil, err
-			}
-			succRow = append(succRow, fmtPct(res.SuccessRate))
-			ovhByAlg[alg] = res.OverheadPerMinute
-		}
-		succ.AddRow(succRow...)
-		ovhRow := []string{fmt.Sprintf("%d", n)}
-		for _, alg := range overheadAlgorithms {
-			ovhRow = append(ovhRow, fmt.Sprintf("%.0f", ovhByAlg[alg]))
-		}
-		ovh.AddRow(ovhRow...)
+		platforms[i] = p
 	}
-	return []*Table{succ, ovh}, nil
+	return algorithmFigure(
+		"Figure 7(a): success rate (%) vs node number, rate=80, alpha=0.3",
+		"Figure 7(b): overhead (messages/min) vs node number, rate=80, alpha=0.3",
+		"node number", labels(sizes, strconv.Itoa),
+		func(r int, alg core.Algorithm) (*Platform, RunConfig) {
+			rc := o.baseRun(80)
+			rc.Algorithm = alg
+			return platforms[r], rc
+		})
 }
 
 // figure8Phases is the dynamic workload of the adaptability experiment:

@@ -1,10 +1,16 @@
-// Package faults is the deterministic fault-injection layer for the
-// distributed engine: a seeded injector the cluster consults on every
-// message send. It can drop a message, delay its delivery, duplicate
-// it, and take whole nodes down and back up on a schedule — the failure
-// modes the paper's probing protocol (§3.3) is supposed to tolerate
-// (a deputy decides from whatever probes return within the collection
-// window; transient allocations decay by TTL).
+// Package faults is the deterministic fault-injection layer: a seeded
+// injector the distributed engine consults on every message send. It can
+// drop a message, delay its delivery, duplicate it, and take whole nodes
+// down and back up on a schedule — the failure modes the paper's probing
+// protocol (§3.3) is supposed to tolerate (a deputy decides from whatever
+// probes return within the collection window; transient allocations
+// decay by TTL).
+//
+// The outage schedule is one type, Crash, drawn up front by RandomCrashes,
+// ZoneCrashes or PoissonCrashes. The dist engine, the multi-application
+// scenario's zone blackouts and the experiment simulator's node crashes
+// (§1 of the paper) all read it; dist and experiment through an
+// Injector's Down.
 //
 // The injector is seeded and self-contained, so a fixed seed yields a
 // reproducible decision sequence; under concurrent senders the
@@ -222,4 +228,38 @@ func RandomCrashes(seed int64, nodes, count int, window, downtime time.Duration)
 		})
 	}
 	return out
+}
+
+// PoissonCrashes draws a seeded outage schedule over nodes [0, nodes):
+// crashes arrive as a Poisson process at ratePerMinute over [0, horizon),
+// each on a node drawn uniformly from those the schedule has not already
+// taken down at that instant, and each lasting downtime. An arrival that
+// finds every node down is dropped. A fixed seed yields a fixed schedule.
+func PoissonCrashes(seed int64, nodes int, ratePerMinute float64, horizon, downtime time.Duration) []Crash {
+	if nodes <= 0 || ratePerMinute <= 0 || horizon <= 0 || downtime <= 0 {
+		return nil
+	}
+	rng := rand.New(rand.NewSource(seed))
+	upAt := make([]time.Duration, nodes) // when each node's last outage ends
+	up := make([]int, 0, nodes)
+	var out []Crash
+	for at := time.Duration(0); ; {
+		gap := time.Duration(rng.ExpFloat64() / ratePerMinute * float64(time.Minute))
+		at += max(gap, time.Nanosecond)
+		if at >= horizon {
+			return out
+		}
+		up = up[:0]
+		for node, t := range upAt {
+			if t <= at {
+				up = append(up, node)
+			}
+		}
+		if len(up) == 0 {
+			continue
+		}
+		node := up[rng.Intn(len(up))]
+		upAt[node] = at + downtime
+		out = append(out, Crash{Node: node, At: at, Downtime: downtime})
+	}
 }

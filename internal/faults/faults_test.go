@@ -1,6 +1,7 @@
 package faults
 
 import (
+	"reflect"
 	"testing"
 	"time"
 )
@@ -146,5 +147,61 @@ func TestRandomCrashes(t *testing.T) {
 	}
 	if got := RandomCrashes(1, 0, 3, time.Second, time.Millisecond); got != nil {
 		t.Errorf("zero nodes should yield nil, got %v", got)
+	}
+}
+
+func TestPoissonCrashes(t *testing.T) {
+	const horizon, downtime = 100 * time.Minute, 5 * time.Minute
+	a := PoissonCrashes(3, 400, 1, horizon, downtime)
+	if b := PoissonCrashes(3, 400, 1, horizon, downtime); !reflect.DeepEqual(a, b) {
+		t.Fatal("same seed drew two schedules")
+	}
+	if reflect.DeepEqual(a, PoissonCrashes(4, 400, 1, horizon, downtime)) {
+		t.Error("seeds 3 and 4 drew the same schedule")
+	}
+
+	// Four nodes, five-minute outages arriving twice a minute: most
+	// arrivals find their node down, so the schedule must skip to one
+	// that is up, or drop the arrival when none is.
+	for seed := int64(1); seed <= 20; seed++ {
+		crashes := PoissonCrashes(seed, 4, 2, horizon, downtime)
+		if len(crashes) == 0 {
+			t.Fatalf("seed %d: no crashes", seed)
+		}
+		for i, cr := range crashes {
+			if cr.Node < 0 || cr.Node >= 4 || cr.Downtime != downtime {
+				t.Fatalf("seed %d: crash %+v", seed, cr)
+			}
+			if cr.At < 0 || cr.At >= horizon {
+				t.Errorf("seed %d: crash at %v outside [0, %v)", seed, cr.At, horizon)
+			}
+			for _, prev := range crashes[:i] {
+				if prev.At > cr.At {
+					t.Fatalf("seed %d: crashes out of order: %v after %v", seed, cr.At, prev.At)
+				}
+				if prev.Node == cr.Node && cr.At < prev.At+prev.Downtime {
+					t.Errorf("seed %d: node %d crashes at %v inside its outage from %v",
+						seed, cr.Node, cr.At, prev.At)
+				}
+			}
+		}
+	}
+
+	// On 400 nodes nearly every arrival finds its node up, so the count
+	// is Poisson with mean rate × horizon = 100 (sd 10).
+	total := 0
+	for seed := int64(1); seed <= 20; seed++ {
+		n := len(PoissonCrashes(seed, 400, 1, horizon, downtime))
+		if n < 50 || n > 150 {
+			t.Errorf("seed %d: %d crashes, want about 100", seed, n)
+		}
+		total += n
+	}
+	if mean := float64(total) / 20; mean < 90 || mean > 110 {
+		t.Errorf("mean crash count %.1f over 20 seeds, want about 100", mean)
+	}
+
+	if got := PoissonCrashes(1, 400, 0, horizon, downtime); got != nil {
+		t.Errorf("rate 0 drew %d crashes", len(got))
 	}
 }

@@ -136,8 +136,6 @@ const (
 	ReasonCommitTimeout Reason = "commit-timeout"
 	// ReasonAbort: the caller abandoned a successful outcome.
 	ReasonAbort Reason = "abort"
-	// ReasonInternal: a malformed message or graph (defensive paths).
-	ReasonInternal Reason = "internal"
 	// ReasonFaultInjected: the message was lost by fault injection.
 	ReasonFaultInjected Reason = "fault-injected"
 	// ReasonNodeDown: the destination (or processing) node was inside a

@@ -21,14 +21,7 @@ type Vector struct {
 	// Delay is processing or transmission delay in milliseconds.
 	Delay float64
 	// LossCost is the additive transform -ln(1-p) of a loss probability p.
-	// Use FromLossProb / LossProb to convert at the boundary.
 	LossCost float64
-}
-
-// FromLossProb builds a Vector carrying only the additive loss cost of the
-// loss probability p in [0, 1). Probabilities at or above 1 map to +Inf.
-func FromLossProb(p float64) Vector {
-	return Vector{LossCost: LossCost(p)}
 }
 
 // LossCost converts a loss probability p into its additive cost -ln(1-p).

@@ -308,7 +308,6 @@ func NewCluster(cfg Config) (*Cluster, error) {
 	if err != nil {
 		return nil, err
 	}
-	global.EnableLocking()
 	c.global = global
 	c.env = core.Env{
 		Mesh:     mesh,

@@ -59,33 +59,14 @@ type Global struct {
 	aggNode  int // rotating aggregation role (§3.2, round robin)
 	counters *metrics.Counters
 
-	// mu, when non-nil, guards the view slices for concurrent readers
-	// against observer-driven updates. A plain mutex: walks read their
-	// replicas, so nobody reads here often enough to share. The lock order is always ledger
-	// before global: observers fire under the ledger lock and then take
-	// this one, so nothing here may call back into locked ledger methods
-	// while holding it.
-	mu *sync.Mutex
-}
-
-// EnableLocking makes the global state safe for concurrent use alongside
-// Ledger.EnableLocking. Idempotent; cannot be undone.
-func (g *Global) EnableLocking() {
-	if g.mu == nil {
-		g.mu = new(sync.Mutex)
-	}
-}
-
-func (g *Global) lock() {
-	if g.mu != nil {
-		g.mu.Lock()
-	}
-}
-
-func (g *Global) unlock() {
-	if g.mu != nil {
-		g.mu.Unlock()
-	}
+	// mu guards the view slices for concurrent readers against
+	// observer-driven updates. It is always taken; only the ledger's lock
+	// is optional. A plain mutex: walks read their replicas, so nobody reads
+	// here often enough to share. The lock order is always ledger before
+	// global: observers fire under the ledger lock (when enabled) and then
+	// take this one, so nothing here may call back into locked ledger
+	// methods while holding it.
+	mu sync.Mutex
 }
 
 // NewGlobal wires a global state to the ledger and subscribes to its
@@ -121,8 +102,8 @@ func NewGlobal(ledger *Ledger, mesh *overlay.Mesh, cfg GlobalConfig, counters *m
 func (g *Global) nodeChanged(node int) {
 	truth := g.ledger.nodes.committedAvailable(node)
 	capacity := g.ledger.NodeCapacity(node)
-	g.lock()
-	defer g.unlock()
+	g.mu.Lock()
+	defer g.mu.Unlock()
 	view := g.nodeView[node]
 	if exceeds(view.CPU, truth.CPU, capacity.CPU, g.cfg.UpdateThreshold) ||
 		exceeds(view.Memory, truth.Memory, capacity.Memory, g.cfg.UpdateThreshold) {
@@ -138,8 +119,8 @@ func (g *Global) nodeChanged(node int) {
 func (g *Global) linkChanged(link int) {
 	truth := g.ledger.links.committedAvailable(link)
 	capacity := g.ledger.LinkCapacity(link)
-	g.lock()
-	defer g.unlock()
+	g.mu.Lock()
+	defer g.mu.Unlock()
 	if exceeds(g.linkView[link], truth, capacity, g.cfg.UpdateThreshold) {
 		g.linkView[link] = truth
 		g.counters.StateUpdates.Add(1)
@@ -158,8 +139,8 @@ func exceeds(view, truth, max, threshold float64) bool {
 // aggregation role rotates round-robin over nodes for load sharing and
 // the dissemination counts one message per system node.
 func (g *Global) Aggregate() {
-	g.lock()
-	defer g.unlock()
+	g.mu.Lock()
+	defer g.mu.Unlock()
 	copy(g.aggView, g.linkView)
 	g.version.Add(1)
 	g.aggNode = (g.aggNode + 1) % g.mesh.NumNodes()
@@ -168,8 +149,8 @@ func (g *Global) Aggregate() {
 
 // AggregationNode returns the node currently holding the aggregation role.
 func (g *Global) AggregationNode() int {
-	g.lock()
-	defer g.unlock()
+	g.mu.Lock()
+	defer g.mu.Unlock()
 	return g.aggNode
 }
 
@@ -189,8 +170,8 @@ func (g *Global) ForceRefresh() {
 	for i := range links {
 		links[i] = g.ledger.LinkCommittedAvailable(i)
 	}
-	g.lock()
-	defer g.unlock()
+	g.mu.Lock()
+	defer g.mu.Unlock()
 	copy(g.nodeView, nodes)
 	copy(g.linkView, links)
 	copy(g.aggView, g.linkView)
@@ -249,8 +230,8 @@ func (g *Global) Refresh(r *Replica) bool {
 	if r.version == g.version.Load() {
 		return false
 	}
-	g.lock()
-	defer g.unlock()
+	g.mu.Lock()
+	defer g.mu.Unlock()
 	r.Nodes = append(r.Nodes[:0], g.nodeView...)
 	r.Agg = append(r.Agg[:0], g.aggView...)
 	r.threshold = g.cfg.UpdateThreshold

@@ -269,7 +269,6 @@ func TestReplicaTracksGlobal(t *testing.T) {
 func TestReplicaRefreshConcurrentWithUpdates(t *testing.T) {
 	g, l, _, _ := newTestGlobal(t)
 	l.EnableLocking()
-	g.EnableLocking()
 	var readers sync.WaitGroup
 	stop := make(chan struct{})
 	for w := 0; w < 4; w++ {
@@ -322,7 +321,6 @@ func TestReplicaRefreshConcurrentWithUpdates(t *testing.T) {
 func TestLedgerBeforeGlobalLockOrder(t *testing.T) {
 	g, l, _, counters := newTestGlobal(t)
 	l.EnableLocking()
-	g.EnableLocking()
 	const cycles = 2000
 	var wg sync.WaitGroup
 	wg.Add(2)

@@ -146,7 +146,6 @@ func TestLockedLedgerConcurrentUse(t *testing.T) {
 		t.Fatal(err)
 	}
 	l.EnableLocking()
-	g.EnableLocking()
 
 	const workers = 8
 	var wg sync.WaitGroup
