@@ -1,7 +1,10 @@
 // Command acptopo generates the simulated network substrate and prints
 // its statistics: IP-layer power-law degree distribution, overlay mesh
-// shape, and virtual-link characteristics. It is the inspection tool for
-// the topology underlying every experiment.
+// shape, and virtual-link characteristics. It draws the graph and the
+// mesh from one stream seeded with -seed, as runtime.NewCluster and
+// dist.New do, so it shows the substrate those build (acpserve's, for
+// one) from the same seed and sizes. experiment.BuildPlatform seeds each
+// stage separately, so a figure's platform differs.
 //
 // Usage:
 //

@@ -16,28 +16,25 @@ type PlacementConfig struct {
 	// (security/licensing/hardware constraints); candidate counts per
 	// function grow proportionally with node count (§4.2 scalability).
 	ComponentsPerNode int
-	// MinProcDelay and MaxProcDelay bound per-component processing delay
-	// in milliseconds.
-	MinProcDelay, MaxProcDelay float64
-	// MinLoss and MaxLoss bound per-component loss rate.
-	MinLoss, MaxLoss float64
-	// SecurityLevels is the number of distinct component security levels
-	// to draw uniformly (components get levels 1..SecurityLevels).
-	SecurityLevels int
 }
 
-// DefaultPlacementConfig mirrors the paper's setup: 80 functions, with
-// component QoS drawn uniformly from ranges "based on real-world
-// measurements".
+// Component QoS is drawn uniformly from ranges "based on real-world
+// measurements": processing delay in [minProcDelay, maxProcDelay] ms and
+// loss rate in [minLoss, maxLoss]. Security levels are drawn uniformly
+// from 1..securityLevels. Typed, so a draw's hi-lo is the difference of
+// the float64 bounds.
+const (
+	minProcDelay, maxProcDelay float64 = 10, 40
+	minLoss, maxLoss           float64 = 0.001, 0.01
+	securityLevels                     = 3
+)
+
+// DefaultPlacementConfig mirrors the paper's setup: 80 functions, one
+// component per node.
 func DefaultPlacementConfig() PlacementConfig {
 	return PlacementConfig{
 		NumFunctions:      DefaultNumFunctions,
 		ComponentsPerNode: 1,
-		MinProcDelay:      10,
-		MaxProcDelay:      40,
-		MinLoss:           0.001,
-		MaxLoss:           0.01,
-		SecurityLevels:    3,
 	}
 }
 
@@ -69,15 +66,6 @@ func Place(numNodes int, cfg PlacementConfig, rng *rand.Rand) (*Catalog, error) 
 	if cfg.ComponentsPerNode < 1 {
 		return nil, fmt.Errorf("component: ComponentsPerNode %d < 1", cfg.ComponentsPerNode)
 	}
-	if cfg.MinProcDelay <= 0 || cfg.MaxProcDelay < cfg.MinProcDelay {
-		return nil, fmt.Errorf("component: invalid processing delay range [%v, %v]", cfg.MinProcDelay, cfg.MaxProcDelay)
-	}
-	if cfg.MinLoss < 0 || cfg.MaxLoss < cfg.MinLoss || cfg.MaxLoss >= 1 {
-		return nil, fmt.Errorf("component: invalid loss range [%v, %v]", cfg.MinLoss, cfg.MaxLoss)
-	}
-	if cfg.SecurityLevels < 1 {
-		return nil, fmt.Errorf("component: SecurityLevels %d < 1", cfg.SecurityLevels)
-	}
 
 	total := numNodes * cfg.ComponentsPerNode
 	c := &Catalog{
@@ -96,15 +84,15 @@ func Place(numNodes int, cfg PlacementConfig, rng *rand.Rand) (*Catalog, error) 
 
 	for i, node := range slots {
 		f := FunctionID(i % cfg.NumFunctions)
-		delay := cfg.MinProcDelay + rng.Float64()*(cfg.MaxProcDelay-cfg.MinProcDelay)
-		loss := cfg.MinLoss + rng.Float64()*(cfg.MaxLoss-cfg.MinLoss)
+		delay := minProcDelay + rng.Float64()*(maxProcDelay-minProcDelay)
+		loss := minLoss + rng.Float64()*(maxLoss-minLoss)
 		id := ComponentID(len(c.components))
 		c.components = append(c.components, Component{
 			ID:       id,
 			Node:     node,
 			Function: f,
 			QoS:      qos.Vector{Delay: delay, LossCost: qos.LossCost(loss)},
-			Security: 1 + rng.Intn(cfg.SecurityLevels),
+			Security: 1 + rng.Intn(securityLevels),
 		})
 		c.byFunction[f] = append(c.byFunction[f], id)
 		c.byNode[node] = append(c.byNode[node], id)

@@ -17,10 +17,6 @@ func TestPlaceValidation(t *testing.T) {
 		{name: "zero nodes", numNodes: 0, mutate: func(c *PlacementConfig) {}},
 		{name: "zero functions", numNodes: 10, mutate: func(c *PlacementConfig) { c.NumFunctions = 0 }},
 		{name: "zero per node", numNodes: 10, mutate: func(c *PlacementConfig) { c.ComponentsPerNode = 0 }},
-		{name: "bad delay range", numNodes: 10, mutate: func(c *PlacementConfig) { c.MinProcDelay = 10; c.MaxProcDelay = 5 }},
-		{name: "zero min delay", numNodes: 10, mutate: func(c *PlacementConfig) { c.MinProcDelay = 0 }},
-		{name: "loss >= 1", numNodes: 10, mutate: func(c *PlacementConfig) { c.MaxLoss = 1 }},
-		{name: "negative loss", numNodes: 10, mutate: func(c *PlacementConfig) { c.MinLoss = -0.1 }},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
@@ -96,11 +92,11 @@ func TestPlaceQoSInRange(t *testing.T) {
 	}
 	for i := 0; i < cat.NumComponents(); i++ {
 		c := cat.Component(ComponentID(i))
-		if c.QoS.Delay < cfg.MinProcDelay || c.QoS.Delay > cfg.MaxProcDelay {
+		if c.QoS.Delay < minProcDelay || c.QoS.Delay > maxProcDelay {
 			t.Errorf("component %d delay %v out of range", i, c.QoS.Delay)
 		}
 		loss := qos.LossProb(c.QoS.LossCost)
-		if loss < cfg.MinLoss-1e-12 || loss > cfg.MaxLoss+1e-12 {
+		if loss < minLoss-1e-12 || loss > maxLoss+1e-12 {
 			t.Errorf("component %d loss %v out of range", i, loss)
 		}
 	}
@@ -142,9 +138,7 @@ func TestPlaceDeterministic(t *testing.T) {
 }
 
 func TestSecurityLevelsAssigned(t *testing.T) {
-	cfg := DefaultPlacementConfig()
-	cfg.SecurityLevels = 3
-	cat, err := Place(300, cfg, rand.New(rand.NewSource(8)))
+	cat, err := Place(300, DefaultPlacementConfig(), rand.New(rand.NewSource(8)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,14 +154,6 @@ func TestSecurityLevelsAssigned(t *testing.T) {
 		if seen[lvl] < 50 {
 			t.Errorf("level %d drawn only %d times of 300", lvl, seen[lvl])
 		}
-	}
-}
-
-func TestPlaceRejectsZeroSecurityLevels(t *testing.T) {
-	cfg := DefaultPlacementConfig()
-	cfg.SecurityLevels = 0
-	if _, err := Place(10, cfg, rand.New(rand.NewSource(9))); err == nil {
-		t.Error("zero security levels accepted")
 	}
 }
 

@@ -5,31 +5,14 @@ import (
 	"math/rand"
 )
 
-// TemplateConfig controls generation of the application template library.
-type TemplateConfig struct {
-	// Count is the number of templates (paper: 20).
-	Count int
-	// NumFunctions is the function catalogue size to draw from.
-	NumFunctions int
-	// MinPathLen and MaxPathLen bound the number of function nodes per
-	// path or branch path (paper: [2, 5]).
-	MinPathLen, MaxPathLen int
-	// DAGFraction is the fraction of templates shaped as two-branch DAGs
-	// rather than simple paths.
-	DAGFraction float64
-}
-
-// DefaultTemplateConfig mirrors §4.1: 20 templates over 80 functions,
-// each a path or two-branch DAG with 2–5 nodes per (branch) path.
-func DefaultTemplateConfig() TemplateConfig {
-	return TemplateConfig{
-		Count:        20,
-		NumFunctions: DefaultNumFunctions,
-		MinPathLen:   2,
-		MaxPathLen:   5,
-		DAGFraction:  0.3,
-	}
-}
+// The template library of §4.1: templateCount templates, each a path
+// or, with probability dagFraction, a two-branch DAG, with minPathLen to
+// maxPathLen function nodes per path or branch path.
+const (
+	templateCount                  = 20
+	minPathLen, maxPathLen         = 2, 5
+	dagFraction            float64 = 0.3
+)
 
 // Library is the set of pre-defined stream processing application
 // templates users request instances of.
@@ -37,34 +20,20 @@ type Library struct {
 	graphs []*Graph
 }
 
-// GenerateLibrary builds Count random templates. Functions within one
-// template are distinct, drawn uniformly from the catalogue.
-func GenerateLibrary(cfg TemplateConfig, rng *rand.Rand) (*Library, error) {
-	if cfg.Count < 1 {
-		return nil, fmt.Errorf("component: template Count %d < 1", cfg.Count)
-	}
-	if cfg.MinPathLen < 2 || cfg.MaxPathLen < cfg.MinPathLen {
-		return nil, fmt.Errorf("component: invalid path length range [%d, %d]", cfg.MinPathLen, cfg.MaxPathLen)
-	}
-	if cfg.DAGFraction < 0 || cfg.DAGFraction > 1 {
-		return nil, fmt.Errorf("component: DAGFraction %v out of [0,1]", cfg.DAGFraction)
-	}
-	// A two-branch DAG needs source + sink + one internal function per
-	// branch at minimum; the largest template needs 2 + 2*(MaxPathLen-2).
-	maxNeeded := cfg.MaxPathLen
-	if cfg.DAGFraction > 0 {
-		if n := 2 + 2*(cfg.MaxPathLen-2); n > maxNeeded {
-			maxNeeded = n
-		}
-	}
-	if cfg.NumFunctions < maxNeeded {
+// GenerateLibrary builds the template library over numFunctions
+// functions. Functions within one template are distinct, drawn uniformly
+// from the catalogue.
+func GenerateLibrary(numFunctions int, rng *rand.Rand) (*Library, error) {
+	// The largest template, a two-branch DAG, needs a source, a sink and
+	// maxPathLen-2 internal functions per branch.
+	if maxNeeded := 2 + 2*(maxPathLen-2); numFunctions < maxNeeded {
 		return nil, fmt.Errorf("component: NumFunctions %d too small for templates needing up to %d distinct functions",
-			cfg.NumFunctions, maxNeeded)
+			numFunctions, maxNeeded)
 	}
 
-	lib := &Library{graphs: make([]*Graph, 0, cfg.Count)}
-	for i := 0; i < cfg.Count; i++ {
-		g, err := generateTemplate(cfg, rng)
+	lib := &Library{graphs: make([]*Graph, 0, templateCount)}
+	for i := 0; i < templateCount; i++ {
+		g, err := generateTemplate(numFunctions, rng)
 		if err != nil {
 			return nil, err
 		}
@@ -73,12 +42,12 @@ func GenerateLibrary(cfg TemplateConfig, rng *rand.Rand) (*Library, error) {
 	return lib, nil
 }
 
-func generateTemplate(cfg TemplateConfig, rng *rand.Rand) (*Graph, error) {
+func generateTemplate(numFunctions int, rng *rand.Rand) (*Graph, error) {
 	pathLen := func() int {
-		return cfg.MinPathLen + rng.Intn(cfg.MaxPathLen-cfg.MinPathLen+1)
+		return minPathLen + rng.Intn(maxPathLen-minPathLen+1)
 	}
-	if rng.Float64() >= cfg.DAGFraction {
-		fns := drawDistinct(pathLen(), cfg.NumFunctions, rng)
+	if rng.Float64() >= dagFraction {
+		fns := drawDistinct(pathLen(), numFunctions, rng)
 		return NewPathGraph(fns), nil
 	}
 	// Two-branch DAG: each branch path (source..sink inclusive) has
@@ -86,7 +55,7 @@ func generateTemplate(cfg TemplateConfig, rng *rand.Rand) (*Graph, error) {
 	// functions; at least one internal function keeps branches distinct.
 	internal1 := maxInt(1, pathLen()-2)
 	internal2 := maxInt(1, pathLen()-2)
-	fns := drawDistinct(2+internal1+internal2, cfg.NumFunctions, rng)
+	fns := drawDistinct(2+internal1+internal2, numFunctions, rng)
 	return NewBranchGraph(fns[0], fns[1:1+internal1], fns[1+internal1:1+internal1+internal2], fns[len(fns)-1])
 }
 

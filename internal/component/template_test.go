@@ -6,60 +6,44 @@ import (
 )
 
 func TestGenerateLibraryValidation(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	tests := []struct {
-		name   string
-		mutate func(*TemplateConfig)
-	}{
-		{name: "zero count", mutate: func(c *TemplateConfig) { c.Count = 0 }},
-		{name: "path too short", mutate: func(c *TemplateConfig) { c.MinPathLen = 1 }},
-		{name: "inverted lengths", mutate: func(c *TemplateConfig) { c.MinPathLen = 5; c.MaxPathLen = 2 }},
-		{name: "bad fraction", mutate: func(c *TemplateConfig) { c.DAGFraction = 1.5 }},
-		{name: "too few functions", mutate: func(c *TemplateConfig) { c.NumFunctions = 3 }},
-	}
-	for _, tt := range tests {
-		t.Run(tt.name, func(t *testing.T) {
-			cfg := DefaultTemplateConfig()
-			tt.mutate(&cfg)
-			if _, err := GenerateLibrary(cfg, rng); err == nil {
-				t.Error("GenerateLibrary accepted invalid config")
-			}
-		})
-	}
+	t.Run("too few functions", func(t *testing.T) {
+		if _, err := GenerateLibrary(3, rand.New(rand.NewSource(1))); err == nil {
+			t.Error("GenerateLibrary accepted invalid config")
+		}
+	})
 }
 
 func TestGenerateLibraryShapes(t *testing.T) {
-	cfg := DefaultTemplateConfig()
-	cfg.Count = 100
-	cfg.DAGFraction = 0.5
-	lib, err := GenerateLibrary(cfg, rand.New(rand.NewSource(2)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if lib.Count() != 100 {
-		t.Fatalf("Count = %d, want 100", lib.Count())
-	}
 	paths, dags := 0, 0
-	for i := 0; i < lib.Count(); i++ {
-		g := lib.Graph(i)
-		if err := g.Validate(); err != nil {
-			t.Fatalf("template %d invalid: %v", i, err)
+	for seed := int64(2); seed < 7; seed++ {
+		lib, err := GenerateLibrary(DefaultNumFunctions, rand.New(rand.NewSource(seed)))
+		if err != nil {
+			t.Fatal(err)
 		}
-		if g.IsPath() {
-			paths++
-			if n := g.NumPositions(); n < cfg.MinPathLen || n > cfg.MaxPathLen {
-				t.Errorf("path template %d has %d positions, want [%d,%d]", i, n, cfg.MinPathLen, cfg.MaxPathLen)
+		if lib.Count() != templateCount {
+			t.Fatalf("Count = %d, want %d", lib.Count(), templateCount)
+		}
+		for i := 0; i < lib.Count(); i++ {
+			g := lib.Graph(i)
+			if err := g.Validate(); err != nil {
+				t.Fatalf("template %d invalid: %v", i, err)
 			}
-		} else {
-			dags++
-			for _, p := range g.Paths() {
-				if len(p) < cfg.MinPathLen || len(p) > cfg.MaxPathLen {
-					t.Errorf("DAG template %d has branch path of %d nodes, want [%d,%d]",
-						i, len(p), cfg.MinPathLen, cfg.MaxPathLen)
+			if g.IsPath() {
+				paths++
+				if n := g.NumPositions(); n < minPathLen || n > maxPathLen {
+					t.Errorf("path template %d has %d positions, want [%d,%d]", i, n, minPathLen, maxPathLen)
 				}
-			}
-			if got := len(g.Paths()); got != 2 {
-				t.Errorf("DAG template %d has %d branch paths, want 2", i, got)
+			} else {
+				dags++
+				for _, p := range g.Paths() {
+					if len(p) < minPathLen || len(p) > maxPathLen {
+						t.Errorf("DAG template %d has branch path of %d nodes, want [%d,%d]",
+							i, len(p), minPathLen, maxPathLen)
+					}
+				}
+				if got := len(g.Paths()); got != 2 {
+					t.Errorf("DAG template %d has %d branch paths, want 2", i, got)
+				}
 			}
 		}
 	}
@@ -69,9 +53,7 @@ func TestGenerateLibraryShapes(t *testing.T) {
 }
 
 func TestGenerateLibraryDistinctFunctions(t *testing.T) {
-	cfg := DefaultTemplateConfig()
-	cfg.Count = 50
-	lib, err := GenerateLibrary(cfg, rand.New(rand.NewSource(3)))
+	lib, err := GenerateLibrary(DefaultNumFunctions, rand.New(rand.NewSource(3)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,7 +65,7 @@ func TestGenerateLibraryDistinctFunctions(t *testing.T) {
 				t.Fatalf("template %d repeats function %d", i, f)
 			}
 			seen[f] = true
-			if int(f) < 0 || int(f) >= cfg.NumFunctions {
+			if int(f) < 0 || int(f) >= DefaultNumFunctions {
 				t.Fatalf("template %d uses out-of-range function %d", i, f)
 			}
 		}
@@ -91,8 +73,7 @@ func TestGenerateLibraryDistinctFunctions(t *testing.T) {
 }
 
 func TestLibraryPick(t *testing.T) {
-	cfg := DefaultTemplateConfig()
-	lib, err := GenerateLibrary(cfg, rand.New(rand.NewSource(4)))
+	lib, err := GenerateLibrary(DefaultNumFunctions, rand.New(rand.NewSource(4)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,7 +86,7 @@ func TestLibraryPick(t *testing.T) {
 		}
 		seen[idx] = true
 	}
-	if len(seen) < cfg.Count/2 {
-		t.Errorf("Pick visited only %d of %d templates", len(seen), cfg.Count)
+	if len(seen) < templateCount/2 {
+		t.Errorf("Pick visited only %d of %d templates", len(seen), templateCount)
 	}
 }

@@ -60,8 +60,10 @@ type walkState struct {
 // walkScratch holds the composer-lifetime buffers that make the probe
 // walk (near-)allocation-free in steady state. Buffers are reset, never
 // freed, so capacity amortizes across requests. The candidate cache is
-// invalidated per request by an epoch counter because the catalog may
-// change between requests (node failures, migration).
+// invalidated per request by an epoch counter because the candidates may
+// change between requests: discovery's outage view hides a crashed
+// node's components until it repairs, and core's test fixtures move
+// components with Catalog.Move.
 //
 // The availability view is guarded by the same epoch: the first time a
 // walk touches a node or an overlay link it reads the owner-credited

@@ -60,6 +60,3 @@ func (r *Registry) Lookup(f component.FunctionID) []component.ComponentID {
 	}
 	return usable
 }
-
-// LookupCost returns the message cost charged per lookup.
-func (r *Registry) LookupCost() int64 { return r.hopCost }

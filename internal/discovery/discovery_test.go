@@ -41,10 +41,10 @@ func TestLookupAccounting(t *testing.T) {
 	cat := testCatalog(t)
 	var c metrics.Counters
 	reg := NewRegistry(cat, 256, &c)
-	if reg.LookupCost() != 8 { // log2(256)
-		t.Errorf("LookupCost = %d, want 8", reg.LookupCost())
-	}
 	reg.Lookup(0)
+	if got := c.Discovery.Load(); got != 8 { // log2(256)
+		t.Errorf("Discovery after one lookup = %d, want 8", got)
+	}
 	reg.Lookup(1)
 	if got := c.Discovery.Load(); got != 16 {
 		t.Errorf("Discovery = %d, want 16", got)
@@ -53,11 +53,12 @@ func TestLookupAccounting(t *testing.T) {
 
 func TestLookupCostSmallSystems(t *testing.T) {
 	cat := testCatalog(t)
-	if got := NewRegistry(cat, 1, nil).LookupCost(); got != 1 {
-		t.Errorf("LookupCost(1 node) = %d, want 1", got)
-	}
-	if got := NewRegistry(cat, 0, nil).LookupCost(); got != 1 {
-		t.Errorf("LookupCost(0 nodes) = %d, want 1", got)
+	for _, nodes := range []int{1, 0} {
+		var c metrics.Counters
+		NewRegistry(cat, nodes, &c).Lookup(0)
+		if got := c.Discovery.Load(); got != 1 {
+			t.Errorf("lookup cost with %d nodes = %d, want 1", nodes, got)
+		}
 	}
 }
 

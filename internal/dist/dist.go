@@ -86,8 +86,6 @@ type Config struct {
 	RetryAlphaStep float64
 	// UpdateThreshold is the coarse global-state drift trigger (§3.2).
 	UpdateThreshold float64
-	// MailboxSize bounds each node's message queue.
-	MailboxSize int
 	// Faults, when non-nil, configures deterministic fault injection on
 	// every message send (drops, delays, duplication, node outages).
 	// nil — or a config that injects nothing — leaves the send path
@@ -105,7 +103,15 @@ type Config struct {
 	// simulation harness (internal/harness) substitutes a virtual clock
 	// so protocol time elapses instantly and reproducibly.
 	Clock clock.Clock
+
+	// mailboxSize bounds each node's message queue: startedMailbox
+	// unless NewUnstarted (or an in-package test) sets it.
+	mailboxSize int
 }
+
+// Mailbox bounds: a started node drains its own mailbox; an unstarted
+// one is drained by the caller's steps, so NewUnstarted raises the bound.
+const startedMailbox, steppedMailbox = 1024, 1 << 16
 
 // DefaultConfig returns a test-sized distributed cluster.
 func DefaultConfig() Config {
@@ -124,7 +130,6 @@ func DefaultConfig() Config {
 		RetryBackoff:      20 * time.Millisecond,
 		RetryAlphaStep:    0.15,
 		UpdateThreshold:   0.10,
-		MailboxSize:       1024,
 	}
 }
 
@@ -320,8 +325,8 @@ func build(cfg Config) (*Cluster, error) {
 	if cfg.RetryAlphaStep < 0 {
 		return nil, fmt.Errorf("dist: negative retry alpha step %v", cfg.RetryAlphaStep)
 	}
-	if cfg.MailboxSize < 16 {
-		cfg.MailboxSize = 16
+	if cfg.mailboxSize == 0 {
+		cfg.mailboxSize = startedMailbox
 	}
 	clk := clock.Or(cfg.Clock)
 	epoch := clk.Now()
@@ -608,25 +613,6 @@ func (c *Cluster) Idle() bool {
 		}
 	}
 	return c.links.ActiveSessions() == 0
-}
-
-// AwaitIdle polls Idle until it holds or the timeout elapses — holds
-// orphaned by injected loss take up to HoldTTL (plus a sweep period) to
-// decay. The clock is read before each poll, so the last poll always
-// follows the deadline: a virtual clock that races ahead between a poll
-// and the deadline check cannot turn a not-yet-idle answer into a timeout.
-func (c *Cluster) AwaitIdle(timeout time.Duration) bool {
-	deadline := c.clock.Now().Add(timeout)
-	for {
-		late := c.clock.Now().After(deadline)
-		if c.Idle() {
-			return true
-		}
-		if late {
-			return false
-		}
-		c.clock.Sleep(10 * time.Millisecond)
-	}
 }
 
 // drainMailboxes closes the span of every probe still queued when the

@@ -21,6 +21,25 @@ func testCluster(t *testing.T) *Cluster {
 	return virtualCluster(t, DefaultConfig())
 }
 
+// awaitIdle polls Idle until it holds or the timeout elapses — holds
+// orphaned by injected loss take up to HoldTTL (plus a sweep period) to
+// decay. The clock is read before each poll, so the last poll always
+// follows the deadline: a virtual clock that races ahead between a poll
+// and the deadline check cannot turn a not-yet-idle answer into a timeout.
+func (c *Cluster) awaitIdle(timeout time.Duration) bool {
+	deadline := c.clock.Now().Add(timeout)
+	for {
+		late := c.clock.Now().After(deadline)
+		if c.Idle() {
+			return true
+		}
+		if late {
+			return false
+		}
+		c.clock.Sleep(10 * time.Millisecond)
+	}
+}
+
 func easyRequest(client int) *component.Request {
 	return &component.Request{
 		Graph:        component.NewPathGraph([]component.FunctionID{0, 1, 2}),
@@ -129,7 +148,7 @@ func TestComposeReleaseConservation(t *testing.T) {
 	}
 	// After a hold-TTL quiet period every node must be back at full
 	// capacity (releases are async; allow them to drain).
-	if !c.AwaitIdle(5 * time.Second) {
+	if !c.awaitIdle(5 * time.Second) {
 		t.Error("capacity did not return to full after compose/release churn")
 	}
 }
@@ -323,7 +342,7 @@ func TestSustainedChurnConservation(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
-	if !c.AwaitIdle(8 * time.Second) {
+	if !c.awaitIdle(8 * time.Second) {
 		t.Error("capacity leaked under sustained concurrent churn")
 	}
 }
@@ -406,7 +425,7 @@ func TestHoldsExpire(t *testing.T) {
 		}
 		c.Release(req, comp)
 	}
-	if !c.AwaitIdle(5 * time.Second) {
+	if !c.awaitIdle(5 * time.Second) {
 		t.Error("transient holds survived their TTL")
 	}
 }

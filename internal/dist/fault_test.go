@@ -244,7 +244,7 @@ func faultWorkload(t *testing.T, cfg Config, workers, perWorker int) (successes 
 	}
 	wg.Wait() // every request completed (no hangs) or the test times out
 
-	if !c.AwaitIdle(10 * time.Second) {
+	if !c.awaitIdle(10 * time.Second) {
 		t.Error("resources did not return to capacity: leaked holds or commits")
 	}
 	c.Shutdown()

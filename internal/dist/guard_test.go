@@ -151,8 +151,8 @@ func TestUnstartedClusterFootprint(t *testing.T) {
 	}
 	runtime.GC()
 	runtime.ReadMemStats(&after)
-	if c.cfg.MailboxSize != 1<<16 {
-		t.Fatalf("mailbox bound = %d, want %d", c.cfg.MailboxSize, 1<<16)
+	if c.cfg.mailboxSize != 1<<16 {
+		t.Fatalf("mailbox bound = %d, want %d", c.cfg.mailboxSize, 1<<16)
 	}
 	if retained := int64(after.HeapAlloc) - int64(before.HeapAlloc); retained > 8<<20 {
 		t.Errorf("NewUnstarted retains %.1f MB, want < 8", float64(retained)/(1<<20))

@@ -47,29 +47,29 @@ func TestMailboxKeepsOrderThroughGrowthAndWrap(t *testing.T) {
 }
 
 // TestSendReportsFullMailboxAtTheBound: send refuses the message that
-// would exceed MailboxSize — not one earlier, the ring having grown to hold
+// would exceed the mailbox bound — not one earlier, the ring having grown to hold
 // exactly that many — and accepts again once a step took one out.
 func TestSendReportsFullMailboxAtTheBound(t *testing.T) {
 	cfg := DefaultConfig()
-	cfg.MailboxSize = 100 // not a power of two: the ring's length is not the bound
+	cfg.mailboxSize = 100 // not a power of two: the ring's length is not the bound
 	c, err := build(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	n := c.nodes[3]
-	for i := 0; i < cfg.MailboxSize; i++ {
+	for i := 0; i < cfg.mailboxSize; i++ {
 		if !n.send(&message{kind: msgState, node: 1}) {
-			t.Fatalf("send %d of %d refused", i+1, cfg.MailboxSize)
+			t.Fatalf("send %d of %d refused", i+1, cfg.mailboxSize)
 		}
 	}
 	if n.send(&message{kind: msgState, node: 1}) {
-		t.Fatalf("send accepted message %d of a mailbox bounded at %d", cfg.MailboxSize+1, cfg.MailboxSize)
+		t.Fatalf("send accepted message %d of a mailbox bounded at %d", cfg.mailboxSize+1, cfg.mailboxSize)
 	}
-	if got := c.MailboxDepth(3); got != cfg.MailboxSize {
-		t.Fatalf("MailboxDepth = %d, want %d", got, cfg.MailboxSize)
+	if got := c.MailboxDepth(3); got != cfg.mailboxSize {
+		t.Fatalf("MailboxDepth = %d, want %d", got, cfg.mailboxSize)
 	}
-	if got := c.inflight.Load(); got != int64(cfg.MailboxSize) {
-		t.Fatalf("inflight = %d after a refused send, want %d", got, cfg.MailboxSize)
+	if got := c.inflight.Load(); got != int64(cfg.mailboxSize) {
+		t.Fatalf("inflight = %d after a refused send, want %d", got, cfg.mailboxSize)
 	}
 	if desc, ok := c.StepNode(3); !ok || desc != "state node=1" {
 		t.Fatalf("StepNode = (%q, %v)", desc, ok)
@@ -103,20 +103,20 @@ func TestSendBlockingWaitsForRoom(t *testing.T) {
 		t.Fatal("sendBlocking returned with the mailbox full")
 	case <-time.After(20 * time.Millisecond):
 	}
-	for c.inflight.Load() < int64(c.cfg.MailboxSize)+3 {
+	for c.inflight.Load() < int64(c.cfg.mailboxSize)+3 {
 		time.Sleep(time.Millisecond) // until all three have tried and parked
 	}
 	c.StepNode(0)
 	c.StepNode(0)
 	<-delivered
 	<-delivered
-	if got := c.MailboxDepth(0); got != c.cfg.MailboxSize {
-		t.Fatalf("depth %d after two steps and two blocked sends landed, want %d", got, c.cfg.MailboxSize)
+	if got := c.MailboxDepth(0); got != c.cfg.mailboxSize {
+		t.Fatalf("depth %d after two steps and two blocked sends landed, want %d", got, c.cfg.mailboxSize)
 	}
 	close(n.quit)
 	<-delivered
-	if got := c.inflight.Load(); got != int64(c.cfg.MailboxSize) {
-		t.Fatalf("inflight = %d, want %d: the abandoned send must return its credit", got, c.cfg.MailboxSize)
+	if got := c.inflight.Load(); got != int64(c.cfg.mailboxSize) {
+		t.Fatalf("inflight = %d, want %d: the abandoned send must return its credit", got, c.cfg.mailboxSize)
 	}
 }
 

@@ -54,7 +54,7 @@ func newNode(c *Cluster, id int) *node {
 	n := &node{
 		c:       c,
 		id:      id,
-		mailbox: newMailbox(c.cfg.MailboxSize),
+		mailbox: newMailbox(c.cfg.mailboxSize),
 		quit:    make(chan struct{}),
 		commits: make(map[int64]qos.Resources),
 		view:    make([]qos.Resources, c.mesh.NumNodes()),

@@ -30,9 +30,7 @@ import (
 // cannot deadlock the single-threaded driver; a mailbox grows with what
 // it holds, so the bound is a number, not memory.
 func NewUnstarted(cfg Config) (*Cluster, error) {
-	if cfg.MailboxSize < 1<<16 {
-		cfg.MailboxSize = 1 << 16
-	}
+	cfg.mailboxSize = steppedMailbox
 	return build(cfg)
 }
 

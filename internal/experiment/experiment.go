@@ -43,8 +43,6 @@ type SystemConfig struct {
 	// NumFunctions and ComponentsPerNode control candidate density.
 	NumFunctions      int
 	ComponentsPerNode int
-	// NumTemplates is the application template library size (paper: 20).
-	NumTemplates int
 	// NodeCapacity is each stream node's end-system resource capacity.
 	NodeCapacity qos.Resources
 }
@@ -58,7 +56,6 @@ func DefaultSystemConfig() SystemConfig {
 		NeighborsPerNode:  6,
 		NumFunctions:      component.DefaultNumFunctions,
 		ComponentsPerNode: 1,
-		NumTemplates:      20,
 		NodeCapacity:      qos.Resources{CPU: 100, Memory: 1000},
 	}
 }
@@ -107,10 +104,7 @@ func BuildPlatform(cfg SystemConfig) (*Platform, error) {
 		return nil, fmt.Errorf("experiment: %w", err)
 	}
 
-	lcfg := component.DefaultTemplateConfig()
-	lcfg.Count = cfg.NumTemplates
-	lcfg.NumFunctions = cfg.NumFunctions
-	library, err := component.GenerateLibrary(lcfg, stageRng(4))
+	library, err := component.GenerateLibrary(cfg.NumFunctions, stageRng(4))
 	if err != nil {
 		return nil, fmt.Errorf("experiment: %w", err)
 	}
@@ -144,8 +138,6 @@ type RunConfig struct {
 	// Duration is the simulated time (paper: 100 min steady-state, 150
 	// min adaptation).
 	Duration time.Duration
-	// SamplePeriod is the success-rate sampling window (paper: 5 min).
-	SamplePeriod time.Duration
 	// Phases is the request-rate schedule; use a single phase for a
 	// constant rate.
 	Phases []workload.Phase
@@ -197,6 +189,9 @@ type RunConfig struct {
 	Registry *obs.Registry
 }
 
+// samplePeriod is the success-rate sampling window (paper: 5 min).
+const samplePeriod = 5 * time.Minute
+
 // DefaultRunConfig returns the paper's standard efficiency-run settings:
 // ACP at alpha=0.3, 100 simulated minutes, 5-minute sampling.
 func DefaultRunConfig(ratePerMinute float64) RunConfig {
@@ -205,7 +200,6 @@ func DefaultRunConfig(ratePerMinute float64) RunConfig {
 		Algorithm:    core.AlgACP,
 		ProbingRatio: 0.3,
 		Duration:     100 * time.Minute,
-		SamplePeriod: 5 * time.Minute,
 		Phases:       []workload.Phase{{Until: 1 << 62, RatePerMinute: ratePerMinute}},
 		QoSLevel:     workload.QoSHigh,
 	}
@@ -266,9 +260,6 @@ func phaseBreakdown(c metrics.Counts) PhaseOverhead {
 
 func (r *RunConfig) withDefaults() RunConfig {
 	cfg := *r
-	if cfg.SamplePeriod <= 0 {
-		cfg.SamplePeriod = 5 * time.Minute
-	}
 	if cfg.State == 0 {
 		cfg.State = StateCoarse
 	}
@@ -448,13 +439,22 @@ func (r *run) fail(err error) {
 }
 
 func (r *run) execute() (*Result, error) {
+	if err := r.schedule(); err != nil {
+		return nil, err
+	}
+	r.clock.Advance(r.cfg.Duration)
+	return r.result()
+}
+
+// schedule starts the run's event chains on its clock.
+func (r *run) schedule() error {
 	// Arrival chain: either the synthetic Poisson process or a recorded
 	// trace replayed at its original arrival times.
 	if len(r.cfg.Replay) > 0 {
 		for _, rec := range r.cfg.Replay {
 			req, err := rec.Request()
 			if err != nil {
-				return nil, err
+				return err
 			}
 			// trace.Read rejects negative arrivals, so at is never before
 			// the run's start.
@@ -468,7 +468,7 @@ func (r *run) execute() (*Result, error) {
 		r.clock.AfterFunc(r.arrivals.NextAfter(0), r.onArrival)
 	}
 	// Sampling chain.
-	r.clock.AfterFunc(r.cfg.SamplePeriod, r.onSample)
+	r.clock.AfterFunc(samplePeriod, r.onSample)
 	// Virtual-link aggregation chain (§3.2).
 	if r.cfg.State == StateCoarse {
 		r.clock.AfterFunc(r.global.Period(), r.onAggregate)
@@ -479,8 +479,11 @@ func (r *run) execute() (*Result, error) {
 	for _, cr := range r.crashes {
 		r.clock.AfterFunc(cr.At, func() { r.disruptSessionsOn(cr.Node) })
 	}
+	return nil
+}
 
-	r.clock.Advance(r.cfg.Duration)
+// result reports the run once its clock has passed the duration.
+func (r *run) result() (*Result, error) {
 	if r.runErr != nil {
 		return nil, r.runErr
 	}
@@ -592,10 +595,12 @@ func (r *run) composeArrival(req *component.Request) {
 }
 
 // onConfirm commits a successful composition and schedules session end.
+// The composition fails instead when a node it chose crashed during the
+// probing round trip (that crash has already ended the node's sessions),
+// or when the commit finds resources changed during it (possible only
+// without transient allocation, or after hold expiry).
 func (r *run) onConfirm(outcome *core.Outcome) {
-	if err := r.composer.Commit(outcome); err != nil {
-		// Resources changed during the probing round trip (possible only
-		// without transient allocation, or after hold expiry).
+	if r.onDownNode(outcome.Best.Components) || r.composer.Commit(outcome) != nil {
 		r.composer.Abort(outcome.Request.ID)
 		r.sampler.Record(false)
 		return
@@ -604,6 +609,17 @@ func (r *run) onConfirm(outcome *core.Outcome) {
 	r.totalPhi += outcome.Best.Phi
 	r.phiCount++
 	r.trackSession(outcome)
+}
+
+// onDownNode reports whether any of the components is on a node the
+// outage schedule has down now.
+func (r *run) onDownNode(ids []component.ComponentID) bool {
+	for _, id := range ids {
+		if r.outages.Down(r.platform.Catalog.Component(id).Node) {
+			return true
+		}
+	}
+	return false
 }
 
 // activeSession is the run's record of one committed session.
@@ -695,7 +711,7 @@ func (r *run) onSample() {
 		r.ratioSer.Add(now, r.composer.ProbingRatio())
 	}
 	if now < r.cfg.Duration {
-		r.clock.AfterFunc(r.cfg.SamplePeriod, r.onSample)
+		r.clock.AfterFunc(samplePeriod, r.onSample)
 	}
 }
 

@@ -2,6 +2,7 @@ package experiment
 
 import (
 	"bytes"
+	"fmt"
 	"math"
 	"slices"
 	"sort"
@@ -24,7 +25,6 @@ func smallSystem(seed int64) SystemConfig {
 	cfg.IPNodes = 300
 	cfg.OverlayNodes = 60
 	cfg.NumFunctions = 20
-	cfg.NumTemplates = 10
 	return cfg
 }
 
@@ -64,7 +64,7 @@ func TestBuildPlatformShape(t *testing.T) {
 	if p.Catalog.NumComponents() != 60 {
 		t.Errorf("components = %d", p.Catalog.NumComponents())
 	}
-	if p.Library.Count() != 10 {
+	if p.Library.Count() != 20 {
 		t.Errorf("templates = %d", p.Library.Count())
 	}
 }
@@ -227,7 +227,6 @@ func TestRunDynamicPhases(t *testing.T) {
 		{Until: 1 << 62, RatePerMinute: 50},
 	}
 	rc.Duration = 10 * time.Minute
-	rc.SamplePeriod = 5 * time.Minute
 	res, err := Run(p, rc)
 	if err != nil {
 		t.Fatal(err)
@@ -259,17 +258,18 @@ func TestRunStatePolicies(t *testing.T) {
 func TestWorkloadOverrideApplied(t *testing.T) {
 	p := smallPlatform(t, 9)
 	rc := shortRun(30)
-	// Make every request impossible: success collapses to ~0.
+	// Make every request impossible, a delay bound below any component's
+	// processing delay: success collapses to ~0.
 	rc.WorkloadOverride = func(w *workload.Config) {
-		w.CPUReqMin = 150
-		w.CPUReqMax = 200
+		w.DelayReqPerFunctionMin = 0.001
+		w.DelayReqPerFunctionMax = 0.002
 	}
 	res, err := Run(p, rc)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.SuccessRate > 0.01 {
-		t.Errorf("success rate = %v with impossible demands", res.SuccessRate)
+		t.Errorf("success rate = %v with impossible requirements", res.SuccessRate)
 	}
 }
 
@@ -541,4 +541,89 @@ search:
 		t.Errorf("run reports %d failures, %d disrupted, %d recomposed; want 1 and some of each",
 			res.Failures, res.Disrupted, res.Recomposed)
 	}
+}
+
+// TestNoCommitOnADownNode holds the crash window closed on
+// examples/failover's setup (1600 IP nodes, 60 requests/min for 40
+// minutes, 5-minute repairs) over seeds 1–10, at 1 and 5 crashes per
+// minute, with and without recomposition. After every event of the run,
+// no node the run's injector reports down holds committed resources: no
+// commit lands on a down node, and no live session sits on one. A
+// confirmation landing inside a crash window once committed onto the
+// crashed node, whose crash had already fired.
+func TestNoCommitOnADownNode(t *testing.T) {
+	if testing.Short() {
+		t.Skip("forty 40-minute runs on the failover platform")
+	}
+	scfg := DefaultSystemConfig()
+	scfg.IPNodes = 1600
+	p, err := BuildPlatform(scfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, perMinute := range []float64{1, 5} {
+		for _, recompose := range []bool{false, true} {
+			t.Run(fmt.Sprintf("%v per minute, recompose %v", perMinute, recompose), func(t *testing.T) {
+				t.Parallel()
+				for seed := int64(1); seed <= 10; seed++ {
+					rc := DefaultRunConfig(60)
+					rc.Seed, rc.Duration = seed, 40*time.Minute
+					rc.FailuresPerMinute, rc.RepairTime, rc.RecomposeOnFailure = perMinute, 5*time.Minute, recompose
+					if at, node := downNodeCommit(t, p, rc.withDefaults()); node >= 0 {
+						t.Fatalf("seed %d: at %v down node %d holds committed resources", seed, at, node)
+					}
+				}
+			})
+		}
+	}
+}
+
+// downNodeCommit runs cfg on p with the crash schedule Run draws for it,
+// one event at a time, and returns the first instant after an event at
+// which a node the injector reports down holds committed resources, and
+// that node; -1 when none ever does.
+func downNodeCommit(t *testing.T, p *Platform, cfg RunConfig) (time.Duration, int) {
+	t.Helper()
+	crashes := faults.PoissonCrashes(cfg.Seed*1_000_003+5, p.Mesh.NumNodes(),
+		cfg.FailuresPerMinute, cfg.Duration, cfg.RepairTime)
+	r, err := newRun(p, cfg, crashes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := r.schedule(); err != nil {
+		t.Fatal(err)
+	}
+	if len(crashes) == 0 {
+		t.Fatalf("seed %d: no crash scheduled", cfg.Seed)
+	}
+	// Every component demands at least 6 CPU, so a deficit of 1e-6 is a
+	// session; below it, rounding left by releases. The schedule is in
+	// crash order and every outage lasts RepairTime, so the outages in
+	// force are a window of it.
+	first := 0
+	for end := r.clock.Now().Add(cfg.Duration); r.clock.Now().Before(end); {
+		if _, ok := r.clock.AdvanceToNext(); !ok {
+			break
+		}
+		now := r.now()
+		for first < len(crashes) && crashes[first].At+crashes[first].Downtime <= now {
+			first++
+		}
+		for _, cr := range crashes[first:] {
+			if cr.At > now {
+				break
+			}
+			n := cr.Node
+			if r.outages.Down(n) && r.ledger.NodeCapacity(n).CPU-r.ledger.NodeCommittedAvailable(n).CPU > 1e-6 {
+				return now, n
+			}
+		}
+	}
+	if r.runErr != nil {
+		t.Fatal(r.runErr)
+	}
+	if r.phiCount == 0 {
+		t.Fatalf("seed %d committed no session", cfg.Seed)
+	}
+	return 0, -1
 }

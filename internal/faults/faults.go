@@ -196,14 +196,6 @@ func (in *Injector) Down(node int) bool {
 	return false
 }
 
-// CrashCount returns how many outages are scheduled in total.
-func (in *Injector) CrashCount() int {
-	if in == nil {
-		return 0
-	}
-	return len(in.cfg.Crashes)
-}
-
 // RandomCrashes builds a seeded schedule of count outages spread over
 // distinct random nodes in [0, nodes), starting uniformly within the
 // window and each lasting downtime. count is capped at nodes.

@@ -42,9 +42,6 @@ func TestNewNilForNoFaults(t *testing.T) {
 	if in.Down(3) {
 		t.Error("nil injector reports a node down")
 	}
-	if in.CrashCount() != 0 {
-		t.Error("nil injector reports crashes")
-	}
 }
 
 func TestSeededDeterminism(t *testing.T) {

@@ -149,11 +149,8 @@ func RunAdaptScenario(sc AdaptScenarioConfig) (*AdaptReport, error) {
 	defer c.Shutdown()
 
 	ctrl, err := c.EnableAdaptation(runtime.AdaptConfig{
-		Period:       time.Second,
-		Tolerance:    adaptTolerance,
-		MaxRetries:   3,
-		RetryBackoff: 2 * time.Second,
-		Predictive:   sc.Predictive,
+		Tolerance:  adaptTolerance,
+		Predictive: sc.Predictive,
 	})
 	if err != nil {
 		return nil, err

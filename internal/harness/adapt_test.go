@@ -117,12 +117,7 @@ func surgeExposure(t *testing.T, adapt bool) (violationTicks, migrations int64) 
 	c := bed.Cluster
 	defer c.Shutdown()
 	if adapt {
-		ctrl, err := c.EnableAdaptation(runtime.AdaptConfig{
-			Period:       time.Second,
-			Tolerance:    adaptTolerance,
-			MaxRetries:   3,
-			RetryBackoff: 2 * time.Second,
-		})
+		ctrl, err := c.EnableAdaptation(runtime.AdaptConfig{Tolerance: adaptTolerance})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -30,8 +30,6 @@ type ServeConfig struct {
 	Registry *Registry
 	// Tracer feeds /trace via Subscribe; nil returns 503 there.
 	Tracer *Tracer
-	// TraceBuffer is each /trace client's ring capacity (default 1024).
-	TraceBuffer int
 	// Clock stamps /metrics.json snapshots with the scrape instant so
 	// pollers (acpmon) difference server-reported elapsed rather than
 	// their own jittery poll clock. nil means the wall clock.
@@ -58,7 +56,7 @@ func Handler(cfg ServeConfig) http.Handler {
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 		fmt.Fprintln(w, "ok")
 	})
-	mux.HandleFunc("/trace", traceHandler(cfg.Tracer, cfg.TraceBuffer))
+	mux.HandleFunc("/trace", traceHandler(cfg.Tracer))
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
 	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
 	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
@@ -71,13 +69,14 @@ func Handler(cfg ServeConfig) http.Handler {
 // client disconnects. Each client gets its own bounded-ring
 // subscription: a slow reader loses its own oldest events (surfaced as
 // trace.dropped lines) and never backpressures the engine.
-func traceHandler(t *Tracer, bufCap int) http.HandlerFunc {
+func traceHandler(t *Tracer) http.HandlerFunc {
+	const traceBuffer = 1024 // each client's ring capacity
 	return func(w http.ResponseWriter, r *http.Request) {
 		if t == nil {
 			http.Error(w, "tracing disabled", http.StatusServiceUnavailable)
 			return
 		}
-		sub := t.Subscribe(bufCap)
+		sub := t.Subscribe(traceBuffer)
 		defer sub.Close()
 		w.Header().Set("Content-Type", "application/jsonl; charset=utf-8")
 		w.WriteHeader(http.StatusOK)

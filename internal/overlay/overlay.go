@@ -53,17 +53,18 @@ type Config struct {
 	Nodes int
 	// NeighborsPerNode is the overlay degree k each node aims for.
 	NeighborsPerNode int
-	// MinLinkLoss and MaxLinkLoss bound the per-overlay-link loss rate.
-	MinLinkLoss, MaxLinkLoss float64
 }
+
+// minLinkLoss and maxLinkLoss bound the per-overlay-link loss rate.
+// Typed: untyped, Go would fold maxLinkLoss-minLinkLoss exactly, not as
+// the float64 difference of the two bounds, and move each draw's last bit.
+const minLinkLoss, maxLinkLoss float64 = 0.0005, 0.005
 
 // DefaultConfig matches the paper's mid-scale setup (N=400).
 func DefaultConfig() Config {
 	return Config{
 		Nodes:            400,
 		NeighborsPerNode: 6,
-		MinLinkLoss:      0.0005,
-		MaxLinkLoss:      0.005,
 	}
 }
 
@@ -106,9 +107,6 @@ func Build(g *topology.Graph, cfg Config, rng *rand.Rand) (*Mesh, error) {
 	}
 	if cfg.NeighborsPerNode < 1 || cfg.NeighborsPerNode >= n {
 		return nil, fmt.Errorf("overlay: NeighborsPerNode %d out of range", cfg.NeighborsPerNode)
-	}
-	if cfg.MinLinkLoss < 0 || cfg.MaxLinkLoss < cfg.MinLinkLoss || cfg.MaxLinkLoss >= 1 {
-		return nil, fmt.Errorf("overlay: invalid loss range [%v, %v]", cfg.MinLinkLoss, cfg.MaxLinkLoss)
 	}
 
 	m := &Mesh{
@@ -169,7 +167,7 @@ func Build(g *topology.Graph, cfg Config, rng *rand.Rand) (*Mesh, error) {
 			if math.IsInf(delay, 1) {
 				return nil, fmt.Errorf("overlay: IP nodes %d and %d disconnected", m.ipNode[v], m.ipNode[h.to])
 			}
-			loss := cfg.MinLinkLoss + rng.Float64()*(cfg.MaxLinkLoss-cfg.MinLinkLoss)
+			loss := minLinkLoss + rng.Float64()*(maxLinkLoss-minLinkLoss)
 			lk.QoS = qos.Vector{Delay: delay, LossCost: qos.LossCost(loss)}
 			lk.Capacity = bw
 		}

@@ -58,7 +58,7 @@ func refBuild(g *topology.Graph, cfg Config, rng *rand.Rand) *Mesh {
 				continue
 			}
 			delay, bw := refPathMetrics(g, dist, parent, m.ipNode[h.to])
-			loss := cfg.MinLinkLoss + rng.Float64()*(cfg.MaxLinkLoss-cfg.MinLinkLoss)
+			loss := minLinkLoss + rng.Float64()*(maxLinkLoss-minLinkLoss)
 			lk.QoS = qos.Vector{Delay: delay, LossCost: qos.LossCost(loss)}
 			lk.Capacity = bw
 		}

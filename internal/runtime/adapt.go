@@ -13,27 +13,28 @@ import (
 
 // AdaptConfig tunes the re-composition controller.
 type AdaptConfig struct {
-	// Period is the monitoring tick interval; default 1s.
-	Period time.Duration
 	// Tolerance is the fractional headroom a session's observed phi gets
 	// over its admission-time bound before the controller acts, and the
 	// headroom a replacement composition's phi is allowed. Zero means
 	// any excess triggers.
 	Tolerance float64
-	// MaxRetries bounds re-composition attempts per violation episode;
-	// past it the episode is abandoned (counted) until the session
-	// recovers or re-enters violation. Default 3.
-	MaxRetries int
-	// RetryBackoff is the delay before the first retry after a failed
-	// attempt, doubling each retry. Default 2x Period.
-	RetryBackoff time.Duration
 	// Predictive enables acting on a Holt forecast of each session's phi
 	// before the bound is actually crossed.
 	Predictive bool
 }
 
-// forecastSteps is how many ticks ahead predictive mode looks.
-const forecastSteps = 2
+// The controller ticks every adaptPeriod. A violation episode's failed
+// re-composition is retried at most maxRetries times, the first retry
+// after retryBackoff and each later one after twice the wait before it;
+// past them the episode is abandoned (counted) until the session
+// recovers or re-enters violation. Predictive mode looks forecastSteps
+// ticks ahead.
+const (
+	adaptPeriod   = time.Second
+	maxRetries    = 3
+	retryBackoff  = 2 * adaptPeriod
+	forecastSteps = 2
+)
 
 // retryState is one session's in-flight violation episode.
 type retryState struct {
@@ -47,7 +48,7 @@ type retryState struct {
 // answers each violation by re-composing the session make-before-break
 // (Cluster.Recompose). When no better composition exists it backs off
 // and retries on the harness clock, abandoning the episode after
-// MaxRetries. In predictive mode a Holt forecaster per session triggers
+// maxRetries. In predictive mode a Holt forecaster per session triggers
 // re-composition on projected violations before they happen.
 type AdaptController struct {
 	c   *Cluster
@@ -57,7 +58,7 @@ type AdaptController struct {
 	migrations *obs.Counter // successful drift-triggered migrations
 	preemptive *obs.Counter // successful forecast-triggered migrations
 	failures   *obs.Counter // attempts that found nothing better
-	abandonedC *obs.Counter // episodes dropped after MaxRetries
+	abandonedC *obs.Counter // episodes dropped after maxRetries
 
 	// The drift pass's instruments. Every episode ends in exactly one of
 	// recovered, forgotten (closed mid-violation) or still exceeded:
@@ -88,15 +89,6 @@ type AdaptController struct {
 func (c *Cluster) EnableAdaptation(cfg AdaptConfig) (*AdaptController, error) {
 	if cfg.Tolerance < 0 {
 		return nil, fmt.Errorf("runtime: negative adaptation tolerance %v", cfg.Tolerance)
-	}
-	if cfg.Period <= 0 {
-		cfg.Period = time.Second
-	}
-	if cfg.MaxRetries <= 0 {
-		cfg.MaxRetries = 3
-	}
-	if cfg.RetryBackoff <= 0 {
-		cfg.RetryBackoff = 2 * cfg.Period
 	}
 
 	c.mu.Lock()
@@ -193,7 +185,7 @@ func (a *AdaptController) driftPass() {
 	}
 }
 
-// Start begins ticking every Period on the cluster clock. Under a
+// Start begins ticking every adaptPeriod on the cluster clock. Under a
 // Virtual clock ticks run synchronously on the advancing goroutine, so
 // simulated adaptation schedules are deterministic.
 func (a *AdaptController) Start() {
@@ -212,7 +204,7 @@ func (a *AdaptController) arm() {
 		a.mu.Unlock()
 		return
 	}
-	a.timer = a.clk.AfterFunc(a.cfg.Period, func() {
+	a.timer = a.clk.AfterFunc(adaptPeriod, func() {
 		a.Step()
 		a.arm()
 	})
@@ -261,7 +253,7 @@ func (a *AdaptController) attempt(id SessionID, onSuccess *obs.Counter) bool {
 }
 
 // scheduleRetry arms the episode's next attempt with doubling backoff,
-// abandoning the episode past MaxRetries. An episode holds at most one
+// abandoning the episode past maxRetries. An episode holds at most one
 // pending timer: a second failure before the retry fires (a forecast
 // attempt, in predictive mode) replaces it rather than starting a second
 // chain of attempts.
@@ -280,13 +272,13 @@ func (a *AdaptController) scheduleRetry(id SessionID) {
 		rs.timer.Stop()
 	}
 	rs.attempts++
-	if rs.attempts > a.cfg.MaxRetries {
+	if rs.attempts > maxRetries {
 		delete(a.retries, id)
 		a.mu.Unlock()
 		a.abandonedC.Inc()
 		return
 	}
-	delay := a.cfg.RetryBackoff << (rs.attempts - 1)
+	delay := retryBackoff << (rs.attempts - 1)
 	rs.timer = a.clk.AfterFunc(delay, func() { a.retry(id) })
 	a.mu.Unlock()
 }
@@ -346,7 +338,7 @@ func (a *AdaptController) forecastStep() {
 		a.mu.Lock()
 		h := a.forecasters[s.ID]
 		if h == nil {
-			h, _ = tuning.NewHolt(tuning.DefaultHoltConfig())
+			h = tuning.NewHolt()
 			a.forecasters[s.ID] = h
 		}
 		a.mu.Unlock()

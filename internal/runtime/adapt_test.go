@@ -157,7 +157,7 @@ func TestRecomposeIdleClusterFlips(t *testing.T) {
 // clock, invariants audited at every step.
 func TestAdaptDriftRecoverDeterministic(t *testing.T) {
 	c, r, vc := adaptCluster(t)
-	ctrl, err := c.EnableAdaptation(AdaptConfig{Period: time.Second, Tolerance: 0.5})
+	ctrl, err := c.EnableAdaptation(AdaptConfig{Tolerance: 0.5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -234,15 +234,10 @@ func TestAdaptDriftRecoverDeterministic(t *testing.T) {
 
 // TestAdaptRetryBackoffAndAbandon congests the whole cluster so no
 // better composition exists: the controller must retry with doubling
-// backoff and abandon the episode after MaxRetries, never migrating.
+// backoff and abandon the episode after maxRetries, never migrating.
 func TestAdaptRetryBackoffAndAbandon(t *testing.T) {
 	c, r, vc := adaptCluster(t)
-	ctrl, err := c.EnableAdaptation(AdaptConfig{
-		Period:       time.Second,
-		Tolerance:    0.5,
-		MaxRetries:   2,
-		RetryBackoff: 2 * time.Second,
-	})
+	ctrl, err := c.EnableAdaptation(AdaptConfig{Tolerance: 0.5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -272,18 +267,22 @@ func TestAdaptRetryBackoffAndAbandon(t *testing.T) {
 	if got := r.Snapshot().Counters["adapt.recompose_failures"]; got != 2 {
 		t.Fatalf("failures after retry 1 = %d, want 2", got)
 	}
-	vc.Advance(4 * time.Second) // t=7s: retry 2 fails, episode abandoned
-	s = r.Snapshot()
-	if got := s.Counters["adapt.recompose_failures"]; got != 3 {
+	vc.Advance(4 * time.Second) // t=7s: retry 2 fails, next retry at +8s
+	if got := r.Snapshot().Counters["adapt.recompose_failures"]; got != 3 {
 		t.Fatalf("failures after retry 2 = %d, want 3", got)
+	}
+	vc.Advance(8 * time.Second) // t=15s: retry 3 fails, episode abandoned
+	s = r.Snapshot()
+	if got := s.Counters["adapt.recompose_failures"]; got != 4 {
+		t.Fatalf("failures after retry 3 = %d, want 4", got)
 	}
 	if got := s.Counters["adapt.abandoned"]; got != 1 {
 		t.Fatalf("abandoned = %d, want 1", got)
 	}
-	vc.Advance(10 * time.Second) // quiet: no further attempts
+	vc.Advance(20 * time.Second) // quiet: no further attempts
 	s = r.Snapshot()
-	if got := s.Counters["adapt.recompose_failures"]; got != 3 {
-		t.Fatalf("failures after abandon = %d, want 3", got)
+	if got := s.Counters["adapt.recompose_failures"]; got != 4 {
+		t.Fatalf("failures after abandon = %d, want 4", got)
 	}
 	if got := s.Counters["adapt.migrations"]; got != 0 {
 		t.Fatalf("migrations = %d, want 0", got)
@@ -303,12 +302,7 @@ func TestAdaptRetryBackoffAndAbandon(t *testing.T) {
 // without another attempt.
 func TestAdaptRetryClearsOnNaturalRecovery(t *testing.T) {
 	c, r, vc := adaptCluster(t)
-	ctrl, err := c.EnableAdaptation(AdaptConfig{
-		Period:       time.Second,
-		Tolerance:    0.5,
-		MaxRetries:   3,
-		RetryBackoff: 5 * time.Second,
-	})
+	ctrl, err := c.EnableAdaptation(AdaptConfig{Tolerance: 0.5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -326,7 +320,7 @@ func TestAdaptRetryClearsOnNaturalRecovery(t *testing.T) {
 	congestNodes(t, c, -1, all, qos.Resources{CPU: 1, Memory: 10})
 
 	ctrl.Start()
-	vc.Advance(time.Second) // drift, attempt fails, retry armed at +5s
+	vc.Advance(time.Second) // drift, attempt fails, retry armed at +2s
 	if got := r.Snapshot().Counters["adapt.recompose_failures"]; got != 1 {
 		t.Fatalf("failures = %d, want 1", got)
 	}
@@ -352,11 +346,7 @@ func TestAdaptRetryClearsOnNaturalRecovery(t *testing.T) {
 // and migrate while the session is still compliant.
 func TestAdaptPredictiveMigratesBeforeViolation(t *testing.T) {
 	c, r, vc := adaptCluster(t)
-	ctrl, err := c.EnableAdaptation(AdaptConfig{
-		Period:     time.Second,
-		Tolerance:  1.0,
-		Predictive: true,
-	})
+	ctrl, err := c.EnableAdaptation(AdaptConfig{Tolerance: 1.0, Predictive: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -668,7 +658,7 @@ func TestDriftPassTraceEvents(t *testing.T) {
 // drifted session on a cluster without one still migrates.
 func TestAdaptWithoutRegistry(t *testing.T) {
 	c, vc := adaptClusterWith(t, nil, nil)
-	ctrl, err := c.EnableAdaptation(AdaptConfig{Period: time.Second, Tolerance: 0.5})
+	ctrl, err := c.EnableAdaptation(AdaptConfig{Tolerance: 0.5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -692,7 +682,7 @@ func TestAdaptWithoutRegistry(t *testing.T) {
 // fails.
 func TestAdaptRetryHoldsOneTimer(t *testing.T) {
 	c, r, vc := adaptCluster(t)
-	ctrl, err := c.EnableAdaptation(AdaptConfig{Tolerance: 0.5, MaxRetries: 3, RetryBackoff: 2 * time.Second})
+	ctrl, err := c.EnableAdaptation(AdaptConfig{Tolerance: 0.5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -714,7 +704,7 @@ func TestAdaptRetryHoldsOneTimer(t *testing.T) {
 		t.Fatalf("failures = %d after the backoff, want 3: the first retry's timer outlived the second failure", got)
 	}
 	// The fourth failure, with the third's retry pending at +8 s, is past
-	// MaxRetries: the episode ends and its retry never runs.
+	// maxRetries: the episode ends and its retry never runs.
 	ctrl.attempt(id, ctrl.migrations)
 	if got := r.Snapshot().Counters["adapt.abandoned"]; got != 1 {
 		t.Fatalf("abandoned = %d, want 1", got)

@@ -40,8 +40,6 @@ type Config struct {
 	// MaxInflight caps concurrently dispatched composes; excess gets
 	// CodeBusy instead of queueing behind the composer (default 32).
 	MaxInflight int
-	// MaxFrameBytes bounds one request line (default 1 MiB).
-	MaxFrameBytes int
 	// Registry receives the server's instruments; nil disables.
 	Registry *obs.Registry
 }
@@ -127,9 +125,6 @@ func Listen(addr string, cfg Config) (*Server, error) {
 	}
 	if cfg.MaxInflight <= 0 {
 		cfg.MaxInflight = 32
-	}
-	if cfg.MaxFrameBytes <= 0 {
-		cfg.MaxFrameBytes = 1 << 20
 	}
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
@@ -233,7 +228,7 @@ func (s *Server) handleConn(c *conn) {
 	defer c.nc.Close()
 
 	sc := bufio.NewScanner(c.nc)
-	sc.Buffer(make([]byte, 0, min(4096, s.cfg.MaxFrameBytes)), s.cfg.MaxFrameBytes)
+	sc.Buffer(make([]byte, 0, 4096), maxFrameBytes)
 	var req Request
 	for sc.Scan() {
 		line := bytes.TrimSpace(sc.Bytes())
@@ -250,7 +245,7 @@ func (s *Server) handleConn(c *conn) {
 		}
 	}
 	if errors.Is(sc.Err(), bufio.ErrTooLong) {
-		_ = c.send(s.fail(Response{Op: "?"}, CodeProtocol, fmt.Sprintf("frame exceeds %d bytes", s.cfg.MaxFrameBytes)))
+		_ = c.send(s.fail(Response{Op: "?"}, CodeProtocol, fmt.Sprintf("frame exceeds %d bytes", maxFrameBytes)))
 	}
 }
 

@@ -596,12 +596,11 @@ func TestMalformedFrameTearsDownSessions(t *testing.T) {
 }
 
 // TestOversizedFrameAnswersThenTearsDown: a line that outgrows
-// MaxFrameBytes is a framing violation like any other — typed protocol
+// maxFrameBytes is a framing violation like any other — typed protocol
 // reply first, then the connection and every session it owns go.
 func TestOversizedFrameAnswersThenTearsDown(t *testing.T) {
-	const maxFrame = 8192
 	c := testCluster(t, nil, nil)
-	s := testServer(t, c, func(cfg *Config) { cfg.MaxFrameBytes = maxFrame })
+	s := testServer(t, c, nil)
 	cl := dialHello(t, s, "t0")
 	mustCompose(t, cl, true)
 	mustCompose(t, cl, false)
@@ -609,7 +608,7 @@ func TestOversizedFrameAnswersThenTearsDown(t *testing.T) {
 
 	// Exactly the limit with no newline in sight: the server has read
 	// everything sent, so its close cannot reset the reply away.
-	if _, err := cl.Conn().Write(bytes.Repeat([]byte{'x'}, maxFrame)); err != nil {
+	if _, err := cl.Conn().Write(bytes.Repeat([]byte{'x'}, maxFrameBytes)); err != nil {
 		t.Fatal(err)
 	}
 	line, err := bufio.NewReader(cl.Conn()).ReadBytes('\n')
@@ -620,7 +619,7 @@ func TestOversizedFrameAnswersThenTearsDown(t *testing.T) {
 	if err := decodeResponse(line, &resp); err != nil {
 		t.Fatal(err)
 	}
-	if resp.OK || resp.Code != CodeProtocol || resp.Error != fmt.Sprintf("frame exceeds %d bytes", maxFrame) {
+	if resp.OK || resp.Code != CodeProtocol || resp.Error != fmt.Sprintf("frame exceeds %d bytes", maxFrameBytes) {
 		t.Fatalf("reply to oversized frame = %+v", resp)
 	}
 	waitSessions(t, c, 0)

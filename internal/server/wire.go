@@ -36,6 +36,9 @@ const ProtoVersion = 1
 // maxFunctions bounds a compose template, hence a reply's components.
 const maxFunctions = 64
 
+// maxFrameBytes bounds one request line.
+const maxFrameBytes = 1 << 20
+
 // Ops. hello must come first on a connection; compose returns a
 // pending session that must be committed before its commit deadline;
 // committed sessions live until teardown, disconnect, or heartbeat

@@ -19,17 +19,15 @@ type GlobalConfig struct {
 	// or link state must drift before a global update is triggered. The
 	// paper's experiments use 10%.
 	UpdateThreshold float64
-	// AggregationPeriod is how often the aggregation node recomputes the
-	// virtual-link states between all node pairs (paper example: 10 min).
-	AggregationPeriod time.Duration
 }
+
+// aggregationPeriod is how often the aggregation node recomputes the
+// virtual-link states between all node pairs (paper example: 10 min).
+const aggregationPeriod = 10 * time.Minute
 
 // DefaultGlobalConfig mirrors the paper's simulation settings.
 func DefaultGlobalConfig() GlobalConfig {
-	return GlobalConfig{
-		UpdateThreshold:   0.10,
-		AggregationPeriod: 10 * time.Minute,
-	}
+	return GlobalConfig{UpdateThreshold: 0.10}
 }
 
 // Global is the coarse-grain global state: every node's and overlay
@@ -40,7 +38,7 @@ func DefaultGlobalConfig() GlobalConfig {
 // more than UpdateThreshold of the metric's capacity from the last report,
 // filtering out insignificant variations (§3.2). Virtual-link bandwidth
 // queries use the aggregation snapshot, which is stale up to a full
-// AggregationPeriod — the price of scalable state maintenance that the
+// aggregation period — the price of scalable state maintenance that the
 // probes' precise on-path measurements compensate for.
 type Global struct {
 	cfg    GlobalConfig
@@ -75,9 +73,6 @@ type Global struct {
 func NewGlobal(ledger *Ledger, mesh *overlay.Mesh, cfg GlobalConfig, counters *metrics.Counters) (*Global, error) {
 	if cfg.UpdateThreshold < 0 || cfg.UpdateThreshold >= 1 {
 		return nil, fmt.Errorf("state: UpdateThreshold %v out of [0,1)", cfg.UpdateThreshold)
-	}
-	if cfg.AggregationPeriod <= 0 {
-		return nil, fmt.Errorf("state: AggregationPeriod %v <= 0", cfg.AggregationPeriod)
 	}
 	if counters == nil {
 		counters = &metrics.Counters{}
@@ -135,7 +130,7 @@ func exceeds(view, truth, max, threshold float64) bool {
 }
 
 // Aggregate recomputes the virtual-link snapshot from the reported link
-// states. The experiment loop schedules this every AggregationPeriod; the
+// states. The experiment loop schedules this every Period; the
 // aggregation role rotates round-robin over nodes for load sharing and
 // the dissemination counts one message per system node.
 func (g *Global) Aggregate() {
@@ -154,8 +149,8 @@ func (g *Global) AggregationNode() int {
 	return g.aggNode
 }
 
-// Period returns the configured aggregation period.
-func (g *Global) Period() time.Duration { return g.cfg.AggregationPeriod }
+// Period returns the aggregation period.
+func (g *Global) Period() time.Duration { return aggregationPeriod }
 
 // ForceRefresh resets every reported value to the current truth, as if
 // every threshold fired. The ablation benchmarks use it to emulate a

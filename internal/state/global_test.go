@@ -50,11 +50,6 @@ func TestNewGlobalValidation(t *testing.T) {
 	if _, err := NewGlobal(l, mesh, bad, nil); err == nil {
 		t.Error("threshold 1 accepted")
 	}
-	bad = DefaultGlobalConfig()
-	bad.AggregationPeriod = 0
-	if _, err := NewGlobal(l, mesh, bad, nil); err == nil {
-		t.Error("zero aggregation period accepted")
-	}
 	if _, err := NewGlobal(l, mesh, DefaultGlobalConfig(), nil); err != nil {
 		t.Errorf("nil counters rejected: %v", err)
 	}

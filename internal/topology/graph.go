@@ -76,52 +76,40 @@ func (g *Graph) addLink(a, b int, delay, bandwidth float64) {
 type Config struct {
 	// Nodes is the total node count. The paper uses 3200.
 	Nodes int
-	// EdgesPerNode is the number of links each arriving node creates
-	// toward existing nodes (preferential attachment parameter m).
-	EdgesPerNode int
-	// MinDelay and MaxDelay bound the per-link propagation delay (ms).
-	MinDelay, MaxDelay float64
-	// MinBandwidth and MaxBandwidth bound per-link capacity (kbps).
-	MinBandwidth, MaxBandwidth float64
 }
+
+// The fixed substrate parameters: each arriving node creates
+// edgesPerNode links toward existing nodes (preferential attachment
+// parameter m), with a per-link propagation delay in [minDelay,
+// maxDelay] ms and a capacity in [minBandwidth, maxBandwidth] kbps.
+// Typed, so a draw's hi-lo is the difference of the float64 bounds.
+const (
+	edgesPerNode                       = 2
+	minDelay, maxDelay         float64 = 1, 10
+	minBandwidth, maxBandwidth float64 = 10_000, 100_000 // 10 to 100 Mbps
+)
 
 // DefaultConfig mirrors the paper's simulation setup: a 3200-node
 // power-law graph with millisecond-scale link delays and access-network
 // scale bandwidths.
 func DefaultConfig() Config {
-	return Config{
-		Nodes:        3200,
-		EdgesPerNode: 2,
-		MinDelay:     1,
-		MaxDelay:     10,
-		MinBandwidth: 10_000,  // 10 Mbps
-		MaxBandwidth: 100_000, // 100 Mbps
-	}
+	return Config{Nodes: 3200}
 }
 
 // Generate builds a connected power-law graph by degree-based preferential
-// attachment: each new node links to EdgesPerNode distinct existing nodes
+// attachment: each new node links to edgesPerNode distinct existing nodes
 // chosen with probability proportional to their current degree. All
 // randomness is drawn from rng, so generation is deterministic per seed.
 func Generate(cfg Config, rng *rand.Rand) (*Graph, error) {
-	m := cfg.EdgesPerNode
-	if m < 1 {
-		return nil, fmt.Errorf("topology: EdgesPerNode %d < 1", m)
-	}
+	const m = edgesPerNode
 	if cfg.Nodes < m+1 {
-		return nil, fmt.Errorf("topology: Nodes %d must exceed EdgesPerNode %d", cfg.Nodes, m)
-	}
-	if cfg.MinDelay <= 0 || cfg.MaxDelay < cfg.MinDelay {
-		return nil, fmt.Errorf("topology: invalid delay range [%v, %v]", cfg.MinDelay, cfg.MaxDelay)
-	}
-	if cfg.MinBandwidth <= 0 || cfg.MaxBandwidth < cfg.MinBandwidth {
-		return nil, fmt.Errorf("topology: invalid bandwidth range [%v, %v]", cfg.MinBandwidth, cfg.MaxBandwidth)
+		return nil, fmt.Errorf("topology: Nodes %d must exceed %d", cfg.Nodes, m)
 	}
 
 	g := &Graph{adj: make([][]Edge, cfg.Nodes)}
 	link := func(a, b int) {
-		delay := cfg.MinDelay + rng.Float64()*(cfg.MaxDelay-cfg.MinDelay)
-		bw := cfg.MinBandwidth + rng.Float64()*(cfg.MaxBandwidth-cfg.MinBandwidth)
+		delay := minDelay + rng.Float64()*(maxDelay-minDelay)
+		bw := minBandwidth + rng.Float64()*(maxBandwidth-minBandwidth)
 		g.addLink(a, b, delay, bw)
 	}
 

@@ -21,25 +21,11 @@ func testGraph(t *testing.T, nodes int, seed int64) *Graph {
 }
 
 func TestGenerateValidation(t *testing.T) {
-	tests := []struct {
-		name   string
-		mutate func(*Config)
-	}{
-		{name: "zero edges per node", mutate: func(c *Config) { c.EdgesPerNode = 0 }},
-		{name: "too few nodes", mutate: func(c *Config) { c.Nodes = 2; c.EdgesPerNode = 2 }},
-		{name: "bad delay range", mutate: func(c *Config) { c.MinDelay = 5; c.MaxDelay = 1 }},
-		{name: "zero min delay", mutate: func(c *Config) { c.MinDelay = 0 }},
-		{name: "bad bandwidth range", mutate: func(c *Config) { c.MinBandwidth = 100; c.MaxBandwidth = 10 }},
-	}
-	for _, tt := range tests {
-		t.Run(tt.name, func(t *testing.T) {
-			cfg := DefaultConfig()
-			tt.mutate(&cfg)
-			if _, err := Generate(cfg, rand.New(rand.NewSource(1))); err == nil {
-				t.Error("Generate accepted invalid config")
-			}
-		})
-	}
+	t.Run("too few nodes", func(t *testing.T) {
+		if _, err := Generate(Config{Nodes: edgesPerNode}, rand.New(rand.NewSource(1))); err == nil {
+			t.Error("Generate accepted invalid config")
+		}
+	})
 }
 
 func TestGenerateConnected(t *testing.T) {
@@ -103,10 +89,10 @@ func TestGenerateEdgeAttributesInRange(t *testing.T) {
 	}
 	for v := 0; v < g.NumNodes(); v++ {
 		for _, e := range g.Neighbors(v) {
-			if e.Delay < cfg.MinDelay || e.Delay > cfg.MaxDelay {
+			if e.Delay < minDelay || e.Delay > maxDelay {
 				t.Fatalf("edge delay %v out of range", e.Delay)
 			}
-			if e.Bandwidth < cfg.MinBandwidth || e.Bandwidth > cfg.MaxBandwidth {
+			if e.Bandwidth < minBandwidth || e.Bandwidth > maxBandwidth {
 				t.Fatalf("edge bandwidth %v out of range", e.Bandwidth)
 			}
 		}
@@ -219,11 +205,7 @@ func TestPathMetricsUnreachable(t *testing.T) {
 func TestShortestPathsOptimality(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		cfg := Config{
-			Nodes: 30, EdgesPerNode: 2,
-			MinDelay: 1, MaxDelay: 20,
-			MinBandwidth: 1, MaxBandwidth: 10,
-		}
+		cfg := Config{Nodes: 30}
 		g, err := Generate(cfg, rng)
 		if err != nil {
 			return false

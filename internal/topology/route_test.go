@@ -72,38 +72,56 @@ func routeMatchesHeap(t *testing.T, g *Graph, tree *PathTree, src int, targets [
 // TestRouteMatchesHeapReference: on generated graphs the bucket queue
 // settles every target at the heap's distance, parent, path and
 // PathMetrics, bit for bit, on one tree reused for every run. The default
-// delays leave the ring 4 buckets to spare. The tight graphs draw delays
-// from [1, 2^k − 0.5), so w = 1 and the queue spans up to 2^k + 1 buckets:
-// a ring sized ⌊max/w⌋ + 1 would round to 2^k, one short.
+// delays leave the ring 4 buckets to spare. The tight graphs relink an
+// 800-node graph with delays from [1, 2^k − 0.5), so w = 1 and the queue
+// spans up to 2^k + 1 buckets: a ring sized ⌊max/w⌋ + 1 would round to
+// 2^k, one short.
 func TestRouteMatchesHeapReference(t *testing.T) {
-	var cfgs []Config
+	type graphAt struct {
+		maxDelay float64 // 0: the generated delays
+		nodes    int
+	}
+	var cases []graphAt
 	for _, nodes := range []int{300, 800, 3200} {
-		cfg := DefaultConfig()
-		cfg.Nodes = nodes
-		cfgs = append(cfgs, cfg)
+		cases = append(cases, graphAt{nodes: nodes})
 	}
 	for k := 2; k <= 5; k++ {
-		cfg := DefaultConfig()
-		cfg.Nodes, cfg.MaxDelay = 800, math.Ldexp(1, k)-0.5
-		cfgs = append(cfgs, cfg)
+		cases = append(cases, graphAt{maxDelay: math.Ldexp(1, k) - 0.5, nodes: 800})
 	}
-	for _, cfg := range cfgs {
+	for _, c := range cases {
 		for seed := int64(1); seed <= 3; seed++ {
-			g, err := Generate(cfg, rand.New(rand.NewSource(seed)))
+			g, err := Generate(Config{Nodes: c.nodes}, rand.New(rand.NewSource(seed)))
 			if err != nil {
 				t.Fatal(err)
 			}
 			rng := rand.New(rand.NewSource(seed))
+			if c.maxDelay > 0 {
+				g = relinked(g, c.maxDelay, rng)
+			}
 			var tree PathTree
 			for run := 0; run < 24; run++ {
 				targets := make([]int, rng.Intn(10)) // none: a run to exhaustion
 				for j := range targets {
-					targets[j] = rng.Intn(cfg.Nodes)
+					targets[j] = rng.Intn(c.nodes)
 				}
-				routeMatchesHeap(t, g, &tree, rng.Intn(cfg.Nodes), targets)
+				routeMatchesHeap(t, g, &tree, rng.Intn(c.nodes), targets)
 			}
 		}
 	}
+}
+
+// relinked copies g's links into a new graph through addLink, each with
+// a delay drawn from [1, maxDelay).
+func relinked(g *Graph, maxDelay float64, rng *rand.Rand) *Graph {
+	out := &Graph{adj: make([][]Edge, g.NumNodes())}
+	for v := range g.adj {
+		for _, e := range g.adj[v] {
+			if e.To > v {
+				out.addLink(v, e.To, 1+rng.Float64()*(maxDelay-1), e.Bandwidth)
+			}
+		}
+	}
+	return out
 }
 
 // FuzzRouteMatchesHeap holds Route to heapRoute on small graphs whose

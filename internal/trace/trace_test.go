@@ -15,7 +15,7 @@ import (
 
 func sampleRequest(t *testing.T, seed int64) *component.Request {
 	t.Helper()
-	lib, err := component.GenerateLibrary(component.DefaultTemplateConfig(), rand.New(rand.NewSource(seed)))
+	lib, err := component.GenerateLibrary(component.DefaultNumFunctions, rand.New(rand.NewSource(seed)))
 	if err != nil {
 		t.Fatal(err)
 	}

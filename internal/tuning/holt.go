@@ -1,34 +1,12 @@
 package tuning
 
-import (
-	"fmt"
-	"math"
-)
+import "math"
 
-// HoltConfig parameterises double exponential smoothing.
-type HoltConfig struct {
-	// Alpha is the level smoothing factor in (0, 1].
-	Alpha float64
-	// Beta is the trend smoothing factor in (0, 1].
-	Beta float64
-}
-
-// DefaultHoltConfig returns smoothing factors that track session-phi
-// drift quickly (half-life of a couple of monitor ticks) while damping
-// single-tick noise.
-func DefaultHoltConfig() HoltConfig {
-	return HoltConfig{Alpha: 0.5, Beta: 0.3}
-}
-
-func (c *HoltConfig) validate() error {
-	if c.Alpha <= 0 || c.Alpha > 1 {
-		return fmt.Errorf("tuning: Holt Alpha %v out of (0, 1]", c.Alpha)
-	}
-	if c.Beta <= 0 || c.Beta > 1 {
-		return fmt.Errorf("tuning: Holt Beta %v out of (0, 1]", c.Beta)
-	}
-	return nil
-}
+// The smoothing factors track session-phi drift quickly (half-life of a
+// couple of monitor ticks) while damping single-tick noise: holtAlpha
+// smooths the level and holtBeta the trend. Typed, so 1-holtBeta rounds
+// as a float64 subtraction does.
+const holtAlpha, holtBeta float64 = 0.5, 0.3
 
 // Holt is a Holt (double exponential smoothing) forecaster over a
 // scalar series: it tracks a smoothed level and linear trend and
@@ -36,7 +14,6 @@ func (c *HoltConfig) validate() error {
 // controller to act on steadily rising congestion before the QoS bound
 // is actually crossed. Not safe for concurrent use.
 type Holt struct {
-	cfg    HoltConfig
 	level  float64
 	trend  float64
 	primed bool
@@ -44,12 +21,7 @@ type Holt struct {
 
 // NewHolt builds a forecaster; the first observation primes the level
 // with zero trend.
-func NewHolt(cfg HoltConfig) (*Holt, error) {
-	if err := cfg.validate(); err != nil {
-		return nil, err
-	}
-	return &Holt{cfg: cfg}, nil
-}
+func NewHolt() *Holt { return &Holt{} }
 
 // Observe feeds the next value of the series. Non-finite values are
 // ignored so a transient Inf residual cannot poison the state.
@@ -62,8 +34,8 @@ func (h *Holt) Observe(v float64) {
 		return
 	}
 	prev := h.level
-	h.level = h.cfg.Alpha*v + (1-h.cfg.Alpha)*(h.level+h.trend)
-	h.trend = h.cfg.Beta*(h.level-prev) + (1-h.cfg.Beta)*h.trend
+	h.level = holtAlpha*v + (1-holtAlpha)*(h.level+h.trend)
+	h.trend = holtBeta*(h.level-prev) + (1-holtBeta)*h.trend
 }
 
 // Forecast extrapolates the series the given number of steps ahead of

@@ -5,22 +5,8 @@ import (
 	"testing"
 )
 
-func TestHoltValidation(t *testing.T) {
-	for _, cfg := range []HoltConfig{{Alpha: 0, Beta: 0.3}, {Alpha: 1.5, Beta: 0.3}, {Alpha: 0.5, Beta: 0}, {Alpha: 0.5, Beta: 2}} {
-		if _, err := NewHolt(cfg); err == nil {
-			t.Errorf("NewHolt(%+v) accepted", cfg)
-		}
-	}
-	if _, err := NewHolt(DefaultHoltConfig()); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestHoltTracksLinearTrend(t *testing.T) {
-	h, err := NewHolt(DefaultHoltConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
+	h := NewHolt()
 	if !math.IsNaN(h.Forecast(1)) {
 		t.Fatal("unprimed forecast not NaN")
 	}
@@ -40,7 +26,7 @@ func TestHoltTracksLinearTrend(t *testing.T) {
 }
 
 func TestHoltConstantSeries(t *testing.T) {
-	h, _ := NewHolt(DefaultHoltConfig())
+	h := NewHolt()
 	for i := 0; i < 10; i++ {
 		h.Observe(7)
 	}
@@ -50,7 +36,7 @@ func TestHoltConstantSeries(t *testing.T) {
 }
 
 func TestHoltIgnoresNonFinite(t *testing.T) {
-	h, _ := NewHolt(DefaultHoltConfig())
+	h := NewHolt()
 	h.Observe(3)
 	h.Observe(math.Inf(1))
 	h.Observe(math.NaN())

@@ -26,18 +26,15 @@ type Config struct {
 	// success rate differs from the prediction by more than this (paper
 	// example: 2%).
 	ErrorThreshold float64
-	// BaseRatio is where profiling starts (paper example: 0.1).
-	BaseRatio float64
-	// Step is the profiling increment (paper example: 0.1).
-	Step float64
-	// MaxRatio caps the probing ratio, bounding probing overhead.
-	MaxRatio float64
-	// Margin is the hysteresis band: the tuner picks the smallest ratio
-	// predicted to reach Target + Margin, so window noise does not cause
-	// it to flap between adjacent ratios. If no profiled ratio clears
-	// the band, the plain target is used.
-	Margin float64
 }
+
+// The profiling sweep of §3.4 starts at baseRatio and steps by step
+// (paper example: 0.1 each) up to maxRatio, which bounds probing
+// overhead. margin is the hysteresis band: the tuner picks the smallest
+// ratio predicted to reach Target + margin, so window noise does not
+// cause it to flap between adjacent ratios. If no profiled ratio clears
+// the band, the plain target is used.
+const baseRatio, step, maxRatio, margin float64 = 0.1, 0.1, 1.0, 0.02
 
 // DefaultConfig mirrors the paper's §3.4 example values with a 90%
 // target, the setting of the Figure 8(b) experiment.
@@ -45,31 +42,15 @@ func DefaultConfig() Config {
 	return Config{
 		Target:         0.90,
 		ErrorThreshold: 0.02,
-		BaseRatio:      0.1,
-		Step:           0.1,
-		MaxRatio:       1.0,
-		Margin:         0.02,
 	}
 }
 
 func (c *Config) validate() error {
-	if c.Target <= 0 || c.Target > 1 {
-		return fmt.Errorf("tuning: Target %v out of (0, 1]", c.Target)
+	if c.Target <= 0 || c.Target+margin > 1 {
+		return fmt.Errorf("tuning: Target %v out of (0, %v]", c.Target, 1-margin)
 	}
 	if c.ErrorThreshold <= 0 || c.ErrorThreshold >= 1 {
 		return fmt.Errorf("tuning: ErrorThreshold %v out of (0, 1)", c.ErrorThreshold)
-	}
-	if c.BaseRatio <= 0 || c.BaseRatio > 1 {
-		return fmt.Errorf("tuning: BaseRatio %v out of (0, 1]", c.BaseRatio)
-	}
-	if c.Step <= 0 || c.Step > 1 {
-		return fmt.Errorf("tuning: Step %v out of (0, 1]", c.Step)
-	}
-	if c.MaxRatio < c.BaseRatio || c.MaxRatio > 1 {
-		return fmt.Errorf("tuning: MaxRatio %v out of [BaseRatio, 1]", c.MaxRatio)
-	}
-	if c.Margin < 0 || c.Target+c.Margin > 1 {
-		return fmt.Errorf("tuning: Margin %v invalid for target %v", c.Margin, c.Target)
 	}
 	return nil
 }
@@ -98,7 +79,7 @@ func NewTuner(cfg Config, profiler Profiler) (*Tuner, error) {
 	if profiler == nil {
 		return nil, fmt.Errorf("tuning: nil profiler")
 	}
-	return &Tuner{cfg: cfg, profiler: profiler, ratio: cfg.BaseRatio}, nil
+	return &Tuner{cfg: cfg, profiler: profiler, ratio: baseRatio}, nil
 }
 
 // Ratio returns the probing ratio currently in force.
@@ -149,8 +130,8 @@ func (t *Tuner) reprofile() {
 	t.profile = t.profile[:0]
 	t.reprofs++
 	best := 0.0
-	for alpha := t.cfg.BaseRatio; ; alpha += t.cfg.Step {
-		if alpha > t.cfg.MaxRatio {
+	for alpha := baseRatio; ; alpha += step {
+		if alpha > maxRatio {
 			break
 		}
 		s := t.profiler(alpha)
@@ -161,10 +142,10 @@ func (t *Tuner) reprofile() {
 		// Saturation: target (plus hysteresis band) reached, or no
 		// meaningful improvement while past the halfway point of the
 		// sweep.
-		if s >= t.cfg.Target+t.cfg.Margin {
+		if s >= t.cfg.Target+margin {
 			break
 		}
-		if len(t.profile) >= 2 && s-best < 0.005 && alpha > (t.cfg.BaseRatio+t.cfg.MaxRatio)/2 {
+		if len(t.profile) >= 2 && s-best < 0.005 && alpha > (baseRatio+maxRatio)/2 {
 			break
 		}
 		best = math.Max(best, s)
@@ -183,7 +164,7 @@ func (t *Tuner) minimalRatio() float64 {
 		return t.ratio
 	}
 	for _, p := range t.profile {
-		if p.success >= t.cfg.Target+t.cfg.Margin {
+		if p.success >= t.cfg.Target+margin {
 			return p.alpha
 		}
 	}

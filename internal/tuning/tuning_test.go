@@ -22,9 +22,6 @@ func TestNewTunerValidation(t *testing.T) {
 		{name: "zero target", mutate: func(c *Config) { c.Target = 0 }},
 		{name: "target above one", mutate: func(c *Config) { c.Target = 1.1 }},
 		{name: "zero threshold", mutate: func(c *Config) { c.ErrorThreshold = 0 }},
-		{name: "zero base", mutate: func(c *Config) { c.BaseRatio = 0 }},
-		{name: "zero step", mutate: func(c *Config) { c.Step = 0 }},
-		{name: "max below base", mutate: func(c *Config) { c.MaxRatio = 0.05 }},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {

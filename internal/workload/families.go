@@ -256,27 +256,6 @@ func lifetime(f Family, i, ticks int) int {
 	return max(2, ticks/3)
 }
 
-// AggregateRate sums the expected arrival rate over all tenants at tick
-// t. Families conserve this at tenants*load for every tick.
-func (p *MultiAppPlan) AggregateRate(t int) float64 {
-	var sum float64
-	for i := range p.Tenants {
-		sum += p.Tenants[i].Rates[t]
-	}
-	return sum
-}
-
-// TotalArrivals counts the realised arrivals across tenants and ticks.
-func (p *MultiAppPlan) TotalArrivals() int {
-	var n int
-	for i := range p.Tenants {
-		for _, a := range p.Tenants[i].Arrivals {
-			n += a
-		}
-	}
-	return n
-}
-
 // poisson draws a Poisson(lambda) variate via Knuth's product method —
 // exact for the small per-tick rates the plans use, and dependent only
 // on the seeded rng stream.

@@ -9,6 +9,27 @@ import (
 	"repro/internal/qos"
 )
 
+// aggregateRate sums the expected arrival rate over all tenants at tick
+// t. Families conserve this at tenants*load for every tick.
+func (p *MultiAppPlan) aggregateRate(t int) float64 {
+	var sum float64
+	for i := range p.Tenants {
+		sum += p.Tenants[i].Rates[t]
+	}
+	return sum
+}
+
+// totalArrivals counts the realised arrivals across tenants and ticks.
+func (p *MultiAppPlan) totalArrivals() int {
+	var n int
+	for i := range p.Tenants {
+		for _, a := range p.Tenants[i].Arrivals {
+			n += a
+		}
+	}
+	return n
+}
+
 func planConfig(f Family, seed int64) MultiAppPlanConfig {
 	return MultiAppPlanConfig{
 		Family:       f,
@@ -70,7 +91,7 @@ func TestFamilyAggregateRateConservation(t *testing.T) {
 			}
 			want := float64(cfg.Tenants) * cfg.Load
 			for tick := 0; tick < p.Ticks; tick++ {
-				if got := p.AggregateRate(tick); math.Abs(got-want) > 1e-9 {
+				if got := p.aggregateRate(tick); math.Abs(got-want) > 1e-9 {
 					t.Fatalf("tick %d: aggregate rate %v, want %v", tick, got, want)
 				}
 			}
@@ -221,7 +242,7 @@ func TestPoissonArrivalsMatchRates(t *testing.T) {
 		t.Fatal(err)
 	}
 	expected := float64(cfg.Tenants) * cfg.Load * float64(cfg.Ticks)
-	got := float64(p.TotalArrivals())
+	got := float64(p.totalArrivals())
 	// Poisson sd is sqrt(expected); 5 sigma keeps this deterministic
 	// test far from flaky while catching a broken sampler.
 	if math.Abs(got-expected) > 5*math.Sqrt(expected) {

@@ -69,22 +69,21 @@ type Config struct {
 	// draw multiplied by the template's position count, so longer
 	// applications get proportionally looser absolute bounds.
 	DelayReqPerFunctionMin, DelayReqPerFunctionMax float64
-	// LossReqPerFunction bounds the per-function share of the end-to-end
-	// loss-rate requirement.
-	LossReqPerFunctionMin, LossReqPerFunctionMax float64
-
-	// CPUReq and MemoryReq bound the per-component end-system demand.
-	CPUReqMin, CPUReqMax       float64
-	MemoryReqMin, MemoryReqMax float64
-	// BandwidthReq bounds the per-virtual-link bandwidth demand (kbps).
-	BandwidthReqMin, BandwidthReqMax float64
-
-	// SessionMin and SessionMax bound the application session duration.
-	SessionMin, SessionMax time.Duration
 
 	// Level scales the drawn QoS requirements (Figure 5(b)).
 	Level QoSLevel
 }
+
+// The fixed requirement ranges: the per-function share of the end-to-end
+// loss-rate requirement, the per-component end-system demand, the
+// per-virtual-link bandwidth demand (kbps) and the session duration.
+const (
+	lossReqPerFunctionMin, lossReqPerFunctionMax float64 = 0.008, 0.02
+	cpuReqMin, cpuReqMax                         float64 = 6, 12
+	memoryReqMin, memoryReqMax                   float64 = 40, 120
+	bandwidthReqMin, bandwidthReqMax             float64 = 100, 500
+	sessionMin, sessionMax                               = 5 * time.Minute, 15 * time.Minute
+)
 
 // DefaultConfig returns requirement ranges calibrated so that a 400-node
 // system saturates between 60 and 100 requests/minute — the regime the
@@ -95,16 +94,6 @@ func DefaultConfig(lib *component.Library, numNodes int) Config {
 		NumNodes:               numNodes,
 		DelayReqPerFunctionMin: 55,
 		DelayReqPerFunctionMax: 95,
-		LossReqPerFunctionMin:  0.008,
-		LossReqPerFunctionMax:  0.02,
-		CPUReqMin:              6,
-		CPUReqMax:              12,
-		MemoryReqMin:           40,
-		MemoryReqMax:           120,
-		BandwidthReqMin:        100,
-		BandwidthReqMax:        500,
-		SessionMin:             5 * time.Minute,
-		SessionMax:             15 * time.Minute,
 		Level:                  QoSHigh,
 	}
 }
@@ -116,23 +105,8 @@ func (c *Config) validate() error {
 	if c.NumNodes < 1 {
 		return fmt.Errorf("workload: NumNodes %d < 1", c.NumNodes)
 	}
-	ranges := []struct {
-		name     string
-		min, max float64
-	}{
-		{name: "DelayReqPerFunction", min: c.DelayReqPerFunctionMin, max: c.DelayReqPerFunctionMax},
-		{name: "LossReqPerFunction", min: c.LossReqPerFunctionMin, max: c.LossReqPerFunctionMax},
-		{name: "CPUReq", min: c.CPUReqMin, max: c.CPUReqMax},
-		{name: "MemoryReq", min: c.MemoryReqMin, max: c.MemoryReqMax},
-		{name: "BandwidthReq", min: c.BandwidthReqMin, max: c.BandwidthReqMax},
-	}
-	for _, r := range ranges {
-		if r.min <= 0 || r.max < r.min {
-			return fmt.Errorf("workload: invalid %s range [%v, %v]", r.name, r.min, r.max)
-		}
-	}
-	if c.SessionMin <= 0 || c.SessionMax < c.SessionMin {
-		return fmt.Errorf("workload: invalid session range [%v, %v]", c.SessionMin, c.SessionMax)
+	if c.DelayReqPerFunctionMin <= 0 || c.DelayReqPerFunctionMax < c.DelayReqPerFunctionMin {
+		return fmt.Errorf("workload: invalid DelayReqPerFunction range [%v, %v]", c.DelayReqPerFunctionMin, c.DelayReqPerFunctionMax)
 	}
 	if c.Level.Scale() <= 0 {
 		return fmt.Errorf("workload: invalid QoS level %d", c.Level)
@@ -175,17 +149,17 @@ func (g *Generator) Next() *component.Request {
 		Graph: graph,
 		QoSReq: qos.Vector{
 			Delay:    g.uniform(cfg.DelayReqPerFunctionMin, cfg.DelayReqPerFunctionMax) * float64(n) * scale,
-			LossCost: qos.LossCost(math.Min(0.999, g.uniform(cfg.LossReqPerFunctionMin, cfg.LossReqPerFunctionMax)*float64(n)*scale)),
+			LossCost: qos.LossCost(math.Min(0.999, g.uniform(lossReqPerFunctionMin, lossReqPerFunctionMax)*float64(n)*scale)),
 		},
 		ResReq:       make([]qos.Resources, n),
-		BandwidthReq: g.uniform(cfg.BandwidthReqMin, cfg.BandwidthReqMax),
+		BandwidthReq: g.uniform(bandwidthReqMin, bandwidthReqMax),
 		Client:       g.rng.Intn(cfg.NumNodes),
-		Duration:     cfg.SessionMin + time.Duration(g.rng.Int63n(int64(cfg.SessionMax-cfg.SessionMin)+1)),
+		Duration:     sessionMin + time.Duration(g.rng.Int63n(int64(sessionMax-sessionMin)+1)),
 	}
 	for i := range req.ResReq {
 		req.ResReq[i] = qos.Resources{
-			CPU:    g.uniform(cfg.CPUReqMin, cfg.CPUReqMax),
-			Memory: g.uniform(cfg.MemoryReqMin, cfg.MemoryReqMax),
+			CPU:    g.uniform(cpuReqMin, cpuReqMax),
+			Memory: g.uniform(memoryReqMin, memoryReqMax),
 		}
 	}
 	return req
@@ -223,11 +197,6 @@ func NewArrivals(phases []Phase, rng *rand.Rand) (*Arrivals, error) {
 		prev = p.Until
 	}
 	return &Arrivals{phases: append([]Phase(nil), phases...), rng: rng}, nil
-}
-
-// ConstantRate builds a single-phase schedule at the given rate.
-func ConstantRate(ratePerMinute float64, rng *rand.Rand) (*Arrivals, error) {
-	return NewArrivals([]Phase{{Until: math.MaxInt64, RatePerMinute: ratePerMinute}}, rng)
 }
 
 // RateAt returns the schedule's rate at virtual time t.

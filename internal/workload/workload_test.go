@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 	"time"
@@ -11,7 +12,7 @@ import (
 
 func testLibrary(t *testing.T) *component.Library {
 	t.Helper()
-	lib, err := component.GenerateLibrary(component.DefaultTemplateConfig(), rand.New(rand.NewSource(1)))
+	lib, err := component.GenerateLibrary(component.DefaultNumFunctions, rand.New(rand.NewSource(1)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -27,8 +28,6 @@ func TestNewGeneratorValidation(t *testing.T) {
 		{name: "nil library", mutate: func(c *Config) { c.Library = nil }},
 		{name: "zero nodes", mutate: func(c *Config) { c.NumNodes = 0 }},
 		{name: "bad delay range", mutate: func(c *Config) { c.DelayReqPerFunctionMin = 100; c.DelayReqPerFunctionMax = 50 }},
-		{name: "zero cpu", mutate: func(c *Config) { c.CPUReqMin = 0 }},
-		{name: "bad session range", mutate: func(c *Config) { c.SessionMin = time.Hour; c.SessionMax = time.Minute }},
 		{name: "bad level", mutate: func(c *Config) { c.Level = QoSLevel(99) }},
 	}
 	for _, tt := range tests {
@@ -62,7 +61,7 @@ func TestGeneratorNextValidRequests(t *testing.T) {
 		if r.Client < 0 || r.Client >= cfg.NumNodes {
 			t.Fatalf("client %d out of range", r.Client)
 		}
-		if r.Duration < cfg.SessionMin || r.Duration > cfg.SessionMax {
+		if r.Duration < sessionMin || r.Duration > sessionMax {
 			t.Fatalf("duration %v out of range", r.Duration)
 		}
 		n := float64(r.Graph.NumPositions())
@@ -70,14 +69,14 @@ func TestGeneratorNextValidRequests(t *testing.T) {
 			t.Fatalf("delay requirement %v out of per-function range for %v positions", r.QoSReq.Delay, n)
 		}
 		for _, res := range r.ResReq {
-			if res.CPU < cfg.CPUReqMin || res.CPU > cfg.CPUReqMax {
+			if res.CPU < cpuReqMin || res.CPU > cpuReqMax {
 				t.Fatalf("CPU requirement %v out of range", res.CPU)
 			}
-			if res.Memory < cfg.MemoryReqMin || res.Memory > cfg.MemoryReqMax {
+			if res.Memory < memoryReqMin || res.Memory > memoryReqMax {
 				t.Fatalf("memory requirement %v out of range", res.Memory)
 			}
 		}
-		if r.BandwidthReq < cfg.BandwidthReqMin || r.BandwidthReq > cfg.BandwidthReqMax {
+		if r.BandwidthReq < bandwidthReqMin || r.BandwidthReq > bandwidthReqMax {
 			t.Fatalf("bandwidth requirement %v out of range", r.BandwidthReq)
 		}
 	}
@@ -183,7 +182,7 @@ func TestArrivalsRateAt(t *testing.T) {
 
 func TestArrivalsPoissonRate(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
-	a, err := ConstantRate(60, rng) // one per second
+	a, err := NewArrivals([]Phase{{Until: math.MaxInt64, RatePerMinute: 60}}, rng) // one per second
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,7 +200,7 @@ func TestArrivalsPoissonRate(t *testing.T) {
 
 func TestArrivalsStrictlyIncreasing(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
-	a, err := ConstantRate(100000, rng) // extreme rate to stress the gap floor
+	a, err := NewArrivals([]Phase{{Until: math.MaxInt64, RatePerMinute: 100000}}, rng) // extreme rate to stress the gap floor
 	if err != nil {
 		t.Fatal(err)
 	}
