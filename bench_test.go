@@ -6,7 +6,7 @@
 // (10 simulated minutes per run on an 800-node IP graph) and report the
 // headline quantities as custom metrics, so `go test -bench=.` doubles
 // as a quick smoke reproduction. Regenerate the figures at paper scale
-// with `go run ./cmd/acpfig -fig all`.
+// with `go run ./cmd/acpsim -report`.
 package acp_test
 
 import (

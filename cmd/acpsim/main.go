@@ -1,5 +1,6 @@
 // Command acpsim runs a single configurable composition simulation and
-// reports success rate, overhead, and per-window series.
+// reports success rate, overhead, and per-window series; -fig prints a
+// paper figure's tables and -report renders the paper report.
 //
 // Usage:
 //
@@ -11,6 +12,8 @@
 //	acpsim -dist -seed 7 -requests 32
 //	acpsim -adapt -seed 4 -adapt-predictive
 //	acpsim -multi-app -family diurnal -tenants 4 && acpsim -multi-app -family all
+//	acpsim -fig 6a -scale 0.2 && acpsim -fig ablations -seeds 3 -csv
+//	acpsim -report > EXPERIMENTS.md
 package main
 
 import (
@@ -18,6 +21,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"sort"
 	"strings"
 	"time"
 
@@ -86,6 +90,12 @@ func run(args []string) error {
 		tenants  = fs.Int("tenants", 3, "multi-app: competing application count")
 		ticks    = fs.Int("ticks", 18, "multi-app: episode length in admission rounds")
 		load     = fs.Float64("load", 1.5, "multi-app: expected arrivals per tenant per tick")
+
+		fig    = fs.String("fig", "", "print one paper figure's tables ("+strings.Join(experiment.FigureNames(), " ")+", ablations or ablation-...)")
+		report = fs.Bool("report", false, "render the paper report, EXPERIMENTS.md, at -scale, -seed and -ipnodes")
+		scale  = fs.Float64("scale", 1.0, "fig, report: simulated-duration scale factor (1.0 = paper scale)")
+		seeds  = fs.Int("seeds", 1, "fig: average the figure over this many consecutive seeds")
+		asCSV  = fs.Bool("csv", false, "fig: emit CSV instead of aligned tables")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -98,6 +108,13 @@ func run(args []string) error {
 	}
 	if *multiApp {
 		return runMultiApp(*seed, *famName, *tenants, *ticks, *load)
+	}
+	figOpts := experiment.Options{Seed: *seed, DurationScale: *scale, IPNodes: *ipNodes}
+	if *report {
+		return experiment.Report(os.Stdout, figOpts)
+	}
+	if *fig != "" {
+		return runFigure(*fig, figOpts, *seeds, *asCSV)
 	}
 
 	alg, err := parseAlgorithm(*algName)
@@ -271,6 +288,41 @@ func run(args []string) error {
 		}
 		for _, p := range res.SuccessSeries {
 			fmt.Printf("  %6.1f  %6.2f  %.2f\n", p.At.Minutes(), 100*p.Value, ratio[p.At])
+		}
+	}
+	return nil
+}
+
+// runFigure prints one runner's tables, or every ablation's for
+// "ablations", averaged over seeds consecutive seeds.
+func runFigure(fig string, opts experiment.Options, seeds int, asCSV bool) error {
+	names := []string{fig}
+	if fig == "ablations" {
+		names = names[:0]
+		for name := range experiment.Ablations() {
+			names = append(names, "ablation-"+name)
+		}
+		sort.Strings(names)
+	}
+	for _, name := range names {
+		fn, ok := experiment.Runner(name)
+		if !ok {
+			return fmt.Errorf("unknown figure %q (have: %s, ablations, ablation-...)",
+				name, strings.Join(experiment.FigureNames(), " "))
+		}
+		tables, err := experiment.ReproduceAveraged(fn, opts, seeds)
+		if err != nil {
+			return fmt.Errorf("figure %s: %w", name, err)
+		}
+		for _, t := range tables {
+			render := t.Fprint
+			if asCSV {
+				render = t.FprintCSV
+			}
+			if err := render(os.Stdout); err != nil {
+				return err
+			}
+			fmt.Println()
 		}
 	}
 	return nil

@@ -83,6 +83,37 @@ func TestRunInvalidFlags(t *testing.T) {
 	}
 }
 
+func TestRunInvalidFigureFlags(t *testing.T) {
+	if err := run([]string{"-fig", "8a", "-scale", "nope"}); err == nil {
+		t.Error("bad -scale accepted")
+	}
+}
+
+func TestRunSingleFigure(t *testing.T) {
+	if testing.Short() {
+		t.Skip("figure run in -short mode")
+	}
+	// 8a at minimal scale on a small IP graph is the cheapest figure.
+	if err := run([]string{"-fig", "8a", "-scale", "0.01", "-ipnodes", "600"}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+func TestRunUnknownFigure(t *testing.T) {
+	if err := run([]string{"-fig", "99x"}); err == nil {
+		t.Error("unknown figure accepted")
+	}
+}
+
+func TestRunSeedAveraged(t *testing.T) {
+	if testing.Short() {
+		t.Skip("figure run in -short mode")
+	}
+	if err := run([]string{"-fig", "8a", "-scale", "0.01", "-ipnodes", "500", "-seeds", "2", "-csv"}); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestRunOutputFlagUnwritablePath(t *testing.T) {
 	missing := filepath.Join(t.TempDir(), "no-such-dir", "out")
 	for _, flagName := range []string{"-trace-out", "-metrics-out", "-record"} {

@@ -196,41 +196,6 @@ func (p *Plan) Build(g *Graph) error {
 	return nil
 }
 
-// IsPath reports whether the graph is a simple chain.
-func (g *Graph) IsPath() bool {
-	for p := 0; p < g.NumPositions(); p++ {
-		if len(g.Successors(p)) > 1 || len(g.Predecessors(p)) > 1 {
-			return false
-		}
-	}
-	return true
-}
-
-// Paths enumerates every source-to-sink position sequence. A path graph
-// yields one path; the paper's two-branch DAGs yield two. Probes traverse
-// these paths independently and the deputy merges them (§3.3, Figure 2).
-func (g *Graph) Paths() [][]int {
-	var out [][]int
-	var walk func(p int, acc []int)
-	walk = func(p int, acc []int) {
-		acc = append(acc, p)
-		succ := g.Successors(p)
-		if len(succ) == 0 {
-			path := make([]int, len(acc))
-			copy(path, acc)
-			out = append(out, path)
-			return
-		}
-		for _, s := range succ {
-			walk(s, acc)
-		}
-	}
-	for _, s := range g.Sources() {
-		walk(s, nil)
-	}
-	return out
-}
-
 // NewPathGraph builds a simple chain over the given functions. It makes
 // three allocations at any length — the Graph, Functions and Edges —
 // and two for a single position, which has no edges.

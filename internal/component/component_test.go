@@ -24,7 +24,7 @@ func TestNewPathGraph(t *testing.T) {
 	if err := g.Validate(); err != nil {
 		t.Fatalf("Validate: %v", err)
 	}
-	if !g.IsPath() {
+	if len(paths(g)) != 1 {
 		t.Error("path graph not recognised as path")
 	}
 	if got := g.NumPositions(); got != 3 {
@@ -45,17 +45,17 @@ func TestNewBranchGraphShape(t *testing.T) {
 	if err := g.Validate(); err != nil {
 		t.Fatalf("Validate: %v", err)
 	}
-	if g.IsPath() {
+	if len(paths(g)) == 1 {
 		t.Error("branch graph recognised as path")
 	}
 	if got := g.NumPositions(); got != 5 {
 		t.Fatalf("NumPositions = %d, want 5", got)
 	}
-	paths := g.Paths()
-	if len(paths) != 2 {
-		t.Fatalf("Paths = %v, want 2 paths", paths)
+	ps := paths(g)
+	if len(ps) != 2 {
+		t.Fatalf("paths = %v, want 2 paths", ps)
 	}
-	for _, p := range paths {
+	for _, p := range ps {
 		if p[0] != 0 {
 			t.Errorf("path %v does not start at source", p)
 		}
@@ -250,4 +250,30 @@ func TestRequestValidate(t *testing.T) {
 			}
 		})
 	}
+}
+
+// paths enumerates every source-to-sink position sequence: the
+// reference the graph tests read shapes from. A path graph yields one
+// path, and no other valid graph does; the paper's two-branch DAGs
+// yield two.
+func paths(g *Graph) [][]int {
+	var out [][]int
+	var walk func(p int, acc []int)
+	walk = func(p int, acc []int) {
+		acc = append(acc, p)
+		succ := g.Successors(p)
+		if len(succ) == 0 {
+			path := make([]int, len(acc))
+			copy(path, acc)
+			out = append(out, path)
+			return
+		}
+		for _, s := range succ {
+			walk(s, acc)
+		}
+	}
+	for _, s := range g.Sources() {
+		walk(s, nil)
+	}
+	return out
 }

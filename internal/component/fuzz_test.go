@@ -57,7 +57,7 @@ func FuzzGraphValidate(f *testing.F) {
 				t.Fatalf("Preds[%d] = %v, Predecessors = %v", p, plan.Preds[p], g.Predecessors(p))
 			}
 		}
-		for _, path := range g.Paths() {
+		for _, path := range paths(g) {
 			if len(path) == 0 {
 				t.Fatal("empty source-sink path")
 			}

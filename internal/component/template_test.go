@@ -14,7 +14,7 @@ func TestGenerateLibraryValidation(t *testing.T) {
 }
 
 func TestGenerateLibraryShapes(t *testing.T) {
-	paths, dags := 0, 0
+	chains, dags := 0, 0
 	for seed := int64(2); seed < 7; seed++ {
 		lib, err := GenerateLibrary(DefaultNumFunctions, rand.New(rand.NewSource(seed)))
 		if err != nil {
@@ -28,27 +28,27 @@ func TestGenerateLibraryShapes(t *testing.T) {
 			if err := g.Validate(); err != nil {
 				t.Fatalf("template %d invalid: %v", i, err)
 			}
-			if g.IsPath() {
-				paths++
+			if len(paths(g)) == 1 {
+				chains++
 				if n := g.NumPositions(); n < minPathLen || n > maxPathLen {
 					t.Errorf("path template %d has %d positions, want [%d,%d]", i, n, minPathLen, maxPathLen)
 				}
 			} else {
 				dags++
-				for _, p := range g.Paths() {
+				for _, p := range paths(g) {
 					if len(p) < minPathLen || len(p) > maxPathLen {
 						t.Errorf("DAG template %d has branch path of %d nodes, want [%d,%d]",
 							i, len(p), minPathLen, maxPathLen)
 					}
 				}
-				if got := len(g.Paths()); got != 2 {
+				if got := len(paths(g)); got != 2 {
 					t.Errorf("DAG template %d has %d branch paths, want 2", i, got)
 				}
 			}
 		}
 	}
-	if paths == 0 || dags == 0 {
-		t.Errorf("shape mix degenerate: %d paths, %d DAGs", paths, dags)
+	if chains == 0 || dags == 0 {
+		t.Errorf("shape mix degenerate: %d paths, %d DAGs", chains, dags)
 	}
 }
 

@@ -594,27 +594,6 @@ func (c *Cluster) Shutdown() {
 	c.drainMailboxes()
 }
 
-// Idle reports whether every node ledger has returned to full capacity
-// with no live holds and no session reserves link bandwidth — the steady
-// state after all sessions are released. Nodes answer from their own
-// precise state via inspect messages (a reliable monitoring hook, exempt
-// from fault injection and answered even during an outage).
-func (c *Cluster) Idle() bool {
-	for _, n := range c.nodes {
-		reply := make(chan qos.Resources, 1)
-		n.sendBlocking(message{kind: msgInspect, inspect: reply})
-		select {
-		case avail := <-reply:
-			if avail != c.cfg.NodeCapacity {
-				return false
-			}
-		case <-c.done:
-			return false
-		}
-	}
-	return c.links.ActiveSessions() == 0
-}
-
 // drainMailboxes closes the span of every probe still queued when the
 // node goroutines stopped, so a recorded trace balances: each spawned
 // probe ends in exactly one returned/forwarded/dropped/pruned event.

@@ -21,7 +21,28 @@ func testCluster(t *testing.T) *Cluster {
 	return virtualCluster(t, DefaultConfig())
 }
 
-// awaitIdle polls Idle until it holds or the timeout elapses — holds
+// idle reports whether every node ledger has returned to full capacity
+// with no live holds and no session reserves link bandwidth — the steady
+// state after all sessions are released. Nodes answer from their own
+// precise state via inspect messages (a reliable monitoring hook, exempt
+// from fault injection and answered even during an outage).
+func (c *Cluster) idle() bool {
+	for _, n := range c.nodes {
+		reply := make(chan qos.Resources, 1)
+		n.sendBlocking(message{kind: msgInspect, inspect: reply})
+		select {
+		case avail := <-reply:
+			if avail != c.cfg.NodeCapacity {
+				return false
+			}
+		case <-c.done:
+			return false
+		}
+	}
+	return c.links.ActiveSessions() == 0
+}
+
+// awaitIdle polls idle until it holds or the timeout elapses — holds
 // orphaned by injected loss take up to HoldTTL (plus a sweep period) to
 // decay. The clock is read before each poll, so the last poll always
 // follows the deadline: a virtual clock that races ahead between a poll
@@ -30,7 +51,7 @@ func (c *Cluster) awaitIdle(timeout time.Duration) bool {
 	deadline := c.clock.Now().Add(timeout)
 	for {
 		late := c.clock.Now().After(deadline)
-		if c.Idle() {
+		if c.idle() {
 			return true
 		}
 		if late {

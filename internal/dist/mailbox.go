@@ -39,7 +39,7 @@ const (
 	// participant that never committed) is a no-op.
 	msgRelease
 	msgState   // a coarse global-state update (§3.2): node, amount
-	msgInspect // asks for the precise availability (monitoring and tests): inspect
+	msgInspect // asks for the precise availability (the tests' idle check): inspect
 )
 
 // message is what flows through node mailboxes: one value type for every

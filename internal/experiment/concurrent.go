@@ -6,29 +6,16 @@ import (
 	"sync"
 )
 
-// RunConcurrent executes independent run configurations against a shared
-// platform with up to workers simulations in flight, returning results
-// in input order. Every Run call builds its own engine, RNG, ledger,
-// global state, outage schedule and composer over the platform's
-// read-only mesh, catalog and library, so concurrent runs cannot observe
-// each other; per-run results are bit-identical to a serial Run of the
-// same configuration.
-//
-// Configurations must not share a Tracer: trace clocks are rebound per
-// run. workers <= 0 selects GOMAXPROCS. The first error wins; remaining
-// runs still drain before it is returned.
-func RunConcurrent(p *Platform, rcs []RunConfig, workers int) ([]*Result, error) {
-	rows, err := sweep(1, len(rcs), workers, func(_, c int) (*Platform, RunConfig) { return p, rcs[c] })
-	if err != nil {
-		return nil, err
-	}
-	return rows[0], nil
-}
-
 // sweep runs a grid of rows × cols runs in one pool of up to workers
 // simulations and returns the results by row: cell (r, c) runs the
 // configuration at(r, c) returns on the platform it names. Every figure
-// grid and RunConcurrent go through it.
+// grid goes through it. Every Run builds its own engine, RNG, ledger,
+// global state, outage schedule and composer over the platform's
+// read-only mesh, catalog and library, so concurrent runs cannot observe
+// each other: each result is bit-identical to a serial Run of the same
+// configuration. Configurations must not share a Tracer: trace clocks
+// are rebound per run. workers <= 0 selects GOMAXPROCS. The first error
+// wins; remaining runs still drain before it is returned.
 func sweep(rows, cols, workers int, at func(r, c int) (*Platform, RunConfig)) ([][]*Result, error) {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)

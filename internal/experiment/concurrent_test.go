@@ -39,12 +39,13 @@ func TestRunConcurrentMatchesSerial(t *testing.T) {
 		}
 		serial[i] = r
 	}
-	concurrent, err := RunConcurrent(p, rcs, 4)
+	grid, err := sweep(1, len(rcs), 4, func(_, c int) (*Platform, RunConfig) { return p, rcs[c] })
 	if err != nil {
 		t.Fatal(err)
 	}
+	concurrent := grid[0]
 	if len(concurrent) != len(serial) {
-		t.Fatalf("RunConcurrent returned %d results, want %d", len(concurrent), len(serial))
+		t.Fatalf("sweep returned %d results, want %d", len(concurrent), len(serial))
 	}
 	for i := range serial {
 		s, c := serial[i], concurrent[i]
@@ -78,11 +79,11 @@ func TestRunConcurrentMatchesSerial(t *testing.T) {
 	}
 
 	// workers <= 0 selects a sensible default rather than failing.
-	again, err := RunConcurrent(p, rcs[:2], 0)
+	again, err := sweep(2, 1, 0, func(r, _ int) (*Platform, RunConfig) { return p, rcs[r] })
 	if err != nil {
 		t.Fatal(err)
 	}
-	if again[0].SuccessRate != serial[0].SuccessRate {
+	if again[0][0].SuccessRate != serial[0].SuccessRate || again[1][0].SuccessRate != serial[1].SuccessRate {
 		t.Error("default-worker run diverged from serial")
 	}
 }

@@ -310,3 +310,33 @@ func TestFigure7TinyShape(t *testing.T) {
 		prev = ratio
 	}
 }
+
+// TestRenderReportPlacesEachRunnerOnce: the report fences each runner's
+// tables as Table.Fprint prints them, and fails, writing nothing, on a
+// template error or a runner it places twice, never places or has no
+// tables for.
+func TestRenderReportPlacesEachRunnerOnce(t *testing.T) {
+	tables := map[string][]*Table{
+		"a": {{Title: "A", Header: []string{"x"}}, {Title: "A2", Header: []string{"z"}}},
+		"b": {{Title: "B", Header: []string{"y"}, Rows: [][]string{{"1"}}}},
+	}
+	var b strings.Builder
+	if err := renderReport(&b, `{{tables "a"}} seed {{.Seed}} {{tables "b"}}`, Options{Seed: 3}, tables); err != nil {
+		t.Fatal(err)
+	}
+	want := "```\nA\n  x\n  -\n\nA2\n  z\n  -\n``` seed 3 ```\nB\n  y\n  -\n  1\n```"
+	if b.String() != want {
+		t.Errorf("rendered %q, want %q", b.String(), want)
+	}
+	for _, text := range []string{
+		`{{tables "a"}}{{tables "a"}}{{tables "b"}}`,
+		`{{tables "a"}}`,
+		`{{tables "a"}}{{tables "b"}}{{tables "c"}}`,
+		`{{tables "a"}`,
+	} {
+		b.Reset()
+		if err := renderReport(&b, text, Options{}, tables); err == nil || b.Len() > 0 {
+			t.Errorf("%s: err %v, wrote %q", text, err, b.String())
+		}
+	}
+}

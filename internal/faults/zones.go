@@ -5,19 +5,11 @@ import (
 	"time"
 )
 
-// Zone partitions overlay nodes into racks/availability zones for
-// correlated-outage schedules: node n belongs to zone n mod zones. The
-// assignment is structural, not drawn, so a zone's membership is the
-// same in every component that consults it (workload plans, harness
-// audits, capacity blackouts).
-func Zone(node, zones int) int {
-	if zones <= 0 {
-		return 0
-	}
-	return node % zones
-}
-
-// ZoneNodes lists the members of one zone under the Zone partition.
+// ZoneNodes lists the members of one zone of the partition of overlay
+// nodes into racks/availability zones for correlated-outage schedules:
+// node n belongs to zone n mod zones. The assignment is structural, not
+// drawn, so a zone's membership is the same in every component that
+// consults it (workload plans, harness audits, capacity blackouts).
 func ZoneNodes(zone, zones, nodes int) []int {
 	var out []int
 	for n := zone; n < nodes; n += zones {

@@ -16,16 +16,13 @@ func TestZonePartition(t *testing.T) {
 				t.Fatalf("node %d in zones %d and %d", n, prev, z)
 			}
 			seen[n] = z
-			if Zone(n, zones) != z {
-				t.Errorf("Zone(%d, %d) = %d, want %d", n, zones, Zone(n, zones), z)
+			if n%zones != z {
+				t.Errorf("node %d listed in zone %d, want %d (n mod zones)", n, z, n%zones)
 			}
 		}
 	}
 	if len(seen) != nodes {
 		t.Fatalf("partition covers %d of %d nodes", len(seen), nodes)
-	}
-	if Zone(5, 0) != 0 {
-		t.Error("Zone with zero zones should clamp to 0")
 	}
 }
 
@@ -39,7 +36,7 @@ func TestZoneCrashesCorrelated(t *testing.T) {
 	// at one shared instant for one shared downtime.
 	byZone := make(map[int][]Crash)
 	for _, c := range crashes {
-		byZone[Zone(c.Node, zones)] = append(byZone[Zone(c.Node, zones)], c)
+		byZone[c.Node%zones] = append(byZone[c.Node%zones], c)
 	}
 	if len(byZone) != 2 {
 		t.Fatalf("crashes span %d zones, want 2", len(byZone))

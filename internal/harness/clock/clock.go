@@ -1,8 +1,8 @@
 // Package clock abstracts time for the layers of the system that sleep,
 // schedule, and expire: a Clock interface with a wall implementation
 // (thin wrappers over package time) and a virtual implementation driven
-// by an explicit Advance. Production code takes a Clock and defaults to
-// Wall(); the deterministic simulation harness (internal/harness)
+// by an explicit Advance. Production code takes a Clock, nil meaning
+// the wall clock; the deterministic simulation harness (internal/harness)
 // substitutes a Virtual clock so hold TTLs, collection windows, commit
 // timeouts, sweep periods, and injected delivery delays all elapse in
 // zero wall time, in a reproducible order.
@@ -82,9 +82,6 @@ func (wallClock) NewTicker(d time.Duration) Ticker {
 }
 
 var wall Clock = wallClock{}
-
-// Wall returns the real-time clock backed by package time.
-func Wall() Clock { return wall }
 
 // Or returns c, or the wall clock when c is nil — the defaulting rule
 // every Config.Clock field shares.
@@ -248,22 +245,6 @@ func (v *Virtual) PendingTimers() int {
 		}
 	}
 	return n
-}
-
-// NextDeadline reports the earliest live timer deadline.
-func (v *Virtual) NextDeadline() (time.Time, bool) {
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	var (
-		min  time.Time
-		live bool
-	)
-	for _, t := range v.timers {
-		if !t.stopped && (!live || t.at.Before(min)) {
-			min, live = t.at, true
-		}
-	}
-	return min, live
 }
 
 // Advance moves virtual time forward by d, firing every timer whose

@@ -150,7 +150,7 @@ func TestSubscribeConcurrent(t *testing.T) {
 				s := tr.Subscribe(16)
 				_ = s.Drain()
 				_ = s.Drops()
-				_ = tr.Subscribers()
+				_ = tr.subscribers()
 				s.Close()
 				_ = s.Closed()
 			}

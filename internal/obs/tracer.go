@@ -274,20 +274,6 @@ func (t *Tracer) SetClock(now func() time.Duration) {
 	}
 }
 
-// Subscribers returns the number of live subscriptions attached to the
-// tracer; 0 on nil. The /trace endpoint's leak test asserts this
-// returns to zero after its clients disconnect.
-func (t *Tracer) Subscribers() int {
-	if t == nil {
-		return 0
-	}
-	list := t.subs.Load()
-	if list == nil {
-		return 0
-	}
-	return len(*list)
-}
-
 // Enabled reports whether anything consumes emitted events — a base
 // sink or at least one live subscription. Call sites use it to skip
 // building emission arguments that would need extra work.

@@ -142,13 +142,6 @@ func (g *Global) Aggregate() {
 	g.counters.Aggregations.Add(int64(g.mesh.NumNodes()))
 }
 
-// AggregationNode returns the node currently holding the aggregation role.
-func (g *Global) AggregationNode() int {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return g.aggNode
-}
-
 // Period returns the aggregation period.
 func (g *Global) Period() time.Duration { return aggregationPeriod }
 

@@ -146,16 +146,16 @@ func TestGlobalSessionReleaseTriggersUpdate(t *testing.T) {
 
 func TestAggregationRotation(t *testing.T) {
 	g, _, _, _ := newTestGlobal(t)
-	first := g.AggregationNode()
+	first := g.aggNode
 	g.Aggregate()
-	second := g.AggregationNode()
+	second := g.aggNode
 	if first == second {
 		t.Errorf("aggregation role did not rotate: %d -> %d", first, second)
 	}
 	for i := 0; i < g.mesh.NumNodes(); i++ {
 		g.Aggregate()
 	}
-	if g.AggregationNode() != second {
+	if g.aggNode != second {
 		t.Errorf("rotation is not round-robin")
 	}
 }
@@ -325,7 +325,6 @@ func TestLedgerBeforeGlobalLockOrder(t *testing.T) {
 		for i := 0; i < cycles; i++ {
 			g.Aggregate()
 			g.ForceRefresh()
-			g.AggregationNode()
 			g.Refresh(&r)
 		}
 	}()

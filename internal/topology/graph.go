@@ -245,13 +245,6 @@ func (t *PathTree) unlink(v int32, s int) {
 	}
 }
 
-// ShortestPaths runs Route from src to exhaustion into a new tree.
-func (g *Graph) ShortestPaths(src int) *PathTree {
-	t := &PathTree{}
-	g.Route(t, src, nil)
-	return t
-}
-
 // Route runs Dijkstra from src into t with link delay as the metric, the
 // paper's "delay-based shortest path routing algorithm", reusing t's
 // storage. It returns once every node of targets has been settled; nil
@@ -323,26 +316,6 @@ func (g *Graph) Route(t *PathTree, src int, targets []int) {
 	for _, v := range targets {
 		t.pending[v] = false // unreachable
 	}
-}
-
-// Distance returns the shortest-path delay from the tree's source to dst,
-// or +Inf if dst is unreachable.
-func (t *PathTree) Distance(dst int) float64 { return t.dist[dst] }
-
-// PathTo returns the node sequence from the source to dst inclusive, or
-// nil if dst is unreachable.
-func (t *PathTree) PathTo(dst int) []int {
-	if math.IsInf(t.dist[dst], 1) {
-		return nil
-	}
-	var rev []int
-	for v := dst; v != -1; v = t.parent[v] {
-		rev = append(rev, v)
-	}
-	for i, j := 0, len(rev)-1; i < j; i, j = i+1, j-1 {
-		rev[i], rev[j] = rev[j], rev[i]
-	}
-	return rev
 }
 
 // PathMetrics returns the total delay and bottleneck bandwidth of the IP

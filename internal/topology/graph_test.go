@@ -134,7 +134,7 @@ func TestShortestPathsSmallWorked(t *testing.T) {
 	g.addLink(2, 3, 1, 200)
 	g.addLink(1, 3, 5, 100)
 
-	tree := g.ShortestPaths(0)
+	tree := shortestPaths(g, 0)
 	tests := []struct {
 		dst      int
 		wantDist float64
@@ -146,10 +146,10 @@ func TestShortestPathsSmallWorked(t *testing.T) {
 		{dst: 3, wantDist: 3, wantPath: []int{0, 1, 2, 3}},
 	}
 	for _, tt := range tests {
-		if got := tree.Distance(tt.dst); got != tt.wantDist {
+		if got := tree.distance(tt.dst); got != tt.wantDist {
 			t.Errorf("Distance(%d) = %v, want %v", tt.dst, got, tt.wantDist)
 		}
-		path := tree.PathTo(tt.dst)
+		path := tree.pathTo(tt.dst)
 		if len(path) != len(tt.wantPath) {
 			t.Fatalf("PathTo(%d) = %v, want %v", tt.dst, path, tt.wantPath)
 		}
@@ -167,7 +167,7 @@ func TestPathMetrics(t *testing.T) {
 	g.addLink(1, 2, 2, 50)
 	g.addLink(2, 3, 3, 200)
 
-	tree := g.ShortestPaths(0)
+	tree := shortestPaths(g, 0)
 	delay, bw := g.PathMetrics(tree, 3)
 	if delay != 6 {
 		t.Errorf("delay = %v, want 6", delay)
@@ -187,11 +187,11 @@ func TestPathMetricsUnreachable(t *testing.T) {
 	g := &Graph{adj: make([][]Edge, 3)}
 	g.addLink(0, 1, 1, 100)
 	// Node 2 is isolated.
-	tree := g.ShortestPaths(0)
-	if d := tree.Distance(2); !math.IsInf(d, 1) {
+	tree := shortestPaths(g, 0)
+	if d := tree.distance(2); !math.IsInf(d, 1) {
 		t.Errorf("Distance to isolated node = %v, want +Inf", d)
 	}
-	if p := tree.PathTo(2); p != nil {
+	if p := tree.pathTo(2); p != nil {
 		t.Errorf("PathTo isolated node = %v, want nil", p)
 	}
 	delay, bw := g.PathMetrics(tree, 2)
@@ -211,7 +211,7 @@ func TestShortestPathsOptimality(t *testing.T) {
 			return false
 		}
 		src := rng.Intn(cfg.Nodes)
-		tree := g.ShortestPaths(src)
+		tree := shortestPaths(g, src)
 
 		// Bellman-Ford reference.
 		dist := make([]float64, cfg.Nodes)
@@ -229,7 +229,7 @@ func TestShortestPathsOptimality(t *testing.T) {
 			}
 		}
 		for v := 0; v < cfg.Nodes; v++ {
-			if math.Abs(tree.Distance(v)-dist[v]) > 1e-9 {
+			if math.Abs(tree.distance(v)-dist[v]) > 1e-9 {
 				return false
 			}
 		}
@@ -245,9 +245,9 @@ func TestShortestPathsOptimality(t *testing.T) {
 // the least bandwidth among them, the edges found hop by hop.
 func TestPathDelayMatchesDistance(t *testing.T) {
 	g := testGraph(t, 200, 11)
-	tree := g.ShortestPaths(0)
+	tree := shortestPaths(g, 0)
 	for dst := 0; dst < g.NumNodes(); dst++ {
-		path := tree.PathTo(dst)
+		path := tree.pathTo(dst)
 		wantDelay, wantBW := 0.0, math.Inf(1)
 		for i := 1; i < len(path); i++ {
 			e, ok := g.edgeBetween(path[i-1], path[i])
@@ -261,8 +261,8 @@ func TestPathDelayMatchesDistance(t *testing.T) {
 		if math.Float64bits(delay) != math.Float64bits(wantDelay) || bw != wantBW {
 			t.Errorf("PathMetrics(%d) = (%v, %v), hop by hop (%v, %v)", dst, delay, bw, wantDelay, wantBW)
 		}
-		if delay != tree.Distance(dst) {
-			t.Errorf("path delay to %d = %v, distance = %v", dst, delay, tree.Distance(dst))
+		if delay != tree.distance(dst) {
+			t.Errorf("path delay to %d = %v, distance = %v", dst, delay, tree.distance(dst))
 		}
 	}
 }
@@ -308,12 +308,12 @@ func (h *refHeap) Pop() interface{} {
 func sameOnTargets(t *testing.T, g *Graph, early, full *PathTree, targets []int) {
 	t.Helper()
 	for _, v := range targets {
-		if math.Float64bits(early.Distance(v)) != math.Float64bits(full.Distance(v)) || early.parent[v] != full.parent[v] {
+		if math.Float64bits(early.distance(v)) != math.Float64bits(full.distance(v)) || early.parent[v] != full.parent[v] {
 			t.Fatalf("src %d target %d: early (%v, parent %d), full (%v, parent %d)",
-				early.src, v, early.Distance(v), early.parent[v], full.Distance(v), full.parent[v])
+				early.src, v, early.distance(v), early.parent[v], full.distance(v), full.parent[v])
 		}
-		if !reflect.DeepEqual(early.PathTo(v), full.PathTo(v)) {
-			t.Fatalf("src %d target %d: early path %v, full path %v", early.src, v, early.PathTo(v), full.PathTo(v))
+		if !reflect.DeepEqual(early.pathTo(v), full.pathTo(v)) {
+			t.Fatalf("src %d target %d: early path %v, full path %v", early.src, v, early.pathTo(v), full.pathTo(v))
 		}
 		ed, eb := g.PathMetrics(early, v)
 		fd, fb := g.PathMetrics(full, v)
@@ -343,7 +343,7 @@ func TestRouteEarlyExitMatchesFullRun(t *testing.T) {
 				targets[j] = rng.Intn(nodes)
 			}
 			g.Route(&early, src, targets)
-			sameOnTargets(t, g, &early, g.ShortestPaths(src), targets)
+			sameOnTargets(t, g, &early, shortestPaths(g, src), targets)
 		}
 	}
 }
@@ -357,7 +357,7 @@ func TestRouteStopsAtLastTarget(t *testing.T) {
 	g.addLink(2, 3, 1, 100)
 	var tree PathTree
 	g.Route(&tree, 0, []int{1})
-	if tree.Distance(1) != 1 || !math.IsInf(tree.Distance(2), 1) || !math.IsInf(tree.Distance(3), 1) {
+	if tree.distance(1) != 1 || !math.IsInf(tree.distance(2), 1) || !math.IsInf(tree.distance(3), 1) {
 		t.Errorf("distances after a run to 1 = %v, want [0 1 +Inf +Inf]", tree.dist)
 	}
 }
@@ -376,13 +376,13 @@ func TestRouteUnreachableTarget(t *testing.T) {
 	if delay, bw := g.PathMetrics(&tree, 4); !math.IsInf(delay, 1) || bw != 0 {
 		t.Errorf("PathMetrics to the other component = (%v, %v), want (+Inf, 0)", delay, bw)
 	}
-	if p := tree.PathTo(4); p != nil {
+	if p := tree.pathTo(4); p != nil {
 		t.Errorf("PathTo the other component = %v, want nil", p)
 	}
-	sameOnTargets(t, g, &tree, g.ShortestPaths(0), targets)
+	sameOnTargets(t, g, &tree, shortestPaths(g, 0), targets)
 
 	g.Route(&tree, 3, []int{4})
-	sameOnTargets(t, g, &tree, g.ShortestPaths(3), []int{4})
+	sameOnTargets(t, g, &tree, shortestPaths(g, 3), []int{4})
 }
 
 // TestRouteDuplicateAndSourceTargets: a target named twice is waited for
@@ -398,7 +398,7 @@ func TestRouteDuplicateAndSourceTargets(t *testing.T) {
 	}
 	for _, targets := range cases {
 		g.Route(&tree, 5, targets)
-		sameOnTargets(t, g, &tree, g.ShortestPaths(5), targets)
+		sameOnTargets(t, g, &tree, shortestPaths(g, 5), targets)
 	}
 	if delay, bw := g.PathMetrics(&tree, 5); delay != 0 || !math.IsInf(bw, 1) {
 		t.Errorf("source as its own target = (%v, %v), want (0, +Inf)", delay, bw)
@@ -413,4 +413,31 @@ func TestStatsEmptyGraph(t *testing.T) {
 	if !g.Connected() {
 		t.Error("empty graph should count as connected")
 	}
+}
+
+// shortestPaths runs Route from src to exhaustion into a new tree.
+func shortestPaths(g *Graph, src int) *PathTree {
+	t := &PathTree{}
+	g.Route(t, src, nil)
+	return t
+}
+
+// distance returns the shortest-path delay from the tree's source to dst,
+// or +Inf if dst is unreachable.
+func (t *PathTree) distance(dst int) float64 { return t.dist[dst] }
+
+// pathTo returns the node sequence from the source to dst inclusive, or
+// nil if dst is unreachable.
+func (t *PathTree) pathTo(dst int) []int {
+	if math.IsInf(t.dist[dst], 1) {
+		return nil
+	}
+	var rev []int
+	for v := dst; v != -1; v = t.parent[v] {
+		rev = append(rev, v)
+	}
+	for i, j := 0, len(rev)-1; i < j; i, j = i+1, j-1 {
+		rev[i], rev[j] = rev[j], rev[i]
+	}
+	return rev
 }

@@ -47,6 +47,3 @@ func (h *Holt) Forecast(steps int) float64 {
 	}
 	return h.level + float64(steps)*h.trend
 }
-
-// Primed reports whether at least one observation has been fed.
-func (h *Holt) Primed() bool { return h.primed }

@@ -40,10 +40,8 @@ func TestHoltIgnoresNonFinite(t *testing.T) {
 	h.Observe(3)
 	h.Observe(math.Inf(1))
 	h.Observe(math.NaN())
+	// An unprimed forecaster forecasts NaN: 3 also shows it stayed primed.
 	if got := h.Forecast(0); got != 3 {
 		t.Fatalf("level after non-finite feeds = %v, want 3", got)
-	}
-	if !h.Primed() {
-		t.Fatal("forecaster lost primed state")
 	}
 }
