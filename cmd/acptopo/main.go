@@ -1,10 +1,11 @@
 // Command acptopo generates the simulated network substrate and prints
 // its statistics: IP-layer power-law degree distribution, overlay mesh
 // shape, and virtual-link characteristics. It draws the graph and the
-// mesh from one stream seeded with -seed, as runtime.NewCluster and
-// dist.New do, so it shows the substrate those build (acpserve's, for
-// one) from the same seed and sizes. experiment.BuildPlatform seeds each
-// stage separately, so a figure's platform differs.
+// mesh through substrate.Network from one stream seeded with -seed, the
+// stream runtime.NewCluster and dist.New pass to substrate.Build, so it
+// shows the network those build (acpserve's, for one) from the same seed
+// and sizes. experiment.BuildPlatform seeds each stage separately, so a
+// figure's platform differs.
 //
 // Usage:
 //
@@ -19,8 +20,7 @@ import (
 	"os"
 	"sort"
 
-	"repro/internal/overlay"
-	"repro/internal/topology"
+	"repro/internal/substrate"
 )
 
 func main() {
@@ -44,9 +44,9 @@ func run(args []string) error {
 	}
 
 	rng := rand.New(rand.NewSource(*seed))
-	tcfg := topology.DefaultConfig()
-	tcfg.Nodes = *ipNodes
-	graph, err := topology.Generate(tcfg, rng)
+	graph, mesh, err := substrate.Network(substrate.Config{
+		IPNodes: *ipNodes, OverlayNodes: *nodes, NeighborsPerNode: *neighbors,
+	}, rng, rng)
 	if err != nil {
 		return err
 	}
@@ -72,13 +72,6 @@ func run(args []string) error {
 		}
 	}
 
-	ocfg := overlay.DefaultConfig()
-	ocfg.Nodes = *nodes
-	ocfg.NeighborsPerNode = *neighbors
-	mesh, err := overlay.Build(graph, ocfg, rng)
-	if err != nil {
-		return err
-	}
 	fmt.Printf("\noverlay mesh     %d nodes, %d links\n", mesh.NumNodes(), mesh.NumLinks())
 
 	var (

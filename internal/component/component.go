@@ -84,17 +84,6 @@ func (g *Graph) Predecessors(p int) []int {
 	return out
 }
 
-// Sources returns positions with no predecessors.
-func (g *Graph) Sources() []int {
-	var out []int
-	for p := range g.Functions {
-		if g.Predecessors(p) == nil {
-			out = append(out, p)
-		}
-	}
-	return out
-}
-
 // Validate checks structural sanity: at least one position, edges in
 // range, no self-loops or duplicate edges, acyclic, exactly one source
 // and one sink (see Plan.Build). Composition probing relies on the

@@ -30,8 +30,10 @@ func TestNewPathGraph(t *testing.T) {
 	if got := g.NumPositions(); got != 3 {
 		t.Errorf("NumPositions = %d, want 3", got)
 	}
-	if src := g.Sources(); len(src) != 1 || src[0] != 0 {
-		t.Errorf("Sources = %v, want [0]", src)
+	for p, source := range []bool{true, false, false} {
+		if got := g.Predecessors(p) == nil; got != source {
+			t.Errorf("position %d is a source: %v, want %v", p, got, source)
+		}
 	}
 	for p, sink := range []bool{false, false, true} {
 		if got := g.Successors(p) == nil; got != sink {
@@ -272,8 +274,10 @@ func paths(g *Graph) [][]int {
 			walk(s, acc)
 		}
 	}
-	for _, s := range g.Sources() {
-		walk(s, nil)
+	for p := range g.Functions {
+		if g.Predecessors(p) == nil {
+			walk(p, nil)
+		}
 	}
 	return out
 }

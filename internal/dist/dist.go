@@ -34,7 +34,7 @@ import (
 	"repro/internal/overlay"
 	"repro/internal/qos"
 	"repro/internal/state"
-	"repro/internal/topology"
+	"repro/internal/substrate"
 )
 
 // ErrNoComposition is returned when no qualified composition was found
@@ -46,17 +46,9 @@ var ErrClosed = errors.New("dist: cluster is shut down")
 
 // Config sizes a distributed cluster.
 type Config struct {
-	// Seed drives substrate generation.
-	Seed int64
-	// IPNodes, OverlayNodes, NeighborsPerNode size the network.
-	IPNodes          int
-	OverlayNodes     int
-	NeighborsPerNode int
-	// NumFunctions and ComponentsPerNode control the deployment.
-	NumFunctions      int
-	ComponentsPerNode int
-	// NodeCapacity is each node's end-system resource capacity.
-	NodeCapacity qos.Resources
+	// Config sizes the substrate; its Seed drives the substrate and the
+	// per-node streams.
+	substrate.Config
 	// ProbingRatio is alpha for per-hop candidate selection.
 	ProbingRatio float64
 	// CollectTimeout is how long a deputy waits for probe returns before
@@ -116,20 +108,22 @@ const startedMailbox, steppedMailbox = 1024, 1 << 16
 // DefaultConfig returns a test-sized distributed cluster.
 func DefaultConfig() Config {
 	return Config{
-		Seed:              1,
-		IPNodes:           256,
-		OverlayNodes:      32,
-		NeighborsPerNode:  5,
-		NumFunctions:      8,
-		ComponentsPerNode: 2,
-		NodeCapacity:      qos.Resources{CPU: 100, Memory: 1000},
-		ProbingRatio:      0.5,
-		CollectTimeout:    50 * time.Millisecond,
-		HoldTTL:           2 * time.Second,
-		CommitTimeout:     time.Second,
-		RetryBackoff:      20 * time.Millisecond,
-		RetryAlphaStep:    0.15,
-		UpdateThreshold:   0.10,
+		Config: substrate.Config{
+			Seed:              1,
+			IPNodes:           256,
+			OverlayNodes:      32,
+			NeighborsPerNode:  5,
+			NumFunctions:      8,
+			ComponentsPerNode: 2,
+			NodeCapacity:      qos.Resources{CPU: 100, Memory: 1000},
+		},
+		ProbingRatio:    0.5,
+		CollectTimeout:  50 * time.Millisecond,
+		HoldTTL:         2 * time.Second,
+		CommitTimeout:   time.Second,
+		RetryBackoff:    20 * time.Millisecond,
+		RetryAlphaStep:  0.15,
+		UpdateThreshold: 0.10,
 	}
 }
 
@@ -345,24 +339,7 @@ func build(cfg Config) (*Cluster, error) {
 		}
 	}
 	rng := rand.New(rand.NewSource(cfg.Seed))
-
-	tcfg := topology.DefaultConfig()
-	tcfg.Nodes = cfg.IPNodes
-	graph, err := topology.Generate(tcfg, rng)
-	if err != nil {
-		return nil, err
-	}
-	ocfg := overlay.DefaultConfig()
-	ocfg.Nodes = cfg.OverlayNodes
-	ocfg.NeighborsPerNode = cfg.NeighborsPerNode
-	mesh, err := overlay.Build(graph, ocfg, rng)
-	if err != nil {
-		return nil, err
-	}
-	pcfg := component.DefaultPlacementConfig()
-	pcfg.NumFunctions = cfg.NumFunctions
-	pcfg.ComponentsPerNode = cfg.ComponentsPerNode
-	catalog, err := component.Place(mesh.NumNodes(), pcfg, rng)
+	mesh, catalog, err := substrate.Build(cfg.Config, rng, rng, rng)
 	if err != nil {
 		return nil, err
 	}

@@ -21,35 +21,15 @@ import (
 	"repro/internal/overlay"
 	"repro/internal/qos"
 	"repro/internal/state"
-	"repro/internal/topology"
+	"repro/internal/substrate"
 	"repro/internal/trace"
 	"repro/internal/tuning"
 	"repro/internal/workload"
 )
 
-// SystemConfig sizes the simulated distributed stream processing system
-// (§4.1 defaults).
-type SystemConfig struct {
-	// Seed drives platform construction (topology, overlay, placement,
-	// templates).
-	Seed int64
-	// IPNodes is the IP-layer power-law graph size (paper: 3200).
-	IPNodes int
-	// OverlayNodes is N, the stream processing node count (paper:
-	// 200-600).
-	OverlayNodes int
-	// NeighborsPerNode is the overlay mesh degree.
-	NeighborsPerNode int
-	// NumFunctions and ComponentsPerNode control candidate density.
-	NumFunctions      int
-	ComponentsPerNode int
-	// NodeCapacity is each stream node's end-system resource capacity.
-	NodeCapacity qos.Resources
-}
-
 // DefaultSystemConfig mirrors §4.1 at the 400-node midpoint.
-func DefaultSystemConfig() SystemConfig {
-	return SystemConfig{
+func DefaultSystemConfig() substrate.Config {
+	return substrate.Config{
 		Seed:              1,
 		IPNodes:           3200,
 		OverlayNodes:      400,
@@ -64,7 +44,7 @@ func DefaultSystemConfig() SystemConfig {
 // component deployment, and the template library. No run writes to it,
 // so one platform serves many runs, concurrent ones included.
 type Platform struct {
-	Config  SystemConfig
+	Config  substrate.Config
 	Mesh    *overlay.Mesh
 	Catalog *component.Catalog
 	Library *component.Library
@@ -72,7 +52,7 @@ type Platform struct {
 
 // BuildPlatform generates the IP topology, overlay mesh, component
 // placement, and template library from the seed.
-func BuildPlatform(cfg SystemConfig) (*Platform, error) {
+func BuildPlatform(cfg substrate.Config) (*Platform, error) {
 	// Each stage draws from its own derived seed so, e.g., the template
 	// library is identical across platforms that differ only in overlay
 	// size — the scalability sweep of Figure 7 then varies the system,
@@ -80,26 +60,7 @@ func BuildPlatform(cfg SystemConfig) (*Platform, error) {
 	stageRng := func(stage int64) *rand.Rand {
 		return rand.New(rand.NewSource(cfg.Seed*1_000_003 + stage))
 	}
-
-	tcfg := topology.DefaultConfig()
-	tcfg.Nodes = cfg.IPNodes
-	graph, err := topology.Generate(tcfg, stageRng(1))
-	if err != nil {
-		return nil, fmt.Errorf("experiment: %w", err)
-	}
-
-	ocfg := overlay.DefaultConfig()
-	ocfg.Nodes = cfg.OverlayNodes
-	ocfg.NeighborsPerNode = cfg.NeighborsPerNode
-	mesh, err := overlay.Build(graph, ocfg, stageRng(2))
-	if err != nil {
-		return nil, fmt.Errorf("experiment: %w", err)
-	}
-
-	pcfg := component.DefaultPlacementConfig()
-	pcfg.NumFunctions = cfg.NumFunctions
-	pcfg.ComponentsPerNode = cfg.ComponentsPerNode
-	catalog, err := component.Place(mesh.NumNodes(), pcfg, stageRng(3))
+	mesh, catalog, err := substrate.Build(cfg, stageRng(1), stageRng(2), stageRng(3))
 	if err != nil {
 		return nil, fmt.Errorf("experiment: %w", err)
 	}

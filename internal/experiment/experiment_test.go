@@ -12,6 +12,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/discovery"
 	"repro/internal/faults"
+	"repro/internal/substrate"
 	"repro/internal/trace"
 	"repro/internal/tuning"
 	"repro/internal/workload"
@@ -19,7 +20,7 @@ import (
 
 // smallSystem keeps integration tests fast: a 300-node IP graph with a
 // 60-node overlay.
-func smallSystem(seed int64) SystemConfig {
+func smallSystem(seed int64) substrate.Config {
 	cfg := DefaultSystemConfig()
 	cfg.Seed = seed
 	cfg.IPNodes = 300

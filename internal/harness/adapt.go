@@ -24,20 +24,11 @@ type adaptBed struct {
 	Registry *obs.Registry
 }
 
-// adaptFunctions is how many stream functions an adaptBed deploys.
-const adaptFunctions = 4
-
 // newAdaptBed builds the adaptation substrate for seed.
 func newAdaptBed(seed int64) (*adaptBed, error) {
 	b := &adaptBed{Clock: clock.NewVirtual(), Registry: obs.NewRegistry()}
 	rcfg := runtime.DefaultConfig()
-	rcfg.Seed = seed
-	rcfg.IPNodes = 64
-	rcfg.OverlayNodes = 8
-	rcfg.NeighborsPerNode = 3
-	rcfg.NumFunctions = adaptFunctions
-	rcfg.ComponentsPerNode = 2
-	rcfg.NodeCapacity = qos.Resources{CPU: 100, Memory: 1000}
+	rcfg.Config = bed(seed)
 	rcfg.Clock = b.Clock
 	rcfg.Registry = b.Registry
 	c, err := runtime.NewCluster(rcfg)
@@ -54,7 +45,7 @@ func (b *adaptBed) Admit(draws *rand.Rand) (runtime.SessionID, error) {
 	length := 2 + draws.Intn(2)
 	fns := make([]component.FunctionID, length)
 	for i := range fns {
-		fns[i] = component.FunctionID(draws.Intn(adaptFunctions))
+		fns[i] = component.FunctionID(draws.Intn(bedFunctions))
 	}
 	res := make([]qos.Resources, length)
 	for i := range res {

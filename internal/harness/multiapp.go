@@ -9,11 +9,9 @@ import (
 
 	"repro/internal/component"
 	"repro/internal/core"
-	"repro/internal/discovery"
 	"repro/internal/harness/clock"
 	"repro/internal/metrics"
 	"repro/internal/obs"
-	"repro/internal/overlay"
 	"repro/internal/qos"
 	"repro/internal/runtime"
 	"repro/internal/state"
@@ -85,70 +83,23 @@ type multiAppSession struct {
 	linkDemand map[int]float64
 }
 
-// multiAppOracle is the reference composer for multi-application runs:
-// the same exhaustive engine (core.AlgOptimal, transient holds on, same
-// phi mode and node classes) as the cluster under test, probing over
-// its own ledger kept in lockstep — including mirrored outage
-// blackouts. AlgOptimal's walk draws no randomness, so over identical
-// committed state the replica must reproduce the runtime's decision
-// exactly: admission parity, the identical winning composition, and
-// bit-equal phi. Any divergence means admission stopped being a pure
-// function of the committed resource state.
-type multiAppOracle struct {
-	composer *core.Composer
-	ledger   *state.Ledger
-	mesh     *overlay.Mesh
-	catalog  *component.Catalog
-}
-
-func newMultiAppOracle(c *runtime.Cluster, vc clock.Clock, seed int64, phi core.PhiMode, classes []qos.Resources, nodeCap qos.Resources) (*multiAppOracle, error) {
-	mesh, catalog := c.Mesh(), c.Catalog()
-	counters := &metrics.Counters{}
-	start := vc.Now()
-	now := func() time.Duration { return vc.Now().Sub(start) }
-	ledger := state.NewLedger(mesh, nodeCap, now)
-	for node, capacity := range classes {
-		if err := ledger.SetNodeCapacity(node, capacity); err != nil {
-			return nil, err
-		}
-	}
-	global, err := state.NewGlobal(ledger, mesh, state.DefaultGlobalConfig(), counters)
-	if err != nil {
-		return nil, err
-	}
-	env := core.Env{
-		Mesh:     mesh,
-		Catalog:  catalog,
-		Registry: discovery.NewRegistry(catalog, mesh.NumNodes(), counters),
-		Ledger:   ledger,
-		Global:   global,
-		Counters: counters,
-		Now:      now,
-		Rand:     rand.New(rand.NewSource(mix(seed ^ 0x0a1e))),
-	}
-	ccfg := core.DefaultConfig()
-	ccfg.Algorithm = core.AlgOptimal
-	ccfg.Phi = phi
-	composer, err := core.NewComposer(env, ccfg)
-	if err != nil {
-		return nil, err
-	}
-	return &multiAppOracle{composer: composer, ledger: ledger, mesh: mesh, catalog: catalog}, nil
-}
-
-// check replays one composed-or-refused request through the replica
-// composer: admission parity, the identical winning composition, and
-// phi agreement, then commits the runtime's actual placement so the
-// ledgers stay lockstep. desc is nil when the runtime refused the
-// request.
-func (o *multiAppOracle) check(req *component.Request, desc *runtime.Composition) error {
-	outcome, err := o.composer.Probe(req)
+// match is the multi-application oracle's check: the replica runs the
+// same exhaustive engine as the cluster under test (core.AlgOptimal,
+// transient holds on, same phi mode and node classes) over a ledger
+// kept in lockstep, outage blackouts included, so it must reproduce the
+// runtime's decision exactly: admission parity, the identical winning
+// composition, and equal phi. Any divergence means admission stopped
+// being a pure function of the committed resource state. On agreement
+// it adopts the runtime's placement. desc is nil when the runtime
+// refused the request.
+func (r *replica) match(req *component.Request, desc *runtime.Composition) error {
+	outcome, err := r.composer.Probe(req)
 	if err != nil {
 		return fmt.Errorf("oracle probe for request %d: %w", req.ID, err)
 	}
 	if desc == nil {
 		if outcome.Success() {
-			o.composer.Abort(req.ID)
+			r.composer.Abort(req.ID)
 			return fmt.Errorf("request %d: runtime refused but the replica oracle found a qualified composition (phi=%v)",
 				req.ID, outcome.Best.Phi)
 		}
@@ -162,27 +113,15 @@ func (o *multiAppOracle) check(req *component.Request, desc *runtime.Composition
 		return fmt.Errorf("request %d: runtime phi %v disagrees with the replica optimum %v",
 			req.ID, desc.Phi, outcome.Best.Phi)
 	}
-	cc := &core.Composition{QoS: desc.QoS, Phi: desc.Phi}
+	comps := make([]component.ComponentID, len(desc.Components))
 	for pos, pc := range desc.Components {
 		if pc.Component != outcome.Best.Components[pos] {
 			return fmt.Errorf("request %d: runtime placed component %d at position %d, replica chose %d",
 				req.ID, pc.Component, pos, outcome.Best.Components[pos])
 		}
-		cc.Components = append(cc.Components, pc.Component)
+		comps[pos] = pc.Component
 	}
-	for _, e := range req.Graph.Edges {
-		from := desc.Components[e.From].Node
-		to := desc.Components[e.To].Node
-		route, ok := o.mesh.RouteBetween(from, to)
-		if !ok {
-			return fmt.Errorf("request %d: no route %d->%d for committed composition", req.ID, from, to)
-		}
-		cc.Routes = append(cc.Routes, route)
-	}
-	if err := o.composer.Commit(&core.Outcome{Request: req, Best: cc}); err != nil {
-		return fmt.Errorf("oracle commit of runtime composition for request %d: %w", req.ID, err)
-	}
-	return nil
+	return r.adopt(req, comps, desc.QoS, desc.Phi)
 }
 
 // shadowDemand mirrors the runtime's quota accounting of a request: one
@@ -293,8 +232,7 @@ func RunMultiAppScenario(cfg MultiAppConfig) (*MultiAppReport, error) {
 		cfg.Load = 1.5
 	}
 
-	const overlayNodes = 8
-	nodeCap := qos.Resources{CPU: 100, Memory: 1000}
+	sys := bed(cfg.Seed)
 	plan, err := workload.NewMultiAppPlan(workload.MultiAppPlanConfig{
 		Family:       cfg.Family,
 		Seed:         cfg.Seed,
@@ -302,8 +240,8 @@ func RunMultiAppScenario(cfg MultiAppConfig) (*MultiAppReport, error) {
 		Ticks:        cfg.Ticks,
 		Load:         cfg.Load,
 		Tick:         time.Second,
-		NumNodes:     overlayNodes,
-		NodeCapacity: nodeCap,
+		NumNodes:     sys.OverlayNodes,
+		NodeCapacity: sys.NodeCapacity,
 	})
 	if err != nil {
 		return nil, err
@@ -313,13 +251,7 @@ func RunMultiAppScenario(cfg MultiAppConfig) (*MultiAppReport, error) {
 	reg := obs.NewRegistry()
 	phi := phiModeFor(cfg.Family)
 	rcfg := runtime.DefaultConfig()
-	rcfg.Seed = cfg.Seed
-	rcfg.IPNodes = 64
-	rcfg.OverlayNodes = overlayNodes
-	rcfg.NeighborsPerNode = 3
-	rcfg.NumFunctions = 4
-	rcfg.ComponentsPerNode = 2
-	rcfg.NodeCapacity = nodeCap
+	rcfg.Config = sys
 	rcfg.NodeCapacities = plan.NodeClasses
 	rcfg.Algorithm = core.AlgOptimal
 	rcfg.ProbingRatio = 1
@@ -338,9 +270,9 @@ func RunMultiAppScenario(cfg MultiAppConfig) (*MultiAppReport, error) {
 		c.SetTenantQuota(plan.Tenants[i].Tenant, quotas[i])
 	}
 
-	var oracle *multiAppOracle
+	var oracle *replica
 	if cfg.Oracle {
-		oracle, err = newMultiAppOracle(c, vc, cfg.Seed, phi, plan.NodeClasses, nodeCap)
+		oracle, err = newReplica(c, vc, sys.NodeCapacity, plan.NodeClasses, phi, true)
 		if err != nil {
 			return nil, err
 		}
@@ -410,7 +342,7 @@ func RunMultiAppScenario(cfg MultiAppConfig) (*MultiAppReport, error) {
 			Tenant:        plan.Tenants[tenant].Tenant,
 			Weight:        weights[tenant],
 			PinClient:     true,
-			Client:        wrng.Intn(overlayNodes),
+			Client:        wrng.Intn(sys.OverlayNodes),
 			Graph:         component.NewPathGraph(fns),
 			QoSReq:        qos.Vector{Delay: 1e5, LossCost: qos.LossCost(0.9)},
 			ResReq:        res,
@@ -467,7 +399,7 @@ func RunMultiAppScenario(cfg MultiAppConfig) (*MultiAppReport, error) {
 			rep.Refused++
 			logf("tick %d: tenant %s refused (no composition)", tick, r.Tenant)
 			if oracle != nil {
-				if oerr := oracle.check(req, nil); oerr != nil {
+				if oerr := oracle.match(req, nil); oerr != nil {
 					return fmt.Errorf("tick %d: %w", tick, oerr)
 				}
 			}
@@ -487,7 +419,7 @@ func RunMultiAppScenario(cfg MultiAppConfig) (*MultiAppReport, error) {
 			}
 		}
 		if oracle != nil {
-			if oerr := oracle.check(req, &desc); oerr != nil {
+			if oerr := oracle.match(req, &desc); oerr != nil {
 				return fmt.Errorf("tick %d: %w", tick, oerr)
 			}
 		}
@@ -553,7 +485,7 @@ func RunMultiAppScenario(cfg MultiAppConfig) (*MultiAppReport, error) {
 		// Cross-tenant conservation, Eq. 4 shape: per node, consumed
 		// capacity == sum of live sessions' demands + injected outage
 		// load. Per link the same with bandwidth.
-		nodeWant := make([]qos.Resources, overlayNodes)
+		nodeWant := make([]qos.Resources, sys.OverlayNodes)
 		linkWant := make([]float64, c.NumLinks())
 		for _, s := range live {
 			for n, d := range s.nodeDemand {
@@ -571,7 +503,7 @@ func RunMultiAppScenario(cfg MultiAppConfig) (*MultiAppReport, error) {
 				nodeWant[b.node].Memory += b.load.Memory
 			}
 		}
-		for n := 0; n < overlayNodes; n++ {
+		for n := 0; n < sys.OverlayNodes; n++ {
 			capn := c.NodeCapacity(n)
 			res := c.NodeResidual(n)
 			if math.Abs(capn.CPU-res.CPU-nodeWant[n].CPU) > 1e-6 ||
@@ -726,7 +658,7 @@ func RunMultiAppScenario(cfg MultiAppConfig) (*MultiAppReport, error) {
 	if got := c.ActiveSessions(); got != 0 {
 		return fail(fmt.Errorf("teardown left %d sessions", got))
 	}
-	for n := 0; n < overlayNodes; n++ {
+	for n := 0; n < sys.OverlayNodes; n++ {
 		want := c.NodeCapacity(n)
 		got := c.NodeResidual(n)
 		if math.Abs(got.CPU-want.CPU) > 1e-6 || math.Abs(got.Memory-want.Memory) > 1e-6 {

@@ -10,6 +10,7 @@ import (
 	"repro/internal/dist"
 	"repro/internal/faults"
 	"repro/internal/qos"
+	"repro/internal/substrate"
 )
 
 // ScenarioConfig parameterises one randomized simulation run. The zero
@@ -41,21 +42,28 @@ type Report struct {
 	Log []string
 }
 
-// scenarioCluster is the simulation-sized substrate: small enough that
-// the exhaustive oracle stays fast, large enough for multi-node
-// compositions and link contention.
+// bedFunctions is how many stream functions the bed deploys.
+const bedFunctions = 4
+
+// bed is the simulation-sized system every harness run plays on: small
+// enough that the exhaustive oracle stays fast, large enough for
+// multi-node compositions and link contention.
+func bed(seed int64) substrate.Config {
+	return substrate.Config{
+		Seed:              seed,
+		IPNodes:           64,
+		OverlayNodes:      8,
+		NeighborsPerNode:  3,
+		NumFunctions:      bedFunctions,
+		ComponentsPerNode: 2,
+		NodeCapacity:      qos.Resources{CPU: 100, Memory: 1000},
+	}
+}
+
+// scenarioCluster is the dist engine on the bed.
 func scenarioCluster(seed int64) dist.Config {
 	cfg := dist.DefaultConfig()
-	cfg.Seed = seed
-	cfg.IPNodes = 64
-	cfg.OverlayNodes = 8
-	cfg.NeighborsPerNode = 3
-	cfg.NumFunctions = 4
-	cfg.ComponentsPerNode = 2
-	cfg.NodeCapacity = qos.Resources{CPU: 100, Memory: 1000}
-	cfg.CollectTimeout = 50 * time.Millisecond
-	cfg.HoldTTL = 2 * time.Second
-	cfg.CommitTimeout = time.Second
+	cfg.Config = bed(seed)
 	return cfg
 }
 

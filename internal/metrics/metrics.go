@@ -86,11 +86,6 @@ func (s *SuccessSampler) Roll() (rate float64, requests int64) {
 	return rate, requests
 }
 
-// Window reports the in-progress window without resetting it.
-func (s *SuccessSampler) Window() (rate float64, requests int64) {
-	return windowRate(s.winSuccess, s.winTotal), s.winTotal
-}
-
 // Cumulative reports the whole-run success rate and request count.
 func (s *SuccessSampler) Cumulative() (rate float64, requests int64) {
 	return windowRate(s.cumSuccess, s.cumTotal), s.cumTotal

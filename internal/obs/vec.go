@@ -33,9 +33,8 @@ import (
 // A gauge vector can instead be backed by a collect function
 // (Registry.GaugeVecFunc): its children are not stored but read from the
 // caller's own table whenever the vector is read. With and Delete on such
-// a vector return a nil child and count a label error; Get, LabelValues
-// and snapshots read the collected rows in the order stored children
-// sort in.
+// a vector return a nil child and count a label error; snapshots read the
+// collected rows in the order stored children sort in.
 type Vec[T any] struct {
 	labels       []string
 	newChild     func() *T
@@ -142,52 +141,12 @@ func (v *Vec[T]) With(labelValues ...string) *T {
 	}).inst
 }
 
-// Get returns the child for the given label values without creating it;
-// nil when absent. On a collect-backed vector it reads the source once
-// and returns a detached gauge holding the collected value.
-func (v *Vec[T]) Get(labelValues ...string) *T {
-	if v != nil && v.collect != nil {
-		for _, row := range collectRows(v, newScrape()) {
-			if slices.Equal(row.Labels, labelValues) {
-				child := v.newChild()
-				any(child).(*Gauge).Set(row.Value) // only gauge vectors collect
-				return child
-			}
-		}
-		return nil
-	}
-	key, ok := v.keyFor(labelValues)
-	if !ok {
-		return nil
-	}
-	c, _ := v.children.lookup(key)
-	return c.inst
-}
-
 // Delete drops the child for the given label values (e.g. at session
 // teardown, keeping label cardinality bounded). No-op when absent.
 func (v *Vec[T]) Delete(labelValues ...string) {
 	if key, ok := v.keyFor(labelValues); ok {
 		v.children.delete(key)
 	}
-}
-
-// LabelValues returns the label tuples of every live child, sorted.
-func (v *Vec[T]) LabelValues() [][]string {
-	if v == nil {
-		return nil
-	}
-	var out [][]string
-	if v.collect != nil {
-		for _, row := range collectRows(v, newScrape()) {
-			out = append(out, row.Labels)
-		}
-		return out
-	}
-	v.children.each(func(_ string, c vecChild[T]) {
-		out = append(out, append([]string(nil), c.labels...))
-	})
-	return out
 }
 
 // vecValues reads, in label order, every stored child of v through

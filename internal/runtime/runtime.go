@@ -32,7 +32,7 @@ import (
 	"repro/internal/overlay"
 	"repro/internal/qos"
 	"repro/internal/state"
-	"repro/internal/topology"
+	"repro/internal/substrate"
 )
 
 // ErrNoComposition is returned by Find when no qualified component
@@ -70,17 +70,9 @@ type ProcessorFunc func(unit DataUnit) []DataUnit
 
 // Config sizes and tunes an in-process cluster.
 type Config struct {
-	// Seed drives topology, placement, and composition randomness.
-	Seed int64
-	// IPNodes, OverlayNodes, NeighborsPerNode size the network substrate.
-	IPNodes          int
-	OverlayNodes     int
-	NeighborsPerNode int
-	// NumFunctions and ComponentsPerNode control the deployment.
-	NumFunctions      int
-	ComponentsPerNode int
-	// NodeCapacity is the per-node end-system resource capacity.
-	NodeCapacity qos.Resources
+	// Config sizes the substrate; its Seed drives the substrate, the
+	// clients, and composition randomness.
+	substrate.Config
 	// NodeCapacities, when non-nil, overrides NodeCapacity per node
 	// (heterogeneous node classes): entry i is node i's capacity. Its
 	// length must equal OverlayNodes.
@@ -111,15 +103,17 @@ const queueSize = 64
 // 512-node IP graph with two components per node.
 func DefaultConfig() Config {
 	return Config{
-		Seed:              1,
-		IPNodes:           512,
-		OverlayNodes:      64,
-		NeighborsPerNode:  5,
-		NumFunctions:      16,
-		ComponentsPerNode: 2,
-		NodeCapacity:      qos.Resources{CPU: 100, Memory: 1000},
-		Algorithm:         core.AlgACP,
-		ProbingRatio:      0.5,
+		Config: substrate.Config{
+			Seed:              1,
+			IPNodes:           512,
+			OverlayNodes:      64,
+			NeighborsPerNode:  5,
+			NumFunctions:      16,
+			ComponentsPerNode: 2,
+			NodeCapacity:      qos.Resources{CPU: 100, Memory: 1000},
+		},
+		Algorithm:    core.AlgACP,
+		ProbingRatio: 0.5,
 	}
 }
 
@@ -231,25 +225,9 @@ type Cluster struct {
 // NewCluster builds the network substrate, deploys components, and
 // starts the composition engine.
 func NewCluster(cfg Config) (*Cluster, error) {
+	// One stream draws the substrate, then the clients.
 	rng := rand.New(rand.NewSource(cfg.Seed))
-
-	tcfg := topology.DefaultConfig()
-	tcfg.Nodes = cfg.IPNodes
-	graph, err := topology.Generate(tcfg, rng)
-	if err != nil {
-		return nil, err
-	}
-	ocfg := overlay.DefaultConfig()
-	ocfg.Nodes = cfg.OverlayNodes
-	ocfg.NeighborsPerNode = cfg.NeighborsPerNode
-	mesh, err := overlay.Build(graph, ocfg, rng)
-	if err != nil {
-		return nil, err
-	}
-	pcfg := component.DefaultPlacementConfig()
-	pcfg.NumFunctions = cfg.NumFunctions
-	pcfg.ComponentsPerNode = cfg.ComponentsPerNode
-	catalog, err := component.Place(mesh.NumNodes(), pcfg, rng)
+	mesh, catalog, err := substrate.Build(cfg.Config, rng, rng, rng)
 	if err != nil {
 		return nil, err
 	}

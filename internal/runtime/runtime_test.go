@@ -551,8 +551,9 @@ func TestSessionGaugesLifecycle(t *testing.T) {
 	// A refresh recomputes phi against the live ledger; with this
 	// session still the only load the value stays finite and positive.
 	c.refreshSessionGauges()
-	if g := reg.GaugeVec("session.phi", "session").Get(sess); g == nil || g.Value() <= 0 {
-		t.Fatalf("refreshed phi gauge = %v", g)
+	s = reg.Snapshot()
+	if phi, ok := find("session.phi"); !ok || phi <= 0 {
+		t.Fatalf("refreshed session.phi{%s} = %v, %v", sess, phi, ok)
 	}
 
 	if err := c.Close(id); err != nil {

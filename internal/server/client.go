@@ -25,7 +25,7 @@ func Dial(addr string) (*Client, error) {
 		return nil, fmt.Errorf("server: dial %s: %w", addr, err)
 	}
 	sc := bufio.NewScanner(nc)
-	sc.Buffer(make([]byte, 0, 4096), 1<<20)
+	sc.Buffer(make([]byte, 0, 4096), maxFrameBytes)
 	return &Client{nc: nc, sc: sc}, nil
 }
 

@@ -36,7 +36,8 @@ const ProtoVersion = 1
 // maxFunctions bounds a compose template, hence a reply's components.
 const maxFunctions = 64
 
-// maxFrameBytes bounds one request line.
+// maxFrameBytes bounds one frame line each way: the server scans
+// requests and Dial's client scans responses up to it.
 const maxFrameBytes = 1 << 20
 
 // Ops. hello must come first on a connection; compose returns a

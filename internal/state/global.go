@@ -54,7 +54,6 @@ type Global struct {
 	// with the views it belongs to; loaded without mu by Refresh.
 	version atomic.Uint64
 
-	aggNode  int // rotating aggregation role (§3.2, round robin)
 	counters *metrics.Counters
 
 	// mu guards the view slices for concurrent readers against
@@ -131,14 +130,14 @@ func exceeds(view, truth, max, threshold float64) bool {
 
 // Aggregate recomputes the virtual-link snapshot from the reported link
 // states. The experiment loop schedules this every Period; the
-// aggregation role rotates round-robin over nodes for load sharing and
-// the dissemination counts one message per system node.
+// dissemination counts one message per system node. Which node
+// aggregates (§3.2 rotates the role) changes no count or decision, so
+// none is tracked.
 func (g *Global) Aggregate() {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	copy(g.aggView, g.linkView)
 	g.version.Add(1)
-	g.aggNode = (g.aggNode + 1) % g.mesh.NumNodes()
 	g.counters.Aggregations.Add(int64(g.mesh.NumNodes()))
 }
 

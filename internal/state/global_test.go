@@ -144,22 +144,6 @@ func TestGlobalSessionReleaseTriggersUpdate(t *testing.T) {
 	}
 }
 
-func TestAggregationRotation(t *testing.T) {
-	g, _, _, _ := newTestGlobal(t)
-	first := g.aggNode
-	g.Aggregate()
-	second := g.aggNode
-	if first == second {
-		t.Errorf("aggregation role did not rotate: %d -> %d", first, second)
-	}
-	for i := 0; i < g.mesh.NumNodes(); i++ {
-		g.Aggregate()
-	}
-	if g.aggNode != second {
-		t.Errorf("rotation is not round-robin")
-	}
-}
-
 func TestForceRefresh(t *testing.T) {
 	g, l, _, _ := newTestGlobal(t)
 	// Small (sub-threshold) commits leave the view stale...

@@ -1,8 +1,8 @@
 // Package state implements the system's resource ground truth (the
 // ledger) and the paper's hierarchical state management (§3.2):
 // fine-grain precise local state plus a coarse-grain global state updated
-// only on significant variations, with virtual-link states aggregated by
-// a rotating aggregation node.
+// only on significant variations, with virtual-link states re-aggregated
+// every period.
 package state
 
 import (
