@@ -1,8 +1,8 @@
 package dist
 
 import (
-	"cmp"
 	"slices"
+	"sort"
 	"time"
 
 	"repro/internal/qos"
@@ -41,17 +41,25 @@ type holdTable struct {
 	tombs    []tombstone
 }
 
-// holdOrder is the table's order: by owner, then position.
-func holdOrder(a, b hold) int {
-	if c := cmp.Compare(a.owner, b.owner); c != 0 {
-		return c
-	}
-	return cmp.Compare(a.pos, b.pos)
+// before reports whether h sorts before (owner, pos) in the table's
+// order: by owner, then position.
+func (h *hold) before(owner int64, pos int) bool {
+	return h.owner < owner || h.owner == owner && h.pos < pos
 }
 
 // find returns where (owner, pos) is, or where it would be inserted.
+// Request IDs only grow, so the key is nearly always at or next to the
+// tail: the search gallops back from the tail in doubling steps, then
+// bisects the last step, O(log d) for a key d holds from the end.
 func (t *holdTable) find(owner int64, pos int) (int, bool) {
-	return slices.BinarySearchFunc(t.holds, hold{owner: owner, pos: pos}, holdOrder)
+	hi, step := len(t.holds), 1 // every hold from hi on sorts at or after the key
+	lo := hi - 1
+	for lo >= 0 && !t.holds[lo].before(owner, pos) {
+		hi, lo, step = lo, lo-step, 2*step
+	}
+	lo = max(lo+1, 0) // holds[lo-1], if any, sorts before the key
+	lo += sort.Search(hi-lo, func(i int) bool { return !t.holds[lo+i].before(owner, pos) })
+	return lo, lo < len(t.holds) && t.holds[lo].owner == owner && t.holds[lo].pos == pos
 }
 
 // span returns the bounds of owner's run of holds (positions start at 0).
@@ -62,16 +70,16 @@ func (t *holdTable) span(owner int64) (lo, hi int) {
 	return lo, hi
 }
 
-// available returns this node's precise local availability.
-func (n *node) available() qos.Resources {
-	n.purgeHolds()
+// available returns this node's precise local availability at now.
+func (n *node) available(now time.Time) qos.Resources {
+	n.purgeHolds(now)
 	return n.capacity.Sub(n.committed).Sub(n.heldTotal)
 }
 
 // availableFor credits back the owner's own holds (the request must not
 // block on its own reservations).
-func (n *node) availableFor(owner int64) qos.Resources {
-	avail := n.available()
+func (n *node) availableFor(owner int64, now time.Time) qos.Resources {
+	avail := n.available(now)
 	lo, hi := n.span(owner)
 	for i := lo; i < hi; i++ {
 		avail = avail.Add(n.holds[i].amount)
@@ -79,14 +87,13 @@ func (n *node) availableFor(owner int64) qos.Resources {
 	return avail
 }
 
-// purgeHolds drops expired transient allocations and tombstones,
-// returning how many holds expired. While nothing can have expired it
-// costs one clock read and two comparisons.
-func (n *node) purgeHolds() int {
+// purgeHolds drops the transient allocations and tombstones expired at
+// now, returning how many holds expired. While nothing can have expired
+// it costs two comparisons.
+func (n *node) purgeHolds(now time.Time) int {
 	if len(n.holds) == 0 && len(n.tombs) == 0 {
 		return 0
 	}
-	now := n.c.clock.Now()
 	dead := 0
 	for dead < len(n.tombs) && !n.tombs[dead].expires.After(now) {
 		dead++
@@ -112,17 +119,15 @@ func (n *node) purgeHolds() int {
 	return expired
 }
 
-// holdFor places the transient allocation for (owner, pos); idempotent
-// per key (footnote 7).
-func (n *node) holdFor(owner int64, pos int, amount qos.Resources) bool {
-	if _, ok := n.find(owner, pos); ok {
-		return true
+// holdFor places the transient allocation for (owner, pos) at now;
+// idempotent per key (footnote 7).
+func (n *node) holdFor(owner int64, pos int, amount qos.Resources, now time.Time) bool {
+	n.purgeHolds(now)
+	at, ok := n.find(owner, pos)
+	if ok || !n.capacity.Sub(n.committed).Sub(n.heldTotal).Covers(amount) {
+		return ok
 	}
-	if !n.available().Covers(amount) {
-		return false
-	}
-	at, _ := n.find(owner, pos) // the purge above may have moved it
-	h := hold{owner: owner, pos: pos, amount: amount, expires: n.c.clock.Now().Add(n.c.cfg.HoldTTL)}
+	h := hold{owner: owner, pos: pos, amount: amount, expires: now.Add(n.c.cfg.HoldTTL)}
 	if len(n.holds) == 0 || h.expires.Before(n.earliest) {
 		n.earliest = h.expires
 	}
@@ -145,12 +150,9 @@ func (n *node) releaseHolds(owner int64) {
 	n.c.tracer.HoldReleased(owner, n.id)
 }
 
-// tombstoned reports whether owner was released less than a HoldTTL ago.
-func (n *node) tombstoned(owner int64) bool {
-	if len(n.tombs) == 0 {
-		return false
-	}
-	now := n.c.clock.Now()
+// tombstoned reports whether owner was released less than a HoldTTL
+// before now.
+func (n *node) tombstoned(owner int64, now time.Time) bool {
 	for i := len(n.tombs) - 1; i >= 0 && n.tombs[i].expires.After(now); i-- {
 		if n.tombs[i].owner == owner {
 			return true

@@ -1,6 +1,7 @@
 package dist
 
 import (
+	"cmp"
 	"fmt"
 	"math/rand"
 	"slices"
@@ -110,6 +111,14 @@ func (r *refHolds) holdSum() qos.Resources {
 	return sum
 }
 
+// holdOrder is the table's order: by owner, then position.
+func holdOrder(a, b hold) int {
+	if c := cmp.Compare(a.owner, b.owner); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.pos, b.pos)
+}
+
 // exact prints a resource vector with every bit showing.
 func exact(r qos.Resources) string { return fmt.Sprintf("(%.17g, %.17g)", r.CPU, r.Memory) }
 
@@ -148,16 +157,17 @@ func orderSensitiveHolds() []holdOp {
 }
 
 // randomHolds draws a sequence shaped like a node's life: owners grow,
-// the last few interleave, positions repeat (re-holds), some holds do not
-// fit, time passes in steps short and long against the TTL.
-func randomHolds(rng *rand.Rand, ttl time.Duration, n int) []holdOp {
+// an owner lags the newest by less than lag, positions repeat (re-holds),
+// some holds do not fit, time passes in steps short and long against the
+// TTL.
+func randomHolds(rng *rand.Rand, ttl time.Duration, n int, lag int64) []holdOp {
 	ops := make([]holdOp, 0, n)
 	newest := int64(1)
 	for len(ops) < n {
 		if rng.Intn(4) == 0 {
 			newest++
 		}
-		owner := newest - int64(rng.Intn(int(min(newest, 6))))
+		owner := newest - int64(rng.Intn(int(min(newest, lag))))
 		switch r := rng.Intn(20); {
 		case r < 13:
 			ops = append(ops, holdOp{kind: 'h', owner: owner, pos: rng.Intn(5),
@@ -179,7 +189,12 @@ func randomHolds(rng *rand.Rand, ttl time.Duration, n int) []holdOp {
 func TestHoldAccountingDeterministic(t *testing.T) {
 	inputs := map[string][]holdOp{"order-sensitive amounts": orderSensitiveHolds()}
 	for seed := int64(1); seed <= 40; seed++ {
-		inputs["seed "+strconv.FormatInt(seed, 10)] = randomHolds(rand.New(rand.NewSource(seed)), DefaultConfig().HoldTTL, 400)
+		inputs["seed "+strconv.FormatInt(seed, 10)] = randomHolds(rand.New(rand.NewSource(seed)), DefaultConfig().HoldTTL, 400, 6)
+	}
+	// Owners up to 64 behind the newest: their keys lie far from the
+	// tail, so the lookup gallops past several holds before it bisects.
+	for seed := int64(1); seed <= 10; seed++ {
+		inputs["old owners, seed "+strconv.FormatInt(seed, 10)] = randomHolds(rand.New(rand.NewSource(seed)), DefaultConfig().HoldTTL, 400, 64)
 	}
 	for name, ops := range inputs {
 		clk := clock.NewVirtual()
@@ -197,7 +212,7 @@ func TestHoldAccountingDeterministic(t *testing.T) {
 		for i, op := range ops {
 			switch op.kind {
 			case 'h':
-				got, want := n.holdFor(op.owner, op.pos, op.amount), ref.holdFor(clk.Now(), op.owner, op.pos, op.amount)
+				got, want := n.holdFor(op.owner, op.pos, op.amount, clk.Now()), ref.holdFor(clk.Now(), op.owner, op.pos, op.amount)
 				if got != want {
 					t.Fatalf("%s, op %d: holdFor(%d, %d) = %v, reference %v", name, i, op.owner, op.pos, got, want)
 				}
@@ -206,7 +221,7 @@ func TestHoldAccountingDeterministic(t *testing.T) {
 				ref.release(op.owner)
 			case 'p':
 				clk.Advance(op.wait)
-				if got, want := n.purgeHolds(), ref.purge(clk.Now()); got != want {
+				if got, want := n.purgeHolds(clk.Now()), ref.purge(clk.Now()); got != want {
 					t.Fatalf("%s, op %d: purge expired %d holds, reference %d", name, i, got, want)
 				}
 			}
@@ -216,7 +231,7 @@ func TestHoldAccountingDeterministic(t *testing.T) {
 					exact(acc.HeldTotal), exact(acc.HoldSum), acc.Holds, exact(ref.heldTotal), exact(ref.holdSum()), len(ref.holds))
 			}
 			for owner := op.owner - 2; owner <= op.owner+1; owner++ {
-				if got, want := n.availableFor(owner), ref.availableFor(clk.Now(), owner); got != want {
+				if got, want := n.availableFor(owner, clk.Now()), ref.availableFor(clk.Now(), owner); got != want {
 					t.Fatalf("%s, op %d (%c): availableFor(%d) = %s, reference %s", name, i, op.kind, owner, exact(got), exact(want))
 				}
 			}

@@ -44,10 +44,12 @@ type node struct {
 
 	kern *core.Kernel // selection, stacking and Eq. 1 scratch
 	// Scratch of the return being evaluated: its per-edge routes, its
-	// assignment by position and the availability each hop carried back.
+	// assignment by position, and by hop the availability carried back
+	// and the host.
 	routes []overlay.Route
 	assign []component.ComponentID
 	avails []qos.Resources
+	hosts  []int
 }
 
 func newNode(c *Cluster, id int) *node {
@@ -128,7 +130,7 @@ func (n *node) step(m *message) bool {
 // at TTL instead of lingering until the next on-demand availability
 // check. Release tombstones age out on the same pass.
 func (n *node) sweep() {
-	if expired := n.purgeHolds(); expired > 0 {
+	if expired := n.purgeHolds(n.c.clock.Now()); expired > 0 {
 		n.c.tracer.HoldSwept(n.id, expired)
 		n.c.ins.holdsSwept.Add(int64(expired))
 	}
@@ -229,7 +231,7 @@ func (n *node) dispatch(m *message) {
 	case msgState:
 		n.view[m.node] = m.amount
 	case msgInspect:
-		m.inspect <- n.available()
+		m.inspect <- n.available(n.c.clock.Now())
 	}
 }
 
@@ -248,7 +250,7 @@ func (n *node) dispatchDown(m *message) {
 	case msgRelease:
 		n.onRelease(m.reqID)
 	case msgInspect:
-		m.inspect <- n.available()
+		m.inspect <- n.available(n.c.clock.Now())
 	default:
 		// return/commit/ack/timeout/state traffic dies with the engine.
 	}
@@ -376,7 +378,8 @@ func (n *node) onProbe(msg *message) {
 		tr.CandidatePruned(req.ID, msg.probe, 0, gpos, n.id, obs.ReasonQoS)
 		return
 	}
-	if !n.availableFor(req.ID).Covers(req.ResReq[gpos]) {
+	now := n.c.clock.Now() // one reading serves the check, the hold and what the probe carries
+	if !n.availableFor(req.ID, now).Covers(req.ResReq[gpos]) {
 		tr.CandidatePruned(req.ID, msg.probe, 0, gpos, n.id, obs.ReasonResources)
 		return
 	}
@@ -384,7 +387,7 @@ func (n *node) onProbe(msg *message) {
 		tr.CandidatePruned(req.ID, msg.probe, 0, gpos, n.id, obs.ReasonBandwidth)
 		return
 	}
-	if !n.holdFor(req.ID, gpos, req.ResReq[gpos]) {
+	if !n.holdFor(req.ID, gpos, req.ResReq[gpos], now) {
 		tr.CandidatePruned(req.ID, msg.probe, 0, gpos, n.id, obs.ReasonHoldNode)
 		return
 	}
@@ -393,9 +396,10 @@ func (n *node) onProbe(msg *message) {
 	// The probe carries the precise state it saw here (§3.3 step 3) from
 	// the request's own perspective: holds of this request — this probe's
 	// and its siblings' — are credited back, so the deputy subtracts the
-	// request's stacked demand from it exactly once.
+	// request's stacked demand from it exactly once. It is read after the
+	// hold, not reused from before it: the two differ in the last bit.
 	hop := msg.rq.newHop()
-	*hop = hopRecord{parent: msg.hop, chosen: msg.chosen, avail: n.availableFor(req.ID), acc: acc}
+	*hop = hopRecord{parent: msg.hop, chosen: msg.chosen, avail: n.availableFor(req.ID, now), acc: acc}
 
 	if msg.idx == len(plan.Order)-1 {
 		ret := message{kind: msgReturn, reqID: req.ID, hop: hop}
@@ -422,16 +426,7 @@ func (n *node) onDecide(reqID int64) {
 	}
 	n.c.ins.collectMs.Observe(float64(n.c.clock.Since(p.composeStart)) / float64(time.Millisecond))
 
-	var (
-		best    *hopRecord
-		bestPhi float64
-	)
-	for _, ret := range p.returns {
-		phi, ok := n.evaluateReturn(p, ret)
-		if ok && (best == nil || phi < bestPhi) {
-			best, bestPhi = ret, phi
-		}
-	}
+	best, bestPhi := n.decide(p)
 	clear(p.returns) // the spare must not keep this request's records alive
 	n.spare, p.returns = p.returns[:0], nil
 	if best == nil {
@@ -441,8 +436,8 @@ func (n *node) onDecide(reqID int64) {
 	n.c.tracer.Decided(reqID, n.id, "")
 
 	// Commit phase: bandwidth first (atomic all-or-nothing), then the
-	// per-node resource confirmations. The winner passed evaluateReturn,
-	// so its prefix unrolls and its edges are routable.
+	// per-node resource confirmations. The winner was scored, so its
+	// prefix unrolls and its edges are routable.
 	n.unroll(&p.plan, best)
 	comps := slices.Clone(n.assign)
 	nodes, _, _ := n.stack(&p.req, comps)
@@ -490,21 +485,60 @@ func (n *node) startCommit(reqID int64, p *request) {
 	})
 }
 
+// decide picks, among the returns collected for p, the qualified
+// composition with minimal phi (§3.3 step 3); nil when none qualifies.
+// Once there is an incumbent, a return is bounded before it is stacked
+// or scored, and skipped when its node terms alone lose to the incumbent:
+// most returns do, and the decision is the one scoring them all makes.
+func (n *node) decide(p *request) (best *hopRecord, bestPhi float64) {
+	for _, ret := range p.returns {
+		if ret.acc.MaxRatio(p.req.QoSReq) > 1 || !n.unroll(&p.plan, ret) {
+			continue
+		}
+		if best != nil && core.BoundExceeds(core.PhiSum, &p.req, n.bound(p), bestPhi) {
+			continue
+		}
+		if phi, ok := n.score(p); ok && (best == nil || phi < bestPhi) {
+			best, bestPhi = ret, phi
+		}
+	}
+	return best, bestPhi
+}
+
 // unroll writes a returned probe's hops into the node's scratch — the
-// assignment by graph position, the carried availabilities by hop —
-// reporting false when the chain is not one record per position.
+// assignment by graph position, the carried availabilities and the hosts
+// by hop — reporting false when the chain is not one record per position.
 func (n *node) unroll(plan *component.Plan, last *hopRecord) bool {
 	k := len(plan.Order)
 	n.assign = slices.Grow(n.assign[:0], k)[:k]
 	n.avails = slices.Grow(n.avails[:0], k)[:k]
+	n.hosts = slices.Grow(n.hosts[:0], k)[:k]
 	for i := k - 1; i >= 0; i, last = i-1, last.parent {
 		if last == nil {
 			return false
 		}
 		n.assign[plan.Order[i]] = last.chosen
 		n.avails[i] = last.avail
+		n.hosts[i] = n.c.catalog.Component(last.chosen).Node
 	}
 	return last == nil
+}
+
+// bound joins the Eq. 1 node terms of the return last unrolled into a
+// lower bound of its phi (DESIGN.md §20). Each is taken against its host's
+// latest snapshot, the availability score hands Score; Score charges it
+// against the residual left after stacking, which can only be smaller,
+// and adds link terms, which are never negative.
+func (n *node) bound(p *request) float64 {
+	bound := 0.0
+	for i, gpos := range p.plan.Order {
+		j := len(n.hosts) - 1
+		for n.hosts[j] != n.hosts[i] {
+			j--
+		}
+		bound = core.BoundJoin(core.PhiSum, bound, core.BoundNode(p.req.ResReq[gpos], n.avails[j]))
+	}
+	return bound
 }
 
 // stack resolves an assignment's virtual links and stacks the request's
@@ -520,24 +554,20 @@ func (n *node) stack(req *component.Request, assign []component.ComponentID) ([]
 	return nodes, links, true
 }
 
-// evaluateReturn checks a returned composition against the constraints
-// (Eqs. 3-5) and scores it with Eq. 1 in the kernel. This engine supplies
-// the precise state: per node the availability the probe carried back —
-// the latest snapshot when the composition visits a host twice — and per
-// overlay link what the link ledger has now.
-func (n *node) evaluateReturn(p *request, ret *hopRecord) (float64, bool) {
+// score checks the return last unrolled against the resource
+// constraints (Eqs. 4-5) and scores it with Eq. 1 in the kernel. This
+// engine supplies the precise state: per node the availability the probe
+// carried back — the latest snapshot when the composition visits a host
+// twice — and per overlay link what the link ledger has now.
+func (n *node) score(p *request) (float64, bool) {
 	req := &p.req
-	if ret.acc.MaxRatio(req.QoSReq) > 1 || !n.unroll(&p.plan, ret) {
-		return 0, false
-	}
 	nodes, links, ok := n.stack(req, n.assign)
 	if !ok {
 		return 0, false
 	}
-	for i, gpos := range p.plan.Order {
-		host := n.c.catalog.Component(n.assign[gpos]).Node
+	for i := range n.hosts {
 		for j := range nodes {
-			if nodes[j].Node == host {
+			if nodes[j].Node == n.hosts[i] {
 				nodes[j].Avail = n.avails[i]
 				break
 			}
@@ -559,7 +589,7 @@ func (n *node) onCommit(owner int64, amount qos.Resources, deputy int) {
 	ok := false
 	if _, dup := n.commits[owner]; dup {
 		ok = true
-	} else if !n.tombstoned(owner) && n.available().Covers(amount) {
+	} else if now := n.c.clock.Now(); !n.tombstoned(owner, now) && n.available(now).Covers(amount) {
 		n.commits[owner] = amount
 		n.committed = n.committed.Add(amount)
 		ok = true

@@ -33,6 +33,8 @@ type stepped struct {
 	cluster *Cluster
 	clk     *clock.Virtual
 	probes  int // probe messages stepped since the last reset
+	// before, when set, sees the cluster and the node about to step.
+	before func(c *Cluster, node int)
 }
 
 // steppedConfig is the dist_stepped substrate of the repo benchmark.
@@ -62,6 +64,9 @@ func (s *stepped) step() bool {
 	for id := 0; id < s.cluster.NumNodes(); id++ {
 		if s.cluster.MailboxDepth(id) == 0 {
 			continue
+		}
+		if s.before != nil {
+			s.before(s.cluster, id)
 		}
 		desc, _ := s.cluster.StepNode(id)
 		if strings.HasPrefix(desc, "probe ") {
