@@ -36,7 +36,11 @@ func newSteppedCycler(t testing.TB, ring int, tr *obs.Tracer) *steppedCycler {
 		t.Fatal(err)
 	}
 	cy := &steppedCycler{s: &stepped{t: t, cluster: c, clk: clk}, rng: rand.New(rand.NewSource(7))}
-	for len(cy.live) < ring {
+	// An engine that refuses every request must fail here, not hang.
+	for tries := 0; len(cy.live) < ring; tries++ {
+		if tries == 4*ring {
+			t.Fatalf("filling a ring of %d sessions: %d admitted in %d requests", ring, len(cy.live), tries)
+		}
 		req := steppedRequest(cy.rng, c.cfg, 0.3)
 		if comp := cy.s.compose(req); comp != nil {
 			cy.live = append(cy.live, steppedSession{req, comp})

@@ -108,7 +108,6 @@ type NodeAccounting struct {
 	Tombstones int
 	// Pending counts requests this node deputies that are unresolved.
 	Pending int
-	Down    bool
 }
 
 // NodeAccountingAt snapshots node id's ledger. Unstarted clusters only.
@@ -122,7 +121,6 @@ func (c *Cluster) NodeAccountingAt(id int) NodeAccounting {
 		Commits:    maps.Clone(n.commits),
 		Tombstones: len(n.tombs),
 		Pending:    len(n.pending),
-		Down:       n.down,
 	}
 	for i := range n.holds {
 		acc.HoldSum = acc.HoldSum.Add(n.holds[i].amount)
@@ -140,6 +138,16 @@ func (c *Cluster) LinkAvailability() (avail, capacity []float64) {
 		capacity[i] = c.links.LinkCapacity(i)
 	}
 	return avail, capacity
+}
+
+// LinkCommitted snapshots every overlay link's committed bandwidth,
+// transient holds not counted, indexed by link ID.
+func (c *Cluster) LinkCommitted() []float64 {
+	used := make([]float64, c.links.NumLinks())
+	for i := range used {
+		used[i] = c.links.LinkCapacity(i) - c.links.LinkCommittedAvailable(i)
+	}
+	return used
 }
 
 // Mesh exposes the overlay substrate so a model-based oracle can run

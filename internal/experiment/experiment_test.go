@@ -12,6 +12,8 @@ import (
 	"repro/internal/core"
 	"repro/internal/discovery"
 	"repro/internal/faults"
+	"repro/internal/harness"
+	"repro/internal/qos"
 	"repro/internal/substrate"
 	"repro/internal/trace"
 	"repro/internal/tuning"
@@ -547,11 +549,13 @@ search:
 // TestNoCommitOnADownNode holds the crash window closed on
 // examples/failover's setup (1600 IP nodes, 60 requests/min for 40
 // minutes, 5-minute repairs) over seeds 1–10, at 1 and 5 crashes per
-// minute, with and without recomposition. After every event of the run,
-// no node the run's injector reports down holds committed resources: no
-// commit lands on a down node, and no live session sits on one. A
-// confirmation landing inside a crash window once committed onto the
-// crashed node, whose crash had already fired.
+// minute, with and without recomposition. After every event of the run
+// no node the outages in force have down holds committed resources,
+// and the nodes' books pass harness.Audit with those nodes down: no
+// node's committed use leaves [0, capacity], and no node gains
+// committed use while it stays down. A confirmation
+// landing inside a crash window once committed onto the crashed node,
+// whose crash had already fired.
 func TestNoCommitOnADownNode(t *testing.T) {
 	if testing.Short() {
 		t.Skip("forty 40-minute runs on the failover platform")
@@ -570,8 +574,8 @@ func TestNoCommitOnADownNode(t *testing.T) {
 					rc := DefaultRunConfig(60)
 					rc.Seed, rc.Duration = seed, 40*time.Minute
 					rc.FailuresPerMinute, rc.RepairTime, rc.RecomposeOnFailure = perMinute, 5*time.Minute, recompose
-					if at, node := downNodeCommit(t, p, rc.withDefaults()); node >= 0 {
-						t.Fatalf("seed %d: at %v down node %d holds committed resources", seed, at, node)
+					if err := auditEvents(t, p, rc.withDefaults()); err != nil {
+						t.Fatalf("seed %d: %v", seed, err)
 					}
 				}
 			})
@@ -579,11 +583,9 @@ func TestNoCommitOnADownNode(t *testing.T) {
 	}
 }
 
-// downNodeCommit runs cfg on p with the crash schedule Run draws for it,
-// one event at a time, and returns the first instant after an event at
-// which a node the injector reports down holds committed resources, and
-// that node; -1 when none ever does.
-func downNodeCommit(t *testing.T, p *Platform, cfg RunConfig) (time.Duration, int) {
+// auditEvents runs cfg on p with the crash schedule Run draws for it,
+// one event at a time, and returns the first audit error after an event.
+func auditEvents(t *testing.T, p *Platform, cfg RunConfig) error {
 	t.Helper()
 	crashes := faults.PoissonCrashes(cfg.Seed*1_000_003+5, p.Mesh.NumNodes(),
 		cfg.FailuresPerMinute, cfg.Duration, cfg.RepairTime)
@@ -597,14 +599,25 @@ func downNodeCommit(t *testing.T, p *Platform, cfg RunConfig) (time.Duration, in
 	if len(crashes) == 0 {
 		t.Fatalf("seed %d: no crash scheduled", cfg.Seed)
 	}
-	// Every component demands at least 6 CPU, so a deficit of 1e-6 is a
-	// session; below it, rounding left by releases. The schedule is in
-	// crash order and every outage lasts RepairTime, so the outages in
-	// force are a window of it.
+	// Two books take turns as the current and the previous audit point.
+	// The schedule is in crash order and every outage lasts RepairTime,
+	// so the outages in force are a window of it.
+	var books [2]harness.Books
+	for i := range books {
+		n := r.ledger.NumNodes()
+		books[i] = harness.Books{NodeCap: make([]qos.Resources, n), NodeUsed: make([]qos.Resources, n), Down: make([]bool, n)}
+	}
+	var prev *harness.Books
 	first := 0
-	for end := r.clock.Now().Add(cfg.Duration); r.clock.Now().Before(end); {
+	for i, end := 0, r.clock.Now().Add(cfg.Duration); r.clock.Now().Before(end); i++ {
 		if _, ok := r.clock.AdvanceToNext(); !ok {
 			break
+		}
+		b := &books[i%2]
+		for id := range b.NodeCap {
+			b.NodeCap[id] = r.ledger.NodeCapacity(id)
+			b.NodeUsed[id] = b.NodeCap[id].Sub(r.ledger.NodeCommittedAvailable(id))
+			b.Down[id] = false
 		}
 		now := r.now()
 		for first < len(crashes) && crashes[first].At+crashes[first].Downtime <= now {
@@ -614,11 +627,19 @@ func downNodeCommit(t *testing.T, p *Platform, cfg RunConfig) (time.Duration, in
 			if cr.At > now {
 				break
 			}
-			n := cr.Node
-			if r.outages.Down(n) && r.ledger.NodeCapacity(n).CPU-r.ledger.NodeCommittedAvailable(n).CPU > 1e-6 {
-				return now, n
+			b.Down[cr.Node] = true
+			// This engine releases a crashed node's sessions at the
+			// crash, so a down node holds nothing, not merely nothing
+			// new. Every component demands at least 6 CPU: a deficit of
+			// 1e-6 is a session, below it rounding left by releases.
+			if used := b.NodeUsed[cr.Node]; used.CPU > 1e-6 {
+				return fmt.Errorf("at %v: down node %d holds committed resources %v", now, cr.Node, used)
 			}
 		}
+		if err := harness.Audit(prev, b); err != nil {
+			return fmt.Errorf("at %v: %w", now, err)
+		}
+		prev = b
 	}
 	if r.runErr != nil {
 		t.Fatal(r.runErr)
@@ -626,5 +647,5 @@ func downNodeCommit(t *testing.T, p *Platform, cfg RunConfig) (time.Duration, in
 	if r.phiCount == 0 {
 		t.Fatalf("seed %d committed no session", cfg.Seed)
 	}
-	return 0, -1
+	return nil
 }

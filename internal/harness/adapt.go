@@ -2,7 +2,6 @@ package harness
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
 	"slices"
 	"time"
@@ -275,13 +274,9 @@ func RunAdaptScenario(sc AdaptScenarioConfig) (*AdaptReport, error) {
 	if got := c.ActiveSessions(); got != 0 {
 		return fail(fmt.Errorf("teardown left %d sessions", got))
 	}
-	// Full resource recovery: every node back to pristine capacity
-	// (within float accumulation error of the release arithmetic).
-	for n := 0; n < c.NumNodes(); n++ {
-		got, want := c.NodeResidual(n), c.NodeCapacity(n)
-		if math.Abs(got.CPU-want.CPU) > 1e-6 || math.Abs(got.Memory-want.Memory) > 1e-6 {
-			return fail(fmt.Errorf("node %d residual %v after teardown, want %v", n, got, want))
-		}
+	// Full resource recovery: the books pristine.
+	if err := Audit(nil, runtimeBooks(c)); err != nil {
+		return fail(fmt.Errorf("after teardown: %w", err))
 	}
 
 	fillAdaptReport(rep, reg)

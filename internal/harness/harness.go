@@ -29,6 +29,7 @@ import (
 	"time"
 
 	"repro/internal/dist"
+	"repro/internal/faults"
 	"repro/internal/harness/clock"
 )
 
@@ -39,7 +40,8 @@ type Sim struct {
 
 	cfg      dist.Config
 	rng      *rand.Rand
-	auditor  *Auditor
+	outages  *faults.Injector // the crash schedule on Clock; nil without crashes
+	books    *Books           // the last audit point's
 	steps    int
 	maxSteps int
 	log      []string
@@ -68,7 +70,13 @@ func NewSim(cfg dist.Config, schedSeed int64) (*Sim, error) {
 		rng:      rand.New(rand.NewSource(mix(schedSeed))),
 		maxSteps: maxStepsDefault,
 	}
-	s.auditor = NewAuditor(cluster, cfg)
+	if cfg.Faults != nil {
+		// The cluster's own injector is private; this one reads the same
+		// schedule on the same clock from the same instant.
+		if s.outages, err = faults.New(faults.Config{Crashes: cfg.Faults.Crashes, Clock: vc}); err != nil {
+			return nil, err
+		}
+	}
 	return s, nil
 }
 
@@ -80,15 +88,6 @@ func mix(seed int64) int64 {
 	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
 	return int64(z ^ (z >> 31))
 }
-
-// Steps reports how many messages have been dispatched so far.
-func (s *Sim) Steps() int { return s.steps }
-
-// Log returns the step log accumulated so far.
-func (s *Sim) Log() []string { return s.log }
-
-// Auditor exposes the invariant auditor for quiescent-state checks.
-func (s *Sim) Auditor() *Auditor { return s.auditor }
 
 func (s *Sim) logf(format string, args ...interface{}) {
 	s.log = append(s.log, fmt.Sprintf(format, args...))
@@ -111,7 +110,7 @@ func (s *Sim) step() (bool, error) {
 	desc, _ := s.Cluster.StepNode(id)
 	s.steps++
 	s.logf("step %d: node=%d %s", s.steps, id, desc)
-	if err := s.auditor.CheckStep(); err != nil {
+	if err := s.audit(nil); err != nil {
 		return true, fmt.Errorf("after step %d (node %d, %s): %w", s.steps, id, desc, err)
 	}
 	return true, nil
@@ -138,7 +137,7 @@ func (s *Sim) RunToQuiescence() error {
 			return nil
 		}
 		s.logf("advance %v (t=%v)", d, s.Clock.Now().Sub(time.Unix(0, 0)))
-		if err := s.auditor.CheckStep(); err != nil {
+		if err := s.audit(nil); err != nil {
 			return fmt.Errorf("after advancing %v: %w", d, err)
 		}
 	}

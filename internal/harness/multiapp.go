@@ -206,10 +206,11 @@ func phiModeFor(f workload.Family) core.PhiMode {
 // to end and audits, at every virtual-clock tick:
 //
 //   - the ledger's conservation invariants (Eqs. 4-5);
-//   - cross-tenant conservation: every node's and link's consumed
-//     capacity equals the sum of live sessions' committed demands plus
-//     injected outage load — tenants can crowd each other out but never
-//     mint or leak capacity;
+//   - the books (Audit): every node's and link's consumed capacity
+//     equals the sum of live sessions' committed demands, derived here
+//     from each admission's placement, plus injected outage load —
+//     tenants can crowd each other out but never mint or leak capacity —
+//     and a blacked-out node admits nothing;
 //   - quota-never-exceeded: the runtime's per-tenant usage equals the
 //     harness's independent books and respects every configured limit;
 //   - fairness-index bounds: the weighted Jain index over live CPU
@@ -217,7 +218,8 @@ func phiModeFor(f workload.Family) core.PhiMode {
 //
 // With cfg.Oracle, every admission decision is additionally replayed
 // through the exhaustive reference composer (admission, phi, and quota
-// parity). At teardown it verifies full per-class resource recovery.
+// parity). At teardown the last audit, with no session and no blackout
+// left, is the full per-class recovery check.
 func RunMultiAppScenario(cfg MultiAppConfig) (*MultiAppReport, error) {
 	if cfg.Family == 0 {
 		cfg.Family = workload.FamilyFlashCrowd
@@ -301,14 +303,14 @@ func RunMultiAppScenario(cfg MultiAppConfig) (*MultiAppReport, error) {
 	}
 
 	// Outage windows in tick units; each crashed node's blackout is an
-	// injected load that pins its residual to zero for the window.
+	// injected load of its residual at the start, and the audit counts
+	// the node down for the window.
 	type blackout struct {
-		node            int
-		owner           int64
-		start, end      int
-		active          bool
-		load            qos.Resources
-		oracleCommitted bool
+		node       int
+		owner      int64
+		start, end int
+		active     bool
+		load       qos.Resources
 	}
 	var blackouts []blackout
 	for i, cr := range plan.Outages {
@@ -471,7 +473,10 @@ func RunMultiAppScenario(cfg MultiAppConfig) (*MultiAppReport, error) {
 		return nil
 	}
 
-	// audit runs the per-tick invariant battery.
+	// audit runs the per-tick checks: the books against the live
+	// sessions' footprint plus blackout load, with the blackouts as the
+	// nodes down; then the quota books and the fairness bounds.
+	var books *Books
 	audit := func(tick int) error {
 		if err := c.CheckInvariants(); err != nil {
 			return fmt.Errorf("tick %d: %w", tick, err)
@@ -482,43 +487,28 @@ func RunMultiAppScenario(cfg MultiAppConfig) (*MultiAppReport, error) {
 			}
 		}
 
-		// Cross-tenant conservation, Eq. 4 shape: per node, consumed
-		// capacity == sum of live sessions' demands + injected outage
-		// load. Per link the same with bandwidth.
-		nodeWant := make([]qos.Resources, sys.OverlayNodes)
-		linkWant := make([]float64, c.NumLinks())
+		b := runtimeBooks(c)
 		for _, s := range live {
 			for n, d := range s.nodeDemand {
-				nodeWant[n].CPU += d.CPU
-				nodeWant[n].Memory += d.Memory
+				b.NodeWant[n] = b.NodeWant[n].Add(d)
 			}
 			for l, bw := range s.linkDemand {
-				linkWant[l] += bw
+				b.LinkWant[l] += bw
 			}
 		}
-		for i := range blackouts {
-			if blackouts[i].active {
-				b := blackouts[i]
-				nodeWant[b.node].CPU += b.load.CPU
-				nodeWant[b.node].Memory += b.load.Memory
+		if len(blackouts) > 0 {
+			b.Down = make([]bool, len(b.NodeCap))
+		}
+		for _, bo := range blackouts {
+			if bo.active {
+				b.NodeWant[bo.node] = b.NodeWant[bo.node].Add(bo.load)
+				b.Down[bo.node] = true
 			}
 		}
-		for n := 0; n < sys.OverlayNodes; n++ {
-			capn := c.NodeCapacity(n)
-			res := c.NodeResidual(n)
-			if math.Abs(capn.CPU-res.CPU-nodeWant[n].CPU) > 1e-6 ||
-				math.Abs(capn.Memory-res.Memory-nodeWant[n].Memory) > 1e-6 {
-				return fmt.Errorf("tick %d: node %d conservation broken: capacity %+v residual %+v, live demand %+v",
-					tick, n, capn, res, nodeWant[n])
-			}
+		if err := Audit(books, b); err != nil {
+			return fmt.Errorf("tick %d: %w", tick, err)
 		}
-		for l := 0; l < c.NumLinks(); l++ {
-			capl := c.Mesh().Link(l).Capacity
-			if math.Abs(capl-c.LinkResidual(l)-linkWant[l]) > 1e-6 {
-				return fmt.Errorf("tick %d: link %d conservation broken: capacity %v residual %v, live demand %v",
-					tick, l, capl, c.LinkResidual(l), linkWant[l])
-			}
-		}
+		books = b
 
 		// Quota-never-exceeded and usage parity with the shadow books.
 		shares := make([]float64, cfg.Tenants)
@@ -580,7 +570,7 @@ func RunMultiAppScenario(cfg MultiAppConfig) (*MultiAppReport, error) {
 			b := &blackouts[i]
 			if b.active && b.end <= tick {
 				c.ReleaseLoad(b.owner)
-				if oracle != nil && b.oracleCommitted {
+				if oracle != nil {
 					oracle.ledger.ReleaseSession(state.Owner(b.owner))
 				}
 				b.active = false
@@ -600,7 +590,6 @@ func RunMultiAppScenario(cfg MultiAppConfig) (*MultiAppReport, error) {
 					if err := oracle.ledger.CommitShares(state.Owner(b.owner), pin, nil); err != nil {
 						return fail(fmt.Errorf("tick %d: oracle blackout node %d: %w", tick, b.node, err))
 					}
-					b.oracleCommitted = true
 				}
 				b.active = true
 				logf("tick %d: zone outage pins node %d (%+v)", tick, b.node, avail)
@@ -632,15 +621,15 @@ func RunMultiAppScenario(cfg MultiAppConfig) (*MultiAppReport, error) {
 		}
 	}
 
-	// Teardown: end every outage, close every session, verify full
-	// per-class recovery.
+	// Teardown: end every outage, close every session, audit the
+	// pristine books.
 	for i := range blackouts {
 		b := &blackouts[i]
 		if !b.active {
 			continue
 		}
 		c.ReleaseLoad(b.owner)
-		if oracle != nil && b.oracleCommitted {
+		if oracle != nil {
 			oracle.ledger.ReleaseSession(state.Owner(b.owner))
 		}
 		b.active = false
@@ -657,18 +646,6 @@ func RunMultiAppScenario(cfg MultiAppConfig) (*MultiAppReport, error) {
 	}
 	if got := c.ActiveSessions(); got != 0 {
 		return fail(fmt.Errorf("teardown left %d sessions", got))
-	}
-	for n := 0; n < sys.OverlayNodes; n++ {
-		want := c.NodeCapacity(n)
-		got := c.NodeResidual(n)
-		if math.Abs(got.CPU-want.CPU) > 1e-6 || math.Abs(got.Memory-want.Memory) > 1e-6 {
-			return fail(fmt.Errorf("node %d residual %+v after teardown, want class capacity %+v", n, got, want))
-		}
-	}
-	for l := 0; l < c.NumLinks(); l++ {
-		if want := c.Mesh().Link(l).Capacity; math.Abs(c.LinkResidual(l)-want) > 1e-6 {
-			return fail(fmt.Errorf("link %d residual %v after teardown, want %v", l, c.LinkResidual(l), want))
-		}
 	}
 	for i := range plan.Tenants {
 		u := c.TenantUsageFor(plan.Tenants[i].Tenant)

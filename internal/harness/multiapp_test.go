@@ -36,9 +36,6 @@ func TestMultiAppScenarios(t *testing.T) {
 		return
 	}
 	n := seedCount(t, 3)
-	if n > 50 {
-		n = 50 // the exhaustive oracle replay bounds the nightly sweep
-	}
 	arrivals, admitted, quotaRejected := 0, 0, 0
 	perFamilyAdmitted := make(map[string]int)
 	for seed := int64(1); seed <= int64(n); seed++ {

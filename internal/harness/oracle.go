@@ -149,7 +149,3 @@ func (o *Oracle) Check(req *component.Request, owner int64, comp *dist.Compositi
 	}
 	return o.adopt(&r, comp.Components, comp.QoS, comp.Phi)
 }
-
-// Release tears the session down in the oracle ledger, mirroring the
-// dist-side release.
-func (o *Oracle) Release(owner int64) { o.composer.Release(owner) }

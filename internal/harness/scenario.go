@@ -92,8 +92,8 @@ func RunScenario(sc ScenarioConfig) (*Report, error) {
 	}
 	rep := &Report{Seed: sc.Seed, Requests: sc.Requests}
 	fail := func(err error) (*Report, error) {
-		rep.Steps = s.Steps()
-		rep.Log = s.Log()
+		rep.Steps = s.steps
+		rep.Log = s.log
 		return rep, err
 	}
 
@@ -150,7 +150,7 @@ func RunScenario(sc ScenarioConfig) (*Report, error) {
 				return fail(fmt.Errorf("seed %d: oracle: %w", sc.Seed, err))
 			}
 		}
-		if err := s.Auditor().CheckQuiescent(outcomes); err != nil {
+		if err := s.audit(outcomes); err != nil {
 			return fail(fmt.Errorf("seed %d: %w", sc.Seed, err))
 		}
 		// Randomly close some live sessions mid-run so commits and
@@ -177,11 +177,8 @@ func RunScenario(sc ScenarioConfig) (*Report, error) {
 	if err := s.Settle(); err != nil {
 		return fail(fmt.Errorf("seed %d: %w", sc.Seed, err))
 	}
-	if err := s.Auditor().CheckQuiescent(outcomes); err != nil {
+	if err := s.audit(outcomes); err != nil {
 		return fail(fmt.Errorf("seed %d: after teardown: %w", sc.Seed, err))
-	}
-	if err := s.Auditor().CheckIdle(); err != nil {
-		return fail(fmt.Errorf("seed %d: %w", sc.Seed, err))
 	}
 
 	// Release-tombstone idempotency: replaying every admitted session's
@@ -198,12 +195,12 @@ func RunScenario(sc ScenarioConfig) (*Report, error) {
 	if err := s.Settle(); err != nil {
 		return fail(fmt.Errorf("seed %d: settling duplicate releases: %w", sc.Seed, err))
 	}
-	if err := s.Auditor().CheckIdle(); err != nil {
+	if err := s.audit(outcomes); err != nil {
 		return fail(fmt.Errorf("seed %d: duplicate release was not idempotent: %w", sc.Seed, err))
 	}
 
-	rep.Steps = s.Steps()
-	rep.Log = s.Log()
+	rep.Steps = s.steps
+	rep.Log = s.log
 	return rep, nil
 }
 
@@ -225,7 +222,7 @@ func resolve(req *component.Request, h *dist.SimHandle) (SessionOutcome, error) 
 func releaseSession(s *Sim, oracle *Oracle, o *SessionOutcome) {
 	s.Cluster.Release(o.Req, o.Comp)
 	if oracle != nil {
-		oracle.Release(o.Owner)
+		oracle.composer.Release(o.Owner)
 	}
 	o.Released = true
 }

@@ -60,7 +60,7 @@ type hold[A any] struct {
 type account[A any] struct {
 	capacity  A
 	committed A
-	held      A
+	held      A // zeroed once holds is empty: subtracting each leaves ulps
 	holds     []hold[A]
 }
 
@@ -302,6 +302,9 @@ func (b *book[A, M]) expire(a *account[A], now time.Duration) {
 		}
 	}
 	a.holds = kept
+	if len(kept) == 0 {
+		a.held = *new(A)
+	}
 }
 
 // available is the precise local state a probe reads at the node (or
@@ -499,6 +502,9 @@ func (b *book[A, M]) release(owner Owner, tag, id int) {
 		if h.owner == owner && h.tag == tag {
 			a.held = b.m.sub(a.held, h.amount)
 			a.holds = append(a.holds[:i], a.holds[i+1:]...)
+			if len(a.holds) == 0 {
+				a.held = *new(A)
+			}
 			return
 		}
 	}
@@ -578,6 +584,7 @@ func (b *book[A, M]) releaseOwner(owner Owner) {
 		}
 		a.holds = kept
 		if len(kept) == 0 {
+			a.held = *new(A)
 			b.index.dropAt(i)
 		}
 	}

@@ -149,6 +149,42 @@ func TestReleaseOwner(t *testing.T) {
 	}
 }
 
+// TestReleasedHoldsLeaveNoResidue: holds of 0.1 and 0.2 sum to
+// 0.30000000000000004, and taking them back one by one leaves a one-ulp
+// held total unless the account is zeroed once its hold list is empty.
+// Each way a hold goes (release, owner release, expiry) must leave the
+// node's whole committed availability committable.
+func TestReleasedHoldsLeaveNoResidue(t *testing.T) {
+	ways := map[string]func(l *Ledger, clk *clock){
+		"release": func(l *Ledger, _ *clock) {
+			l.ReleaseNodeHold(1, 0, 2)
+			l.ReleaseNodeHold(2, 0, 2)
+		},
+		"owner": func(l *Ledger, _ *clock) {
+			l.ReleaseOwner(1)
+			l.ReleaseOwner(2)
+		},
+		"expiry": func(l *Ledger, clk *clock) {
+			clk.now = time.Minute
+			nodeAvailable(l, 2)
+		},
+	}
+	for name, release := range ways {
+		l, clk, _ := newTestLedger(t)
+		l.HoldNode(1, 0, 2, qos.Resources{CPU: 0.1, Memory: 0.1}, time.Second)
+		l.HoldNode(2, 0, 2, qos.Resources{CPU: 0.2, Memory: 0.2}, time.Second)
+		release(l, clk)
+		// A residue shows only against a small residual.
+		if err := l.CommitShares(8, []NodeShare{{ID: 2, Amount: qos.Resources{CPU: 99.9, Memory: 999.9}}}, nil); err != nil {
+			t.Fatal(err)
+		}
+		room := l.NodeCommittedAvailable(2)
+		if err := l.CommitShares(9, []NodeShare{{ID: 2, Amount: room}}, nil); err != nil {
+			t.Errorf("%s: committing the whole residual %v after the holds went: %v", name, room, err)
+		}
+	}
+}
+
 func TestCommitSessionPromotesHolds(t *testing.T) {
 	l, clk, _ := newTestLedger(t)
 	req := qos.Resources{CPU: 40, Memory: 200}

@@ -108,6 +108,9 @@ func (l *referenceLedger) purgeNode(node int, now time.Duration) {
 		}
 	}
 	n.holds = kept
+	if len(kept) == 0 {
+		n.held = qos.Resources{}
+	}
 }
 
 func (l *referenceLedger) purgeLink(link int, now time.Duration) {
@@ -134,6 +137,9 @@ func (l *referenceLedger) purgeLink(link int, now time.Duration) {
 		}
 	}
 	lk.holds = kept
+	if len(kept) == 0 {
+		lk.held = 0
+	}
 }
 
 func (l *referenceLedger) nodeAvailable(node int, now time.Duration) qos.Resources {
@@ -206,6 +212,9 @@ func (l *referenceLedger) ReleaseNodeHold(owner Owner, tag, node int) {
 		if h.owner == owner && h.tag == tag {
 			n.held = n.held.Sub(h.amount)
 			n.holds = append(n.holds[:i], n.holds[i+1:]...)
+			if len(n.holds) == 0 {
+				n.held = qos.Resources{}
+			}
 			return
 		}
 	}
@@ -217,6 +226,9 @@ func (l *referenceLedger) ReleaseLinkHold(owner Owner, tag, link int) {
 		if h.owner == owner && h.tag == tag {
 			lk.held -= h.amount
 			lk.holds = append(lk.holds[:i], lk.holds[i+1:]...)
+			if len(lk.holds) == 0 {
+				lk.held = 0
+			}
 			return
 		}
 	}
@@ -298,6 +310,7 @@ func (l *referenceLedger) ReleaseOwner(owner Owner) {
 		}
 		n.holds = kept
 		if len(kept) == 0 {
+			n.held = qos.Resources{}
 			l.heldNodes.dropAt(i)
 		}
 	}
@@ -314,6 +327,7 @@ func (l *referenceLedger) ReleaseOwner(owner Owner) {
 		}
 		lk.holds = kept
 		if len(kept) == 0 {
+			lk.held = 0
 			l.heldLinks.dropAt(i)
 		}
 	}
