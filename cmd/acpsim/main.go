@@ -1,6 +1,7 @@
 // Command acpsim runs a single configurable composition simulation and
 // reports success rate, overhead, and per-window series; -fig prints a
-// paper figure's tables and -report renders the paper report.
+// paper figure's tables, -report renders the paper report and -topo
+// prints the network substrate's statistics.
 //
 // Usage:
 //
@@ -14,13 +15,16 @@
 //	acpsim -multi-app -family diurnal -tenants 4 && acpsim -multi-app -family all
 //	acpsim -fig 6a -scale 0.2 && acpsim -fig ablations -seeds 3 -csv
 //	acpsim -report > EXPERIMENTS.md
+//	acpsim -topo -ipnodes 800 -nodes 100 -seed 7 -hist
 package main
 
 import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"math/rand"
 	"os"
+	"slices"
 	"sort"
 	"strings"
 	"time"
@@ -29,6 +33,7 @@ import (
 	"repro/internal/experiment"
 	"repro/internal/harness"
 	"repro/internal/obs"
+	"repro/internal/substrate"
 	"repro/internal/trace"
 	"repro/internal/tuning"
 	"repro/internal/workload"
@@ -96,6 +101,10 @@ func run(args []string) error {
 		scale  = fs.Float64("scale", 1.0, "fig, report: simulated-duration scale factor (1.0 = paper scale)")
 		seeds  = fs.Int("seeds", 1, "fig: average the figure over this many consecutive seeds")
 		asCSV  = fs.Bool("csv", false, "fig: emit CSV instead of aligned tables")
+
+		topo      = fs.Bool("topo", false, "print the network substrate's statistics at -ipnodes, -nodes and -seed")
+		neighbors = fs.Int("neighbors", 6, "topo: overlay neighbors per node")
+		hist      = fs.Bool("hist", false, "topo: print the full degree histogram")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -108,6 +117,9 @@ func run(args []string) error {
 	}
 	if *multiApp {
 		return runMultiApp(*seed, *famName, *tenants, *ticks, *load)
+	}
+	if *topo {
+		return runTopo(*ipNodes, *nodes, *neighbors, *seed, *hist)
 	}
 	figOpts := experiment.Options{Seed: *seed, DurationScale: *scale, IPNodes: *ipNodes}
 	if *report {
@@ -325,6 +337,62 @@ func runFigure(fig string, opts experiment.Options, seeds int, asCSV bool) error
 			fmt.Println()
 		}
 	}
+	return nil
+}
+
+// runTopo prints the network substrate's statistics: the IP graph's
+// power-law degrees, the overlay mesh's shape and its virtual links. Like
+// runtime.NewCluster and dist.New (acpserve's network, for one), it draws
+// through substrate.Network from one stream seeded with seed;
+// experiment.BuildPlatform seeds each stage apart, so figures differ.
+func runTopo(ipNodes, nodes, neighbors int, seed int64, hist bool) error {
+	rng := rand.New(rand.NewSource(seed))
+	graph, mesh, err := substrate.Network(substrate.Config{
+		IPNodes: ipNodes, OverlayNodes: nodes, NeighborsPerNode: neighbors,
+	}, rng, rng)
+	if err != nil {
+		return err
+	}
+	st := graph.Stats()
+	fmt.Printf("IP-layer graph   %d nodes, %d links\n", graph.NumNodes(), graph.NumLinks())
+	fmt.Printf("degrees          min=%d max=%d mean=%.2f\n", st.Min, st.Max, st.Mean)
+	fmt.Printf("power-law slope  %.2f (log-log least squares; clearly negative = heavy tail)\n", st.PowerLawSlope)
+	fmt.Printf("connected        %v\n", graph.Connected())
+	if hist {
+		fmt.Println("degree histogram:")
+		for d, c := range st.Counts {
+			if c > 0 {
+				fmt.Printf("  %4d: %d\n", d, c)
+			}
+		}
+	}
+
+	fmt.Printf("\noverlay mesh     %d nodes, %d links\n", mesh.NumNodes(), mesh.NumLinks())
+	var delays, caps []float64
+	var sumDelay, sumCap float64
+	for id := range mesh.NumLinks() {
+		lk := mesh.Link(id)
+		delays, sumDelay = append(delays, lk.QoS.Delay), sumDelay+lk.QoS.Delay
+		caps, sumCap = append(caps, lk.Capacity), sumCap+lk.Capacity
+	}
+	links := float64(len(delays))
+	fmt.Printf("link delay (ms)  min=%.1f mean=%.1f max=%.1f\n", slices.Min(delays), sumDelay/links, slices.Max(delays))
+	fmt.Printf("link cap (kbps)  min=%.0f mean=%.0f max=%.0f\n", slices.Min(caps), sumCap/links, slices.Max(caps))
+
+	// Sample virtual links between random node pairs.
+	const samples = 200
+	var sumVDelay float64
+	var sumHops int
+	for range samples {
+		a, b := rng.Intn(mesh.NumNodes()), rng.Intn(mesh.NumNodes())
+		r, ok := mesh.RouteBetween(a, b)
+		if !ok {
+			return fmt.Errorf("no route between overlay nodes %d and %d", a, b)
+		}
+		sumVDelay, sumHops = sumVDelay+r.QoS.Delay, sumHops+len(r.Links)
+	}
+	fmt.Printf("virtual links    mean delay=%.1fms mean hops=%.1f (over %d samples)\n",
+		sumVDelay/samples, float64(sumHops)/samples, samples)
 	return nil
 }
 

@@ -89,6 +89,27 @@ func TestRunInvalidFigureFlags(t *testing.T) {
 	}
 }
 
+func TestRunSmallTopology(t *testing.T) {
+	if err := run([]string{"-topo", "-ipnodes", "300", "-nodes", "40", "-seed", "3"}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+func TestRunWithHistogram(t *testing.T) {
+	if err := run([]string{"-topo", "-ipnodes", "200", "-nodes", "20", "-hist"}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+func TestRunInvalidTopoFlags(t *testing.T) {
+	if err := run([]string{"-topo", "-ipnodes", "nope"}); err == nil {
+		t.Error("bad flag accepted")
+	}
+	if err := run([]string{"-topo", "-ipnodes", "10", "-nodes", "40"}); err == nil {
+		t.Error("overlay larger than IP accepted")
+	}
+}
+
 func TestRunSingleFigure(t *testing.T) {
 	if testing.Short() {
 		t.Skip("figure run in -short mode")

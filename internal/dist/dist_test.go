@@ -21,44 +21,22 @@ func testCluster(t *testing.T) *Cluster {
 	return virtualCluster(t, DefaultConfig())
 }
 
-// idle reports whether every node ledger has returned to full capacity
-// with no live holds and no session reserves link bandwidth — the steady
-// state after all sessions are released. Nodes answer from their own
-// precise state via inspect messages (a reliable monitoring hook, exempt
-// from fault injection and answered even during an outage).
-func (c *Cluster) idle() bool {
+// idleAfter lets timeout pass on the cluster's clock, time for holds
+// orphaned by injected loss to decay (HoldTTL plus a sweep period), then
+// shuts the cluster down and reports whether every node ledger is back at
+// full capacity with no live holds and no session reserves link
+// bandwidth. The node goroutines have exited, so their ledgers are read
+// directly.
+func (c *Cluster) idleAfter(timeout time.Duration) bool {
+	c.clock.Sleep(timeout)
+	c.Shutdown()
+	now := c.clock.Now()
 	for _, n := range c.nodes {
-		reply := make(chan qos.Resources, 1)
-		n.sendBlocking(message{kind: msgInspect, inspect: reply})
-		select {
-		case avail := <-reply:
-			if avail != c.cfg.NodeCapacity {
-				return false
-			}
-		case <-c.done:
+		if n.available(now) != c.cfg.NodeCapacity {
 			return false
 		}
 	}
 	return c.links.ActiveSessions() == 0
-}
-
-// awaitIdle polls idle until it holds or the timeout elapses — holds
-// orphaned by injected loss take up to HoldTTL (plus a sweep period) to
-// decay. The clock is read before each poll, so the last poll always
-// follows the deadline: a virtual clock that races ahead between a poll
-// and the deadline check cannot turn a not-yet-idle answer into a timeout.
-func (c *Cluster) awaitIdle(timeout time.Duration) bool {
-	deadline := c.clock.Now().Add(timeout)
-	for {
-		late := c.clock.Now().After(deadline)
-		if c.idle() {
-			return true
-		}
-		if late {
-			return false
-		}
-		c.clock.Sleep(10 * time.Millisecond)
-	}
 }
 
 func easyRequest(client int) *component.Request {
@@ -169,7 +147,7 @@ func TestComposeReleaseConservation(t *testing.T) {
 	}
 	// After a hold-TTL quiet period every node must be back at full
 	// capacity (releases are async; allow them to drain).
-	if !c.awaitIdle(5 * time.Second) {
+	if !c.idleAfter(5 * time.Second) {
 		t.Error("capacity did not return to full after compose/release churn")
 	}
 }
@@ -363,7 +341,7 @@ func TestSustainedChurnConservation(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
-	if !c.awaitIdle(8 * time.Second) {
+	if !c.idleAfter(8 * time.Second) {
 		t.Error("capacity leaked under sustained concurrent churn")
 	}
 }
@@ -446,7 +424,7 @@ func TestHoldsExpire(t *testing.T) {
 		}
 		c.Release(req, comp)
 	}
-	if !c.awaitIdle(5 * time.Second) {
+	if !c.idleAfter(5 * time.Second) {
 		t.Error("transient holds survived their TTL")
 	}
 }

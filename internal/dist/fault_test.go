@@ -244,10 +244,9 @@ func faultWorkload(t *testing.T, cfg Config, workers, perWorker int) (successes 
 	}
 	wg.Wait() // every request completed (no hangs) or the test times out
 
-	if !c.awaitIdle(10 * time.Second) {
+	if !c.idleAfter(10 * time.Second) {
 		t.Error("resources did not return to capacity: leaked holds or commits")
 	}
-	c.Shutdown()
 
 	if leaked := obs.LeakedSpans(sink.Events()); len(leaked) != 0 {
 		t.Errorf("%d probe spans leaked: %v", len(leaked), leaked)

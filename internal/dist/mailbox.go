@@ -12,8 +12,8 @@ import (
 )
 
 // msgKind tags a message. Every kind carries reqID — the request, which
-// is also the owner of its holds and of its session; 0 on state and
-// inspect — and the fields its comment names.
+// is also the owner of its holds and of its session; 0 on state — and
+// the fields its comment names.
 type msgKind uint8
 
 const (
@@ -38,25 +38,23 @@ const (
 	// release idempotent: a duplicate or speculative one (rollback toward a
 	// participant that never committed) is a no-op.
 	msgRelease
-	msgState   // a coarse global-state update (§3.2): node, amount
-	msgInspect // asks for the precise availability (the tests' idle check): inspect
+	msgState // a coarse global-state update (§3.2): node, amount
 )
 
 // message is what flows through node mailboxes: one value type for every
 // kind, so a send copies a struct into the ring and boxes nothing.
 type message struct {
-	kind    msgKind
-	ok      bool
-	idx     int
-	node    int
-	chosen  component.ComponentID
-	reqID   int64
-	probe   int64
-	alpha   float64
-	amount  qos.Resources
-	rq      *request
-	hop     *hopRecord
-	inspect chan qos.Resources
+	kind   msgKind
+	ok     bool
+	idx    int
+	node   int
+	chosen component.ComponentID
+	reqID  int64
+	probe  int64
+	alpha  float64
+	amount qos.Resources
+	rq     *request
+	hop    *hopRecord
 }
 
 type composeReply struct {
@@ -139,7 +137,7 @@ func (h *hopRecord) accumulated() qos.Vector {
 var stepLabel = [...]string{
 	msgCompose: "compose req=", msgProbe: "probe req=", msgReturn: "return req=", msgDecide: "decide req=",
 	msgCommit: "commit req=", msgCommitAck: "commit-ack req=", msgCommitTimeout: "commit-timeout req=",
-	msgRelease: "release owner=", msgState: "state node=", msgInspect: "inspect",
+	msgRelease: "release owner=", msgState: "state node=",
 }
 
 // maxStepLine is the longest step-log line: a commit-ack of two minimum int64s.
@@ -148,10 +146,7 @@ const maxStepLine = len("commit-ack req=") + 20 + len(" node=") + 20 + len(" ok=
 // appendLine appends the harness step-log line of a message to b.
 func (m *message) appendLine(b []byte) []byte {
 	id := m.reqID
-	switch m.kind {
-	case msgInspect:
-		return append(b, stepLabel[msgInspect]...)
-	case msgState:
+	if m.kind == msgState {
 		id = int64(m.node)
 	}
 	b = strconv.AppendInt(append(b, stepLabel[m.kind]...), id, 10)

@@ -127,7 +127,7 @@ func TestStepLabelsMatchDescribe(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	random := func() message {
 		return message{
-			kind:  msgKind(rng.Intn(int(msgInspect) + 1)),
+			kind:  msgKind(rng.Intn(int(msgState) + 1)),
 			reqID: rng.Int63n(8) + rng.Int63n(2)*rng.Int63(), // repeats, and IDs of every width
 			idx:   rng.Intn(6),
 			node:  rng.Intn(8),
@@ -169,7 +169,7 @@ func TestStepLinesOutliveTheirChunk(t *testing.T) {
 	var all []handed
 	chunks := 0
 	for i := int64(0); chunks < 8 && i < 1e5; i++ {
-		m := message{kind: msgKind(i % int64(msgInspect)), reqID: i * 1_000_003, idx: int(i % 5), node: int(i % 64), ok: i%2 == 0}
+		m := message{kind: msgKind(i % int64(msgState+1)), reqID: i * 1_000_003, idx: int(i % 5), node: int(i % 64), ok: i%2 == 0}
 		used := lines.arena.Len()
 		all = append(all, handed{m, lines.line(&m)})
 		if lines.arena.Len() < used { // the line opened a fresh chunk
@@ -194,7 +194,7 @@ func TestLongestStepLineFitsTheReserve(t *testing.T) {
 	if got := len(longest.describe()); got != maxStepLine {
 		t.Fatalf("%q is %d bytes, maxStepLine = %d", longest.describe(), got, maxStepLine)
 	}
-	for k := msgCompose; k <= msgInspect; k++ {
+	for k := msgCompose; k <= msgState; k++ {
 		m := message{kind: k, reqID: math.MinInt64, idx: math.MinInt64, node: math.MinInt64}
 		if line := m.describe(); len(line) > maxStepLine {
 			t.Errorf("%q is %d bytes, over maxStepLine = %d", line, len(line), maxStepLine)

@@ -230,16 +230,13 @@ func (n *node) dispatch(m *message) {
 		n.onRelease(m.reqID)
 	case msgState:
 		n.view[m.node] = m.amount
-	case msgInspect:
-		m.inspect <- n.available(n.c.clock.Now())
 	}
 }
 
 // dispatchDown handles traffic arriving during an outage: the protocol
 // engine is down — probes and commit traffic are lost, compose requests
 // are refused so callers fail fast (and may retry) — while the durable
-// local ledger still applies releases and the monitoring inspect hook
-// still answers.
+// local ledger still applies releases.
 func (n *node) dispatchDown(m *message) {
 	switch m.kind {
 	case msgCompose:
@@ -249,8 +246,6 @@ func (n *node) dispatchDown(m *message) {
 		n.c.ins.probesDropped.Inc()
 	case msgRelease:
 		n.onRelease(m.reqID)
-	case msgInspect:
-		m.inspect <- n.available(n.c.clock.Now())
 	default:
 		// return/commit/ack/timeout/state traffic dies with the engine.
 	}

@@ -6,14 +6,15 @@ import (
 	"repro/internal/qos"
 )
 
-// FuzzRouteTable lays out the routes of a hand-assembled mesh and holds
-// every ordered pair to the reference reconstruction (routeDiff). The
-// mesh has 2-40 nodes; each three bytes of raw add a link between two
-// nodes with a delay of 0, 1 or 2, so islands, parallel links, equal-delay
-// ties and zero-delay links all occur. Loss costs are tenths, whose float
-// sums depend on their order. Seeds under testdata/fuzz/FuzzRouteTable:
-// two nodes, two islands, zero-delay ties, parallel links, a chain of 40,
-// 40 nodes with 120 random links, and 40 nodes with none.
+// FuzzRouteTable lays out the routes of a hand-assembled mesh, on one
+// worker and on two, and holds every ordered pair to the reference
+// reconstruction (routeDiff). The mesh has 2-40 nodes; each three bytes
+// of raw add a link between two nodes with a delay of 0, 1 or 2, so
+// islands, parallel links, equal-delay ties and zero-delay links all
+// occur. Loss costs are tenths, whose float sums depend on their order.
+// Seeds under testdata/fuzz/FuzzRouteTable: two nodes, two islands,
+// zero-delay ties, parallel links, a chain of 40, 40 nodes with 120
+// random links, and 40 nodes with none.
 func FuzzRouteTable(f *testing.F) {
 	f.Fuzz(func(t *testing.T, nodes uint8, raw []byte) {
 		n := 2 + int(nodes)%39
@@ -32,11 +33,14 @@ func FuzzRouteTable(f *testing.F) {
 			m.adj[a] = append(m.adj[a], halfLink{to: b, link: id})
 			m.adj[b] = append(m.adj[b], halfLink{to: a, link: id})
 		}
-		if err := m.computeRouting(); err != nil {
-			t.Fatal(err)
-		}
-		if diff := routeDiff(m, refRoutes(m)); diff != "" {
-			t.Fatal(diff)
+		ref := refRoutes(m)
+		for _, workers := range []int{1, 2} {
+			if err := m.computeRouting(workers); err != nil {
+				t.Fatal(err)
+			}
+			if diff := routeDiff(m, ref); diff != "" {
+				t.Fatalf("%d workers: %s", workers, diff)
+			}
 		}
 	})
 }

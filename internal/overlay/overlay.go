@@ -16,6 +16,9 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
+	"sync"
+	"sync/atomic"
 
 	"repro/internal/qos"
 	"repro/internal/topology"
@@ -96,8 +99,14 @@ type routeEntry struct {
 
 // Build selects overlay nodes from the IP graph, wires the mesh, maps
 // links onto IP paths, and precomputes all-pairs overlay routing. All
-// randomness comes from rng.
+// randomness comes from rng. The shortest-path runs use every P
+// (runtime.GOMAXPROCS); the mesh is the same on any number.
 func Build(g *topology.Graph, cfg Config, rng *rand.Rand) (*Mesh, error) {
+	return build(g, cfg, rng, runtime.GOMAXPROCS(0))
+}
+
+// build is Build on the given number of workers.
+func build(g *topology.Graph, cfg Config, rng *rand.Rand, workers int) (*Mesh, error) {
 	n := cfg.Nodes
 	if n < 2 {
 		return nil, fmt.Errorf("overlay: Nodes %d < 2", n)
@@ -144,39 +153,76 @@ func Build(g *topology.Graph, cfg Config, rng *rand.Rand) (*Mesh, error) {
 
 	// Map overlay links to IP shortest paths. Each link is filled from its
 	// A side: one Dijkstra per overlay node over the IP graph, stopped once
-	// the far ends of the node's A-side links are settled.
-	var tree topology.PathTree
-	var targets []int
-	for v := 0; v < n; v++ {
-		targets = targets[:0]
-		for _, h := range m.adj[v] {
-			if m.links[h.link].A == v {
-				targets = append(targets, m.ipNode[h.to])
+	// the far ends of the node's A-side links are settled. The runs share
+	// nothing but the read-only graph, each writes only its own links'
+	// delay and capacity, and the losses are drawn after them in the order
+	// the sequential build drew them, so the mesh and rng do not depend on
+	// the number of workers.
+	parallel(n, workers, func() func(int) {
+		var tree topology.PathTree
+		var targets []int
+		return func(v int) {
+			targets = targets[:0]
+			for _, h := range m.adj[v] {
+				if m.links[h.link].A == v {
+					targets = append(targets, m.ipNode[h.to])
+				}
+			}
+			if len(targets) == 0 {
+				return
+			}
+			g.Route(&tree, m.ipNode[v], targets)
+			for _, h := range m.adj[v] {
+				if lk := &m.links[h.link]; lk.A == v {
+					lk.QoS.Delay, lk.Capacity = g.PathMetrics(&tree, m.ipNode[h.to])
+				}
 			}
 		}
-		if len(targets) == 0 {
-			continue
-		}
-		g.Route(&tree, m.ipNode[v], targets)
+	})
+	for v := 0; v < n; v++ {
 		for _, h := range m.adj[v] {
 			lk := &m.links[h.link]
 			if lk.A != v {
 				continue
 			}
-			delay, bw := g.PathMetrics(&tree, m.ipNode[h.to])
-			if math.IsInf(delay, 1) {
+			if math.IsInf(lk.QoS.Delay, 1) {
 				return nil, fmt.Errorf("overlay: IP nodes %d and %d disconnected", m.ipNode[v], m.ipNode[h.to])
 			}
-			loss := minLinkLoss + rng.Float64()*(maxLinkLoss-minLinkLoss)
-			lk.QoS = qos.Vector{Delay: delay, LossCost: qos.LossCost(loss)}
-			lk.Capacity = bw
+			lk.QoS.LossCost = qos.LossCost(minLinkLoss + rng.Float64()*(maxLinkLoss-minLinkLoss))
 		}
 	}
 
-	if err := m.computeRouting(); err != nil {
+	if err := m.computeRouting(workers); err != nil {
 		return nil, err
 	}
 	return m, nil
+}
+
+// parallel calls, for every i in [0, n), the function that one of up to
+// workers goroutines got from newWorker. Indices go out one at a time,
+// since their costs differ, and the caller's goroutine is one of the
+// workers, so on one worker the loop runs inline.
+func parallel(n, workers int, newWorker func() func(i int)) {
+	var p struct {
+		next atomic.Int64
+		wg   sync.WaitGroup
+	}
+	for range min(workers, n) - 1 {
+		p.wg.Add(1)
+		go func(do func(int)) {
+			defer p.wg.Done()
+			drain(&p.next, n, do)
+		}(newWorker())
+	}
+	drain(&p.next, n, newWorker())
+	p.wg.Wait()
+}
+
+// drain calls do for each index it takes from next, until they reach n.
+func drain(next *atomic.Int64, n int, do func(int)) {
+	for i := int(next.Add(1)) - 1; i < n; i = int(next.Add(1)) - 1 {
+		do(i)
+	}
 }
 
 // NumNodes returns the overlay size N.
@@ -194,64 +240,77 @@ func (m *Mesh) Link(id int) Link { return m.links[id] }
 // non-negative, relaxation is strict) and its tree parent was popped
 // before it, so a route's QoS is folded in pop order as its parent's QoS
 // plus the last link: the links added source to destination. The last
-// links are kept per source until the hop total sizes the arena; each
-// route is then written backwards from its destination.
-func (m *Mesh) computeRouting() error {
+// links are kept per source until the hop totals size the arena; each
+// route is then written backwards from its destination. A source's row,
+// last links and arena span are its own, and its span starts at the hop
+// total of the sources before it, so the sources run on workers and lay
+// out the table the one-worker loop does.
+func (m *Mesh) computeRouting(workers int) error {
 	n := m.NumNodes()
 	m.routes = make([]routeEntry, n*n)
-	dist := make([]float64, n)
 	prevLinks := make([]int32, n*n)
-	var h topology.MinHeap
-	hops := 0
-	for src := 0; src < n; src++ {
-		row := m.routes[src*n : (src+1)*n : (src+1)*n]
-		prevLink := prevLinks[src*n : (src+1)*n : (src+1)*n]
-		for i := range dist {
-			dist[i] = math.Inf(1)
-			prevLink[i] = -1
-			row[i].n = -1
+	hops := make([]int, n+1) // src's route hops at src+1, then prefix sums: src's span starts at hops[src]
+	parallel(n, workers, func() func(int) {
+		dist := make([]float64, n)
+		var h topology.MinHeap
+		return func(src int) {
+			row := m.routes[src*n : (src+1)*n : (src+1)*n]
+			prevLink := prevLinks[src*n : (src+1)*n : (src+1)*n]
+			for i := range dist {
+				dist[i] = math.Inf(1)
+				prevLink[i] = -1
+				row[i].n = -1
+			}
+			dist[src] = 0
+			row[src].n = 0
+			h.Push(src, 0)
+			total := 0
+			for h.Len() > 0 {
+				u, du := h.Pop()
+				if du > dist[u] {
+					continue
+				}
+				if id := prevLink[u]; id >= 0 {
+					p := &row[m.otherEnd(int(id), u)]
+					row[u].qos, row[u].n = p.qos.Add(m.links[id].QoS), p.n+1
+					total += int(row[u].n)
+				}
+				for _, half := range m.adj[u] {
+					if d := du + m.links[half.link].QoS.Delay; d < dist[half.to] {
+						dist[half.to] = d
+						prevLink[half.to] = int32(half.link)
+						h.Push(half.to, d)
+					}
+				}
+			}
+			hops[src+1] = total
 		}
-		dist[src] = 0
-		row[src].n = 0
-		h.Push(src, 0)
-		for h.Len() > 0 {
-			u, du := h.Pop()
-			if du > dist[u] {
-				continue
-			}
-			if id := prevLink[u]; id >= 0 {
-				p := &row[m.otherEnd(int(id), u)]
-				row[u].qos, row[u].n = p.qos.Add(m.links[id].QoS), p.n+1
-				hops += int(row[u].n)
-			}
-			for _, half := range m.adj[u] {
-				if d := du + m.links[half.link].QoS.Delay; d < dist[half.to] {
-					dist[half.to] = d
-					prevLink[half.to] = int32(half.link)
-					h.Push(half.to, d)
+	})
+	for src := 0; src < n; src++ {
+		hops[src+1] += hops[src]
+	}
+	if hops[n] > math.MaxInt32 {
+		return fmt.Errorf("overlay: %d route hops overflow the link arena", hops[n])
+	}
+	m.arena = make([]int, hops[n])
+	parallel(n, workers, func() func(int) {
+		return func(src int) {
+			off := int32(hops[src])
+			for dst := 0; dst < n; dst++ {
+				e := &m.routes[src*n+dst]
+				if e.n <= 0 {
+					continue
+				}
+				e.off = off
+				off += e.n
+				for v, k := dst, off-1; v != src; k-- {
+					id := int(prevLinks[src*n+v])
+					m.arena[k] = id
+					v = m.otherEnd(id, v)
 				}
 			}
 		}
-	}
-	if hops > math.MaxInt32 {
-		return fmt.Errorf("overlay: %d route hops overflow the link arena", hops)
-	}
-	m.arena = make([]int, hops)
-	off := int32(0)
-	for i := range m.routes {
-		e := &m.routes[i]
-		if e.n <= 0 {
-			continue
-		}
-		e.off = off
-		off += e.n
-		src := i / n
-		for v, k := i%n, off-1; v != src; k-- {
-			id := int(prevLinks[src*n+v])
-			m.arena[k] = id
-			v = m.otherEnd(id, v)
-		}
-	}
+	})
 	return nil
 }
 

@@ -249,7 +249,7 @@ func TestRouteBetweenUnreachable(t *testing.T) {
 		},
 		adj: [][]halfLink{{{to: 1, link: 0}}, {{to: 0, link: 0}}, {{to: 3, link: 1}}, {{to: 2, link: 1}}},
 	}
-	if err := m.computeRouting(); err != nil {
+	if err := m.computeRouting(1); err != nil {
 		t.Fatal(err)
 	}
 	for _, pair := range [][2]int{{0, 3}, {3, 0}, {1, 2}} {

@@ -220,11 +220,11 @@ func (h *refHeap) Pop() interface{} {
 	return it
 }
 
-// TestBuildMatchesReference holds Build to refBuild bit for bit: overlay
-// node placement, every link's endpoints, QoS and capacity bits, every
-// ordered pair's route against the reference reconstruction (routeDiff),
-// and where Build leaves rng (the next draw). One parallel subtest per IP
-// graph.
+// TestBuildMatchesReference holds build, on one worker and on three, to
+// refBuild bit for bit: overlay node placement, every link's endpoints,
+// QoS and capacity bits, every ordered pair's route against the reference
+// reconstruction (routeDiff), and where build leaves rng (the next draw).
+// One parallel subtest per IP graph.
 func TestBuildMatchesReference(t *testing.T) {
 	for _, ipNodes := range []int{400, 1600, 3200} {
 		for seed := int64(1); seed <= 3; seed++ {
@@ -239,20 +239,24 @@ func TestBuildMatchesReference(t *testing.T) {
 				for _, n := range []int{20, 64, 256} {
 					cfg := DefaultConfig()
 					cfg.Nodes = n
-					rng, refRNG := rand.New(rand.NewSource(seed*1000+int64(n))), rand.New(rand.NewSource(seed*1000+int64(n)))
-					got, err := Build(g, cfg, rng)
-					if err != nil {
-						t.Fatal(err)
-					}
+					refRNG := rand.New(rand.NewSource(seed*1000 + int64(n)))
 					want := refBuild(g, cfg, refRNG)
-					if diff := meshDiff(got, want); diff != "" {
-						t.Fatalf("N %d: %s", n, diff)
-					}
-					if diff := routeDiff(got, refRoutes(want)); diff != "" {
-						t.Fatalf("N %d: %s", n, diff)
-					}
-					if a, b := rng.Int63(), refRNG.Int63(); a != b {
-						t.Fatalf("N %d: next draw %d, reference %d", n, a, b)
+					ref, next := refRoutes(want), refRNG.Int63()
+					for _, workers := range []int{1, 3} {
+						rng := rand.New(rand.NewSource(seed*1000 + int64(n)))
+						got, err := build(g, cfg, rng, workers)
+						if err != nil {
+							t.Fatal(err)
+						}
+						if diff := meshDiff(got, want); diff != "" {
+							t.Fatalf("N %d, %d workers: %s", n, workers, diff)
+						}
+						if diff := routeDiff(got, ref); diff != "" {
+							t.Fatalf("N %d, %d workers: %s", n, workers, diff)
+						}
+						if a := rng.Int63(); a != next {
+							t.Fatalf("N %d, %d workers: next draw %d, reference %d", n, workers, a, next)
+						}
 					}
 				}
 			})

@@ -21,28 +21,38 @@ import (
 // benchmark's walk_loaded workload: 128 overlay nodes on 3200 IP nodes,
 // 16 functions, alpha 0.25, 3–5-function paths and two-branch DAGs, and
 // 440 live sessions (a ring of 440/callers per caller) that every
-// admitted request replaces the oldest of. It reports admitted
-// sessions/s and idle-share, 1 − process CPU time / (GOMAXPROCS × wall):
-// the share of the Ps' time nobody ran, which is what callers lose
-// parking on a lock they could have waited out (DESIGN.md §18).
+// admitted request replaces the oldest of; and, as the baseline for what
+// sharing a cluster costs, two callers each on its own such cluster with
+// its own 440 sessions. It reports admitted sessions/s and idle-share,
+// 1 − process CPU time / (GOMAXPROCS × wall): the share of the Ps' time
+// nobody ran, which is what callers lose parking on a lock they could
+// have waited out (DESIGN.md §18).
 func BenchmarkFindAppCallers(b *testing.B) {
-	for _, callers := range []int{1, 2} {
-		b.Run(fmt.Sprintf("callers=%d", callers), func(b *testing.B) {
+	for _, bc := range []struct{ callers, clusters int }{{1, 1}, {2, 1}, {2, 2}} {
+		name := fmt.Sprintf("callers=%d", bc.callers)
+		if bc.clusters > 1 {
+			name += fmt.Sprintf(",clusters=%d", bc.clusters)
+		}
+		b.Run(name, func(b *testing.B) {
 			cfg := DefaultConfig()
 			cfg.Seed = 1
 			cfg.OverlayNodes, cfg.IPNodes = 128, 3200
 			cfg.NumFunctions, cfg.ComponentsPerNode = 16, 2
 			cfg.ProbingRatio = 0.25
-			c, err := NewCluster(cfg)
-			if err != nil {
-				b.Fatal(err)
+			clusters := make([]*Cluster, bc.clusters)
+			for i := range clusters {
+				c, err := NewCluster(cfg)
+				if err != nil {
+					b.Fatal(err)
+				}
+				defer c.Shutdown()
+				clusters[i] = c
 			}
-			defer c.Shutdown()
 
-			lanes := make([]*callerLane, callers)
+			lanes := make([]*callerLane, bc.callers)
 			for i := range lanes {
-				lanes[i] = &callerLane{rng: rand.New(rand.NewSource(int64(i + 1))), ring: make([]SessionID, 0, 440/callers)}
-				if err := lanes[i].fill(c); err != nil {
+				lanes[i] = &callerLane{rng: rand.New(rand.NewSource(int64(i + 1))), ring: make([]SessionID, 0, 440*bc.clusters/bc.callers)}
+				if err := lanes[i].fill(clusters[i%bc.clusters]); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -50,10 +60,11 @@ func BenchmarkFindAppCallers(b *testing.B) {
 			cpu0, start := processCPU(b), time.Now()
 			var wg sync.WaitGroup
 			for i, ln := range lanes {
-				n := b.N / callers
-				if i < b.N%callers {
+				n := b.N / bc.callers
+				if i < b.N%bc.callers {
 					n++
 				}
+				c := clusters[i%bc.clusters]
 				wg.Add(1)
 				go func() {
 					defer wg.Done()

@@ -1,7 +1,7 @@
 // Package substrate draws the system every engine composes on (§4.1):
 // a power-law IP graph, an overlay mesh of stream processing nodes over
 // it, and components placed on those nodes. runtime, dist, experiment
-// and cmd/acptopo all build through Build or Network, so one Config and
+// and acpsim -topo all build through Build or Network, so one Config and
 // the same streams give the same system everywhere.
 package substrate
 

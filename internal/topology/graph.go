@@ -16,7 +16,6 @@ import (
 	"math/bits"
 	"math/rand"
 	"slices"
-	"sort"
 )
 
 // Edge is a directed view of an undirected IP link.
@@ -362,21 +361,22 @@ func (g *Graph) Connected() bool {
 type DegreeStats struct {
 	Min, Max int
 	Mean     float64
+	// Counts is the degree histogram: Counts[d] nodes have degree d.
+	Counts []int
 	// PowerLawSlope is the least-squares slope of log(count) over
-	// log(degree) for the complementary degree histogram; heavy-tailed
+	// log(degree) across the non-zero degrees of Counts; heavy-tailed
 	// graphs produce a clearly negative slope.
 	PowerLawSlope float64
 }
 
-// Stats computes degree-distribution statistics, used by tests and the
-// acptopo inspection tool to confirm the generator produces a power law.
+// Stats computes degree-distribution statistics, used by tests and
+// acpsim -topo to confirm the generator produces a power law.
 func (g *Graph) Stats() DegreeStats {
 	n := g.NumNodes()
 	if n == 0 {
 		return DegreeStats{}
 	}
 	st := DegreeStats{Min: math.MaxInt}
-	hist := make(map[int]int)
 	sum := 0
 	for v := 0; v < n; v++ {
 		d := g.Degree(v)
@@ -387,25 +387,23 @@ func (g *Graph) Stats() DegreeStats {
 		if d > st.Max {
 			st.Max = d
 		}
-		hist[d]++
+	}
+	st.Counts = make([]int, st.Max+1)
+	for v := 0; v < n; v++ {
+		st.Counts[g.Degree(v)]++
 	}
 	st.Mean = float64(sum) / float64(n)
-	st.PowerLawSlope = logLogSlope(hist)
+	st.PowerLawSlope = logLogSlope(st.Counts)
 	return st
 }
 
-func logLogSlope(hist map[int]int) float64 {
+func logLogSlope(counts []int) float64 {
 	type pt struct{ x, y float64 }
 	var pts []pt
-	degrees := make([]int, 0, len(hist))
-	for d := range hist {
-		if d > 0 {
-			degrees = append(degrees, d)
+	for d, c := range counts {
+		if d > 0 && c > 0 {
+			pts = append(pts, pt{x: math.Log(float64(d)), y: math.Log(float64(c))})
 		}
-	}
-	sort.Ints(degrees)
-	for _, d := range degrees {
-		pts = append(pts, pt{x: math.Log(float64(d)), y: math.Log(float64(hist[d]))})
 	}
 	if len(pts) < 2 {
 		return 0

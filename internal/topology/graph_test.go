@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -77,6 +78,13 @@ func TestGeneratePowerLawTail(t *testing.T) {
 	}
 	if st.PowerLawSlope > -1 {
 		t.Errorf("log-log degree slope = %.2f, want clearly negative (power law)", st.PowerLawSlope)
+	}
+	counts := make([]int, st.Max+1)
+	for v := 0; v < g.NumNodes(); v++ {
+		counts[g.Degree(v)]++
+	}
+	if !slices.Equal(st.Counts, counts) {
+		t.Errorf("degree histogram %v, want %v", st.Counts, counts)
 	}
 }
 
@@ -407,7 +415,7 @@ func TestRouteDuplicateAndSourceTargets(t *testing.T) {
 
 func TestStatsEmptyGraph(t *testing.T) {
 	var g Graph
-	if st := g.Stats(); st != (DegreeStats{}) {
+	if st := g.Stats(); !reflect.DeepEqual(st, DegreeStats{}) {
 		t.Errorf("Stats of empty graph = %+v", st)
 	}
 	if !g.Connected() {
